@@ -13,7 +13,9 @@ from .graphs import (
 from .rationals import Rational, parse_rat, rat, rat_str
 from .lp import LinearProgram, LpSolution, solve
 from .bounds import (
+    BoundsReport,
     EntropyBracket,
+    bounds_report,
     entropy_bracket,
     fractional_clique_cover_number,
     shannon_entropy,
@@ -38,6 +40,7 @@ from .enumeration import (
 )
 
 __all__ = [
+    "BoundsReport",
     "CapExceededError",
     "Decomposition",
     "EntropyBracket",
@@ -52,6 +55,7 @@ __all__ = [
     "ValueSurvey",
     "__version__",
     "apply_decomposition",
+    "bounds_report",
     "certify_entropy_minimal_candidate",
     "entropy_bracket",
     "enumerate_graphs",

@@ -4,9 +4,10 @@ The lower side comes from packing structure into the graph: a matching, a
 clique cover, or its fractional relaxation (n minus the fractional clique
 cover number is the strongest of the three).  The upper side removes
 structure: a minimum transversal (vertices meeting every directed cycle) and
-the subset-entropy linear program.  entropy_bracket strips loops, splits into
-components, and combines the strongest sides with machine-checkable
-witnesses; a collapsed bracket pins the entropy exactly.
+the subset-entropy linear program.  bounds_report strips loops, splits into
+components, computes every bound once, and combines the strongest sides into
+a bracket with machine-checkable witnesses; a collapsed bracket pins the
+entropy exactly.
 """
 
 from __future__ import annotations
@@ -431,8 +432,9 @@ def shannon_entropy(g: Graph, cap: int = 10) -> ShannonResult:
     """Solve the subset-entropy LP exactly.
 
     Works on the closure-collapsed formulation (variables only for closed
-    vertex sets) with lazy generation of submodular rows, then expands the
-    optimum back to all subsets and revalidates every defining constraint.
+    vertex sets, one per automorphism orbit when the group is small enough)
+    with every elemental row, solved through its dual; then expands the optimum back to all
+    subsets and revalidates every defining constraint.
     Equality of the two formulations follows from the closure identity
     h(S) = h(cl(S)), which the final validation re-certifies from scratch.
     """
@@ -458,7 +460,7 @@ def shannon_entropy(g: Graph, cap: int = 10) -> ShannonResult:
     # orbit of closed sets loses nothing.  The expanded optimum is still
     # re-validated against every defining constraint below.
     rep = {c: c for c in closed}
-    perms = automorphisms(g) if n <= 8 else ()
+    perms = automorphisms(g)
     if len(perms) > 1 and len(perms) * len(closed) * n <= 2_000_000:
         for c in closed:
             if rep[c] != c:
@@ -621,8 +623,28 @@ def _vertices(mask: int) -> list[int]:
     return list(bits_of(mask))
 
 
-def entropy_bracket(g: Graph, shannon_cap: int = 10, lazy_theta: bool = False) -> EntropyBracket:
-    """Best certified bracket for the entropy of g.
+class BoundsReport:
+    """Every bound of one graph, each computed once: the certified bracket
+    plus the whole-graph values nu <= n - cc <= n - kappa_f (lower side) and
+    tau, theta (upper side).
+
+    theta is None when lazy_theta skipped the subset-entropy LP on some
+    component, since the value of the whole graph is then unknown.
+    """
+
+    __slots__ = ("bracket", "nu", "cc", "kappa_f", "tau", "theta")
+
+    def __init__(self, bracket: EntropyBracket, nu: int, cc: int, kappa_f, tau: int, theta):
+        self.bracket = bracket
+        self.nu = nu
+        self.cc = cc
+        self.kappa_f = kappa_f
+        self.tau = tau
+        self.theta = theta
+
+
+def bounds_report(g: Graph, shannon_cap: int = 10, lazy_theta: bool = False) -> BoundsReport:
+    """Best certified bracket for the entropy of g, with every bound behind it.
 
     Pipeline: strip looped vertices (each contributes exactly 1), split into
     weakly connected components (entropy adds over disjoint unions), then per
@@ -630,46 +652,54 @@ def entropy_bracket(g: Graph, shannon_cap: int = 10, lazy_theta: bool = False) -
     than the matching or integral cover bounds) and upper = min(transversal,
     LP).  With lazy_theta the LP is skipped whenever the transversal already
     meets the lower bound.
+
+    All five values add exactly over components: every matching edge, clique
+    and cycle lies inside one.  Across the loop strip tau and theta add the
+    loop count, but nu, cc and kappa_f do not (a looped vertex still sits in
+    a clique), so those three are taken on the looped graph itself.
     """
     lp_mask = loops(g)
     if lp_mask:
-        sub, verts = induced_subgraph(g, g.vertex_mask & ~lp_mask)
-        inner = entropy_bracket(sub, shannon_cap, lazy_theta)
+        sub, _ = induced_subgraph(g, g.vertex_mask & ~lp_mask)
+        inner = bounds_report(sub, shannon_cap, lazy_theta)
         k = lp_mask.bit_count()
         looped = _vertices(lp_mask)
-        return inner.shifted(
+        bracket = inner.bracket.shifted(
             k,
-            ("loop-reduction", {"loops": looped, "inner": inner.lower_witness}),
-            ("loop-reduction", {"loops": looped, "inner": inner.upper_witness}),
+            ("loop-reduction", {"loops": looped, "inner": inner.bracket.lower_witness}),
+            ("loop-reduction", {"loops": looped, "inner": inner.bracket.upper_witness}),
         )
+        return BoundsReport(
+            bracket, max_matching(g).size, clique_cover_number(g)[0],
+            fractional_clique_cover_number(g)[0], inner.tau + k,
+            None if inner.theta is None else inner.theta + k)
     comps = connected_components(g)
-    if len(comps) > 1:
-        lower = Rational(0)
-        upper = Rational(0)
-        lows = []
-        ups = []
-        comp_lists = []
-        for comp in comps:
-            sub, _ = induced_subgraph(g, comp)
-            b = entropy_bracket(sub, shannon_cap, lazy_theta)
-            lower += b.lower
-            upper += b.upper
-            lows.append(b.lower_witness)
-            ups.append(b.upper_witness)
-            comp_lists.append(_vertices(comp))
-        return EntropyBracket(
-            lower, upper,
-            ("union-additivity", {"components": comp_lists, "inner": lows}),
-            ("union-additivity", {"components": comp_lists, "inner": ups}),
-        )
-    return _component_bracket(g, shannon_cap, lazy_theta)
+    if len(comps) <= 1:
+        return _component_report(g, shannon_cap, lazy_theta)
+    parts = [bounds_report(induced_subgraph(g, comp)[0], shannon_cap, lazy_theta)
+             for comp in comps]
+    comp_lists = [_vertices(comp) for comp in comps]
+    bracket = EntropyBracket(
+        sum((p.bracket.lower for p in parts), Rational(0)),
+        sum((p.bracket.upper for p in parts), Rational(0)),
+        ("union-additivity", {"components": comp_lists,
+                              "inner": [p.bracket.lower_witness for p in parts]}),
+        ("union-additivity", {"components": comp_lists,
+                              "inner": [p.bracket.upper_witness for p in parts]}),
+    )
+    thetas = [p.theta for p in parts]
+    return BoundsReport(
+        bracket, sum(p.nu for p in parts), sum(p.cc for p in parts),
+        sum((p.kappa_f for p in parts), Rational(0)), sum(p.tau for p in parts),
+        None if None in thetas else sum(thetas, Rational(0)))
 
 
-def _component_bracket(g: Graph, shannon_cap: int, lazy_theta: bool) -> EntropyBracket:
+def _component_report(g: Graph, shannon_cap: int, lazy_theta: bool) -> BoundsReport:
     n = g.n
     if n == 0:
         empty = ("union-additivity", {"components": [], "inner": []})
-        return EntropyBracket(0, 0, empty, empty)
+        zero = Rational(0)
+        return BoundsReport(EntropyBracket(0, 0, empty, empty), 0, 0, zero, 0, zero)
     matching = max_matching(g)
     cc, cover = clique_cover_number(g)
     kappa_f, family = fractional_clique_cover_number(g)
@@ -686,32 +716,22 @@ def _component_bracket(g: Graph, shannon_cap: int, lazy_theta: bool) -> EntropyB
             "weights": list(family.weights),
             "value": kappa_f,
         })
-    tau_r = Rational(tau)
-    if lazy_theta and tau_r == lower:
-        return EntropyBracket(lower, tau_r, low_wit,
-                              ("transversal", {"removed": _vertices(removed)}))
-    theta = shannon_entropy(g, cap=shannon_cap).theta
-    if tau_r <= theta:
-        up_wit = ("transversal", {"removed": _vertices(removed)})
-        upper = tau_r
-    else:
-        up_wit = ("shannon-lp", {"theta": theta})
-        upper = theta
-    return EntropyBracket(lower, upper, low_wit, up_wit)
+    upper, up_wit = Rational(tau), ("transversal", {"removed": _vertices(removed)})
+    theta = None
+    if not (lazy_theta and upper == lower):
+        theta = shannon_entropy(g, cap=shannon_cap).theta
+        if theta < upper:
+            upper, up_wit = theta, ("shannon-lp", {"theta": theta})
+    bracket = EntropyBracket(lower, upper, low_wit, up_wit)
+    return BoundsReport(bracket, matching.size, cc, kappa_f, tau, theta)
+
+
+def entropy_bracket(g: Graph, shannon_cap: int = 10, lazy_theta: bool = False) -> EntropyBracket:
+    """Best certified bracket for the entropy of g; see bounds_report."""
+    return bounds_report(g, shannon_cap, lazy_theta).bracket
 
 
 def shannon_theta(g: Graph, cap: int = 10) -> Rational:
     """Value of the subset-entropy LP for g, computed loop-stripped and
     componentwise (both reductions are exact for this LP, not just bounds)."""
-    lp_mask = loops(g)
-    if lp_mask:
-        sub, _ = induced_subgraph(g, g.vertex_mask & ~lp_mask)
-        return Rational(lp_mask.bit_count()) + shannon_theta(sub, cap)
-    comps = connected_components(g)
-    if len(comps) > 1:
-        total = Rational(0)
-        for comp in comps:
-            sub, _ = induced_subgraph(g, comp)
-            total += shannon_theta(sub, cap)
-        return total
-    return shannon_entropy(g, cap=cap).theta
+    return bounds_report(g, shannon_cap=cap).theta

@@ -17,16 +17,7 @@ import sys
 import time
 
 from . import __version__
-from .bounds import (
-    build_fractional_cover_lp,
-    build_shannon_lp,
-    clique_cover_number,
-    entropy_bracket,
-    fractional_clique_cover_number,
-    max_matching,
-    shannon_theta,
-    transversal_number,
-)
+from .bounds import bounds_report, build_fractional_cover_lp, build_shannon_lp
 from .graphs import CapExceededError, FormatError, GraphError, bits_of, parse_graph, render_graph
 from .guessing import max_guessing
 from .lp import LinearProgram
@@ -110,19 +101,15 @@ def _bracket_dict(bracket) -> dict:
 
 def _cmd_bounds(args) -> tuple[dict, int]:
     g = _load_graph(args.graph, args.format)
-    bracket = entropy_bracket(g, shannon_cap=args.shannon_cap, lazy_theta=args.lazy)
-    nu = max_matching(g).size
-    cc, _ = clique_cover_number(g)
-    kappa_f, _ = fractional_clique_cover_number(g)
-    tau, _ = transversal_number(g)
-    theta = None if args.lazy else shannon_theta(g, cap=args.shannon_cap)
+    report = bounds_report(g, shannon_cap=args.shannon_cap, lazy_theta=args.lazy)
+    bracket = report.bracket
     result = {
         "graph": _echo_graph(g)["text"],
-        "nu": nu,
-        "cc": cc,
-        "kappa_f": rat_str(kappa_f),
-        "tau": tau,
-        "theta": None if theta is None else rat_str(theta),
+        "nu": report.nu,
+        "cc": report.cc,
+        "kappa_f": rat_str(report.kappa_f),
+        "tau": report.tau,
+        "theta": None if report.theta is None else rat_str(report.theta),
         "bracket": _bracket_dict(bracket),
         "witnesses": {
             "lower": _jsonify_witness(bracket.lower_witness),
@@ -137,7 +124,6 @@ def _cmd_bounds(args) -> tuple[dict, int]:
 def _cmd_guess(args) -> tuple[dict, int]:
     g = _load_graph(args.graph, args.format)
     value, code = max_guessing(g, args.q, cap=args.cap)
-    code.validate()
     result = {
         "q": value.q,
         "code_size": value.code_size,

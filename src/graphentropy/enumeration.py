@@ -14,10 +14,9 @@ import hashlib
 import json
 import os
 from functools import lru_cache
-from itertools import permutations
 from multiprocessing import Pool
 
-from .bounds import EntropyBracket, entropy_bracket, fractional_clique_cover_number
+from .bounds import EntropyBracket, bounds_report, entropy_bracket
 from .graphs import (
     CapExceededError,
     Graph,
@@ -191,22 +190,6 @@ def enumerate_graphs(n_max: int, connected_only: bool = False, cap: int = DEFAUL
             if connected_only and len(connected_components(g)) > 1:
                 continue
             yield g
-
-
-def brute_force_classes(n: int) -> int:
-    """Class count by raw permutation dedup; the oracle enumerate is checked by."""
-    seen = set()
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for mask in range(1 << len(edges)):
-        chosen = [e for k, e in enumerate(edges) if mask >> k & 1]
-        g = Graph.undirected(n, chosen)
-        least = None
-        for perm in permutations(range(n)):
-            key = tuple(sorted(tuple(sorted((perm[u], perm[v]))) for u, v in chosen))
-            if least is None or key < least:
-                least = key
-        seen.add(least)
-    return len(seen)
 
 
 # -- cached survey -----------------------------------------------------------------
@@ -552,8 +535,8 @@ def verify_g_family(shannon_cap: int = 10) -> SuiteReport:
     graphs = g_family()
     entries = []
     failures = []
-    first = entropy_bracket(graphs[0], shannon_cap=shannon_cap)
-    kappa_f, _ = fractional_clique_cover_number(graphs[0])
+    report = bounds_report(graphs[0], shannon_cap=shannon_cap)
+    first, kappa_f = report.bracket, report.kappa_f
     ok_first = (
         first.exact
         and first.lower == rat("11/3")

@@ -72,16 +72,6 @@ class LinearProgram:
     def __setattr__(self, name, value):
         raise AttributeError("LinearProgram is immutable")
 
-    def restricted(self, row_indices: Sequence[int]) -> "LinearProgram":
-        """Same variables and objective, only the selected rows."""
-        sub = LinearProgram.__new__(LinearProgram)
-        object.__setattr__(sub, "num_vars", self.num_vars)
-        object.__setattr__(sub, "sense", self.sense)
-        object.__setattr__(sub, "objective", self.objective)
-        object.__setattr__(sub, "rows", tuple(self.rows[i] for i in row_indices))
-        object.__setattr__(sub, "free_vars", self.free_vars)
-        return sub
-
     def row_value(self, i: int, x: Sequence) -> "Rational":
         coeffs, _, _ = self.rows[i]
         return sum((c * x[j] for j, c in coeffs), Rational(0))
@@ -635,45 +625,3 @@ def verify_certificates(lp: LinearProgram, sol: LpSolution) -> tuple[bool, str]:
     if sol.objective != primal_obj:
         return False, "reported objective mismatches the primal point"
     return True, "ok"
-
-
-def solve_with_lazy_rows(lp: LinearProgram, seed_rows: Iterable[int],
-                         check: bool = True) -> LpSolution:
-    """Solve lp by row generation: start from seed_rows, repeatedly solve the
-    restricted program and pull in every violated row until none remain.
-
-    The seed must make the restriction bounded (callers seed enough structure
-    for that); the final solution is optimal for the full program, with zero
-    duals on rows that never became active.
-    """
-    m = len(lp.rows)
-    active = sorted(set(seed_rows))
-    active_set = set(active)
-    while True:
-        sol = _solve_core(lp.restricted(active))
-        if sol.status == INFEASIBLE:
-            return LpSolution(INFEASIBLE)
-        if sol.status == UNBOUNDED:
-            raise LpError("lazy row generation needs a bounding seed")
-        x = sol.primal
-        fresh = []
-        for i in range(m):
-            if i in active_set:
-                continue
-            coeffs, rel, rhs = lp.rows[i]
-            lhs = sum((c * x[j] for j, c in coeffs), Rational(0))
-            if (rel == LE and lhs > rhs) or (rel == GE and lhs < rhs) or (rel == EQ and lhs != rhs):
-                fresh.append(i)
-        if not fresh:
-            dual = [Rational(0)] * m
-            for k, i in enumerate(active):
-                dual[i] = sol.dual[k]
-            full = LpSolution(OPTIMAL, sol.objective, sol.primal, dual)
-            if check:
-                ok, why = verify_certificates(lp, full)
-                if not ok:
-                    raise LpError(f"internal certificate check failed: {why}")
-            return full
-        active.extend(fresh)
-        active.sort()
-        active_set.update(fresh)

@@ -31,8 +31,3 @@ def rat_str(x) -> str:
 
 def parse_rat(text: str):
     return Rational(Fraction(text.strip()))
-
-
-def is_integral(x) -> bool:
-    f = Fraction(x)
-    return f.denominator == 1

@@ -1,4 +1,9 @@
+import time
+
+import pytest
+
 from graphentropy.bounds import (
+    bounds_report,
     build_shannon_lp,
     clique_cover_number,
     entropy_bracket,
@@ -143,15 +148,11 @@ def test_bracket_loop_reduction():
 def test_bound_chain(rng):
     for _ in range(100):
         g = random_graph(rng, rng.randint(1, 7))
-        nu = max_matching(g).size
-        cc = clique_cover_number(g)[0]
-        kappa_f = fractional_clique_cover_number(g)[0]
-        tau = transversal_number(g)[0]
-        theta = shannon_theta(g)
-        b = entropy_bracket(g)
-        assert nu <= g.n - cc <= g.n - kappa_f <= b.lower
-        assert b.lower <= b.upper <= min(tau, theta)
-        assert theta <= tau
+        r = bounds_report(g)
+        b = r.bracket
+        assert r.nu <= g.n - r.cc <= g.n - r.kappa_f <= b.lower
+        assert b.lower <= b.upper <= min(r.tau, r.theta)
+        assert r.theta <= r.tau
 
 
 def test_lazy_bracket_never_crosses(rng):
@@ -161,3 +162,51 @@ def test_lazy_bracket_never_crosses(rng):
         eager = entropy_bracket(g)
         assert lazy.lower <= eager.lower
         assert lazy.upper >= eager.upper
+
+
+def _assert_report_matches_direct_calls(g):
+    r = bounds_report(g)
+    assert r.nu == max_matching(g).size
+    assert r.cc == clique_cover_number(g)[0]
+    assert r.kappa_f == fractional_clique_cover_number(g)[0]
+    assert r.tau == transversal_number(g)[0]
+    if g.n <= 5:
+        assert r.theta == solve(build_shannon_lp(g)).objective
+    lazy = bounds_report(g, lazy_theta=True)
+    assert (lazy.nu, lazy.cc, lazy.kappa_f, lazy.tau) == (r.nu, r.cc, r.kappa_f, r.tau)
+    assert lazy.theta in (None, r.theta)
+
+
+def test_report_fields_equal_whole_graph_calls(rng):
+    """Component additivity and the loop step reproduce every whole-graph
+    value, on connected, disconnected and looped inputs."""
+    for _ in range(40):
+        _assert_report_matches_direct_calls(random_graph(rng, rng.randint(1, 7)))
+    for _ in range(20):
+        a = rng.randint(1, 4)
+        g = disjoint_union(random_graph(rng, a), random_graph(rng, rng.randint(1, 7 - a)))
+        _assert_report_matches_direct_calls(g)
+    for _ in range(40):
+        _assert_report_matches_direct_calls(
+            random_digraph(rng, rng.randint(1, 5), loop_p=0.3))
+
+
+def _petersen() -> Graph:
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph.undirected(10, outer + spokes + inner)
+
+
+@pytest.mark.parametrize("g, value", [
+    pytest.param(Graph.cycle(9), "9/2", id="C9"),
+    pytest.param(complement(Graph.cycle(9)), "27/4", id="co-C9"),
+    pytest.param(Graph.cycle(10), "5", id="C10"),
+    pytest.param(_petersen(), "5", id="Petersen"),
+])
+def test_symmetric_brackets_at_the_cap(g, value):
+    started = time.perf_counter()
+    b = entropy_bracket(g)
+    elapsed = time.perf_counter() - started
+    assert (b.lower, b.upper, b.exact) == (rat(value), rat(value), True)
+    assert elapsed < 60, f"took {elapsed:.1f}s"

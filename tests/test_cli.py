@@ -43,6 +43,30 @@ def test_bounds_report(c5_file):
     assert result["witnesses"]["upper"]["tag"] == "shannon-lp"
 
 
+@pytest.mark.parametrize("text, fields", [
+    ("3; 1->1,2->3,3->2", (1, 2, "2", 2, "2")),
+    ("4; 1->1,1->2,2->1,2->2,3->4,4->3", (2, 2, "2", 3, "3")),
+    ("7; 1-2,2-3,3-4,4-5,5-1,6-7", (3, 4, "7/2", 4, "7/2")),
+])
+def test_bounds_looped_and_disconnected(text, fields):
+    proc = invoke("bounds", "--graph", "-", stdin=text)
+    assert proc.returncode == 0
+    result = json.loads(proc.stdout)["result"]
+    assert tuple(result[k] for k in ("nu", "cc", "kappa_f", "tau", "theta")) == fields
+
+
+def test_bounds_lazy_theta(tmp_path, c5_file):
+    # The transversal (3) misses the cover bound (5/2), so the LP runs.
+    proc = invoke("bounds", "--graph", c5_file, "--lazy")
+    assert json.loads(proc.stdout)["result"]["theta"] == "5/2"
+    # K2: the transversal meets the cover bound and the LP is skipped.
+    path = write_graph(tmp_path, "k2.el", "2; 1-2")
+    proc = invoke("bounds", "--graph", path, "--lazy")
+    result = json.loads(proc.stdout)["result"]
+    assert result["theta"] is None
+    assert result["bracket"] == {"lower": "1", "upper": "1", "exact": True}
+
+
 def test_bounds_byte_identical(c5_file):
     first = invoke("bounds", "--graph", c5_file)
     second = invoke("bounds", "--graph", c5_file)

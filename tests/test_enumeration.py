@@ -6,7 +6,6 @@ from graphentropy.enumeration import (
     KNOWN_CONNECTED_COUNTS,
     BracketCache,
     bracket_with_fallback,
-    brute_force_classes,
     canonical_form,
     enumerate_graphs,
     g_family,
@@ -34,7 +33,6 @@ def test_class_counts():
 def test_class_counts_against_permutation_oracle():
     for n in range(1, 6):
         assert len(isomorphism_classes(n)) == labeled_class_count(n)
-        assert brute_force_classes(n) == labeled_class_count(n)
 
 
 def test_connected_filter():
