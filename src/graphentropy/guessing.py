@@ -131,22 +131,29 @@ def _max_clique(rows: list[int]) -> int:
                 avail = avail & ~low & ~rows[v]
         return out
 
-    def expand(clique: int, size: int, cand: int) -> None:
-        nonlocal best_mask, best_size
-        order = color_order(cand)
-        for v, color in reversed(order):
-            if size + color <= best_size:
-                return
-            bit = 1 << v
-            inner = cand & rows[v]
-            if inner:
-                expand(clique | bit, size + 1, inner)
-            elif size + 1 > best_size:
-                best_size = size + 1
-                best_mask = clique | bit
-            cand &= ~bit
-
-    expand(0, 0, (1 << n) - 1)
+    # Depth-first with an explicit stack, since a clique can be deeper than
+    # Python's recursion limit.  Each frame is [clique, size, cand, order];
+    # its colour order is consumed from the highest colour down.
+    full = (1 << n) - 1
+    stack = [[0, 0, full, color_order(full)]]
+    while stack:
+        frame = stack[-1]
+        clique, size, cand, order = frame
+        if not order:
+            stack.pop()
+            continue
+        v, color = order.pop()
+        if size + color <= best_size:
+            stack.pop()
+            continue
+        bit = 1 << v
+        inner = cand & rows[v]
+        frame[2] = cand & ~bit
+        if inner:
+            stack.append([clique | bit, size + 1, inner, color_order(inner)])
+        elif size + 1 > best_size:
+            best_size = size + 1
+            best_mask = clique | bit
     return best_mask
 
 

@@ -1,10 +1,12 @@
 """Exact rational linear programming with self-checking certificates.
 
-A dense two-phase simplex over exact rationals with a Dantzig/lexicographic
-pivot rule and a Bland fallback, so runs are deterministic and never cycle.
-Larger programs first run a fast floating-point simplex whose only job is to
-propose an optimal basis; the basis is then refactorized in exact arithmetic
-and priced exactly, and any discrepancy falls back to the pure rational path.
+One dense simplex over exact rationals, with a Dantzig/lexicographic pivot
+rule and a Bland fallback, so runs are deterministic and never cycle.  It
+starts from a basis proposed by a fast floating-point simplex: the basis is
+factored and priced exactly, and returned at once when it is optimal.  A
+primal feasible basis continues with exact primal pivots; any other restarts
+exact phase 1 from the slack/artificial basis.  Values never depend on the
+proposal, only which optimal vertex is reported when there are several.
 Every optimal solve carries a primal assignment and a dual vector;
 verify_certificates re-derives feasibility, sign conditions and the
 strong-duality equation from scratch, so no float and no solver bug can
@@ -31,8 +33,6 @@ _RELS = (LE, EQ, GE)
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
-
-_FLOAT_GUIDE_MIN_ROWS = 40
 
 
 class LpError(ValueError):
@@ -124,7 +124,8 @@ def _as_sparse(coeffs, num_vars, what):
 def solve(lp: LinearProgram, check: bool = True) -> LpSolution:
     """Exact solve.  With check=True (the default) an optimal outcome is
     revalidated through verify_certificates before it is returned."""
-    sol = _solve_core(lp)
+    s = _standardize(lp)
+    sol = _simplex(s, _float_basis(s) or s.id_col)
     if check and sol.status == OPTIMAL:
         ok, why = verify_certificates(lp, sol)
         if not ok:
@@ -132,26 +133,19 @@ def solve(lp: LinearProgram, check: bool = True) -> LpSolution:
     return sol
 
 
-def _solve_core(lp: LinearProgram) -> LpSolution:
-    if _np is not None and len(lp.rows) >= _FLOAT_GUIDE_MIN_ROWS:
-        sol = _guided(lp)
-        if sol is not None:
-            return sol
-    return _simplex(lp)
-
-
 class _Setup:
     """Standard-form view shared by the exact and float paths: flipped rows,
     internal max-sense costs, mirror columns for free variables, and the
     slack/artificial column layout."""
 
-    __slots__ = ("maximize", "mirror", "ncols_struct", "cost", "body", "flip",
+    __slots__ = ("lp", "maximize", "mirror", "ncols_struct", "cost", "body", "flip",
                  "slack_col", "slack_sign", "art_col", "id_col", "art_cols",
                  "ncols")
 
 
 def _standardize(lp: LinearProgram) -> _Setup:
     s = _Setup()
+    s.lp = lp
     s.maximize = lp.sense == "max"
     nv = lp.num_vars
     s.mirror = {}
@@ -220,33 +214,36 @@ def _entry(s: _Setup, i: int, j: int) -> Rational:
     return Rational(0)
 
 
-def _build_tableau(s: _Setup):
-    zero = Rational(0)
-    one = Rational(1)
-    tableau = []
-    basis = []
-    pad = s.ncols - s.ncols_struct
-    for i, (row, _, rhs) in enumerate(s.body):
-        full = row + [zero] * pad + [rhs]
-        if s.slack_col[i] >= 0:
-            full[s.slack_col[i]] = one if s.slack_sign[i] == 1 else -one
-        if s.art_col[i] >= 0:
-            full[s.art_col[i]] = one
-        tableau.append(full)
-        basis.append(s.id_col[i])
-    return tableau, basis
+def _simplex(s: _Setup, basis) -> LpSolution:
+    """The exact simplex, started from any basis (one column index per row).
 
-
-def _simplex(lp: LinearProgram) -> LpSolution:
-    s = _standardize(lp)
+    The basis is first factored and priced exactly; a column the others make
+    dependent gives way to the identity column of a row they leave without a
+    pivot.  An optimal basis is returned at once, and a primal feasible one
+    continues with primal pivots on a tableau built at that basis.  Any other
+    basis is dropped for phase 1 from the slack/artificial basis.
+    """
     m = len(s.body)
     ncols = s.ncols
     zero = Rational(0)
-    tableau, basis = _build_tableau(s)
     art_set = frozenset(s.art_cols)
+    basis, z = _basic_values(s, basis)
+    feasible = all(v >= 0 for v in z) and not any(
+        z[k] for k, j in enumerate(basis) if j in art_set)
+    if feasible:
+        w, _ = _solve_linear([[_entry(s, i, j) for i in range(m)] for j in basis],
+                             [s.cost[j] if j < s.ncols_struct else zero for j in basis])
+        if _prices_out(s, w):
+            x = [zero] * ncols
+            for k, j in enumerate(basis):
+                x[j] = z[k]
+            return _solution(s, x, w)
+        tableau, basis = _tableau_at(s, basis)
+    else:
+        tableau, basis = _tableau_at(s, s.id_col)
     alive = [True] * m
 
-    if s.art_cols:
+    if s.art_cols and not feasible:
         phase1 = [zero] * (ncols + 1)
         for c in s.art_cols:
             phase1[c] = -Rational(1)
@@ -255,39 +252,87 @@ def _simplex(lp: LinearProgram) -> LpSolution:
         if status != OPTIMAL or red[ncols] != 0:
             # red[ncols] tracks the phase objective (= -sum of artificials).
             return LpSolution(INFEASIBLE)
-        _evict_artificials(tableau, basis, ncols, art_set, alive)
+    _evict_artificials(tableau, basis, ncols, art_set, alive)
 
-    full_cost = [zero] * (ncols + 1)
-    for j, c in enumerate(s.cost):
-        full_cost[j] = c
+    full_cost = s.cost + [zero] * (ncols + 1 - s.ncols_struct)
     red = _reduced_costs(full_cost, tableau, basis, ncols)
     status = _iterate(tableau, basis, red, ncols, alive, blocked=art_set)
     if status == UNBOUNDED:
         return LpSolution(UNBOUNDED)
 
-    x_int = [zero] * ncols
+    x = [zero] * ncols
     for i in range(m):
         if alive[i]:
-            x_int[basis[i]] = tableau[i][ncols]
-    primal = []
-    for j in range(lp.num_vars):
-        val = x_int[j]
-        if j in s.mirror:
-            val = val - x_int[s.mirror[j]]
-        primal.append(val)
-
+            x[basis[i]] = tableau[i][ncols]
     # Each row's dual is read off its identity column (slack for <=, the
     # artificial for = and >=): reduced cost there is exactly -y_i.
-    sense_sign = 1 if s.maximize else -1
-    dual = []
-    for i in range(m):
-        y = -red[s.id_col[i]] if alive[i] else zero
-        if s.flip[i]:
-            y = -y
-        dual.append(sense_sign * y)
+    return _solution(s, x, [-red[s.id_col[i]] if alive[i] else zero for i in range(m)])
 
-    value = sum((lp.objective[j] * primal[j] for j in range(lp.num_vars)), zero)
+
+def _basic_values(s: _Setup, basis):
+    """Exact basic values z with B z = b, and the basis they belong to: each
+    dependent column is swapped for the identity column of the row it leaves
+    without a pivot, which makes B nonsingular."""
+    m = len(s.body)
+    basis = list(basis)
+    rhs = [rhs for _, _, rhs in s.body]
+    z, dependent = _solve_linear([[_entry(s, i, j) for j in basis] for i in range(m)], rhs)
+    if dependent:
+        for k, i in dependent:
+            basis[k] = s.id_col[i]
+        z, _ = _solve_linear([[_entry(s, i, j) for j in basis] for i in range(m)], rhs)
+    return basis, z
+
+
+def _prices_out(s: _Setup, w) -> bool:
+    """True when no structural or slack column has a positive reduced cost
+    against the row duals w.  Basic columns price to exactly zero."""
+    red = list(s.cost)
+    for (row, _, _), wi in zip(s.body, w):
+        if wi:
+            for j, c in enumerate(row):
+                if c:
+                    red[j] -= wi * c
+    if any(r > 0 for r in red):
+        return False
+    # A slack column is slack_sign times a unit column at zero cost.
+    return all(s.slack_sign[i] * w[i] >= 0 for i in range(len(w)) if s.slack_col[i] >= 0)
+
+
+def _solution(s: _Setup, x, y) -> LpSolution:
+    """Optimal outcome from standard-form values x and row duals y."""
+    lp = s.lp
+    primal = [x[j] - x[s.mirror[j]] if j in s.mirror else x[j] for j in range(lp.num_vars)]
+    sign = 1 if s.maximize else -1
+    dual = [-sign * yi if flip else sign * yi for yi, flip in zip(y, s.flip)]
+    value = sum((lp.objective[j] * primal[j] for j in range(lp.num_vars)), Rational(0))
     return LpSolution(OPTIMAL, value, primal, dual)
+
+
+def _tableau_at(s: _Setup, basis):
+    """Dense tableau and its row-ordered basis at a nonsingular basis: built
+    at the slack/artificial basis, then pivoted into the missing columns."""
+    zero = Rational(0)
+    pad = s.ncols - s.ncols_struct
+    tableau = []
+    for i, (row, _, rhs) in enumerate(s.body):
+        full = row + [zero] * pad + [rhs]
+        if s.slack_col[i] >= 0:
+            full[s.slack_col[i]] = Rational(s.slack_sign[i])
+        if s.art_col[i] >= 0:
+            full[s.art_col[i]] = Rational(1)
+        tableau.append(full)
+    current = list(s.id_col)
+    wanted = set(basis)
+    open_rows = [i for i, j in enumerate(current) if j not in wanted]
+    no_cost = [zero] * (s.ncols + 1)
+    for j in basis:
+        if j not in current:
+            # Some open row has a nonzero here, or B would be singular.
+            i = next(i for i in open_rows if tableau[i][j])
+            open_rows.remove(i)
+            _pivot(tableau, current, no_cost, i, j, s.ncols)
+    return tableau, current
 
 
 def _reduced_costs(cost, tableau, basis, ncols):
@@ -383,14 +428,14 @@ def _pivot(tableau, basis, red, prow, pcol, ncols):
     piv = row[pcol]
     if piv != 1:
         inv = 1 / piv
-        row = [c * inv for c in row]
+        row = [c * inv if c else c for c in row]
         tableau[prow] = row
     for i, other in enumerate(tableau):
         if i == prow:
             continue
         f = other[pcol]
         if f:
-            tableau[i] = [a - f * b for a, b in zip(other, row)]
+            tableau[i] = [a - f * b if b else a for a, b in zip(other, row)]
     f = red[pcol]
     if f:
         for j in range(ncols):
@@ -420,24 +465,14 @@ def _evict_artificials(tableau, basis, ncols, art_set, alive):
         _pivot(tableau, basis, zero_red, i, pcol, ncols)
 
 
-# -- float-guided path ----------------------------------------------------------
-
-def _guided(lp: LinearProgram) -> LpSolution | None:
-    """Run a floating-point simplex to propose an optimal basis, then rebuild
-    and certify that basis in exact arithmetic.  Returns None whenever
-    anything is off, deferring to the exact simplex; only OPTIMAL outcomes
-    are ever produced here, so infeasibility and unboundedness always come
-    from the exact path."""
-    s = _standardize(lp)
-    if not s.body:
-        return None
-    basis = _float_basis(s)
-    if basis is None:
-        return None
-    return _exact_from_basis(lp, s, basis)
-
+# -- float proposal -------------------------------------------------------------
 
 def _float_basis(s: _Setup):
+    """Basis proposed by a floating-point two-phase simplex, or None when
+    numpy is missing or the float run fails.  Only a proposal: _simplex
+    checks it exactly."""
+    if _np is None or not s.body:
+        return None
     np = _np
     m = len(s.body)
     ncols = s.ncols
@@ -493,78 +528,37 @@ def _float_basis(s: _Setup):
     return bas
 
 
-def _exact_from_basis(lp: LinearProgram, s: _Setup, basis) -> LpSolution | None:
-    """Exact refactorization of a candidate basis: solve for the basic values
-    and the dual multipliers, then price every column.  Any failed exact
-    check rejects the basis."""
-    m = len(s.body)
-    if len(basis) != m or len(set(basis)) != m:
-        return None
-    zero = Rational(0)
-    bmat = [[_entry(s, i, basis[k]) for k in range(m)] for i in range(m)]
-    z = _solve_linear(bmat, [s.body[i][2] for i in range(m)])
-    if z is None or any(v < 0 for v in z):
-        return None
-    art_set = set(s.art_cols)
-    for k, j in enumerate(basis):
-        if j in art_set and z[k] != 0:
-            return None
-    cb = [s.cost[j] if j < s.ncols_struct else zero for j in basis]
-    w = _solve_linear([[bmat[i][k] for i in range(m)] for k in range(m)], cb)
-    if w is None:
-        return None
-    basis_set = set(basis)
-    for j in range(s.ncols):
-        if j in basis_set or j in art_set:
-            continue
-        red = (s.cost[j] if j < s.ncols_struct else zero) \
-            - sum((w[i] * _entry(s, i, j) for i in range(m)), zero)
-        if red > 0:
-            return None
-
-    x_int = [zero] * s.ncols
-    for k, j in enumerate(basis):
-        x_int[j] = z[k]
-    primal = []
-    for j in range(lp.num_vars):
-        val = x_int[j]
-        if j in s.mirror:
-            val = val - x_int[s.mirror[j]]
-        primal.append(val)
-    sense_sign = 1 if s.maximize else -1
-    dual = []
-    for i in range(m):
-        y = w[i]
-        if s.flip[i]:
-            y = -y
-        dual.append(sense_sign * y)
-    value = sum((lp.objective[j] * primal[j] for j in range(lp.num_vars)), zero)
-    return LpSolution(OPTIMAL, value, primal, dual)
-
-
 def _solve_linear(rows, rhs):
-    """Solve a square exact system by Gaussian elimination; None if singular."""
+    """Solve a square exact system by Gaussian elimination.
+
+    Returns (solution, []) when the matrix is nonsingular.  Otherwise returns
+    (None, pairs), pairing each column that depends on the columns before it
+    with a row those columns leave without a pivot.
+    """
     n = len(rows)
     mat = [list(rows[i]) + [rhs[i]] for i in range(n)]
+    order = list(range(n))
+    dependent = []
+    r = 0
     for col in range(n):
-        prow = -1
-        for i in range(col, n):
-            if mat[i][col]:
-                prow = i
-                break
+        prow = next((i for i in range(r, n) if mat[i][col]), -1)
         if prow < 0:
-            return None
-        if prow != col:
-            mat[col], mat[prow] = mat[prow], mat[col]
-        piv_row = mat[col]
+            dependent.append(col)
+            continue
+        mat[r], mat[prow] = mat[prow], mat[r]
+        order[r], order[prow] = order[prow], order[r]
+        piv_row = mat[r]
         inv = 1 / piv_row[col]
         if inv != 1:
-            piv_row = [c * inv for c in piv_row]
-            mat[col] = piv_row
-        for i in range(col + 1, n):
+            piv_row = [c * inv if c else c for c in piv_row]
+            mat[r] = piv_row
+        for i in range(r + 1, n):
             f = mat[i][col]
             if f:
-                mat[i] = [a - f * b for a, b in zip(mat[i], piv_row)]
+                mat[i] = [a - f * b if b else a for a, b in zip(mat[i], piv_row)]
+        r += 1
+    if dependent:
+        return None, list(zip(dependent, order[r:]))
     out = [Rational(0)] * n
     for i in range(n - 1, -1, -1):
         acc = mat[i][n]
@@ -573,7 +567,7 @@ def _solve_linear(rows, rhs):
             if row[j]:
                 acc -= row[j] * out[j]
         out[i] = acc
-    return out
+    return out, []
 
 
 # -- certificates ---------------------------------------------------------------

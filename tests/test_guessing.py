@@ -52,7 +52,8 @@ def test_compatibility_matches_definition(rng):
 
 
 def test_complete_graph_codes():
-    for n in range(2, 6):
+    # K11's 1024-word code is a clique deeper than the recursion limit.
+    for n in (2, 3, 4, 5, 11):
         value, code = max_guessing(Graph.complete(n), 2)
         assert value.code_size == 2 ** (n - 1)
         code.validate()

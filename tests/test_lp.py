@@ -11,7 +11,9 @@ from graphentropy.lp import (
     UNBOUNDED,
     LinearProgram,
     LpError,
+    _float_basis,
     _simplex,
+    _standardize,
     solve,
     verify_certificates,
 )
@@ -146,17 +148,27 @@ def test_strong_duality_exact(rng):
         assert dual_value == sol.objective
 
 
-def test_float_guided_path_agrees_with_pure_exact():
-    for g in (Graph.cycle(5), Graph.path(5), Graph.complete(5)):
-        lp = build_shannon_lp(g)
-        assert len(lp.rows) >= 40
-        guided = solve(lp)
-        pure = _simplex(lp)
-        assert guided.status == pure.status == OPTIMAL
-        assert guided.objective == pure.objective
-        for sol in (guided, pure):
-            ok, why = verify_certificates(lp, sol)
-            assert ok, why
+def test_float_guided_path_agrees_with_pure_exact(rng):
+    """The one exact simplex reaches the same status and value from the float
+    proposal (warm), from the slack/artificial basis (cold) and from an
+    arbitrary, possibly singular, choice of columns."""
+    lps = [build_shannon_lp(g) for g in (Graph.cycle(5), Graph.path(5), Graph.complete(5))]
+    lps += [_random_lp(rng) for _ in range(250)]
+    proposed = 0
+    for lp in lps:
+        s = _standardize(lp)
+        proposal = _float_basis(s)
+        proposed += proposal is not None
+        warm = _simplex(s, proposal or s.id_col)
+        cold = _simplex(s, s.id_col)
+        anywhere = _simplex(s, [rng.randrange(s.ncols) for _ in s.body])
+        assert warm.status == cold.status == anywhere.status
+        assert warm.objective == cold.objective == anywhere.objective
+        if warm.status == OPTIMAL:
+            for sol in (warm, cold, anywhere):
+                ok, why = verify_certificates(lp, sol)
+                assert ok, why
+    assert proposed >= 100
 
 
 def test_shannon_lp_shape():
