@@ -370,62 +370,67 @@ def closure_map(g: Graph) -> list[int]:
     return cl
 
 
-def build_shannon_lp(g: Graph) -> LinearProgram:
-    """The full defining LP on one variable per vertex subset.
+def _shannon_rows(g: Graph):
+    """Every row of the subset-entropy LP, as (coeffs, relation, rhs) with
+    coeffs keyed by vertex mask.
 
-    Variable index == subset mask.  Rows: h(empty)=0, h(v)<=1, monotonicity
-    at the top, the elemental submodular inequalities (which generate every
-    monotonicity and submodularity constraint), and one functional equality
-    per vertex tying h(N(v)+v) to h(N(v)).  This is what lp-dump prints; the
-    solver works on the closure-collapsed equivalent.
+    In order: h(empty) = 0, h(v) <= 1, monotonicity at the top, the
+    elemental submodular inequalities I(i; j | K) >= 0, and one functional
+    equality per loopless vertex tying h(N(v)+v) to h(N(v)).  The elemental
+    rows imply every monotonicity and submodularity inequality (Yeung,
+    Information Theory and Network Coding, 2008, ch. 14), so these rows are
+    the whole defining system.
     """
     n = g.n
     full = g.vertex_mask
-    nvars = 1 << n
-    rows = [({0: 1}, EQ, 0)]
+    yield {0: 1}, EQ, 0
     for v in range(n):
-        rows.append(({1 << v: 1}, LE, 1))
+        yield {1 << v: 1}, LE, 1
     for v in range(n):
         drop = full ^ (1 << v)
-        rows.append(({drop: 1, full: -1} if drop else {full: -1}, LE, 0))
+        yield ({drop: 1, full: -1} if drop else {full: -1}), LE, 0
     for i in range(n):
         for j in range(i + 1, n):
             pair = 1 << i | 1 << j
             rest = full & ~pair
             sub = rest
             while True:
-                coeffs: dict[int, int] = {}
-                for mask, c in ((sub | pair, 1), (sub, 1), (sub | 1 << i, -1), (sub | 1 << j, -1)):
-                    coeffs[mask] = coeffs.get(mask, 0) + c
-                rows.append(({m: c for m, c in coeffs.items() if c}, LE, 0))
+                yield {sub | pair: 1, sub: 1, sub | 1 << i: -1, sub | 1 << j: -1}, LE, 0
                 if sub == 0:
                     break
                 sub = (sub - 1) & rest
     cols = g.cols
     for v in range(n):
         nv = cols[v]
-        if nv >> v & 1:
-            continue
-        rows.append(({nv | 1 << v: 1, nv: -1} if nv else {1 << v: 1}, EQ, 0))
-    objective = {full: 1}
-    return LinearProgram(nvars, "max", objective, rows)
+        if not nv >> v & 1:
+            yield ({nv | 1 << v: 1, nv: -1} if nv else {1 << v: 1}), EQ, 0
+
+
+def build_shannon_lp(g: Graph) -> LinearProgram:
+    """The full defining LP on one variable per vertex subset.
+
+    Variable index == subset mask, one row per _shannon_rows entry.  This is
+    what lp-dump prints; the solver works on the closure-collapsed
+    equivalent.
+    """
+    return LinearProgram(1 << g.n, "max", {g.vertex_mask: 1}, _shannon_rows(g))
 
 
 class ShannonResult:
-    """Optimal value of the subset-entropy LP plus a fully validated witness.
+    """Optimal value of the subset-entropy LP plus its witness.
 
-    h is indexed by vertex mask (length 2^n) and satisfies, exactly: h of the
-    empty set is 0, singletons at most 1, monotone, submodular on every pair
-    of subsets, and the per-vertex functional equalities.
+    h is indexed by vertex mask (length 2^n).  shannon_entropy checks it
+    against every elemental row before returning (validate_entropy_function):
+    h of the empty set is 0, singletons at most 1, the elemental
+    inequalities, hence monotone and submodular on every pair of subsets, and
+    the per-vertex functional equalities.
     """
 
-    __slots__ = ("theta", "h", "lp", "solution")
+    __slots__ = ("theta", "h")
 
-    def __init__(self, theta, h, lp, solution):
+    def __init__(self, theta, h):
         self.theta = theta
         self.h = h
-        self.lp = lp
-        self.solution = solution
 
 
 def shannon_entropy(g: Graph, cap: int = 10) -> ShannonResult:
@@ -433,10 +438,11 @@ def shannon_entropy(g: Graph, cap: int = 10) -> ShannonResult:
 
     Works on the closure-collapsed formulation (variables only for closed
     vertex sets, one per automorphism orbit when the group is small enough)
-    with every elemental row, solved through its dual; then expands the optimum back to all
-    subsets and revalidates every defining constraint.
+    of the same rows as build_shannon_lp, solved through its dual; then
+    expands the optimum back to all subsets and checks it against every
+    elemental row of the full program (validate_entropy_function).
     Equality of the two formulations follows from the closure identity
-    h(S) = h(cl(S)), which the final validation re-certifies from scratch.
+    h(S) = h(cl(S)), which that final check re-certifies from scratch.
     """
     n = g.n
     if n > cap:
@@ -445,14 +451,13 @@ def shannon_entropy(g: Graph, cap: int = 10) -> ShannonResult:
             f"raise it explicitly if you really want 2^{n} subset variables")
     zero = Rational(0)
     if n == 0:
-        return ShannonResult(zero, (zero,), None, None)
+        return ShannonResult(zero, (zero,))
     full = g.vertex_mask
     cl = closure_map(g)
     pinned = cl[0]
     closed = sorted({c for c in cl})
     if full == pinned:
-        h = tuple(zero for _ in range(full + 1))
-        return ShannonResult(zero, h, None, None)
+        return ShannonResult(zero, (zero,) * (full + 1))
 
     # Vertex symmetries identify variables: averaging any feasible h over the
     # automorphism group keeps it feasible (the constraint families are
@@ -477,12 +482,13 @@ def shannon_entropy(g: Graph, cap: int = 10) -> ShannonResult:
     rows = []
     row_index: set[tuple] = set()
 
-    def add(pairs, rhs: int) -> None:
+    def add(coeffs, rel, rhs: int) -> None:
         # Closure can map distinct subsets to the same variable, so merge by
-        # variable here rather than trusting callers' keys to stay distinct.
+        # variable.  h(empty) and every functional equality vanish here:
+        # cl(empty) is pinned to zero and cl(N(v)+v) = cl(N(v)).
         items: dict[int, int] = {}
-        for mask, c in pairs:
-            r = rep[mask]
+        for mask, c in coeffs.items():
+            r = rep[cl[mask]]
             if r == pinned:
                 continue
             j = var_of[r]
@@ -490,26 +496,15 @@ def shannon_entropy(g: Graph, cap: int = 10) -> ShannonResult:
         items = {j: c for j, c in items.items() if c}
         if not items:
             return
+        if rel != LE:
+            raise AssertionError(f"closure left an equality row standing: {coeffs}")
         key = (tuple(sorted(items.items())), rhs)
         if key not in row_index:
             row_index.add(key)
             rows.append((items, LE, rhs))
 
-    for v in range(n):
-        add([(cl[1 << v], 1)], 1)
-    for v in range(n):
-        add([(cl[full ^ (1 << v)], 1), (full, -1)], 0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            pair = 1 << i | 1 << j
-            rest = full & ~pair
-            sub = rest
-            while True:
-                add([(cl[sub | pair], 1), (cl[sub], 1),
-                     (cl[sub | 1 << i], -1), (cl[sub | 1 << j], -1)], 0)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & rest
+    for row in _shannon_rows(g):
+        add(*row)
 
     lp = LinearProgram(len(var_of), "max", {var_of[full]: 1}, rows)
     sol = _solve_via_dual(lp, var_of[full])
@@ -519,7 +514,7 @@ def shannon_entropy(g: Graph, cap: int = 10) -> ShannonResult:
     ok, why = validate_entropy_function(g, h)
     if not ok:
         raise AssertionError(f"entropy witness failed validation: {why}")
-    return ShannonResult(h[full], h, lp, sol)
+    return ShannonResult(h[full], h)
 
 
 def _solve_via_dual(lp: LinearProgram, obj_var: int):
@@ -551,36 +546,18 @@ def _solve_via_dual(lp: LinearProgram, obj_var: int):
 
 
 def validate_entropy_function(g: Graph, h) -> tuple[bool, str]:
-    """Exhaustively re-check the four defining constraint families (plus the
-    zero normalization) for a subset function h indexed by mask."""
-    n = g.n
-    full = g.vertex_mask
-    if len(h) != full + 1:
+    """Check a subset function h, indexed by mask, against every row of the
+    full subset-entropy LP: h(empty) = 0, singletons at most 1, the
+    elemental inequalities and the functional equalities.  The elemental
+    rows imply monotonicity and submodularity on every pair of subsets, so
+    this is the whole defining system in O(n^2 2^n) row evaluations."""
+    if len(h) != g.vertex_mask + 1:
         return False, "h must have one value per vertex subset"
-    if h[0] != 0:
-        return False, "h(empty) must be 0"
-    for v in range(n):
-        if h[1 << v] > 1:
-            return False, f"h exceeds 1 on vertex {v}"
-    for t in range(full + 1):
-        ht = h[t]
-        s = (t - 1) & t
-        while True:
-            if h[s] > ht:
-                return False, f"monotonicity fails on {s:b} <= {t:b}"
-            if s == 0:
-                break
-            s = (s - 1) & t
-    for s in range(full + 1):
-        hs = h[s]
-        for t in range(s + 1, full + 1):
-            if h[s | t] + h[s & t] > hs + h[t]:
-                return False, f"submodularity fails on {s:b}, {t:b}"
-    cols = g.cols
-    for v in range(n):
-        nv = cols[v]
-        if h[nv | 1 << v] != h[nv]:
-            return False, f"functional equality fails at vertex {v}"
+    for coeffs, rel, rhs in _shannon_rows(g):
+        value = sum(c * h[m] for m, c in coeffs.items())
+        if value != rhs if rel == EQ else value > rhs:
+            terms = " ".join(f"{c:+d}*h({m:b})" for m, c in coeffs.items())
+            return False, f"row {terms} {rel} {rhs} fails"
     return True, "ok"
 
 
@@ -621,6 +598,20 @@ class EntropyBracket:
 
 def _vertices(mask: int) -> list[int]:
     return list(bits_of(mask))
+
+
+def union_bracket(components: list[list[int]], parts: list[EntropyBracket]) -> EntropyBracket:
+    """Bracket of a disjoint union: the parts' brackets add (entropy is
+    additive over components), and each side's witness lists the component
+    vertex lists with the parts' witnesses for that side."""
+    return EntropyBracket(
+        sum((b.lower for b in parts), Rational(0)),
+        sum((b.upper for b in parts), Rational(0)),
+        ("union-additivity", {"components": components,
+                              "inner": [b.lower_witness for b in parts]}),
+        ("union-additivity", {"components": components,
+                              "inner": [b.upper_witness for b in parts]}),
+    )
 
 
 class BoundsReport:
@@ -678,15 +669,7 @@ def bounds_report(g: Graph, shannon_cap: int = 10, lazy_theta: bool = False) -> 
         return _component_report(g, shannon_cap, lazy_theta)
     parts = [bounds_report(induced_subgraph(g, comp)[0], shannon_cap, lazy_theta)
              for comp in comps]
-    comp_lists = [_vertices(comp) for comp in comps]
-    bracket = EntropyBracket(
-        sum((p.bracket.lower for p in parts), Rational(0)),
-        sum((p.bracket.upper for p in parts), Rational(0)),
-        ("union-additivity", {"components": comp_lists,
-                              "inner": [p.bracket.lower_witness for p in parts]}),
-        ("union-additivity", {"components": comp_lists,
-                              "inner": [p.bracket.upper_witness for p in parts]}),
-    )
+    bracket = union_bracket([_vertices(comp) for comp in comps], [p.bracket for p in parts])
     thetas = [p.theta for p in parts]
     return BoundsReport(
         bracket, sum(p.nu for p in parts), sum(p.cc for p in parts),
@@ -697,9 +680,8 @@ def bounds_report(g: Graph, shannon_cap: int = 10, lazy_theta: bool = False) -> 
 def _component_report(g: Graph, shannon_cap: int, lazy_theta: bool) -> BoundsReport:
     n = g.n
     if n == 0:
-        empty = ("union-additivity", {"components": [], "inner": []})
         zero = Rational(0)
-        return BoundsReport(EntropyBracket(0, 0, empty, empty), 0, 0, zero, 0, zero)
+        return BoundsReport(union_bracket([], []), 0, 0, zero, 0, zero)
     matching = max_matching(g)
     cc, cover = clique_cover_number(g)
     kappa_f, family = fractional_clique_cover_number(g)

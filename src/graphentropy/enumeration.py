@@ -16,7 +16,7 @@ import os
 from functools import lru_cache
 from multiprocessing import Pool
 
-from .bounds import EntropyBracket, bounds_report, entropy_bracket
+from .bounds import EntropyBracket, bounds_report, entropy_bracket, union_bracket
 from .graphs import (
     CapExceededError,
     Graph,
@@ -215,15 +215,20 @@ class BracketCache:
         return os.path.join(self.root, digest + ".json")
 
     def load(self, key: str) -> EntropyBracket | None:
+        """The stored bracket, or None when the file is missing, malformed,
+        written for another key, or holds a crossed bracket."""
         try:
             with open(self._path(key), encoding="utf-8") as fh:
                 data = json.load(fh)
-        except (OSError, ValueError):
+            if data.get("key") != key:
+                return None
+            lower, upper = parse_rat(data["lower"]), parse_rat(data["upper"])
+        except (OSError, ValueError, AttributeError, KeyError, TypeError, ZeroDivisionError):
             return None
-        if data.get("key") != key:
+        if lower > upper:
             return None
         stub = ("cached", {"key": key})
-        return EntropyBracket(parse_rat(data["lower"]), parse_rat(data["upper"]), stub, stub)
+        return EntropyBracket(lower, upper, stub, stub)
 
     def store(self, key: str, bracket: EntropyBracket) -> None:
         payload = {
@@ -392,23 +397,10 @@ def survey_entropy_values(
             union = disjoint_union(union, extra)
         offset = 0
         comps = []
-        lows = []
-        ups = []
-        lower = rat(0)
-        upper = rat(0)
-        for i in chosen:
-            g, b = parts[i]
+        for g in graphs:
             comps.append(list(range(offset, offset + g.n)))
             offset += g.n
-            lower += b.lower
-            upper += b.upper
-            lows.append(b.lower_witness)
-            ups.append(b.upper_witness)
-        bracket = EntropyBracket(
-            lower, upper,
-            ("union-additivity", {"components": comps, "inner": lows}),
-            ("union-additivity", {"components": comps, "inner": ups}),
-        )
+        bracket = union_bracket(comps, [parts[i][1] for i in chosen])
         records.append(SurveyRecord(canonical_form(union).graph(), bracket, connected=False))
 
     def multisets(start: int, budget: int) -> None:

@@ -137,9 +137,6 @@ class Graph:
         """Vertices v != u with arcs both ways; the 'edge' relation of a digraph."""
         return self.rows[u] & self.cols[u] & ~(1 << u)
 
-    def in_neighbors(self, v: int) -> int:
-        return self.cols[v]
-
     def edges(self) -> list[tuple[int, int]]:
         """Mutual pairs u < v (for undirected graphs: the edge list, loops excluded)."""
         out = []
@@ -150,9 +147,6 @@ class Graph:
 
     def arcs(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in bits_of(self.rows[u])]
-
-    def arc_count(self) -> int:
-        return sum(r.bit_count() for r in self.rows)
 
     def has_arc(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
@@ -238,21 +232,6 @@ def loops(g: Graph) -> int:
         if r >> u & 1:
             m |= 1 << u
     return m
-
-
-def neighborhood(g: Graph, s: int) -> int:
-    """Union of in-neighbourhoods of the vertices in s.
-
-    For undirected graphs this is the usual neighbourhood; a loop puts a
-    vertex inside its own neighbourhood, which is exactly what the entropy
-    constraints need.
-    """
-    _check_subset(g, s)
-    out = 0
-    cols = g.cols
-    for v in bits_of(s):
-        out |= cols[v]
-    return out
 
 
 def co_neighborhood_set(g: Graph, s: int) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import lcm
 
 import networkx as nx
 
@@ -281,6 +282,36 @@ def solve_square(rows, rhs):
                 factor = m[r][col]
                 m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
     return [m[r][n] for r in range(n)]
+
+
+# -- entropy functions ------------------------------------------------------------
+
+
+def exhaustive_entropy_check(g, h) -> bool:
+    """Whether h, indexed by vertex mask, meets the subset-entropy constraints
+    as defined: h(empty) = 0, singletons at most 1, monotone on every nested
+    pair, submodular on every pair of subsets (all 4^n of them), and
+    h(N(v) + v) = h(N(v)) for the in-neighbourhood N(v) of every vertex.
+
+    The sweep runs on h scaled by a common denominator, in integers.
+    """
+    size = 1 << g.n
+    if len(h) != size:
+        return False
+    scale = lcm(*(Fraction(x).denominator for x in h))
+    k = [int(Fraction(x) * scale) for x in h]
+    if k[0] != 0 or any(k[1 << v] > scale for v in range(g.n)):
+        return False
+    for s, t in product(range(size), repeat=2):
+        if s & t == s and k[s] > k[t]:
+            return False
+        if k[s | t] + k[s & t] > k[s] + k[t]:
+            return False
+    for v in range(g.n):
+        inn = sum(1 << u for u in range(g.n) if g.has_arc(u, v))
+        if k[inn | 1 << v] != k[inn]:
+            return False
+    return True
 
 
 # -- canonicalization -------------------------------------------------------------

@@ -25,6 +25,7 @@ from _oracles import (
     brute_transversal,
     chromatic_number,
     complement_graph,
+    exhaustive_entropy_check,
 )
 from conftest import c5, g1, random_digraph, random_graph
 
@@ -116,6 +117,37 @@ def test_shannon_result_revalidates():
     broken[-1] += 1
     ok, _ = validate_entropy_function(c5(), broken)
     assert not ok
+
+
+def _assert_validation_matches_oracle(g, rng):
+    h = shannon_entropy(g).h
+    assert validate_entropy_function(g, h)[0]
+    assert exhaustive_entropy_check(g, h)
+    full = g.vertex_mask
+    deltas = (1, -1, rat(1, 2), rat(-1, 3), rat(1, 12), rat(-1, 12))
+    bends = [(full, 1), (full, -1)]
+    bends += [(rng.randint(1, full), rng.choice(deltas)) for _ in range(4)]
+    rejected = 0
+    for mask, delta in bends:
+        bent = list(h)
+        bent[mask] += delta
+        verdict = validate_entropy_function(g, bent)[0]
+        assert verdict == exhaustive_entropy_check(g, bent), (g, mask, delta)
+        rejected += not verdict
+    assert rejected, g
+
+
+def test_validation_matches_exhaustive_oracle(rng):
+    """The elemental rows accept exactly what the 4^n pair sweep accepts, on
+    the solved witness and on single-entry perturbations of it."""
+    for n in range(1, 7):
+        for g in isomorphism_classes(n):
+            _assert_validation_matches_oracle(g, rng)
+    for _ in range(30):
+        _assert_validation_matches_oracle(random_graph(rng, 7), rng)
+    for _ in range(30):
+        _assert_validation_matches_oracle(
+            random_digraph(rng, rng.randint(1, 5), loop_p=0.3), rng)
 
 
 def test_reduced_solve_equals_full_lp_all_n5():

@@ -1,17 +1,26 @@
+import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import graphentropy
 from graphentropy import __version__
 
 RUN = [sys.executable, "-m", "graphentropy.cli"]
+# The directory the package was imported from goes first on the child's path,
+# so a source checkout runs without an install.
+SRC = str(Path(graphentropy.__file__).resolve().parent.parent)
 
 
 def invoke(*args, stdin: str | None = None):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        RUN + list(args), input=stdin, capture_output=True, text=True, timeout=120
+        RUN + list(args), input=stdin, capture_output=True, text=True, timeout=120, env=env
     )
     return proc
 
@@ -147,6 +156,20 @@ def test_lp_dump_shannon_g1(tmp_path):
     names = {tok for line in proc.stdout.splitlines()
              for tok in line.split() if tok.startswith("h_")}
     assert len(names) == 128
+
+
+@pytest.mark.parametrize("text, digest", [
+    ("DLo", "1bb3ecc3294d42a025ea9e70ee3fa686c57e353e41f1d411ca71b254c1746905"),
+    ("7; 1-2,2-3,3-4,4-5,5-1,6-7,6-1,6-2,7-4",
+     "d2cb328e2a89ce0c48b64081ca25d41fc96c9b8cd82bde9a6efe63cbf412f016"),
+    ("1;", "f9ecb9b0db3a76225eaa0002164b8b1835e4aa35ba8e2814591203552cbf2259"),
+    ("3; 1-2", "15c003fe97d15f1f4a86811740efe293814c3625c81cdf1facd8774b327a639f"),
+    ("3; 1->2,2->3,3->1", "eae4c40eec1ab4f562214514bdd080c889568be9efd680083e17d87aabc06600"),
+])
+def test_lp_dump_shannon_pinned(text, digest):
+    proc = invoke("lp-dump", "--graph", "-", "--which", "shannon", stdin=text)
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
 
 def test_lp_dump_cover_k2(tmp_path):

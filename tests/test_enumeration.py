@@ -1,4 +1,7 @@
+import json
 import random
+
+import pytest
 
 from graphentropy.bounds import entropy_bracket
 from graphentropy.enumeration import (
@@ -137,6 +140,19 @@ def test_bracket_cache_store_load(tmp_path):
     assert loaded is not None
     assert (loaded.lower, loaded.upper) == (bracket.lower, bracket.upper)
     assert cache.load("missing") is None
+
+
+@pytest.mark.parametrize("payload", [
+    [1, 2],
+    {"key": "k"},
+    {"key": "k", "lower": "x", "upper": "1"},
+    {"key": "k", "lower": "2", "upper": "1"},
+])
+def test_bracket_cache_malformed_file_is_a_miss(tmp_path, payload):
+    cache = BracketCache(str(tmp_path))
+    with open(cache._path("k"), "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+    assert cache.load("k") is None
 
 
 def test_pentagon_apex_masks():

@@ -15,7 +15,6 @@ from graphentropy.graphs import (
     is_acyclic,
     loops,
     mask_of,
-    neighborhood,
     parse_graph,
     render_graph,
 )
@@ -89,12 +88,6 @@ def test_bipartite_edge_count_identity(rng):
         whole, _ = induced_subgraph(g, s | t)
         crossing = bipartite_induced(g, s, t).edge_count()
         assert crossing + len(inner_s.edges()) + len(inner_t.edges()) == len(whole.edges())
-
-
-def test_neighborhood_examples():
-    assert neighborhood(c5(), 1 << 0) == mask_of([1, 4])
-    assert neighborhood(c5(), 0) == 0
-    assert neighborhood(g1(), 1 << 5) == mask_of([0, 1, 6])
 
 
 def test_co_neighborhood_examples():
