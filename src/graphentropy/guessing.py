@@ -8,13 +8,21 @@ So the largest simultaneously fixable word set is a maximum clique in the
 compatibility relation over all q**n words, and the guessing number is its
 base-q logarithm.  Everything here is exact: the clique search is a full
 branch and bound, and codes revalidate themselves against the definition.
+
+Shifting every word by a fixed vector, coordinatewise mod q, keeps all
+coordinate equalities, so it is an automorphism of the compatibility graph
+that can take any word to any other.  Some maximum clique therefore contains
+the all-zero word, and the search proves optimality inside its
+neighbourhood alone.  The code it reports is still the one a search over
+all words would report: when that search's first clique is not optimal, it
+is replayed with the known optimum as its incumbent.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graphs import (
     CapExceededError,
@@ -103,18 +111,46 @@ def compatibility_graph(g: Graph, q: int, cap: int = DEFAULT_WORD_CAP) -> Compat
 
 
 def _max_clique(rows: list[int]) -> int:
-    """Mask of a maximum clique, by branch and bound with greedy colouring.
+    """Mask of a maximum clique, anchored on word 0 by the symbol shifts.
 
-    Candidates are coloured greedily (each colour class an independent set)
-    and explored from the highest colour down, so the colour count bounds
-    every remaining branch.  Deterministic: lowest word index first at every
-    choice point.
+    Adding a fixed vector coordinatewise mod q keeps every coordinate's
+    equalities, so it is an automorphism of the compatibility graph, and
+    these shifts take any word to any other.  Hence omega = 1 + omega(N(0)),
+    where word 0 is index 0: a search of rows[0] alone finds omega.
+
+    The mask returned is the one the unanchored search over all words
+    reports, its first clique of size omega, since it only ever replaces a
+    clique by a strictly larger one.  Its first clique, found by one greedy
+    dive, sets the anchored search's incumbent; if N(0) holds no larger
+    clique, that first clique is the answer.  Otherwise the unanchored search
+    is replayed with its incumbent preset to omega - 1 and stopped at its
+    first omega-clique.  Each frame's colour order depends only on its
+    candidate set, and the higher incumbent prunes only branches whose colour
+    bound cannot reach omega, so the replay visits a subsequence of the
+    unanchored search's nodes, in order, and reaches the same clique first.
     """
     n = len(rows)
     if n == 0:
         return 0
-    best_mask = 0
-    best_size = 0
+    full = (1 << n) - 1
+    first = next(_improvements(rows, full))
+    anchored = 0
+    for anchored in _improvements(rows, rows[0], first.bit_count() - 1):
+        pass
+    if not anchored:
+        return first
+    return next(_improvements(rows, full, anchored.bit_count()))
+
+
+def _improvements(rows: list[int], cand: int, best_size: int = 0) -> Iterator[int]:
+    """Masks of ever larger cliques within cand, the last one maximum.
+
+    Branch and bound with greedy colouring: candidates are coloured greedily
+    (each colour class an independent set) and explored from the highest
+    colour down, so the colour count bounds every remaining branch.  Only
+    cliques larger than best_size are yielded.  Deterministic: the order at
+    every choice point depends only on the candidate set.
+    """
 
     def color_order(cand: int) -> list[tuple[int, int]]:
         out = []
@@ -134,8 +170,7 @@ def _max_clique(rows: list[int]) -> int:
     # Depth-first with an explicit stack, since a clique can be deeper than
     # Python's recursion limit.  Each frame is [clique, size, cand, order];
     # its colour order is consumed from the highest colour down.
-    full = (1 << n) - 1
-    stack = [[0, 0, full, color_order(full)]]
+    stack = [[0, 0, cand, color_order(cand)]]
     while stack:
         frame = stack[-1]
         clique, size, cand, order = frame
@@ -153,8 +188,7 @@ def _max_clique(rows: list[int]) -> int:
             stack.append([clique | bit, size + 1, inner, color_order(inner)])
         elif size + 1 > best_size:
             best_size = size + 1
-            best_mask = clique | bit
-    return best_mask
+            yield clique | bit
 
 
 class GuessingValue:
@@ -216,8 +250,8 @@ class GuessingCode:
     """A set of words some strategy profile fixes simultaneously.
 
     Words are distinct full-length tuples over {0..q-1}, stored sorted.
-    validate() re-checks the defining pairwise condition straight off the
-    host graph, independent of whatever search produced the code.
+    validate() re-checks the defining condition straight off the host graph,
+    independent of whatever search produced the code.
     """
 
     __slots__ = ("host", "q", "words")
@@ -252,22 +286,25 @@ class GuessingCode:
 
 
 def validate_code(g: Graph, q: int, words: Sequence[tuple[int, ...]]) -> bool:
-    """Whether every pair of words is compatible on g.
+    """Whether one strategy profile fixes every word of the code on g.
 
-    Direct definition, one pair and one vertex at a time; kept free of the
-    bucketing trick in compatibility_graph so the two can cross-check.
+    Direct definition, per vertex: the symbol at v must be a function of the
+    word's symbols on the in-neighbourhood of v.  One dict per vertex maps
+    each restriction seen so far to its symbol, so the work is
+    O(len(words) * n * in-degree).  Equivalent to pairwise compatibility, and
+    kept free of the bitmask bucketing in compatibility_graph so the two can
+    cross-check.
     """
-    cols = g.cols
-    in_lists = [list(bits_of(cols[v])) for v in range(g.n)]
-    for a in range(len(words)):
-        x = words[a]
-        if len(x) != g.n or any(not 0 <= d < q for d in x):
+    for w in words:
+        if len(w) != g.n or any(not 0 <= d < q for d in w):
             return False
-        for b in range(a + 1, len(words)):
-            y = words[b]
-            for v in range(g.n):
-                if x[v] != y[v] and all(x[u] == y[u] for u in in_lists[v]):
-                    return False
+    cols = g.cols
+    for v in range(g.n):
+        in_list = list(bits_of(cols[v]))
+        symbol_of: dict[tuple[int, ...], int] = {}
+        for w in words:
+            if symbol_of.setdefault(tuple(w[u] for u in in_list), w[v]) != w[v]:
+                return False
     return True
 
 

@@ -409,6 +409,64 @@ def profile_code_size(g, q: int) -> int:
     return best
 
 
+# The package's clique search as it was before it was anchored on word 0,
+# kept verbatim under a new name: the anchored search must return exactly
+# its mask, not just a clique of the same size.
+def unanchored_max_clique(rows: list[int]) -> int:
+    """Mask of a maximum clique, by branch and bound with greedy colouring.
+
+    Candidates are coloured greedily (each colour class an independent set)
+    and explored from the highest colour down, so the colour count bounds
+    every remaining branch.  Deterministic: lowest word index first at every
+    choice point.
+    """
+    n = len(rows)
+    if n == 0:
+        return 0
+    best_mask = 0
+    best_size = 0
+
+    def color_order(cand: int) -> list[tuple[int, int]]:
+        out = []
+        color = 0
+        rest = cand
+        while rest:
+            color += 1
+            avail = rest
+            while avail:
+                low = avail & -avail
+                v = low.bit_length() - 1
+                out.append((v, color))
+                rest ^= low
+                avail = avail & ~low & ~rows[v]
+        return out
+
+    # Depth-first with an explicit stack, since a clique can be deeper than
+    # Python's recursion limit.  Each frame is [clique, size, cand, order];
+    # its colour order is consumed from the highest colour down.
+    full = (1 << n) - 1
+    stack = [[0, 0, full, color_order(full)]]
+    while stack:
+        frame = stack[-1]
+        clique, size, cand, order = frame
+        if not order:
+            stack.pop()
+            continue
+        v, color = order.pop()
+        if size + color <= best_size:
+            stack.pop()
+            continue
+        bit = 1 << v
+        inner = cand & rows[v]
+        frame[2] = cand & ~bit
+        if inner:
+            stack.append([clique | bit, size + 1, inner, color_order(inner)])
+        elif size + 1 > best_size:
+            best_size = size + 1
+            best_mask = clique | bit
+    return best_mask
+
+
 # -- reductions -------------------------------------------------------------------
 
 

@@ -1,6 +1,9 @@
+import itertools
+import time
+
 import pytest
 
-from graphentropy.bounds import transversal_number
+from graphentropy.bounds import bounds_report, transversal_number
 from graphentropy.graphs import (
     CapExceededError,
     Graph,
@@ -14,6 +17,8 @@ from graphentropy.graphs import (
 from graphentropy.guessing import (
     GuessingCode,
     GuessingValue,
+    _improvements,
+    _max_clique,
     compatibility_graph,
     extend_code,
     max_guessing,
@@ -21,7 +26,12 @@ from graphentropy.guessing import (
 )
 from graphentropy.structure import find_reducible_set
 
-from _oracles import clique_code_size, profile_code_size, words_compatible
+from _oracles import (
+    clique_code_size,
+    profile_code_size,
+    unanchored_max_clique,
+    words_compatible,
+)
 from conftest import c5, random_digraph, random_graph
 
 
@@ -49,6 +59,85 @@ def test_compatibility_matches_definition(rng):
         for i in range(len(words)):
             for j in range(i + 1, len(words)):
                 assert comp.has_edge(i, j) == words_compatible(g, q, words[i], words[j])
+
+
+# Every named digraph the other tests in this file search, plus K3 at
+# q = 5, 6, 7, whose first greedy clique is not maximum.
+NAMED_GUESSING_GRAPHS = [
+    (Graph.empty(1), 2),
+    (Graph.from_arcs(1, [(0, 0)]), 2),
+    (Graph.from_arcs(2, [(0, 0), (1, 1)]), 2),
+    (Graph.empty(13), 2),
+    (c5(), 2),
+    (disjoint_union(c5(), Graph.complete(2)), 2),
+    (disjoint_union(c5(), Graph.empty(1)), 2),
+] + [(Graph.complete(n), 2) for n in (2, 3, 4, 5, 11)] + [(Graph.complete(3), q) for q in (5, 6, 7)]
+
+LOOPED_2_CYCLE = Graph.from_arcs(12, [(0, 1), (1, 0)] + [(v, v) for v in range(2, 12)])
+
+
+def test_max_clique_mask_matches_unanchored_oracle(rng):
+    cases = list(NAMED_GUESSING_GRAPHS)
+    cases += [(random_digraph(rng, rng.randint(1, 7), loop_p=0.2), 2) for _ in range(150)]
+    cases += [(random_digraph(rng, rng.randint(1, 4), loop_p=0.2), 3) for _ in range(60)]
+    cases += [(random_graph(rng, rng.randint(1, 7)), 2) for _ in range(40)]
+    for g, q in cases:
+        comp = compatibility_graph(g, q, cap=1 << 13)
+        assert comp.max_clique_mask() == unanchored_max_clique(comp.rows), (g, q)
+
+
+def cayley_rows(rng, q: int, k: int) -> list[int]:
+    """Clique-search rows of a random Cayley graph on Z_q^k, words in
+    lexicographic order.  Vertex-transitive under the same shifts as every
+    compatibility graph, and its first greedy clique is often not maximum."""
+    words = list(itertools.product(range(q), repeat=k))
+    index = {w: i for i, w in enumerate(words)}
+    shifts = set()
+    for s in words[1:]:
+        neg = tuple(-d % q for d in s)
+        if s <= neg and rng.random() < 0.5:
+            shifts |= {s, neg}
+    return [sum(1 << index[tuple((a + b) % q for a, b in zip(w, s))] for s in shifts)
+            for w in words]
+
+
+def test_anchored_search_replays_the_unanchored_one(rng):
+    replayed = 0
+    for q, k in [(2, 7), (3, 4), (4, 3), (7, 2)]:
+        for _ in range(15):
+            rows = cayley_rows(rng, q, k)
+            mask = _max_clique(rows)
+            assert mask == unanchored_max_clique(rows), (q, k)
+            replayed += next(_improvements(rows, (1 << len(rows)) - 1)) != mask
+    assert replayed >= 10
+
+
+@pytest.mark.parametrize("g, q, size", [
+    (Graph.cycle(11), 2, 32),
+    (Graph.cycle(12), 2, 64),
+    (Graph.cycle(5), 3, 12),
+    (LOOPED_2_CYCLE, 2, 2048),
+], ids=["C11-q2", "C12-q2", "C5-q3", "looped-2-cycle-q2"])
+def test_codes_at_the_cap(g, q, size):
+    started = time.perf_counter()
+    value, code = max_guessing(g, q)
+    elapsed = time.perf_counter() - started
+    assert value.code_size == len(code) == size
+    assert elapsed < 60, f"took {elapsed:.1f}s"
+
+
+def test_code_size_within_tau_and_theta(rng):
+    # Undirected graphs at q = 3 stop at 4 vertices: some 5-vertex ones, whose
+    # optimal codes meet q**tau, take over a minute to prove optimal.
+    graphs = [random_graph(rng, rng.randint(1, 6)) for _ in range(40)]
+    graphs += [random_digraph(rng, rng.randint(1, 5), loop_p=0.3) for _ in range(40)]
+    for g in graphs:
+        report = bounds_report(g)
+        theta = report.theta
+        for q in (2, 3) if g.directed or g.n <= 4 else (2,):
+            size = max_guessing(g, q)[0].code_size
+            assert size <= q ** report.tau, (g, q)
+            assert size ** theta.denominator <= q ** theta.numerator, (g, q)
 
 
 def test_complete_graph_codes():
@@ -83,8 +172,33 @@ def test_double_loop_reduction_example():
 def test_validate_code_examples():
     assert validate_code(c5(), 2, [(0,) * 5, (1,) * 5])
     assert not validate_code(Graph.complete(2), 2, [(0, 0), (0, 1)])
+    assert not validate_code(c5(), 2, [(0,) * 4])
+    assert not validate_code(c5(), 2, [(0, 0, 2, 0, 0)])
     with pytest.raises(GraphError):
         GuessingCode(Graph.complete(2), 2, [(0, 0), (0, 1)]).validate()
+
+
+def test_validate_code_matches_pairwise_oracle(rng):
+    rejected = 0
+    for _ in range(80):
+        g = random_digraph(rng, rng.randint(1, 5), loop_p=0.3)
+        q = rng.choice([2, 3]) if g.n <= 4 else 2
+        words = list(max_guessing(g, q)[1].words)
+        codes = [words]
+        for _ in range(5):
+            bent = list(words)
+            k = rng.randrange(len(bent))
+            v = rng.randrange(g.n)
+            w = list(bent[k])
+            w[v] = (w[v] + rng.randrange(1, q)) % q
+            bent[k] = tuple(w)
+            codes.append(bent)
+        for code in codes:
+            pairwise = all(words_compatible(g, q, x, y)
+                           for i, x in enumerate(code) for y in code[i + 1:])
+            assert validate_code(g, q, code) == pairwise, (g, q, code)
+            rejected += not pairwise
+    assert rejected > 0
 
 
 def test_guessing_value_ordering():
