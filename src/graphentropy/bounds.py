@@ -12,6 +12,8 @@ entropy exactly.
 
 from __future__ import annotations
 
+from math import lcm
+
 from .graphs import (
     CapExceededError,
     Graph,
@@ -225,13 +227,37 @@ def build_fractional_cover_lp(g: Graph) -> tuple[LinearProgram, tuple[int, ...]]
 
 
 def fractional_clique_cover_number(g: Graph) -> tuple[Rational, CliqueFamily]:
-    """Optimal fractional clique cover via an exact LP over maximal cliques.
+    """Optimal fractional clique cover, certified by an independent set of
+    equal size when one exists and by an exact LP over maximal cliques
+    otherwise.
 
-    Restricting to maximal cliques loses nothing: weight on any clique can be
-    moved to a maximal superset.  The returned family revalidates exactly.
+    A minimum integral cover with cc cliques is a feasible fractional cover
+    of weight cc, and an independent set S of the mutual-arc relation is a
+    feasible dual (each clique meets S at most once), so |S| = cc pins the
+    value by weak duality.  A perfect graph always has such an S (Lovasz,
+    1972); on up to seven vertices only graphs with an induced C5, C7 or
+    co-C7 are imperfect.  Otherwise the LP runs; restricting it to maximal
+    cliques loses nothing, since weight on any clique can be moved to a
+    maximal superset.  The returned family revalidates exactly either way.
     """
     if g.n == 0:
         return Rational(0), CliqueFamily((), ())
+    return _fractional_cover(g, *clique_cover_number(g))
+
+
+def _fractional_cover(g: Graph, cc: int, cover: tuple[int, ...]) -> tuple[Rational, CliqueFamily]:
+    """fractional_clique_cover_number from a minimum clique cover already
+    in hand, so callers that also report cc search for it once."""
+    mut = [g.mutual_row(u) for u in range(g.n)]
+    size, vertex_cover = _vertex_cover(mut, g.vertex_mask)
+    if g.n - size == cc:
+        family = CliqueFamily(cover, [1] * cc)
+        family.validate(g)
+        independent = g.vertex_mask & ~vertex_cover
+        if any(mut[v] & independent for v in bits_of(independent)):
+            raise AssertionError(f"dual witness {sorted(bits_of(independent))} "
+                                 f"is not an independent set")
+        return Rational(cc), family
     lp, cliques = build_fractional_cover_lp(g)
     sol = solve(lp)
     family = CliqueFamily(cliques, sol.primal)
@@ -550,12 +576,17 @@ def validate_entropy_function(g: Graph, h) -> tuple[bool, str]:
     full subset-entropy LP: h(empty) = 0, singletons at most 1, the
     elemental inequalities and the functional equalities.  The elemental
     rows imply monotonicity and submodularity on every pair of subsets, so
-    this is the whole defining system in O(n^2 2^n) row evaluations."""
+    this is the whole defining system in O(n^2 2^n) row evaluations.
+
+    The rows are evaluated in integers, on h and the right-hand sides both
+    scaled by the least common denominator of the entries of h."""
     if len(h) != g.vertex_mask + 1:
         return False, "h must have one value per vertex subset"
+    scale = lcm(*(x.denominator for x in h))
+    k = [x.numerator * (scale // x.denominator) for x in h]
     for coeffs, rel, rhs in _shannon_rows(g):
-        value = sum(c * h[m] for m, c in coeffs.items())
-        if value != rhs if rel == EQ else value > rhs:
+        value = sum(c * k[m] for m, c in coeffs.items())
+        if value != rhs * scale if rel == EQ else value > rhs * scale:
             terms = " ".join(f"{c:+d}*h({m:b})" for m, c in coeffs.items())
             return False, f"row {terms} {rel} {rhs} fails"
     return True, "ok"
@@ -660,9 +691,10 @@ def bounds_report(g: Graph, shannon_cap: int = 10, lazy_theta: bool = False) -> 
             ("loop-reduction", {"loops": looped, "inner": inner.bracket.lower_witness}),
             ("loop-reduction", {"loops": looped, "inner": inner.bracket.upper_witness}),
         )
+        cc, cover = clique_cover_number(g)
         return BoundsReport(
-            bracket, max_matching(g).size, clique_cover_number(g)[0],
-            fractional_clique_cover_number(g)[0], inner.tau + k,
+            bracket, max_matching(g).size, cc,
+            _fractional_cover(g, cc, cover)[0], inner.tau + k,
             None if inner.theta is None else inner.theta + k)
     comps = connected_components(g)
     if len(comps) <= 1:
@@ -684,7 +716,7 @@ def _component_report(g: Graph, shannon_cap: int, lazy_theta: bool) -> BoundsRep
         return BoundsReport(union_bracket([], []), 0, 0, zero, 0, zero)
     matching = max_matching(g)
     cc, cover = clique_cover_number(g)
-    kappa_f, family = fractional_clique_cover_number(g)
+    kappa_f, family = _fractional_cover(g, cc, cover)
     tau, removed = transversal_number(g)
     lower = n - kappa_f
     assert Rational(matching.size) <= Rational(n - cc) <= lower

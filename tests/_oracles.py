@@ -10,6 +10,7 @@ feed them.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import lcm
 
@@ -340,6 +341,28 @@ def labeled_class_count(n: int) -> int:
         )
         seen.add(canon)
     return len(seen)
+
+
+# The package's enumerator as it was before it tried one attachment set per
+# automorphism orbit, kept verbatim under a new name: the pruned enumerator
+# must return exactly its tuple, representatives and order included.
+@lru_cache(maxsize=None)
+def unpruned_isomorphism_classes(n: int) -> tuple[Graph, ...]:
+    from graphentropy.enumeration import CanonicalForm, canonical_form
+    from graphentropy.graphs import Graph, GraphError
+
+    if n < 0:
+        raise GraphError("vertex count must be nonnegative")
+    if n == 0:
+        return (Graph.empty(0),)
+    seen: dict[tuple[int, int], CanonicalForm] = {}
+    for base in unpruned_isomorphism_classes(n - 1):
+        for attach in range(1 << (n - 1)):
+            rows = [r | (attach >> v & 1) << (n - 1) for v, r in enumerate(base.rows)]
+            rows.append(attach)
+            form = canonical_form(Graph(n, rows, directed=False))
+            seen.setdefault(form.key(), form)
+    return tuple(seen[k].graph() for k in sorted(seen))
 
 
 # -- guessing games ---------------------------------------------------------------

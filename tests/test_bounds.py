@@ -2,8 +2,10 @@ import time
 
 import pytest
 
+from graphentropy import bounds
 from graphentropy.bounds import (
     bounds_report,
+    build_fractional_cover_lp,
     build_shannon_lp,
     clique_cover_number,
     entropy_bracket,
@@ -74,6 +76,36 @@ def test_fractional_cover_examples():
     family.validate(c5())
     assert fractional_clique_cover_number(Graph.complete(4))[0] == 1
     assert fractional_clique_cover_number(g1())[0] == rat("10/3")
+
+
+def _lp_kappa_f(g):
+    return solve(build_fractional_cover_lp(g)[0]).objective
+
+
+def test_fractional_cover_shortcut_matches_lp(monkeypatch, rng):
+    """The value certified by an independent set of size cc equals the
+    covering LP's optimum, and so does the LP path's, on graphs and looped
+    digraphs; both paths must run."""
+    solves = []
+    real_solve = bounds.solve
+
+    def counting_solve(lp):
+        solves.append(1)
+        return real_solve(lp)
+
+    monkeypatch.setattr(bounds, "solve", counting_solve)
+    graphs = [g for n in range(1, 7) for g in isomorphism_classes(n)]
+    graphs += [random_graph(rng, 7) for _ in range(60)]
+    graphs += [random_digraph(rng, rng.randint(1, 6), loop_p=0.3) for _ in range(80)]
+    paths = {"shortcut": 0, "lp": 0}
+    for g in graphs:
+        before = len(solves)
+        value, family = fractional_clique_cover_number(g)
+        paths["lp" if len(solves) > before else "shortcut"] += 1
+        assert value == _lp_kappa_f(g), g
+        family.validate(g)
+        assert family.total() == value
+    assert paths["shortcut"] and paths["lp"], paths
 
 
 def test_transversal_examples():
@@ -200,7 +232,7 @@ def _assert_report_matches_direct_calls(g):
     r = bounds_report(g)
     assert r.nu == max_matching(g).size
     assert r.cc == clique_cover_number(g)[0]
-    assert r.kappa_f == fractional_clique_cover_number(g)[0]
+    assert r.kappa_f == _lp_kappa_f(g)
     assert r.tau == transversal_number(g)[0]
     if g.n <= 5:
         assert r.theta == solve(build_shannon_lp(g)).objective

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from graphentropy import lp
 from graphentropy.bounds import entropy_bracket
 from graphentropy.enumeration import (
     KNOWN_CLASS_COUNTS,
@@ -22,7 +23,7 @@ from graphentropy.enumeration import (
 from graphentropy.graphs import Graph, disjoint_union, mask_of, render_graph
 from graphentropy.rationals import rat
 
-from _oracles import labeled_class_count, perm_class_key
+from _oracles import labeled_class_count, perm_class_key, unpruned_isomorphism_classes
 from conftest import c5, g1, random_graph
 
 
@@ -36,6 +37,11 @@ def test_class_counts():
 def test_class_counts_against_permutation_oracle():
     for n in range(1, 6):
         assert len(isomorphism_classes(n)) == labeled_class_count(n)
+
+
+def test_classes_match_unpruned_augmentation():
+    for n in range(8):
+        assert isomorphism_classes(n) == unpruned_isomorphism_classes(n), n
 
 
 def test_connected_filter():
@@ -173,6 +179,16 @@ def test_wheel_lemma_all_32_cases():
     assert all(entry["ok"] for entry in cases.values())
 
 
+def test_wheel_lazy_bracket_matches_eager():
+    for mask in range(32):
+        g = pentagon_apex(mask)
+        lazy = entropy_bracket(g, lazy_theta=True)
+        eager = entropy_bracket(g)
+        assert (lazy.lower, lazy.upper) == (eager.lower, eager.upper), mask
+        assert lazy.lower_witness == eager.lower_witness, mask
+        assert lazy.upper_witness == eager.upper_witness, mask
+
+
 def test_g_family_suite():
     report = verify_g_family()
     assert report.ok
@@ -195,3 +211,18 @@ def test_small_theorem_suite():
     assert details["window_violations"] == []
     assert details["gap_counterexamples"] == []
     assert details["unresolved"] == []
+
+
+def test_small_theorem_suite_lp_count(monkeypatch):
+    """At most 74 exact simplex runs: the fractional covers of perfect
+    graphs are certified by independent sets, not by the LP."""
+    runs = []
+    real_simplex = lp._simplex
+
+    def counting_simplex(*args):
+        runs.append(1)
+        return real_simplex(*args)
+
+    monkeypatch.setattr(lp, "_simplex", counting_simplex)
+    assert verify_small_theorems().ok
+    assert len(runs) <= 74, len(runs)
