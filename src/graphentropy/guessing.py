@@ -15,7 +15,9 @@ that can take any word to any other.  Some maximum clique therefore contains
 the all-zero word, and the search proves optimality inside its
 neighbourhood alone.  The code it reports is still the one a search over
 all words would report: when that search's first clique is not optimal, it
-is replayed with the known optimum as its incumbent.
+is replayed with the known optimum as its incumbent.  No code is larger than
+q**tau, tau the host's minimum feedback vertex set, so the search stops as
+soon as it holds a clique of that size.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import itertools
 import math
 from typing import Iterable, Iterator, Sequence
 
+from .bounds import transversal_number
 from .graphs import (
     CapExceededError,
     Graph,
@@ -67,7 +70,7 @@ class CompatibilityGraph:
         return bool(self.rows[i] >> j & 1)
 
     def max_clique_mask(self) -> int:
-        return _max_clique(self.rows)
+        return _max_clique(self.rows, self.q ** transversal_number(self.host)[0])
 
     def __repr__(self) -> str:
         return f"CompatibilityGraph(q={self.q}, words={len(self.words)})"
@@ -110,7 +113,7 @@ def compatibility_graph(g: Graph, q: int, cap: int = DEFAULT_WORD_CAP) -> Compat
     return CompatibilityGraph(g, q, words, rows)
 
 
-def _max_clique(rows: list[int]) -> int:
+def _max_clique(rows: list[int], limit: int | None = None) -> int:
     """Mask of a maximum clique, anchored on word 0 by the symbol shifts.
 
     Adding a fixed vector coordinatewise mod q keeps every coordinate's
@@ -128,15 +131,25 @@ def _max_clique(rows: list[int]) -> int:
     candidate set, and the higher incumbent prunes only branches whose colour
     bound cannot reach omega, so the replay visits a subsequence of the
     unanchored search's nodes, in order, and reaches the same clique first.
+
+    limit, when given, bounds omega from above: q**tau for a compatibility
+    graph, tau its host's minimum feedback vertex set.  The search stops as
+    soon as the first dive or the anchored search reaches it, so a code
+    meeting the bound needs no proof of optimality by search.  The mask is
+    unchanged, since the unanchored search never replaces a clique by one of
+    the same size.
     """
     n = len(rows)
     if n == 0:
         return 0
     full = (1 << n) - 1
     first = next(_improvements(rows, full))
+    if first.bit_count() == limit:
+        return first
     anchored = 0
     for anchored in _improvements(rows, rows[0], first.bit_count() - 1):
-        pass
+        if anchored.bit_count() + 1 == limit:
+            break
     if not anchored:
         return first
     return next(_improvements(rows, full, anchored.bit_count()))

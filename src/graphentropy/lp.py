@@ -1,16 +1,22 @@
 """Exact rational linear programming with self-checking certificates.
 
-One dense simplex over exact rationals, with a Dantzig/lexicographic pivot
-rule and a Bland fallback, so runs are deterministic and never cycle.  It
-starts from a basis proposed by a fast floating-point simplex: the basis is
-factored and priced exactly, and returned at once when it is optimal.  A
-primal feasible basis continues with exact primal pivots; any other restarts
-exact phase 1 from the slack/artificial basis.  Values never depend on the
-proposal, only which optimal vertex is reported when there are several.
-Every optimal solve carries a primal assignment and a dual vector;
+One exact simplex, with a Dantzig/lexicographic pivot rule and a Bland
+fallback, so runs are deterministic and never cycle.  It starts from a basis
+proposed by a fast floating-point simplex: the basis is factored and priced
+exactly, and returned at once when it is optimal.  A primal feasible basis
+continues with exact primal pivots on a dense rational tableau; any other
+restarts exact phase 1 from the slack/artificial basis.  Values never depend
+on the proposal, only which optimal vertex is reported when there are
+several.  Every optimal solve carries a primal assignment and a dual vector;
 verify_certificates re-derives feasibility, sign conditions and the
 strong-duality equation from scratch, so no float and no solver bug can
 silently produce a wrong bound.
+
+The basis solves, the pricing and the certificate checks run in Python
+integers, so the rational backend pays no gcd per operation: every row is
+scaled by the least common denominator of its entries, basis systems are
+solved by fraction-free elimination, and vectors are compared over a common
+denominator.  Only results become rationals, one per entry.
 
 Rows may be given densely or as {index: coeff} dicts; relations are '<=',
 '=', '>='.  Variables are nonnegative unless listed in free_vars.
@@ -18,7 +24,8 @@ Rows may be given densely or as {index: coeff} dicts; relations are '<=',
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from math import gcd, lcm
+from typing import Iterable, Mapping
 
 from .rationals import Rational, rat_str
 
@@ -71,10 +78,6 @@ class LinearProgram:
 
     def __setattr__(self, name, value):
         raise AttributeError("LinearProgram is immutable")
-
-    def row_value(self, i: int, x: Sequence) -> "Rational":
-        coeffs, _, _ = self.rows[i]
-        return sum((c * x[j] for j, c in coeffs), Rational(0))
 
 
 class LpSolution:
@@ -136,11 +139,41 @@ def solve(lp: LinearProgram, check: bool = True) -> LpSolution:
 class _Setup:
     """Standard-form view shared by the exact and float paths: flipped rows,
     internal max-sense costs, mirror columns for free variables, and the
-    slack/artificial column layout."""
+    slack/artificial column layout.
 
-    __slots__ = ("lp", "maximize", "mirror", "ncols_struct", "cost", "body", "flip",
-                 "slack_col", "slack_sign", "art_col", "id_col", "art_cols",
-                 "ncols")
+    Rows and costs are held in integers.  Row i of the standard form, identity
+    column included, is stored multiplied by scale[i], the least common
+    denominator of its entries: body[i] is (sparse {col: int} row, relation,
+    int right-hand side), and cols[j] lists the (row, int) entries of column
+    j, identity columns too.  cost holds the structural costs times
+    cost_scale.  Scaling the rows leaves the basic values of every basis
+    unchanged, and its row duals are y_i = scale[i]*w_i/cost_scale for the
+    duals w of the scaled system."""
+
+    __slots__ = ("lp", "maximize", "mirror", "ncols_struct", "cost", "cost_scale",
+                 "body", "scale", "cols", "flip", "slack_col", "slack_sign",
+                 "art_col", "id_col", "art_cols", "ncols")
+
+
+def _integer_rows(lp: LinearProgram):
+    """Each row of lp as integers: (coeffs, rhs, scale) with coeffs a list of
+    (col, scale*c) and rhs scale*rhs, scale the least common denominator of
+    the row's entries."""
+    out = []
+    for coeffs, _, rhs in lp.rows:
+        scale = lcm(_lcd(c for _, c in coeffs), int(rhs.denominator))
+        out.append(([(j, _times(c, scale)) for j, c in coeffs], _times(rhs, scale), scale))
+    return out
+
+
+def _lcd(values) -> int:
+    """Least common denominator of rationals (1 for none)."""
+    return lcm(*(int(v.denominator) for v in values))
+
+
+def _times(v, scale: int) -> int:
+    """The rational v times scale, a multiple of its denominator, as an int."""
+    return int(v.numerator) * (scale // int(v.denominator))
 
 
 def _standardize(lp: LinearProgram) -> _Setup:
@@ -155,29 +188,32 @@ def _standardize(lp: LinearProgram) -> _Setup:
         ncols_struct += 1
     s.ncols_struct = ncols_struct
 
-    obj = [c if s.maximize else -c for c in lp.objective]
-    cost = [Rational(0)] * ncols_struct
-    for j in range(nv):
-        cost[j] = obj[j]
+    s.cost_scale = _lcd(lp.objective)
+    obj = [_times(c, s.cost_scale) for c in lp.objective]
+    if not s.maximize:
+        obj = [-c for c in obj]
+    cost = obj + [0] * (ncols_struct - nv)
     for j, mj in s.mirror.items():
         cost[mj] = -obj[j]
     s.cost = cost
 
     m = len(lp.rows)
     s.flip = [False] * m
+    s.scale = []
     body = []
-    for i, (coeffs, rel, rhs) in enumerate(lp.rows):
-        row = [Rational(0)] * ncols_struct
-        for j, c in coeffs:
-            row[j] = c
-            if j in s.mirror:
-                row[s.mirror[j]] = -c
+    for i, ((coeffs, rhs, scale), (_, rel, _)) in enumerate(zip(_integer_rows(lp), lp.rows)):
+        sign = 1
         if rhs < 0:
-            row = [-c for c in row]
-            rhs = -rhs
+            sign = -1
             rel = {LE: GE, GE: LE, EQ: EQ}[rel]
             s.flip[i] = True
-        body.append((row, rel, rhs))
+        row = {}
+        for j, a in coeffs:
+            row[j] = sign * a
+            if j in s.mirror:
+                row[s.mirror[j]] = -sign * a
+        body.append((row, rel, sign * rhs))
+        s.scale.append(scale)
     s.body = body
 
     # Column layout: structural | slack or surplus per inequality | artificials.
@@ -200,18 +236,16 @@ def _standardize(lp: LinearProgram) -> _Setup:
     s.ncols = at
     s.id_col = [s.slack_col[i] if body[i][1] == LE else s.art_col[i]
                 for i in range(m)]
+    cols = [[] for _ in range(at)]
+    for i, (row, _, _) in enumerate(body):
+        for j, a in row.items():
+            cols[j].append((i, a))
+        if s.slack_col[i] >= 0:
+            cols[s.slack_col[i]].append((i, s.slack_sign[i] * s.scale[i]))
+        if s.art_col[i] >= 0:
+            cols[s.art_col[i]].append((i, s.scale[i]))
+    s.cols = cols
     return s
-
-
-def _entry(s: _Setup, i: int, j: int) -> Rational:
-    """Exact standard-form matrix entry for row i, column j."""
-    if j < s.ncols_struct:
-        return s.body[i][0][j]
-    if j == s.slack_col[i]:
-        return Rational(s.slack_sign[i])
-    if j == s.art_col[i]:
-        return Rational(1)
-    return Rational(0)
 
 
 def _simplex(s: _Setup, basis) -> LpSolution:
@@ -231,13 +265,16 @@ def _simplex(s: _Setup, basis) -> LpSolution:
     feasible = all(v >= 0 for v in z) and not any(
         z[k] for k, j in enumerate(basis) if j in art_set)
     if feasible:
-        w, _ = _solve_linear([[_entry(s, i, j) for i in range(m)] for j in basis],
-                             [s.cost[j] if j < s.ncols_struct else zero for j in basis])
-        if _prices_out(s, w):
+        w, _ = _solve_linear([dict(s.cols[j]) for j in basis],
+                             [s.cost[j] if j < s.ncols_struct else 0 for j in basis])
+        den = _lcd(w)
+        w = [_times(v, den) for v in w]
+        if _prices_out(s, w, den):
             x = [zero] * ncols
             for k, j in enumerate(basis):
                 x[j] = z[k]
-            return _solution(s, x, w)
+            den *= s.cost_scale
+            return _solution(s, x, [Rational(r * wi, den) for r, wi in zip(s.scale, w)])
         tableau, basis = _tableau_at(s, basis)
     else:
         tableau, basis = _tableau_at(s, s.id_col)
@@ -254,7 +291,8 @@ def _simplex(s: _Setup, basis) -> LpSolution:
             return LpSolution(INFEASIBLE)
     _evict_artificials(tableau, basis, ncols, art_set, alive)
 
-    full_cost = s.cost + [zero] * (ncols + 1 - s.ncols_struct)
+    full_cost = [Rational(c, s.cost_scale) for c in s.cost]
+    full_cost += [zero] * (ncols + 1 - s.ncols_struct)
     red = _reduced_costs(full_cost, tableau, basis, ncols)
     status = _iterate(tableau, basis, red, ncols, alive, blocked=art_set)
     if status == UNBOUNDED:
@@ -272,30 +310,40 @@ def _simplex(s: _Setup, basis) -> LpSolution:
 def _basic_values(s: _Setup, basis):
     """Exact basic values z with B z = b, and the basis they belong to: each
     dependent column is swapped for the identity column of the row it leaves
-    without a pivot, which makes B nonsingular."""
-    m = len(s.body)
+    without a pivot, which makes B nonsingular.  Solved on the scaled rows,
+    which have the same basic values."""
     basis = list(basis)
     rhs = [rhs for _, _, rhs in s.body]
-    z, dependent = _solve_linear([[_entry(s, i, j) for j in basis] for i in range(m)], rhs)
+    z, dependent = _solve_linear(_basis_rows(s, basis), rhs)
     if dependent:
         for k, i in dependent:
             basis[k] = s.id_col[i]
-        z, _ = _solve_linear([[_entry(s, i, j) for j in basis] for i in range(m)], rhs)
+        z, _ = _solve_linear(_basis_rows(s, basis), rhs)
     return basis, z
 
 
-def _prices_out(s: _Setup, w) -> bool:
+def _basis_rows(s: _Setup, basis):
+    """Rows of the scaled basis matrix, as {position in basis: int}."""
+    rows = [{} for _ in s.body]
+    for k, j in enumerate(basis):
+        for i, a in s.cols[j]:
+            rows[i][k] = a
+    return rows
+
+
+def _prices_out(s: _Setup, w, den: int) -> bool:
     """True when no structural or slack column has a positive reduced cost
-    against the row duals w.  Basic columns price to exactly zero."""
-    red = list(s.cost)
+    against the scaled rows' duals w/den, w integers.  Basic columns price to
+    exactly zero."""
+    red = [c * den for c in s.cost]
     for (row, _, _), wi in zip(s.body, w):
         if wi:
-            for j, c in enumerate(row):
-                if c:
-                    red[j] -= wi * c
+            for j, a in row.items():
+                red[j] -= wi * a
     if any(r > 0 for r in red):
         return False
-    # A slack column is slack_sign times a unit column at zero cost.
+    # A slack column is slack_sign times a positive multiple of a unit column
+    # at zero cost.
     return all(s.slack_sign[i] * w[i] >= 0 for i in range(len(w)) if s.slack_col[i] >= 0)
 
 
@@ -311,12 +359,16 @@ def _solution(s: _Setup, x, y) -> LpSolution:
 
 def _tableau_at(s: _Setup, basis):
     """Dense tableau and its row-ordered basis at a nonsingular basis: built
-    at the slack/artificial basis, then pivoted into the missing columns."""
+    at the slack/artificial basis from the unscaled rows, then pivoted into
+    the missing columns."""
     zero = Rational(0)
-    pad = s.ncols - s.ncols_struct
     tableau = []
     for i, (row, _, rhs) in enumerate(s.body):
-        full = row + [zero] * pad + [rhs]
+        scale = s.scale[i]
+        full = [zero] * (s.ncols + 1)
+        for j, a in row.items():
+            full[j] = Rational(a, scale)
+        full[s.ncols] = Rational(rhs, scale)
         if s.slack_col[i] >= 0:
             full[s.slack_col[i]] = Rational(s.slack_sign[i])
         if s.art_col[i] >= 0:
@@ -479,14 +531,13 @@ def _float_basis(s: _Setup):
     tol = 1e-9
     T = np.zeros((m, ncols + 1))
     for i, (row, _, rhs) in enumerate(s.body):
-        for j, c in enumerate(row):
-            if c:
-                T[i, j] = float(c)
+        scale = s.scale[i]
+        T[i, list(row)] = [a / scale for a in row.values()]
         if s.slack_col[i] >= 0:
             T[i, s.slack_col[i]] = float(s.slack_sign[i])
         if s.art_col[i] >= 0:
             T[i, s.art_col[i]] = 1.0
-        T[i, ncols] = float(rhs)
+        T[i, ncols] = rhs / scale
     bas = list(s.id_col)
     limit = 80 * m + 800
 
@@ -520,71 +571,97 @@ def _float_basis(s: _Setup):
         if cost1[bas] @ T[:, ncols] < -1e-7:
             return None
     cost2 = np.zeros(ncols)
-    for j, c in enumerate(s.cost):
-        if c:
-            cost2[j] = float(c)
+    cost2[:s.ncols_struct] = [c / s.cost_scale for c in s.cost]
     if not run(cost2, art_idx):
         return None
     return bas
 
 
 def _solve_linear(rows, rhs):
-    """Solve a square exact system by Gaussian elimination.
+    """Solve a square integer system by fraction-free Gauss-Jordan elimination.
 
-    Returns (solution, []) when the matrix is nonsingular.  Otherwise returns
-    (None, pairs), pairing each column that depends on the columns before it
-    with a row those columns leave without a pivot.
+    rows are sparse {column: int} maps without zero entries, rhs ints.  A
+    pivot row p eliminates column col from row a as (p[col]*a - a[col]*p)/g,
+    g = gcd(p[col], a[col]); when p[col]/g is not 1 the result is divided by
+    its content, which keeps the entries small.  Every row stays a nonzero
+    integer multiple of the row rational Gauss-Jordan elimination would
+    hold, so the same entries are nonzero and the pivots and row swaps are
+    those of rational elimination.
+
+    Returns (solution, []) when the matrix is nonsingular, one Rational per
+    unknown.  Otherwise returns (None, pairs), pairing each column that
+    depends on the columns before it with a row those columns leave without
+    a pivot.
     """
     n = len(rows)
-    mat = [list(rows[i]) + [rhs[i]] for i in range(n)]
+    mat = list(rows)
+    vec = list(rhs)
     order = list(range(n))
     dependent = []
     r = 0
     for col in range(n):
-        prow = next((i for i in range(r, n) if mat[i][col]), -1)
+        prow = next((i for i in range(r, n) if col in mat[i]), -1)
         if prow < 0:
             dependent.append(col)
             continue
         mat[r], mat[prow] = mat[prow], mat[r]
+        vec[r], vec[prow] = vec[prow], vec[r]
         order[r], order[prow] = order[prow], order[r]
         piv_row = mat[r]
-        inv = 1 / piv_row[col]
-        if inv != 1:
-            piv_row = [c * inv if c else c for c in piv_row]
-            mat[r] = piv_row
-        for i in range(r + 1, n):
-            f = mat[i][col]
-            if f:
-                mat[i] = [a - f * b if b else a for a, b in zip(mat[i], piv_row)]
+        piv = piv_row[col]
+        piv_b = vec[r]
+        for i in range(n):
+            row = mat[i]
+            f = row.get(col)
+            if f is None or i == r:
+                continue
+            g = gcd(piv, f)
+            a, c = piv // g, f // g
+            new = row.copy() if a == 1 else {k: a * v for k, v in row.items()}
+            b = a * vec[i] - c * piv_b
+            for k, v in piv_row.items():
+                t = new.get(k, 0) - c * v
+                if t:
+                    new[k] = t
+                else:
+                    del new[k]
+            if a != 1:
+                g = gcd(b, *new.values())
+                if g > 1:
+                    new = {k: v // g for k, v in new.items()}
+                    b //= g
+            mat[i] = new
+            vec[i] = b
         r += 1
     if dependent:
         return None, list(zip(dependent, order[r:]))
-    out = [Rational(0)] * n
-    for i in range(n - 1, -1, -1):
-        acc = mat[i][n]
-        row = mat[i]
-        for j in range(i + 1, n):
-            if row[j]:
-                acc -= row[j] * out[j]
-        out[i] = acc
-    return out, []
+    # Row k now reads mat[k][k] * x_k = vec[k].
+    return [Rational(vec[k], mat[k][k]) for k in range(n)], []
 
 
 # -- certificates ---------------------------------------------------------------
 
 def verify_certificates(lp: LinearProgram, sol: LpSolution) -> tuple[bool, str]:
     """First-principles optimality check: primal feasibility, dual sign and
-    stationarity conditions, and exact equality of the two objectives."""
+    stationarity conditions, and exact equality of the two objectives.
+
+    Evaluated in integers: x times the least common denominator dx of its
+    entries, each row and its right-hand side times their own least common
+    denominator r_i, and y_i/r_i times a common denominator dy."""
     if sol.status != OPTIMAL:
         return False, f"no certificates for status {sol.status}"
     x, y = sol.primal, sol.dual
     if x is None or y is None or len(x) != lp.num_vars or len(y) != len(lp.rows):
         return False, "certificate vectors missing or mis-sized"
+    dx = _lcd(x)
+    xs = [_times(v, dx) for v in x]
     for j in range(lp.num_vars):
-        if j not in lp.free_vars and x[j] < 0:
+        if j not in lp.free_vars and xs[j] < 0:
             return False, f"primal variable {j} negative"
-    for i, (coeffs, rel, rhs) in enumerate(lp.rows):
-        lhs = lp.row_value(i, x)
+    rows = _integer_rows(lp)
+    for i, ((coeffs, rhs, _), (_, rel, _)) in enumerate(zip(rows, lp.rows)):
+        lhs = sum(a * xs[j] for j, a in coeffs)
+        rhs *= dx
         if rel == LE and lhs > rhs:
             return False, f"row {i} violated"
         if rel == GE and lhs < rhs:
@@ -592,28 +669,32 @@ def verify_certificates(lp: LinearProgram, sol: LpSolution) -> tuple[bool, str]:
         if rel == EQ and lhs != rhs:
             return False, f"row {i} violated"
     maximize = lp.sense == "max"
+    dy = lcm(*(int(v.denominator) * scale for v, (_, _, scale) in zip(y, rows)))
+    ys = [_times(v, dy // scale) for v, (_, _, scale) in zip(y, rows)]
     for i, (_, rel, _) in enumerate(lp.rows):
-        if rel == LE and (y[i] < 0 if maximize else y[i] > 0):
+        if rel == LE and (ys[i] < 0 if maximize else ys[i] > 0):
             return False, f"dual sign wrong on row {i}"
-        if rel == GE and (y[i] > 0 if maximize else y[i] < 0):
+        if rel == GE and (ys[i] > 0 if maximize else ys[i] < 0):
             return False, f"dual sign wrong on row {i}"
-    d = [Rational(0)] * lp.num_vars
-    for i, (coeffs, _, _) in enumerate(lp.rows):
-        yi = y[i]
+    # d / dy is the dual's combination of the rows; the objective is c / dc.
+    d = [0] * lp.num_vars
+    for (coeffs, _, _), yi in zip(rows, ys):
         if yi:
-            for j, c in coeffs:
-                d[j] += yi * c
+            for j, a in coeffs:
+                d[j] += yi * a
+    dc = _lcd(lp.objective)
+    c = [_times(v, dc) for v in lp.objective]
     for j in range(lp.num_vars):
-        cj = lp.objective[j]
+        dj, cj = d[j] * dc, c[j] * dy
         if j in lp.free_vars:
-            if d[j] != cj:
+            if dj != cj:
                 return False, f"dual stationarity fails on free variable {j}"
-        elif maximize and d[j] < cj:
+        elif maximize and dj < cj:
             return False, f"dual stationarity fails on variable {j}"
-        elif not maximize and d[j] > cj:
+        elif not maximize and dj > cj:
             return False, f"dual stationarity fails on variable {j}"
-    primal_obj = sum((lp.objective[j] * x[j] for j in range(lp.num_vars)), Rational(0))
-    dual_obj = sum((y[i] * lp.rows[i][2] for i in range(len(lp.rows))), Rational(0))
+    primal_obj = Rational(sum(cj * xj for cj, xj in zip(c, xs)), dc * dx)
+    dual_obj = Rational(sum(yi * rhs for yi, (_, rhs, _) in zip(ys, rows)), dy)
     if primal_obj != dual_obj:
         return False, "duality gap is nonzero"
     if sol.objective != primal_obj:

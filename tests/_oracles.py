@@ -16,6 +16,9 @@ from math import lcm
 
 import networkx as nx
 
+from graphentropy.lp import EQ, GE, LE, OPTIMAL, LinearProgram, LpSolution
+from graphentropy.rationals import Rational
+
 
 def adjacency(g) -> dict[int, set[int]]:
     """Undirected adjacency sets, loops dropped."""
@@ -531,3 +534,101 @@ def cycles_avoiding(g, banned: set[int]) -> set[frozenset[int]]:
                 elif u not in path:
                     stack.append((u, path + (u,)))
     return found
+
+
+# -- exact LP arithmetic over rationals --------------------------------------------
+
+
+# The package's exact basis solve and certificate check as they were before
+# they moved to integers, kept verbatim under new names, so the integer
+# versions can be held to exactly their answers.  The one edit: a row's value
+# is summed inline, where it called LinearProgram.row_value.
+def rational_solve_linear(rows, rhs):
+    """Solve a square exact system by Gaussian elimination.
+
+    Returns (solution, []) when the matrix is nonsingular.  Otherwise returns
+    (None, pairs), pairing each column that depends on the columns before it
+    with a row those columns leave without a pivot.
+    """
+    n = len(rows)
+    mat = [list(rows[i]) + [rhs[i]] for i in range(n)]
+    order = list(range(n))
+    dependent = []
+    r = 0
+    for col in range(n):
+        prow = next((i for i in range(r, n) if mat[i][col]), -1)
+        if prow < 0:
+            dependent.append(col)
+            continue
+        mat[r], mat[prow] = mat[prow], mat[r]
+        order[r], order[prow] = order[prow], order[r]
+        piv_row = mat[r]
+        inv = 1 / piv_row[col]
+        if inv != 1:
+            piv_row = [c * inv if c else c for c in piv_row]
+            mat[r] = piv_row
+        for i in range(r + 1, n):
+            f = mat[i][col]
+            if f:
+                mat[i] = [a - f * b if b else a for a, b in zip(mat[i], piv_row)]
+        r += 1
+    if dependent:
+        return None, list(zip(dependent, order[r:]))
+    out = [Rational(0)] * n
+    for i in range(n - 1, -1, -1):
+        acc = mat[i][n]
+        row = mat[i]
+        for j in range(i + 1, n):
+            if row[j]:
+                acc -= row[j] * out[j]
+        out[i] = acc
+    return out, []
+
+
+def rational_verify_certificates(lp: LinearProgram, sol: LpSolution) -> tuple[bool, str]:
+    """First-principles optimality check: primal feasibility, dual sign and
+    stationarity conditions, and exact equality of the two objectives."""
+    if sol.status != OPTIMAL:
+        return False, f"no certificates for status {sol.status}"
+    x, y = sol.primal, sol.dual
+    if x is None or y is None or len(x) != lp.num_vars or len(y) != len(lp.rows):
+        return False, "certificate vectors missing or mis-sized"
+    for j in range(lp.num_vars):
+        if j not in lp.free_vars and x[j] < 0:
+            return False, f"primal variable {j} negative"
+    for i, (coeffs, rel, rhs) in enumerate(lp.rows):
+        lhs = sum((c * x[j] for j, c in coeffs), Rational(0))
+        if rel == LE and lhs > rhs:
+            return False, f"row {i} violated"
+        if rel == GE and lhs < rhs:
+            return False, f"row {i} violated"
+        if rel == EQ and lhs != rhs:
+            return False, f"row {i} violated"
+    maximize = lp.sense == "max"
+    for i, (_, rel, _) in enumerate(lp.rows):
+        if rel == LE and (y[i] < 0 if maximize else y[i] > 0):
+            return False, f"dual sign wrong on row {i}"
+        if rel == GE and (y[i] > 0 if maximize else y[i] < 0):
+            return False, f"dual sign wrong on row {i}"
+    d = [Rational(0)] * lp.num_vars
+    for i, (coeffs, _, _) in enumerate(lp.rows):
+        yi = y[i]
+        if yi:
+            for j, c in coeffs:
+                d[j] += yi * c
+    for j in range(lp.num_vars):
+        cj = lp.objective[j]
+        if j in lp.free_vars:
+            if d[j] != cj:
+                return False, f"dual stationarity fails on free variable {j}"
+        elif maximize and d[j] < cj:
+            return False, f"dual stationarity fails on variable {j}"
+        elif not maximize and d[j] > cj:
+            return False, f"dual stationarity fails on variable {j}"
+    primal_obj = sum((lp.objective[j] * x[j] for j in range(lp.num_vars)), Rational(0))
+    dual_obj = sum((y[i] * lp.rows[i][2] for i in range(len(lp.rows))), Rational(0))
+    if primal_obj != dual_obj:
+        return False, "duality gap is nonzero"
+    if sol.objective != primal_obj:
+        return False, "reported objective mismatches the primal point"
+    return True, "ok"

@@ -1,3 +1,4 @@
+import hashlib
 import time
 
 import pytest
@@ -17,10 +18,10 @@ from graphentropy.bounds import (
     transversal_number,
     validate_entropy_function,
 )
-from graphentropy.enumeration import isomorphism_classes
-from graphentropy.graphs import Graph, complement, disjoint_union, mask_of
+from graphentropy.enumeration import enumerate_graphs, isomorphism_classes
+from graphentropy.graphs import Graph, complement, disjoint_union, mask_of, render_graph
 from graphentropy.lp import solve
-from graphentropy.rationals import rat
+from graphentropy.rationals import rat, rat_str
 
 from _oracles import (
     brute_matching,
@@ -106,6 +107,34 @@ def test_fractional_cover_shortcut_matches_lp(monkeypatch, rng):
         family.validate(g)
         assert family.total() == value
     assert paths["shortcut"] and paths["lp"], paths
+
+
+# sha256 of one line per connected class on up to 7 vertices whose fractional
+# cover the covering LP decides (the independent-set shortcut closes all the
+# others): its graph6, then clique:weight pairs.  These are the 37 covering
+# LPs that `verify --suite theorem2` solves, and each weight vector is the
+# vertex its proposed basis selects, so the digest pins those bases.
+COVER_WEIGHTS_SHA256 = "d59cd04173183580d8c57c54549c5d9eefcc7bd4c4b72baab3d84d751f3a681b"
+
+
+def test_cover_lp_weights_pinned(monkeypatch):
+    solves = []
+    real_solve = bounds.solve
+
+    def counting_solve(lp):
+        solves.append(1)
+        return real_solve(lp)
+
+    monkeypatch.setattr(bounds, "solve", counting_solve)
+    lines = []
+    for g in enumerate_graphs(7, connected_only=True):
+        before = len(solves)
+        _, family = fractional_clique_cover_number(g)
+        if len(solves) > before:
+            pairs = " ".join(f"{c}:{rat_str(w)}" for c, w in zip(family.cliques, family.weights))
+            lines.append(f"{render_graph(g, 'graph6')} {pairs}\n")
+    assert len(lines) == 37
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == COVER_WEIGHTS_SHA256
 
 
 def test_transversal_examples():

@@ -112,6 +112,20 @@ def test_anchored_search_replays_the_unanchored_one(rng):
     assert replayed >= 10
 
 
+def test_stop_at_a_tight_bound_keeps_the_mask(rng):
+    """With omega itself as the bound, the search stops in the first dive or
+    in the anchored search, and still returns the unanchored search's mask."""
+    stops = {"dive": 0, "anchored": 0}
+    for q, k in [(2, 7), (3, 4), (4, 3), (7, 2)]:
+        for _ in range(15):
+            rows = cayley_rows(rng, q, k)
+            mask = unanchored_max_clique(rows)
+            assert _max_clique(rows, mask.bit_count()) == mask, (q, k)
+            first = next(_improvements(rows, (1 << len(rows)) - 1))
+            stops["dive" if first.bit_count() == mask.bit_count() else "anchored"] += 1
+    assert min(stops.values()) >= 10, stops
+
+
 @pytest.mark.parametrize("g, q, size", [
     (Graph.cycle(11), 2, 32),
     (Graph.cycle(12), 2, 64),
@@ -126,9 +140,24 @@ def test_codes_at_the_cap(g, q, size):
     assert elapsed < 60, f"took {elapsed:.1f}s"
 
 
+def test_code_meeting_q_tau_ends_the_search():
+    """The first greedy clique of this graph at q = 3 already has q**tau = 27
+    words; the search stops there instead of proving it optimal, which took
+    about a minute."""
+    g = Graph.undirected(5, [(0, 1), (0, 2), (0, 4), (1, 4), (2, 3), (2, 4), (3, 4)])
+    assert transversal_number(g)[0] == 3
+    started = time.perf_counter()
+    value, code = max_guessing(g, 3)
+    elapsed = time.perf_counter() - started
+    assert value.code_size == len(code) == 27
+    code.validate()
+    assert elapsed < 5, f"took {elapsed:.1f}s"
+
+
 def test_code_size_within_tau_and_theta(rng):
-    # Undirected graphs at q = 3 stop at 4 vertices: some 5-vertex ones, whose
-    # optimal codes meet q**tau, take over a minute to prove optimal.
+    # Undirected graphs at q = 3 stop at 4 vertices: a 5-vertex one whose
+    # optimal code falls short of q**tau, such as C5 (12 < 27 words), takes
+    # seconds to prove optimal.
     graphs = [random_graph(rng, rng.randint(1, 6)) for _ in range(40)]
     graphs += [random_digraph(rng, rng.randint(1, 5), loop_p=0.3) for _ in range(40)]
     for g in graphs:

@@ -1,5 +1,9 @@
+import re
+from math import lcm
+
 import pytest
 
+from graphentropy import lp as lp_module
 from graphentropy.bounds import build_fractional_cover_lp, build_shannon_lp
 from graphentropy.graphs import Graph, mask_of
 from graphentropy.lp import (
@@ -11,15 +15,17 @@ from graphentropy.lp import (
     UNBOUNDED,
     LinearProgram,
     LpError,
+    LpSolution,
     _float_basis,
     _simplex,
+    _solve_linear,
     _standardize,
     solve,
     verify_certificates,
 )
 from graphentropy.rationals import rat
 
-from _oracles import lp_vertex_solve
+from _oracles import lp_vertex_solve, rational_solve_linear, rational_verify_certificates
 from conftest import g1
 
 
@@ -178,3 +184,150 @@ def test_shannon_lp_shape():
     assert sum(1 for c in lp.objective if c != 0) == 1
     lp7 = build_shannon_lp(g1())
     assert lp7.num_vars == 128
+
+
+def _random_rational(rng, top: int, zero_p: float = 0.0):
+    if rng.random() < zero_p:
+        return rat(0)
+    return rat(rng.randint(-top, top), rng.randint(1, 4))
+
+
+def _random_rational_lp(rng, max_vars: int = 3, max_rows: int = 4) -> LinearProgram:
+    """Rational coefficients, right-hand sides and objective, all three
+    relations, and free variables."""
+    n = rng.randint(1, max_vars)
+    rows = []
+    for _ in range(rng.randint(1, max_rows)):
+        coeffs = {j: _random_rational(rng, 6, zero_p=0.25) for j in range(n)}
+        rows.append((coeffs, rng.choice([LE, GE, EQ]), _random_rational(rng, 8)))
+    objective = [_random_rational(rng, 5, zero_p=0.2) for _ in range(n)]
+    free = [j for j in range(n) if rng.random() < 0.3]
+    return LinearProgram(n, rng.choice(["max", "min"]), objective, rows, free)
+
+
+def _split_free_vars(lp: LinearProgram) -> LinearProgram:
+    """The same program with each free variable the difference of two
+    nonnegative ones, for the vertex oracle."""
+    mirror = {j: lp.num_vars + k for k, j in enumerate(sorted(lp.free_vars))}
+    rows = []
+    for coeffs, rel, rhs in lp.rows:
+        row = dict(coeffs)
+        row.update({mirror[j]: -c for j, c in coeffs if j in mirror})
+        rows.append((row, rel, rhs))
+    objective = list(lp.objective) + [-lp.objective[j] for j in sorted(mirror)]
+    return LinearProgram(lp.num_vars + len(mirror), lp.sense, objective, rows)
+
+
+def test_rational_lps_match_vertex_oracle(rng, monkeypatch):
+    """Non-integer rows, right-hand sides and objectives, free variables and
+    all three relations: a wrong row or cost scale shows in the value, the
+    certificates, the warm-versus-cold solution or a float proposal that is
+    not optimal at once."""
+    tableaus = []
+    real_tableau_at = lp_module._tableau_at
+    monkeypatch.setattr(lp_module, "_tableau_at",
+                        lambda s, basis: tableaus.append(1) or real_tableau_at(s, basis))
+    optimal_seen = free_seen = proposed = 0
+    rels_seen = set()
+    for _ in range(300):
+        lp = _random_rational_lp(rng)
+        sol = solve(lp)
+        status, value = lp_vertex_solve(_split_free_vars(lp))
+        assert sol.status == status, lp.rows
+        if status != OPTIMAL:
+            continue
+        optimal_seen += 1
+        free_seen += bool(lp.free_vars)
+        rels_seen |= {rel for _, rel, _ in lp.rows}
+        assert sol.objective == value
+        ok, why = verify_certificates(lp, sol)
+        assert ok, why
+        s = _standardize(lp)
+        cold = _simplex(s, s.id_col)
+        proposal = _float_basis(s)
+        pivoted = len(tableaus)
+        warm = _simplex(s, proposal or s.id_col)
+        assert (cold.objective, cold.primal, cold.dual) == (warm.objective, warm.primal, warm.dual)
+        if proposal is not None:
+            proposed += 1
+            assert len(tableaus) == pivoted, "the float proposal was not optimal"
+    assert optimal_seen >= 60 and free_seen >= 15 and proposed >= 60, (
+        optimal_seen, free_seen, proposed)
+    assert rels_seen == {LE, GE, EQ}
+
+
+def _integer_system(rows, rhs):
+    """Each row and its right-hand side times their least common denominator,
+    rows as sparse {column: int} maps."""
+    out_rows, out_rhs = [], []
+    for row, b in zip(rows, rhs):
+        scale = lcm(*(v.denominator for v in row + [b]))
+        out_rows.append({j: int(v * scale) for j, v in enumerate(row) if v})
+        out_rhs.append(int(b * scale))
+    return out_rows, out_rhs
+
+
+def test_integer_solve_matches_rational_oracle(rng):
+    """Identical solution, or identical dependent-column pairs, on square
+    rational systems, singular ones included."""
+    singular = 0
+    for _ in range(400):
+        n = rng.randint(1, 7)
+        zero_p = rng.choice([0.0, 0.4, 0.7])
+        rows = [[_random_rational(rng, 4, zero_p) for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.4:
+            j, k = rng.sample(range(n), 2)
+            f = _random_rational(rng, 2)
+            for row in rows:
+                row[j] = f * row[k]
+        rhs = [_random_rational(rng, 5) for _ in range(n)]
+        expected = rational_solve_linear(rows, rhs)
+        assert _solve_linear(*_integer_system(rows, rhs)) == expected, (rows, rhs)
+        singular += expected[0] is None
+    assert 50 <= singular <= 350, singular
+
+
+def _corrupted(rng, lp, sol):
+    """The solution with one certificate or the reported value broken."""
+    x, y = list(sol.primal), list(sol.dual)
+    j = rng.randrange(lp.num_vars)
+    nudged = x[:j] + [x[j] + rng.choice([-1, 1]) * rat(1, 3)] + x[j + 1:]
+    yield LpSolution(OPTIMAL, sol.objective, nudged, y)
+    i = rng.randrange(len(lp.rows))
+    yield LpSolution(OPTIMAL, sol.objective, x, y[:i] + [-y[i]] + y[i + 1:])
+    # A move of y_i that keeps its sign condition, so stationarity or the
+    # duality equation has to catch it.
+    rel = lp.rows[i][1]
+    step = rng.choice([-1, 1]) if rel == EQ else 1 if (rel == LE) == (lp.sense == "max") else -1
+    yield LpSolution(OPTIMAL, sol.objective, x, y[:i] + [y[i] + step * rat(1, 2)] + y[i + 1:])
+    yield LpSolution(OPTIMAL, sol.objective + rat(1, 7), x, y)
+    yield LpSolution(OPTIMAL, sol.objective, x[:-1], y)
+    yield LpSolution(OPTIMAL, sol.objective, x, y + [rat(0)])
+    yield LpSolution(INFEASIBLE)
+
+
+def test_certificate_check_matches_rational_oracle(rng):
+    """The integer check returns exactly the rational check's (ok, why), on
+    solved programs and on corrupted certificates reaching every branch."""
+    branches = set()
+    lps = [_random_rational_lp(rng) for _ in range(150)] + [_random_lp(rng) for _ in range(150)]
+    for lp in lps:
+        sol = solve(lp, check=False)
+        if sol.status != OPTIMAL:
+            continue
+        for candidate in [sol, *_corrupted(rng, lp, sol)]:
+            verdict = verify_certificates(lp, candidate)
+            assert verdict == rational_verify_certificates(lp, candidate), (lp.rows, candidate)
+            branches.add(re.sub(r"\d+|infeasible", "#", verdict[1]))
+    assert branches == {
+        "ok",
+        "no certificates for status #",
+        "certificate vectors missing or mis-sized",
+        "primal variable # negative",
+        "row # violated",
+        "dual sign wrong on row #",
+        "dual stationarity fails on variable #",
+        "dual stationarity fails on free variable #",
+        "duality gap is nonzero",
+        "reported objective mismatches the primal point",
+    }, branches
