@@ -6,7 +6,6 @@ Run with -v to get one pass/fail line per criterion.
 import json
 import random
 import subprocess
-import sys
 import time
 from itertools import product
 
@@ -41,9 +40,8 @@ from graphentropy.rationals import rat
 
 from _oracles import chromatic_number, clique_code_size, complement_graph
 from conftest import c5, g1, random_digraph
+from test_cli import RUN, child_env
 from test_lp import _random_lp
-
-RUN = [sys.executable, "-m", "graphentropy.cli"]
 
 
 def bounds_via_cli(tmp_path, name: str, g: Graph) -> dict:
@@ -51,7 +49,7 @@ def bounds_via_cli(tmp_path, name: str, g: Graph) -> dict:
     path.write_text(render_graph(g, "graph6"))
     started = time.monotonic()
     proc = subprocess.run(RUN + ["bounds", "--graph", str(path)],
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=60, env=child_env())
     elapsed = time.monotonic() - started
     assert proc.returncode == 0, proc.stderr
     assert elapsed < 10, f"{name} took {elapsed:.1f}s"
@@ -93,7 +91,7 @@ def test_criterion_1_exact_values(tmp_path):
 def test_criterion_2_wheel_trichotomy(tmp_path):
     started = time.monotonic()
     proc = subprocess.run(RUN + ["verify", "--suite", "wheel"],
-                          capture_output=True, text=True, timeout=150)
+                          capture_output=True, text=True, timeout=150, env=child_env())
     elapsed = time.monotonic() - started
     assert proc.returncode == 0, proc.stderr
     assert elapsed < 120, f"wheel suite took {elapsed:.1f}s"

@@ -1,9 +1,11 @@
 import hashlib
+import random
 import time
 
 import pytest
 
 from graphentropy import bounds
+from graphentropy import lp as lp_module
 from graphentropy.bounds import (
     bounds_report,
     build_fractional_cover_lp,
@@ -113,8 +115,10 @@ def test_fractional_cover_shortcut_matches_lp(monkeypatch, rng):
 # cover the covering LP decides (the independent-set shortcut closes all the
 # others): its graph6, then clique:weight pairs.  These are the 37 covering
 # LPs that `verify --suite theorem2` solves, and each weight vector is the
-# vertex its proposed basis selects, so the digest pins those bases.
-COVER_WEIGHTS_SHA256 = "d59cd04173183580d8c57c54549c5d9eefcc7bd4c4b72baab3d84d751f3a681b"
+# vertex its proposed basis selects, so the digest pins those bases.  Each
+# vector is also checked as a cover of the LP's optimal value, so a change of
+# digest means a move to another optimal vertex, not a wrong answer.
+COVER_WEIGHTS_SHA256 = "ab975a700db6baa3cb3a4b9d0377e9178ea19a4509ee9d0aa32db4c7845124ec"
 
 
 def test_cover_lp_weights_pinned(monkeypatch):
@@ -129,8 +133,10 @@ def test_cover_lp_weights_pinned(monkeypatch):
     lines = []
     for g in enumerate_graphs(7, connected_only=True):
         before = len(solves)
-        _, family = fractional_clique_cover_number(g)
+        value, family = fractional_clique_cover_number(g)
         if len(solves) > before:
+            family.validate(g)
+            assert family.total() == value == _lp_kappa_f(g), render_graph(g, "graph6")
             pairs = " ".join(f"{c}:{rat_str(w)}" for c, w in zip(family.cliques, family.weights))
             lines.append(f"{render_graph(g, 'graph6')} {pairs}\n")
     assert len(lines) == 37
@@ -296,18 +302,37 @@ _GNP7_4_RELABELLED = [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 5), (2, 3), (2
                       (2, 6), (3, 4), (3, 5), (4, 6), (5, 6)]
 
 
+def _seeded_gnp8(k: int) -> Graph:
+    """Graph k of the G(8, 1/2) graphs drawn in turn from random.Random(7)."""
+    rng = random.Random(7)
+    for _ in range(k):
+        random_graph(rng, 8)
+    return random_graph(rng, 8)
+
+
+# Every LP here, asymmetric 8-vertex entropy duals of 130-155 rows included,
+# must be optimal at its float proposal: the exact tableau is never built.
 @pytest.mark.parametrize("g, value", [
     pytest.param(Graph.cycle(9), "9/2", id="C9"),
     pytest.param(complement(Graph.cycle(9)), "27/4", id="co-C9"),
     pytest.param(Graph.cycle(10), "5", id="C10"),
     pytest.param(_petersen(), "5", id="Petersen"),
-    # Its float proposal is singular: one dependent column gives way to a
-    # slack, and one exact primal pivot finishes.
+    # Relabelling sends the float simplex down another path; it must still
+    # end at an optimal basis, with no exact pivot.
     pytest.param(Graph.undirected(7, _GNP7_4_RELABELLED), "4", id="gnp7.4-relabelled"),
+    pytest.param(_seeded_gnp8(0), "5", id="gnp8-seed7-0"),
+    pytest.param(_seeded_gnp8(1), "5", id="gnp8-seed7-1"),
+    pytest.param(_seeded_gnp8(2), "4", id="gnp8-seed7-2"),
 ])
-def test_brackets_at_the_cap(g, value):
+def test_brackets_at_the_cap(g, value, monkeypatch):
+    tableaus = []
+    real_tableau_at = lp_module._tableau_at
+    monkeypatch.setattr(lp_module, "_tableau_at",
+                        lambda s, basis: tableaus.append(1) or real_tableau_at(s, basis))
     started = time.perf_counter()
-    b = entropy_bracket(g)
+    r = bounds_report(g)
     elapsed = time.perf_counter() - started
-    assert (b.lower, b.upper, b.exact) == (rat(value), rat(value), True)
+    b = r.bracket
+    assert (r.theta, b.lower, b.upper, b.exact) == (rat(value), rat(value), rat(value), True)
     assert elapsed < 60, f"took {elapsed:.1f}s"
+    assert not tableaus, "a float proposal was not optimal"

@@ -16,11 +16,17 @@ RUN = [sys.executable, "-m", "graphentropy.cli"]
 SRC = str(Path(graphentropy.__file__).resolve().parent.parent)
 
 
-def invoke(*args, stdin: str | None = None):
+def child_env() -> dict:
+    """This environment with SRC first on PYTHONPATH, for a CLI child process."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def invoke(*args, stdin: str | None = None):
     proc = subprocess.run(
-        RUN + list(args), input=stdin, capture_output=True, text=True, timeout=120, env=env
+        RUN + list(args), input=stdin, capture_output=True, text=True, timeout=120,
+        env=child_env(),
     )
     return proc
 

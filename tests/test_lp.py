@@ -218,11 +218,54 @@ def _split_free_vars(lp: LinearProgram) -> LinearProgram:
     return LinearProgram(lp.num_vars + len(mirror), lp.sense, objective, rows)
 
 
+def _vertex_at(lp: LinearProgram, s, basis):
+    """Primal and dual of lp at a basis of its standard form s, solved by
+    rational elimination on the unscaled rows.  A dependent column gives way
+    to the identity column of the row it leaves without a pivot, as in the
+    solver; only the column layout is read from s."""
+    m = len(lp.rows)
+    cols = [{} for _ in range(s.ncols)]
+    b = []
+    for i, (coeffs, _, rhs) in enumerate(lp.rows):
+        sign = -1 if s.flip[i] else 1
+        for j, c in coeffs:
+            cols[j][i] = sign * c
+            if j in s.mirror:
+                cols[s.mirror[j]][i] = -sign * c
+        if s.slack_col[i] >= 0:
+            cols[s.slack_col[i]][i] = rat(s.slack_sign[i])
+        if s.art_col[i] >= 0:
+            cols[s.art_col[i]][i] = rat(1)
+        b.append(sign * rhs)
+    zero = rat(0)
+    basis = list(basis)
+    z, dependent = rational_solve_linear(
+        [[cols[j].get(i, zero) for j in basis] for i in range(m)], b)
+    if dependent:
+        for k, i in dependent:
+            basis[k] = s.id_col[i]
+        z, _ = rational_solve_linear(
+            [[cols[j].get(i, zero) for j in basis] for i in range(m)], b)
+    sign = 1 if lp.sense == "max" else -1
+    cost = [sign * c for c in lp.objective] + [zero] * (s.ncols - lp.num_vars)
+    for j, mj in s.mirror.items():
+        cost[mj] = -cost[j]
+    y, _ = rational_solve_linear(
+        [[cols[j].get(i, zero) for i in range(m)] for j in basis], [cost[j] for j in basis])
+    x = [zero] * s.ncols
+    for k, j in enumerate(basis):
+        x[j] = z[k]
+    primal = tuple(x[j] - x[s.mirror[j]] if j in s.mirror else x[j]
+                   for j in range(lp.num_vars))
+    dual = tuple(-sign * yi if flip else sign * yi for yi, flip in zip(y, s.flip))
+    return primal, dual
+
+
 def test_rational_lps_match_vertex_oracle(rng, monkeypatch):
     """Non-integer rows, right-hand sides and objectives, free variables and
     all three relations: a wrong row or cost scale shows in the value, the
-    certificates, the warm-versus-cold solution or a float proposal that is
-    not optimal at once."""
+    certificates, a warm solution that is not the vertex of its proposed
+    basis, or a float proposal that is not optimal at once."""
     tableaus = []
     real_tableau_at = lp_module._tableau_at
     monkeypatch.setattr(lp_module, "_tableau_at",
@@ -243,14 +286,13 @@ def test_rational_lps_match_vertex_oracle(rng, monkeypatch):
         ok, why = verify_certificates(lp, sol)
         assert ok, why
         s = _standardize(lp)
-        cold = _simplex(s, s.id_col)
         proposal = _float_basis(s)
         pivoted = len(tableaus)
         warm = _simplex(s, proposal or s.id_col)
-        assert (cold.objective, cold.primal, cold.dual) == (warm.objective, warm.primal, warm.dual)
         if proposal is not None:
             proposed += 1
             assert len(tableaus) == pivoted, "the float proposal was not optimal"
+            assert (warm.primal, warm.dual) == _vertex_at(lp, s, proposal), lp.rows
     assert optimal_seen >= 60 and free_seen >= 15 and proposed >= 60, (
         optimal_seen, free_seen, proposed)
     assert rels_seen == {LE, GE, EQ}
