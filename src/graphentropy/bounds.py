@@ -546,8 +546,8 @@ def shannon_entropy(g: Graph, cap: int = 10) -> ShannonResult:
 def _solve_via_dual(lp: LinearProgram, obj_var: int):
     """Solve max {x_obj : Ax <= b, x >= 0} through its dual.
 
-    These programs have many more rows than variables, so pivoting on the
-    dual's small tableau is much faster.  No trust is transferred: the dual's
+    These programs have many more rows than variables, so the dual's basis,
+    one column per variable, is much smaller to factor.  No trust is transferred: the dual's
     own certificates are checked inside solve(), and the recovered primal
     point plus dual vector are re-verified against the original program.
     """

@@ -1,16 +1,18 @@
 """Exact rational linear programming with self-checking certificates.
 
-One exact simplex, with a Dantzig/lexicographic pivot rule and a Bland
-fallback, so runs are deterministic and never cycle.  It starts from a basis
-proposed by a fast floating-point simplex: the basis is factored and priced
-exactly, and returned at once when it is optimal.  A primal feasible basis
-continues with exact primal pivots on a dense rational tableau; any other
-restarts exact phase 1 from the slack/artificial basis.  Values never depend
-on the proposal, only which optimal vertex is reported when there are
-several.  Every optimal solve carries a primal assignment and a dual vector;
-verify_certificates re-derives feasibility, sign conditions and the
-strong-duality equation from scratch, so no float and no solver bug can
-silently produce a wrong bound.
+One exact simplex: revised primal pivots under Bland's rule (the entering
+column and, on ratio ties, the leaving basic column are the lowest-indexed
+candidates), so runs are deterministic and never cycle.  It starts from a
+basis proposed by a fast floating-point simplex: the basis is factored and
+priced exactly, and returned at once when it is optimal.  A primal feasible
+basis continues with exact pivots; any other restarts exact phase 1 from the
+slack/artificial basis.  The exact side keeps no tableau: each pivot solves
+the basis system once for the duals and once for the entering column.
+Values never depend on the proposal, only which optimal vertex is reported
+when there are several.  Every optimal solve carries a primal assignment
+and a dual vector; verify_certificates re-derives feasibility, sign
+conditions and the strong-duality equation from scratch, so no float and no
+solver bug can silently produce a wrong bound.
 
 The float simplex prices by steepest edge: it enters the column whose edge
 gains most per unit of distance moved, not per unit of the entering
@@ -22,7 +24,8 @@ The basis solves, the pricing and the certificate checks run in Python
 integers, so the rational backend pays no gcd per operation: every row is
 scaled by the least common denominator of its entries, basis systems are
 solved by fraction-free elimination, and vectors are compared over a common
-denominator.  Only results become rationals, one per entry.
+denominator.  Only the solutions of basis systems, the basic values and the
+ratio tests use rationals.
 
 Rows may be given densely or as {index: coeff} dicts; relations are '<=',
 '=', '>='.  Variables are nonnegative unless listed in free_vars.
@@ -260,57 +263,53 @@ def _simplex(s: _Setup, basis) -> LpSolution:
     The basis is first factored and priced exactly; a column the others make
     dependent gives way to the identity column of a row they leave without a
     pivot.  An optimal basis is returned at once, and a primal feasible one
-    continues with primal pivots on a tableau built at that basis.  Any other
-    basis is dropped for phase 1 from the slack/artificial basis.
+    continues with revised primal pivots under Bland's rule.  Any other basis
+    is dropped for phase 1 from the slack/artificial basis.  Artificials
+    never re-enter; one still basic, at zero, in phase 2 stays at zero.
     """
-    m = len(s.body)
-    ncols = s.ncols
-    zero = Rational(0)
-    art_set = frozenset(s.art_cols)
+    arts = frozenset(s.art_cols)
     basis, z = _basic_values(s, basis)
-    feasible = all(v >= 0 for v in z) and not any(
-        z[k] for k, j in enumerate(basis) if j in art_set)
-    if feasible:
-        w, _ = _solve_linear([dict(s.cols[j]) for j in basis],
-                             [s.cost[j] if j < s.ncols_struct else 0 for j in basis])
+    if any(v < 0 for v in z) or any(z[k] for k, j in enumerate(basis) if j in arts):
+        start = _phase1(s, arts)
+        if start is None:
+            return LpSolution(INFEASIBLE)
+        basis, z = start
+    duals = _optimize(s, basis, z, s.cost + [0] * (s.ncols - s.ncols_struct), arts)
+    if duals is None:
+        return LpSolution(UNBOUNDED)
+    w, den = duals
+    x = [Rational(0)] * s.ncols
+    for k, j in enumerate(basis):
+        x[j] = z[k]
+    den *= s.cost_scale
+    return _solution(s, x, [Rational(r * wi, den) for r, wi in zip(s.scale, w)])
+
+
+def _phase1(s: _Setup, arts):
+    """Basis and basic values with every artificial at zero, reached from the
+    slack/artificial basis at cost -1 per artificial; None when the program
+    is infeasible."""
+    basis, z = _basic_values(s, s.id_col)
+    _optimize(s, basis, z, [-1 if j in arts else 0 for j in range(s.ncols)], frozenset())
+    if any(z[k] for k, j in enumerate(basis) if j in arts):
+        return None
+    return basis, z
+
+
+def _optimize(s: _Setup, basis, z, cost, fixed):
+    """Primal pivots from a primal feasible basis until it prices out, with
+    basis and z updated in place.  cost is one int per column, over the
+    scaled rows.  Returns the optimal basis's integer duals and their
+    denominator (w, den), or None when the program is unbounded."""
+    while True:
+        w, _ = _solve_linear([dict(s.cols[j]) for j in basis], [cost[j] for j in basis])
         den = _lcd(w)
         w = [_times(v, den) for v in w]
-        if _prices_out(s, w, den):
-            x = [zero] * ncols
-            for k, j in enumerate(basis):
-                x[j] = z[k]
-            den *= s.cost_scale
-            return _solution(s, x, [Rational(r * wi, den) for r, wi in zip(s.scale, w)])
-        tableau, basis = _tableau_at(s, basis)
-    else:
-        tableau, basis = _tableau_at(s, s.id_col)
-    alive = [True] * m
-
-    if s.art_cols and not feasible:
-        phase1 = [zero] * (ncols + 1)
-        for c in s.art_cols:
-            phase1[c] = -Rational(1)
-        red = _reduced_costs(phase1, tableau, basis, ncols)
-        status = _iterate(tableau, basis, red, ncols, alive, blocked=frozenset())
-        if status != OPTIMAL or red[ncols] != 0:
-            # red[ncols] tracks the phase objective (= -sum of artificials).
-            return LpSolution(INFEASIBLE)
-    _evict_artificials(tableau, basis, ncols, art_set, alive)
-
-    full_cost = [Rational(c, s.cost_scale) for c in s.cost]
-    full_cost += [zero] * (ncols + 1 - s.ncols_struct)
-    red = _reduced_costs(full_cost, tableau, basis, ncols)
-    status = _iterate(tableau, basis, red, ncols, alive, blocked=art_set)
-    if status == UNBOUNDED:
-        return LpSolution(UNBOUNDED)
-
-    x = [zero] * ncols
-    for i in range(m):
-        if alive[i]:
-            x[basis[i]] = tableau[i][ncols]
-    # Each row's dual is read off its identity column (slack for <=, the
-    # artificial for = and >=): reduced cost there is exactly -y_i.
-    return _solution(s, x, [-red[s.id_col[i]] if alive[i] else zero for i in range(m)])
+        j = _prices_out(s, cost, w, den)
+        if j is None:
+            return w, den
+        if not _exchange(s, basis, z, j, fixed):
+            return None
 
 
 def _basic_values(s: _Setup, basis):
@@ -337,20 +336,56 @@ def _basis_rows(s: _Setup, basis):
     return rows
 
 
-def _prices_out(s: _Setup, w, den: int) -> bool:
-    """True when no structural or slack column has a positive reduced cost
-    against the scaled rows' duals w/den, w integers.  Basic columns price to
-    exactly zero."""
-    red = [c * den for c in s.cost]
+def _prices_out(s: _Setup, cost, w, den: int):
+    """Bland's entering column: the lowest-indexed structural or slack column
+    with a positive reduced cost against the scaled rows' duals w/den, w
+    integers; None when the basis prices out.  Basic columns price to
+    exactly zero, and artificials are never priced."""
+    red = [c * den for c in cost[:s.ncols_struct]]
     for (row, _, _), wi in zip(s.body, w):
         if wi:
             for j, a in row.items():
                 red[j] -= wi * a
-    if any(r > 0 for r in red):
-        return False
+    j = next((j for j, r in enumerate(red) if r > 0), None)
+    if j is not None:
+        return j
     # A slack column is slack_sign times a positive multiple of a unit column
-    # at zero cost.
-    return all(s.slack_sign[i] * w[i] >= 0 for i in range(len(w)) if s.slack_col[i] >= 0)
+    # at zero cost; slack columns follow the structural ones in row order.
+    return next((s.slack_col[i] for i, wi in enumerate(w)
+                 if s.slack_col[i] >= 0 and s.slack_sign[i] * wi < 0), None)
+
+
+def _exchange(s: _Setup, basis, z, j: int, fixed) -> bool:
+    """One pivot bringing column j in: solve B d = A_j, pick the leaving
+    column by the ratio test, on ties the lowest-indexed one, and move z
+    along the edge.  A basic column in fixed (an artificial at zero) blocks,
+    at ratio 0, any step with a nonzero entry in its row.  False when
+    nothing blocks: the program is unbounded along the edge."""
+    a = [0] * len(s.body)
+    for i, v in s.cols[j]:
+        a[i] = v
+    d, _ = _solve_linear(_basis_rows(s, basis), a)
+    leave, step = -1, None
+    for k, dk in enumerate(d):
+        if basis[k] in fixed:
+            if not dk:
+                continue
+            ratio = z[k]  # zero
+        elif dk > 0:
+            ratio = z[k] / dk
+        else:
+            continue
+        if step is None or ratio < step or (ratio == step and basis[k] < basis[leave]):
+            leave, step = k, ratio
+    if leave < 0:
+        return False
+    if step:
+        for k, dk in enumerate(d):
+            if dk:
+                z[k] -= step * dk
+    z[leave] = step
+    basis[leave] = j
+    return True
 
 
 def _solution(s: _Setup, x, y) -> LpSolution:
@@ -361,166 +396,6 @@ def _solution(s: _Setup, x, y) -> LpSolution:
     dual = [-sign * yi if flip else sign * yi for yi, flip in zip(y, s.flip)]
     value = sum((lp.objective[j] * primal[j] for j in range(lp.num_vars)), Rational(0))
     return LpSolution(OPTIMAL, value, primal, dual)
-
-
-def _tableau_at(s: _Setup, basis):
-    """Dense tableau and its row-ordered basis at a nonsingular basis: built
-    at the slack/artificial basis from the unscaled rows, then pivoted into
-    the missing columns."""
-    zero = Rational(0)
-    tableau = []
-    for i, (row, _, rhs) in enumerate(s.body):
-        scale = s.scale[i]
-        full = [zero] * (s.ncols + 1)
-        for j, a in row.items():
-            full[j] = Rational(a, scale)
-        full[s.ncols] = Rational(rhs, scale)
-        if s.slack_col[i] >= 0:
-            full[s.slack_col[i]] = Rational(s.slack_sign[i])
-        if s.art_col[i] >= 0:
-            full[s.art_col[i]] = Rational(1)
-        tableau.append(full)
-    current = list(s.id_col)
-    wanted = set(basis)
-    open_rows = [i for i, j in enumerate(current) if j not in wanted]
-    no_cost = [zero] * (s.ncols + 1)
-    for j in basis:
-        if j not in current:
-            # Some open row has a nonzero here, or B would be singular.
-            i = next(i for i in open_rows if tableau[i][j])
-            open_rows.remove(i)
-            _pivot(tableau, current, no_cost, i, j, s.ncols)
-    return tableau, current
-
-
-def _reduced_costs(cost, tableau, basis, ncols):
-    """Row of c_j - c_B B^-1 A_j values plus the current objective at the end."""
-    red = list(cost)
-    for i, b in enumerate(basis):
-        cb = cost[b]
-        if cb:
-            row = tableau[i]
-            for j in range(ncols + 1):
-                if row[j]:
-                    red[j] -= cb * row[j]
-    # red[ncols] now holds -objective; store objective positively.
-    red[ncols] = -red[ncols]
-    return red
-
-
-def _iterate(tableau, basis, red, ncols, alive, blocked):
-    # Entering rule: Dantzig (largest reduced cost, lowest index on ties),
-    # with lexicographic ratio tie-breaks against degenerate wandering.  A
-    # long stall switches to Bland's rule, which cannot cycle, so the
-    # iteration always terminates.
-    m = len(tableau)
-    stall = 0
-    bland = False
-    last_obj = red[ncols]
-    while True:
-        pcol = -1
-        if bland:
-            for j in range(ncols):
-                if j not in blocked and red[j] > 0:
-                    pcol = j
-                    break
-        else:
-            best_red = None
-            for j in range(ncols):
-                if j in blocked:
-                    continue
-                rj = red[j]
-                if rj > 0 and (best_red is None or rj > best_red):
-                    best_red = rj
-                    pcol = j
-        if pcol < 0:
-            return OPTIMAL
-        best = None
-        ties = []
-        for i in range(m):
-            if not alive[i]:
-                continue
-            a = tableau[i][pcol]
-            if a > 0:
-                ratio = tableau[i][ncols] / a
-                if best is None or ratio < best:
-                    best = ratio
-                    ties = [i]
-                elif ratio == best:
-                    ties.append(i)
-        if best is None:
-            return UNBOUNDED
-        if bland:
-            prow = min(ties, key=lambda i: basis[i])
-        else:
-            prow = ties[0]
-            for i in ties[1:]:
-                if _lex_smaller(tableau[i], tableau[prow], pcol, ncols):
-                    prow = i
-        _pivot(tableau, basis, red, prow, pcol, ncols)
-        if red[ncols] != last_obj:
-            last_obj = red[ncols]
-            stall = 0
-            bland = False
-        else:
-            stall += 1
-            if stall > 100 + 10 * m:
-                bland = True
-
-
-def _lex_smaller(row_a, row_b, pcol, ncols):
-    """Lexicographic ratio tie-break: compare the candidate rows scaled by
-    their pivot-column entries.  Cross-multiplied to stay division-free."""
-    pa = row_a[pcol]
-    pb = row_b[pcol]
-    for j in range(ncols):
-        lhs = row_a[j] * pb
-        rhs = row_b[j] * pa
-        if lhs != rhs:
-            return lhs < rhs
-    return False
-
-
-def _pivot(tableau, basis, red, prow, pcol, ncols):
-    row = tableau[prow]
-    piv = row[pcol]
-    if piv != 1:
-        inv = 1 / piv
-        row = [c * inv if c else c for c in row]
-        tableau[prow] = row
-    for i, other in enumerate(tableau):
-        if i == prow:
-            continue
-        f = other[pcol]
-        if f:
-            tableau[i] = [a - f * b if b else a for a, b in zip(other, row)]
-    f = red[pcol]
-    if f:
-        for j in range(ncols):
-            if row[j]:
-                red[j] -= f * row[j]
-        red[ncols] += f * row[ncols]
-        red[pcol] = Rational(0)
-    basis[prow] = pcol
-
-
-def _evict_artificials(tableau, basis, ncols, art_set, alive):
-    """Pivot basic artificials (necessarily at value 0) out, or mark their
-    rows redundant when the row has no structural coefficients left."""
-    for i in range(len(tableau)):
-        if not alive[i] or basis[i] not in art_set:
-            continue
-        row = tableau[i]
-        pcol = -1
-        for j in range(ncols):
-            if j not in art_set and row[j]:
-                pcol = j
-                break
-        if pcol < 0:
-            alive[i] = False
-            continue
-        zero_red = [Rational(0)] * (ncols + 1)
-        _pivot(tableau, basis, zero_red, i, pcol, ncols)
 
 
 # -- float proposal -------------------------------------------------------------

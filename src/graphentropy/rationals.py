@@ -15,9 +15,6 @@ try:
 except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
     Rational = Fraction
 
-ZERO = Rational(0)
-ONE = Rational(1)
-
 
 def rat(p, q=1):
     """Rational p/q from ints, strings like '10/3', or existing rationals."""

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from graphentropy import lp
 from graphentropy.graphs import Graph
 
 
@@ -34,3 +35,16 @@ def random_digraph(rng: random.Random, n: int, p: float = 0.4,
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0x5eed)
+
+
+@pytest.fixture
+def exact_steps(monkeypatch) -> list:
+    """Names of the exact simplex steps taken while the test runs: one
+    '_exchange' per pivot and one '_phase1' per restart from the
+    slack/artificial basis.  Empty while every proposed basis is optimal."""
+    steps = []
+    for name in ("_exchange", "_phase1"):
+        real = getattr(lp, name)
+        monkeypatch.setattr(lp, name, lambda *args, name=name, real=real:
+                            steps.append(name) or real(*args))
+    return steps

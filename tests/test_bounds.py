@@ -311,7 +311,7 @@ def _seeded_gnp8(k: int) -> Graph:
 
 
 # Every LP here, asymmetric 8-vertex entropy duals of 130-155 rows included,
-# must be optimal at its float proposal: the exact tableau is never built.
+# must be optimal at its float proposal: no exact pivot and no phase-1 restart.
 @pytest.mark.parametrize("g, value", [
     pytest.param(Graph.cycle(9), "9/2", id="C9"),
     pytest.param(complement(Graph.cycle(9)), "27/4", id="co-C9"),
@@ -324,15 +324,22 @@ def _seeded_gnp8(k: int) -> Graph:
     pytest.param(_seeded_gnp8(1), "5", id="gnp8-seed7-1"),
     pytest.param(_seeded_gnp8(2), "4", id="gnp8-seed7-2"),
 ])
-def test_brackets_at_the_cap(g, value, monkeypatch):
-    tableaus = []
-    real_tableau_at = lp_module._tableau_at
-    monkeypatch.setattr(lp_module, "_tableau_at",
-                        lambda s, basis: tableaus.append(1) or real_tableau_at(s, basis))
+def test_brackets_at_the_cap(g, value, exact_steps):
     started = time.perf_counter()
     r = bounds_report(g)
     elapsed = time.perf_counter() - started
     b = r.bracket
     assert (r.theta, b.lower, b.upper, b.exact) == (rat(value), rat(value), rat(value), True)
     assert elapsed < 60, f"took {elapsed:.1f}s"
-    assert not tableaus, "a float proposal was not optimal"
+    assert not exact_steps, "a float proposal was not optimal"
+
+
+def test_exact_path_without_numpy(monkeypatch):
+    """Without numpy there is no float proposal: every LP starts from the
+    slack/artificial basis and runs on exact pivots alone."""
+    monkeypatch.setattr(lp_module, "_np", None)
+    started = time.perf_counter()
+    r = bounds_report(Graph.undirected(7, _GNP7_4_RELABELLED))
+    elapsed = time.perf_counter() - started
+    assert (r.theta, r.bracket.lower, r.bracket.upper) == (4, 4, 4)
+    assert elapsed < 60, f"took {elapsed:.1f}s"

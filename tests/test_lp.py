@@ -3,7 +3,6 @@ from math import lcm
 
 import pytest
 
-from graphentropy import lp as lp_module
 from graphentropy.bounds import build_fractional_cover_lp, build_shannon_lp
 from graphentropy.graphs import Graph, mask_of
 from graphentropy.lp import (
@@ -158,7 +157,23 @@ def test_float_guided_path_agrees_with_pure_exact(rng):
     """The one exact simplex reaches the same status and value from the float
     proposal (warm), from the slack/artificial basis (cold) and from an
     arbitrary, possibly singular, choice of columns."""
-    lps = [build_shannon_lp(g) for g in (Graph.cycle(5), Graph.path(5), Graph.complete(5))]
+    # Beale's example: from the slack basis, Dantzig's rule with first-row ties
+    # cycles on it.
+    beale = LinearProgram(4, "min", [rat(-3, 4), 20, rat(-1, 2), 6], [
+        ([rat(1, 4), -8, -1, 9], LE, 0),
+        ([rat(1, 2), -12, rat(-1, 2), 3], LE, 0),
+        ({2: 1}, LE, 1),
+    ])
+    # A repeated equality row leaves an artificial basic at zero after phase 1.
+    repeated = LinearProgram(3, "max", [1, 2, 1], [
+        ({0: 1, 1: 1}, EQ, 2),
+        ({0: 2, 1: 2}, EQ, 4),
+        ({1: 1, 2: 1}, LE, 3),
+        ({0: 1}, GE, rat(1, 2)),
+    ])
+    known = {beale: rat(-5, 4), repeated: rat(5)}
+    lps = [beale, repeated]
+    lps += [build_shannon_lp(g) for g in (Graph.cycle(5), Graph.path(5), Graph.complete(5))]
     lps += [_random_lp(rng) for _ in range(250)]
     proposed = 0
     for lp in lps:
@@ -170,6 +185,8 @@ def test_float_guided_path_agrees_with_pure_exact(rng):
         anywhere = _simplex(s, [rng.randrange(s.ncols) for _ in s.body])
         assert warm.status == cold.status == anywhere.status
         assert warm.objective == cold.objective == anywhere.objective
+        if lp in known:
+            assert warm.objective == known[lp]
         if warm.status == OPTIMAL:
             for sol in (warm, cold, anywhere):
                 ok, why = verify_certificates(lp, sol)
@@ -261,15 +278,11 @@ def _vertex_at(lp: LinearProgram, s, basis):
     return primal, dual
 
 
-def test_rational_lps_match_vertex_oracle(rng, monkeypatch):
+def test_rational_lps_match_vertex_oracle(rng, exact_steps):
     """Non-integer rows, right-hand sides and objectives, free variables and
     all three relations: a wrong row or cost scale shows in the value, the
     certificates, a warm solution that is not the vertex of its proposed
     basis, or a float proposal that is not optimal at once."""
-    tableaus = []
-    real_tableau_at = lp_module._tableau_at
-    monkeypatch.setattr(lp_module, "_tableau_at",
-                        lambda s, basis: tableaus.append(1) or real_tableau_at(s, basis))
     optimal_seen = free_seen = proposed = 0
     rels_seen = set()
     for _ in range(300):
@@ -287,11 +300,11 @@ def test_rational_lps_match_vertex_oracle(rng, monkeypatch):
         assert ok, why
         s = _standardize(lp)
         proposal = _float_basis(s)
-        pivoted = len(tableaus)
+        exact_steps.clear()
         warm = _simplex(s, proposal or s.id_col)
         if proposal is not None:
             proposed += 1
-            assert len(tableaus) == pivoted, "the float proposal was not optimal"
+            assert not exact_steps, "the float proposal was not optimal"
             assert (warm.primal, warm.dual) == _vertex_at(lp, s, proposal), lp.rows
     assert optimal_seen >= 60 and free_seen >= 15 and proposed >= 60, (
         optimal_seen, free_seen, proposed)
