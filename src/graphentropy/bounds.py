@@ -22,7 +22,7 @@ from .graphs import (
     connected_components,
     induced_subgraph,
     loops,
-    permute_mask,
+    orbit_representatives,
 )
 from .lp import (
     EQ,
@@ -463,10 +463,10 @@ def shannon_entropy(g: Graph, cap: int = 10) -> ShannonResult:
     """Solve the subset-entropy LP exactly.
 
     Works on the closure-collapsed formulation (variables only for closed
-    vertex sets, one per automorphism orbit when the group is small enough)
-    of the same rows as build_shannon_lp, solved through its dual; then
-    expands the optimum back to all subsets and checks it against every
-    elemental row of the full program (validate_entropy_function).
+    vertex sets, one per orbit of the whole automorphism group) of the same
+    rows as build_shannon_lp, solved through its dual; then expands the
+    optimum back to all subsets and checks it against every elemental row of
+    the full program (validate_entropy_function).
     Equality of the two formulations follows from the closure identity
     h(S) = h(cl(S)), which that final check re-certifies from scratch.
     """
@@ -488,18 +488,9 @@ def shannon_entropy(g: Graph, cap: int = 10) -> ShannonResult:
     # Vertex symmetries identify variables: averaging any feasible h over the
     # automorphism group keeps it feasible (the constraint families are
     # permutation-closed) without moving the objective, so one variable per
-    # orbit of closed sets loses nothing.  The expanded optimum is still
-    # re-validated against every defining constraint below.
-    rep = {c: c for c in closed}
-    perms = automorphisms(g)
-    if len(perms) > 1 and len(perms) * len(closed) * n <= 2_000_000:
-        for c in closed:
-            if rep[c] != c:
-                continue
-            orbit = {permute_mask(p, c) for p in perms}
-            low = min(orbit)
-            for s in orbit:
-                rep[s] = low
+    # orbit of closed sets (automorphisms commute with closure) loses nothing.
+    # The expanded optimum is still re-validated against every row below.
+    rep = orbit_representatives(automorphisms(g), closed)
     var_of = {}
     for c in closed:
         if rep[c] == c and c != pinned:

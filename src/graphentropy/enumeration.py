@@ -25,7 +25,7 @@ from .graphs import (
     bits_of,
     connected_components,
     disjoint_union,
-    permute_mask,
+    orbit_representatives,
     render_graph,
 )
 from .rationals import Rational, parse_rat, rat, rat_str
@@ -159,7 +159,8 @@ def isomorphism_classes(n: int) -> tuple[Graph, ...]:
     representative by every attachment set and deduplicating covers them all.
     Attachment sets in one orbit of the smaller representative's
     automorphism group give isomorphic graphs, so only the least set of
-    each orbit is tried (McKay, Isomorph-free exhaustive generation, 1998).
+    each orbit, read off the group's strong generators, is tried (McKay,
+    Isomorph-free exhaustive generation, 1998).
     Results are sorted by canonical bits and returned as the canonical
     representatives themselves, so the pruning changes no output.
     """
@@ -174,12 +175,10 @@ def _classes_cached(n: int) -> tuple[Graph, ...]:
         return (Graph.empty(0),)
     seen: dict[tuple[int, int], CanonicalForm] = {}
     for base in _classes_cached(n - 1):
-        perms = automorphisms(base)
-        tried: set[int] = set()
+        rep = orbit_representatives(automorphisms(base), range(1 << (n - 1)))
         for attach in range(1 << (n - 1)):
-            if attach in tried:
+            if rep[attach] != attach:
                 continue
-            tried.update(permute_mask(p, attach) for p in perms)
             rows = [r | (attach >> v & 1) << (n - 1) for v, r in enumerate(base.rows)]
             rows.append(attach)
             form = canonical_form(Graph(n, rows, directed=False))

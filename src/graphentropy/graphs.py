@@ -349,53 +349,47 @@ def i_reduction(g: Graph, i: int) -> tuple[Graph, tuple[int, ...]]:
     return Graph(len(verts), rows, directed=True), verts
 
 
-def automorphisms(g: Graph, cap: int = 50000) -> tuple[tuple[int, ...], ...]:
-    """Every arc-preserving vertex permutation, or just the identity if more
-    than cap of them exist.
+def automorphisms(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Strong generators of the automorphism group (Sims, "Computational
+    methods in the study of permutation groups", 1970): for each vertex i, last
+    to first, one fixing 0..i-1 and sending i to w, for each w > i outside i's
+    orbit under those found before; orbit_representatives reads orbits off them."""
+    n, rows = g.n, g.rows
+    sig = [(rows[v].bit_count(), g.cols[v].bit_count(), rows[v] >> v & 1) for v in range(n)]
+    points = [1 << v for v in range(n)]
+    gens: list[tuple[int, ...]] = []
+    rep = orbit_representatives(gens, points)
+    for i in reversed(range(n)):
+        for w in range(i + 1, n):
+            p = sig[w] == sig[i] and rep[points[w]] != points[i] and \
+                _automorphism_sending(g, sig, i, w)
+            if p:
+                gens.append(p)
+                rep = orbit_representatives(gens, points)
+    for p in gens:  # a wrong one would merge orbits and shrink the entropy LP
+        if permute_mask(p, g.vertex_mask) != g.vertex_mask or any(
+                permute_mask(p, rows[u]) != rows[p[u]] for u in range(n)):
+            raise AssertionError(f"not an automorphism: {p}")
+    return tuple(gens)
 
-    Backtracking over degree-compatible images; when it completes within the
-    cap the result is the whole automorphism group, sorted.
-    """
-    n = g.n
-    rows = g.rows
-    cols = g.cols
-    sig = [(rows[v].bit_count(), cols[v].bit_count(), rows[v] >> v & 1)
-           for v in range(n)]
-    out: list[tuple[int, ...]] = []
-    img = [-1] * n
-    used = [False] * n
-    overflow = False
 
-    def dfs(v: int) -> None:
-        nonlocal overflow
-        if overflow:
-            return
-        if v == n:
-            out.append(tuple(img))
-            if len(out) > cap:
-                overflow = True
-            return
-        for w in range(n):
-            if used[w] or sig[w] != sig[v]:
-                continue
-            ok = True
-            for u in range(v):
-                if (rows[v] >> u & 1) != (rows[w] >> img[u] & 1) or \
-                   (rows[u] >> v & 1) != (rows[img[u]] >> w & 1):
-                    ok = False
-                    break
-            if ok:
-                img[v] = w
-                used[w] = True
-                dfs(v + 1)
-                used[w] = False
-                img[v] = -1
+def _automorphism_sending(g: Graph, sig: list, i: int, w: int) -> tuple[int, ...] | None:
+    """An automorphism fixing 0..i-1 that sends i to w, by backtracking over
+    the images of i, i+1, ... with equal degree signatures; None if none."""
+    n, rows, cols = g.n, g.rows, g.cols
+    img = list(range(n))
 
-    if n:
-        dfs(0)
-    if overflow or not out:
-        return (tuple(range(n)),)
-    return tuple(sorted(out))
+    def extend(v: int, placed: int) -> Iterator[tuple[int, ...]]:
+        if v == n:  # placed is every vertex, so the loop below is empty
+            yield tuple(img)
+        low = (1 << v) - 1
+        arcs_out, arcs_in = permute_mask(img, rows[v] & low), permute_mask(img, cols[v] & low)
+        for x in (w,) if v == i else bits_of(g.vertex_mask & ~placed):
+            if sig[x] == sig[v] and rows[x] & placed == arcs_out and cols[x] & placed == arcs_in:
+                img[v] = x
+                yield from extend(v + 1, placed | 1 << x)
+
+    return next(extend(i, (1 << i) - 1), None)
 
 
 def permute_mask(perm: Sequence[int], mask: int) -> int:
@@ -404,6 +398,23 @@ def permute_mask(perm: Sequence[int], mask: int) -> int:
     for v in bits_of(mask):
         out |= 1 << perm[v]
     return out
+
+
+def orbit_representatives(gens: Sequence[Sequence[int]], masks: Iterable[int]) -> dict[int, int]:
+    """Least mask of each mask's orbit under the group gens generate, by
+    union-find over the generator images; masks must be closed under gens."""
+    low = {m: m for m in masks}
+
+    def find(m: int) -> int:
+        while low[m] != m:
+            low[m] = m = low[low[m]]
+        return m
+
+    for p in gens:
+        for m in low:
+            a, b = sorted((find(m), find(permute_mask(p, m))))
+            low[b] = a
+    return {m: find(m) for m in low}
 
 
 def connected_components(g: Graph) -> list[int]:

@@ -133,12 +133,11 @@ def _as_sparse(coeffs, num_vars, what):
 
 # -- solver -------------------------------------------------------------------
 
-def solve(lp: LinearProgram, check: bool = True) -> LpSolution:
-    """Exact solve.  With check=True (the default) an optimal outcome is
-    revalidated through verify_certificates before it is returned."""
+def solve(lp: LinearProgram) -> LpSolution:
+    """Exact solve; an optimal outcome is rechecked by verify_certificates."""
     s = _standardize(lp)
     sol = _simplex(s, _float_basis(s) or s.id_col)
-    if check and sol.status == OPTIMAL:
+    if sol.status == OPTIMAL:
         ok, why = verify_certificates(lp, sol)
         if not ok:
             raise LpError(f"internal certificate check failed: {why}")

@@ -368,6 +368,61 @@ def unpruned_isomorphism_classes(n: int) -> tuple[Graph, ...]:
     return tuple(seen[k].graph() for k in sorted(seen))
 
 
+# -- symmetry ---------------------------------------------------------------------
+
+
+# The package's automorphism search as it was when it listed the whole group,
+# kept verbatim under a new name: the group generated by the strong generators
+# must be exactly this list, and every orbit minimum must agree with it.
+def all_automorphisms(g: Graph, cap: int = 50000) -> tuple[tuple[int, ...], ...]:
+    """Every arc-preserving vertex permutation, or just the identity if more
+    than cap of them exist.
+
+    Backtracking over degree-compatible images; when it completes within the
+    cap the result is the whole automorphism group, sorted.
+    """
+    n = g.n
+    rows = g.rows
+    cols = g.cols
+    sig = [(rows[v].bit_count(), cols[v].bit_count(), rows[v] >> v & 1)
+           for v in range(n)]
+    out: list[tuple[int, ...]] = []
+    img = [-1] * n
+    used = [False] * n
+    overflow = False
+
+    def dfs(v: int) -> None:
+        nonlocal overflow
+        if overflow:
+            return
+        if v == n:
+            out.append(tuple(img))
+            if len(out) > cap:
+                overflow = True
+            return
+        for w in range(n):
+            if used[w] or sig[w] != sig[v]:
+                continue
+            ok = True
+            for u in range(v):
+                if (rows[v] >> u & 1) != (rows[w] >> img[u] & 1) or \
+                   (rows[u] >> v & 1) != (rows[img[u]] >> w & 1):
+                    ok = False
+                    break
+            if ok:
+                img[v] = w
+                used[w] = True
+                dfs(v + 1)
+                used[w] = False
+                img[v] = -1
+
+    if n:
+        dfs(0)
+    if overflow or not out:
+        return (tuple(range(n)),)
+    return tuple(sorted(out))
+
+
 # -- guessing games ---------------------------------------------------------------
 
 

@@ -297,6 +297,10 @@ def _petersen() -> Graph:
     return Graph.undirected(10, outer + spokes + inner)
 
 
+def _complete_bipartite(a: int, b: int) -> Graph:
+    return Graph.undirected(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+
+
 # A connected G(7, 1/2) graph under one relabelling of its vertices.
 _GNP7_4_RELABELLED = [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 5), (2, 3), (2, 5),
                       (2, 6), (3, 4), (3, 5), (4, 6), (5, 6)]
@@ -323,6 +327,13 @@ def _seeded_gnp8(k: int) -> Graph:
     pytest.param(_seeded_gnp8(0), "5", id="gnp8-seed7-0"),
     pytest.param(_seeded_gnp8(1), "5", id="gnp8-seed7-1"),
     pytest.param(_seeded_gnp8(2), "4", id="gnp8-seed7-2"),
+    # Groups of up to 10! elements: orbits come from strong generators, never
+    # from listing the group.
+    pytest.param(Graph.complete(8), "7", id="K8"),
+    pytest.param(Graph.complete(9), "8", id="K9"),
+    pytest.param(Graph.complete(10), "9", id="K10"),
+    pytest.param(_complete_bipartite(4, 4), "4", id="K4,4"),
+    pytest.param(_complete_bipartite(5, 5), "5", id="K5,5"),
 ])
 def test_brackets_at_the_cap(g, value, exact_steps):
     started = time.perf_counter()

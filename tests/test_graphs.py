@@ -1,5 +1,6 @@
 import pytest
 
+from graphentropy import graphs as graphs_module
 from graphentropy.graphs import (
     Graph,
     GraphError,
@@ -15,11 +16,13 @@ from graphentropy.graphs import (
     is_acyclic,
     loops,
     mask_of,
+    orbit_representatives,
     parse_graph,
+    permute_mask,
     render_graph,
 )
 
-from _oracles import cycles_avoiding, i_reduction_oracle, perm_class_key
+from _oracles import all_automorphisms, cycles_avoiding, i_reduction_oracle, perm_class_key
 from conftest import c5, g1, random_digraph, random_graph
 
 
@@ -185,10 +188,49 @@ def test_disjoint_union():
     assert connected_components(u) == [mask_of(range(5)), mask_of([5, 6])]
 
 
+def _generated_group(gens, n: int) -> set[tuple[int, ...]]:
+    """Every product of the generators, the identity included."""
+    group = {tuple(range(n))}
+    todo = list(group)
+    while todo:
+        a = todo.pop()
+        for p in gens:
+            b = tuple(p[a[v]] for v in range(n))
+            if b not in group:
+                group.add(b)
+                todo.append(b)
+    return group
+
+
 def test_automorphisms_pentagon():
-    autos = automorphisms(c5())
-    assert len(autos) == 10
-    assert tuple(range(5)) in autos
+    assert len(_generated_group(automorphisms(c5()), 5)) == 10
+
+
+def test_strong_generators_match_full_enumeration(rng):
+    """The generators give exactly the group the full listing finds, and
+    the orbit minima of every vertex set agree with it."""
+    graphs = [random_graph(rng, rng.randint(0, 7), rng.choice([0.2, 0.5, 0.8]))
+              for _ in range(150)]
+    graphs += [random_digraph(rng, rng.randint(1, 7), rng.choice([0.2, 0.4]), loop_p=0.3)
+               for _ in range(150)]
+    symmetric = 0
+    for g in graphs:
+        group = all_automorphisms(g)
+        gens = automorphisms(g)
+        assert _generated_group(gens, g.n) == set(group), g
+        rep = orbit_representatives(gens, range(1 << g.n))
+        assert rep == {m: min(permute_mask(p, m) for p in group) for m in range(1 << g.n)}, g
+        symmetric += len(group) > 1
+    assert symmetric > 100
+
+
+def test_automorphisms_rejects_a_wrong_generator(monkeypatch):
+    """A search that returned a non-automorphism is caught before any orbit
+    is read off it."""
+    monkeypatch.setattr(graphs_module, "_automorphism_sending",
+                        lambda g, sig, i, w: (1, 0) + tuple(range(2, g.n)))
+    with pytest.raises(AssertionError, match="not an automorphism"):
+        automorphisms(Graph.path(4))
 
 
 def test_is_acyclic():

@@ -106,8 +106,8 @@ def test_certificates_detect_tampering():
 def test_solver_determinism(rng):
     for _ in range(30):
         lp = _random_lp(rng)
-        a = solve(lp, check=False)
-        b = solve(lp, check=False)
+        a = solve(lp)
+        b = solve(lp)
         assert a.status == b.status
         assert a.objective == b.objective
         assert a.primal == b.primal
@@ -367,7 +367,7 @@ def test_certificate_check_matches_rational_oracle(rng):
     branches = set()
     lps = [_random_rational_lp(rng) for _ in range(150)] + [_random_lp(rng) for _ in range(150)]
     for lp in lps:
-        sol = solve(lp, check=False)
+        sol = solve(lp)
         if sol.status != OPTIMAL:
             continue
         for candidate in [sol, *_corrupted(rng, lp, sol)]:
