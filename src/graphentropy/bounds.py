@@ -480,58 +480,60 @@ def shannon_entropy(g: Graph, cap: int = 10) -> ShannonResult:
         return ShannonResult(zero, (zero,))
     full = g.vertex_mask
     cl = closure_map(g)
-    pinned = cl[0]
-    closed = sorted({c for c in cl})
-    if full == pinned:
+    if full == cl[0]:
         return ShannonResult(zero, (zero,) * (full + 1))
+    lp, var = _collapsed_program(g, cl)
+    values = _solve_via_dual(lp, var[full]).primal
+    h = tuple(zero if j < 0 else values[j] for j in var)
+    ok, why = validate_entropy_function(g, h)
+    if not ok:
+        raise AssertionError(f"entropy witness failed validation: {why}")
+    return ShannonResult(h[full], h)
 
+
+def _collapsed_program(g: Graph, cl: list[int]) -> tuple[LinearProgram, list[int]]:
+    """The rows of build_shannon_lp on one variable per orbit of closed sets,
+    and the table var: var[m] is the variable of subset m, or -1 when cl[m]
+    is the closure of the empty set, which is pinned to zero."""
+    pinned = cl[0]
+    closed = sorted(set(cl))
     # Vertex symmetries identify variables: averaging any feasible h over the
     # automorphism group keeps it feasible (the constraint families are
     # permutation-closed) without moving the objective, so one variable per
     # orbit of closed sets (automorphisms commute with closure) loses nothing.
-    # The expanded optimum is still re-validated against every row below.
+    # shannon_entropy still re-validates the expanded optimum against every
+    # row.
     rep = orbit_representatives(automorphisms(g), closed)
     var_of = {}
     for c in closed:
         if rep[c] == c and c != pinned:
             var_of[c] = len(var_of)
+    nvars = len(var_of)
+    var_of[pinned] = -1
+    closed_var = {c: var_of[rep[c]] for c in closed}
+    var = [closed_var[c] for c in cl]
 
     rows = []
     row_index: set[tuple] = set()
-
-    def add(coeffs, rel, rhs: int) -> None:
+    for coeffs, rel, rhs in _shannon_rows(g):
         # Closure can map distinct subsets to the same variable, so merge by
         # variable.  h(empty) and every functional equality vanish here:
         # cl(empty) is pinned to zero and cl(N(v)+v) = cl(N(v)).
         items: dict[int, int] = {}
         for mask, c in coeffs.items():
-            r = rep[cl[mask]]
-            if r == pinned:
-                continue
-            j = var_of[r]
-            items[j] = items.get(j, 0) + c
+            j = var[mask]
+            if j >= 0:
+                items[j] = items.get(j, 0) + c
         items = {j: c for j, c in items.items() if c}
         if not items:
-            return
+            continue
         if rel != LE:
             raise AssertionError(f"closure left an equality row standing: {coeffs}")
         key = (tuple(sorted(items.items())), rhs)
         if key not in row_index:
             row_index.add(key)
             rows.append((items, LE, rhs))
-
-    for row in _shannon_rows(g):
-        add(*row)
-
-    lp = LinearProgram(len(var_of), "max", {var_of[full]: 1}, rows)
-    sol = _solve_via_dual(lp, var_of[full])
-    values = sol.primal
-    h = tuple(zero if rep[cl[m]] == pinned else values[var_of[rep[cl[m]]]]
-              for m in range(full + 1))
-    ok, why = validate_entropy_function(g, h)
-    if not ok:
-        raise AssertionError(f"entropy witness failed validation: {why}")
-    return ShannonResult(h[full], h)
+    return LinearProgram(nvars, "max", {var[g.vertex_mask]: 1}, rows), var
 
 
 def _solve_via_dual(lp: LinearProgram, obj_var: int):
@@ -542,16 +544,7 @@ def _solve_via_dual(lp: LinearProgram, obj_var: int):
     own certificates are checked inside solve(), and the recovered primal
     point plus dual vector are re-verified against the original program.
     """
-    nrows = len(lp.rows)
-    dual_rows = []
-    for j in range(lp.num_vars):
-        dual_rows.append(({}, LE, -1 if j == obj_var else 0))
-    for i, (coeffs, _, _) in enumerate(lp.rows):
-        for j, c in coeffs:
-            dual_rows[j][0][i] = -c
-    b = [rhs for _, _, rhs in lp.rows]
-    dual_lp = LinearProgram(nrows, "min", b, dual_rows)
-    dsol = solve(dual_lp)
+    dsol = solve(_dual_program(lp, obj_var))
     if dsol.status != OPTIMAL:
         raise LpError(f"dual of the entropy program came back {dsol.status}")
     x = tuple(-v for v in dsol.dual)
@@ -560,6 +553,16 @@ def _solve_via_dual(lp: LinearProgram, obj_var: int):
     if not ok:
         raise LpError(f"primal recovered from the dual failed verification: {why}")
     return sol
+
+
+def _dual_program(lp: LinearProgram, obj_var: int) -> LinearProgram:
+    """min {b.y : -A^T y <= -e_obj, y >= 0}, the dual of
+    max {x_obj : Ax <= b, x >= 0}; integer rows stay integers."""
+    dual_rows = [({}, LE, -1 if j == obj_var else 0) for j in range(lp.num_vars)]
+    for i, (coeffs, _, _) in enumerate(lp.rows):
+        for j, c in coeffs:
+            dual_rows[j][0][i] = -c
+    return LinearProgram(len(lp.rows), "min", [rhs for _, _, rhs in lp.rows], dual_rows)
 
 
 def validate_entropy_function(g: Graph, h) -> tuple[bool, str]:

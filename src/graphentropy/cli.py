@@ -24,6 +24,7 @@ from .lp import LinearProgram
 from .rationals import Rational, rat_str
 from .structure import certify_entropy_minimal_candidate, find_reducible_set
 from .enumeration import (
+    DEFAULT_ENUM_CAP,
     survey_entropy_values,
     verify_g_family,
     verify_small_theorems,
@@ -166,6 +167,7 @@ def _cmd_survey(args) -> tuple[dict, int]:
         cache_dir=cache,
         jobs=args.jobs,
         shannon_cap=args.shannon_cap,
+        cap=args.cap,
         connected_only=args.connected,
     )
     records = [
@@ -316,7 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_minimal_check)
 
     p = subs.add_parser("survey", help="entropy landscape over all small graphs")
-    p.add_argument("--n", type=int, required=True, help="largest vertex count (<= 7)")
+    p.add_argument("--n", type=int, required=True, help="largest vertex count (<= --cap)")
+    p.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP,
+                   help="largest vertex count to enumerate")
     p.add_argument("--connected", action="store_true", help="connected classes only")
     p.add_argument("--cache", default=None,
                    help="bracket cache directory (default: $GRAPH_ENTROPY_CACHE)")

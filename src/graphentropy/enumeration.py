@@ -373,7 +373,7 @@ def survey_entropy_values(
     sized: list[list[tuple[Graph, EntropyBracket]]] = [[] for _ in range(n_max + 1)]
     todo: list[Graph] = []
     keys: list[str | None] = []
-    for g in enumerate_graphs(n_max, connected_only=True):
+    for g in enumerate_graphs(n_max, connected_only=True, cap=cap):
         key = render_graph(g, "graph6")
         hit = cache.load(key) if cache else None
         if hit is None:

@@ -395,8 +395,10 @@ def _automorphism_sending(g: Graph, sig: list, i: int, w: int) -> tuple[int, ...
 def permute_mask(perm: Sequence[int], mask: int) -> int:
     """Image of a vertex mask under a permutation given as an image table."""
     out = 0
-    for v in bits_of(mask):
-        out |= 1 << perm[v]
+    while mask:
+        low = mask & -mask
+        out |= 1 << perm[low.bit_length() - 1]
+        mask ^= low
     return out
 
 

@@ -20,12 +20,15 @@ variable.  The entropy duals are highly degenerate, and Dantzig's rule spent
 most of its float pivots on zero-length steps there and often stopped at a
 singular or infeasible basis that left the exact simplex long pivoting.
 
-The basis solves, the pricing and the certificate checks run in Python
-integers, so the rational backend pays no gcd per operation: every row is
-scaled by the least common denominator of its entries, basis systems are
-solved by fraction-free elimination, and vectors are compared over a common
-denominator.  Only the solutions of basis systems, the basic values and the
-ratio tests use rationals.
+The program stays in Python integers from construction to the certificate
+check, so the rational backend pays no gcd per operation.  Integer
+coefficients and right-hand sides are stored as ints; only non-integers
+become rationals.  Each LP scales every row by the least common denominator
+of its entries once, when it is built (an all-integer row takes scale 1),
+and the standard form and the certificate check both read those rows.
+Basis systems are solved by fraction-free elimination, and vectors are
+compared over a common denominator.  Only the solutions of basis systems,
+the basic values and the ratio tests use rationals.
 
 Rows may be given densely or as {index: coeff} dicts; relations are '<=',
 '=', '>='.  Variables are nonnegative unless listed in free_vars.
@@ -33,8 +36,8 @@ Rows may be given densely or as {index: coeff} dicts; relations are '<=',
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from math import gcd, lcm
-from typing import Iterable, Mapping
 
 from .rationals import Rational, rat_str
 
@@ -56,9 +59,21 @@ class LpError(ValueError):
 
 
 class LinearProgram:
-    """Immutable LP: optimize objective . x subject to rows and sign bounds."""
+    """Immutable LP: optimize objective . x subject to rows and sign bounds.
 
-    __slots__ = ("num_vars", "sense", "objective", "rows", "free_vars")
+    Coefficients and right-hand sides that are integers are stored as ints,
+    any other value as a Rational.  Each row of rows is (coeffs, relation,
+    rhs), coeffs the nonzero (index, coeff) pairs in index order.
+
+    The program is scaled to integers once, here.  int_rows[i] is row i times
+    its scale, the least common denominator of its entries, as (coeffs, rhs,
+    scale) with int entries; an all-integer row takes scale 1 and shares its
+    coeffs with rows.  int_objective is (the objective times its least
+    common denominator, as ints; that denominator).  The standard form and
+    the certificate check both read these."""
+
+    __slots__ = ("num_vars", "sense", "objective", "rows", "free_vars",
+                 "int_rows", "int_objective")
 
     def __init__(self, num_vars: int, sense: str, objective,
                  rows: Iterable[tuple] = (), free_vars: Iterable[int] = ()):
@@ -68,6 +83,7 @@ class LinearProgram:
             raise LpError("num_vars must be nonnegative")
         obj = _as_dense(objective, num_vars, "objective")
         frozen_rows = []
+        int_rows = []
         for k, row in enumerate(rows):
             try:
                 coeffs, rel, rhs = row
@@ -75,15 +91,28 @@ class LinearProgram:
                 raise LpError(f"row {k} must be (coeffs, relation, rhs)") from None
             if rel not in _RELS:
                 raise LpError(f"row {k} has unknown relation {rel!r}")
-            frozen_rows.append((_as_sparse(coeffs, num_vars, f"row {k}"), rel, Rational(rhs)))
+            coeffs, scale = _as_sparse(coeffs, num_vars, f"row {k}")
+            if type(rhs) is not int:
+                rhs = _exact(rhs)
+                scale = lcm(scale, int(rhs.denominator))
+            frozen_rows.append((coeffs, rel, rhs))
+            if scale == 1:
+                int_rows.append((coeffs, rhs, 1))
+            else:
+                int_rows.append((tuple((j, _times(c, scale)) for j, c in coeffs),
+                                 _times(rhs, scale), scale))
         free = frozenset(free_vars)
         if any(j < 0 or j >= num_vars for j in free):
             raise LpError("free variable index out of range")
+        cost_scale = _lcd(c for c in obj if type(c) is not int)
+        int_obj = obj if cost_scale == 1 else tuple(_times(c, cost_scale) for c in obj)
         object.__setattr__(self, "num_vars", num_vars)
         object.__setattr__(self, "sense", sense)
         object.__setattr__(self, "objective", obj)
         object.__setattr__(self, "rows", tuple(frozen_rows))
         object.__setattr__(self, "free_vars", free)
+        object.__setattr__(self, "int_rows", tuple(int_rows))
+        object.__setattr__(self, "int_objective", (int_obj, cost_scale))
 
     def __setattr__(self, name, value):
         raise AttributeError("LinearProgram is immutable")
@@ -106,29 +135,46 @@ class LpSolution:
         return f"LpSolution(optimal, objective={rat_str(self.objective)})"
 
 
+def _exact(v):
+    """v as an int when it is an integer, otherwise as a Rational."""
+    r = Rational(v)
+    return int(r.numerator) if r.denominator == 1 else r
+
+
 def _as_dense(coeffs, num_vars, what):
     if isinstance(coeffs, Mapping):
-        dense = [Rational(0)] * num_vars
+        dense = [0] * num_vars
         for j, c in coeffs.items():
             if not 0 <= j < num_vars:
                 raise LpError(f"{what}: variable index {j} out of range")
-            dense[j] = Rational(c)
+            dense[j] = c if type(c) is int else _exact(c)
         return tuple(dense)
-    dense = tuple(Rational(c) for c in coeffs)
+    dense = tuple(c if type(c) is int else _exact(c) for c in coeffs)
     if len(dense) != num_vars:
         raise LpError(f"{what}: expected {num_vars} coefficients, got {len(dense)}")
     return dense
 
 
 def _as_sparse(coeffs, num_vars, what):
+    """The nonzero (index, coeff) pairs of a row in index order, and the
+    least common denominator of the coefficients that are not ints."""
     if isinstance(coeffs, Mapping):
         items = sorted(coeffs.items())
         for j, _ in items:
             if not 0 <= j < num_vars:
                 raise LpError(f"{what}: variable index {j} out of range")
-        return tuple((j, Rational(c)) for j, c in items if c)
-    dense = _as_dense(coeffs, num_vars, what)
-    return tuple((j, c) for j, c in enumerate(dense) if c)
+    else:
+        items = enumerate(_as_dense(coeffs, num_vars, what))
+    out = []
+    scale = 1
+    for j, c in items:
+        if type(c) is not int:
+            c = _exact(c)
+            if type(c) is not int:
+                scale = lcm(scale, int(c.denominator))
+        if c:
+            out.append((j, c))
+    return tuple(out), scale
 
 
 # -- solver -------------------------------------------------------------------
@@ -163,19 +209,8 @@ class _Setup:
                  "art_col", "id_col", "art_cols", "ncols")
 
 
-def _integer_rows(lp: LinearProgram):
-    """Each row of lp as integers: (coeffs, rhs, scale) with coeffs a list of
-    (col, scale*c) and rhs scale*rhs, scale the least common denominator of
-    the row's entries."""
-    out = []
-    for coeffs, _, rhs in lp.rows:
-        scale = lcm(_lcd(c for _, c in coeffs), int(rhs.denominator))
-        out.append(([(j, _times(c, scale)) for j, c in coeffs], _times(rhs, scale), scale))
-    return out
-
-
 def _lcd(values) -> int:
-    """Least common denominator of rationals (1 for none)."""
+    """Least common denominator of rationals or ints (1 for none)."""
     return lcm(*(int(v.denominator) for v in values))
 
 
@@ -196,8 +231,8 @@ def _standardize(lp: LinearProgram) -> _Setup:
         ncols_struct += 1
     s.ncols_struct = ncols_struct
 
-    s.cost_scale = _lcd(lp.objective)
-    obj = [_times(c, s.cost_scale) for c in lp.objective]
+    obj, s.cost_scale = lp.int_objective
+    obj = list(obj)
     if not s.maximize:
         obj = [-c for c in obj]
     cost = obj + [0] * (ncols_struct - nv)
@@ -209,7 +244,7 @@ def _standardize(lp: LinearProgram) -> _Setup:
     s.flip = [False] * m
     s.scale = []
     body = []
-    for i, ((coeffs, rhs, scale), (_, rel, _)) in enumerate(zip(_integer_rows(lp), lp.rows)):
+    for i, ((coeffs, rhs, scale), (_, rel, _)) in enumerate(zip(lp.int_rows, lp.rows)):
         sign = 1
         if rhs < 0:
             sign = -1
@@ -434,27 +469,27 @@ def _float_basis(s: _Setup):
     limit = 80 * m + 800
 
     def run(costvec, blocked) -> bool:
-        for _ in range(limit):
-            body = T[:, :ncols]
-            red = costvec[:ncols] - costvec[bas] @ body
-            if blocked is not None:
-                red[blocked] = -1.0
-            gamma = 1.0 + np.einsum("ij,ij->j", body, body)
-            score = np.where(red > tol, red * red / gamma, -1.0)
-            pcol = int(np.argmax(score))
-            if score[pcol] < 0:
-                return True
-            col = T[:, pcol]
-            with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(limit):
+                body = T[:, :ncols]
+                red = costvec[:ncols] - costvec[bas] @ body
+                if blocked is not None:
+                    red[blocked] = -1.0
+                gamma = 1.0 + np.einsum("ij,ij->j", body, body)
+                score = np.where(red > tol, red * red / gamma, -1.0)
+                pcol = int(np.argmax(score))
+                if score[pcol] < 0:
+                    return True
+                col = T[:, pcol]
                 ratios = np.where(col > tol, T[:, ncols] / col, np.inf)
-            prow = int(np.argmin(ratios))
-            if not np.isfinite(ratios[prow]):
-                return False
-            T[prow] /= T[prow, pcol]
-            lift = T[:, pcol].copy()
-            lift[prow] = 0.0
-            np.subtract(T, np.outer(lift, T[prow]), out=T)
-            bas[prow] = pcol
+                prow = int(np.argmin(ratios))
+                if not np.isfinite(ratios[prow]):
+                    return False
+                T[prow] /= T[prow, pcol]
+                lift = T[:, pcol].copy()
+                lift[prow] = 0.0
+                np.subtract(T, lift[:, None] * T[prow], out=T)
+                bas[prow] = pcol
         return False
 
     art_idx = np.array(s.art_cols, dtype=int) if s.art_cols else None
@@ -553,7 +588,7 @@ def verify_certificates(lp: LinearProgram, sol: LpSolution) -> tuple[bool, str]:
     for j in range(lp.num_vars):
         if j not in lp.free_vars and xs[j] < 0:
             return False, f"primal variable {j} negative"
-    rows = _integer_rows(lp)
+    rows = lp.int_rows
     for i, ((coeffs, rhs, _), (_, rel, _)) in enumerate(zip(rows, lp.rows)):
         lhs = sum(a * xs[j] for j, a in coeffs)
         rhs *= dx
@@ -577,8 +612,7 @@ def verify_certificates(lp: LinearProgram, sol: LpSolution) -> tuple[bool, str]:
         if yi:
             for j, a in coeffs:
                 d[j] += yi * a
-    dc = _lcd(lp.objective)
-    c = [_times(v, dc) for v in lp.objective]
+    c, dc = lp.int_objective
     for j in range(lp.num_vars):
         dj, cj = d[j] * dc, c[j] * dy
         if j in lp.free_vars:

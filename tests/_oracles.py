@@ -16,6 +16,8 @@ from math import lcm
 
 import networkx as nx
 
+from graphentropy.bounds import _shannon_rows, closure_map
+from graphentropy.graphs import automorphisms, orbit_representatives
 from graphentropy.lp import EQ, GE, LE, OPTIMAL, LinearProgram, LpSolution
 from graphentropy.rationals import Rational
 
@@ -687,3 +689,158 @@ def rational_verify_certificates(lp: LinearProgram, sol: LpSolution) -> tuple[bo
     if sol.objective != primal_obj:
         return False, "reported objective mismatches the primal point"
     return True, "ok"
+
+
+# The per-row integer scaling as it was when it ran on every standard form
+# and every certificate check, kept verbatim under new names, so the rows
+# scaled once at construction can be held to exactly its answer.
+def parent_integer_rows(lp: LinearProgram):
+    """Each row of lp as integers: (coeffs, rhs, scale) with coeffs a list of
+    (col, scale*c) and rhs scale*rhs, scale the least common denominator of
+    the row's entries."""
+    out = []
+    for coeffs, _, rhs in lp.rows:
+        scale = lcm(_parent_lcd(c for _, c in coeffs), int(rhs.denominator))
+        out.append(([(j, _parent_times(c, scale)) for j, c in coeffs], _parent_times(rhs, scale), scale))
+    return out
+
+
+def _parent_lcd(values) -> int:
+    """Least common denominator of rationals (1 for none)."""
+    return lcm(*(int(v.denominator) for v in values))
+
+
+def _parent_times(v, scale: int) -> int:
+    """The rational v times scale, a multiple of its denominator, as an int."""
+    return int(v.numerator) * (scale // int(v.denominator))
+
+
+# The float basis proposal and the closure-collapsed entropy LP as they were
+# before the float pivot shed its per-pivot errstate and np.outer temporary
+# and the collapse moved to one variable table, kept verbatim under new
+# names, so the new versions can be held to exactly their results.  The
+# edits: numpy is imported inside the proposal, and the collapse returns
+# None where shannon_entropy returned a zero result, otherwise the program
+# and the index of h(V) where shannon_entropy went on to solve it.
+def parent_float_basis(s):
+    """Basis proposed by a floating-point two-phase simplex, or None when
+    numpy is missing or the float run fails.  Only a proposal: _simplex
+    checks it exactly.
+
+    Both phases price by steepest edge (Goldfarb and Reid, Math. Programming
+    1977; Forrest and Goldfarb, Math. Programming 1992): among columns with
+    reduced cost red_j > tol, enter the one maximising red_j^2 / gamma_j, with
+    gamma_j = 1 + |B^-1 A_j|^2 the squared length of its edge.  The dense
+    tableau holds B^-1 A, so the exact reference weights cost one pass over
+    it per pivot, next to the rank-1 update.  An entropy dual has one
+    nonzero right-hand side, so nearly every phase-1 pivot is degenerate.
+    Dantzig's largest red_j made three times as many pivots on the entropy
+    duals of up to 8 vertices, and on asymmetric 8-vertex ones it ended at
+    singular or infeasible bases that cost the exact simplex minutes of
+    pivoting; steepest edge proposes optimal bases there."""
+    if not s.body:
+        return None
+    import numpy as np
+    m = len(s.body)
+    ncols = s.ncols
+    tol = 1e-9
+    T = np.zeros((m, ncols + 1))
+    for i, (row, _, rhs) in enumerate(s.body):
+        scale = s.scale[i]
+        T[i, list(row)] = [a / scale for a in row.values()]
+        if s.slack_col[i] >= 0:
+            T[i, s.slack_col[i]] = float(s.slack_sign[i])
+        if s.art_col[i] >= 0:
+            T[i, s.art_col[i]] = 1.0
+        T[i, ncols] = rhs / scale
+    bas = list(s.id_col)
+    limit = 80 * m + 800
+
+    def run(costvec, blocked) -> bool:
+        for _ in range(limit):
+            body = T[:, :ncols]
+            red = costvec[:ncols] - costvec[bas] @ body
+            if blocked is not None:
+                red[blocked] = -1.0
+            gamma = 1.0 + np.einsum("ij,ij->j", body, body)
+            score = np.where(red > tol, red * red / gamma, -1.0)
+            pcol = int(np.argmax(score))
+            if score[pcol] < 0:
+                return True
+            col = T[:, pcol]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratios = np.where(col > tol, T[:, ncols] / col, np.inf)
+            prow = int(np.argmin(ratios))
+            if not np.isfinite(ratios[prow]):
+                return False
+            T[prow] /= T[prow, pcol]
+            lift = T[:, pcol].copy()
+            lift[prow] = 0.0
+            np.subtract(T, np.outer(lift, T[prow]), out=T)
+            bas[prow] = pcol
+        return False
+
+    art_idx = np.array(s.art_cols, dtype=int) if s.art_cols else None
+    if s.art_cols:
+        cost1 = np.zeros(ncols)
+        cost1[art_idx] = -1.0
+        if not run(cost1, None):
+            return None
+        if cost1[bas] @ T[:, ncols] < -1e-7:
+            return None
+    cost2 = np.zeros(ncols)
+    cost2[:s.ncols_struct] = [c / s.cost_scale for c in s.cost]
+    if not run(cost2, art_idx):
+        return None
+    return bas
+
+
+def parent_collapsed_program(g):
+    """The closure- and symmetry-collapsed subset-entropy LP of g and the
+    variable of h(V), or None when the closure of the empty set is V."""
+    full = g.vertex_mask
+    cl = closure_map(g)
+    pinned = cl[0]
+    closed = sorted({c for c in cl})
+    if full == pinned:
+        return None
+
+    # Vertex symmetries identify variables: averaging any feasible h over the
+    # automorphism group keeps it feasible (the constraint families are
+    # permutation-closed) without moving the objective, so one variable per
+    # orbit of closed sets (automorphisms commute with closure) loses nothing.
+    # The expanded optimum is still re-validated against every row below.
+    rep = orbit_representatives(automorphisms(g), closed)
+    var_of = {}
+    for c in closed:
+        if rep[c] == c and c != pinned:
+            var_of[c] = len(var_of)
+
+    rows = []
+    row_index: set[tuple] = set()
+
+    def add(coeffs, rel, rhs: int) -> None:
+        # Closure can map distinct subsets to the same variable, so merge by
+        # variable.  h(empty) and every functional equality vanish here:
+        # cl(empty) is pinned to zero and cl(N(v)+v) = cl(N(v)).
+        items: dict[int, int] = {}
+        for mask, c in coeffs.items():
+            r = rep[cl[mask]]
+            if r == pinned:
+                continue
+            j = var_of[r]
+            items[j] = items.get(j, 0) + c
+        items = {j: c for j, c in items.items() if c}
+        if not items:
+            return
+        if rel != LE:
+            raise AssertionError(f"closure left an equality row standing: {coeffs}")
+        key = (tuple(sorted(items.items())), rhs)
+        if key not in row_index:
+            row_index.add(key)
+            rows.append((items, LE, rhs))
+
+    for row in _shannon_rows(g):
+        add(*row)
+
+    return LinearProgram(len(var_of), "max", {var_of[full]: 1}, rows), var_of[full]

@@ -7,10 +7,12 @@ import pytest
 from graphentropy import bounds
 from graphentropy import lp as lp_module
 from graphentropy.bounds import (
+    _collapsed_program,
     bounds_report,
     build_fractional_cover_lp,
     build_shannon_lp,
     clique_cover_number,
+    closure_map,
     entropy_bracket,
     fractional_clique_cover_number,
     max_matching,
@@ -31,6 +33,7 @@ from _oracles import (
     chromatic_number,
     complement_graph,
     exhaustive_entropy_check,
+    parent_collapsed_program,
 )
 from conftest import c5, g1, random_digraph, random_graph
 
@@ -215,6 +218,49 @@ def test_validation_matches_exhaustive_oracle(rng):
     for _ in range(30):
         _assert_validation_matches_oracle(
             random_digraph(rng, rng.randint(1, 5), loop_p=0.3), rng)
+
+
+def test_collapsed_program_matches_parent(rng):
+    """The variable table gives the collapse of the per-term closure,
+    orbit and pinned lookups it replaces: the same variables, rows and
+    objective, on every graph up to 6 vertices, seeded 7-vertex graphs and
+    looped digraphs."""
+    graphs = [g for n in range(1, 7) for g in isomorphism_classes(n)]
+    graphs += [random_graph(rng, 7) for _ in range(12)]
+    graphs += [random_digraph(rng, rng.randint(1, 6), loop_p=0.2) for _ in range(40)]
+    collapsed = 0
+    for g in graphs:
+        cl = closure_map(g)
+        parent = parent_collapsed_program(g)
+        if parent is None:
+            assert cl[0] == g.vertex_mask, g
+            continue
+        old, old_var = parent
+        new, var = _collapsed_program(g, cl)
+        assert (new.num_vars, new.objective, new.rows) == (old.num_vars, old.objective, old.rows), g
+        assert var[g.vertex_mask] == old_var, g
+        collapsed += 1
+    assert collapsed >= 240, collapsed
+
+
+def test_entropy_programs_build_without_rationals(monkeypatch):
+    """The collapsed entropy LP of C7, its dual and the dual's standard form
+    are built in ints alone: the first rational is made by the solve."""
+    made = []
+    real = lp_module.Rational
+    monkeypatch.setattr(lp_module, "Rational", lambda *a: made.append(a) or real(*a))
+    at_standard_form = []
+    real_standardize = lp_module._standardize
+
+    def standardize(program):
+        s = real_standardize(program)
+        at_standard_form.append(len(made))
+        return s
+
+    monkeypatch.setattr(lp_module, "_standardize", standardize)
+    assert shannon_entropy(Graph.cycle(7)).theta == rat("7/2")
+    assert at_standard_form == [0]
+    assert made, "the counter saw none of the solve's rationals"
 
 
 def test_reduced_solve_equals_full_lp_all_n5():

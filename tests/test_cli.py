@@ -140,6 +140,19 @@ def test_survey_json():
     assert set(record) == {"graph6", "n", "connected", "lower", "upper", "exact"}
 
 
+def test_survey_cap_flag():
+    """Past the default cap the survey exits 2 and names the flag; --cap
+    exists, and a survey within it runs."""
+    proc = invoke("survey", "--n", "8")
+    assert proc.returncode == 2
+    assert "--cap" in proc.stderr
+    proc = invoke("survey", "--n", "3", "--cap", "2")
+    assert proc.returncode == 2
+    proc = invoke("survey", "--n", "2", "--cap", "2")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["result"]["classes"] == 1 + 2
+
+
 def test_verify_exit_codes():
     proc = invoke("verify", "--suite", "wheel")
     assert proc.returncode == 0

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from graphentropy import lp
+from graphentropy import enumeration, lp
 from graphentropy.bounds import entropy_bracket
 from graphentropy.enumeration import (
     KNOWN_CLASS_COUNTS,
@@ -20,7 +20,7 @@ from graphentropy.enumeration import (
     verify_small_theorems,
     verify_wheel_lemma,
 )
-from graphentropy.graphs import Graph, disjoint_union, mask_of, render_graph
+from graphentropy.graphs import CapExceededError, Graph, disjoint_union, mask_of, render_graph
 from graphentropy.rationals import rat
 
 from _oracles import labeled_class_count, perm_class_key, unpruned_isomorphism_classes
@@ -126,6 +126,25 @@ def test_survey_connected_only():
     survey = survey_entropy_values(4, connected_only=True)
     assert len(survey.records) == 1 + 1 + 2 + 6
     assert all(r.connected for r in survey.records)
+
+
+def test_survey_forwards_cap(monkeypatch):
+    """The survey's cap reaches the enumeration, so a raised cap is not
+    refused by enumeration's default.  No 8-vertex class is enumerated."""
+    seen = []
+    real = enumeration.enumerate_graphs
+
+    def spy(n_max, connected_only=False, cap=enumeration.DEFAULT_ENUM_CAP):
+        seen.append((n_max, cap))
+        return real(n_max, connected_only, cap) if n_max <= 4 else iter(())
+
+    monkeypatch.setattr(enumeration, "enumerate_graphs", spy)
+    assert len(survey_entropy_values(3, cap=3).records) == 1 + 2 + 4
+    assert survey_entropy_values(8, cap=8).records == []
+    assert seen == [(3, 3), (8, 8)]
+    with pytest.raises(CapExceededError):
+        survey_entropy_values(8)
+    assert len(seen) == 2
 
 
 def test_survey_cache_roundtrip(tmp_path):

@@ -224,6 +224,19 @@ def test_strong_generators_match_full_enumeration(rng):
     assert symmetric > 100
 
 
+def test_permute_mask_matches_bit_walk(rng):
+    """The inlined low-bit loop gives the image the bits_of walk gave."""
+    for _ in range(300):
+        n = rng.randint(0, 12)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        for mask in [0, (1 << n) - 1] + [rng.randrange(1 << n) for _ in range(20)]:
+            image = 0
+            for v in bits_of(mask):
+                image |= 1 << perm[v]
+            assert permute_mask(perm, mask) == image, (perm, mask)
+
+
 def test_automorphisms_rejects_a_wrong_generator(monkeypatch):
     """A search that returned a non-automorphism is caught before any orbit
     is read off it."""

@@ -1,9 +1,16 @@
 import re
+from fractions import Fraction
 from math import lcm
 
 import pytest
 
-from graphentropy.bounds import build_fractional_cover_lp, build_shannon_lp
+from graphentropy.bounds import (
+    _collapsed_program,
+    _dual_program,
+    build_fractional_cover_lp,
+    build_shannon_lp,
+    closure_map,
+)
 from graphentropy.graphs import Graph, mask_of
 from graphentropy.lp import (
     EQ,
@@ -24,8 +31,14 @@ from graphentropy.lp import (
 )
 from graphentropy.rationals import rat
 
-from _oracles import lp_vertex_solve, rational_solve_linear, rational_verify_certificates
-from conftest import g1
+from _oracles import (
+    lp_vertex_solve,
+    parent_float_basis,
+    parent_integer_rows,
+    rational_solve_linear,
+    rational_verify_certificates,
+)
+from conftest import g1, random_graph
 
 
 def test_single_variable_box():
@@ -237,7 +250,8 @@ def _split_free_vars(lp: LinearProgram) -> LinearProgram:
 
 def _vertex_at(lp: LinearProgram, s, basis):
     """Primal and dual of lp at a basis of its standard form s, solved by
-    rational elimination on the unscaled rows.  A dependent column gives way
+    rational elimination on the unscaled rows, int entries lifted to
+    rationals.  A dependent column gives way
     to the identity column of the row it leaves without a pivot, as in the
     solver; only the column layout is read from s."""
     m = len(lp.rows)
@@ -246,14 +260,14 @@ def _vertex_at(lp: LinearProgram, s, basis):
     for i, (coeffs, _, rhs) in enumerate(lp.rows):
         sign = -1 if s.flip[i] else 1
         for j, c in coeffs:
-            cols[j][i] = sign * c
+            cols[j][i] = rat(sign * c)
             if j in s.mirror:
-                cols[s.mirror[j]][i] = -sign * c
+                cols[s.mirror[j]][i] = rat(-sign * c)
         if s.slack_col[i] >= 0:
             cols[s.slack_col[i]][i] = rat(s.slack_sign[i])
         if s.art_col[i] >= 0:
             cols[s.art_col[i]][i] = rat(1)
-        b.append(sign * rhs)
+        b.append(rat(sign * rhs))
     zero = rat(0)
     basis = list(basis)
     z, dependent = rational_solve_linear(
@@ -264,7 +278,7 @@ def _vertex_at(lp: LinearProgram, s, basis):
         z, _ = rational_solve_linear(
             [[cols[j].get(i, zero) for j in basis] for i in range(m)], b)
     sign = 1 if lp.sense == "max" else -1
-    cost = [sign * c for c in lp.objective] + [zero] * (s.ncols - lp.num_vars)
+    cost = [rat(sign * c) for c in lp.objective] + [zero] * (s.ncols - lp.num_vars)
     for j, mj in s.mirror.items():
         cost[mj] = -cost[j]
     y, _ = rational_solve_linear(
@@ -386,3 +400,64 @@ def test_certificate_check_matches_rational_oracle(rng):
         "duality gap is nonzero",
         "reported objective mismatches the primal point",
     }, branches
+
+
+def _in_fractions(lp: LinearProgram) -> LinearProgram:
+    """The same program with every coefficient, right-hand side and
+    objective entry given as a Fraction."""
+    rows = [({j: Fraction(c) for j, c in coeffs}, rel, Fraction(rhs))
+            for coeffs, rel, rhs in lp.rows]
+    return LinearProgram(lp.num_vars, lp.sense, [Fraction(c) for c in lp.objective],
+                         rows, lp.free_vars)
+
+
+def _entries(lp: LinearProgram):
+    yield from lp.objective
+    for coeffs, _, rhs in lp.rows:
+        yield from (c for _, c in coeffs)
+        yield rhs
+
+
+def test_int_and_fraction_programs_agree(rng):
+    """A program given in ints and the same one given in Fractions store the
+    same ints, scale to the same rows and solve to identical results, and the
+    rows scaled once at construction are the per-row scaling they replace."""
+    lps = [_random_lp(rng) for _ in range(100)] + [_random_rational_lp(rng) for _ in range(100)]
+    lps += [build_shannon_lp(g) for g in (Graph.cycle(5), Graph.path(4))]
+    lps.append(build_fractional_cover_lp(g1())[0])
+    integral = 0
+    for lp in lps:
+        frac = _in_fractions(lp)
+        assert [type(c) for c in _entries(frac)] == [type(c) for c in _entries(lp)]
+        assert all((type(c) is int) == (c.denominator == 1) for c in _entries(lp))
+        assert (frac.objective, frac.rows) == (lp.objective, lp.rows)
+        assert (frac.int_objective, frac.int_rows) == (lp.int_objective, lp.int_rows)
+        assert [(list(coeffs), rhs, scale) for coeffs, rhs, scale in lp.int_rows] == \
+            parent_integer_rows(lp)
+        integral += all(type(c) is int for c in _entries(lp))
+        a, b = solve(lp), solve(frac)
+        assert (a.status, a.objective, a.primal, a.dual) == \
+            (b.status, b.objective, b.primal, b.dual), lp.rows
+    assert integral >= 100, integral
+
+
+def _entropy_dual(g: Graph) -> LinearProgram:
+    program, var = _collapsed_program(g, closure_map(g))
+    return _dual_program(program, var[g.vertex_mask])
+
+
+def test_float_basis_matches_parent(rng):
+    """The float proposal, with its errstate entered once per phase and its
+    rank-1 update written without np.outer, proposes the parent's basis on
+    seeded programs and on entropy duals."""
+    lps = [_random_lp(rng) for _ in range(100)] + [_random_rational_lp(rng) for _ in range(100)]
+    graphs = [Graph.cycle(5), Graph.cycle(7), g1()]
+    graphs += [random_graph(rng, n) for n in (6, 6, 7, 7, 7, 7)]
+    duals = [_entropy_dual(g) for g in graphs]
+    proposed = []
+    for lp in lps + duals:
+        s = _standardize(lp)
+        proposal = _float_basis(s)
+        assert proposal == parent_float_basis(s), lp.rows
+        proposed.append(proposal is not None)
+    assert sum(proposed) >= 60 and all(proposed[len(lps):]), proposed
