@@ -694,23 +694,23 @@ def rational_verify_certificates(lp: LinearProgram, sol: LpSolution) -> tuple[bo
 # The per-row integer scaling as it was when it ran on every standard form
 # and every certificate check, kept verbatim under new names, so the rows
 # scaled once at construction can be held to exactly its answer.
-def parent_integer_rows(lp: LinearProgram):
+def previous_integer_rows(lp: LinearProgram):
     """Each row of lp as integers: (coeffs, rhs, scale) with coeffs a list of
     (col, scale*c) and rhs scale*rhs, scale the least common denominator of
     the row's entries."""
     out = []
     for coeffs, _, rhs in lp.rows:
-        scale = lcm(_parent_lcd(c for _, c in coeffs), int(rhs.denominator))
-        out.append(([(j, _parent_times(c, scale)) for j, c in coeffs], _parent_times(rhs, scale), scale))
+        scale = lcm(_previous_lcd(c for _, c in coeffs), int(rhs.denominator))
+        out.append(([(j, _previous_times(c, scale)) for j, c in coeffs], _previous_times(rhs, scale), scale))
     return out
 
 
-def _parent_lcd(values) -> int:
+def _previous_lcd(values) -> int:
     """Least common denominator of rationals (1 for none)."""
     return lcm(*(int(v.denominator) for v in values))
 
 
-def _parent_times(v, scale: int) -> int:
+def _previous_times(v, scale: int) -> int:
     """The rational v times scale, a multiple of its denominator, as an int."""
     return int(v.numerator) * (scale // int(v.denominator))
 
@@ -722,7 +722,7 @@ def _parent_times(v, scale: int) -> int:
 # edits: numpy is imported inside the proposal, and the collapse returns
 # None where shannon_entropy returned a zero result, otherwise the program
 # and the index of h(V) where shannon_entropy went on to solve it.
-def parent_float_basis(s):
+def previous_float_basis(s):
     """Basis proposed by a floating-point two-phase simplex, or None when
     numpy is missing or the float run fails.  Only a proposal: _simplex
     checks it exactly.
@@ -795,7 +795,7 @@ def parent_float_basis(s):
     return bas
 
 
-def parent_collapsed_program(g):
+def previous_collapsed_program(g):
     """The closure- and symmetry-collapsed subset-entropy LP of g and the
     variable of h(V), or None when the closure of the empty set is V."""
     full = g.vertex_mask

@@ -33,7 +33,7 @@ from _oracles import (
     chromatic_number,
     complement_graph,
     exhaustive_entropy_check,
-    parent_collapsed_program,
+    previous_collapsed_program,
 )
 from conftest import c5, g1, random_digraph, random_graph
 
@@ -220,7 +220,7 @@ def test_validation_matches_exhaustive_oracle(rng):
             random_digraph(rng, rng.randint(1, 5), loop_p=0.3), rng)
 
 
-def test_collapsed_program_matches_parent(rng):
+def test_collapsed_program_matches_previous(rng):
     """The variable table gives the collapse of the per-term closure,
     orbit and pinned lookups it replaces: the same variables, rows and
     objective, on every graph up to 6 vertices, seeded 7-vertex graphs and
@@ -231,11 +231,11 @@ def test_collapsed_program_matches_parent(rng):
     collapsed = 0
     for g in graphs:
         cl = closure_map(g)
-        parent = parent_collapsed_program(g)
-        if parent is None:
+        previous = previous_collapsed_program(g)
+        if previous is None:
             assert cl[0] == g.vertex_mask, g
             continue
-        old, old_var = parent
+        old, old_var = previous
         new, var = _collapsed_program(g, cl)
         assert (new.num_vars, new.objective, new.rows) == (old.num_vars, old.objective, old.rows), g
         assert var[g.vertex_mask] == old_var, g

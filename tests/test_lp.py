@@ -33,8 +33,8 @@ from graphentropy.rationals import rat
 
 from _oracles import (
     lp_vertex_solve,
-    parent_float_basis,
-    parent_integer_rows,
+    previous_float_basis,
+    previous_integer_rows,
     rational_solve_linear,
     rational_verify_certificates,
 )
@@ -251,9 +251,9 @@ def _split_free_vars(lp: LinearProgram) -> LinearProgram:
 def _vertex_at(lp: LinearProgram, s, basis):
     """Primal and dual of lp at a basis of its standard form s, solved by
     rational elimination on the unscaled rows, int entries lifted to
-    rationals.  A dependent column gives way
-    to the identity column of the row it leaves without a pivot, as in the
-    solver; only the column layout is read from s."""
+    rationals.  A dependent column gives way to the identity column of the
+    row it leaves without a pivot, as in the solver; only the column layout
+    is read from s."""
     m = len(lp.rows)
     cols = [{} for _ in range(s.ncols)]
     b = []
@@ -433,7 +433,7 @@ def test_int_and_fraction_programs_agree(rng):
         assert (frac.objective, frac.rows) == (lp.objective, lp.rows)
         assert (frac.int_objective, frac.int_rows) == (lp.int_objective, lp.int_rows)
         assert [(list(coeffs), rhs, scale) for coeffs, rhs, scale in lp.int_rows] == \
-            parent_integer_rows(lp)
+            previous_integer_rows(lp)
         integral += all(type(c) is int for c in _entries(lp))
         a, b = solve(lp), solve(frac)
         assert (a.status, a.objective, a.primal, a.dual) == \
@@ -446,10 +446,10 @@ def _entropy_dual(g: Graph) -> LinearProgram:
     return _dual_program(program, var[g.vertex_mask])
 
 
-def test_float_basis_matches_parent(rng):
+def test_float_basis_matches_previous(rng):
     """The float proposal, with its errstate entered once per phase and its
-    rank-1 update written without np.outer, proposes the parent's basis on
-    seeded programs and on entropy duals."""
+    rank-1 update written without np.outer, proposes the previous version's
+    basis on seeded programs and on entropy duals."""
     lps = [_random_lp(rng) for _ in range(100)] + [_random_rational_lp(rng) for _ in range(100)]
     graphs = [Graph.cycle(5), Graph.cycle(7), g1()]
     graphs += [random_graph(rng, n) for n in (6, 6, 7, 7, 7, 7)]
@@ -458,6 +458,6 @@ def test_float_basis_matches_parent(rng):
     for lp in lps + duals:
         s = _standardize(lp)
         proposal = _float_basis(s)
-        assert proposal == parent_float_basis(s), lp.rows
+        assert proposal == previous_float_basis(s), lp.rows
         proposed.append(proposal is not None)
     assert sum(proposed) >= 60 and all(proposed[len(lps):]), proposed
