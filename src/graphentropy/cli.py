@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -161,14 +160,8 @@ def _cmd_minimal_check(args) -> tuple[dict, int]:
 
 
 def _cmd_survey(args) -> tuple[dict, int]:
-    cache = args.cache or os.environ.get("GRAPH_ENTROPY_CACHE") or None
     survey = survey_entropy_values(
-        args.n,
-        cache_dir=cache,
-        jobs=args.jobs,
-        shannon_cap=args.shannon_cap,
-        cap=args.cap,
-        connected_only=args.connected,
+        args.n, jobs=args.jobs, cap=args.cap, connected_only=args.connected
     )
     records = [
         {
@@ -196,14 +189,11 @@ def _cmd_survey(args) -> tuple[dict, int]:
 
 def _cmd_verify(args) -> tuple[dict, int]:
     if args.suite == "wheel":
-        report = verify_wheel_lemma(shannon_cap=args.shannon_cap)
+        report = verify_wheel_lemma()
     elif args.suite == "gfamily":
-        report = verify_g_family(shannon_cap=args.shannon_cap)
+        report = verify_g_family()
     else:
-        cache = args.cache or os.environ.get("GRAPH_ENTROPY_CACHE") or None
-        report = verify_small_theorems(
-            cache_dir=cache, jobs=args.jobs, shannon_cap=args.shannon_cap
-        )
+        report = verify_small_theorems(jobs=args.jobs)
     _note(f"suite {args.suite}: {'ok' if report.ok else 'FAILED'}")
     return {"input": {"suite": args.suite}, "result": _jsonify(report.as_dict())}, (
         0 if report.ok else 1
@@ -322,18 +312,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP,
                    help="largest vertex count to enumerate")
     p.add_argument("--connected", action="store_true", help="connected classes only")
-    p.add_argument("--cache", default=None,
-                   help="bracket cache directory (default: $GRAPH_ENTROPY_CACHE)")
     p.add_argument("--jobs", type=int, default=1, help="parallel workers")
-    p.add_argument("--shannon-cap", type=int, default=10)
     p.set_defaults(run=_cmd_survey)
 
     p = subs.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True, choices=["wheel", "gfamily", "theorem2"])
-    p.add_argument("--cache", default=None,
-                   help="bracket cache directory (default: $GRAPH_ENTROPY_CACHE)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
-    p.add_argument("--shannon-cap", type=int, default=10)
+    p.add_argument("--jobs", type=int, default=1, help="parallel workers for theorem2")
     p.set_defaults(run=_cmd_verify)
 
     p = subs.add_parser("lp-dump", help="print an LP exactly as the solver sees it")

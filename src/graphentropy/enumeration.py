@@ -2,7 +2,7 @@
 
 Provides a canonical form (lexicographically least adjacency bit-string,
 found with colour-refinement pruning), a vertex-augmentation enumerator for
-simple graphs up to seven vertices, a cached whole-landscape entropy survey,
+simple graphs up to seven vertices, a whole-landscape entropy survey,
 and the three verification suites the survey supports: the six-vertex
 pentagon-plus-apex trichotomy, the seven-vertex family with values 11/3 and
 7/2, and the classification of collapsed entropy values below four.
@@ -10,9 +10,6 @@ pentagon-plus-apex trichotomy, the seven-vertex family with values 11/3 and
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 from functools import lru_cache
 from multiprocessing import Pool
 
@@ -28,7 +25,7 @@ from .graphs import (
     orbit_representatives,
     render_graph,
 )
-from .rationals import Rational, parse_rat, rat, rat_str
+from .rationals import rat
 from .structure import apply_decomposition, find_reducible_set
 
 DEFAULT_ENUM_CAP = 7
@@ -201,72 +198,23 @@ def enumerate_graphs(n_max: int, connected_only: bool = False, cap: int = DEFAUL
             yield g
 
 
-# -- cached survey -----------------------------------------------------------------
+# -- survey -----------------------------------------------------------------------
 
 
-class BracketCache:
-    """On-disk bracket store, one JSON file per canonical graph6 key.
-
-    Only the certified values travel through the cache; a reloaded bracket
-    carries a witness stub naming the cache key instead of the original
-    construction.  Writes go through a temp file and rename, and rewriting
-    the same key is harmless because values are deterministic.
-    """
-
-    __slots__ = ("root",)
-
-    def __init__(self, root: str):
-        self.root = root
-        os.makedirs(root, exist_ok=True)
-
-    def _path(self, key: str) -> str:
-        digest = hashlib.sha256(key.encode()).hexdigest()
-        return os.path.join(self.root, digest + ".json")
-
-    def load(self, key: str) -> EntropyBracket | None:
-        """The stored bracket, or None when the file is missing, malformed,
-        written for another key, or holds a crossed bracket."""
-        try:
-            with open(self._path(key), encoding="utf-8") as fh:
-                data = json.load(fh)
-            if data.get("key") != key:
-                return None
-            lower, upper = parse_rat(data["lower"]), parse_rat(data["upper"])
-        except (OSError, ValueError, AttributeError, KeyError, TypeError, ZeroDivisionError):
-            return None
-        if lower > upper:
-            return None
-        stub = ("cached", {"key": key})
-        return EntropyBracket(lower, upper, stub, stub)
-
-    def store(self, key: str, bracket: EntropyBracket) -> None:
-        payload = {
-            "key": key,
-            "lower": rat_str(bracket.lower),
-            "upper": rat_str(bracket.upper),
-            "exact": bracket.exact,
-        }
-        path = self._path(key)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-        os.replace(tmp, path)
-
-
-def bracket_with_fallback(g: Graph, shannon_cap: int = 10) -> EntropyBracket:
+def bracket_with_fallback(g: Graph) -> EntropyBracket:
     """Entropy bracket that tries a decomposition when the bounds stay apart.
 
     The transversal-lazy bracket is computed first; if it fails to collapse,
     a reducible set (when one exists) rewrites the graph as |S| plus a
     smaller remainder, and the two brackets are intersected.
     """
-    bracket = entropy_bracket(g, shannon_cap=shannon_cap, lazy_theta=True)
+    bracket = entropy_bracket(g, lazy_theta=True)
     if bracket.exact or not g.is_simple():
         return bracket
     d = find_reducible_set(g, cap=max(g.n, 16))
     if d is None:
         return bracket
-    inner = bracket_with_fallback(d.remainder, shannon_cap)
+    inner = bracket_with_fallback(d.remainder)
     shifted = apply_decomposition(g, d, inner)
     lower, low_wit = max(
         (bracket.lower, bracket.lower_witness), (shifted.lower, shifted.lower_witness),
@@ -277,11 +225,6 @@ def bracket_with_fallback(g: Graph, shannon_cap: int = 10) -> EntropyBracket:
         key=lambda t: t[0],
     )
     return EntropyBracket(lower, upper, low_wit, up_wit)
-
-
-def _bracket_job(args: tuple[Graph, int]) -> EntropyBracket:
-    g, shannon_cap = args
-    return bracket_with_fallback(g, shannon_cap)
 
 
 def _triangle_bits(g: Graph) -> int:
@@ -353,50 +296,24 @@ class ValueSurvey:
 
 def survey_entropy_values(
     n_max: int,
-    cache_dir: str | None = None,
     jobs: int = 1,
-    shannon_cap: int = 10,
     cap: int = DEFAULT_ENUM_CAP,
     connected_only: bool = False,
 ) -> ValueSurvey:
     """Bracket every isomorphism class on up to n_max vertices.
 
-    Connected classes are solved directly (optionally in parallel and through
-    the on-disk cache); disconnected classes are assembled as multisets of
-    connected parts, with brackets added componentwise, so no LP ever runs
-    twice for the same connected graph.  connected_only skips the assembly
-    and reports just the connected landscape.
+    Every run recomputes and rechecks every value.  Connected classes are
+    solved directly (in parallel when jobs > 1); disconnected classes are
+    assembled as multisets of connected parts, with brackets added
+    componentwise, so no LP ever runs twice for the same connected graph.
+    connected_only skips the assembly and reports just the connected
+    landscape.
     """
     if n_max > cap:
         raise CapExceededError(f"survey of {n_max}-vertex graphs exceeds the cap {cap}")
-    cache = BracketCache(cache_dir) if cache_dir else None
-    sized: list[list[tuple[Graph, EntropyBracket]]] = [[] for _ in range(n_max + 1)]
-    todo: list[Graph] = []
-    keys: list[str | None] = []
-    for g in enumerate_graphs(n_max, connected_only=True, cap=cap):
-        key = render_graph(g, "graph6")
-        hit = cache.load(key) if cache else None
-        if hit is None:
-            todo.append(g)
-            keys.append(key)
-        sized[g.n].append((g, hit))
-    solved = _solve_brackets(todo, shannon_cap, jobs)
-    if cache:
-        for key, bracket in zip(keys, solved):
-            cache.store(key, bracket)
-    fresh = iter(solved)
-    for bucket in sized:
-        for i, (g, hit) in enumerate(bucket):
-            if hit is None:
-                bucket[i] = (g, next(fresh))
-    records = [
-        SurveyRecord(g, bracket, connected=True)
-        for bucket in sized
-        for g, bracket in bucket
-    ]
-    parts: list[tuple[Graph, EntropyBracket]] = [
-        (g, b) for bucket in sized for g, b in bucket
-    ]
+    connected = list(enumerate_graphs(n_max, connected_only=True, cap=cap))
+    parts = list(zip(connected, _solve_brackets(connected, jobs)))
+    records = [SurveyRecord(g, bracket, connected=True) for g, bracket in parts]
     chosen: list[int] = []
 
     def compose() -> None:
@@ -431,11 +348,11 @@ def survey_entropy_values(
     return ValueSurvey(n_max, records)
 
 
-def _solve_brackets(graphs: list[Graph], shannon_cap: int, jobs: int) -> list[EntropyBracket]:
+def _solve_brackets(graphs: list[Graph], jobs: int) -> list[EntropyBracket]:
     if jobs <= 1 or len(graphs) < 2:
-        return [bracket_with_fallback(g, shannon_cap) for g in graphs]
+        return [bracket_with_fallback(g) for g in graphs]
     with Pool(jobs) as pool:
-        return list(pool.imap(_bracket_job, [(g, shannon_cap) for g in graphs], chunksize=8))
+        return list(pool.imap(bracket_with_fallback, graphs, chunksize=8))
 
 
 # -- verification suites -------------------------------------------------------------
@@ -469,7 +386,7 @@ class SuiteReport:
         return f"SuiteReport({self.suite}, ok={self.ok})"
 
 
-def verify_wheel_lemma(shannon_cap: int = 10) -> SuiteReport:
+def verify_wheel_lemma() -> SuiteReport:
     """Check the apex trichotomy over all 32 attachments into the 5-cycle.
 
     An isolated apex keeps the pentagon's 5/2; an apex seeing three
@@ -492,7 +409,7 @@ def verify_wheel_lemma(shannon_cap: int = 10) -> SuiteReport:
             expected = rat("7/2")
         else:
             expected = rat(3)
-        bracket = entropy_bracket(g, shannon_cap=shannon_cap, lazy_theta=True)
+        bracket = entropy_bracket(g, lazy_theta=True)
         ok = bracket.exact and bracket.lower == expected
         entry = {
             "apex_neighbors": sorted(bits_of(mask)),
@@ -531,7 +448,7 @@ def g_family() -> tuple[Graph, ...]:
     return tuple(Graph.undirected(7, pentagon + extra) for extra in extras)
 
 
-def verify_g_family(shannon_cap: int = 10) -> SuiteReport:
+def verify_g_family() -> SuiteReport:
     """Certify the seven-vertex family: 11/3 once, then 7/2 five times.
 
     The first graph's lower bound must come from the fractional clique cover
@@ -541,7 +458,7 @@ def verify_g_family(shannon_cap: int = 10) -> SuiteReport:
     graphs = g_family()
     entries = []
     failures = []
-    report = bounds_report(graphs[0], shannon_cap=shannon_cap)
+    report = bounds_report(graphs[0])
     first, kappa_f = report.bracket, report.kappa_f
     ok_first = (
         first.exact
@@ -566,7 +483,7 @@ def verify_g_family(shannon_cap: int = 10) -> SuiteReport:
     if not ok_first:
         failures.append(entry)
     for idx, g in enumerate(graphs[1:], start=2):
-        bracket = entropy_bracket(g, shannon_cap=shannon_cap)
+        bracket = entropy_bracket(g)
         ok = bracket.exact and bracket.lower == rat("7/2")
         entry = {
             "graph": f"variant {idx}",
@@ -581,12 +498,7 @@ def verify_g_family(shannon_cap: int = 10) -> SuiteReport:
     return SuiteReport("gfamily", not failures, {"cases": entries, "failures": failures})
 
 
-def verify_small_theorems(
-    survey: ValueSurvey | None = None,
-    cache_dir: str | None = None,
-    jobs: int = 1,
-    shannon_cap: int = 10,
-) -> SuiteReport:
+def verify_small_theorems(jobs: int = 1) -> SuiteReport:
     """Check the collapsed-value landscape on up to seven vertices.
 
     No collapsed value may fall strictly inside (1,2), (2,5/2) or (5/2,3);
@@ -594,8 +506,7 @@ def verify_small_theorems(
     graph collapsing to 5/2 is the pentagon and the only one collapsing to
     11/3 is the first graph of g_family().
     """
-    if survey is None:
-        survey = survey_entropy_values(7, cache_dir=cache_dir, jobs=jobs, shannon_cap=shannon_cap)
+    survey = survey_entropy_values(7, jobs=jobs)
     gaps = [(rat(1), rat(2)), (rat(2), rat("5/2")), (rat("5/2"), rat(3))]
     counterexamples = []
     bad_window = []

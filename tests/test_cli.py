@@ -23,10 +23,10 @@ def child_env() -> dict:
     return env
 
 
-def invoke(*args, stdin: str | None = None):
+def invoke(*args, stdin: str | None = None, env: dict | None = None):
     proc = subprocess.run(
         RUN + list(args), input=stdin, capture_output=True, text=True, timeout=120,
-        env=child_env(),
+        env={**child_env(), **(env or {})},
     )
     return proc
 
@@ -140,6 +140,25 @@ def test_survey_json():
     assert set(record) == {"graph6", "n", "connected", "lower", "upper", "exact"}
 
 
+def test_survey_ignores_a_tampered_bracket_cache(tmp_path):
+    """Every survey value is recomputed.  A directory of well-formed bracket
+    files claiming 7 for every connected class, named and laid out as the
+    old on-disk cache wrote them (sha256 of the graph6 key, JSON with key,
+    lower and upper), and the environment variable that once pointed the
+    survey at it, leave stdout byte-identical."""
+    plain = invoke("survey", "--n", "4")
+    assert plain.returncode == 0
+    for record in json.loads(plain.stdout)["result"]["records"]:
+        if record["connected"]:
+            key = record["graph6"]
+            entry = {"key": key, "lower": "7", "upper": "7", "exact": True}
+            name = hashlib.sha256(key.encode()).hexdigest() + ".json"
+            (tmp_path / name).write_text(json.dumps(entry))
+    tampered = invoke("survey", "--n", "4", env={"GRAPH_ENTROPY_CACHE": str(tmp_path)})
+    assert tampered.returncode == 0
+    assert tampered.stdout == plain.stdout
+
+
 def test_survey_cap_flag():
     """Past the default cap the survey exits 2 and names the flag; --cap
     exists, and a survey within it runs."""
@@ -154,9 +173,11 @@ def test_survey_cap_flag():
 
 
 def test_verify_exit_codes():
-    proc = invoke("verify", "--suite", "wheel")
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["result"]["ok"] is True
+    """The bare suite and the benchmark's exact argv both pass."""
+    for extra in ((), ("--jobs", "1")):
+        proc = invoke("verify", "--suite", "wheel", *extra)
+        assert proc.returncode == 0, extra
+        assert json.loads(proc.stdout)["result"]["ok"] is True
 
 
 def test_lp_dump_shannon_c5(c5_file):

@@ -1,4 +1,3 @@
-import json
 import random
 
 import pytest
@@ -8,7 +7,6 @@ from graphentropy.bounds import entropy_bracket
 from graphentropy.enumeration import (
     KNOWN_CLASS_COUNTS,
     KNOWN_CONNECTED_COUNTS,
-    BracketCache,
     bracket_with_fallback,
     canonical_form,
     enumerate_graphs,
@@ -147,37 +145,19 @@ def test_survey_forwards_cap(monkeypatch):
     assert len(seen) == 2
 
 
-def test_survey_cache_roundtrip(tmp_path):
-    first = survey_entropy_values(4, cache_dir=str(tmp_path))
-    assert list(tmp_path.iterdir())
-    second = survey_entropy_values(4, cache_dir=str(tmp_path))
-    assert [(r.graph6(), r.bracket.lower, r.bracket.upper) for r in first.records] == \
-           [(r.graph6(), r.bracket.lower, r.bracket.upper) for r in second.records]
-    cached = [r for r in second.records if r.connected and r.graph.n > 1]
-    assert any(r.bracket.lower_witness[0] == "cached" for r in cached)
+def test_survey_pool_matches_serial():
+    """The --jobs pool path gives the serial survey's records, witnesses'
+    tags included."""
+    def rows(survey):
+        return [
+            (r.graph6(), r.bracket.lower, r.bracket.upper,
+             r.bracket.lower_witness[0], r.bracket.upper_witness[0])
+            for r in survey.records
+        ]
 
-
-def test_bracket_cache_store_load(tmp_path):
-    cache = BracketCache(str(tmp_path))
-    bracket = entropy_bracket(c5())
-    cache.store("pentagon", bracket)
-    loaded = cache.load("pentagon")
-    assert loaded is not None
-    assert (loaded.lower, loaded.upper) == (bracket.lower, bracket.upper)
-    assert cache.load("missing") is None
-
-
-@pytest.mark.parametrize("payload", [
-    [1, 2],
-    {"key": "k"},
-    {"key": "k", "lower": "x", "upper": "1"},
-    {"key": "k", "lower": "2", "upper": "1"},
-])
-def test_bracket_cache_malformed_file_is_a_miss(tmp_path, payload):
-    cache = BracketCache(str(tmp_path))
-    with open(cache._path("k"), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-    assert cache.load("k") is None
+    serial = rows(survey_entropy_values(6, jobs=1))
+    assert len(serial) == sum(KNOWN_CLASS_COUNTS[:6])
+    assert rows(survey_entropy_values(6, jobs=2)) == serial
 
 
 def test_pentagon_apex_masks():
