@@ -10,7 +10,7 @@ from .graphs import (
     parse_graph,
     render_graph,
 )
-from .rationals import Rational, parse_rat, rat, rat_str
+from .rationals import Rational, rat, rat_str
 from .lp import LinearProgram, LpSolution, solve
 from .bounds import (
     BoundsReport,
@@ -24,7 +24,6 @@ from .bounds import (
 from .guessing import GuessingCode, GuessingValue, extend_code, max_guessing
 from .structure import (
     Decomposition,
-    apply_decomposition,
     certify_entropy_minimal_candidate,
     find_reducible_set,
     find_saturating_subset,
@@ -54,7 +53,6 @@ __all__ = [
     "Rational",
     "ValueSurvey",
     "__version__",
-    "apply_decomposition",
     "bounds_report",
     "certify_entropy_minimal_candidate",
     "entropy_bracket",
@@ -66,7 +64,6 @@ __all__ = [
     "isomorphism_classes",
     "max_guessing",
     "parse_graph",
-    "parse_rat",
     "rat",
     "rat_str",
     "render_graph",

@@ -610,13 +610,6 @@ class EntropyBracket:
     def shifted(self, k: int, lower_witness, upper_witness) -> "EntropyBracket":
         return EntropyBracket(self.lower + k, self.upper + k, lower_witness, upper_witness)
 
-    def as_dict(self) -> dict:
-        return {
-            "lower": self.lower,
-            "upper": self.upper,
-            "exact": self.exact,
-        }
-
     def __repr__(self):
         return f"EntropyBracket([{self.lower}, {self.upper}], exact={self.exact})"
 

@@ -160,6 +160,8 @@ def _cmd_minimal_check(args) -> tuple[dict, int]:
 
 
 def _cmd_survey(args) -> tuple[dict, int]:
+    if args.n < 1:
+        raise UsageFault(f"--n must be at least 1, got {args.n}")
     survey = survey_entropy_values(
         args.n, jobs=args.jobs, cap=args.cap, connected_only=args.connected
     )

@@ -2,10 +2,12 @@
 
 Provides a canonical form (lexicographically least adjacency bit-string,
 found with colour-refinement pruning), a vertex-augmentation enumerator for
-simple graphs up to seven vertices, a whole-landscape entropy survey,
-and the three verification suites the survey supports: the six-vertex
-pentagon-plus-apex trichotomy, the seven-vertex family with values 11/3 and
-7/2, and the classification of collapsed entropy values below four.
+simple graphs up to seven vertices, a whole-landscape entropy survey that
+solves each connected class once and adds component brackets for the
+disconnected ones, and the three verification suites the survey supports:
+the six-vertex pentagon-plus-apex trichotomy, the seven-vertex family with
+values 11/3 and 7/2, and the classification of collapsed entropy values
+below four.
 """
 
 from __future__ import annotations
@@ -21,18 +23,13 @@ from .graphs import (
     automorphisms,
     bits_of,
     connected_components,
-    disjoint_union,
+    induced_subgraph,
     orbit_representatives,
     render_graph,
 )
 from .rationals import rat
-from .structure import apply_decomposition, find_reducible_set
 
 DEFAULT_ENUM_CAP = 7
-
-# Simple-graph isomorphism classes by vertex count, total and connected.
-KNOWN_CLASS_COUNTS = (1, 2, 4, 11, 34, 156, 1044)
-KNOWN_CONNECTED_COUNTS = (1, 1, 2, 6, 21, 112, 853)
 
 
 class CanonicalForm:
@@ -83,7 +80,7 @@ class CanonicalForm:
 
 
 def _refined_colors(g: Graph) -> list[int]:
-    """Stable vertex colouring: degree, refined by neighbour colour multisets."""
+    """Stable vertex colouring: degree, refined by the sorted colours of the neighbours."""
     colors = [g.rows[v].bit_count() for v in range(g.n)]
     while True:
         sigs = [
@@ -202,47 +199,30 @@ def enumerate_graphs(n_max: int, connected_only: bool = False, cap: int = DEFAUL
 
 
 def bracket_with_fallback(g: Graph) -> EntropyBracket:
-    """Entropy bracket that tries a decomposition when the bounds stay apart.
+    """The survey's bracket: entropy_bracket(g, lazy_theta=True).
 
-    The transversal-lazy bracket is computed first; if it fails to collapse,
-    a reducible set (when one exists) rewrites the graph as |S| plus a
-    smaller remainder, and the two brackets are intersected.
+    A reducible set S with remainder R could never tighten it.  Lower side:
+    R's fractional clique cover, the |S| matching edges and the unmatched
+    c(S) vertices as singletons cover g, so kappa_f(g) <= kappa_f(R) + |c(S)|
+    and n - kappa_f(g) >= |S| + lower(R).  Upper side: c(S) is determined by
+    S, and conditioning any feasible h on S leaves a feasible h for each
+    component of R, so theta(g) <= |S| + theta(R); deleting S and a
+    transversal of R leaves g acyclic, so tau(g) <= |S| + tau(R).  Where
+    the lazy bracket skips theta it is already a point.
+
+    The name stays because the benchmark's tracer (perfbench/tracer.py)
+    times this function by name.
     """
-    bracket = entropy_bracket(g, lazy_theta=True)
-    if bracket.exact or not g.is_simple():
-        return bracket
-    d = find_reducible_set(g, cap=max(g.n, 16))
-    if d is None:
-        return bracket
-    inner = bracket_with_fallback(d.remainder)
-    shifted = apply_decomposition(g, d, inner)
-    lower, low_wit = max(
-        (bracket.lower, bracket.lower_witness), (shifted.lower, shifted.lower_witness),
-        key=lambda t: t[0],
-    )
-    upper, up_wit = min(
-        (bracket.upper, bracket.upper_witness), (shifted.upper, shifted.upper_witness),
-        key=lambda t: t[0],
-    )
-    return EntropyBracket(lower, upper, low_wit, up_wit)
-
-
-def _triangle_bits(g: Graph) -> int:
-    """Upper-triangle bit-string of g as labelled, in canonical_form's order."""
-    bits = 0
-    for j in range(g.n):
-        for i in range(j):
-            bits = bits << 1 | (g.rows[i] >> j & 1)
-    return bits
+    return entropy_bracket(g, lazy_theta=True)
 
 
 class SurveyRecord:
     """One isomorphism class with its certified bracket.
 
-    graph is the canonical representative.  For composed (disconnected)
-    classes the bracket's witnesses describe the component-by-component
-    labelling the union was built in, not the canonical relabelling; the
-    values are labelling-independent.
+    graph is the canonical representative.  For a disconnected class the
+    union witness lists the components in graph's own labelling, and each
+    part's witness uses the labelling of its component's canonical
+    representative.
     """
 
     __slots__ = ("graph", "bracket", "connected")
@@ -303,48 +283,25 @@ def survey_entropy_values(
     """Bracket every isomorphism class on up to n_max vertices.
 
     Every run recomputes and rechecks every value.  Connected classes are
-    solved directly (in parallel when jobs > 1); disconnected classes are
-    assembled as multisets of connected parts, with brackets added
-    componentwise, so no LP ever runs twice for the same connected graph.
-    connected_only skips the assembly and reports just the connected
-    landscape.
+    solved directly (in parallel when jobs > 1); a disconnected class adds
+    the brackets of its components' classes, so no LP ever runs twice for
+    the same connected graph.  connected_only skips the disconnected
+    classes and reports just the connected landscape.
     """
     if n_max > cap:
         raise CapExceededError(f"survey of {n_max}-vertex graphs exceeds the cap {cap}")
-    connected = list(enumerate_graphs(n_max, connected_only=True, cap=cap))
-    parts = list(zip(connected, _solve_brackets(connected, jobs)))
-    records = [SurveyRecord(g, bracket, connected=True) for g, bracket in parts]
-    chosen: list[int] = []
-
-    def compose() -> None:
-        graphs = [parts[i][0] for i in chosen]
-        union = graphs[0]
-        for extra in graphs[1:]:
-            union = disjoint_union(union, extra)
-        offset = 0
-        comps = []
-        for g in graphs:
-            comps.append(list(range(offset, offset + g.n)))
-            offset += g.n
-        bracket = union_bracket(comps, [parts[i][1] for i in chosen])
-        records.append(SurveyRecord(canonical_form(union).graph(), bracket, connected=False))
-
-    def multisets(start: int, budget: int) -> None:
-        if len(chosen) >= 2:
-            compose()
-        for i in range(start, len(parts)):
-            size = parts[i][0].n
-            if size > budget:
-                continue
-            chosen.append(i)
-            multisets(i, budget - size)
-            chosen.pop()
-
-    if not connected_only:
-        multisets(0, n_max)
-    # Record graphs are canonical representatives, so their own triangle
-    # bits are already the canonical key; no second search needed.
-    records.sort(key=lambda r: (r.graph.n, _triangle_bits(r.graph)))
+    classes = [(g, connected_components(g))
+               for g in enumerate_graphs(n_max, connected_only=connected_only, cap=cap)]
+    connected = [g for g, comps in classes if len(comps) == 1]
+    solved = dict(zip(connected, _solve_brackets(connected, jobs)))
+    records = []
+    for g, comps in classes:
+        if len(comps) == 1:
+            records.append(SurveyRecord(g, solved[g], connected=True))
+            continue
+        parts = [solved[canonical_form(induced_subgraph(g, c)[0]).graph()] for c in comps]
+        bracket = union_bracket([list(bits_of(c)) for c in comps], parts)
+        records.append(SurveyRecord(g, bracket, connected=False))
     return ValueSurvey(n_max, records)
 
 
@@ -518,23 +475,24 @@ def verify_small_theorems(jobs: int = 1) -> SuiteReport:
             counterexamples.append({"graph6": r.graph6(), "value": v})
         if rat(3) < v < rat(4) and v not in (rat("7/2"), rat("11/3")):
             bad_window.append({"graph6": r.graph6(), "value": v})
-    pentagon = canonical_form(Graph.cycle(5))
-    first_family = canonical_form(g_family()[0])
-    half_wits = [canonical_form(r.graph) for r in survey.connected_with_value(rat("5/2"))]
-    third_wits = [canonical_form(r.graph) for r in survey.connected_with_value(rat("11/3"))]
+    # Record graphs are canonical representatives already.
+    pentagon = canonical_form(Graph.cycle(5)).graph()
+    first_family = canonical_form(g_family()[0]).graph()
+    half_wits = survey.connected_with_value(rat("5/2"))
+    third_wits = survey.connected_with_value(rat("11/3"))
     ok = (
         not counterexamples
         and not bad_window
-        and half_wits == [pentagon]
-        and third_wits == [first_family]
+        and [r.graph for r in half_wits] == [pentagon]
+        and [r.graph for r in third_wits] == [first_family]
     )
     details = {
         "classes": len(survey.records),
         "collapsed_values": survey.values_up_to(4),
         "gap_counterexamples": counterexamples,
         "window_violations": bad_window,
-        "connected_5/2_witnesses": [c.graph6() for c in half_wits],
-        "connected_11/3_witnesses": [c.graph6() for c in third_wits],
+        "connected_5/2_witnesses": [r.graph6() for r in half_wits],
+        "connected_11/3_witnesses": [r.graph6() for r in third_wits],
         "unresolved": [
             {"graph6": r.graph6(), "lower": r.bracket.lower, "upper": r.bracket.upper}
             for r in survey.unresolved

@@ -24,7 +24,3 @@ def rat(p, q=1):
 def rat_str(x) -> str:
     """Lowest-terms 'p/q' rendering; integers come out bare ('3', not '3/1')."""
     return str(Rational(x))
-
-
-def parse_rat(text: str):
-    return Rational(Fraction(text.strip()))

@@ -5,14 +5,16 @@ side-shrinking argument that always produces a left subset whose whole
 neighbourhood can be matched, a search for vertex sets S that such matchings
 render removable (the entropy of the graph then splits as |S| plus the
 entropy of a smaller graph), and the certification report for graphs none of
-this machinery can shrink.
+this machinery can shrink.  The search backs the reduce and minimal-check
+commands, not the entropy brackets: bounds_report's bounds already obey the
+split (see enumeration.bracket_with_fallback).
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .bounds import EntropyBracket, max_matching
+from .bounds import max_matching
 from .graphs import (
     BipartiteView,
     CapExceededError,
@@ -300,32 +302,3 @@ def certify_entropy_minimal_candidate(g: Graph, cap: int = DEFAULT_REDUCTION_CAP
             if view.edge_count():
                 witness = find_saturating_subset(view)
     return MinimalityReport(g, reducible, matched, c_of_m, comparison, isolated, witness)
-
-
-def apply_decomposition(g: Graph, d: Decomposition, remainder_bracket: EntropyBracket) -> EntropyBracket:
-    """Shift the remainder's bracket up by |S| to bracket the whole graph.
-
-    Sound in both directions: contracting the independent set c(S) loops
-    every vertex of S (each matched pair gives a length-two round trip) while
-    adding nothing outside d(S), so the upper side is the loop count plus the
-    remainder's upper bound; and any code on the remainder extends by a free
-    symbol per matched pair, so the lower side lifts as well.
-    """
-    if d.host != g:
-        raise GraphError("decomposition was built for a different graph")
-    k = d.size()
-    s_list = sorted(bits_of(d.s))
-    pairs = [list(p) for p in d.matching]
-    lower = (
-        "code-extension",
-        {"s": s_list, "matching": pairs, "inner": remainder_bracket.lower_witness},
-    )
-    upper = (
-        "i-reduction",
-        {
-            "contracted": sorted(bits_of(d.c_s)),
-            "loops": s_list,
-            "inner": remainder_bracket.upper_witness,
-        },
-    )
-    return remainder_bracket.shifted(k, lower, upper)

@@ -161,10 +161,14 @@ def test_survey_ignores_a_tampered_bracket_cache(tmp_path):
 
 def test_survey_cap_flag():
     """Past the default cap the survey exits 2 and names the flag; --cap
-    exists, and a survey within it runs."""
+    exists, and a survey within it runs.  --n below 1 is a usage error too."""
     proc = invoke("survey", "--n", "8")
     assert proc.returncode == 2
     assert "--cap" in proc.stderr
+    for n in ("0", "-2"):
+        proc = invoke("survey", "--n", n)
+        assert proc.returncode == 2, n
+        assert proc.stdout == "", n
     proc = invoke("survey", "--n", "3", "--cap", "2")
     assert proc.returncode == 2
     proc = invoke("survey", "--n", "2", "--cap", "2")

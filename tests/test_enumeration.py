@@ -5,8 +5,6 @@ import pytest
 from graphentropy import enumeration, lp
 from graphentropy.bounds import entropy_bracket
 from graphentropy.enumeration import (
-    KNOWN_CLASS_COUNTS,
-    KNOWN_CONNECTED_COUNTS,
     bracket_with_fallback,
     canonical_form,
     enumerate_graphs,
@@ -18,11 +16,23 @@ from graphentropy.enumeration import (
     verify_small_theorems,
     verify_wheel_lemma,
 )
-from graphentropy.graphs import CapExceededError, Graph, disjoint_union, mask_of, render_graph
+from graphentropy.graphs import (
+    CapExceededError,
+    Graph,
+    bits_of,
+    connected_components,
+    disjoint_union,
+    mask_of,
+    render_graph,
+)
 from graphentropy.rationals import rat
 
 from _oracles import labeled_class_count, perm_class_key, unpruned_isomorphism_classes
 from conftest import c5, g1, random_graph
+
+# Simple-graph isomorphism classes by vertex count, total and connected.
+KNOWN_CLASS_COUNTS = (1, 2, 4, 11, 34, 156, 1044)
+KNOWN_CONNECTED_COUNTS = (1, 1, 2, 6, 21, 112, 853)
 
 
 def test_class_counts():
@@ -143,6 +153,20 @@ def test_survey_forwards_cap(monkeypatch):
     with pytest.raises(CapExceededError):
         survey_entropy_values(8)
     assert len(seen) == 2
+
+
+def test_survey_union_witnesses_use_record_labelling():
+    """A disconnected record's witnesses list the components of its own
+    graph, and its bracket is the one that graph gets directly."""
+    records = [r for r in survey_entropy_values(6).records if not r.connected]
+    assert len(records) == sum(KNOWN_CLASS_COUNTS[:6]) - sum(KNOWN_CONNECTED_COUNTS[:6])
+    for r in records:
+        comps = [list(bits_of(c)) for c in connected_components(r.graph)]
+        direct = entropy_bracket(r.graph, lazy_theta=True)
+        for witness in (r.bracket.lower_witness, r.bracket.upper_witness):
+            assert witness[0] == "union-additivity", r.graph6()
+            assert witness[1]["components"] == comps, r.graph6()
+        assert (r.bracket.lower, r.bracket.upper) == (direct.lower, direct.upper), r.graph6()
 
 
 def test_survey_pool_matches_serial():

@@ -2,7 +2,7 @@ from itertools import combinations, product
 
 import pytest
 
-from graphentropy.bounds import entropy_bracket
+from graphentropy.bounds import bounds_report, entropy_bracket
 from graphentropy.enumeration import isomorphism_classes
 from graphentropy.graphs import (
     Graph,
@@ -10,11 +10,11 @@ from graphentropy.graphs import (
     bipartite_induced,
     bits_of,
     mask_of,
+    render_graph,
 )
 from graphentropy.structure import (
     Decomposition,
     SaturatingWitness,
-    apply_decomposition,
     bipartite_max_matching,
     certify_entropy_minimal_candidate,
     find_reducible_set,
@@ -142,31 +142,6 @@ def test_minimality_disqualifier_when_c_of_m_large():
     assert not report.candidate
 
 
-def test_apply_decomposition_examples():
-    k2 = Graph.complete(2)
-    d = find_reducible_set(k2)
-    b = apply_decomposition(k2, d, entropy_bracket(d.remainder))
-    assert (b.lower, b.upper) == (1, 1)
-
-    pendant = Graph.undirected(6, list(c5().edges()) + [(0, 5)])
-    d = find_reducible_set(pendant)
-    b = apply_decomposition(pendant, d, entropy_bracket(d.remainder))
-    assert (b.lower, b.upper) == (3, 3)
-    assert b.lower_witness[0] == "code-extension"
-    assert b.upper_witness[0] == "i-reduction"
-
-    star = Graph.undirected(4, [(0, 1), (0, 2), (0, 3)])
-    d = find_reducible_set(star)
-    b = apply_decomposition(star, d, entropy_bracket(d.remainder))
-    assert (b.lower, b.upper) == (1, 1)
-
-
-def test_apply_decomposition_rejects_foreign_host():
-    d = find_reducible_set(Graph.complete(2))
-    with pytest.raises(GraphError):
-        apply_decomposition(Graph.complete(3), d, entropy_bracket(Graph.empty(0)))
-
-
 def test_decomposition_identity_all_n6():
     for n in range(1, 7):
         for g in isomorphism_classes(n):
@@ -178,6 +153,30 @@ def test_decomposition_identity_all_n6():
             k = bin(d.s).count("1")
             if whole.exact and part.exact:
                 assert whole.lower == k + part.lower
+
+
+def test_reducible_set_never_tightens_the_bracket():
+    """For a reducible set S with remainder R, the lazy bracket of G already
+    lies inside |S| + bracket(R) on both sides, which is why the survey
+    needs no decomposition fallback.  Up to six vertices the eager theta
+    and tau obey the same inequality."""
+    checked = 0
+    for n in range(1, 8):
+        for g in isomorphism_classes(n):
+            d = find_reducible_set(g)
+            if d is None:
+                continue
+            checked += 1
+            k = d.size()
+            whole = entropy_bracket(g, lazy_theta=True)
+            part = entropy_bracket(d.remainder, lazy_theta=True)
+            assert whole.lower >= k + part.lower, render_graph(g, "graph6")
+            assert whole.upper <= k + part.upper, render_graph(g, "graph6")
+            if n <= 6:
+                eager, rest = bounds_report(g), bounds_report(d.remainder)
+                assert eager.theta <= k + rest.theta, render_graph(g, "graph6")
+                assert eager.tau <= k + rest.tau, render_graph(g, "graph6")
+    assert checked == 717
 
 
 def test_reducible_set_matching_is_valid(rng):
