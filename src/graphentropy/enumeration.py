@@ -79,14 +79,24 @@ class CanonicalForm:
         return f"CanonicalForm(n={self.n}, bits={self.bits:b})"
 
 
-def _refined_colors(g: Graph) -> list[int]:
-    """Stable vertex colouring: degree, refined by the sorted colours of the neighbours."""
-    colors = [g.rows[v].bit_count() for v in range(g.n)]
+def _refined_colors(rows: tuple[int, ...] | list[int]) -> list[int]:
+    """Stable vertex colouring of a simple graph given by its adjacency rows:
+    degree, refined by the sorted colours of the neighbours.
+
+    Each round relabels by the sorted (colour, neighbour colours) signatures,
+    so a vertex of larger degree always keeps the larger colour.
+    """
+    nbrs = []
+    for r in rows:
+        out = []
+        while r:
+            low = r & -r
+            out.append(low.bit_length() - 1)
+            r ^= low
+        nbrs.append(out)
+    colors = [len(out) for out in nbrs]
     while True:
-        sigs = [
-            (colors[v], tuple(sorted(colors[u] for u in bits_of(g.rows[v]))))
-            for v in range(g.n)
-        ]
+        sigs = [(c, tuple(sorted([colors[u] for u in out]))) for c, out in zip(colors, nbrs)]
         relabel = {s: i for i, s in enumerate(sorted(set(sigs)))}
         new = [relabel[s] for s in sigs]
         if new == colors:
@@ -105,10 +115,14 @@ def canonical_form(g: Graph) -> CanonicalForm:
     """
     if not g.is_simple():
         raise GraphError("canonical forms are defined for loopless undirected graphs")
-    n = g.n
+    return _canonical_search(g.rows, _refined_colors(g.rows))
+
+
+def _canonical_search(rows: tuple[int, ...] | list[int], colors: list[int]) -> CanonicalForm:
+    """canonical_form of the simple graph with these rows, given its refined colours."""
+    n = len(rows)
     if n == 0:
         return CanonicalForm(0, 0)
-    colors = _refined_colors(g)
     slot_color = sorted(colors)
     by_color: dict[int, list[int]] = {}
     for v, c in enumerate(colors):
@@ -116,7 +130,6 @@ def canonical_form(g: Graph) -> CanonicalForm:
     total_bits = n * (n - 1) // 2
     best: int | None = None
     placed = [0] * n
-    rows = g.rows
 
     def extend(depth: int, prefix: int, width: int, used: int) -> None:
         nonlocal best
@@ -155,8 +168,19 @@ def isomorphism_classes(n: int) -> tuple[Graph, ...]:
     automorphism group give isomorphic graphs, so only the least set of
     each orbit, read off the group's strong generators, is tried (McKay,
     Isomorph-free exhaustive generation, 1998).
+
+    Canonical deletion, after the same paper: a candidate reaches the
+    canonical search only if its new vertex has maximum degree (checked on
+    the attachment mask and the base degrees, before anything is built) and
+    lies in the top class of the refined colouring, whose colours then seed
+    the search.  No class is lost.  Refined colours are
+    isomorphism-invariant and refine the degree order, so every class G has
+    a vertex v in its top colour class; G - v is isomorphic to a stored
+    class on n - 1 vertices, and orbit pruning maps N(v) to an attachment
+    set that is tried, whose new vertex plays v's part and so is again in
+    the top class.
     Results are sorted by canonical bits and returned as the canonical
-    representatives themselves, so the pruning changes no output.
+    representatives themselves, so neither pruning changes the output.
     """
     return _classes_cached(n)
 
@@ -168,14 +192,23 @@ def _classes_cached(n: int) -> tuple[Graph, ...]:
     if n == 0:
         return (Graph.empty(0),)
     seen: dict[tuple[int, int], CanonicalForm] = {}
+    new_bit = 1 << (n - 1)
     for base in _classes_cached(n - 1):
-        rep = orbit_representatives(automorphisms(base), range(1 << (n - 1)))
-        for attach in range(1 << (n - 1)):
+        base_rows = base.rows
+        base_deg = [r.bit_count() for r in base_rows]
+        rep = orbit_representatives(automorphisms(base), range(new_bit))
+        for attach in range(new_bit):
             if rep[attach] != attach:
                 continue
-            rows = [r | (attach >> v & 1) << (n - 1) for v, r in enumerate(base.rows)]
+            degree = attach.bit_count()
+            if any(d + (attach >> v & 1) > degree for v, d in enumerate(base_deg)):
+                continue
+            rows = [r | new_bit if attach >> v & 1 else r for v, r in enumerate(base_rows)]
             rows.append(attach)
-            form = canonical_form(Graph(n, rows, directed=False))
+            colors = _refined_colors(rows)
+            if colors[n - 1] != max(colors):
+                continue
+            form = _canonical_search(rows, colors)
             seen.setdefault(form.key(), form)
     return tuple(seen[k].graph() for k in sorted(seen))
 

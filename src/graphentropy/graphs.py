@@ -40,6 +40,18 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
+def _transpose(rows: tuple[int, ...]) -> tuple[int, ...]:
+    """Column masks of a bitmask adjacency matrix: bit u of result[v] is bit v of rows[u]."""
+    cols = [0] * len(rows)
+    for u, r in enumerate(rows):
+        bit = 1 << u
+        while r:
+            low = r & -r
+            cols[low.bit_length() - 1] |= bit
+            r ^= low
+    return tuple(cols)
+
+
 class Graph:
     """Immutable (di)graph: rows[u] is the bitmask of v with an arc u->v.
 
@@ -62,15 +74,18 @@ class Graph:
         for u, r in enumerate(rows):
             if r & ~full:
                 raise GraphError(f"row {u} references vertices outside 0..{n - 1}")
+        cols = None
         if not directed:
+            cols = _transpose(rows)
             for u, r in enumerate(rows):
-                for v in bits_of(r & ~(1 << u)):
-                    if not rows[v] >> u & 1:
-                        raise GraphError(f"undirected graph has one-way arc {u}->{v}")
+                one_way = r & ~cols[u]
+                if one_way:
+                    v = (one_way & -one_way).bit_length() - 1
+                    raise GraphError(f"undirected graph has one-way arc {u}->{v}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "directed", directed)
-        object.__setattr__(self, "_cols", None)
+        object.__setattr__(self, "_cols", cols)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -125,11 +140,7 @@ class Graph:
         """cols[v] = bitmask of in-neighbours of v."""
         cached = self._cols
         if cached is None:
-            cols = [0] * self.n
-            for u, r in enumerate(self.rows):
-                for v in bits_of(r):
-                    cols[v] |= 1 << u
-            cached = tuple(cols)
+            cached = _transpose(self.rows)
             object.__setattr__(self, "_cols", cached)
         return cached
 

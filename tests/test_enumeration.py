@@ -27,19 +27,27 @@ from graphentropy.graphs import (
 )
 from graphentropy.rationals import rat
 
-from _oracles import labeled_class_count, perm_class_key, unpruned_isomorphism_classes
+from _oracles import (
+    labeled_class_count,
+    perm_class_key,
+    previous_canonical_form,
+    previous_isomorphism_classes,
+    unpruned_isomorphism_classes,
+)
 from conftest import c5, g1, random_graph
 
 # Simple-graph isomorphism classes by vertex count, total and connected.
-KNOWN_CLASS_COUNTS = (1, 2, 4, 11, 34, 156, 1044)
-KNOWN_CONNECTED_COUNTS = (1, 1, 2, 6, 21, 112, 853)
+KNOWN_CLASS_COUNTS = (1, 2, 4, 11, 34, 156, 1044, 12346)
+KNOWN_CONNECTED_COUNTS = (1, 1, 2, 6, 21, 112, 853, 11117)
 
 
 def test_class_counts():
-    for n, expected in enumerate(KNOWN_CLASS_COUNTS, start=1):
-        assert len(isomorphism_classes(n)) == expected
-    assert KNOWN_CLASS_COUNTS == (1, 2, 4, 11, 34, 156, 1044)
-    assert KNOWN_CONNECTED_COUNTS == (1, 1, 2, 6, 21, 112, 853)
+    for n, (total, connected) in enumerate(zip(KNOWN_CLASS_COUNTS, KNOWN_CONNECTED_COUNTS), start=1):
+        classes = isomorphism_classes(n)
+        assert len(classes) == total, n
+        assert sum(len(connected_components(g)) == 1 for g in classes) == connected, n
+    assert KNOWN_CLASS_COUNTS == (1, 2, 4, 11, 34, 156, 1044, 12346)
+    assert KNOWN_CONNECTED_COUNTS == (1, 1, 2, 6, 21, 112, 853, 11117)
 
 
 def test_class_counts_against_permutation_oracle():
@@ -50,6 +58,45 @@ def test_class_counts_against_permutation_oracle():
 def test_classes_match_unpruned_augmentation():
     for n in range(8):
         assert isomorphism_classes(n) == unpruned_isomorphism_classes(n), n
+
+
+def test_classes_match_previous_enumerator():
+    for n in range(8):
+        assert isomorphism_classes(n) == previous_isomorphism_classes(n), n
+
+
+def test_canonical_bits_match_previous_search():
+    """Every augmentation of every class up to 7 vertices, orbit-pruned or
+    not, and seeded random graphs on 8 to 10 vertices."""
+    for n in range(1, 8):
+        for base in isomorphism_classes(n - 1):
+            for attach in range(1 << (n - 1)):
+                rows = [r | (attach >> v & 1) << (n - 1) for v, r in enumerate(base.rows)]
+                g = Graph(n, rows + [attach], directed=False)
+                assert canonical_form(g).bits == previous_canonical_form(g).bits
+    rng = random.Random(14)
+    for n in (8, 9, 10):
+        for p in (0.2, 0.5, 0.8):
+            for _ in range(10):
+                g = random_graph(rng, n, p)
+                assert canonical_form(g).bits == previous_canonical_form(g).bits
+
+
+def test_canonical_searches_per_class(monkeypatch):
+    """Maximum degree and top colour leave about one canonical search per
+    class: at most 1,300 for the 1,252 classes on 1 to 7 vertices, where
+    orbit pruning alone ran 5,759."""
+    searches = []
+    real_search = enumeration._canonical_search
+
+    def counting_search(*args):
+        searches.append(1)
+        return real_search(*args)
+
+    monkeypatch.setattr(enumeration, "_canonical_search", counting_search)
+    enumeration._classes_cached.cache_clear()
+    assert sum(len(isomorphism_classes(n)) for n in range(1, 8)) == 1252
+    assert len(searches) <= 1300, len(searches)
 
 
 def test_connected_filter():

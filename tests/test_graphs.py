@@ -35,6 +35,24 @@ def test_constructors():
     assert not Graph.from_arcs(2, [(0, 1)]).is_simple()
 
 
+def test_one_way_arc_message_names_first_arc():
+    """The first one-way arc is named: least tail, then least head."""
+    # Arcs 1->3 and 2->0 have no reverse; 0-1 is an edge and 0 has a loop.
+    with pytest.raises(GraphError, match=r"one-way arc 1->3$"):
+        Graph(4, [0b0011, 0b1001, 0b0001, 0b0000], directed=False)
+    # Two one-way arcs out of vertex 1.
+    with pytest.raises(GraphError, match=r"one-way arc 1->2$"):
+        Graph(4, [0b0010, 0b1101, 0b0000, 0b0000], directed=False)
+
+
+def test_cols_are_the_transposed_rows(rng):
+    for _ in range(50):
+        n = rng.randint(0, 8)
+        for g in (random_graph(rng, n), random_digraph(rng, n, loop_p=0.3)):
+            assert g.cols == tuple(
+                mask_of(u for u in range(n) if g.rows[u] >> v & 1) for v in range(n))
+
+
 def test_parse_edge_list_is_pentagon():
     assert parse_graph("5; 1-2,2-3,3-4,4-5,5-1") == Graph.cycle(5)
 

@@ -1,4 +1,4 @@
-from itertools import combinations, product
+from itertools import product
 
 import pytest
 
@@ -13,7 +13,6 @@ from graphentropy.graphs import (
     render_graph,
 )
 from graphentropy.structure import (
-    Decomposition,
     SaturatingWitness,
     bipartite_max_matching,
     certify_entropy_minimal_candidate,
