@@ -38,6 +38,7 @@ from .lp import (
 from .rationals import Rational
 
 _MATCHING_COMPONENT_CAP = 24
+DEFAULT_SHANNON_CAP = 10
 
 
 class MatchingResult:
@@ -459,7 +460,7 @@ class ShannonResult:
         self.h = h
 
 
-def shannon_entropy(g: Graph, cap: int = 10) -> ShannonResult:
+def shannon_entropy(g: Graph, cap: int = DEFAULT_SHANNON_CAP) -> ShannonResult:
     """Solve the subset-entropy LP exactly.
 
     Works on the closure-collapsed formulation (variables only for closed
@@ -652,7 +653,8 @@ class BoundsReport:
         self.theta = theta
 
 
-def bounds_report(g: Graph, shannon_cap: int = 10, lazy_theta: bool = False) -> BoundsReport:
+def bounds_report(g: Graph, shannon_cap: int = DEFAULT_SHANNON_CAP,
+                  lazy_theta: bool = False) -> BoundsReport:
     """Best certified bracket for the entropy of g, with every bound behind it.
 
     Pipeline: strip looped vertices (each contributes exactly 1), split into
@@ -727,12 +729,13 @@ def _component_report(g: Graph, shannon_cap: int, lazy_theta: bool) -> BoundsRep
     return BoundsReport(bracket, matching.size, cc, kappa_f, tau, theta)
 
 
-def entropy_bracket(g: Graph, shannon_cap: int = 10, lazy_theta: bool = False) -> EntropyBracket:
+def entropy_bracket(g: Graph, shannon_cap: int = DEFAULT_SHANNON_CAP,
+                    lazy_theta: bool = False) -> EntropyBracket:
     """Best certified bracket for the entropy of g; see bounds_report."""
     return bounds_report(g, shannon_cap, lazy_theta).bracket
 
 
-def shannon_theta(g: Graph, cap: int = 10) -> Rational:
+def shannon_theta(g: Graph, cap: int = DEFAULT_SHANNON_CAP) -> Rational:
     """Value of the subset-entropy LP for g, computed loop-stripped and
     componentwise (both reductions are exact for this LP, not just bounds)."""
     return bounds_report(g, shannon_cap=cap).theta

@@ -16,12 +16,12 @@ import sys
 import time
 
 from . import __version__
-from .bounds import bounds_report, build_fractional_cover_lp, build_shannon_lp
+from .bounds import DEFAULT_SHANNON_CAP, bounds_report, build_fractional_cover_lp, build_shannon_lp
 from .graphs import CapExceededError, FormatError, GraphError, bits_of, parse_graph, render_graph
-from .guessing import max_guessing
+from .guessing import DEFAULT_WORD_CAP, max_guessing
 from .lp import LinearProgram
 from .rationals import Rational, rat_str
-from .structure import certify_entropy_minimal_candidate, find_reducible_set
+from .structure import DEFAULT_REDUCTION_CAP, certify_entropy_minimal_candidate, find_reducible_set
 from .enumeration import (
     DEFAULT_ENUM_CAP,
     survey_entropy_values,
@@ -101,7 +101,10 @@ def _bracket_dict(bracket) -> dict:
 
 def _cmd_bounds(args) -> tuple[dict, int]:
     g = _load_graph(args.graph, args.format)
-    report = bounds_report(g, shannon_cap=args.shannon_cap, lazy_theta=args.lazy)
+    try:
+        report = bounds_report(g, shannon_cap=args.shannon_cap, lazy_theta=args.lazy)
+    except CapExceededError as exc:
+        raise UsageFault(f"{exc}; raise --shannon-cap if you mean it") from exc
     bracket = report.bracket
     result = {
         "graph": _echo_graph(g)["text"],
@@ -214,7 +217,7 @@ def _lp_terms(pairs, names) -> str:
         if c == 0:
             continue
         mag = c if c > 0 else -c
-        coeff = "" if mag == 1 else f"{rat_str(mag)} "
+        coeff = "" if mag == 1 else f"{mag} "
         term = f"{coeff}{names(j)}"
         if not parts:
             parts.append(term if c > 0 else f"- {term}")
@@ -230,11 +233,7 @@ def _lp_text(lp: LinearProgram, names, header: list[str]) -> str:
     lines.append(f" obj: {_lp_terms(objective, names)}")
     lines.append("Subject To")
     for i, (coeffs, rel, rhs) in enumerate(lp.rows):
-        lines.append(f" r{i}: {_lp_terms(coeffs, names)} {rel} {rat_str(rhs)}")
-    if lp.free_vars:
-        lines.append("Bounds")
-        for j in sorted(lp.free_vars):
-            lines.append(f" {names(j)} free")
+        lines.append(f" r{i}: {_lp_terms(coeffs, names)} {rel} {rhs}")
     lines.append("End")
     return "\n".join(lines) + "\n"
 
@@ -287,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("bounds", help="entropy bracket with all bound values")
     _add_graph_arg(p)
-    p.add_argument("--shannon-cap", type=int, default=10,
+    p.add_argument("--shannon-cap", type=int, default=DEFAULT_SHANNON_CAP,
                    help="largest component size the subset-entropy LP will take")
     p.add_argument("--lazy", action="store_true",
                    help="skip the LP when the transversal already collapses the bracket")
@@ -296,17 +295,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("guess", help="exact guessing number over q symbols")
     _add_graph_arg(p)
     p.add_argument("--q", type=int, required=True, help="alphabet size (>= 2)")
-    p.add_argument("--cap", type=int, default=4096, help="largest q**n word space")
+    p.add_argument("--cap", type=int, default=DEFAULT_WORD_CAP, help="largest q**n word space")
     p.set_defaults(run=_cmd_guess)
 
     p = subs.add_parser("reduce", help="find a vertex set S with an S-saturating matching")
     _add_graph_arg(p)
-    p.add_argument("--cap", type=int, default=16, help="largest vertex count to search")
+    p.add_argument("--cap", type=int, default=DEFAULT_REDUCTION_CAP,
+                   help="largest vertex count to search")
     p.set_defaults(run=_cmd_reduce)
 
     p = subs.add_parser("minimal-check", help="necessary conditions for entropy minimality")
     _add_graph_arg(p)
-    p.add_argument("--cap", type=int, default=16, help="largest vertex count to check")
+    p.add_argument("--cap", type=int, default=DEFAULT_REDUCTION_CAP,
+                   help="largest vertex count to check")
     p.set_defaults(run=_cmd_minimal_check)
 
     p = subs.add_parser("survey", help="entropy landscape over all small graphs")
@@ -325,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("lp-dump", help="print an LP exactly as the solver sees it")
     _add_graph_arg(p)
     p.add_argument("--which", required=True, choices=["shannon", "fractional-cover"])
-    p.add_argument("--shannon-cap", type=int, default=10)
+    p.add_argument("--shannon-cap", type=int, default=DEFAULT_SHANNON_CAP)
     p.set_defaults(run=_cmd_lp_dump)
     return parser
 

@@ -321,8 +321,6 @@ def survey_entropy_values(
     the same connected graph.  connected_only skips the disconnected
     classes and reports just the connected landscape.
     """
-    if n_max > cap:
-        raise CapExceededError(f"survey of {n_max}-vertex graphs exceeds the cap {cap}")
     classes = [(g, connected_components(g))
                for g in enumerate_graphs(n_max, connected_only=connected_only, cap=cap)]
     connected = [g for g, comps in classes if len(comps) == 1]

@@ -1,4 +1,4 @@
-"""Exact rational linear programming with self-checking certificates.
+"""Exact simplex for integer linear programs, with self-checking certificates.
 
 One exact simplex: revised primal pivots under Bland's rule (the entering
 column and, on ratio ties, the leaving basic column are the lowest-indexed
@@ -20,18 +20,13 @@ variable.  The entropy duals are highly degenerate, and Dantzig's rule spent
 most of its float pivots on zero-length steps there and often stopped at a
 singular or infeasible basis that left the exact simplex long pivoting.
 
-The program stays in Python integers from construction to the certificate
-check, so the rational backend pays no gcd per operation.  Integer
-coefficients and right-hand sides are stored as ints; only non-integers
-become rationals.  Each LP scales every row by the least common denominator
-of its entries once, when it is built (an all-integer row takes scale 1),
-and the standard form and the certificate check both read those rows.
+Every program is an integer program over nonnegative variables: each
+coefficient, right-hand side and objective entry is an int, and rows are
+{index: int} dicts with relation '<=', '=' or '>='.  Every LP the package
+builds is of this kind, so the rational backend pays no gcd per operation.
 Basis systems are solved by fraction-free elimination, and vectors are
-compared over a common denominator.  Only the solutions of basis systems,
-the basic values and the ratio tests use rationals.
-
-Rows may be given densely or as {index: coeff} dicts; relations are '<=',
-'=', '>='.  Variables are nonnegative unless listed in free_vars.
+compared over a common denominator; only the solutions of basis systems,
+the basic values, the ratio tests and the certificates are rationals.
 """
 
 from __future__ import annotations
@@ -59,31 +54,22 @@ class LpError(ValueError):
 
 
 class LinearProgram:
-    """Immutable LP: optimize objective . x subject to rows and sign bounds.
+    """Immutable integer LP: optimize objective . x subject to rows, x >= 0.
 
-    Coefficients and right-hand sides that are integers are stored as ints,
-    any other value as a Rational.  Each row of rows is (coeffs, relation,
-    rhs), coeffs the nonzero (index, coeff) pairs in index order.
+    objective is a tuple of num_vars ints.  Each row of rows is (coeffs,
+    relation, rhs), coeffs the nonzero (index, coeff) pairs in index order
+    and rhs an int.  A row is given as ({index: int}, relation, int); any
+    entry that is not an int raises LpError."""
 
-    The program is scaled to integers once, here.  int_rows[i] is row i times
-    its scale, the least common denominator of its entries, as (coeffs, rhs,
-    scale) with int entries; an all-integer row takes scale 1 and shares its
-    coeffs with rows.  int_objective is (the objective times its least
-    common denominator, as ints; that denominator).  The standard form and
-    the certificate check both read these."""
+    __slots__ = ("num_vars", "sense", "objective", "rows")
 
-    __slots__ = ("num_vars", "sense", "objective", "rows", "free_vars",
-                 "int_rows", "int_objective")
-
-    def __init__(self, num_vars: int, sense: str, objective,
-                 rows: Iterable[tuple] = (), free_vars: Iterable[int] = ()):
+    def __init__(self, num_vars: int, sense: str, objective, rows: Iterable[tuple] = ()):
         if sense not in ("max", "min"):
             raise LpError(f"sense must be 'max' or 'min', got {sense!r}")
         if num_vars < 0:
             raise LpError("num_vars must be nonnegative")
-        obj = _as_dense(objective, num_vars, "objective")
+        obj = _as_dense(objective, num_vars)
         frozen_rows = []
-        int_rows = []
         for k, row in enumerate(rows):
             try:
                 coeffs, rel, rhs = row
@@ -91,28 +77,14 @@ class LinearProgram:
                 raise LpError(f"row {k} must be (coeffs, relation, rhs)") from None
             if rel not in _RELS:
                 raise LpError(f"row {k} has unknown relation {rel!r}")
-            coeffs, scale = _as_sparse(coeffs, num_vars, f"row {k}")
+            coeffs = _as_sparse(coeffs, num_vars, f"row {k}")
             if type(rhs) is not int:
-                rhs = _exact(rhs)
-                scale = lcm(scale, int(rhs.denominator))
+                raise LpError(f"row {k}: right-hand side {rhs!r} is not an int")
             frozen_rows.append((coeffs, rel, rhs))
-            if scale == 1:
-                int_rows.append((coeffs, rhs, 1))
-            else:
-                int_rows.append((tuple((j, _times(c, scale)) for j, c in coeffs),
-                                 _times(rhs, scale), scale))
-        free = frozenset(free_vars)
-        if any(j < 0 or j >= num_vars for j in free):
-            raise LpError("free variable index out of range")
-        cost_scale = _lcd(c for c in obj if type(c) is not int)
-        int_obj = obj if cost_scale == 1 else tuple(_times(c, cost_scale) for c in obj)
         object.__setattr__(self, "num_vars", num_vars)
         object.__setattr__(self, "sense", sense)
         object.__setattr__(self, "objective", obj)
         object.__setattr__(self, "rows", tuple(frozen_rows))
-        object.__setattr__(self, "free_vars", free)
-        object.__setattr__(self, "int_rows", tuple(int_rows))
-        object.__setattr__(self, "int_objective", (int_obj, cost_scale))
 
     def __setattr__(self, name, value):
         raise AttributeError("LinearProgram is immutable")
@@ -135,46 +107,37 @@ class LpSolution:
         return f"LpSolution(optimal, objective={rat_str(self.objective)})"
 
 
-def _exact(v):
-    """v as an int when it is an integer, otherwise as a Rational."""
-    r = Rational(v)
-    return int(r.numerator) if r.denominator == 1 else r
-
-
-def _as_dense(coeffs, num_vars, what):
+def _as_dense(coeffs, num_vars):
+    """The objective, given densely or as {index: int}, as a tuple of ints."""
     if isinstance(coeffs, Mapping):
         dense = [0] * num_vars
         for j, c in coeffs.items():
             if not 0 <= j < num_vars:
-                raise LpError(f"{what}: variable index {j} out of range")
-            dense[j] = c if type(c) is int else _exact(c)
-        return tuple(dense)
-    dense = tuple(c if type(c) is int else _exact(c) for c in coeffs)
-    if len(dense) != num_vars:
-        raise LpError(f"{what}: expected {num_vars} coefficients, got {len(dense)}")
-    return dense
+                raise LpError(f"objective: variable index {j} out of range")
+            dense[j] = c
+    else:
+        dense = list(coeffs)
+        if len(dense) != num_vars:
+            raise LpError(f"objective: expected {num_vars} coefficients, got {len(dense)}")
+    bad = next((c for c in dense if type(c) is not int), None)
+    if bad is not None:
+        raise LpError(f"objective: coefficient {bad!r} is not an int")
+    return tuple(dense)
 
 
 def _as_sparse(coeffs, num_vars, what):
-    """The nonzero (index, coeff) pairs of a row in index order, and the
-    least common denominator of the coefficients that are not ints."""
-    if isinstance(coeffs, Mapping):
-        items = sorted(coeffs.items())
-        for j, _ in items:
-            if not 0 <= j < num_vars:
-                raise LpError(f"{what}: variable index {j} out of range")
-    else:
-        items = enumerate(_as_dense(coeffs, num_vars, what))
+    """The nonzero (index, coeff) pairs of an {index: int} row in index order."""
+    if not isinstance(coeffs, Mapping):
+        raise LpError(f"{what}: coefficients must be an {{index: int}} dict")
     out = []
-    scale = 1
-    for j, c in items:
+    for j, c in sorted(coeffs.items()):
+        if not 0 <= j < num_vars:
+            raise LpError(f"{what}: variable index {j} out of range")
         if type(c) is not int:
-            c = _exact(c)
-            if type(c) is not int:
-                scale = lcm(scale, int(c.denominator))
+            raise LpError(f"{what}: coefficient {c!r} is not an int")
         if c:
             out.append((j, c))
-    return tuple(out), scale
+    return tuple(out)
 
 
 # -- solver -------------------------------------------------------------------
@@ -192,21 +155,15 @@ def solve(lp: LinearProgram) -> LpSolution:
 
 class _Setup:
     """Standard-form view shared by the exact and float paths: flipped rows,
-    internal max-sense costs, mirror columns for free variables, and the
-    slack/artificial column layout.
+    internal max-sense costs and the slack/artificial column layout.
 
-    Rows and costs are held in integers.  Row i of the standard form, identity
-    column included, is stored multiplied by scale[i], the least common
-    denominator of its entries: body[i] is (sparse {col: int} row, relation,
-    int right-hand side), and cols[j] lists the (row, int) entries of column
-    j, identity columns too.  cost holds the structural costs times
-    cost_scale.  Scaling the rows leaves the basic values of every basis
-    unchanged, and its row duals are y_i = scale[i]*w_i/cost_scale for the
-    duals w of the scaled system."""
+    body[i] is row i with a negative right-hand side flipped, as (sparse
+    {col: int} row, relation, int right-hand side), and cols[j] lists the
+    (row, int) entries of column j, the identity columns' +-1 too.  cost
+    holds the structural costs of the max-sense program."""
 
-    __slots__ = ("lp", "maximize", "mirror", "ncols_struct", "cost", "cost_scale",
-                 "body", "scale", "cols", "flip", "slack_col", "slack_sign",
-                 "art_col", "id_col", "art_cols", "ncols")
+    __slots__ = ("lp", "maximize", "cost", "body", "cols", "flip", "slack_col",
+                 "slack_sign", "art_col", "id_col", "art_cols", "ncols")
 
 
 def _lcd(values) -> int:
@@ -223,47 +180,25 @@ def _standardize(lp: LinearProgram) -> _Setup:
     s = _Setup()
     s.lp = lp
     s.maximize = lp.sense == "max"
-    nv = lp.num_vars
-    s.mirror = {}
-    ncols_struct = nv
-    for j in sorted(lp.free_vars):
-        s.mirror[j] = ncols_struct
-        ncols_struct += 1
-    s.ncols_struct = ncols_struct
-
-    obj, s.cost_scale = lp.int_objective
-    obj = list(obj)
-    if not s.maximize:
-        obj = [-c for c in obj]
-    cost = obj + [0] * (ncols_struct - nv)
-    for j, mj in s.mirror.items():
-        cost[mj] = -obj[j]
-    s.cost = cost
+    s.cost = list(lp.objective) if s.maximize else [-c for c in lp.objective]
 
     m = len(lp.rows)
     s.flip = [False] * m
-    s.scale = []
     body = []
-    for i, ((coeffs, rhs, scale), (_, rel, _)) in enumerate(zip(lp.int_rows, lp.rows)):
+    for i, (coeffs, rel, rhs) in enumerate(lp.rows):
         sign = 1
         if rhs < 0:
             sign = -1
             rel = {LE: GE, GE: LE, EQ: EQ}[rel]
             s.flip[i] = True
-        row = {}
-        for j, a in coeffs:
-            row[j] = sign * a
-            if j in s.mirror:
-                row[s.mirror[j]] = -sign * a
-        body.append((row, rel, sign * rhs))
-        s.scale.append(scale)
+        body.append(({j: sign * a for j, a in coeffs}, rel, sign * rhs))
     s.body = body
 
     # Column layout: structural | slack or surplus per inequality | artificials.
     s.slack_col = [-1] * m
     s.slack_sign = [1] * m
     s.art_col = [-1] * m
-    at = ncols_struct
+    at = lp.num_vars
     for i, (_, rel, _) in enumerate(body):
         if rel != EQ:
             s.slack_col[i] = at
@@ -284,9 +219,9 @@ def _standardize(lp: LinearProgram) -> _Setup:
         for j, a in row.items():
             cols[j].append((i, a))
         if s.slack_col[i] >= 0:
-            cols[s.slack_col[i]].append((i, s.slack_sign[i] * s.scale[i]))
+            cols[s.slack_col[i]].append((i, s.slack_sign[i]))
         if s.art_col[i] >= 0:
-            cols[s.art_col[i]].append((i, s.scale[i]))
+            cols[s.art_col[i]].append((i, 1))
     s.cols = cols
     return s
 
@@ -308,15 +243,14 @@ def _simplex(s: _Setup, basis) -> LpSolution:
         if start is None:
             return LpSolution(INFEASIBLE)
         basis, z = start
-    duals = _optimize(s, basis, z, s.cost + [0] * (s.ncols - s.ncols_struct), arts)
+    duals = _optimize(s, basis, z, s.cost + [0] * (s.ncols - s.lp.num_vars), arts)
     if duals is None:
         return LpSolution(UNBOUNDED)
     w, den = duals
     x = [Rational(0)] * s.ncols
     for k, j in enumerate(basis):
         x[j] = z[k]
-    den *= s.cost_scale
-    return _solution(s, x, [Rational(r * wi, den) for r, wi in zip(s.scale, w)])
+    return _solution(s, x, [Rational(wi, den) for wi in w])
 
 
 def _phase1(s: _Setup, arts):
@@ -332,9 +266,9 @@ def _phase1(s: _Setup, arts):
 
 def _optimize(s: _Setup, basis, z, cost, fixed):
     """Primal pivots from a primal feasible basis until it prices out, with
-    basis and z updated in place.  cost is one int per column, over the
-    scaled rows.  Returns the optimal basis's integer duals and their
-    denominator (w, den), or None when the program is unbounded."""
+    basis and z updated in place.  cost is one int per column.  Returns the
+    optimal basis's integer duals and their denominator (w, den), or None
+    when the program is unbounded."""
     while True:
         w, _ = _solve_linear([dict(s.cols[j]) for j in basis], [cost[j] for j in basis])
         den = _lcd(w)
@@ -349,8 +283,7 @@ def _optimize(s: _Setup, basis, z, cost, fixed):
 def _basic_values(s: _Setup, basis):
     """Exact basic values z with B z = b, and the basis they belong to: each
     dependent column is swapped for the identity column of the row it leaves
-    without a pivot, which makes B nonsingular.  Solved on the scaled rows,
-    which have the same basic values."""
+    without a pivot, which makes B nonsingular."""
     basis = list(basis)
     rhs = [rhs for _, _, rhs in s.body]
     z, dependent = _solve_linear(_basis_rows(s, basis), rhs)
@@ -362,7 +295,7 @@ def _basic_values(s: _Setup, basis):
 
 
 def _basis_rows(s: _Setup, basis):
-    """Rows of the scaled basis matrix, as {position in basis: int}."""
+    """Rows of the basis matrix, as {position in basis: int}."""
     rows = [{} for _ in s.body]
     for k, j in enumerate(basis):
         for i, a in s.cols[j]:
@@ -372,10 +305,10 @@ def _basis_rows(s: _Setup, basis):
 
 def _prices_out(s: _Setup, cost, w, den: int):
     """Bland's entering column: the lowest-indexed structural or slack column
-    with a positive reduced cost against the scaled rows' duals w/den, w
-    integers; None when the basis prices out.  Basic columns price to
-    exactly zero, and artificials are never priced."""
-    red = [c * den for c in cost[:s.ncols_struct]]
+    with a positive reduced cost against the duals w/den, w integers; None
+    when the basis prices out.  Basic columns price to exactly zero, and
+    artificials are never priced."""
+    red = [c * den for c in cost[:s.lp.num_vars]]
     for (row, _, _), wi in zip(s.body, w):
         if wi:
             for j, a in row.items():
@@ -383,8 +316,8 @@ def _prices_out(s: _Setup, cost, w, den: int):
     j = next((j for j, r in enumerate(red) if r > 0), None)
     if j is not None:
         return j
-    # A slack column is slack_sign times a positive multiple of a unit column
-    # at zero cost; slack columns follow the structural ones in row order.
+    # A slack column is slack_sign times a unit column at zero cost; slack
+    # columns follow the structural ones in row order.
     return next((s.slack_col[i] for i, wi in enumerate(w)
                  if s.slack_col[i] >= 0 and s.slack_sign[i] * wi < 0), None)
 
@@ -425,7 +358,7 @@ def _exchange(s: _Setup, basis, z, j: int, fixed) -> bool:
 def _solution(s: _Setup, x, y) -> LpSolution:
     """Optimal outcome from standard-form values x and row duals y."""
     lp = s.lp
-    primal = [x[j] - x[s.mirror[j]] if j in s.mirror else x[j] for j in range(lp.num_vars)]
+    primal = x[:lp.num_vars]
     sign = 1 if s.maximize else -1
     dual = [-sign * yi if flip else sign * yi for yi, flip in zip(y, s.flip)]
     value = sum((lp.objective[j] * primal[j] for j in range(lp.num_vars)), Rational(0))
@@ -458,13 +391,12 @@ def _float_basis(s: _Setup):
     tol = 1e-9
     T = np.zeros((m, ncols + 1))
     for i, (row, _, rhs) in enumerate(s.body):
-        scale = s.scale[i]
-        T[i, list(row)] = [a / scale for a in row.values()]
+        T[i, list(row)] = list(row.values())
         if s.slack_col[i] >= 0:
             T[i, s.slack_col[i]] = float(s.slack_sign[i])
         if s.art_col[i] >= 0:
             T[i, s.art_col[i]] = 1.0
-        T[i, ncols] = rhs / scale
+        T[i, ncols] = rhs
     bas = list(s.id_col)
     limit = 80 * m + 800
 
@@ -501,7 +433,7 @@ def _float_basis(s: _Setup):
         if cost1[bas] @ T[:, ncols] < -1e-7:
             return None
     cost2 = np.zeros(ncols)
-    cost2[:s.ncols_struct] = [c / s.cost_scale for c in s.cost]
+    cost2[:s.lp.num_vars] = s.cost
     if not run(cost2, art_idx):
         return None
     return bas
@@ -575,9 +507,8 @@ def verify_certificates(lp: LinearProgram, sol: LpSolution) -> tuple[bool, str]:
     """First-principles optimality check: primal feasibility, dual sign and
     stationarity conditions, and exact equality of the two objectives.
 
-    Evaluated in integers: x times the least common denominator dx of its
-    entries, each row and its right-hand side times their own least common
-    denominator r_i, and y_i/r_i times a common denominator dy."""
+    Evaluated in integers on the program's own int rows: x times the least
+    common denominator dx of its entries, and y times its own, dy."""
     if sol.status != OPTIMAL:
         return False, f"no certificates for status {sol.status}"
     x, y = sol.primal, sol.dual
@@ -586,10 +517,9 @@ def verify_certificates(lp: LinearProgram, sol: LpSolution) -> tuple[bool, str]:
     dx = _lcd(x)
     xs = [_times(v, dx) for v in x]
     for j in range(lp.num_vars):
-        if j not in lp.free_vars and xs[j] < 0:
+        if xs[j] < 0:
             return False, f"primal variable {j} negative"
-    rows = lp.int_rows
-    for i, ((coeffs, rhs, _), (_, rel, _)) in enumerate(zip(rows, lp.rows)):
+    for i, (coeffs, rel, rhs) in enumerate(lp.rows):
         lhs = sum(a * xs[j] for j, a in coeffs)
         rhs *= dx
         if rel == LE and lhs > rhs:
@@ -599,31 +529,28 @@ def verify_certificates(lp: LinearProgram, sol: LpSolution) -> tuple[bool, str]:
         if rel == EQ and lhs != rhs:
             return False, f"row {i} violated"
     maximize = lp.sense == "max"
-    dy = lcm(*(int(v.denominator) * scale for v, (_, _, scale) in zip(y, rows)))
-    ys = [_times(v, dy // scale) for v, (_, _, scale) in zip(y, rows)]
+    dy = _lcd(y)
+    ys = [_times(v, dy) for v in y]
     for i, (_, rel, _) in enumerate(lp.rows):
         if rel == LE and (ys[i] < 0 if maximize else ys[i] > 0):
             return False, f"dual sign wrong on row {i}"
         if rel == GE and (ys[i] > 0 if maximize else ys[i] < 0):
             return False, f"dual sign wrong on row {i}"
-    # d / dy is the dual's combination of the rows; the objective is c / dc.
+    # d / dy is the dual's combination of the rows.
     d = [0] * lp.num_vars
-    for (coeffs, _, _), yi in zip(rows, ys):
+    for (coeffs, _, _), yi in zip(lp.rows, ys):
         if yi:
             for j, a in coeffs:
                 d[j] += yi * a
-    c, dc = lp.int_objective
+    c = lp.objective
     for j in range(lp.num_vars):
-        dj, cj = d[j] * dc, c[j] * dy
-        if j in lp.free_vars:
-            if dj != cj:
-                return False, f"dual stationarity fails on free variable {j}"
-        elif maximize and dj < cj:
+        dj, cj = d[j], c[j] * dy
+        if maximize and dj < cj:
             return False, f"dual stationarity fails on variable {j}"
-        elif not maximize and dj > cj:
+        if not maximize and dj > cj:
             return False, f"dual stationarity fails on variable {j}"
-    primal_obj = Rational(sum(cj * xj for cj, xj in zip(c, xs)), dc * dx)
-    dual_obj = Rational(sum(yi * rhs for yi, (_, rhs, _) in zip(ys, rows)), dy)
+    primal_obj = Rational(sum(cj * xj for cj, xj in zip(c, xs)), dx)
+    dual_obj = Rational(sum(yi * rhs for yi, (_, _, rhs) in zip(ys, lp.rows)), dy)
     if primal_obj != dual_obj:
         return False, "duality gap is nonzero"
     if sol.objective != primal_obj:

@@ -96,7 +96,7 @@ def find_saturating_subset(b: BipartiteView) -> SaturatingWitness:
     """Find a nonempty left subset A' with a matching saturating N(A').
 
     Requires |left| >= |right| >= 1 and at least one edge; under those
-    hypotheses a witness always exists.  The search mirrors the inductive
+    hypotheses a witness always exists.  The search follows the inductive
     argument: a left vertex without edges is a degenerate witness; a maximum
     matching covering the whole right side turns its left endpoints into a
     witness; otherwise the alternating-reachability split of the matching

@@ -181,7 +181,6 @@ def lp_vertex_solve(lp):
     Returns ("optimal", value), ("infeasible", None) or ("unbounded", None).
     Only handles LPs without free variables; sizes stay tiny.
     """
-    assert not lp.free_vars
     n = lp.num_vars
     planes = [(dict(coeffs), rhs) for coeffs, rel, rhs in lp.rows]
     planes += [({j: Fraction(1)}, Fraction(0)) for j in range(n)]
@@ -683,8 +682,9 @@ def cycles_avoiding(g, banned: set[int]) -> set[frozenset[int]]:
 
 # The package's exact basis solve and certificate check as they were before
 # they moved to integers, kept verbatim under new names, so the integer
-# versions can be held to exactly their answers.  The one edit: a row's value
-# is summed inline, where it called LinearProgram.row_value.
+# versions can be held to exactly their answers.  The edits: a row's value is
+# summed inline, where it called LinearProgram.row_value, and the checks for
+# free variables, which programs no longer have, are gone.
 def rational_solve_linear(rows, rhs):
     """Solve a square exact system by Gaussian elimination.
 
@@ -736,7 +736,7 @@ def rational_verify_certificates(lp: LinearProgram, sol: LpSolution) -> tuple[bo
     if x is None or y is None or len(x) != lp.num_vars or len(y) != len(lp.rows):
         return False, "certificate vectors missing or mis-sized"
     for j in range(lp.num_vars):
-        if j not in lp.free_vars and x[j] < 0:
+        if x[j] < 0:
             return False, f"primal variable {j} negative"
     for i, (coeffs, rel, rhs) in enumerate(lp.rows):
         lhs = sum((c * x[j] for j, c in coeffs), Rational(0))
@@ -760,10 +760,7 @@ def rational_verify_certificates(lp: LinearProgram, sol: LpSolution) -> tuple[bo
                 d[j] += yi * c
     for j in range(lp.num_vars):
         cj = lp.objective[j]
-        if j in lp.free_vars:
-            if d[j] != cj:
-                return False, f"dual stationarity fails on free variable {j}"
-        elif maximize and d[j] < cj:
+        if maximize and d[j] < cj:
             return False, f"dual stationarity fails on variable {j}"
         elif not maximize and d[j] > cj:
             return False, f"dual stationarity fails on variable {j}"
@@ -776,35 +773,13 @@ def rational_verify_certificates(lp: LinearProgram, sol: LpSolution) -> tuple[bo
     return True, "ok"
 
 
-# The per-row integer scaling as it was when it ran on every standard form
-# and every certificate check, kept verbatim under new names, so the rows
-# scaled once at construction can be held to exactly its answer.
-def previous_integer_rows(lp: LinearProgram):
-    """Each row of lp as integers: (coeffs, rhs, scale) with coeffs a list of
-    (col, scale*c) and rhs scale*rhs, scale the least common denominator of
-    the row's entries."""
-    out = []
-    for coeffs, _, rhs in lp.rows:
-        scale = lcm(_previous_lcd(c for _, c in coeffs), int(rhs.denominator))
-        out.append(([(j, _previous_times(c, scale)) for j, c in coeffs], _previous_times(rhs, scale), scale))
-    return out
-
-
-def _previous_lcd(values) -> int:
-    """Least common denominator of rationals (1 for none)."""
-    return lcm(*(int(v.denominator) for v in values))
-
-
-def _previous_times(v, scale: int) -> int:
-    """The rational v times scale, a multiple of its denominator, as an int."""
-    return int(v.numerator) * (scale // int(v.denominator))
-
-
 # The float basis proposal and the closure-collapsed entropy LP as they were
 # before the float pivot shed its per-pivot errstate and np.outer temporary
 # and the collapse moved to one variable table, kept verbatim under new
 # names, so the new versions can be held to exactly their results.  The
-# edits: numpy is imported inside the proposal, and the collapse returns
+# edits: numpy is imported inside the proposal, it reads the row and cost
+# scales and the structural column count by the values they always took on
+# an integer program (1, 1, num_vars), and the collapse returns
 # None where shannon_entropy returned a zero result, otherwise the program
 # and the index of h(V) where shannon_entropy went on to solve it.
 def previous_float_basis(s):
@@ -831,7 +806,7 @@ def previous_float_basis(s):
     tol = 1e-9
     T = np.zeros((m, ncols + 1))
     for i, (row, _, rhs) in enumerate(s.body):
-        scale = s.scale[i]
+        scale = 1
         T[i, list(row)] = [a / scale for a in row.values()]
         if s.slack_col[i] >= 0:
             T[i, s.slack_col[i]] = float(s.slack_sign[i])
@@ -874,7 +849,7 @@ def previous_float_basis(s):
         if cost1[bas] @ T[:, ncols] < -1e-7:
             return None
     cost2 = np.zeros(ncols)
-    cost2[:s.ncols_struct] = [c / s.cost_scale for c in s.cost]
+    cost2[:s.lp.num_vars] = [c / 1 for c in s.cost]
     if not run(cost2, art_idx):
         return None
     return bas

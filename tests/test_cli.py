@@ -239,6 +239,71 @@ def test_cap_violation(tmp_path):
     assert "cap" in proc.stderr
 
 
+# The 11-vertex path: one vertex past the default subset-entropy cap, with a
+# transversal that already meets the lower bound.
+P11 = "11; " + ",".join(f"{v}-{v + 1}" for v in range(1, 11))
+
+
+def test_bounds_past_shannon_cap_names_its_flag():
+    proc = invoke("bounds", "--graph", "-", stdin=P11)
+    assert proc.returncode == 2
+    assert "--shannon-cap" in proc.stderr
+
+
+def test_lazy_bounds_skip_the_capped_lp():
+    proc = invoke("bounds", "--graph", "-", "--lazy", stdin=P11)
+    assert proc.returncode == 0
+    result = json.loads(proc.stdout)["result"]
+    assert result["theta"] is None
+    assert result["bracket"] == {"lower": "5", "upper": "5", "exact": True}
+
+
+def test_lp_dump_past_shannon_cap():
+    proc = invoke("lp-dump", "--graph", "-", "--which", "shannon", stdin=P11)
+    assert proc.returncode == 2
+    assert "--shannon-cap" in proc.stderr
+
+
+# Run in a child with the package and the benchmark's tracer on the path: the
+# tracer wraps every one of its targets, then one CLI bounds op on C5.
+TRACED_BOUNDS = """
+import importlib, json, sys
+import tracer
+spans, graph, out = sys.argv[1:]
+t = tracer.Tracer(spans)
+tracer.install(t)
+wrapped = []
+for name, module_name, attr in tracer.TARGETS:
+    obj = importlib.import_module(module_name)
+    for part in attr.split("."):
+        obj = getattr(obj, part)
+    wrapped.append(hasattr(obj, "__wrapped__"))
+from graphentropy import cli
+t.start_op("bounds")
+status = cli.main(["bounds", "--graph", graph])
+with open(out, "w") as fh:
+    json.dump({"status": status, "wrapped": wrapped, "layers": t.finish_op()}, fh)
+"""
+
+
+def test_benchmark_tracer_targets_resolve(tmp_path, c5_file):
+    """A rename or removal of a name the benchmark's tracer wraps or reads
+    fails here rather than in a traced benchmark run."""
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    out = tmp_path / "traced.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_BOUNDS, str(tmp_path / "spans.jsonl"), c5_file, str(out)],
+        capture_output=True, text=True, timeout=120,
+        env={**child_env(), "PYTHONPATH": os.pathsep.join([SRC, str(perfbench)])},
+    )
+    assert proc.returncode == 0, proc.stderr
+    traced = json.loads(out.read_text())
+    assert traced["status"] == 0
+    assert traced["wrapped"] and all(traced["wrapped"]), traced["wrapped"]
+    assert traced["layers"]["lp.solve.calls"] >= 1
+    assert traced["layers"]["lp.solve.rows"] > 0
+
+
 def test_version_flag():
     proc = invoke("--version")
     assert proc.returncode == 0

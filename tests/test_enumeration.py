@@ -185,13 +185,14 @@ def test_survey_connected_only():
 
 def test_survey_forwards_cap(monkeypatch):
     """The survey's cap reaches the enumeration, so a raised cap is not
-    refused by enumeration's default.  No 8-vertex class is enumerated."""
+    refused by enumeration's default, and a survey past its cap is refused by
+    the enumeration's check.  No 8-vertex class is enumerated."""
     seen = []
     real = enumeration.enumerate_graphs
 
     def spy(n_max, connected_only=False, cap=enumeration.DEFAULT_ENUM_CAP):
         seen.append((n_max, cap))
-        return real(n_max, connected_only, cap) if n_max <= 4 else iter(())
+        return real(n_max, connected_only, cap) if n_max <= 4 or n_max > cap else iter(())
 
     monkeypatch.setattr(enumeration, "enumerate_graphs", spy)
     assert len(survey_entropy_values(3, cap=3).records) == 1 + 2 + 4
@@ -199,7 +200,7 @@ def test_survey_forwards_cap(monkeypatch):
     assert seen == [(3, 3), (8, 8)]
     with pytest.raises(CapExceededError):
         survey_entropy_values(8)
-    assert len(seen) == 2
+    assert seen[2:] == [(8, enumeration.DEFAULT_ENUM_CAP)]
 
 
 def test_survey_union_witnesses_use_record_labelling():
