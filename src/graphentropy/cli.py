@@ -104,6 +104,8 @@ def _cmd_bounds(args) -> tuple[dict, int]:
     try:
         report = bounds_report(g, shannon_cap=args.shannon_cap, lazy_theta=args.lazy)
     except CapExceededError as exc:
+        if "subset-entropy" not in str(exc):
+            raise  # the matching cap is fixed: no flag raises it
         raise UsageFault(f"{exc}; raise --shannon-cap if you mean it") from exc
     bracket = report.bracket
     result = {
@@ -126,7 +128,10 @@ def _cmd_bounds(args) -> tuple[dict, int]:
 
 def _cmd_guess(args) -> tuple[dict, int]:
     g = _load_graph(args.graph, args.format)
-    value, code = max_guessing(g, args.q, cap=args.cap)
+    try:
+        value, code = max_guessing(g, args.q, cap=args.cap)
+    except CapExceededError as exc:
+        raise UsageFault(f"{exc}; raise --cap if you mean it") from exc
     result = {
         "q": value.q,
         "code_size": value.code_size,
@@ -140,7 +145,10 @@ def _cmd_guess(args) -> tuple[dict, int]:
 
 def _cmd_reduce(args) -> tuple[dict, int]:
     g = _load_graph(args.graph, args.format)
-    d = find_reducible_set(g, cap=args.cap)
+    try:
+        d = find_reducible_set(g, cap=args.cap)
+    except CapExceededError as exc:
+        raise UsageFault(f"{exc}; raise --cap if you mean it") from exc
     if d is None:
         result = {"reducible": False, "S": None, "matching": None, "remainder_graph6": None}
         _note("no reducible set")
@@ -157,7 +165,12 @@ def _cmd_reduce(args) -> tuple[dict, int]:
 
 def _cmd_minimal_check(args) -> tuple[dict, int]:
     g = _load_graph(args.graph, args.format)
-    report = certify_entropy_minimal_candidate(g, cap=args.cap)
+    try:
+        report = certify_entropy_minimal_candidate(g, cap=args.cap)
+    except CapExceededError as exc:
+        if g.n <= args.cap:
+            raise  # the matching cap is fixed: no flag raises it
+        raise UsageFault(f"{exc}; raise --cap if you mean it") from exc
     _note("candidate" if report.candidate else "not a candidate")
     return {"input": _echo_graph(g), "result": _jsonify(report.as_dict())}, 0
 
@@ -165,9 +178,14 @@ def _cmd_minimal_check(args) -> tuple[dict, int]:
 def _cmd_survey(args) -> tuple[dict, int]:
     if args.n < 1:
         raise UsageFault(f"--n must be at least 1, got {args.n}")
-    survey = survey_entropy_values(
-        args.n, jobs=args.jobs, cap=args.cap, connected_only=args.connected
-    )
+    try:
+        survey = survey_entropy_values(
+            args.n, jobs=args.jobs, cap=args.cap, connected_only=args.connected
+        )
+    except CapExceededError as exc:
+        if args.n <= args.cap:
+            raise  # a cap past the enumeration's has no flag here
+        raise UsageFault(f"{exc}; raise --cap if you mean it") from exc
     records = [
         {
             "graph6": r.graph6(),
@@ -339,9 +357,6 @@ def main(argv=None) -> int:
         payload, status = args.run(args)
     except UsageFault as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CapExceededError as exc:
-        print(f"error: {exc}; raise the relevant --cap flag to proceed", file=sys.stderr)
         return 2
     except (FormatError, GraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)

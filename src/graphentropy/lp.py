@@ -27,6 +27,11 @@ builds is of this kind, so the rational backend pays no gcd per operation.
 Basis systems are solved by fraction-free elimination, and vectors are
 compared over a common denominator; only the solutions of basis systems,
 the basic values, the ratio tests and the certificates are rationals.
+
+Both simplexes read one standard form (_Setup): the right-hand sides and a
+column table, the structural columns followed by the slack, surplus and
+artificial ones.  Basis matrices, pricing and the float tableau are built
+from those columns; only verify_certificates reads the program's rows.
 """
 
 from __future__ import annotations
@@ -154,16 +159,18 @@ def solve(lp: LinearProgram) -> LpSolution:
 
 
 class _Setup:
-    """Standard-form view shared by the exact and float paths: flipped rows,
-    internal max-sense costs and the slack/artificial column layout.
+    """Standard form shared by the exact and float paths, held once, as a
+    column table, with internal max-sense costs.
 
-    body[i] is row i with a negative right-hand side flipped, as (sparse
-    {col: int} row, relation, int right-hand side), and cols[j] lists the
-    (row, int) entries of column j, the identity columns' +-1 too.  cost
-    holds the structural costs of the max-sense program."""
+    A row with a negative right-hand side is flipped (flip[i]), so rhs holds
+    nonnegative ints.  cols[j] lists the (row, int) entries of column j in
+    row order: the structural columns first, then one slack (+1) or surplus
+    (-1) column per inequality, in row order, then one artificial (+1) per
+    row that is not '<=' after the flip; arts lists the artificials.
+    id_col[i] is the slack or artificial column of the slack/artificial
+    basis on row i.  cost holds the structural costs."""
 
-    __slots__ = ("lp", "maximize", "cost", "body", "cols", "flip", "slack_col",
-                 "slack_sign", "art_col", "id_col", "art_cols", "ncols")
+    __slots__ = ("lp", "maximize", "cost", "rhs", "cols", "flip", "id_col", "arts")
 
 
 def _lcd(values) -> int:
@@ -181,48 +188,27 @@ def _standardize(lp: LinearProgram) -> _Setup:
     s.lp = lp
     s.maximize = lp.sense == "max"
     s.cost = list(lp.objective) if s.maximize else [-c for c in lp.objective]
-
-    m = len(lp.rows)
-    s.flip = [False] * m
-    body = []
+    s.cols = cols = [[] for _ in range(lp.num_vars)]
+    s.flip, s.rhs, rels = [], [], []
     for i, (coeffs, rel, rhs) in enumerate(lp.rows):
-        sign = 1
-        if rhs < 0:
-            sign = -1
-            rel = {LE: GE, GE: LE, EQ: EQ}[rel]
-            s.flip[i] = True
-        body.append(({j: sign * a for j, a in coeffs}, rel, sign * rhs))
-    s.body = body
-
-    # Column layout: structural | slack or surplus per inequality | artificials.
-    s.slack_col = [-1] * m
-    s.slack_sign = [1] * m
-    s.art_col = [-1] * m
-    at = lp.num_vars
-    for i, (_, rel, _) in enumerate(body):
+        sign = -1 if rhs < 0 else 1
+        for j, a in coeffs:
+            cols[j].append((i, sign * a))
+        s.flip.append(sign < 0)
+        s.rhs.append(sign * rhs)
+        rels.append({LE: GE, GE: LE, EQ: EQ}[rel] if sign < 0 else rel)
+    s.id_col = [-1] * len(rels)
+    for i, rel in enumerate(rels):
         if rel != EQ:
-            s.slack_col[i] = at
-            s.slack_sign[i] = 1 if rel == LE else -1
-            at += 1
-    arts = []
-    for i, (_, rel, _) in enumerate(body):
+            if rel == LE:
+                s.id_col[i] = len(cols)
+            cols.append([(i, 1 if rel == LE else -1)])
+    s.arts = []
+    for i, rel in enumerate(rels):
         if rel != LE:
-            s.art_col[i] = at
-            arts.append(at)
-            at += 1
-    s.art_cols = arts
-    s.ncols = at
-    s.id_col = [s.slack_col[i] if body[i][1] == LE else s.art_col[i]
-                for i in range(m)]
-    cols = [[] for _ in range(at)]
-    for i, (row, _, _) in enumerate(body):
-        for j, a in row.items():
-            cols[j].append((i, a))
-        if s.slack_col[i] >= 0:
-            cols[s.slack_col[i]].append((i, s.slack_sign[i]))
-        if s.art_col[i] >= 0:
-            cols[s.art_col[i]].append((i, 1))
-    s.cols = cols
+            s.id_col[i] = len(cols)
+            s.arts.append(len(cols))
+            cols.append([(i, 1)])
     return s
 
 
@@ -236,18 +222,18 @@ def _simplex(s: _Setup, basis) -> LpSolution:
     is dropped for phase 1 from the slack/artificial basis.  Artificials
     never re-enter; one still basic, at zero, in phase 2 stays at zero.
     """
-    arts = frozenset(s.art_cols)
+    arts = frozenset(s.arts)
     basis, z = _basic_values(s, basis)
     if any(v < 0 for v in z) or any(z[k] for k, j in enumerate(basis) if j in arts):
         start = _phase1(s, arts)
         if start is None:
             return LpSolution(INFEASIBLE)
         basis, z = start
-    duals = _optimize(s, basis, z, s.cost + [0] * (s.ncols - s.lp.num_vars), arts)
+    duals = _optimize(s, basis, z, s.cost + [0] * (len(s.cols) - s.lp.num_vars), arts)
     if duals is None:
         return LpSolution(UNBOUNDED)
     w, den = duals
-    x = [Rational(0)] * s.ncols
+    x = [Rational(0)] * len(s.cols)
     for k, j in enumerate(basis):
         x[j] = z[k]
     return _solution(s, x, [Rational(wi, den) for wi in w])
@@ -258,7 +244,7 @@ def _phase1(s: _Setup, arts):
     slack/artificial basis at cost -1 per artificial; None when the program
     is infeasible."""
     basis, z = _basic_values(s, s.id_col)
-    _optimize(s, basis, z, [-1 if j in arts else 0 for j in range(s.ncols)], frozenset())
+    _optimize(s, basis, z, [-1 if j in arts else 0 for j in range(len(s.cols))], frozenset())
     if any(z[k] for k, j in enumerate(basis) if j in arts):
         return None
     return basis, z
@@ -285,18 +271,17 @@ def _basic_values(s: _Setup, basis):
     dependent column is swapped for the identity column of the row it leaves
     without a pivot, which makes B nonsingular."""
     basis = list(basis)
-    rhs = [rhs for _, _, rhs in s.body]
-    z, dependent = _solve_linear(_basis_rows(s, basis), rhs)
+    z, dependent = _solve_linear(_basis_rows(s, basis), s.rhs)
     if dependent:
         for k, i in dependent:
             basis[k] = s.id_col[i]
-        z, _ = _solve_linear(_basis_rows(s, basis), rhs)
+        z, _ = _solve_linear(_basis_rows(s, basis), s.rhs)
     return basis, z
 
 
 def _basis_rows(s: _Setup, basis):
     """Rows of the basis matrix, as {position in basis: int}."""
-    rows = [{} for _ in s.body]
+    rows = [{} for _ in s.rhs]
     for k, j in enumerate(basis):
         for i, a in s.cols[j]:
             rows[i][k] = a
@@ -304,22 +289,17 @@ def _basis_rows(s: _Setup, basis):
 
 
 def _prices_out(s: _Setup, cost, w, den: int):
-    """Bland's entering column: the lowest-indexed structural or slack column
-    with a positive reduced cost against the duals w/den, w integers; None
-    when the basis prices out.  Basic columns price to exactly zero, and
-    artificials are never priced."""
-    red = [c * den for c in cost[:s.lp.num_vars]]
-    for (row, _, _), wi in zip(s.body, w):
-        if wi:
-            for j, a in row.items():
-                red[j] -= wi * a
-    j = next((j for j, r in enumerate(red) if r > 0), None)
-    if j is not None:
-        return j
-    # A slack column is slack_sign times a unit column at zero cost; slack
-    # columns follow the structural ones in row order.
-    return next((s.slack_col[i] for i, wi in enumerate(w)
-                 if s.slack_col[i] >= 0 and s.slack_sign[i] * wi < 0), None)
+    """Bland's entering column: the lowest-indexed column before the first
+    artificial with a positive reduced cost against the duals w/den, w
+    integers; None when the basis prices out.  Basic columns price to
+    exactly zero, and artificials are never priced."""
+    for j in range(s.arts[0] if s.arts else len(s.cols)):
+        red = cost[j] * den
+        for i, a in s.cols[j]:
+            red -= w[i] * a
+        if red > 0:
+            return j
+    return None
 
 
 def _exchange(s: _Setup, basis, z, j: int, fixed) -> bool:
@@ -328,7 +308,7 @@ def _exchange(s: _Setup, basis, z, j: int, fixed) -> bool:
     along the edge.  A basic column in fixed (an artificial at zero) blocks,
     at ratio 0, any step with a nonzero entry in its row.  False when
     nothing blocks: the program is unbounded along the edge."""
-    a = [0] * len(s.body)
+    a = [0] * len(s.rhs)
     for i, v in s.cols[j]:
         a[i] = v
     d, _ = _solve_linear(_basis_rows(s, basis), a)
@@ -383,20 +363,16 @@ def _float_basis(s: _Setup):
     duals of up to 8 vertices, and on asymmetric 8-vertex ones it ended at
     singular or infeasible bases that cost the exact simplex minutes of
     pivoting; steepest edge proposes optimal bases there."""
-    if _np is None or not s.body:
+    if _np is None or not s.rhs:
         return None
     np = _np
-    m = len(s.body)
-    ncols = s.ncols
+    m = len(s.rhs)
+    ncols = len(s.cols)
     tol = 1e-9
     T = np.zeros((m, ncols + 1))
-    for i, (row, _, rhs) in enumerate(s.body):
-        T[i, list(row)] = list(row.values())
-        if s.slack_col[i] >= 0:
-            T[i, s.slack_col[i]] = float(s.slack_sign[i])
-        if s.art_col[i] >= 0:
-            T[i, s.art_col[i]] = 1.0
-        T[i, ncols] = rhs
+    i, j, a = zip(*((i, j, a) for j, col in enumerate(s.cols) for i, a in col))
+    T[i, j] = a
+    T[:, ncols] = s.rhs
     bas = list(s.id_col)
     limit = 80 * m + 800
 
@@ -424,8 +400,8 @@ def _float_basis(s: _Setup):
                 bas[prow] = pcol
         return False
 
-    art_idx = np.array(s.art_cols, dtype=int) if s.art_cols else None
-    if s.art_cols:
+    art_idx = np.array(s.arts, dtype=int) if s.arts else None
+    if s.arts:
         cost1 = np.zeros(ncols)
         cost1[art_idx] = -1.0
         if not run(cost1, None):

@@ -19,7 +19,19 @@ import networkx as nx
 from graphentropy.bounds import _shannon_rows, closure_map
 from graphentropy.enumeration import CanonicalForm
 from graphentropy.graphs import Graph, GraphError, automorphisms, bits_of, orbit_representatives
-from graphentropy.lp import EQ, GE, LE, OPTIMAL, LinearProgram, LpSolution
+from graphentropy.lp import (
+    EQ,
+    GE,
+    INFEASIBLE,
+    LE,
+    OPTIMAL,
+    UNBOUNDED,
+    LinearProgram,
+    LpSolution,
+    _lcd,
+    _solve_linear,
+    _times,
+)
 from graphentropy.rationals import Rational
 
 
@@ -773,6 +785,214 @@ def rational_verify_certificates(lp: LinearProgram, sol: LpSolution) -> tuple[bo
     return True, "ok"
 
 
+# The standard form and the exact simplex as they were when the standard form
+# kept a flipped row copy (body) and per-row slack and artificial maps beside
+# its column table, kept verbatim under new names, so the one-table layout
+# and the simplex that reads it can be held to exactly their layout and
+# outcomes.  The edits: the names, and the basis solve, _lcd and _times,
+# which did not change, are the package's own.
+class _PreviousSetup:
+    """Standard-form view shared by the exact and float paths: flipped rows,
+    internal max-sense costs and the slack/artificial column layout.
+
+    body[i] is row i with a negative right-hand side flipped, as (sparse
+    {col: int} row, relation, int right-hand side), and cols[j] lists the
+    (row, int) entries of column j, the identity columns' +-1 too.  cost
+    holds the structural costs of the max-sense program."""
+
+    __slots__ = ("lp", "maximize", "cost", "body", "cols", "flip", "slack_col",
+                 "slack_sign", "art_col", "id_col", "art_cols", "ncols")
+
+
+def previous_standardize(lp: LinearProgram) -> _PreviousSetup:
+    s = _PreviousSetup()
+    s.lp = lp
+    s.maximize = lp.sense == "max"
+    s.cost = list(lp.objective) if s.maximize else [-c for c in lp.objective]
+
+    m = len(lp.rows)
+    s.flip = [False] * m
+    body = []
+    for i, (coeffs, rel, rhs) in enumerate(lp.rows):
+        sign = 1
+        if rhs < 0:
+            sign = -1
+            rel = {LE: GE, GE: LE, EQ: EQ}[rel]
+            s.flip[i] = True
+        body.append(({j: sign * a for j, a in coeffs}, rel, sign * rhs))
+    s.body = body
+
+    # Column layout: structural | slack or surplus per inequality | artificials.
+    s.slack_col = [-1] * m
+    s.slack_sign = [1] * m
+    s.art_col = [-1] * m
+    at = lp.num_vars
+    for i, (_, rel, _) in enumerate(body):
+        if rel != EQ:
+            s.slack_col[i] = at
+            s.slack_sign[i] = 1 if rel == LE else -1
+            at += 1
+    arts = []
+    for i, (_, rel, _) in enumerate(body):
+        if rel != LE:
+            s.art_col[i] = at
+            arts.append(at)
+            at += 1
+    s.art_cols = arts
+    s.ncols = at
+    s.id_col = [s.slack_col[i] if body[i][1] == LE else s.art_col[i]
+                for i in range(m)]
+    cols = [[] for _ in range(at)]
+    for i, (row, _, _) in enumerate(body):
+        for j, a in row.items():
+            cols[j].append((i, a))
+        if s.slack_col[i] >= 0:
+            cols[s.slack_col[i]].append((i, s.slack_sign[i]))
+        if s.art_col[i] >= 0:
+            cols[s.art_col[i]].append((i, 1))
+    s.cols = cols
+    return s
+
+
+def previous_simplex(s: _PreviousSetup, basis) -> LpSolution:
+    """The exact simplex, started from any basis (one column index per row).
+
+    The basis is first factored and priced exactly; a column the others make
+    dependent gives way to the identity column of a row they leave without a
+    pivot.  An optimal basis is returned at once, and a primal feasible one
+    continues with revised primal pivots under Bland's rule.  Any other basis
+    is dropped for phase 1 from the slack/artificial basis.  Artificials
+    never re-enter; one still basic, at zero, in phase 2 stays at zero.
+    """
+    arts = frozenset(s.art_cols)
+    basis, z = _previous_basic_values(s, basis)
+    if any(v < 0 for v in z) or any(z[k] for k, j in enumerate(basis) if j in arts):
+        start = _previous_phase1(s, arts)
+        if start is None:
+            return LpSolution(INFEASIBLE)
+        basis, z = start
+    duals = _previous_optimize(s, basis, z, s.cost + [0] * (s.ncols - s.lp.num_vars), arts)
+    if duals is None:
+        return LpSolution(UNBOUNDED)
+    w, den = duals
+    x = [Rational(0)] * s.ncols
+    for k, j in enumerate(basis):
+        x[j] = z[k]
+    return _previous_solution(s, x, [Rational(wi, den) for wi in w])
+
+
+def _previous_phase1(s: _PreviousSetup, arts):
+    """Basis and basic values with every artificial at zero, reached from the
+    slack/artificial basis at cost -1 per artificial; None when the program
+    is infeasible."""
+    basis, z = _previous_basic_values(s, s.id_col)
+    _previous_optimize(s, basis, z, [-1 if j in arts else 0 for j in range(s.ncols)], frozenset())
+    if any(z[k] for k, j in enumerate(basis) if j in arts):
+        return None
+    return basis, z
+
+
+def _previous_optimize(s: _PreviousSetup, basis, z, cost, fixed):
+    """Primal pivots from a primal feasible basis until it prices out, with
+    basis and z updated in place.  cost is one int per column.  Returns the
+    optimal basis's integer duals and their denominator (w, den), or None
+    when the program is unbounded."""
+    while True:
+        w, _ = _solve_linear([dict(s.cols[j]) for j in basis], [cost[j] for j in basis])
+        den = _lcd(w)
+        w = [_times(v, den) for v in w]
+        j = _previous_prices_out(s, cost, w, den)
+        if j is None:
+            return w, den
+        if not _previous_exchange(s, basis, z, j, fixed):
+            return None
+
+
+def _previous_basic_values(s: _PreviousSetup, basis):
+    """Exact basic values z with B z = b, and the basis they belong to: each
+    dependent column is swapped for the identity column of the row it leaves
+    without a pivot, which makes B nonsingular."""
+    basis = list(basis)
+    rhs = [rhs for _, _, rhs in s.body]
+    z, dependent = _solve_linear(_previous_basis_rows(s, basis), rhs)
+    if dependent:
+        for k, i in dependent:
+            basis[k] = s.id_col[i]
+        z, _ = _solve_linear(_previous_basis_rows(s, basis), rhs)
+    return basis, z
+
+
+def _previous_basis_rows(s: _PreviousSetup, basis):
+    """Rows of the basis matrix, as {position in basis: int}."""
+    rows = [{} for _ in s.body]
+    for k, j in enumerate(basis):
+        for i, a in s.cols[j]:
+            rows[i][k] = a
+    return rows
+
+
+def _previous_prices_out(s: _PreviousSetup, cost, w, den: int):
+    """Bland's entering column: the lowest-indexed structural or slack column
+    with a positive reduced cost against the duals w/den, w integers; None
+    when the basis prices out.  Basic columns price to exactly zero, and
+    artificials are never priced."""
+    red = [c * den for c in cost[:s.lp.num_vars]]
+    for (row, _, _), wi in zip(s.body, w):
+        if wi:
+            for j, a in row.items():
+                red[j] -= wi * a
+    j = next((j for j, r in enumerate(red) if r > 0), None)
+    if j is not None:
+        return j
+    # A slack column is slack_sign times a unit column at zero cost; slack
+    # columns follow the structural ones in row order.
+    return next((s.slack_col[i] for i, wi in enumerate(w)
+                 if s.slack_col[i] >= 0 and s.slack_sign[i] * wi < 0), None)
+
+
+def _previous_exchange(s: _PreviousSetup, basis, z, j: int, fixed) -> bool:
+    """One pivot bringing column j in: solve B d = A_j, pick the leaving
+    column by the ratio test, on ties the lowest-indexed one, and move z
+    along the edge.  A basic column in fixed (an artificial at zero) blocks,
+    at ratio 0, any step with a nonzero entry in its row.  False when
+    nothing blocks: the program is unbounded along the edge."""
+    a = [0] * len(s.body)
+    for i, v in s.cols[j]:
+        a[i] = v
+    d, _ = _solve_linear(_previous_basis_rows(s, basis), a)
+    leave, step = -1, None
+    for k, dk in enumerate(d):
+        if basis[k] in fixed:
+            if not dk:
+                continue
+            ratio = z[k]  # zero
+        elif dk > 0:
+            ratio = z[k] / dk
+        else:
+            continue
+        if step is None or ratio < step or (ratio == step and basis[k] < basis[leave]):
+            leave, step = k, ratio
+    if leave < 0:
+        return False
+    if step:
+        for k, dk in enumerate(d):
+            if dk:
+                z[k] -= step * dk
+    z[leave] = step
+    basis[leave] = j
+    return True
+
+
+def _previous_solution(s: _PreviousSetup, x, y) -> LpSolution:
+    """Optimal outcome from standard-form values x and row duals y."""
+    lp = s.lp
+    primal = x[:lp.num_vars]
+    sign = 1 if s.maximize else -1
+    dual = [-sign * yi if flip else sign * yi for yi, flip in zip(y, s.flip)]
+    value = sum((lp.objective[j] * primal[j] for j in range(lp.num_vars)), Rational(0))
+    return LpSolution(OPTIMAL, value, primal, dual)
+
+
 # The float basis proposal and the closure-collapsed entropy LP as they were
 # before the float pivot shed its per-pivot errstate and np.outer temporary
 # and the collapse moved to one variable table, kept verbatim under new
@@ -781,7 +1001,8 @@ def rational_verify_certificates(lp: LinearProgram, sol: LpSolution) -> tuple[bo
 # scales and the structural column count by the values they always took on
 # an integer program (1, 1, num_vars), and the collapse returns
 # None where shannon_entropy returned a zero result, otherwise the program
-# and the index of h(V) where shannon_entropy went on to solve it.
+# and the index of h(V) where shannon_entropy went on to solve it.  The
+# proposal reads the layout of previous_standardize.
 def previous_float_basis(s):
     """Basis proposed by a floating-point two-phase simplex, or None when
     numpy is missing or the float run fails.  Only a proposal: _simplex

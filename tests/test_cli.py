@@ -264,6 +264,53 @@ def test_lp_dump_past_shannon_cap():
     assert "--shannon-cap" in proc.stderr
 
 
+# The 25-vertex path: one vertex past the matching's fixed component cap.
+P25 = "25; " + ",".join(f"{v}-{v + 1}" for v in range(1, 25))
+
+
+def test_matching_cap_names_no_flag():
+    """No flag raises the 24-vertex matching cap, so its error names none,
+    also where the command's own cap flag was raised past the path."""
+    for args in (("bounds", "--lazy", "--shannon-cap", "30"), ("minimal-check", "--cap", "30")):
+        proc = invoke(*args, "--graph", "-", stdin=P25)
+        assert proc.returncode == 2, args
+        assert "matching" in proc.stderr and "24-vertex cap" in proc.stderr, proc.stderr
+        assert "--shannon-cap" not in proc.stderr and "--cap" not in proc.stderr, proc.stderr
+
+
+# Run in a child that cannot import numpy, so lp.py takes its ImportError
+# branch, then the CLI with the arguments given.
+WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None
+from graphentropy import cli, lp
+assert lp._np is None
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_bounds_without_numpy(tmp_path):
+    """The numpy-free install end to end: bounds on C5, C7 and the 11/3
+    graph exit 0 with the bound values and bracket of a run with numpy."""
+    keys = ("nu", "cc", "kappa_f", "tau", "theta", "bracket")
+    graphs = {"c5.el": "5; 1-2,2-3,3-4,4-5,5-1", "c7.el": "7; 1-2,2-3,3-4,4-5,5-6,6-7,7-1",
+              "g1.el": "7; 1-2,2-3,3-4,4-5,5-1,6-7,6-1,6-2,7-4"}
+    thetas = []
+    for name, text in graphs.items():
+        path = write_graph(tmp_path, name, text)
+        bare = subprocess.run(
+            [sys.executable, "-c", WITHOUT_NUMPY, "bounds", "--graph", path],
+            capture_output=True, text=True, timeout=120, env=child_env(),
+        )
+        assert bare.returncode == 0, bare.stderr
+        normal = invoke("bounds", "--graph", path)
+        assert normal.returncode == 0, normal.stderr
+        got, want = (json.loads(p.stdout)["result"] for p in (bare, normal))
+        assert {k: got[k] for k in keys} == {k: want[k] for k in keys}, name
+        thetas.append(got["theta"])
+    assert thetas == ["5/2", "7/2", "11/3"]
+
+
 # Run in a child with the package and the benchmark's tracer on the path: the
 # tracer wraps every one of its targets, then one CLI bounds op on C5.
 TRACED_BOUNDS = """

@@ -11,6 +11,7 @@ from graphentropy.bounds import (
     build_shannon_lp,
     closure_map,
 )
+from graphentropy.enumeration import isomorphism_classes
 from graphentropy.graphs import Graph, mask_of
 from graphentropy.lp import (
     EQ,
@@ -34,6 +35,8 @@ from graphentropy.rationals import rat
 from _oracles import (
     lp_vertex_solve,
     previous_float_basis,
+    previous_simplex,
+    previous_standardize,
     rational_solve_linear,
     rational_verify_certificates,
 )
@@ -185,27 +188,28 @@ def test_strong_duality_exact(rng):
         assert dual_value == sol.objective
 
 
+# Beale's example, its objective and first row times 4 and second row times
+# 2: from the slack basis, Dantzig's rule with first-row ties cycles on it.
+BEALE = LinearProgram(4, "min", [-3, 80, -2, 24], [
+    ({0: 1, 1: -32, 2: -4, 3: 36}, LE, 0),
+    ({0: 1, 1: -24, 2: -1, 3: 6}, LE, 0),
+    ({2: 1}, LE, 1),
+])
+# A repeated equality row leaves an artificial basic at zero after phase 1.
+REPEATED = LinearProgram(3, "max", [1, 2, 1], [
+    ({0: 1, 1: 1}, EQ, 2),
+    ({0: 2, 1: 2}, EQ, 4),
+    ({1: 1, 2: 1}, LE, 3),
+    ({0: 2}, GE, 1),
+])
+
+
 def test_float_guided_path_agrees_with_pure_exact(rng):
     """The one exact simplex reaches the same status and value from the float
     proposal (warm), from the slack/artificial basis (cold) and from an
     arbitrary, possibly singular, choice of columns."""
-    # Beale's example, its objective and first row times 4 and second row
-    # times 2: from the slack basis, Dantzig's rule with first-row ties cycles
-    # on it.
-    beale = LinearProgram(4, "min", [-3, 80, -2, 24], [
-        ({0: 1, 1: -32, 2: -4, 3: 36}, LE, 0),
-        ({0: 1, 1: -24, 2: -1, 3: 6}, LE, 0),
-        ({2: 1}, LE, 1),
-    ])
-    # A repeated equality row leaves an artificial basic at zero after phase 1.
-    repeated = LinearProgram(3, "max", [1, 2, 1], [
-        ({0: 1, 1: 1}, EQ, 2),
-        ({0: 2, 1: 2}, EQ, 4),
-        ({1: 1, 2: 1}, LE, 3),
-        ({0: 2}, GE, 1),
-    ])
-    known = {beale: rat(-5), repeated: rat(5)}
-    lps = [beale, repeated]
+    known = {BEALE: rat(-5), REPEATED: rat(5)}
+    lps = [BEALE, REPEATED]
     lps += [build_shannon_lp(g) for g in (Graph.cycle(5), Graph.path(5), Graph.complete(5))]
     lps += [_random_lp(rng) for _ in range(250)]
     proposed = 0
@@ -215,7 +219,7 @@ def test_float_guided_path_agrees_with_pure_exact(rng):
         proposed += proposal is not None
         warm = _simplex(s, proposal or s.id_col)
         cold = _simplex(s, s.id_col)
-        anywhere = _simplex(s, [rng.randrange(s.ncols) for _ in s.body])
+        anywhere = _simplex(s, [rng.randrange(len(s.cols)) for _ in s.rhs])
         assert warm.status == cold.status == anywhere.status
         assert warm.objective == cold.objective == anywhere.objective
         if lp in known:
@@ -258,12 +262,13 @@ def _random_int(rng, top: int, zero_p: float = 0.0) -> int:
     return 0 if rng.random() < zero_p else rng.randint(-top, top)
 
 
-def _vertex_at(lp: LinearProgram, s, basis):
-    """Primal and dual of lp at a basis of its standard form s, solved by
+def _vertex_at(lp: LinearProgram, basis):
+    """Primal and dual of lp at a basis of its standard form, solved by
     rational elimination on the unscaled rows, int entries lifted to
     rationals.  A dependent column gives way to the identity column of the
     row it leaves without a pivot, as in the solver; only the column layout
-    is read from s."""
+    is read, from the previous standard form's per-row maps."""
+    s = previous_standardize(lp)
     m = len(lp.rows)
     cols = [{} for _ in range(s.ncols)]
     b = []
@@ -324,7 +329,7 @@ def test_rational_lps_match_vertex_oracle(rng, exact_steps):
         if proposal is not None:
             proposed += 1
             assert not exact_steps, "the float proposal was not optimal"
-            assert (warm.primal, warm.dual) == _vertex_at(lp, s, proposal), lp.rows
+            assert (warm.primal, warm.dual) == _vertex_at(lp, proposal), lp.rows
     assert optimal_seen >= 60 and proposed >= 60, (optimal_seen, proposed)
     assert rels_seen == {LE, GE, EQ}
 
@@ -420,8 +425,39 @@ def test_float_basis_matches_previous(rng):
     duals = [_entropy_dual(g) for g in graphs]
     proposed = []
     for lp in lps + duals:
-        s = _standardize(lp)
-        proposal = _float_basis(s)
-        assert proposal == previous_float_basis(s), lp.rows
+        proposal = _float_basis(_standardize(lp))
+        assert proposal == previous_float_basis(previous_standardize(lp)), lp.rows
         proposed.append(proposal is not None)
     assert sum(proposed) >= 60 and all(proposed[len(lps):]), proposed
+
+
+def _outcome(sol: LpSolution) -> tuple:
+    return sol.status, sol.objective, sol.primal, sol.dual
+
+
+def test_standard_form_matches_previous(rng):
+    """The one column table is the previous standard form read column-wise:
+    the same columns in the same order, flipped right-hand sides, identity
+    columns, artificials and flips.  So the float proposal is the previous
+    one, and the exact simplex returns the previous status, objective,
+    primal and dual from the proposal, from the slack/artificial basis and
+    from a seeded random basis."""
+    lps = [BEALE, REPEATED]
+    lps += [build_shannon_lp(g) for g in (Graph.cycle(5), Graph.path(5), Graph.complete(5))]
+    lps += [_random_lp(rng) for _ in range(1400)] + [_random_wide_lp(rng) for _ in range(1400)]
+    lps += [_entropy_dual(g) for g in (Graph.cycle(5), Graph.cycle(7), g1())]
+    lps += [build_fractional_cover_lp(g)[0] for n in range(1, 7) for g in isomorphism_classes(n)]
+    statuses = set()
+    for lp in lps:
+        s, old = _standardize(lp), previous_standardize(lp)
+        assert len(s.cols) == old.ncols and s.cols == old.cols, lp.rows
+        assert s.rhs == [rhs for _, _, rhs in old.body], lp.rows
+        assert (s.id_col, s.arts, s.flip) == (old.id_col, old.art_cols, old.flip), lp.rows
+        proposal = _float_basis(s)
+        assert proposal == previous_float_basis(old), lp.rows
+        anywhere = [rng.randrange(len(s.cols)) for _ in s.rhs]
+        for basis in (proposal or s.id_col, s.id_col, anywhere):
+            sol = _simplex(s, basis)
+            assert _outcome(sol) == _outcome(previous_simplex(old, basis)), lp.rows
+            statuses.add(sol.status)
+    assert len(lps) >= 3000 and statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
