@@ -473,9 +473,8 @@ def shannon_entropy(g: Graph, cap: int = DEFAULT_SHANNON_CAP) -> ShannonResult:
     """
     n = g.n
     if n > cap:
-        raise CapExceededError(
-            f"subset-entropy LP on {n} vertices exceeds the cap of {cap}; "
-            f"raise it explicitly if you really want 2^{n} subset variables")
+        raise CapExceededError(f"subset-entropy LP on {n} vertices exceeds the cap of {cap}",
+                               flag="--shannon-cap")
     zero = Rational(0)
     if n == 0:
         return ShannonResult(zero, (zero,))
@@ -593,8 +592,11 @@ def validate_entropy_function(g: Graph, h) -> tuple[bool, str]:
 class EntropyBracket:
     """Certified interval [lower, upper] containing the graph entropy.
 
-    exact means the interval is a point.  Each side carries a witness
-    (tag, payload); composite graphs nest the witnesses of their parts.
+    exact means the interval is a point.  Each side carries a witness, a
+    dict whose "tag" names the argument ("matching", "clique-cover",
+    "fractional-clique-cover", "transversal", "shannon-lp", "loop-reduction",
+    "union-additivity") and whose other keys hold its data; the last two
+    nest the witnesses of their parts under "inner".
     """
 
     __slots__ = ("lower", "upper", "exact", "lower_witness", "upper_witness")
@@ -626,10 +628,10 @@ def union_bracket(components: list[list[int]], parts: list[EntropyBracket]) -> E
     return EntropyBracket(
         sum((b.lower for b in parts), Rational(0)),
         sum((b.upper for b in parts), Rational(0)),
-        ("union-additivity", {"components": components,
-                              "inner": [b.lower_witness for b in parts]}),
-        ("union-additivity", {"components": components,
-                              "inner": [b.upper_witness for b in parts]}),
+        {"tag": "union-additivity", "components": components,
+         "inner": [b.lower_witness for b in parts]},
+        {"tag": "union-additivity", "components": components,
+         "inner": [b.upper_witness for b in parts]},
     )
 
 
@@ -677,8 +679,8 @@ def bounds_report(g: Graph, shannon_cap: int = DEFAULT_SHANNON_CAP,
         looped = _vertices(lp_mask)
         bracket = inner.bracket.shifted(
             k,
-            ("loop-reduction", {"loops": looped, "inner": inner.bracket.lower_witness}),
-            ("loop-reduction", {"loops": looped, "inner": inner.bracket.upper_witness}),
+            {"tag": "loop-reduction", "loops": looped, "inner": inner.bracket.lower_witness},
+            {"tag": "loop-reduction", "loops": looped, "inner": inner.bracket.upper_witness},
         )
         cc, cover = clique_cover_number(g)
         return BoundsReport(
@@ -710,21 +712,22 @@ def _component_report(g: Graph, shannon_cap: int, lazy_theta: bool) -> BoundsRep
     lower = n - kappa_f
     assert Rational(matching.size) <= Rational(n - cc) <= lower
     if matching.size == lower:
-        low_wit = ("matching", {"edges": [list(e) for e in matching.edges]})
+        low_wit = {"tag": "matching", "edges": [list(e) for e in matching.edges]}
     elif n - cc == lower:
-        low_wit = ("clique-cover", {"cliques": [_vertices(c) for c in cover]})
+        low_wit = {"tag": "clique-cover", "cliques": [_vertices(c) for c in cover]}
     else:
-        low_wit = ("fractional-clique-cover", {
+        low_wit = {
+            "tag": "fractional-clique-cover",
             "cliques": [_vertices(c) for c in family.cliques],
             "weights": list(family.weights),
             "value": kappa_f,
-        })
-    upper, up_wit = Rational(tau), ("transversal", {"removed": _vertices(removed)})
+        }
+    upper, up_wit = Rational(tau), {"tag": "transversal", "removed": _vertices(removed)}
     theta = None
     if not (lazy_theta and upper == lower):
         theta = shannon_entropy(g, cap=shannon_cap).theta
         if theta < upper:
-            upper, up_wit = theta, ("shannon-lp", {"theta": theta})
+            upper, up_wit = theta, {"tag": "shannon-lp", "theta": theta}
     bracket = EntropyBracket(lower, upper, low_wit, up_wit)
     return BoundsReport(bracket, matching.size, cc, kappa_f, tau, theta)
 

@@ -5,7 +5,8 @@ subcommand except lp-dump, which emits LP text for other tools to ingest.
 Human-facing chatter (summaries, timing) goes to stderr, so stdout is
 byte-identical across repeated runs on the same input.  Exit status: 0 for
 success, 1 when a verification suite fails its assertions, 2 for usage
-errors, unreadable inputs, or cap violations.
+errors, unreadable inputs, or cap violations; main is the one place that
+reports an error and returns 2.
 """
 
 from __future__ import annotations
@@ -51,20 +52,6 @@ def _jsonify(value):
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _jsonify_witness(witness):
-    tag, payload = witness
-    out = {"tag": tag}
-    for key, value in payload.items():
-        if key == "inner":
-            if isinstance(value, list):
-                out[key] = [_jsonify_witness(w) for w in value]
-            else:
-                out[key] = _jsonify_witness(value)
-        else:
-            out[key] = _jsonify(value)
-    return out
-
-
 def _load_graph(source: str, fmt: str):
     if source == "-":
         text = sys.stdin.read()
@@ -77,7 +64,7 @@ def _load_graph(source: str, fmt: str):
                              "pass a readable path or '-' for stdin") from exc
     try:
         return parse_graph(text, fmt)
-    except (FormatError, GraphError) as exc:
+    except FormatError as exc:
         raise UsageFault(f"cannot parse graph input: {exc}; expected graph6, "
                          "'n; u-v,...' edge list, or 'n; u->v,...' arc list") from exc
 
@@ -101,12 +88,7 @@ def _bracket_dict(bracket) -> dict:
 
 def _cmd_bounds(args) -> tuple[dict, int]:
     g = _load_graph(args.graph, args.format)
-    try:
-        report = bounds_report(g, shannon_cap=args.shannon_cap, lazy_theta=args.lazy)
-    except CapExceededError as exc:
-        if "subset-entropy" not in str(exc):
-            raise  # the matching cap is fixed: no flag raises it
-        raise UsageFault(f"{exc}; raise --shannon-cap if you mean it") from exc
+    report = bounds_report(g, shannon_cap=args.shannon_cap, lazy_theta=args.lazy)
     bracket = report.bracket
     result = {
         "graph": _echo_graph(g)["text"],
@@ -116,10 +98,7 @@ def _cmd_bounds(args) -> tuple[dict, int]:
         "tau": report.tau,
         "theta": None if report.theta is None else rat_str(report.theta),
         "bracket": _bracket_dict(bracket),
-        "witnesses": {
-            "lower": _jsonify_witness(bracket.lower_witness),
-            "upper": _jsonify_witness(bracket.upper_witness),
-        },
+        "witnesses": _jsonify({"lower": bracket.lower_witness, "upper": bracket.upper_witness}),
     }
     _note(f"bracket [{bracket.lower}, {bracket.upper}]"
           f"{' exact' if bracket.exact else ''}")
@@ -128,10 +107,7 @@ def _cmd_bounds(args) -> tuple[dict, int]:
 
 def _cmd_guess(args) -> tuple[dict, int]:
     g = _load_graph(args.graph, args.format)
-    try:
-        value, code = max_guessing(g, args.q, cap=args.cap)
-    except CapExceededError as exc:
-        raise UsageFault(f"{exc}; raise --cap if you mean it") from exc
+    value, code = max_guessing(g, args.q, cap=args.cap)
     result = {
         "q": value.q,
         "code_size": value.code_size,
@@ -145,10 +121,7 @@ def _cmd_guess(args) -> tuple[dict, int]:
 
 def _cmd_reduce(args) -> tuple[dict, int]:
     g = _load_graph(args.graph, args.format)
-    try:
-        d = find_reducible_set(g, cap=args.cap)
-    except CapExceededError as exc:
-        raise UsageFault(f"{exc}; raise --cap if you mean it") from exc
+    d = find_reducible_set(g, cap=args.cap)
     if d is None:
         result = {"reducible": False, "S": None, "matching": None, "remainder_graph6": None}
         _note("no reducible set")
@@ -165,12 +138,7 @@ def _cmd_reduce(args) -> tuple[dict, int]:
 
 def _cmd_minimal_check(args) -> tuple[dict, int]:
     g = _load_graph(args.graph, args.format)
-    try:
-        report = certify_entropy_minimal_candidate(g, cap=args.cap)
-    except CapExceededError as exc:
-        if g.n <= args.cap:
-            raise  # the matching cap is fixed: no flag raises it
-        raise UsageFault(f"{exc}; raise --cap if you mean it") from exc
+    report = certify_entropy_minimal_candidate(g, cap=args.cap)
     _note("candidate" if report.candidate else "not a candidate")
     return {"input": _echo_graph(g), "result": _jsonify(report.as_dict())}, 0
 
@@ -178,14 +146,9 @@ def _cmd_minimal_check(args) -> tuple[dict, int]:
 def _cmd_survey(args) -> tuple[dict, int]:
     if args.n < 1:
         raise UsageFault(f"--n must be at least 1, got {args.n}")
-    try:
-        survey = survey_entropy_values(
-            args.n, jobs=args.jobs, cap=args.cap, connected_only=args.connected
-        )
-    except CapExceededError as exc:
-        if args.n <= args.cap:
-            raise  # a cap past the enumeration's has no flag here
-        raise UsageFault(f"{exc}; raise --cap if you mean it") from exc
+    survey = survey_entropy_values(
+        args.n, jobs=args.jobs, cap=args.cap, connected_only=args.connected
+    )
     records = [
         {
             "graph6": r.graph6(),
@@ -261,10 +224,8 @@ def _cmd_lp_dump(args) -> tuple[str, int]:
     key = _echo_graph(g)["text"]
     if args.which == "shannon":
         if g.n > args.shannon_cap:
-            raise UsageFault(
-                f"{g.n} vertices exceed the subset-entropy cap {args.shannon_cap}; "
-                "raise --shannon-cap if you mean it"
-            )
+            raise CapExceededError(f"{g.n} vertices exceed the subset-entropy cap "
+                                   f"{args.shannon_cap}", flag="--shannon-cap")
         lp = build_shannon_lp(g)
         header = [
             f"subset-entropy LP for {key}",
@@ -355,10 +316,11 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         payload, status = args.run(args)
-    except UsageFault as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except CapExceededError as exc:
+        hint = f"; raise {exc.flag} if you mean it" if exc.flag else ""
+        print(f"error: {exc}{hint}", file=sys.stderr)
         return 2
-    except (FormatError, GraphError) as exc:
+    except (UsageFault, GraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - started

@@ -220,7 +220,8 @@ def enumerate_graphs(n_max: int, connected_only: bool = False, cap: int = DEFAUL
     connected classes.
     """
     if n_max > cap:
-        raise CapExceededError(f"enumeration of {n_max}-vertex graphs exceeds the cap {cap}")
+        raise CapExceededError(f"enumeration of {n_max}-vertex graphs exceeds the cap {cap}",
+                               flag="--cap")
     for n in range(1, n_max + 1):
         for g in isomorphism_classes(n):
             if connected_only and len(connected_components(g)) > 1:
@@ -451,8 +452,8 @@ def verify_g_family() -> SuiteReport:
     ok_first = (
         first.exact
         and first.lower == rat("11/3")
-        and first.lower_witness[0] == "fractional-clique-cover"
-        and first.upper_witness[0] == "shannon-lp"
+        and first.lower_witness["tag"] == "fractional-clique-cover"
+        and first.upper_witness["tag"] == "shannon-lp"
         and kappa_f == rat("10/3")
     )
     entry = {
@@ -460,8 +461,8 @@ def verify_g_family() -> SuiteReport:
         "expected": rat("11/3"),
         "lower": first.lower,
         "upper": first.upper,
-        "lower_witness": first.lower_witness[0],
-        "upper_witness": first.upper_witness[0],
+        "lower_witness": first.lower_witness["tag"],
+        "upper_witness": first.upper_witness["tag"],
         "fractional_cover": kappa_f,
         "cross_check": "cover weights total 10/3 = 7 - 11/3; the sometimes-seen "
                        "value 10/13 is inconsistent with those weights",

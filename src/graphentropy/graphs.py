@@ -22,7 +22,15 @@ class FormatError(GraphError):
 
 
 class CapExceededError(GraphError):
-    """Input exceeds a size cap; the message names the relevant knob."""
+    """Input exceeds a size cap; the message says what went over which cap.
+
+    flag is the command-line option that raises the cap, or None for the
+    fixed caps (the 64-vertex graph, the 24-vertex matching component).
+    """
+
+    def __init__(self, message: str, flag: str | None = None):
+        super().__init__(message)
+        self.flag = flag
 
 
 def bits_of(mask: int) -> Iterator[int]:

@@ -88,7 +88,8 @@ def compatibility_graph(g: Graph, q: int, cap: int = DEFAULT_WORD_CAP) -> Compat
         raise GraphError("alphabet needs at least two symbols")
     total = q**g.n
     if total > cap:
-        raise CapExceededError(f"word space {q}**{g.n} = {total} exceeds the cap of {cap}")
+        raise CapExceededError(f"word space {q}**{g.n} = {total} exceeds the cap of {cap}",
+                               flag="--cap")
     words = _all_words(g.n, q)
     bad = [0] * total
     cols = g.cols

@@ -212,7 +212,8 @@ def find_reducible_set(g: Graph, cap: int = DEFAULT_REDUCTION_CAP) -> Decomposit
     if not g.is_simple():
         raise GraphError("reducible-set search needs a loopless undirected graph")
     if g.n > cap:
-        raise CapExceededError(f"vertex count {g.n} exceeds the reduction cap {cap}")
+        raise CapExceededError(f"vertex count {g.n} exceeds the reduction cap {cap}",
+                               flag="--cap")
     for size in range(1, g.n + 1):
         for combo in combinations(range(g.n), size):
             s = mask_of(combo)
@@ -285,7 +286,8 @@ def certify_entropy_minimal_candidate(g: Graph, cap: int = DEFAULT_REDUCTION_CAP
     in any matching and are listed separately.
     """
     if g.n > cap:
-        raise CapExceededError(f"vertex count {g.n} exceeds the reduction cap {cap}")
+        raise CapExceededError(f"vertex count {g.n} exceeds the reduction cap {cap}",
+                               flag="--cap")
     reducible = find_reducible_set(g, cap)
     matching = max_matching(g)
     matched = matching.vertices

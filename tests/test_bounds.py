@@ -279,15 +279,15 @@ def test_bracket_examples():
 
     g = entropy_bracket(g1())
     assert (g.lower, g.upper, g.exact) == (rat("11/3"), rat("11/3"), True)
-    assert g.lower_witness[0] == "fractional-clique-cover"
-    assert g.upper_witness[0] == "shannon-lp"
+    assert g.lower_witness["tag"] == "fractional-clique-cover"
+    assert g.upper_witness["tag"] == "shannon-lp"
 
 
 def test_bracket_loop_reduction():
     looped = Graph.from_arcs(3, [(0, 0), (1, 2), (2, 1)])
     b = entropy_bracket(looped)
     assert (b.lower, b.upper) == (2, 2)
-    assert b.lower_witness[0] == "loop-reduction"
+    assert b.lower_witness["tag"] == "loop-reduction"
 
 
 def test_bound_chain(rng):

@@ -1,3 +1,5 @@
+import argparse
+import ast
 import hashlib
 import json
 import os
@@ -8,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import graphentropy
-from graphentropy import __version__
+from graphentropy import __version__, cli
 
 RUN = [sys.executable, "-m", "graphentropy.cli"]
 # The directory the package was imported from goes first on the child's path,
@@ -58,16 +60,48 @@ def test_bounds_report(c5_file):
     assert result["witnesses"]["upper"]["tag"] == "shannon-lp"
 
 
+# sha256 of the whole bounds stdout, without and with --lazy.  These inputs
+# nest witnesses under "inner" (loop-reduction, union-additivity), which the
+# benchmark's connected loopless graphs never do.
+BOUNDS_DIGESTS = {
+    "3; 1->1,2->3,3->2": (
+        "be24debdc7210f2cf0ce94f3c9272d0fddef6264e1081254f94ae9a513b6b685",
+        "75f4b4af7e61ed9c8e84114492fd259b37341bfc8dfb605ea1ab15506e72b5f8"),
+    "4; 1->1,1->2,2->1,2->2,3->4,4->3": (
+        "f69f0b2ecdfa844e3b7748736eafa49eccdbfe84ca29181b0375c815a0044d47",
+        "2525d09600949be86784c55f484f029d8fb2baf08e06ab45d9df3e9a4f9f254b"),
+    "7; 1-2,2-3,3-4,4-5,5-1,6-7": (
+        "4058087156a22220c6ea46b00090f07abc89b6c9568a628f180cc4e3b24b692a",
+        "cba6fb4a408be1429cb7a835a5f0068dd2bbb312283d0e343cbd6543ec0c7dcd"),
+    "6; 1-2,2-3,3-4,4-5,5-1,6-6": (
+        "86ee7211fed1079ec5f88efd1aedf7cb57fa2d2eab6ddb762c627f4a170bbc63",
+        "86ee7211fed1079ec5f88efd1aedf7cb57fa2d2eab6ddb762c627f4a170bbc63"),
+    "8; 1-2,2-3,3-4,4-5,5-1,6-7,7-8,8-6": (
+        "d69969bf9e619f62818e2313cae71ef43211c02a8b8c161d03fb675ad06425ec",
+        "d2631bb64a02b4c9884da9e74acc5a767e9a42f041decb243fbaa09d2c81bde1"),
+    "0;": (
+        "3e62d42e280b7c38cc2eb32521d0a20fcb8c4e15b58da59c921929d08e86402b",
+        "3e62d42e280b7c38cc2eb32521d0a20fcb8c4e15b58da59c921929d08e86402b"),
+}
+
+
 @pytest.mark.parametrize("text, fields", [
     ("3; 1->1,2->3,3->2", (1, 2, "2", 2, "2")),
     ("4; 1->1,1->2,2->1,2->2,3->4,4->3", (2, 2, "2", 3, "3")),
     ("7; 1-2,2-3,3-4,4-5,5-1,6-7", (3, 4, "7/2", 4, "7/2")),
+    ("6; 1-2,2-3,3-4,4-5,5-1,6-6", (2, 4, "7/2", 4, "7/2")),
+    ("8; 1-2,2-3,3-4,4-5,5-1,6-7,7-8,8-6", (3, 4, "7/2", 5, "9/2")),
+    ("0;", (0, 0, "0", 0, "0")),
 ])
 def test_bounds_looped_and_disconnected(text, fields):
     proc = invoke("bounds", "--graph", "-", stdin=text)
     assert proc.returncode == 0
     result = json.loads(proc.stdout)["result"]
     assert tuple(result[k] for k in ("nu", "cc", "kappa_f", "tau", "theta")) == fields
+    lazy = invoke("bounds", "--graph", "-", "--lazy", stdin=text)
+    assert lazy.returncode == 0
+    digests = tuple(hashlib.sha256(p.stdout.encode()).hexdigest() for p in (proc, lazy))
+    assert digests == BOUNDS_DIGESTS[text]
 
 
 def test_bounds_lazy_theta(tmp_path, c5_file):
@@ -160,17 +194,12 @@ def test_survey_ignores_a_tampered_bracket_cache(tmp_path):
 
 
 def test_survey_cap_flag():
-    """Past the default cap the survey exits 2 and names the flag; --cap
-    exists, and a survey within it runs.  --n below 1 is a usage error too."""
-    proc = invoke("survey", "--n", "8")
-    assert proc.returncode == 2
-    assert "--cap" in proc.stderr
+    """--n below 1 is a usage error, and a survey within --cap runs; the
+    survey's cap errors are cases of test_cap_errors."""
     for n in ("0", "-2"):
         proc = invoke("survey", "--n", n)
         assert proc.returncode == 2, n
         assert proc.stdout == "", n
-    proc = invoke("survey", "--n", "3", "--cap", "2")
-    assert proc.returncode == 2
     proc = invoke("survey", "--n", "2", "--cap", "2")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["classes"] == 1 + 2
@@ -231,23 +260,92 @@ def test_usage_errors():
     assert invoke("bounds", "--graph", "/does/not/exist").returncode == 2
 
 
-def test_cap_violation(tmp_path):
-    path = write_graph(tmp_path, "big.el",
-                       "13; " + ",".join(f"{v}-{v + 1}" for v in range(1, 13)))
-    proc = invoke("guess", "--graph", path, "--q", "2")
-    assert proc.returncode == 2
-    assert "cap" in proc.stderr
+def path_graph(n: int) -> str:
+    return f"{n}; " + ",".join(f"{v}-{v + 1}" for v in range(1, n))
 
 
 # The 11-vertex path: one vertex past the default subset-entropy cap, with a
 # transversal that already meets the lower bound.
-P11 = "11; " + ",".join(f"{v}-{v + 1}" for v in range(1, 11))
+P11 = path_graph(11)
+# The 17-vertex path is one past the reduction cap, the 25-vertex path one
+# past the matching's fixed component cap, the 65-vertex path one past the
+# graph cap.
+P17, P25, P65 = path_graph(17), path_graph(25), path_graph(65)
 
 
-def test_bounds_past_shannon_cap_names_its_flag():
-    proc = invoke("bounds", "--graph", "-", stdin=P11)
+@pytest.mark.parametrize("argv, stdin, flag, says", [
+    pytest.param(("bounds",), P11, "--shannon-cap", "subset-entropy LP on 11 vertices",
+                 id="bounds-shannon"),
+    pytest.param(("lp-dump", "--which", "shannon"), P11, "--shannon-cap",
+                 "subset-entropy cap 10", id="lp-dump-shannon"),
+    pytest.param(("bounds", "--lazy", "--shannon-cap", "30"), P25, None,
+                 "matching on a component with 25 vertices exceeds the 24-vertex cap",
+                 id="bounds-matching"),
+    pytest.param(("minimal-check", "--cap", "30"), P25, None,
+                 "matching on a component with 25 vertices exceeds the 24-vertex cap",
+                 id="minimal-check-matching"),
+    pytest.param(("guess", "--q", "2"), "13;", "--cap", "word space 2**13", id="guess"),
+    pytest.param(("reduce",), P17, "--cap", "reduction cap 16", id="reduce"),
+    pytest.param(("minimal-check",), P17, "--cap", "reduction cap 16", id="minimal-check"),
+    pytest.param(("survey", "--n", "8"), None, "--cap", "cap 7", id="survey"),
+    pytest.param(("survey", "--n", "3", "--cap", "2"), None, "--cap", "cap 2",
+                 id="survey-cap-2"),
+    pytest.param(("bounds",), P65, None, "vertex count 65 exceeds the 64-vertex cap",
+                 id="edge-list-65"),
+    pytest.param(("bounds",), "~?@@", None, "graph6 input has 65 vertices, cap is 64",
+                 id="graph6-65"),
+])
+def test_cap_errors(argv, stdin, flag, says):
+    """A cap hit exits 2 with one error line that says which cap it hit and
+    names the flag that raises that cap, or no flag for the fixed caps."""
+    if stdin is not None:
+        argv += ("--graph", "-")
+    proc = invoke(*argv, stdin=stdin)
     assert proc.returncode == 2
-    assert "--shannon-cap" in proc.stderr
+    assert proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: ") and says in line, line
+    assert "parse" not in line, line
+    named = {f for f in ("--cap", "--shannon-cap") if f in line}
+    assert named == ({flag} if flag else set()), line
+
+
+def cap_raise_flags() -> list:
+    """The flag argument of every CapExceededError(...) call in the package,
+    as an ast node or None where the call passes none."""
+    flags = []
+    for path in sorted(Path(graphentropy.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(node, ast.Call) and getattr(node.func, "id", None)
+                    == "CapExceededError"):
+                continue
+            given = [k.value for k in node.keywords if k.arg == "flag"] + node.args[1:]
+            flags.append(given[0] if given else None)
+    return flags
+
+
+def parser_options() -> set:
+    subs = next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    return {opt for sub in subs.choices.values()
+            for action in sub._actions for opt in action.option_strings}
+
+
+def test_cap_raise_sites_name_real_flags():
+    """Every flag a cap error names is an option of some subcommand, and
+    every cap option of the parser is named by some raise site."""
+    flags = cap_raise_flags()
+    assert flags
+    options = parser_options()
+    named = set()
+    for node in flags:
+        if node is None:
+            continue
+        assert isinstance(node, ast.Constant) and isinstance(node.value, str), ast.dump(node)
+        assert node.value in options, node.value
+        named.add(node.value)
+    cap_options = {opt for opt in options if opt.endswith("-cap")}
+    assert {"--cap", "--shannon-cap"} <= cap_options <= named, (cap_options, named)
 
 
 def test_lazy_bounds_skip_the_capped_lp():
@@ -256,26 +354,6 @@ def test_lazy_bounds_skip_the_capped_lp():
     result = json.loads(proc.stdout)["result"]
     assert result["theta"] is None
     assert result["bracket"] == {"lower": "5", "upper": "5", "exact": True}
-
-
-def test_lp_dump_past_shannon_cap():
-    proc = invoke("lp-dump", "--graph", "-", "--which", "shannon", stdin=P11)
-    assert proc.returncode == 2
-    assert "--shannon-cap" in proc.stderr
-
-
-# The 25-vertex path: one vertex past the matching's fixed component cap.
-P25 = "25; " + ",".join(f"{v}-{v + 1}" for v in range(1, 25))
-
-
-def test_matching_cap_names_no_flag():
-    """No flag raises the 24-vertex matching cap, so its error names none,
-    also where the command's own cap flag was raised past the path."""
-    for args in (("bounds", "--lazy", "--shannon-cap", "30"), ("minimal-check", "--cap", "30")):
-        proc = invoke(*args, "--graph", "-", stdin=P25)
-        assert proc.returncode == 2, args
-        assert "matching" in proc.stderr and "24-vertex cap" in proc.stderr, proc.stderr
-        assert "--shannon-cap" not in proc.stderr and "--cap" not in proc.stderr, proc.stderr
 
 
 # Run in a child that cannot import numpy, so lp.py takes its ImportError

@@ -212,8 +212,8 @@ def test_survey_union_witnesses_use_record_labelling():
         comps = [list(bits_of(c)) for c in connected_components(r.graph)]
         direct = entropy_bracket(r.graph, lazy_theta=True)
         for witness in (r.bracket.lower_witness, r.bracket.upper_witness):
-            assert witness[0] == "union-additivity", r.graph6()
-            assert witness[1]["components"] == comps, r.graph6()
+            assert witness["tag"] == "union-additivity", r.graph6()
+            assert witness["components"] == comps, r.graph6()
         assert (r.bracket.lower, r.bracket.upper) == (direct.lower, direct.upper), r.graph6()
 
 
@@ -223,7 +223,7 @@ def test_survey_pool_matches_serial():
     def rows(survey):
         return [
             (r.graph6(), r.bracket.lower, r.bracket.upper,
-             r.bracket.lower_witness[0], r.bracket.upper_witness[0])
+             r.bracket.lower_witness["tag"], r.bracket.upper_witness["tag"])
             for r in survey.records
         ]
 
