@@ -14,7 +14,6 @@ from .rationals import Rational, rat, rat_str
 from .lp import LinearProgram, LpSolution, solve
 from .bounds import (
     BoundsReport,
-    EntropyBracket,
     bounds_report,
     entropy_bracket,
     fractional_clique_cover_number,
@@ -42,7 +41,6 @@ __all__ = [
     "BoundsReport",
     "CapExceededError",
     "Decomposition",
-    "EntropyBracket",
     "FormatError",
     "Graph",
     "GraphError",

@@ -5,9 +5,9 @@ clique cover, or its fractional relaxation (n minus the fractional clique
 cover number is the strongest of the three).  The upper side removes
 structure: a minimum transversal (vertices meeting every directed cycle) and
 the subset-entropy linear program.  bounds_report strips loops, splits into
-components, computes every bound once, and combines the strongest sides into
-a bracket with machine-checkable witnesses; a collapsed bracket pins the
-entropy exactly.
+components, computes every bound once, and returns one BoundsReport: the
+strongest sides as a bracket with machine-checkable witnesses, plus every
+bound value behind it.  A collapsed bracket pins the entropy exactly.
 """
 
 from __future__ import annotations
@@ -589,19 +589,25 @@ def validate_entropy_function(g: Graph, h) -> tuple[bool, str]:
 # -- bracket assembly ------------------------------------------------------------
 
 
-class EntropyBracket:
-    """Certified interval [lower, upper] containing the graph entropy.
+class BoundsReport:
+    """Certified interval [lower, upper] containing the entropy of one graph,
+    with every bound behind it, each computed once: nu <= n - cc <=
+    n - kappa_f on the lower side, tau and theta on the upper side.
 
     exact means the interval is a point.  Each side carries a witness, a
     dict whose "tag" names the argument ("matching", "clique-cover",
     "fractional-clique-cover", "transversal", "shannon-lp", "loop-reduction",
     "union-additivity") and whose other keys hold its data; the last two
-    nest the witnesses of their parts under "inner".
+    nest the witnesses of their parts under "inner".  theta is None when
+    lazy_theta skipped the subset-entropy LP on some component, since the
+    value of the whole graph is then unknown.
     """
 
-    __slots__ = ("lower", "upper", "exact", "lower_witness", "upper_witness")
+    __slots__ = ("lower", "upper", "exact", "lower_witness", "upper_witness",
+                 "nu", "cc", "kappa_f", "tau", "theta")
 
-    def __init__(self, lower, upper, lower_witness, upper_witness):
+    def __init__(self, lower, upper, lower_witness, upper_witness,
+                 nu: int, cc: int, kappa_f, tau: int, theta):
         self.lower = Rational(lower)
         self.upper = Rational(upper)
         if self.lower > self.upper:
@@ -609,50 +615,40 @@ class EntropyBracket:
         self.exact = self.lower == self.upper
         self.lower_witness = lower_witness
         self.upper_witness = upper_witness
-
-    def shifted(self, k: int, lower_witness, upper_witness) -> "EntropyBracket":
-        return EntropyBracket(self.lower + k, self.upper + k, lower_witness, upper_witness)
+        self.nu = nu
+        self.cc = cc
+        self.kappa_f = kappa_f
+        self.tau = tau
+        self.theta = theta
 
     def __repr__(self):
-        return f"EntropyBracket([{self.lower}, {self.upper}], exact={self.exact})"
+        return f"BoundsReport([{self.lower}, {self.upper}], exact={self.exact})"
 
 
 def _vertices(mask: int) -> list[int]:
     return list(bits_of(mask))
 
 
-def union_bracket(components: list[list[int]], parts: list[EntropyBracket]) -> EntropyBracket:
-    """Bracket of a disjoint union: the parts' brackets add (entropy is
-    additive over components), and each side's witness lists the component
-    vertex lists with the parts' witnesses for that side."""
-    return EntropyBracket(
-        sum((b.lower for b in parts), Rational(0)),
-        sum((b.upper for b in parts), Rational(0)),
+def union_report(components: list[list[int]], parts: list[BoundsReport]) -> BoundsReport:
+    """Report of a disjoint union: every value adds over the parts (entropy
+    is additive over components, and every matching edge, clique and cycle
+    lies inside one), and each side's witness lists the component vertex
+    lists with the parts' witnesses for that side.  theta is None when some
+    part's is."""
+    thetas = [p.theta for p in parts]
+    return BoundsReport(
+        sum((p.lower for p in parts), Rational(0)),
+        sum((p.upper for p in parts), Rational(0)),
         {"tag": "union-additivity", "components": components,
-         "inner": [b.lower_witness for b in parts]},
+         "inner": [p.lower_witness for p in parts]},
         {"tag": "union-additivity", "components": components,
-         "inner": [b.upper_witness for b in parts]},
+         "inner": [p.upper_witness for p in parts]},
+        sum(p.nu for p in parts),
+        sum(p.cc for p in parts),
+        sum((p.kappa_f for p in parts), Rational(0)),
+        sum(p.tau for p in parts),
+        None if None in thetas else sum(thetas, Rational(0)),
     )
-
-
-class BoundsReport:
-    """Every bound of one graph, each computed once: the certified bracket
-    plus the whole-graph values nu <= n - cc <= n - kappa_f (lower side) and
-    tau, theta (upper side).
-
-    theta is None when lazy_theta skipped the subset-entropy LP on some
-    component, since the value of the whole graph is then unknown.
-    """
-
-    __slots__ = ("bracket", "nu", "cc", "kappa_f", "tau", "theta")
-
-    def __init__(self, bracket: EntropyBracket, nu: int, cc: int, kappa_f, tau: int, theta):
-        self.bracket = bracket
-        self.nu = nu
-        self.cc = cc
-        self.kappa_f = kappa_f
-        self.tau = tau
-        self.theta = theta
 
 
 def bounds_report(g: Graph, shannon_cap: int = DEFAULT_SHANNON_CAP,
@@ -660,16 +656,15 @@ def bounds_report(g: Graph, shannon_cap: int = DEFAULT_SHANNON_CAP,
     """Best certified bracket for the entropy of g, with every bound behind it.
 
     Pipeline: strip looped vertices (each contributes exactly 1), split into
-    weakly connected components (entropy adds over disjoint unions), then per
-    component take lower = n - fractional clique cover number (never worse
-    than the matching or integral cover bounds) and upper = min(transversal,
-    LP).  With lazy_theta the LP is skipped whenever the transversal already
-    meets the lower bound.
+    weakly connected components (union_report adds their reports; the empty
+    graph has none), then per component take lower = n - fractional clique
+    cover number (never worse than the matching or integral cover bounds)
+    and upper = min(transversal, LP).  With lazy_theta the LP is skipped
+    whenever the transversal already meets the lower bound.
 
-    All five values add exactly over components: every matching edge, clique
-    and cycle lies inside one.  Across the loop strip tau and theta add the
-    loop count, but nu, cc and kappa_f do not (a looped vertex still sits in
-    a clique), so those three are taken on the looped graph itself.
+    Across the loop strip tau and theta add the loop count, but nu, cc and
+    kappa_f do not (a looped vertex still sits in a clique), so those three
+    are taken on the looped graph itself.
     """
     lp_mask = loops(g)
     if lp_mask:
@@ -677,34 +672,20 @@ def bounds_report(g: Graph, shannon_cap: int = DEFAULT_SHANNON_CAP,
         inner = bounds_report(sub, shannon_cap, lazy_theta)
         k = lp_mask.bit_count()
         looped = _vertices(lp_mask)
-        bracket = inner.bracket.shifted(
-            k,
-            {"tag": "loop-reduction", "loops": looped, "inner": inner.bracket.lower_witness},
-            {"tag": "loop-reduction", "loops": looped, "inner": inner.bracket.upper_witness},
-        )
         cc, cover = clique_cover_number(g)
         return BoundsReport(
-            bracket, max_matching(g).size, cc,
-            _fractional_cover(g, cc, cover)[0], inner.tau + k,
+            inner.lower + k, inner.upper + k,
+            {"tag": "loop-reduction", "loops": looped, "inner": inner.lower_witness},
+            {"tag": "loop-reduction", "loops": looped, "inner": inner.upper_witness},
+            max_matching(g).size, cc, _fractional_cover(g, cc, cover)[0], inner.tau + k,
             None if inner.theta is None else inner.theta + k)
     comps = connected_components(g)
-    if len(comps) <= 1:
-        return _component_report(g, shannon_cap, lazy_theta)
-    parts = [bounds_report(induced_subgraph(g, comp)[0], shannon_cap, lazy_theta)
-             for comp in comps]
-    bracket = union_bracket([_vertices(comp) for comp in comps], [p.bracket for p in parts])
-    thetas = [p.theta for p in parts]
-    return BoundsReport(
-        bracket, sum(p.nu for p in parts), sum(p.cc for p in parts),
-        sum((p.kappa_f for p in parts), Rational(0)), sum(p.tau for p in parts),
-        None if None in thetas else sum(thetas, Rational(0)))
-
-
-def _component_report(g: Graph, shannon_cap: int, lazy_theta: bool) -> BoundsReport:
+    if len(comps) != 1:
+        return union_report(
+            [_vertices(comp) for comp in comps],
+            [bounds_report(induced_subgraph(g, comp)[0], shannon_cap, lazy_theta)
+             for comp in comps])
     n = g.n
-    if n == 0:
-        zero = Rational(0)
-        return BoundsReport(union_bracket([], []), 0, 0, zero, 0, zero)
     matching = max_matching(g)
     cc, cover = clique_cover_number(g)
     kappa_f, family = _fractional_cover(g, cc, cover)
@@ -728,17 +709,16 @@ def _component_report(g: Graph, shannon_cap: int, lazy_theta: bool) -> BoundsRep
         theta = shannon_entropy(g, cap=shannon_cap).theta
         if theta < upper:
             upper, up_wit = theta, {"tag": "shannon-lp", "theta": theta}
-    bracket = EntropyBracket(lower, upper, low_wit, up_wit)
-    return BoundsReport(bracket, matching.size, cc, kappa_f, tau, theta)
+    return BoundsReport(lower, upper, low_wit, up_wit, matching.size, cc, kappa_f, tau, theta)
 
 
-def entropy_bracket(g: Graph, shannon_cap: int = DEFAULT_SHANNON_CAP,
-                    lazy_theta: bool = False) -> EntropyBracket:
-    """Best certified bracket for the entropy of g; see bounds_report."""
-    return bounds_report(g, shannon_cap, lazy_theta).bracket
+def entropy_bracket(g: Graph, lazy_theta: bool = False) -> BoundsReport:
+    """bounds_report of g; the name stays because the benchmark's tracer
+    (perfbench/tracer.py) times this function by name."""
+    return bounds_report(g, lazy_theta=lazy_theta)
 
 
-def shannon_theta(g: Graph, cap: int = DEFAULT_SHANNON_CAP) -> Rational:
+def shannon_theta(g: Graph) -> Rational:
     """Value of the subset-entropy LP for g, computed loop-stripped and
     componentwise (both reductions are exact for this LP, not just bounds)."""
-    return bounds_report(g, shannon_cap=cap).theta
+    return bounds_report(g).theta

@@ -2,11 +2,12 @@
 
 One machine-readable document per invocation on stdout: JSON for every
 subcommand except lp-dump, which emits LP text for other tools to ingest.
-Human-facing chatter (summaries, timing) goes to stderr, so stdout is
-byte-identical across repeated runs on the same input.  Exit status: 0 for
-success, 1 when a verification suite fails its assertions, 2 for usage
-errors, unreadable inputs, or cap violations; main is the one place that
-reports an error and returns 2.
+Timing goes to stderr, so stdout is byte-identical across repeated runs on
+the same input.  Handlers return plain values (rationals, dicts, lists) and
+main serializes them once.  Exit status: 0 for success, 1 when a
+verification suite fails its assertions, 2 for usage errors, unreadable
+inputs, or cap violations; main is the one place that reports an error and
+returns 2.
 """
 
 from __future__ import annotations
@@ -75,33 +76,22 @@ def _echo_graph(g) -> dict:
     return {"n": g.n, "format": "arc-list", "text": render_graph(g, "arc-list")}
 
 
-def _bracket_dict(bracket) -> dict:
-    return {
-        "lower": rat_str(bracket.lower),
-        "upper": rat_str(bracket.upper),
-        "exact": bracket.exact,
-    }
-
-
 # -- subcommands ----------------------------------------------------------------
 
 
 def _cmd_bounds(args) -> tuple[dict, int]:
     g = _load_graph(args.graph, args.format)
     report = bounds_report(g, shannon_cap=args.shannon_cap, lazy_theta=args.lazy)
-    bracket = report.bracket
     result = {
         "graph": _echo_graph(g)["text"],
         "nu": report.nu,
         "cc": report.cc,
-        "kappa_f": rat_str(report.kappa_f),
+        "kappa_f": report.kappa_f,
         "tau": report.tau,
-        "theta": None if report.theta is None else rat_str(report.theta),
-        "bracket": _bracket_dict(bracket),
-        "witnesses": _jsonify({"lower": bracket.lower_witness, "upper": bracket.upper_witness}),
+        "theta": report.theta,
+        "bracket": {"lower": report.lower, "upper": report.upper, "exact": report.exact},
+        "witnesses": {"lower": report.lower_witness, "upper": report.upper_witness},
     }
-    _note(f"bracket [{bracket.lower}, {bracket.upper}]"
-          f"{' exact' if bracket.exact else ''}")
     return {"input": _echo_graph(g), "result": result}, 0
 
 
@@ -115,7 +105,6 @@ def _cmd_guess(args) -> tuple[dict, int]:
         "code": code.word_strings(),
         "optimal": True,
     }
-    _note(f"guessing number {value.log_string()} ~ {value.as_float():.4f}")
     return {"input": _echo_graph(g), "result": result}, 0
 
 
@@ -124,7 +113,6 @@ def _cmd_reduce(args) -> tuple[dict, int]:
     d = find_reducible_set(g, cap=args.cap)
     if d is None:
         result = {"reducible": False, "S": None, "matching": None, "remainder_graph6": None}
-        _note("no reducible set")
     else:
         result = {
             "reducible": True,
@@ -132,15 +120,13 @@ def _cmd_reduce(args) -> tuple[dict, int]:
             "matching": [list(p) for p in d.matching],
             "remainder_graph6": render_graph(d.remainder, "graph6"),
         }
-        _note(f"S = {sorted(bits_of(d.s))}, remainder on {d.remainder.n} vertices")
     return {"input": _echo_graph(g), "result": result}, 0
 
 
 def _cmd_minimal_check(args) -> tuple[dict, int]:
     g = _load_graph(args.graph, args.format)
     report = certify_entropy_minimal_candidate(g, cap=args.cap)
-    _note("candidate" if report.candidate else "not a candidate")
-    return {"input": _echo_graph(g), "result": _jsonify(report.as_dict())}, 0
+    return {"input": _echo_graph(g), "result": report.as_dict()}, 0
 
 
 def _cmd_survey(args) -> tuple[dict, int]:
@@ -154,8 +140,8 @@ def _cmd_survey(args) -> tuple[dict, int]:
             "graph6": r.graph6(),
             "n": r.graph.n,
             "connected": r.connected,
-            "lower": rat_str(r.bracket.lower),
-            "upper": rat_str(r.bracket.upper),
+            "lower": r.bracket.lower,
+            "upper": r.bracket.upper,
             "exact": r.exact,
         }
         for r in survey.records
@@ -164,12 +150,11 @@ def _cmd_survey(args) -> tuple[dict, int]:
         "n_max": survey.n_max,
         "connected_only": args.connected,
         "classes": len(records),
-        "collapsed_values": [rat_str(v) for v in survey.values],
-        "collapsed_values_le_4": [rat_str(v) for v in survey.values_up_to(4)],
+        "collapsed_values": survey.values,
+        "collapsed_values_le_4": survey.values_up_to(4),
         "unresolved": [rec for rec in records if not rec["exact"]],
         "records": records,
     }
-    _note(f"{len(records)} classes, {len(survey.unresolved)} unresolved")
     return {"input": {"n": args.n, "connected": args.connected}, "result": result}, 0
 
 
@@ -180,8 +165,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
         report = verify_g_family()
     else:
         report = verify_small_theorems(jobs=args.jobs)
-    _note(f"suite {args.suite}: {'ok' if report.ok else 'FAILED'}")
-    return {"input": {"suite": args.suite}, "result": _jsonify(report.as_dict())}, (
+    return {"input": {"suite": args.suite}, "result": report.as_dict()}, (
         0 if report.ok else 1
     )
 
@@ -237,11 +221,6 @@ def _cmd_lp_dump(args) -> tuple[str, int]:
     for i, c in enumerate(cliques):
         header.append(f"w_{i} weights clique {sorted(bits_of(c))}")
     return _lp_text(lp, lambda j: f"w_{j}", header), 0
-
-
-def _note(message: str) -> None:
-    if sys.stderr.isatty():
-        print(message, file=sys.stderr)
 
 
 # -- argument parsing -------------------------------------------------------------
@@ -331,7 +310,7 @@ def main(argv=None) -> int:
             "command": args.command,
             "version": __version__,
             "input": payload["input"],
-            "result": payload["result"],
+            "result": _jsonify(payload["result"]),
         }
         json.dump(report, sys.stdout, indent=2)
         sys.stdout.write("\n")

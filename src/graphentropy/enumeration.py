@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 from multiprocessing import Pool
 
-from .bounds import EntropyBracket, bounds_report, entropy_bracket, union_bracket
+from .bounds import BoundsReport, bounds_report, entropy_bracket, union_report
 from .graphs import (
     CapExceededError,
     Graph,
@@ -232,7 +232,7 @@ def enumerate_graphs(n_max: int, connected_only: bool = False, cap: int = DEFAUL
 # -- survey -----------------------------------------------------------------------
 
 
-def bracket_with_fallback(g: Graph) -> EntropyBracket:
+def bracket_with_fallback(g: Graph) -> BoundsReport:
     """The survey's bracket: entropy_bracket(g, lazy_theta=True).
 
     A reducible set S with remainder R could never tighten it.  Lower side:
@@ -251,7 +251,7 @@ def bracket_with_fallback(g: Graph) -> EntropyBracket:
 
 
 class SurveyRecord:
-    """One isomorphism class with its certified bracket.
+    """One isomorphism class with its certified bracket, a BoundsReport.
 
     graph is the canonical representative.  For a disconnected class the
     union witness lists the components in graph's own labelling, and each
@@ -261,7 +261,7 @@ class SurveyRecord:
 
     __slots__ = ("graph", "bracket", "connected")
 
-    def __init__(self, graph: Graph, bracket: EntropyBracket, connected: bool):
+    def __init__(self, graph: Graph, bracket: BoundsReport, connected: bool):
         self.graph = graph
         self.bracket = bracket
         self.connected = connected
@@ -332,12 +332,12 @@ def survey_entropy_values(
             records.append(SurveyRecord(g, solved[g], connected=True))
             continue
         parts = [solved[canonical_form(induced_subgraph(g, c)[0]).graph()] for c in comps]
-        bracket = union_bracket([list(bits_of(c)) for c in comps], parts)
-        records.append(SurveyRecord(g, bracket, connected=False))
+        report = union_report([list(bits_of(c)) for c in comps], parts)
+        records.append(SurveyRecord(g, report, connected=False))
     return ValueSurvey(n_max, records)
 
 
-def _solve_brackets(graphs: list[Graph], jobs: int) -> list[EntropyBracket]:
+def _solve_brackets(graphs: list[Graph], jobs: int) -> list[BoundsReport]:
     if jobs <= 1 or len(graphs) < 2:
         return [bracket_with_fallback(g) for g in graphs]
     with Pool(jobs) as pool:
@@ -447,14 +447,13 @@ def verify_g_family() -> SuiteReport:
     graphs = g_family()
     entries = []
     failures = []
-    report = bounds_report(graphs[0])
-    first, kappa_f = report.bracket, report.kappa_f
+    first = bounds_report(graphs[0])
     ok_first = (
         first.exact
         and first.lower == rat("11/3")
         and first.lower_witness["tag"] == "fractional-clique-cover"
         and first.upper_witness["tag"] == "shannon-lp"
-        and kappa_f == rat("10/3")
+        and first.kappa_f == rat("10/3")
     )
     entry = {
         "graph": "first",
@@ -463,7 +462,7 @@ def verify_g_family() -> SuiteReport:
         "upper": first.upper,
         "lower_witness": first.lower_witness["tag"],
         "upper_witness": first.upper_witness["tag"],
-        "fractional_cover": kappa_f,
+        "fractional_cover": first.kappa_f,
         "cross_check": "cover weights total 10/3 = 7 - 11/3; the sometimes-seen "
                        "value 10/13 is inconsistent with those weights",
         "ok": ok_first,

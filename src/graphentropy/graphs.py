@@ -292,13 +292,6 @@ def induced_subgraph(g: Graph, s: int) -> tuple[Graph, tuple[int, ...]]:
     return Graph(len(verts), rows, g.directed), verts
 
 
-def bipartite_induced(g: Graph, s: int, t: int) -> BipartiteView:
-    """View of the edges of g crossing between disjoint vertex sets s and t."""
-    _check_subset(g, s)
-    _check_subset(g, t)
-    return BipartiteView(g, s, t)
-
-
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     """Place g2 after g1 on a common vertex set with no arcs in between."""
     shift = g1.n
@@ -495,13 +488,6 @@ def parse_graph(text: str, fmt: str = "auto") -> Graph:
 def render_graph(g: Graph, fmt: str) -> str:
     if fmt == "graph6":
         return _render_graph6(g)
-    if fmt == "edge-list":
-        if g.directed:
-            raise FormatError("edge-list renders undirected graphs; use arc-list")
-        body = ",".join(f"{u + 1}-{v + 1}" for u, v in g.edges())
-        for v in bits_of(loops(g)):
-            body = ",".join(filter(None, [body, f"{v + 1}-{v + 1}"]))
-        return f"{g.n}; {body}" if body else f"{g.n};"
     if fmt == "arc-list":
         body = ",".join(f"{u + 1}->{v + 1}" for u, v in g.arcs())
         return f"{g.n}; {body}" if body else f"{g.n};"
@@ -536,11 +522,7 @@ def _parse_pair_list(text: str, directed: bool) -> Graph:
         pairs.append((u - 1, v - 1))
     if directed:
         return Graph.from_arcs(n, pairs)
-    rows = [0] * n
-    for u, v in pairs:
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return Graph(n, rows, directed=False)
+    return Graph.undirected(n, pairs)
 
 
 def _parse_graph6(text: str) -> Graph:

@@ -23,7 +23,6 @@ soon as it holds a clique of that size.
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Iterable, Iterator, Sequence
 
 from .bounds import transversal_number
@@ -223,9 +222,6 @@ class GuessingValue:
 
     def log_string(self) -> str:
         return f"log_{self.q}({self.code_size})"
-
-    def as_float(self) -> float:
-        return math.log(self.code_size, self.q)
 
     def exact_integer(self) -> int | None:
         """The value as an int when code_size is a perfect power of q."""

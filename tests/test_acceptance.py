@@ -22,8 +22,8 @@ from graphentropy.enumeration import (
     verify_g_family,
 )
 from graphentropy.graphs import (
+    BipartiteView,
     Graph,
-    bipartite_induced,
     bits_of,
     complement,
     i_reduction,
@@ -173,8 +173,7 @@ def test_criterion_5_property_suites():
             for bits in range(1, 1 << (a * b)):
                 edges = [(u, a + v) for k, (u, v) in enumerate(cells) if bits >> k & 1]
                 g = Graph.undirected(a + b, edges)
-                view = bipartite_induced(g, mask_of(range(a)),
-                                         mask_of(range(a, a + b)))
+                view = BipartiteView(g, mask_of(range(a)), mask_of(range(a, a + b)))
                 witness = find_saturating_subset(view)
                 assert witness.a_prime
 

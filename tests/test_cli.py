@@ -85,6 +85,40 @@ BOUNDS_DIGESTS = {
 }
 
 
+# sha256 of the whole stdout of the other JSON subcommands: (argv, stdin).
+PENDANT_C5 = "6; 1-2,2-3,3-4,4-5,5-1,1-6"
+STDOUT_DIGESTS = [
+    (("survey", "--n", "5"), None,
+     "6fff49b892569758f64943ad956ada1f340b9ad969fc49cbeb40cf75d3780e38"),
+    (("survey", "--n", "5", "--jobs", "2"), None,
+     "6fff49b892569758f64943ad956ada1f340b9ad969fc49cbeb40cf75d3780e38"),
+    (("survey", "--n", "6", "--connected"), None,
+     "857827cd98b1afd300795f44b9e36427d8421ec10ccf4f8961a61af653387531"),
+    (("verify", "--suite", "wheel"), None,
+     "5db54aabfc59bc87dbb520ccac845ce8322eb988183b3dd981d1efa967694c67"),
+    (("verify", "--suite", "gfamily"), None,
+     "83fe3d9a45d2cd7ef0bfd63208525baf45cc5013ffac43ed5b09e1252221d257"),
+    (("reduce",), "DLo", "7d88fd61ed08c027153fb5ba5bf3e222bd8fbb14c8b73b383a0728c26138ebec"),
+    (("reduce",), PENDANT_C5,
+     "95b9dac9a1bc07b10549491badb2d4ef8353ca6bf73d0e9815364440c44406dd"),
+    (("minimal-check",), "DLo",
+     "a4575f9e18c1602ef7178c683d6c451cde933ce40425a7a56aaea1ca9b9355af"),
+    (("minimal-check",), PENDANT_C5,
+     "05d23c87f952237d43f93ecc28fa764f3589c58be4cd8cbd693c3dfbb0ac0025"),
+    (("guess", "--q", "2"), "3; 1-2,2-3,1-3",
+     "2450c70ffcbd28ad6555850438caf638b35da1e4055357539d1e27a827dea855"),
+]
+
+
+@pytest.mark.parametrize("argv, stdin, digest", STDOUT_DIGESTS)
+def test_stdout_pinned(argv, stdin, digest):
+    if stdin is not None:
+        argv += ("--graph", "-")
+    proc = invoke(*argv, stdin=stdin)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("text, fields", [
     ("3; 1->1,2->3,3->2", (1, 2, "2", 2, "2")),
     ("4; 1->1,1->2,2->1,2->2,3->4,4->3", (2, 2, "2", 3, "3")),
@@ -346,6 +380,19 @@ def test_cap_raise_sites_name_real_flags():
         named.add(node.value)
     cap_options = {opt for opt in options if opt.endswith("-cap")}
     assert {"--cap", "--shannon-cap"} <= cap_options <= named, (cap_options, named)
+
+
+def test_handlers_leave_serialization_to_main():
+    """No _cmd_* handler calls rat_str or _jsonify: handlers return plain
+    values and main serializes the result once."""
+    tree = ast.parse(Path(cli.__file__).read_text(), cli.__file__)
+    handlers = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")]
+    assert len(handlers) == 7
+    for handler in handlers:
+        called = {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                  for node in ast.walk(handler) if isinstance(node, ast.Call)}
+        assert not called & {"rat_str", "_jsonify"}, handler.name
 
 
 def test_lazy_bounds_skip_the_capped_lp():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from graphentropy import enumeration, lp
-from graphentropy.bounds import entropy_bracket
+from graphentropy.bounds import bounds_report, entropy_bracket
 from graphentropy.enumeration import (
     bracket_with_fallback,
     canonical_form,
@@ -205,16 +205,19 @@ def test_survey_forwards_cap(monkeypatch):
 
 def test_survey_union_witnesses_use_record_labelling():
     """A disconnected record's witnesses list the components of its own
-    graph, and its bracket is the one that graph gets directly."""
+    graph, and its bracket and bound values are the ones that graph gets
+    directly."""
+    fields = ("lower", "upper", "nu", "cc", "kappa_f", "tau", "theta")
     records = [r for r in survey_entropy_values(6).records if not r.connected]
     assert len(records) == sum(KNOWN_CLASS_COUNTS[:6]) - sum(KNOWN_CONNECTED_COUNTS[:6])
     for r in records:
         comps = [list(bits_of(c)) for c in connected_components(r.graph)]
-        direct = entropy_bracket(r.graph, lazy_theta=True)
+        direct = bounds_report(r.graph, lazy_theta=True)
         for witness in (r.bracket.lower_witness, r.bracket.upper_witness):
             assert witness["tag"] == "union-additivity", r.graph6()
             assert witness["components"] == comps, r.graph6()
-        assert (r.bracket.lower, r.bracket.upper) == (direct.lower, direct.upper), r.graph6()
+        got = [getattr(r.bracket, f) for f in fields]
+        assert got == [getattr(direct, f) for f in fields], r.graph6()
 
 
 def test_survey_pool_matches_serial():

@@ -2,10 +2,10 @@ import pytest
 
 from graphentropy import graphs as graphs_module
 from graphentropy.graphs import (
+    BipartiteView,
     Graph,
     GraphError,
     automorphisms,
-    bipartite_induced,
     bits_of,
     co_neighborhood_set,
     complement,
@@ -74,7 +74,6 @@ def test_round_trips_random(rng):
         n = rng.randint(1, 12)
         g = random_graph(rng, n)
         assert parse_graph(render_graph(g, "graph6"), "graph6") == g
-        assert parse_graph(render_graph(g, "edge-list"), "edge-list") == g
         d = random_digraph(rng, n, loop_p=0.2)
         assert parse_graph(render_graph(d, "arc-list"), "arc-list") == d
         assert parse_graph(render_graph(g, "graph6")) == g
@@ -90,9 +89,9 @@ def test_induced_subgraph_examples():
 
 
 def test_bipartite_view_examples():
-    assert bipartite_induced(c5(), 1 << 0, 1 << 1).edges() == [(0, 1)]
-    assert bipartite_induced(c5(), 1 << 0, 1 << 2).edges() == []
-    view = bipartite_induced(g1(), mask_of([5, 6]), mask_of(range(5)))
+    assert BipartiteView(c5(), 1 << 0, 1 << 1).edges() == [(0, 1)]
+    assert BipartiteView(c5(), 1 << 0, 1 << 2).edges() == []
+    view = BipartiteView(g1(), mask_of([5, 6]), mask_of(range(5)))
     assert sorted(view.edges()) == [(5, 0), (5, 1), (6, 3)]
     assert view.edge_count() == 3
 
@@ -107,7 +106,7 @@ def test_bipartite_edge_count_identity(rng):
         inner_s, _ = induced_subgraph(g, s)
         inner_t, _ = induced_subgraph(g, t)
         whole, _ = induced_subgraph(g, s | t)
-        crossing = bipartite_induced(g, s, t).edge_count()
+        crossing = BipartiteView(g, s, t).edge_count()
         assert crossing + len(inner_s.edges()) + len(inner_t.edges()) == len(whole.edges())
 
 

@@ -183,7 +183,6 @@ def test_pentagon_code_size_matches_oracles():
     assert clique_code_size(c5(), 2) == 5
     assert profile_code_size(c5(), 2) == 5
     assert value.log_string() == "log_2(5)"
-    assert 2 < value.as_float() < 2.5
 
 
 def test_triangle_code_size_matches_profile_oracle():

@@ -5,9 +5,9 @@ import pytest
 from graphentropy.bounds import bounds_report, entropy_bracket
 from graphentropy.enumeration import isomorphism_classes
 from graphentropy.graphs import (
+    BipartiteView,
     Graph,
     GraphError,
-    bipartite_induced,
     bits_of,
     mask_of,
     render_graph,
@@ -32,12 +32,12 @@ def bipartite_host(a: int, b: int, edges) -> tuple[Graph, int, int]:
 
 def test_bipartite_matching_examples():
     g, left, right = bipartite_host(3, 3, product(range(3), range(3)))
-    assert len(bipartite_max_matching(bipartite_induced(g, left, right))) == 3
+    assert len(bipartite_max_matching(BipartiteView(g, left, right))) == 3
 
     star, left, right = bipartite_host(1, 3, [(0, 0), (0, 1), (0, 2)])
-    assert len(bipartite_max_matching(bipartite_induced(star, left, right))) == 1
+    assert len(bipartite_max_matching(BipartiteView(star, left, right))) == 1
 
-    view = bipartite_induced(g1(), mask_of([5, 6]), mask_of(range(5)))
+    view = BipartiteView(g1(), mask_of([5, 6]), mask_of(range(5)))
     assert len(bipartite_max_matching(view)) == 2
 
 
@@ -46,7 +46,7 @@ def test_bipartite_matching_against_oracle(rng):
         a, b = rng.randint(1, 4), rng.randint(1, 4)
         edges = [(u, v) for u in range(a) for v in range(b) if rng.random() < 0.5]
         g, left, right = bipartite_host(a, b, edges)
-        view = bipartite_induced(g, left, right)
+        view = BipartiteView(g, left, right)
         matching = bipartite_max_matching(view)
         for u, v in matching:
             assert g.has_arc(u, v)
@@ -55,16 +55,16 @@ def test_bipartite_matching_against_oracle(rng):
 
 def test_saturating_witness_examples():
     g, left, right = bipartite_host(1, 1, [(0, 0)])
-    w = find_saturating_subset(bipartite_induced(g, left, right))
+    w = find_saturating_subset(BipartiteView(g, left, right))
     assert w.a_prime == 1 << 0
     assert w.matching == ((0, 1),)
 
     g, left, right = bipartite_host(5, 3, [(0, 0), (1, 1), (2, 2)])
-    w = find_saturating_subset(bipartite_induced(g, left, right))
+    w = find_saturating_subset(BipartiteView(g, left, right))
     _check_witness(g, left, right, w)
 
     g, left, right = bipartite_host(2, 2, [(0, 0), (1, 0)])
-    w = find_saturating_subset(bipartite_induced(g, left, right))
+    w = find_saturating_subset(BipartiteView(g, left, right))
     _check_witness(g, left, right, w)
     assert w.saturated == mask_of([2])
 
@@ -94,13 +94,13 @@ def test_saturating_witness_exhaustive_small():
                 edges = [(u, v) for k, (u, v) in enumerate(product(range(a), range(b)))
                          if bits >> k & 1]
                 g, left, right = bipartite_host(a, b, edges)
-                w = find_saturating_subset(bipartite_induced(g, left, right))
+                w = find_saturating_subset(BipartiteView(g, left, right))
                 _check_witness(g, left, right, w)
 
 
 def test_saturating_witness_rejects_garbage():
     g, left, right = bipartite_host(2, 1, [(0, 0), (1, 0)])
-    view = bipartite_induced(g, left, right)
+    view = BipartiteView(g, left, right)
     with pytest.raises(GraphError):
         SaturatingWitness(view, 0, ())
     with pytest.raises(GraphError):
