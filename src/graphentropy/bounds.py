@@ -12,6 +12,8 @@ bound value behind it.  A collapsed bracket pins the entropy exactly.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import chain
 from math import lcm
 
 from .graphs import (
@@ -397,40 +399,61 @@ def closure_map(g: Graph) -> list[int]:
     return cl
 
 
-def _shannon_rows(g: Graph):
-    """Every row of the subset-entropy LP, as (coeffs, relation, rhs) with
-    coeffs keyed by vertex mask.
+def _shannon_blocks(g: Graph):
+    """The rows of the subset-entropy LP in their three blocks, in row order.
 
-    In order: h(empty) = 0, h(v) <= 1, monotonicity at the top, the
-    elemental submodular inequalities I(i; j | K) >= 0, and one functional
-    equality per loopless vertex tying h(N(v)+v) to h(N(v)).  The elemental
-    rows imply every monotonicity and submodularity inequality (Yeung,
-    Information Theory and Network Coding, 2008, ch. 14), so these rows are
-    the whole defining system.
+    First the head rows h(empty) = 0, h(v) <= 1 and monotonicity at the top,
+    as (coeffs, relation, rhs) with coeffs keyed by vertex mask; then the
+    elemental submodular inequalities I(i; j | K) >= 0 as _elemental_table
+    quadruples; then one functional equality per loopless vertex tying
+    h(N(v)+v) to h(N(v)).  The elemental rows imply every monotonicity and
+    submodularity inequality (Yeung, Information Theory and Network Coding,
+    2008, ch. 14), so these rows are the whole defining system.
     """
     n = g.n
     full = g.vertex_mask
-    yield {0: 1}, EQ, 0
-    for v in range(n):
-        yield {1 << v: 1}, LE, 1
+    head = [({0: 1}, EQ, 0)]
+    head += [({1 << v: 1}, LE, 1) for v in range(n)]
     for v in range(n):
         drop = full ^ (1 << v)
-        yield ({drop: 1, full: -1} if drop else {full: -1}), LE, 0
+        head.append(({drop: 1, full: -1} if drop else {full: -1}, LE, 0))
+    functional = []
+    for v, nv in enumerate(g.cols):
+        if not nv >> v & 1:
+            functional.append(({nv | 1 << v: 1, nv: -1} if nv else {1 << v: 1}, EQ, 0))
+    return head, _elemental_table(n), functional
+
+
+@lru_cache(maxsize=None)
+def _elemental_table(n: int) -> tuple[tuple[int, int, int, int], ...]:
+    """The elemental inequalities on n vertices as mask quadruples (a, b, c, d)
+    meaning h(a) + h(b) <= h(c) + h(d), with a = K+i+j, b = K, c = K+i and
+    d = K+j: pairs i < j in lexicographic order, and for each pair every K
+    outside it in decreasing mask order.  n(n-1)/2 * 2^(n-2) rows that depend
+    on n alone, so the LP builder and the validator share one table."""
+    full = (1 << n) - 1
+    table = []
     for i in range(n):
         for j in range(i + 1, n):
             pair = 1 << i | 1 << j
             rest = full & ~pair
             sub = rest
             while True:
-                yield {sub | pair: 1, sub: 1, sub | 1 << i: -1, sub | 1 << j: -1}, LE, 0
+                table.append((sub | pair, sub, sub | 1 << i, sub | 1 << j))
                 if sub == 0:
                     break
                 sub = (sub - 1) & rest
-    cols = g.cols
-    for v in range(n):
-        nv = cols[v]
-        if not nv >> v & 1:
-            yield ({nv | 1 << v: 1, nv: -1} if nv else {1 << v: 1}), EQ, 0
+    return tuple(table)
+
+
+def _shannon_rows(g: Graph):
+    """Every row of the subset-entropy LP, as (coeffs, relation, rhs) with
+    coeffs keyed by vertex mask, in the order of _shannon_blocks."""
+    head, elemental, functional = _shannon_blocks(g)
+    yield from head
+    for a, b, c, d in elemental:
+        yield {a: 1, b: 1, c: -1, d: -1}, LE, 0
+    yield from functional
 
 
 def build_shannon_lp(g: Graph) -> LinearProgram:
@@ -515,24 +538,58 @@ def _collapsed_program(g: Graph, cl: list[int]) -> tuple[LinearProgram, list[int
 
     rows = []
     row_index: set[tuple] = set()
-    for coeffs, rel, rhs in _shannon_rows(g):
-        # Closure can map distinct subsets to the same variable, so merge by
-        # variable.  h(empty) and every functional equality vanish here:
-        # cl(empty) is pinned to zero and cl(N(v)+v) = cl(N(v)).
+
+    def add(terms, rhs: int) -> bool:
+        # Closure can map distinct subsets to the same variable, so merge the
+        # (variable, coeff) terms by variable; -1 is the pinned zero.  A row
+        # that cancels is dropped (False), one that repeats is kept once.
         items: dict[int, int] = {}
-        for mask, c in coeffs.items():
-            j = var[mask]
+        for j, c in terms:
             if j >= 0:
                 items[j] = items.get(j, 0) + c
         items = {j: c for j, c in items.items() if c}
         if not items:
-            continue
-        if rel != LE:
-            raise AssertionError(f"closure left an equality row standing: {coeffs}")
+            return False
         key = (tuple(sorted(items.items())), rhs)
         if key not in row_index:
             row_index.add(key)
             rows.append((items, LE, rhs))
+        return True
+
+    def add_by_mask(block) -> None:
+        # h(empty) and every functional equality vanish here: cl(empty) is
+        # pinned to zero and cl(N(v)+v) = cl(N(v)).
+        for coeffs, rel, rhs in block:
+            if add([(var[m], c) for m, c in coeffs.items()], rhs) and rel != LE:
+                raise AssertionError(f"closure left an equality row standing: {coeffs}")
+
+    head, elemental, functional = _shannon_blocks(g)
+    add_by_mask(head)
+    # An elemental row is x_a + x_b <= x_c + x_d on the variables of its
+    # quadruple, so the sorted pairs (a, b) and (c, d) determine it.  A
+    # quadruple whose pairs were seen before, or whose two pairs are equal
+    # (the row cancels), adds nothing.  Four distinct unpinned variables do
+    # not merge, and no other row has that shape, so such a row is appended
+    # as it is; add merges the rest.  a >= 0 leaves h(K) unpinned, and with
+    # it every superset, since closure is monotone.
+    seen: set[tuple[int, int, int, int]] = set()
+    for a, b, c, d in elemental:
+        a, b, c, d = var[a], var[b], var[c], var[d]
+        if a > b:
+            a, b = b, a
+        if c > d:
+            c, d = d, c
+        quad = (a, b, c, d)
+        if quad in seen:
+            continue
+        seen.add(quad)
+        if a == c and b == d:
+            continue
+        if a >= 0 and len({a, b, c, d}) == 4:
+            rows.append(({a: 1, b: 1, c: -1, d: -1}, LE, 0))
+        else:
+            add(((a, 1), (b, 1), (c, -1), (d, -1)), 0)
+    add_by_mask(functional)
     return LinearProgram(nvars, "max", {var[g.vertex_mask]: 1}, rows), var
 
 
@@ -573,17 +630,31 @@ def validate_entropy_function(g: Graph, h) -> tuple[bool, str]:
     this is the whole defining system in O(n^2 2^n) row evaluations.
 
     The rows are evaluated in integers, on h and the right-hand sides both
-    scaled by the least common denominator of the entries of h."""
+    scaled by the least common denominator of the entries of h; each
+    elemental row is one comparison k[a] + k[b] <= k[c] + k[d] on a
+    quadruple of the shared per-n table."""
     if len(h) != g.vertex_mask + 1:
         return False, "h must have one value per vertex subset"
     scale = lcm(*(x.denominator for x in h))
     k = [x.numerator * (scale // x.denominator) for x in h]
-    for coeffs, rel, rhs in _shannon_rows(g):
+    head, elemental, functional = _shannon_blocks(g)
+
+    def fails(coeffs, rel, rhs) -> bool:
         value = sum(c * k[m] for m, c in coeffs.items())
-        if value != rhs * scale if rel == EQ else value > rhs * scale:
-            terms = " ".join(f"{c:+d}*h({m:b})" for m, c in coeffs.items())
-            return False, f"row {terms} {rel} {rhs} fails"
-    return True, "ok"
+        return value != rhs * scale if rel == EQ else value > rhs * scale
+
+    failing = chain(
+        (row for row in head if fails(*row)),
+        (({a: 1, b: 1, c: -1, d: -1}, LE, 0) for a, b, c, d in elemental
+         if k[a] + k[b] > k[c] + k[d]),
+        (row for row in functional if fails(*row)),
+    )
+    first = next(failing, None)
+    if first is None:
+        return True, "ok"
+    coeffs, rel, rhs = first
+    terms = " ".join(f"{c:+d}*h({m:b})" for m, c in coeffs.items())
+    return False, f"row {terms} {rel} {rhs} fails"
 
 
 # -- bracket assembly ------------------------------------------------------------

@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 import time
+from functools import lru_cache
 
 from . import __version__
 from .bounds import DEFAULT_SHANNON_CAP, bounds_report, build_fractional_cover_lp, build_shannon_lp
@@ -234,7 +235,10 @@ def _add_graph_arg(sub) -> None:
                      help="input format (default: sniff)")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use: building it costs
+    far more than a parse, and parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="graphentropy",
         description="Certified entropy bounds and guessing numbers for small graphs.",
@@ -290,8 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
         payload, status = args.run(args)

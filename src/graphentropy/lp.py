@@ -341,7 +341,7 @@ def _solution(s: _Setup, x, y) -> LpSolution:
     primal = x[:lp.num_vars]
     sign = 1 if s.maximize else -1
     dual = [-sign * yi if flip else sign * yi for yi, flip in zip(y, s.flip)]
-    value = sum((lp.objective[j] * primal[j] for j in range(lp.num_vars)), Rational(0))
+    value = sum((c * primal[j] for j, c in enumerate(lp.objective) if c), Rational(0))
     return LpSolution(OPTIMAL, value, primal, dual)
 
 

@@ -16,7 +16,7 @@ from math import lcm
 
 import networkx as nx
 
-from graphentropy.bounds import _shannon_rows, closure_map
+from graphentropy.bounds import closure_map
 from graphentropy.enumeration import CanonicalForm
 from graphentropy.graphs import Graph, GraphError, automorphisms, bits_of, orbit_representatives
 from graphentropy.lp import (
@@ -1121,7 +1121,56 @@ def previous_collapsed_program(g):
             row_index.add(key)
             rows.append((items, LE, rhs))
 
-    for row in _shannon_rows(g):
+    for row in previous_shannon_rows(g):
         add(*row)
 
     return LinearProgram(len(var_of), "max", {var_of[full]: 1}, rows), var_of[full]
+
+
+def previous_shannon_rows(g):
+    """Every row of the subset-entropy LP, as (coeffs, relation, rhs) with
+    coeffs keyed by vertex mask, generated afresh per graph.
+
+    In order: h(empty) = 0, h(v) <= 1, monotonicity at the top, the
+    elemental submodular inequalities I(i; j | K) >= 0, and one functional
+    equality per loopless vertex tying h(N(v)+v) to h(N(v)).
+    """
+    n = g.n
+    full = g.vertex_mask
+    yield {0: 1}, EQ, 0
+    for v in range(n):
+        yield {1 << v: 1}, LE, 1
+    for v in range(n):
+        drop = full ^ (1 << v)
+        yield ({drop: 1, full: -1} if drop else {full: -1}), LE, 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            pair = 1 << i | 1 << j
+            rest = full & ~pair
+            sub = rest
+            while True:
+                yield {sub | pair: 1, sub: 1, sub | 1 << i: -1, sub | 1 << j: -1}, LE, 0
+                if sub == 0:
+                    break
+                sub = (sub - 1) & rest
+    cols = g.cols
+    for v in range(n):
+        nv = cols[v]
+        if not nv >> v & 1:
+            yield ({nv | 1 << v: 1, nv: -1} if nv else {1 << v: 1}), EQ, 0
+
+
+def previous_validate_entropy_function(g, h) -> tuple[bool, str]:
+    """Check h, indexed by mask, against every row of previous_shannon_rows
+    in row order, each row summed as a dict over h and its right-hand side
+    scaled by the least common denominator of h."""
+    if len(h) != g.vertex_mask + 1:
+        return False, "h must have one value per vertex subset"
+    scale = lcm(*(x.denominator for x in h))
+    k = [x.numerator * (scale // x.denominator) for x in h]
+    for coeffs, rel, rhs in previous_shannon_rows(g):
+        value = sum(c * k[m] for m, c in coeffs.items())
+        if value != rhs * scale if rel == EQ else value > rhs * scale:
+            terms = " ".join(f"{c:+d}*h({m:b})" for m, c in coeffs.items())
+            return False, f"row {terms} {rel} {rhs} fails"
+    return True, "ok"

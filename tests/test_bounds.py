@@ -8,6 +8,8 @@ from graphentropy import bounds
 from graphentropy import lp as lp_module
 from graphentropy.bounds import (
     _collapsed_program,
+    _elemental_table,
+    _shannon_rows,
     bounds_report,
     build_fractional_cover_lp,
     build_shannon_lp,
@@ -23,7 +25,14 @@ from graphentropy.bounds import (
     validate_entropy_function,
 )
 from graphentropy.enumeration import enumerate_graphs, isomorphism_classes
-from graphentropy.graphs import Graph, complement, disjoint_union, mask_of, render_graph
+from graphentropy.graphs import (
+    Graph,
+    complement,
+    connected_components,
+    disjoint_union,
+    mask_of,
+    render_graph,
+)
 from graphentropy.lp import solve
 from graphentropy.rationals import rat, rat_str
 
@@ -34,6 +43,8 @@ from _oracles import (
     complement_graph,
     exhaustive_entropy_check,
     previous_collapsed_program,
+    previous_shannon_rows,
+    previous_validate_entropy_function,
 )
 from conftest import c5, g1, random_digraph, random_graph
 
@@ -209,7 +220,7 @@ def _assert_validation_matches_oracle(g, rng):
 
 def test_validation_matches_exhaustive_oracle(rng):
     """The elemental rows accept exactly what the 4^n pair sweep accepts, on
-    the solved witness and on single-entry perturbations of it."""
+    the solved witness and on single-entry perturbations of it, up to C8."""
     for n in range(1, 7):
         for g in isomorphism_classes(n):
             _assert_validation_matches_oracle(g, rng)
@@ -218,16 +229,20 @@ def test_validation_matches_exhaustive_oracle(rng):
     for _ in range(30):
         _assert_validation_matches_oracle(
             random_digraph(rng, rng.randint(1, 5), loop_p=0.3), rng)
+    _assert_validation_matches_oracle(Graph.cycle(8), rng)
 
 
 def test_collapsed_program_matches_previous(rng):
-    """The variable table gives the collapse of the per-term closure,
-    orbit and pinned lookups it replaces: the same variables, rows and
-    objective, on every graph up to 6 vertices, seeded 7-vertex graphs and
-    looped digraphs."""
+    """The collapse over the shared elemental table equals the per-row
+    collapse of freshly generated rows through per-term closure, orbit and
+    pinned lookups: the same variables, rows, row order and objective, on
+    every graph up to 6 vertices, every connected 7-vertex graph, C8,
+    seeded 7-vertex graphs and looped digraphs."""
     graphs = [g for n in range(1, 7) for g in isomorphism_classes(n)]
     graphs += [random_graph(rng, 7) for _ in range(12)]
     graphs += [random_digraph(rng, rng.randint(1, 6), loop_p=0.2) for _ in range(40)]
+    graphs += [g for g in isomorphism_classes(7) if len(connected_components(g)) == 1]
+    graphs.append(Graph.cycle(8))
     collapsed = 0
     for g in graphs:
         cl = closure_map(g)
@@ -240,7 +255,61 @@ def test_collapsed_program_matches_previous(rng):
         assert (new.num_vars, new.objective, new.rows) == (old.num_vars, old.objective, old.rows), g
         assert var[g.vertex_mask] == old_var, g
         collapsed += 1
-    assert collapsed >= 240, collapsed
+    assert collapsed >= 1094, collapsed
+
+
+def test_shannon_rows_match_previous(rng):
+    """The rows read from the per-n elemental table are the rows generated
+    afresh per graph: the same coefficient dicts, key order included,
+    relations and right-hand sides, in the same order."""
+    graphs = [g for n in range(1, 7) for g in isomorphism_classes(n)]
+    graphs += [random_graph(rng, n) for n in (7, 8) for _ in range(6)]
+    graphs += [random_digraph(rng, rng.randint(1, 7), loop_p=0.3) for _ in range(30)]
+
+    def listed(rows):
+        return [(list(coeffs.items()), rel, rhs) for coeffs, rel, rhs in rows]
+
+    for g in graphs:
+        assert listed(_shannon_rows(g)) == listed(previous_shannon_rows(g)), g
+
+
+def test_elemental_table_size():
+    """One quadruple per pair i < j and set K outside it, none repeated."""
+    for n in range(2, 11):
+        table = _elemental_table(n)
+        assert len(table) == n * (n - 1) // 2 * 2 ** (n - 2), n
+        assert len(set(table)) == len(table), n
+
+
+def test_rejection_message_matches_previous(rng):
+    """A bent h fails at the same first row, with the same message, as in the
+    validator that generates every row afresh; bends reach the head, the
+    elemental and the functional rows."""
+    graphs = [c5(), g1(), Graph.cycle(8), complement(Graph.cycle(7))]
+    graphs += [random_graph(rng, 7) for _ in range(4)]
+    graphs += [random_digraph(rng, rng.randint(2, 6), loop_p=0.3) for _ in range(8)]
+    deltas = (1, -1, rat(1, 2), rat(-1, 3), rat(1, 12))
+    messages = set()
+    for g in graphs:
+        h = shannon_entropy(g).h
+        full = g.vertex_mask
+        bents = [[rat(m.bit_count()) for m in range(full + 1)]]
+        for mask, delta in [(0, 1), (1, 1), (full, -1), (full, 1)]:
+            bents.append(list(h))
+            bents[-1][mask] += delta
+        for _ in range(8):
+            bents.append(list(h))
+            bents[-1][rng.randint(1, full)] += rng.choice(deltas)
+        for bent in bents:
+            got = validate_entropy_function(g, bent)
+            assert got == previous_validate_entropy_function(g, bent), (g, bent)
+            if not got[0]:
+                messages.add(got[1])
+    empty = "row +1*h(0) = 0 fails"
+    assert empty in messages
+    assert any(m.endswith(" <= 1 fails") for m in messages), "no singleton row"
+    assert any(m.count("*h(") == 4 for m in messages), "no elemental row"
+    assert any(m.endswith(" = 0 fails") and m != empty for m in messages), "no functional row"
 
 
 def test_entropy_programs_build_without_rationals(monkeypatch):

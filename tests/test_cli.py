@@ -1,6 +1,7 @@
 import argparse
 import ast
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import graphentropy
-from graphentropy import __version__, cli
+from graphentropy import __version__, bounds, cli
 
 RUN = [sys.executable, "-m", "graphentropy.cli"]
 # The directory the package was imported from goes first on the child's path,
@@ -344,6 +345,28 @@ def test_cap_errors(argv, stdin, flag, says):
     assert named == ({flag} if flag else set()), line
 
 
+@pytest.mark.parametrize("argv, stdin", [
+    pytest.param(("bounds",), P11, id="bounds-default-cap"),
+    pytest.param(("bounds", "--shannon-cap", "6"), path_graph(7), id="bounds-cap-6"),
+    pytest.param(("lp-dump", "--which", "shannon", "--shannon-cap", "6"), path_graph(7),
+                 id="lp-dump-cap-6"),
+])
+def test_refused_lp_builds_no_elemental_table(argv, stdin, monkeypatch, capsys):
+    """An input past --shannon-cap exits 2 before any elemental table is
+    read, so a refused input cannot grow the per-n table cache."""
+    table = bounds._elemental_table
+    sizes = []
+    monkeypatch.setattr(bounds, "_elemental_table", lambda n: sizes.append(n) or table(n))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    cached = table.cache_info().currsize
+    assert cli.main([*argv, "--graph", "-"]) == 2
+    assert "--shannon-cap" in capsys.readouterr().err
+    assert sizes == [] and table.cache_info().currsize == cached
+    monkeypatch.setattr(sys, "stdin", io.StringIO(path_graph(5)))
+    assert cli.main([*argv, "--graph", "-"]) == 0
+    assert sizes and set(sizes) == {5}
+
+
 def cap_raise_flags() -> list:
     """The flag argument of every CapExceededError(...) call in the package,
     as an ast node or None where the call passes none."""
@@ -393,6 +416,29 @@ def test_handlers_leave_serialization_to_main():
         called = {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
                   for node in ast.walk(handler) if isinstance(node, ast.Call)}
         assert not called & {"rat_str", "_jsonify"}, handler.name
+
+
+def test_one_process_serves_calls_alike(tmp_path, capsys):
+    """bounds --lazy, bounds, guess and lp-dump run in that order in one
+    process on the one parser each print what the same call prints in a
+    process of its own: no parse leaves state behind for the next."""
+    p4 = write_graph(tmp_path, "p4.el", path_graph(4))
+    k3 = write_graph(tmp_path, "k3.el", "3; 1-2,2-3,1-3")
+    calls = [("bounds", "--lazy", "--graph", p4), ("bounds", "--graph", p4),
+             ("guess", "--q", "2", "--graph", k3),
+             ("lp-dump", "--which", "shannon", "--graph", p4)]
+    outputs = []
+    for argv in calls:
+        assert cli.main(list(argv)) == 0
+        outputs.append(capsys.readouterr().out)
+        alone = invoke(*argv)
+        assert alone.returncode == 0, alone.stderr
+        assert outputs[-1] == alone.stdout, argv
+    # The lazy call skips the LP that the plain one runs, so a leaked --lazy
+    # would show.
+    assert json.loads(outputs[0])["result"]["theta"] is None
+    assert json.loads(outputs[1])["result"]["theta"] == "2"
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_lazy_bounds_skip_the_capped_lp():
