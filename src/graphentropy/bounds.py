@@ -43,26 +43,9 @@ _MATCHING_COMPONENT_CAP = 24
 DEFAULT_SHANNON_CAP = 10
 
 
-class MatchingResult:
-    """A maximum matching on the mutual-arc edges: size, edge list, and the
-    mask of matched vertices."""
-
-    __slots__ = ("size", "edges", "vertices")
-
-    def __init__(self, size: int, edges: tuple[tuple[int, int], ...]):
-        self.size = size
-        self.edges = edges
-        m = 0
-        for u, v in edges:
-            m |= 1 << u | 1 << v
-        self.vertices = m
-
-    def __repr__(self):
-        return f"MatchingResult(size={self.size}, edges={list(self.edges)})"
-
-
-def max_matching(g: Graph) -> MatchingResult:
-    """Maximum matching among mutual pairs (the edges, for undirected g).
+def max_matching(g: Graph) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Maximum matching among mutual pairs (the edges, for undirected g), as
+    (size, edges).
 
     Exact subset dynamic programming per connected component; deterministic
     witness (lowest vertex matched first).
@@ -106,7 +89,7 @@ def max_matching(g: Graph) -> MatchingResult:
                     edges.append((v, u))
                     mask = rest ^ (1 << u)
                     break
-    return MatchingResult(total, tuple(edges))
+    return total, tuple(edges)
 
 
 def maximal_cliques(g: Graph) -> tuple[int, ...]:
@@ -466,31 +449,15 @@ def build_shannon_lp(g: Graph) -> LinearProgram:
     return LinearProgram(1 << g.n, "max", {g.vertex_mask: 1}, _shannon_rows(g))
 
 
-class ShannonResult:
-    """Optimal value of the subset-entropy LP plus its witness.
-
-    h is indexed by vertex mask (length 2^n).  shannon_entropy checks it
-    against every elemental row before returning (validate_entropy_function):
-    h of the empty set is 0, singletons at most 1, the elemental
-    inequalities, hence monotone and submodular on every pair of subsets, and
-    the per-vertex functional equalities.
-    """
-
-    __slots__ = ("theta", "h")
-
-    def __init__(self, theta, h):
-        self.theta = theta
-        self.h = h
-
-
-def shannon_entropy(g: Graph, cap: int = DEFAULT_SHANNON_CAP) -> ShannonResult:
-    """Solve the subset-entropy LP exactly.
+def shannon_entropy(g: Graph, cap: int = DEFAULT_SHANNON_CAP) -> tuple[Rational, tuple]:
+    """Solve the subset-entropy LP exactly: (theta, h), h indexed by vertex
+    mask (length 2^n).
 
     Works on the closure-collapsed formulation (variables only for closed
     vertex sets, one per orbit of the whole automorphism group) of the same
     rows as build_shannon_lp, solved through its dual; then expands the
     optimum back to all subsets and checks it against every elemental row of
-    the full program (validate_entropy_function).
+    the full program (validate_entropy_function) before returning it.
     Equality of the two formulations follows from the closure identity
     h(S) = h(cl(S)), which that final check re-certifies from scratch.
     """
@@ -500,18 +467,18 @@ def shannon_entropy(g: Graph, cap: int = DEFAULT_SHANNON_CAP) -> ShannonResult:
                                flag="--shannon-cap")
     zero = Rational(0)
     if n == 0:
-        return ShannonResult(zero, (zero,))
+        return zero, (zero,)
     full = g.vertex_mask
     cl = closure_map(g)
     if full == cl[0]:
-        return ShannonResult(zero, (zero,) * (full + 1))
+        return zero, (zero,) * (full + 1)
     lp, var = _collapsed_program(g, cl)
     values = _solve_via_dual(lp, var[full]).primal
     h = tuple(zero if j < 0 else values[j] for j in var)
     ok, why = validate_entropy_function(g, h)
     if not ok:
         raise AssertionError(f"entropy witness failed validation: {why}")
-    return ShannonResult(h[full], h)
+    return h[full], h
 
 
 def _collapsed_program(g: Graph, cl: list[int]) -> tuple[LinearProgram, list[int]]:
@@ -748,7 +715,7 @@ def bounds_report(g: Graph, shannon_cap: int = DEFAULT_SHANNON_CAP,
             inner.lower + k, inner.upper + k,
             {"tag": "loop-reduction", "loops": looped, "inner": inner.lower_witness},
             {"tag": "loop-reduction", "loops": looped, "inner": inner.upper_witness},
-            max_matching(g).size, cc, _fractional_cover(g, cc, cover)[0], inner.tau + k,
+            max_matching(g)[0], cc, _fractional_cover(g, cc, cover)[0], inner.tau + k,
             None if inner.theta is None else inner.theta + k)
     comps = connected_components(g)
     if len(comps) != 1:
@@ -757,14 +724,14 @@ def bounds_report(g: Graph, shannon_cap: int = DEFAULT_SHANNON_CAP,
             [bounds_report(induced_subgraph(g, comp)[0], shannon_cap, lazy_theta)
              for comp in comps])
     n = g.n
-    matching = max_matching(g)
+    nu, matching = max_matching(g)
     cc, cover = clique_cover_number(g)
     kappa_f, family = _fractional_cover(g, cc, cover)
     tau, removed = transversal_number(g)
     lower = n - kappa_f
-    assert Rational(matching.size) <= Rational(n - cc) <= lower
-    if matching.size == lower:
-        low_wit = {"tag": "matching", "edges": [list(e) for e in matching.edges]}
+    assert Rational(nu) <= Rational(n - cc) <= lower
+    if nu == lower:
+        low_wit = {"tag": "matching", "edges": [list(e) for e in matching]}
     elif n - cc == lower:
         low_wit = {"tag": "clique-cover", "cliques": [_vertices(c) for c in cover]}
     else:
@@ -777,10 +744,10 @@ def bounds_report(g: Graph, shannon_cap: int = DEFAULT_SHANNON_CAP,
     upper, up_wit = Rational(tau), {"tag": "transversal", "removed": _vertices(removed)}
     theta = None
     if not (lazy_theta and upper == lower):
-        theta = shannon_entropy(g, cap=shannon_cap).theta
+        theta = shannon_entropy(g, cap=shannon_cap)[0]
         if theta < upper:
             upper, up_wit = theta, {"tag": "shannon-lp", "theta": theta}
-    return BoundsReport(lower, upper, low_wit, up_wit, matching.size, cc, kappa_f, tau, theta)
+    return BoundsReport(lower, upper, low_wit, up_wit, nu, cc, kappa_f, tau, theta)
 
 
 def entropy_bracket(g: Graph, lazy_theta: bool = False) -> BoundsReport:

@@ -126,8 +126,8 @@ def _cmd_reduce(args) -> tuple[dict, int]:
 
 def _cmd_minimal_check(args) -> tuple[dict, int]:
     g = _load_graph(args.graph, args.format)
-    report = certify_entropy_minimal_candidate(g, cap=args.cap)
-    return {"input": _echo_graph(g), "result": report.as_dict()}, 0
+    result = certify_entropy_minimal_candidate(g, cap=args.cap)
+    return {"input": _echo_graph(g), "result": result}, 0
 
 
 def _cmd_survey(args) -> tuple[dict, int]:
@@ -166,9 +166,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
         report = verify_g_family()
     else:
         report = verify_small_theorems(jobs=args.jobs)
-    return {"input": {"suite": args.suite}, "result": report.as_dict()}, (
-        0 if report.ok else 1
-    )
+    return {"input": {"suite": args.suite}, "result": report}, 0 if report["ok"] else 1
 
 
 def _var_name(mask: int) -> str:

@@ -227,80 +227,43 @@ def find_reducible_set(g: Graph, cap: int = DEFAULT_REDUCTION_CAP) -> Decomposit
     return None
 
 
-class MinimalityReport:
-    """Outcome of the necessary-condition checks for entropy minimality.
-
-    candidate means no reducible set exists.  The matched-vertex comparison
-    records |c(M)| against |M| for a maximum matching's vertex set M; when
-    c(M) outnumbers M and has edges into it, the saturating-subset argument
-    pinpoints a reducible S, so that situation only arises alongside a
-    reducible set anyway.  Isolated vertices are reported on the side: they
-    inflate c(M) without ever carrying a matching.
-    """
-
-    __slots__ = ("graph", "reducible", "candidate", "matched", "c_of_m", "comparison",
-                 "isolated", "lemma_witness")
-
-    def __init__(self, graph, reducible, matched, c_of_m, comparison, isolated, lemma_witness):
-        self.graph = graph
-        self.reducible = reducible
-        self.candidate = reducible is None
-        self.matched = matched
-        self.c_of_m = c_of_m
-        self.comparison = comparison
-        self.isolated = isolated
-        self.lemma_witness = lemma_witness
-
-    def as_dict(self) -> dict:
-        out = {
-            "candidate": self.candidate,
-            "reducible": None,
-            "matched_vertices": sorted(bits_of(self.matched)),
-            "isolated_vertices": sorted(bits_of(self.isolated)),
-        }
-        if self.reducible is not None:
-            out["reducible"] = {
-                "s": sorted(bits_of(self.reducible.s)),
-                "matching": [list(p) for p in self.reducible.matching],
-            }
-        if self.c_of_m is not None:
-            out["c_of_matched"] = sorted(bits_of(self.c_of_m))
-            out["comparison"] = self.comparison
-        if self.lemma_witness is not None:
-            out["saturating_witness"] = {
-                "a_prime": sorted(bits_of(self.lemma_witness.a_prime)),
-                "matching": [list(p) for p in self.lemma_witness.matching],
-            }
-        return out
-
-    def __repr__(self) -> str:
-        return f"MinimalityReport(candidate={self.candidate})"
-
-
-def certify_entropy_minimal_candidate(g: Graph, cap: int = DEFAULT_REDUCTION_CAP) -> MinimalityReport:
+def certify_entropy_minimal_candidate(g: Graph, cap: int = DEFAULT_REDUCTION_CAP) -> dict:
     """Run the necessary conditions for entropy minimality and report them.
 
     A candidate has no reducible set.  The report also compares |c(M)| with
     |M| for the vertex set M of a maximum matching: a candidate must come out
     strictly below, except through isolated vertices, which cannot take part
-    in any matching and are listed separately.
+    in any matching and are listed separately.  When c(M) does not come out
+    below and has edges into M, the saturating-subset argument pinpoints a
+    reducible S, so that situation only arises alongside a reducible set
+    anyway; its witness is reported as saturating_witness.
     """
     if g.n > cap:
         raise CapExceededError(f"vertex count {g.n} exceeds the reduction cap {cap}",
                                flag="--cap")
     reducible = find_reducible_set(g, cap)
-    matching = max_matching(g)
-    matched = matching.vertices
+    matched = mask_of(v for edge in max_matching(g)[1] for v in edge)
     isolated = mask_of(v for v in range(g.n) if not g.rows[v] & ~(1 << v))
-    c_of_m = None
-    comparison = None
-    witness = None
+    out = {
+        "candidate": reducible is None,
+        "reducible": None if reducible is None else {
+            "s": sorted(bits_of(reducible.s)),
+            "matching": [list(p) for p in reducible.matching],
+        },
+        "matched_vertices": sorted(bits_of(matched)),
+        "isolated_vertices": sorted(bits_of(isolated)),
+    }
     if matched:
         c_of_m = co_neighborhood_set(g, matched)
         rel = "<" if c_of_m.bit_count() < matched.bit_count() else ">="
-        comparison = f"|c(M)| = {c_of_m.bit_count()} {rel} |M| = {matched.bit_count()}"
+        out["c_of_matched"] = sorted(bits_of(c_of_m))
+        out["comparison"] = f"|c(M)| = {c_of_m.bit_count()} {rel} |M| = {matched.bit_count()}"
         if rel == ">=":
             view = BipartiteView(g, c_of_m, matched)
             if view.edge_count():
                 witness = find_saturating_subset(view)
-    return MinimalityReport(g, reducible, matched, c_of_m, comparison, isolated, witness)
+                out["saturating_witness"] = {
+                    "a_prime": sorted(bits_of(witness.a_prime)),
+                    "matching": [list(p) for p in witness.matching],
+                }
+    return out

@@ -16,9 +16,19 @@ from math import lcm
 
 import networkx as nx
 
-from graphentropy.bounds import closure_map
-from graphentropy.enumeration import CanonicalForm
-from graphentropy.graphs import Graph, GraphError, automorphisms, bits_of, orbit_representatives
+from graphentropy.bounds import closure_map, max_matching
+from graphentropy.graphs import (
+    BipartiteView,
+    CapExceededError,
+    Graph,
+    GraphError,
+    automorphisms,
+    bits_of,
+    co_neighborhood_set,
+    mask_of,
+    orbit_representatives,
+    render_graph,
+)
 from graphentropy.lp import (
     EQ,
     GE,
@@ -33,6 +43,11 @@ from graphentropy.lp import (
     _times,
 )
 from graphentropy.rationals import Rational
+from graphentropy.structure import (
+    DEFAULT_REDUCTION_CAP,
+    find_reducible_set,
+    find_saturating_subset,
+)
 
 
 def adjacency(g) -> dict[int, set[int]]:
@@ -376,6 +391,55 @@ def _previous_refined_colors(g: Graph) -> list[int]:
         colors = new
 
 
+# The package's canonical-form carrier before canonical_form returned the
+# canonical Graph itself, kept verbatim for the oracles below.
+class CanonicalForm:
+    """Permutation-invariant fingerprint of a simple graph.
+
+    bits packs the upper triangle of the adjacency matrix column by column,
+    pair (i, j) with i < j ordered by (j, i), most significant bit first; the
+    stored value is the least over all vertex relabelings, so two graphs get
+    equal forms exactly when they are isomorphic.
+    """
+
+    __slots__ = ("n", "bits")
+
+    def __init__(self, n: int, bits: int):
+        self.n = n
+        self.bits = bits
+
+    def key(self) -> tuple[int, int]:
+        return (self.n, self.bits)
+
+    def graph(self) -> Graph:
+        """The canonical representative itself."""
+        n = self.n
+        rows = [0] * n
+        pos = n * (n - 1) // 2
+        for j in range(n):
+            for i in range(j):
+                pos -= 1
+                if self.bits >> pos & 1:
+                    rows[i] |= 1 << j
+                    rows[j] |= 1 << i
+        return Graph(n, rows, directed=False)
+
+    def graph6(self) -> str:
+        return render_graph(self.graph(), "graph6")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CanonicalForm) and self.key() == other.key()
+
+    def __lt__(self, other) -> bool:
+        return self.key() < other.key()
+
+    def __hash__(self) -> int:
+        return hash(self.key())
+
+    def __repr__(self) -> str:
+        return f"CanonicalForm(n={self.n}, bits={self.bits:b})"
+
+
 def previous_canonical_form(g: Graph) -> CanonicalForm:
     """Least adjacency bit-string over all relabelings of a simple graph.
 
@@ -687,6 +751,94 @@ def cycles_avoiding(g, banned: set[int]) -> set[frozenset[int]]:
                 elif u not in path:
                     stack.append((u, path + (u,)))
     return found
+
+
+# -- minimality certificate -------------------------------------------------------
+# The package's report class and certify_entropy_minimal_candidate before the
+# certificate became a plain dict, kept verbatim under a new name except that
+# the matched-vertex mask is formed from max_matching's edge list, as the
+# removed MatchingResult formed it: the dict must equal as_dict() below, key
+# order included.
+
+
+class MinimalityReport:
+    """Outcome of the necessary-condition checks for entropy minimality.
+
+    candidate means no reducible set exists.  The matched-vertex comparison
+    records |c(M)| against |M| for a maximum matching's vertex set M; when
+    c(M) outnumbers M and has edges into it, the saturating-subset argument
+    pinpoints a reducible S, so that situation only arises alongside a
+    reducible set anyway.  Isolated vertices are reported on the side: they
+    inflate c(M) without ever carrying a matching.
+    """
+
+    __slots__ = ("graph", "reducible", "candidate", "matched", "c_of_m", "comparison",
+                 "isolated", "lemma_witness")
+
+    def __init__(self, graph, reducible, matched, c_of_m, comparison, isolated, lemma_witness):
+        self.graph = graph
+        self.reducible = reducible
+        self.candidate = reducible is None
+        self.matched = matched
+        self.c_of_m = c_of_m
+        self.comparison = comparison
+        self.isolated = isolated
+        self.lemma_witness = lemma_witness
+
+    def as_dict(self) -> dict:
+        out = {
+            "candidate": self.candidate,
+            "reducible": None,
+            "matched_vertices": sorted(bits_of(self.matched)),
+            "isolated_vertices": sorted(bits_of(self.isolated)),
+        }
+        if self.reducible is not None:
+            out["reducible"] = {
+                "s": sorted(bits_of(self.reducible.s)),
+                "matching": [list(p) for p in self.reducible.matching],
+            }
+        if self.c_of_m is not None:
+            out["c_of_matched"] = sorted(bits_of(self.c_of_m))
+            out["comparison"] = self.comparison
+        if self.lemma_witness is not None:
+            out["saturating_witness"] = {
+                "a_prime": sorted(bits_of(self.lemma_witness.a_prime)),
+                "matching": [list(p) for p in self.lemma_witness.matching],
+            }
+        return out
+
+    def __repr__(self) -> str:
+        return f"MinimalityReport(candidate={self.candidate})"
+
+
+def previous_certify_entropy_minimal_candidate(g: Graph, cap: int = DEFAULT_REDUCTION_CAP) -> MinimalityReport:
+    """Run the necessary conditions for entropy minimality and report them.
+
+    A candidate has no reducible set.  The report also compares |c(M)| with
+    |M| for the vertex set M of a maximum matching: a candidate must come out
+    strictly below, except through isolated vertices, which cannot take part
+    in any matching and are listed separately.
+    """
+    if g.n > cap:
+        raise CapExceededError(f"vertex count {g.n} exceeds the reduction cap {cap}",
+                               flag="--cap")
+    reducible = find_reducible_set(g, cap)
+    matched = 0
+    for u, v in max_matching(g)[1]:
+        matched |= 1 << u | 1 << v
+    isolated = mask_of(v for v in range(g.n) if not g.rows[v] & ~(1 << v))
+    c_of_m = None
+    comparison = None
+    witness = None
+    if matched:
+        c_of_m = co_neighborhood_set(g, matched)
+        rel = "<" if c_of_m.bit_count() < matched.bit_count() else ">="
+        comparison = f"|c(M)| = {c_of_m.bit_count()} {rel} |M| = {matched.bit_count()}"
+        if rel == ">=":
+            view = BipartiteView(g, c_of_m, matched)
+            if view.edge_count():
+                witness = find_saturating_subset(view)
+    return MinimalityReport(g, reducible, matched, c_of_m, comparison, isolated, witness)
 
 
 # -- exact LP arithmetic over rationals --------------------------------------------

@@ -108,6 +108,10 @@ STDOUT_DIGESTS = [
      "05d23c87f952237d43f93ecc28fa764f3589c58be4cd8cbd693c3dfbb0ac0025"),
     (("guess", "--q", "2"), "3; 1-2,2-3,1-3",
      "2450c70ffcbd28ad6555850438caf638b35da1e4055357539d1e27a827dea855"),
+    (("survey", "--n", "6"), None,
+     "9b614b01a1988030f30801682163bcd694aae6aab9e858a2a281bc57f5a159b9"),
+    (("verify", "--suite", "theorem2"), None,
+     "510407d51a31b46e63252653987864a77df76e0126d47b41609d5f56a1ca390d"),
 ]
 
 
@@ -406,8 +410,8 @@ def test_cap_raise_sites_name_real_flags():
 
 
 def test_handlers_leave_serialization_to_main():
-    """No _cmd_* handler calls rat_str or _jsonify: handlers return plain
-    values and main serializes the result once."""
+    """No _cmd_* handler calls rat_str, _jsonify or as_dict: handlers
+    return plain values and main serializes the result once."""
     tree = ast.parse(Path(cli.__file__).read_text(), cli.__file__)
     handlers = [node for node in tree.body
                 if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")]
@@ -415,7 +419,7 @@ def test_handlers_leave_serialization_to_main():
     for handler in handlers:
         called = {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
                   for node in ast.walk(handler) if isinstance(node, ast.Call)}
-        assert not called & {"rat_str", "_jsonify"}, handler.name
+        assert not called & {"rat_str", "_jsonify", "as_dict"}, handler.name
 
 
 def test_one_process_serves_calls_alike(tmp_path, capsys):

@@ -22,7 +22,9 @@ from graphentropy.graphs import (
     bits_of,
     connected_components,
     disjoint_union,
+    induced_subgraph,
     mask_of,
+    parse_graph,
     render_graph,
 )
 from graphentropy.rationals import rat
@@ -73,13 +75,13 @@ def test_canonical_bits_match_previous_search():
             for attach in range(1 << (n - 1)):
                 rows = [r | (attach >> v & 1) << (n - 1) for v, r in enumerate(base.rows)]
                 g = Graph(n, rows + [attach], directed=False)
-                assert canonical_form(g).bits == previous_canonical_form(g).bits
+                assert canonical_form(g) == previous_canonical_form(g).graph()
     rng = random.Random(14)
     for n in (8, 9, 10):
         for p in (0.2, 0.5, 0.8):
             for _ in range(10):
                 g = random_graph(rng, n, p)
-                assert canonical_form(g).bits == previous_canonical_form(g).bits
+                assert canonical_form(g) == previous_canonical_form(g).graph()
 
 
 def test_canonical_searches_per_class(monkeypatch):
@@ -99,6 +101,45 @@ def test_canonical_searches_per_class(monkeypatch):
     assert len(searches) <= 1300, len(searches)
 
 
+def test_components_of_canonical_classes_are_canonical():
+    """The survey looks a component up as it stands: every component of
+    every disconnected class up to 7 vertices, induced and densely
+    relabelled, is its own canonical form and one of the connected classes
+    (614 components in all)."""
+    connected = {g for n in range(1, 8) for g in isomorphism_classes(n)
+                 if len(connected_components(g)) == 1}
+    components = 0
+    for n in range(2, 8):
+        for g in isomorphism_classes(n):
+            comps = connected_components(g)
+            if len(comps) == 1:
+                continue
+            for c in comps:
+                part = induced_subgraph(g, c)[0]
+                assert part == canonical_form(part), render_graph(g, "graph6")
+                assert part in connected, render_graph(g, "graph6")
+                components += 1
+    assert components == 614, components
+
+
+def test_survey_runs_no_canonical_search(monkeypatch):
+    """Once the classes are cached, the survey makes no canonical search."""
+    for n in range(1, 7):
+        isomorphism_classes(n)
+    searches = []
+    real_search = enumeration._canonical_search
+
+    def counting_search(*args):
+        searches.append(1)
+        return real_search(*args)
+
+    monkeypatch.setattr(enumeration, "_canonical_search", counting_search)
+    survey = survey_entropy_values(6)
+    assert len(survey.records) == 208
+    assert any(not r.connected for r in survey.records)
+    assert searches == []
+
+
 def test_connected_filter():
     sixes = enumerate_graphs(4, connected_only=True)
     by_n = {}
@@ -110,10 +151,10 @@ def test_connected_filter():
 def test_representatives_are_canonical_and_distinct():
     for n in range(1, 6):
         reps = isomorphism_classes(n)
-        keys = {canonical_form(g).key() for g in reps}
+        keys = {canonical_form(g) for g in reps}
         assert len(keys) == len(reps)
         for g in reps:
-            assert canonical_form(g).graph() == g
+            assert canonical_form(g) == g
 
 
 def test_canonical_form_permutation_invariant():
@@ -124,13 +165,13 @@ def test_canonical_form_permutation_invariant():
             perm = list(range(n))
             rng.shuffle(perm)
             h = Graph.undirected(n, [(perm[u], perm[v]) for u, v in g.edges()])
-            assert canonical_form(g).bits == canonical_form(h).bits
+            assert canonical_form(g) == canonical_form(h)
 
 
 def test_canonical_graph6_values():
-    assert canonical_form(c5()).graph6() == "DLo"
-    assert canonical_form(g1()).graph6() == "FFHKW"
-    assert render_graph(canonical_form(c5()).graph(), "graph6") == "DLo"
+    assert render_graph(canonical_form(c5()), "graph6") == "DLo"
+    assert render_graph(canonical_form(g1()), "graph6") == "FFHKW"
+    assert canonical_form(c5()) == parse_graph("DLo", "graph6")
 
 
 def test_canonical_respects_isomorphism_oracle():
@@ -139,10 +180,10 @@ def test_canonical_respects_isomorphism_oracle():
     for _ in range(60):
         g = random_graph(rng, 4)
         key = perm_class_key(g)
-        bits = canonical_form(g).bits
+        form = canonical_form(g)
         if key in seen:
-            assert seen[key] == bits
-        seen[key] = bits
+            assert seen[key] == form
+        seen[key] = form
 
 
 def test_component_additivity(rng):
@@ -244,8 +285,8 @@ def test_pentagon_apex_masks():
 
 def test_wheel_lemma_all_32_cases():
     report = verify_wheel_lemma()
-    assert report.ok
-    cases = {tuple(entry["apex_neighbors"]): entry for entry in report.details["cases"]}
+    assert report["ok"]
+    cases = {tuple(entry["apex_neighbors"]): entry for entry in report["cases"]}
     assert len(cases) == 32
     assert cases[()]["lower"] == rat("5/2")
     assert cases[(0, 1, 2)]["lower"] == rat("7/2")
@@ -265,21 +306,20 @@ def test_wheel_lazy_bracket_matches_eager():
 
 def test_g_family_suite():
     report = verify_g_family()
-    assert report.ok
-    first = report.details["cases"][0]
+    assert report["ok"]
+    first = report["cases"][0]
     assert first["lower"] == rat("11/3")
     assert first["fractional_cover"] == rat("10/3")
     assert "10/13" in first["cross_check"]
-    rest = report.details["cases"][1:]
+    rest = report["cases"][1:]
     assert len(rest) == 5
     assert all(entry["lower"] == rat("7/2") for entry in rest)
     assert perm_class_key(g_family()[0]) == perm_class_key(g1())
 
 
 def test_small_theorem_suite():
-    report = verify_small_theorems()
-    assert report.ok
-    details = report.details
+    details = verify_small_theorems()
+    assert details["ok"]
     assert details["connected_5/2_witnesses"] == ["DLo"]
     assert details["connected_11/3_witnesses"] == ["FFHKW"]
     assert details["window_violations"] == []
@@ -298,5 +338,5 @@ def test_small_theorem_suite_lp_count(monkeypatch):
         return real_simplex(*args)
 
     monkeypatch.setattr(lp, "_simplex", counting_simplex)
-    assert verify_small_theorems().ok
+    assert verify_small_theorems()["ok"]
     assert len(runs) <= 74, len(runs)

@@ -1,3 +1,4 @@
+import json
 from itertools import product
 
 import pytest
@@ -20,7 +21,7 @@ from graphentropy.structure import (
     find_saturating_subset,
 )
 
-from _oracles import bipartite_matching_size
+from _oracles import bipartite_matching_size, previous_certify_entropy_minimal_candidate
 from conftest import c5, g1, random_graph
 
 
@@ -124,21 +125,39 @@ def test_find_reducible_examples():
 
 def test_minimality_reports():
     report = certify_entropy_minimal_candidate(c5())
-    assert report.candidate
-    assert bin(report.matched).count("1") == 4
-    assert report.c_of_m == 0 or bin(report.c_of_m).count("1") == 1
-    assert "<" in report.comparison
+    assert report["candidate"]
+    assert len(report["matched_vertices"]) == 4
+    assert report["c_of_matched"] == [] or len(report["c_of_matched"]) == 1
+    assert "<" in report["comparison"]
 
-    assert certify_entropy_minimal_candidate(g1()).candidate
+    assert certify_entropy_minimal_candidate(g1())["candidate"]
 
     pendant = Graph.undirected(6, list(c5().edges()) + [(0, 5)])
-    assert not certify_entropy_minimal_candidate(pendant).candidate
+    assert not certify_entropy_minimal_candidate(pendant)["candidate"]
+
+
+def test_minimality_dict_matches_previous_report():
+    """The certificate is the previous report's as_dict(), key order
+    included, on every class up to 6 vertices and the pendant C5; 15 of them
+    reach the >= comparison and 12 carry a saturating witness."""
+    graphs = [g for n in range(1, 7) for g in isomorphism_classes(n)]
+    graphs.append(Graph.undirected(6, list(c5().edges()) + [(0, 5)]))
+    assert len(graphs) == 209
+    at_least = witnesses = 0
+    for g in graphs:
+        got = certify_entropy_minimal_candidate(g)
+        want = previous_certify_entropy_minimal_candidate(g).as_dict()
+        assert got == want, render_graph(g, "graph6")
+        assert json.dumps(got) == json.dumps(want), render_graph(g, "graph6")
+        at_least += ">=" in got.get("comparison", "")
+        witnesses += "saturating_witness" in got
+    assert (at_least, witnesses) == (15, 12)
 
 
 def test_minimality_disqualifier_when_c_of_m_large():
     path = Graph.path(4)
     report = certify_entropy_minimal_candidate(path)
-    assert not report.candidate
+    assert not report["candidate"]
 
 
 def test_decomposition_identity_all_n6():
