@@ -20,7 +20,7 @@ from .bounds import (
     shannon_entropy,
     shannon_theta,
 )
-from .guessing import GuessingCode, GuessingValue, extend_code, max_guessing
+from .guessing import GuessingCode, extend_code, max_guessing
 from .structure import (
     Decomposition,
     certify_entropy_minimal_candidate,
@@ -45,7 +45,6 @@ __all__ = [
     "Graph",
     "GraphError",
     "GuessingCode",
-    "GuessingValue",
     "LinearProgram",
     "LpSolution",
     "Rational",

@@ -98,11 +98,11 @@ def _cmd_bounds(args) -> tuple[dict, int]:
 
 def _cmd_guess(args) -> tuple[dict, int]:
     g = _load_graph(args.graph, args.format)
-    value, code = max_guessing(g, args.q, cap=args.cap)
+    size, code = max_guessing(g, args.q, cap=args.cap)
     result = {
-        "q": value.q,
-        "code_size": value.code_size,
-        "guessing_number": value.log_string(),
+        "q": args.q,
+        "code_size": size,
+        "guessing_number": f"log_{args.q}({size})",
         "code": code.word_strings(),
         "optimal": True,
     }
@@ -178,8 +178,6 @@ def _var_name(mask: int) -> str:
 def _lp_terms(pairs, names) -> str:
     parts = []
     for j, c in pairs:
-        if c == 0:
-            continue
         mag = c if c > 0 else -c
         coeff = "" if mag == 1 else f"{mag} "
         term = f"{coeff}{names(j)}"

@@ -107,6 +107,8 @@ class Graph:
     def undirected(cls, n: int, edges: Iterable[tuple[int, int]] = ()) -> "Graph":
         rows = [0] * n
         for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphError(f"edge {u}-{v} out of range")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         return cls(n, rows, directed=False)

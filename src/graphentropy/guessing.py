@@ -26,14 +26,8 @@ import itertools
 from typing import Iterable, Iterator, Sequence
 
 from .bounds import transversal_number
-from .graphs import (
-    CapExceededError,
-    Graph,
-    GraphError,
-    bits_of,
-    co_neighborhood_set,
-    induced_subgraph,
-)
+from .graphs import CapExceededError, Graph, GraphError, bits_of
+from .structure import Decomposition
 
 DEFAULT_WORD_CAP = 4096
 
@@ -204,58 +198,6 @@ def _improvements(rows: list[int], cand: int, best_size: int = 0) -> Iterator[in
             yield clique | bit
 
 
-class GuessingValue:
-    """A guessing number held exactly as (q, code_size).
-
-    The value itself is log_q(code_size); comparisons go through code_size so
-    nothing is ever rounded.  Mixing alphabet sizes in a comparison is a bug,
-    not a conversion, and raises.
-    """
-
-    __slots__ = ("q", "code_size")
-
-    def __init__(self, q: int, code_size: int):
-        if q < 2 or code_size < 1:
-            raise GraphError("guessing value needs q >= 2 and a positive code size")
-        self.q = q
-        self.code_size = code_size
-
-    def log_string(self) -> str:
-        return f"log_{self.q}({self.code_size})"
-
-    def exact_integer(self) -> int | None:
-        """The value as an int when code_size is a perfect power of q."""
-        k, rest = 0, self.code_size
-        while rest % self.q == 0:
-            rest //= self.q
-            k += 1
-        return k if rest == 1 else None
-
-    def _check(self, other) -> "GuessingValue":
-        if not isinstance(other, GuessingValue):
-            raise TypeError("can only compare against another GuessingValue")
-        if other.q != self.q:
-            raise GraphError("guessing values over different alphabets are not comparable")
-        return other
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GuessingValue):
-            return NotImplemented
-        return self.q == other.q and self.code_size == other.code_size
-
-    def __lt__(self, other) -> bool:
-        return self.code_size < self._check(other).code_size
-
-    def __le__(self, other) -> bool:
-        return self.code_size <= self._check(other).code_size
-
-    def __hash__(self) -> int:
-        return hash((self.q, self.code_size))
-
-    def __repr__(self) -> str:
-        return f"GuessingValue({self.log_string()})"
-
-
 class GuessingCode:
     """A set of words some strategy profile fixes simultaneously.
 
@@ -267,9 +209,13 @@ class GuessingCode:
     __slots__ = ("host", "q", "words")
 
     def __init__(self, host: Graph, q: int, words: Iterable[tuple[int, ...]]):
+        if q < 2:
+            raise GraphError("alphabet needs at least two symbols")
         self.host = host
         self.q = q
         ws = sorted(tuple(w) for w in words)
+        if not ws:
+            raise GraphError("a code needs at least one word")
         for w in ws:
             if len(w) != host.n or any(not 0 <= d < q for d in w):
                 raise GraphError(f"word {w} does not fit {host.n} vertices over {q} symbols")
@@ -279,9 +225,6 @@ class GuessingCode:
 
     def __len__(self) -> int:
         return len(self.words)
-
-    def value(self) -> GuessingValue:
-        return GuessingValue(self.q, len(self.words))
 
     def validate(self) -> None:
         if not validate_code(self.host, self.q, self.words):
@@ -318,9 +261,10 @@ def validate_code(g: Graph, q: int, words: Sequence[tuple[int, ...]]) -> bool:
     return True
 
 
-def max_guessing(g: Graph, q: int, cap: int = DEFAULT_WORD_CAP) -> tuple[GuessingValue, GuessingCode]:
-    """Exact guessing number of g over q symbols, with an optimal code.
+def max_guessing(g: Graph, q: int, cap: int = DEFAULT_WORD_CAP) -> tuple[int, GuessingCode]:
+    """Largest code size of g over q symbols, with an optimal code.
 
+    The guessing number is log_q of the size, which is kept as an exact int.
     Solves the maximum clique problem on the full compatibility graph, so the
     result is optimal, not a bound.  The returned code has revalidated itself
     against the definition.
@@ -329,58 +273,34 @@ def max_guessing(g: Graph, q: int, cap: int = DEFAULT_WORD_CAP) -> tuple[Guessin
     mask = comp.max_clique_mask()
     code = GuessingCode(g, q, [comp.words[i] for i in bits_of(mask)])
     code.validate()
-    return code.value(), code
+    return len(code), code
 
 
-def extend_code(code: GuessingCode, matching: Sequence[tuple[int, int]], g: Graph) -> GuessingCode:
-    """Lift a code on g minus d(S) back to g along an S-saturating matching.
+def extend_code(code: GuessingCode, d: Decomposition) -> GuessingCode:
+    """Lift a code on d's remainder back to d's host along d's matching.
 
-    matching lists (outer, inner) edges of g: the inner endpoints form S, the
-    outer ones lie in c(S), the set of vertices outside S with every
-    neighbour inside it.  d(S) = S together with c(S).  Each old word gains
-    q**|S| extensions: every matched pair carries one shared free symbol,
-    unmatched c(S) vertices sit at 0, all other vertices keep their old
-    value.  The result is validated before it is returned.
+    The matching pairs c(S) vertices with all of S, and d(S) = S together
+    with c(S); d has already checked all of this when it was built.  Each old
+    word gains q**|S| extensions: every matched pair carries one shared free
+    symbol, unmatched c(S) vertices sit at 0, all other vertices keep their
+    old value.  The result is validated before it is returned.
     """
-    if not g.is_simple():
-        raise GraphError("code extension needs a loopless undirected host")
-    if not matching:
-        raise GraphError("matching must be nonempty")
-    outer = [c for c, _ in matching]
-    inner = [s for _, s in matching]
-    if len(set(outer)) != len(outer) or len(set(inner)) != len(inner):
-        raise GraphError("matching endpoints must be distinct")
-    s_mask = 0
-    for s in inner:
-        s_mask |= 1 << s
-    c_mask = co_neighborhood_set(g, s_mask)
-    for c, s in matching:
-        if not c_mask >> c & 1:
-            raise GraphError(f"vertex {c} keeps neighbours outside the inner set")
-        if not g.has_arc(c, s):
-            raise GraphError(f"matching pair {c}-{s} is not an edge")
-    d_mask = s_mask | c_mask
-    remainder, verts = induced_subgraph(g, g.vertex_mask & ~d_mask)
-    if code.host != remainder:
+    if code.host != d.remainder:
         raise GraphError("code host does not match the graph minus d(S)")
     q = code.q
-    pairs = sorted(matching, key=lambda cs: cs[1])
-    blank_outer = [c for c in bits_of(c_mask) if not any(c == oc for oc, _ in pairs)]
     new_words = []
     for w in code.words:
-        base = [0] * g.n
-        for i, v in enumerate(verts):
+        base = [0] * d.host.n
+        for i, v in enumerate(d.verts):
             base[v] = w[i]
-        for symbols in itertools.product(range(q), repeat=len(pairs)):
+        for symbols in itertools.product(range(q), repeat=len(d.matching)):
             word = list(base)
-            for (c, s), sym in zip(pairs, symbols):
+            for (c, s), sym in zip(d.matching, symbols):
                 word[c] = sym
                 word[s] = sym
-            for c in blank_outer:
-                word[c] = 0
             new_words.append(tuple(word))
-    out = GuessingCode(g, q, new_words)
-    if len(out) != len(code) * q ** len(pairs):
+    out = GuessingCode(d.host, q, new_words)
+    if len(out) != len(code) * q ** len(d.matching):
         raise GraphError("extension lost words, the input code was malformed")
     out.validate()
     return out

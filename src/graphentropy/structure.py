@@ -52,6 +52,27 @@ def bipartite_max_matching(b: BipartiteView) -> tuple[tuple[int, int], ...]:
     return tuple(sorted((u, v) for v, u in owner.items()))
 
 
+def _matched(host: Graph, matching, left: int, right: int) -> int:
+    """Right-side vertices a matching covers, after checking every pair.
+
+    Raises GraphError unless each pair is a host edge from a left vertex to
+    a right vertex and no two pairs share an endpoint.
+    """
+    seen_l = 0
+    seen_r = 0
+    for u, v in matching:
+        bit_u, bit_v = 1 << u, 1 << v
+        if not left & bit_u or not right & bit_v:
+            raise GraphError(f"matching pair {u}-{v} leaves its sides")
+        if not host.has_arc(u, v):
+            raise GraphError(f"matching pair {u}-{v} is not an edge")
+        if seen_l & bit_u or seen_r & bit_v:
+            raise GraphError("matching pairs must be disjoint")
+        seen_l |= bit_u
+        seen_r |= bit_v
+    return seen_r
+
+
 class SaturatingWitness:
     """A nonempty left subset whose full neighbourhood is matched back into it.
 
@@ -67,19 +88,7 @@ class SaturatingWitness:
         if not a_prime or a_prime & ~view.left:
             raise GraphError("witness set must be a nonempty part of the left side")
         saturated = view.neighborhood_left(a_prime)
-        seen_a = 0
-        seen_b = 0
-        for a, b in matching:
-            bit_a, bit_b = 1 << a, 1 << b
-            if not a_prime & bit_a or not saturated & bit_b:
-                raise GraphError(f"matching edge {a}-{b} leaves the witness view")
-            if not view.adj_left(a) >> b & 1:
-                raise GraphError(f"matching pair {a}-{b} is not an edge")
-            if seen_a & bit_a or seen_b & bit_b:
-                raise GraphError("matching edges must be disjoint")
-            seen_a |= bit_a
-            seen_b |= bit_b
-        if seen_b != saturated:
+        if _matched(view.host, matching, a_prime, saturated) != saturated:
             raise GraphError("matching does not cover the neighbourhood")
         self.a_prime = a_prime
         self.matching = tuple(sorted(matching))
@@ -170,19 +179,7 @@ class Decomposition:
         for u in bits_of(c_s):
             if host.rows[u] & c_s:
                 raise AssertionError("co-neighbourhood set is not independent")
-        seen_c = 0
-        seen_s = 0
-        for c, t in matching:
-            bit_c, bit_t = 1 << c, 1 << t
-            if not c_s & bit_c or not s & bit_t:
-                raise GraphError(f"matching pair {c}-{t} does not join c(S) to S")
-            if not host.has_arc(c, t):
-                raise GraphError(f"matching pair {c}-{t} is not an edge")
-            if seen_c & bit_c or seen_s & bit_t:
-                raise GraphError("matching pairs must be disjoint")
-            seen_c |= bit_c
-            seen_s |= bit_t
-        if seen_s != s:
+        if _matched(host, matching, c_s, s) != s:
             raise GraphError("matching must saturate S")
         self.host = host
         self.s = s
@@ -238,9 +235,6 @@ def certify_entropy_minimal_candidate(g: Graph, cap: int = DEFAULT_REDUCTION_CAP
     reducible S, so that situation only arises alongside a reducible set
     anyway; its witness is reported as saturating_witness.
     """
-    if g.n > cap:
-        raise CapExceededError(f"vertex count {g.n} exceeds the reduction cap {cap}",
-                               flag="--cap")
     reducible = find_reducible_set(g, cap)
     matched = mask_of(v for edge in max_matching(g)[1] for v in edge)
     isolated = mask_of(v for v in range(g.n) if not g.rows[v] & ~(1 << v))

@@ -129,11 +129,11 @@ def test_criterion_3_survey_n7():
 
 def test_criterion_4_guessing_numbers():
     for n in range(2, 6):
-        value, _ = max_guessing(Graph.complete(n), 2)
-        assert value.code_size == 2 ** (n - 1)
+        size, _ = max_guessing(Graph.complete(n), 2)
+        assert size == 2 ** (n - 1)
 
-    value, code = max_guessing(c5(), 2)
-    assert value.code_size == clique_code_size(c5(), 2) == 5
+    size, code = max_guessing(c5(), 2)
+    assert size == clique_code_size(c5(), 2) == 5
     code.validate()
 
     rng = random.Random(0xACCE)
@@ -147,7 +147,7 @@ def test_criterion_4_guessing_numbers():
         stripped, _ = induced_subgraph(g, g.vertex_mask & ~loop_mask)
         whole, _ = max_guessing(g, 2)
         part, _ = max_guessing(stripped, 2)
-        assert whole.code_size == 2 ** bin(loop_mask).count("1") * part.code_size
+        assert whole == 2 ** bin(loop_mask).count("1") * part
 
 
 def test_criterion_5_property_suites():
@@ -193,12 +193,12 @@ def test_criterion_5_property_suites():
 
     for _ in range(100):
         g = random_digraph(rng, rng.randint(1, 5), loop_p=0.2)
-        value, _ = max_guessing(g, 2)
-        assert value.code_size <= 2 ** transversal_number(g)[0]
+        size, _ = max_guessing(g, 2)
+        assert size <= 2 ** transversal_number(g)[0]
 
         sub = Graph.from_arcs(g.n, [x for x in g.arcs() if rng.random() < 0.7])
         smaller, _ = max_guessing(sub, 2)
-        assert smaller.code_size <= value.code_size
+        assert smaller <= size
 
         masks = [m for m in range(1, 1 << g.n)
                  if m != g.vertex_mask and is_acyclic(induced_subgraph(g, m)[0])]
@@ -206,7 +206,7 @@ def test_criterion_5_property_suites():
             i_mask = rng.choice(masks)
             reduced, _ = i_reduction(g, i_mask)
             after, _ = max_guessing(reduced, 2)
-            assert value.code_size <= 2 ** bin(i_mask).count("1") * after.code_size
+            assert size <= 2 ** bin(i_mask).count("1") * after
 
     for n in range(1, 7):
         for g in isomorphism_classes(n):

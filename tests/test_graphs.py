@@ -35,6 +35,14 @@ def test_constructors():
     assert not Graph.from_arcs(2, [(0, 1)]).is_simple()
 
 
+@pytest.mark.parametrize("pair", [(0, 3), (0, -1), (-1, 0)])
+def test_constructors_refuse_endpoints_out_of_range(pair):
+    with pytest.raises(GraphError, match="out of range"):
+        Graph.undirected(3, [pair])
+    with pytest.raises(GraphError, match="out of range"):
+        Graph.from_arcs(3, [pair])
+
+
 def test_one_way_arc_message_names_first_arc():
     """The first one-way arc is named: least tail, then least head."""
     # Arcs 1->3 and 2->0 have no reverse; 0-1 is an edge and 0 has a loop.

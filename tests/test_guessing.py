@@ -16,7 +16,6 @@ from graphentropy.graphs import (
 )
 from graphentropy.guessing import (
     GuessingCode,
-    GuessingValue,
     _improvements,
     _max_clique,
     compatibility_graph,
@@ -24,7 +23,7 @@ from graphentropy.guessing import (
     max_guessing,
     validate_code,
 )
-from graphentropy.structure import find_reducible_set
+from graphentropy.structure import Decomposition, find_reducible_set
 
 from _oracles import (
     clique_code_size,
@@ -134,9 +133,9 @@ def test_stop_at_a_tight_bound_keeps_the_mask(rng):
 ], ids=["C11-q2", "C12-q2", "C5-q3", "looped-2-cycle-q2"])
 def test_codes_at_the_cap(g, q, size):
     started = time.perf_counter()
-    value, code = max_guessing(g, q)
+    got, code = max_guessing(g, q)
     elapsed = time.perf_counter() - started
-    assert value.code_size == len(code) == size
+    assert got == len(code) == size
     assert elapsed < 60, f"took {elapsed:.1f}s"
 
 
@@ -147,9 +146,9 @@ def test_code_meeting_q_tau_ends_the_search():
     g = Graph.undirected(5, [(0, 1), (0, 2), (0, 4), (1, 4), (2, 3), (2, 4), (3, 4)])
     assert transversal_number(g)[0] == 3
     started = time.perf_counter()
-    value, code = max_guessing(g, 3)
+    size, code = max_guessing(g, 3)
     elapsed = time.perf_counter() - started
-    assert value.code_size == len(code) == 27
+    assert size == len(code) == 27
     code.validate()
     assert elapsed < 5, f"took {elapsed:.1f}s"
 
@@ -164,7 +163,7 @@ def test_code_size_within_tau_and_theta(rng):
         report = bounds_report(g)
         theta = report.theta
         for q in (2, 3) if g.directed or g.n <= 4 else (2,):
-            size = max_guessing(g, q)[0].code_size
+            size = max_guessing(g, q)[0]
             assert size <= q ** report.tau, (g, q)
             assert size ** theta.denominator <= q ** theta.numerator, (g, q)
 
@@ -172,29 +171,27 @@ def test_code_size_within_tau_and_theta(rng):
 def test_complete_graph_codes():
     # K11's 1024-word code is a clique deeper than the recursion limit.
     for n in (2, 3, 4, 5, 11):
-        value, code = max_guessing(Graph.complete(n), 2)
-        assert value.code_size == 2 ** (n - 1)
+        size, code = max_guessing(Graph.complete(n), 2)
+        assert size == 2 ** (n - 1)
         code.validate()
 
 
 def test_pentagon_code_size_matches_oracles():
-    value, code = max_guessing(c5(), 2)
-    assert value.code_size == 5
+    size, code = max_guessing(c5(), 2)
+    assert size == 5
     assert clique_code_size(c5(), 2) == 5
     assert profile_code_size(c5(), 2) == 5
-    assert value.log_string() == "log_2(5)"
 
 
 def test_triangle_code_size_matches_profile_oracle():
-    value, _ = max_guessing(Graph.complete(3), 2)
-    assert value.code_size == profile_code_size(Graph.complete(3), 2) == 4
+    size, _ = max_guessing(Graph.complete(3), 2)
+    assert size == profile_code_size(Graph.complete(3), 2) == 4
 
 
 def test_double_loop_reduction_example():
     both = Graph.from_arcs(2, [(0, 0), (1, 1)])
-    value, _ = max_guessing(both, 2)
-    assert value.code_size == 4
-    assert value.exact_integer() == 2
+    size, _ = max_guessing(both, 2)
+    assert size == 4
 
 
 def test_validate_code_examples():
@@ -229,15 +226,6 @@ def test_validate_code_matches_pairwise_oracle(rng):
     assert rejected > 0
 
 
-def test_guessing_value_ordering():
-    a = GuessingValue(2, 4)
-    b = GuessingValue(2, 5)
-    assert a < b and a <= b and a != b
-    assert GuessingValue(2, 4) == GuessingValue(2, 4)
-    with pytest.raises(ValueError):
-        _ = GuessingValue(2, 4) < GuessingValue(3, 4)
-
-
 def test_word_cap():
     with pytest.raises(CapExceededError):
         max_guessing(Graph.empty(13), 2)
@@ -256,14 +244,14 @@ def test_loop_reduction_exact(rng):
         whole, _ = max_guessing(g, 2)
         part, _ = max_guessing(stripped, 2)
         k = bin(loop_mask).count("1")
-        assert whole.code_size == 2 ** k * part.code_size
+        assert whole == 2 ** k * part
 
 
 def test_tau_upper_bound(rng):
     for _ in range(100):
         g = random_digraph(rng, rng.randint(1, 5), loop_p=0.2)
-        value, _ = max_guessing(g, 2)
-        assert value.code_size <= 2 ** transversal_number(g)[0]
+        size, _ = max_guessing(g, 2)
+        assert size <= 2 ** transversal_number(g)[0]
 
 
 def test_subgraph_monotonicity(rng):
@@ -273,7 +261,7 @@ def test_subgraph_monotonicity(rng):
         sub = Graph.from_arcs(g.n, kept)
         small, _ = max_guessing(sub, 2)
         large, _ = max_guessing(g, 2)
-        assert small.code_size <= large.code_size
+        assert small <= large
 
 
 def test_i_reduction_soundness(rng):
@@ -289,12 +277,12 @@ def test_i_reduction_soundness(rng):
         reduced, _ = i_reduction(g, i_mask)
         before, _ = max_guessing(g, 2)
         after, _ = max_guessing(reduced, 2)
-        assert before.code_size <= 2 ** bin(i_mask).count("1") * after.code_size
+        assert before <= 2 ** bin(i_mask).count("1") * after
 
 
 def test_extend_code_pendant_pair():
     base = GuessingCode(Graph.empty(0), 2, [()])
-    out = extend_code(base, [(1, 0)], Graph.complete(2))
+    out = extend_code(base, Decomposition(Graph.complete(2), 1 << 0, ((1, 0),)))
     assert out.words == ((0, 0), (1, 1))
 
 
@@ -302,7 +290,8 @@ def test_extend_code_across_union():
     g = disjoint_union(c5(), Graph.complete(2))
     _, pent_code = max_guessing(c5(), 2)
 
-    lifted = extend_code(pent_code, [(6, 5)], g)
+    d = Decomposition(g, 1 << 5, ((6, 5),))
+    lifted = extend_code(pent_code, d)
     assert len(lifted.words) == 10
     for i, w in enumerate(lifted.words):
         for x in lifted.words[i + 1:]:
@@ -310,7 +299,7 @@ def test_extend_code_across_union():
 
     four = GuessingCode(c5(), 2, pent_code.words[:4])
     four.validate()
-    assert len(extend_code(four, [(6, 5)], g).words) == 8
+    assert len(extend_code(four, d).words) == 8
 
 
 def test_extend_code_size_identity(rng):
@@ -322,11 +311,26 @@ def test_extend_code_size_identity(rng):
             continue
         cases += 1
         _, base = max_guessing(d.remainder, 2)
-        lifted = extend_code(base, list(d.matching), host)
+        lifted = extend_code(base, d)
         assert len(lifted.words) == len(base.words) * 2 ** len(d.matching)
 
 
 def test_isolated_vertex_adds_nothing():
     g = disjoint_union(c5(), Graph.empty(1))
-    value, _ = max_guessing(g, 2)
-    assert value.code_size == 5
+    size, _ = max_guessing(g, 2)
+    assert size == 5
+
+
+def test_guessing_code_refuses_one_symbol_and_no_words():
+    with pytest.raises(GraphError):
+        GuessingCode(Graph.empty(1), 1, [(0,)])
+    with pytest.raises(GraphError):
+        GuessingCode(Graph.empty(1), 2, [])
+
+
+def test_extend_code_refuses_a_code_off_the_remainder():
+    g = disjoint_union(c5(), Graph.complete(2))
+    d = Decomposition(g, 1 << 5, ((6, 5),))
+    _, k2_code = max_guessing(Graph.complete(2), 2)
+    with pytest.raises(GraphError):
+        extend_code(k2_code, d)

@@ -14,6 +14,7 @@ from graphentropy.graphs import (
     render_graph,
 )
 from graphentropy.structure import (
+    Decomposition,
     SaturatingWitness,
     bipartite_max_matching,
     certify_entropy_minimal_candidate,
@@ -106,6 +107,31 @@ def test_saturating_witness_rejects_garbage():
         SaturatingWitness(view, 0, ())
     with pytest.raises(GraphError):
         SaturatingWitness(view, mask_of([0, 1]), ())
+
+
+def _witness(matching) -> SaturatingWitness:
+    g, left, right = bipartite_host(2, 2, [(0, 0), (0, 1), (1, 1)])
+    return SaturatingWitness(BipartiteView(g, left, right), left, matching)
+
+
+def _decomposition(matching) -> Decomposition:
+    # c(S) of S = {2, 3} is {0, 1}, so the witness's matchings fit here too.
+    g, _, right = bipartite_host(2, 2, [(0, 0), (0, 1), (1, 1)])
+    return Decomposition(g, right, matching)
+
+
+@pytest.mark.parametrize("build", [_witness, _decomposition], ids=["witness", "decomposition"])
+@pytest.mark.parametrize("matching", [
+    pytest.param(((0, 3), (1, 2)), id="not-an-edge"),
+    pytest.param(((0, 2), (0, 3)), id="shared-left-endpoint"),
+    pytest.param(((0, 3), (1, 3)), id="shared-right-endpoint"),
+    pytest.param(((2, 0), (1, 3)), id="endpoint-off-its-side"),
+    pytest.param(((0, 2),), id="misses-a-target"),
+])
+def test_tampered_matchings_are_refused(build, matching):
+    assert build(((0, 2), (1, 3))).matching == ((0, 2), (1, 3))
+    with pytest.raises(GraphError):
+        build(matching)
 
 
 def test_find_reducible_examples():
