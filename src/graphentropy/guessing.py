@@ -17,7 +17,9 @@ neighbourhood alone.  The code it reports is still the one a search over
 all words would report: when that search's first clique is not optimal, it
 is replayed with the known optimum as its incumbent.  No code is larger than
 q**tau, tau the host's minimum feedback vertex set, so the search stops as
-soon as it holds a clique of that size.
+soon as it holds a clique of that size.  The same shifts build the graph
+itself: only the all-zero word's row comes from the definition, and every
+other row is an earlier one shifted by one symbol at one coordinate.
 """
 
 from __future__ import annotations
@@ -73,9 +75,15 @@ def compatibility_graph(g: Graph, q: int, cap: int = DEFAULT_WORD_CAP) -> Compat
     """Build the word-level compatibility graph of g over alphabet {0..q-1}.
 
     Two distinct words are adjacent unless some vertex separates them: they
-    agree on its in-neighbourhood but differ at the vertex itself.  Built one
-    vertex at a time by bucketing words on their in-neighbourhood restriction,
-    so the cost is n * q**n mask operations rather than all-pairs work.
+    agree on its in-neighbourhood but differ at the vertex itself.  Only row
+    0 comes from that definition.  With Z_u the mask of words whose digit u
+    is 0, the words that some vertex v separates from word 0 are those in
+    every Z_u, u an in-neighbour of v, but outside Z_v; a loop at v cancels
+    its own term.  Every other row is an earlier one moved by a symbol
+    shift: adding 1 mod q at digit u is an automorphism, so row i is the row
+    of i minus that digit's stride, u the first nonzero digit of i, with
+    each word index moved the same way.  That is a few mask operations per vertex
+    for row 0 and a handful per further row.
     """
     if q < 2:
         raise GraphError("alphabet needs at least two symbols")
@@ -83,28 +91,28 @@ def compatibility_graph(g: Graph, q: int, cap: int = DEFAULT_WORD_CAP) -> Compat
     if total > cap:
         raise CapExceededError(f"word space {q}**{g.n} = {total} exceeds the cap of {cap}",
                                flag="--cap")
-    words = _all_words(g.n, q)
-    bad = [0] * total
+    full = (1 << total) - 1
+    # Digit u of word index i is i // q**(n-1-u) % q, so Z_u repeats a run
+    # of q**(n-1-u) ones every q**(n-u) bits.
+    strides = [q ** (g.n - 1 - u) for u in range(g.n)]
+    zero = [((1 << s) - 1) * (full // ((1 << q * s) - 1)) for s in strides]
+    bad = 0
     cols = g.cols
     for v in range(g.n):
-        key_at = list(bits_of(cols[v]))
-        buckets: dict[tuple[int, ...], dict[int, int]] = {}
-        for i, w in enumerate(words):
-            per_digit = buckets.setdefault(tuple(w[u] for u in key_at), {})
-            per_digit[w[v]] = per_digit.get(w[v], 0) | 1 << i
-        for per_digit in buckets.values():
-            if len(per_digit) < 2:
-                continue
-            union = 0
-            for m in per_digit.values():
-                union |= m
-            for m in per_digit.values():
-                others = union & ~m
-                for i in bits_of(m):
-                    bad[i] |= others
-    full = (1 << total) - 1
-    rows = [full & ~(bad[i] | 1 << i) for i in range(total)]
-    return CompatibilityGraph(g, q, words, rows)
+        agree = full
+        for u in bits_of(cols[v]):
+            agree &= zero[u]
+        bad |= agree & ~zero[v]
+    rows = [full & ~(bad | 1)]
+    # Rows 0..s-1 are the words whose digits up to u are 0, s the stride of
+    # digit u; each further block of s rows has digit u one higher.
+    for s, z in zip(reversed(strides), reversed(zero)):
+        back = (q - 1) * s
+        top = z << back
+        low = full ^ top
+        for _ in range(q - 1):
+            rows += [(x & low) << s | (x & top) >> back for x in rows[-s:]]
+    return CompatibilityGraph(g, q, _all_words(g.n, q), rows)
 
 
 def _max_clique(rows: list[int], limit: int | None = None) -> int:
@@ -137,26 +145,29 @@ def _max_clique(rows: list[int], limit: int | None = None) -> int:
     if n == 0:
         return 0
     full = (1 << n) - 1
-    first = next(_improvements(rows, full))
+    comp = [full ^ r for r in rows]
+    first = next(_improvements(rows, comp, full))
     if first.bit_count() == limit:
         return first
     anchored = 0
-    for anchored in _improvements(rows, rows[0], first.bit_count() - 1):
+    for anchored in _improvements(rows, comp, rows[0], first.bit_count() - 1):
         if anchored.bit_count() + 1 == limit:
             break
     if not anchored:
         return first
-    return next(_improvements(rows, full, anchored.bit_count()))
+    return next(_improvements(rows, comp, full, anchored.bit_count()))
 
 
-def _improvements(rows: list[int], cand: int, best_size: int = 0) -> Iterator[int]:
+def _improvements(rows: list[int], comp: list[int], cand: int,
+                  best_size: int = 0) -> Iterator[int]:
     """Masks of ever larger cliques within cand, the last one maximum.
 
     Branch and bound with greedy colouring: candidates are coloured greedily
     (each colour class an independent set) and explored from the highest
     colour down, so the colour count bounds every remaining branch.  Only
     cliques larger than best_size are yielded.  Deterministic: the order at
-    every choice point depends only on the candidate set.
+    every choice point depends only on the candidate set.  comp[v] is the
+    complement of rows[v] within all words.
     """
 
     def color_order(cand: int) -> list[tuple[int, int]]:
@@ -171,7 +182,7 @@ def _improvements(rows: list[int], cand: int, best_size: int = 0) -> Iterator[in
                 v = low.bit_length() - 1
                 out.append((v, color))
                 rest ^= low
-                avail = avail & ~low & ~rows[v]
+                avail = (avail ^ low) & comp[v]
         return out
 
     # Depth-first with an explicit stack, since a clique can be deeper than

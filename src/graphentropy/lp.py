@@ -132,17 +132,21 @@ def _as_dense(coeffs, num_vars):
 
 def _as_sparse(coeffs, num_vars, what):
     """The nonzero (index, coeff) pairs of an {index: int} row in index order."""
-    if not isinstance(coeffs, Mapping):
+    # Programs hold hundreds of short rows, nearly all plain dicts: the exact
+    # type test spares them the slower Mapping check, and the sorted ends
+    # bound every index.
+    if type(coeffs) is not dict and not isinstance(coeffs, Mapping):
         raise LpError(f"{what}: coefficients must be an {{index: int}} dict")
-    out = []
-    for j, c in sorted(coeffs.items()):
-        if not 0 <= j < num_vars:
-            raise LpError(f"{what}: variable index {j} out of range")
+    items = sorted(coeffs.items())
+    if items and not (0 <= items[0][0] and items[-1][0] < num_vars):
+        j = items[0][0] if items[0][0] < 0 else items[-1][0]
+        raise LpError(f"{what}: variable index {j} out of range")
+    for c in coeffs.values():
         if type(c) is not int:
             raise LpError(f"{what}: coefficient {c!r} is not an int")
-        if c:
-            out.append((j, c))
-    return tuple(out)
+    if 0 in coeffs.values():
+        return tuple(p for p in items if p[1])
+    return tuple(items)
 
 
 # -- solver -------------------------------------------------------------------

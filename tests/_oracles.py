@@ -652,6 +652,37 @@ def profile_code_size(g, q: int) -> int:
     return best
 
 
+# The package's compatibility graph construction as it was before row 0 and
+# the symbol shifts built it, kept under a new name: per vertex, words are
+# bucketed on their in-neighbourhood restriction and every pair of buckets
+# that differ at the vertex marks its words incompatible.
+def previous_compatibility_rows(g, q: int) -> list[int]:
+    """Rows of the compatibility graph on all q**n words in lexicographic
+    order, row i the mask of words compatible with word i (i excluded)."""
+    words = list(product(range(q), repeat=g.n))
+    total = len(words)
+    bad = [0] * total
+    cols = g.cols
+    for v in range(g.n):
+        key_at = list(bits_of(cols[v]))
+        buckets: dict[tuple[int, ...], dict[int, int]] = {}
+        for i, w in enumerate(words):
+            per_digit = buckets.setdefault(tuple(w[u] for u in key_at), {})
+            per_digit[w[v]] = per_digit.get(w[v], 0) | 1 << i
+        for per_digit in buckets.values():
+            if len(per_digit) < 2:
+                continue
+            union = 0
+            for m in per_digit.values():
+                union |= m
+            for m in per_digit.values():
+                others = union & ~m
+                for i in bits_of(m):
+                    bad[i] |= others
+    full = (1 << total) - 1
+    return [full & ~(bad[i] | 1 << i) for i in range(total)]
+
+
 # The package's clique search as it was before it was anchored on word 0,
 # kept verbatim under a new name: the anchored search must return exactly
 # its mask, not just a clique of the same size.

@@ -88,6 +88,11 @@ BOUNDS_DIGESTS = {
 
 # sha256 of the whole stdout of the other JSON subcommands: (argv, stdin).
 PENDANT_C5 = "6; 1-2,2-3,3-4,4-5,5-1,1-6"
+# C12 fills the 4,096-word cap at q = 2; K3 at q = 7 and this seeded looped
+# digraph at q = 3 move words by symbol shifts that wrap past q - 1 > 1.
+C12 = "12; " + ",".join(f"{i + 1}-{(i + 1) % 12 + 1}" for i in range(12))
+LOOPED_DIGRAPH = ("6; 1->4,1->5,2->2,2->4,3->1,3->2,3->3,3->4,3->6,4->1,4->4,4->6,"
+                  "5->1,5->6,6->1,6->3,6->4,6->5")
 STDOUT_DIGESTS = [
     (("survey", "--n", "5"), None,
      "6fff49b892569758f64943ad956ada1f340b9ad969fc49cbeb40cf75d3780e38"),
@@ -112,6 +117,12 @@ STDOUT_DIGESTS = [
      "9b614b01a1988030f30801682163bcd694aae6aab9e858a2a281bc57f5a159b9"),
     (("verify", "--suite", "theorem2"), None,
      "510407d51a31b46e63252653987864a77df76e0126d47b41609d5f56a1ca390d"),
+    (("guess", "--q", "2"), C12,
+     "aee4f177e802240e1906cc503933a2ae5076e5a75946be90bcfd853f1fa066d3"),
+    (("guess", "--q", "7"), "3; 1-2,2-3,1-3",
+     "0eabab399ec429376a2538204574028a8c1f04a0ad5f2e14c1126aaba7a4851b"),
+    (("guess", "--q", "3"), LOOPED_DIGRAPH,
+     "f000563a25844e0ec4cd49ad1ddcc758746e6290e7e37a0c104d1afdd6446635"),
 ]
 
 

@@ -27,6 +27,7 @@ from graphentropy.structure import Decomposition, find_reducible_set
 
 from _oracles import (
     clique_code_size,
+    previous_compatibility_rows,
     profile_code_size,
     unanchored_max_clique,
     words_compatible,
@@ -75,6 +76,19 @@ NAMED_GUESSING_GRAPHS = [
 LOOPED_2_CYCLE = Graph.from_arcs(12, [(0, 1), (1, 0)] + [(v, v) for v in range(2, 12)])
 
 
+def test_rows_match_the_bucket_construction(rng):
+    """Row 0 plus symbol shifts gives the rows the per-vertex bucketing gave,
+    at every alphabet size from 2 to 7 up to the word cap."""
+    cases = [(Graph.cycle(11), 2), (Graph.cycle(12), 2), (Graph.cycle(5), 3),
+             (LOOPED_2_CYCLE, 2), (Graph.empty(0), 2), (Graph.empty(0), 7)]
+    for q in range(2, 8):
+        most = max(n for n in range(13) if q**n <= 4096)
+        cases += [(random_digraph(rng, rng.randint(1, most), loop_p=0.3), q) for _ in range(12)]
+        cases.append((random_digraph(rng, most, loop_p=0.3), q))
+    for g, q in cases:
+        assert compatibility_graph(g, q).rows == previous_compatibility_rows(g, q), (g, q)
+
+
 def test_max_clique_mask_matches_unanchored_oracle(rng):
     cases = list(NAMED_GUESSING_GRAPHS)
     cases += [(random_digraph(rng, rng.randint(1, 7), loop_p=0.2), 2) for _ in range(150)]
@@ -100,6 +114,12 @@ def cayley_rows(rng, q: int, k: int) -> list[int]:
             for w in words]
 
 
+def first_dive(rows: list[int]) -> int:
+    """The first clique of the search over all words: one greedy dive."""
+    full = (1 << len(rows)) - 1
+    return next(_improvements(rows, [full ^ r for r in rows], full))
+
+
 def test_anchored_search_replays_the_unanchored_one(rng):
     replayed = 0
     for q, k in [(2, 7), (3, 4), (4, 3), (7, 2)]:
@@ -107,7 +127,7 @@ def test_anchored_search_replays_the_unanchored_one(rng):
             rows = cayley_rows(rng, q, k)
             mask = _max_clique(rows)
             assert mask == unanchored_max_clique(rows), (q, k)
-            replayed += next(_improvements(rows, (1 << len(rows)) - 1)) != mask
+            replayed += first_dive(rows) != mask
     assert replayed >= 10
 
 
@@ -120,7 +140,7 @@ def test_stop_at_a_tight_bound_keeps_the_mask(rng):
             rows = cayley_rows(rng, q, k)
             mask = unanchored_max_clique(rows)
             assert _max_clique(rows, mask.bit_count()) == mask, (q, k)
-            first = next(_improvements(rows, (1 << len(rows)) - 1))
+            first = first_dive(rows)
             stops["dive" if first.bit_count() == mask.bit_count() else "anchored"] += 1
     assert min(stops.values()) >= 10, stops
 
