@@ -14,11 +14,9 @@ from .rationals import Rational, rat, rat_str
 from .lp import LinearProgram, LpSolution, solve
 from .bounds import (
     BoundsReport,
-    bounds_report,
     entropy_bracket,
     fractional_clique_cover_number,
     shannon_entropy,
-    shannon_theta,
 )
 from .guessing import GuessingCode, extend_code, max_guessing
 from .structure import (
@@ -50,7 +48,6 @@ __all__ = [
     "Rational",
     "ValueSurvey",
     "__version__",
-    "bounds_report",
     "certify_entropy_minimal_candidate",
     "entropy_bracket",
     "enumerate_graphs",
@@ -65,7 +62,6 @@ __all__ = [
     "rat_str",
     "render_graph",
     "shannon_entropy",
-    "shannon_theta",
     "solve",
     "survey_entropy_values",
     "verify_g_family",

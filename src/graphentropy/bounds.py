@@ -4,10 +4,10 @@ The lower side comes from packing structure into the graph: a matching, a
 clique cover, or its fractional relaxation (n minus the fractional clique
 cover number is the strongest of the three).  The upper side removes
 structure: a minimum transversal (vertices meeting every directed cycle) and
-the subset-entropy linear program.  bounds_report strips loops, splits into
-components, computes every bound once, and returns one BoundsReport: the
-strongest sides as a bracket with machine-checkable witnesses, plus every
-bound value behind it.  A collapsed bracket pins the entropy exactly.
+the subset-entropy linear program.  entropy_bracket strips loops, splits
+into components, computes every bound once, and returns one BoundsReport:
+the strongest sides as a bracket with machine-checkable witnesses, plus
+every bound value behind it.  A collapsed bracket pins the entropy exactly.
 """
 
 from __future__ import annotations
@@ -166,34 +166,30 @@ def clique_cover_number(g: Graph) -> tuple[int, tuple[int, ...]]:
     return best_count, best_cover
 
 
-class CliqueFamily:
-    """Weighted family of cliques; validate() checks the fractional cover
-    conditions exactly against a host graph."""
+def check_clique_cover(g: Graph, cliques, weights) -> None:
+    """Raise ValueError unless the weighted cliques are a fractional clique
+    cover of g: every member a clique of the mutual-arc relation, every
+    weight nonnegative, every vertex covered to total weight at least one.
 
-    __slots__ = ("cliques", "weights")
-
-    def __init__(self, cliques, weights):
-        self.cliques = tuple(cliques)
-        self.weights = tuple(Rational(w) for w in weights)
-        if len(self.cliques) != len(self.weights):
-            raise ValueError("one weight per clique required")
-
-    def total(self) -> Rational:
-        return sum(self.weights, Rational(0))
-
-    def validate(self, g: Graph) -> None:
-        for c in self.cliques:
-            for u in bits_of(c):
-                if c & ~(g.mutual_row(u) | 1 << u):
-                    raise ValueError(f"{sorted(bits_of(c))} is not a clique")
-        for w in self.weights:
-            if w < 0:
-                raise ValueError("negative clique weight")
-        for v in range(g.n):
-            level = sum((w for c, w in zip(self.cliques, self.weights) if c >> v & 1),
-                        Rational(0))
-            if level < 1:
-                raise ValueError(f"vertex {v} covered only to level {level}")
+    The levels are summed in integers, on the weights scaled by their least
+    common denominator, as validate_entropy_function does."""
+    if len(cliques) != len(weights):
+        raise ValueError("one weight per clique required")
+    for c in cliques:
+        for u in bits_of(c):
+            if c & ~(g.mutual_row(u) | 1 << u):
+                raise ValueError(f"{sorted(bits_of(c))} is not a clique")
+    if any(w < 0 for w in weights):
+        raise ValueError("negative clique weight")
+    scale = lcm(*(w.denominator for w in weights))
+    level = [0] * g.n
+    for c, w in zip(cliques, weights):
+        k = w.numerator * (scale // w.denominator)
+        for v in bits_of(c):
+            level[v] += k
+    for v, got in enumerate(level):
+        if got < scale:
+            raise ValueError(f"vertex {v} covered only to level {Rational(got, scale)}")
 
 
 def build_fractional_cover_lp(g: Graph) -> tuple[LinearProgram, tuple[int, ...]]:
@@ -212,43 +208,34 @@ def build_fractional_cover_lp(g: Graph) -> tuple[LinearProgram, tuple[int, ...]]
     return LinearProgram(k, "min", [1] * k, rows), cliques
 
 
-def fractional_clique_cover_number(g: Graph) -> tuple[Rational, CliqueFamily]:
-    """Optimal fractional clique cover, certified by an independent set of
-    equal size when one exists and by an exact LP over maximal cliques
-    otherwise.
+def fractional_clique_cover_number(g: Graph, cover) -> tuple[Rational, tuple[int, ...], tuple]:
+    """Optimal fractional clique cover of g as (kappa_f, cliques, weights),
+    given any clique cover of g, such as the one clique_cover_number returns.
 
-    A minimum integral cover with cc cliques is a feasible fractional cover
-    of weight cc, and an independent set S of the mutual-arc relation is a
-    feasible dual (each clique meets S at most once), so |S| = cc pins the
-    value by weak duality.  A perfect graph always has such an S (Lovasz,
-    1972); on up to seven vertices only graphs with an induced C5, C7 or
-    co-C7 are imperfect.  Otherwise the LP runs; restricting it to maximal
-    cliques loses nothing, since weight on any clique can be moved to a
-    maximal superset.  The returned family revalidates exactly either way.
+    The cover, all weights 1, is a feasible fractional cover of weight
+    len(cover), and an independent set S of the mutual-arc relation is a
+    feasible dual (each clique meets S at most once), so |S| = len(cover)
+    pins the value by weak duality.  A perfect graph's minimum cover always
+    has such an S (Lovasz, 1972); on up to seven vertices only graphs with
+    an induced C5, C7 or co-C7 are imperfect.  Otherwise the exact LP over
+    maximal cliques runs and the cover is not read; restricting the LP to
+    maximal cliques loses nothing, since weight on any clique can be moved
+    to a maximal superset.  The result passes check_clique_cover either way.
     """
-    if g.n == 0:
-        return Rational(0), CliqueFamily((), ())
-    return _fractional_cover(g, *clique_cover_number(g))
-
-
-def _fractional_cover(g: Graph, cc: int, cover: tuple[int, ...]) -> tuple[Rational, CliqueFamily]:
-    """fractional_clique_cover_number from a minimum clique cover already
-    in hand, so callers that also report cc search for it once."""
     mut = [g.mutual_row(u) for u in range(g.n)]
     size, vertex_cover = _vertex_cover(mut, g.vertex_mask)
-    if g.n - size == cc:
-        family = CliqueFamily(cover, [1] * cc)
-        family.validate(g)
+    if g.n - size == len(cover):
+        cliques, weights = tuple(cover), (Rational(1),) * len(cover)
+        check_clique_cover(g, cliques, weights)
         independent = g.vertex_mask & ~vertex_cover
         if any(mut[v] & independent for v in bits_of(independent)):
             raise AssertionError(f"dual witness {sorted(bits_of(independent))} "
                                  f"is not an independent set")
-        return Rational(cc), family
+        return Rational(len(cover)), cliques, weights
     lp, cliques = build_fractional_cover_lp(g)
     sol = solve(lp)
-    family = CliqueFamily(cliques, sol.primal)
-    family.validate(g)
-    return sol.objective, family
+    check_clique_cover(g, cliques, sol.primal)
+    return sol.objective, cliques, sol.primal
 
 
 def transversal_number(g: Graph) -> tuple[int, int]:
@@ -689,8 +676,8 @@ def union_report(components: list[list[int]], parts: list[BoundsReport]) -> Boun
     )
 
 
-def bounds_report(g: Graph, shannon_cap: int = DEFAULT_SHANNON_CAP,
-                  lazy_theta: bool = False) -> BoundsReport:
+def entropy_bracket(g: Graph, shannon_cap: int = DEFAULT_SHANNON_CAP,
+                    lazy_theta: bool = False) -> BoundsReport:
     """Best certified bracket for the entropy of g, with every bound behind it.
 
     Pipeline: strip looped vertices (each contributes exactly 1), split into
@@ -698,7 +685,9 @@ def bounds_report(g: Graph, shannon_cap: int = DEFAULT_SHANNON_CAP,
     graph has none), then per component take lower = n - fractional clique
     cover number (never worse than the matching or integral cover bounds)
     and upper = min(transversal, LP).  With lazy_theta the LP is skipped
-    whenever the transversal already meets the lower bound.
+    whenever the transversal already meets the lower bound.  theta, when
+    computed, is the LP's value on all of g: both reductions are exact for
+    the LP, not just bounds.
 
     Across the loop strip tau and theta add the loop count, but nu, cc and
     kappa_f do not (a looped vertex still sits in a clique), so those three
@@ -707,7 +696,7 @@ def bounds_report(g: Graph, shannon_cap: int = DEFAULT_SHANNON_CAP,
     lp_mask = loops(g)
     if lp_mask:
         sub, _ = induced_subgraph(g, g.vertex_mask & ~lp_mask)
-        inner = bounds_report(sub, shannon_cap, lazy_theta)
+        inner = entropy_bracket(sub, shannon_cap, lazy_theta)
         k = lp_mask.bit_count()
         looped = _vertices(lp_mask)
         cc, cover = clique_cover_number(g)
@@ -715,18 +704,18 @@ def bounds_report(g: Graph, shannon_cap: int = DEFAULT_SHANNON_CAP,
             inner.lower + k, inner.upper + k,
             {"tag": "loop-reduction", "loops": looped, "inner": inner.lower_witness},
             {"tag": "loop-reduction", "loops": looped, "inner": inner.upper_witness},
-            max_matching(g)[0], cc, _fractional_cover(g, cc, cover)[0], inner.tau + k,
+            max_matching(g)[0], cc, fractional_clique_cover_number(g, cover)[0], inner.tau + k,
             None if inner.theta is None else inner.theta + k)
     comps = connected_components(g)
     if len(comps) != 1:
         return union_report(
             [_vertices(comp) for comp in comps],
-            [bounds_report(induced_subgraph(g, comp)[0], shannon_cap, lazy_theta)
+            [entropy_bracket(induced_subgraph(g, comp)[0], shannon_cap, lazy_theta)
              for comp in comps])
     n = g.n
     nu, matching = max_matching(g)
     cc, cover = clique_cover_number(g)
-    kappa_f, family = _fractional_cover(g, cc, cover)
+    kappa_f, cliques, weights = fractional_clique_cover_number(g, cover)
     tau, removed = transversal_number(g)
     lower = n - kappa_f
     assert Rational(nu) <= Rational(n - cc) <= lower
@@ -737,8 +726,8 @@ def bounds_report(g: Graph, shannon_cap: int = DEFAULT_SHANNON_CAP,
     else:
         low_wit = {
             "tag": "fractional-clique-cover",
-            "cliques": [_vertices(c) for c in family.cliques],
-            "weights": list(family.weights),
+            "cliques": [_vertices(c) for c in cliques],
+            "weights": list(weights),
             "value": kappa_f,
         }
     upper, up_wit = Rational(tau), {"tag": "transversal", "removed": _vertices(removed)}
@@ -748,15 +737,3 @@ def bounds_report(g: Graph, shannon_cap: int = DEFAULT_SHANNON_CAP,
         if theta < upper:
             upper, up_wit = theta, {"tag": "shannon-lp", "theta": theta}
     return BoundsReport(lower, upper, low_wit, up_wit, nu, cc, kappa_f, tau, theta)
-
-
-def entropy_bracket(g: Graph, lazy_theta: bool = False) -> BoundsReport:
-    """bounds_report of g; the name stays because the benchmark's tracer
-    (perfbench/tracer.py) times this function by name."""
-    return bounds_report(g, lazy_theta=lazy_theta)
-
-
-def shannon_theta(g: Graph) -> Rational:
-    """Value of the subset-entropy LP for g, computed loop-stripped and
-    componentwise (both reductions are exact for this LP, not just bounds)."""
-    return bounds_report(g).theta

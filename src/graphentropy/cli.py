@@ -19,7 +19,12 @@ import time
 from functools import lru_cache
 
 from . import __version__
-from .bounds import DEFAULT_SHANNON_CAP, bounds_report, build_fractional_cover_lp, build_shannon_lp
+from .bounds import (
+    DEFAULT_SHANNON_CAP,
+    build_fractional_cover_lp,
+    build_shannon_lp,
+    entropy_bracket,
+)
 from .graphs import CapExceededError, FormatError, GraphError, bits_of, parse_graph, render_graph
 from .guessing import DEFAULT_WORD_CAP, max_guessing
 from .lp import LinearProgram
@@ -82,7 +87,7 @@ def _echo_graph(g) -> dict:
 
 def _cmd_bounds(args) -> tuple[dict, int]:
     g = _load_graph(args.graph, args.format)
-    report = bounds_report(g, shannon_cap=args.shannon_cap, lazy_theta=args.lazy)
+    report = entropy_bracket(g, shannon_cap=args.shannon_cap, lazy_theta=args.lazy)
     result = {
         "graph": _echo_graph(g)["text"],
         "nu": report.nu,
@@ -130,9 +135,14 @@ def _cmd_minimal_check(args) -> tuple[dict, int]:
     return {"input": _echo_graph(g), "result": result}, 0
 
 
+def _at_least_one(flag: str, value: int) -> None:
+    if value < 1:
+        raise UsageFault(f"{flag} must be at least 1, got {value}")
+
+
 def _cmd_survey(args) -> tuple[dict, int]:
-    if args.n < 1:
-        raise UsageFault(f"--n must be at least 1, got {args.n}")
+    _at_least_one("--n", args.n)
+    _at_least_one("--jobs", args.jobs)
     survey = survey_entropy_values(
         args.n, jobs=args.jobs, cap=args.cap, connected_only=args.connected
     )
@@ -160,6 +170,7 @@ def _cmd_survey(args) -> tuple[dict, int]:
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
+    _at_least_one("--jobs", args.jobs)
     if args.suite == "wheel":
         report = verify_wheel_lemma()
     elif args.suite == "gfamily":

@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 from multiprocessing import Pool
 
-from .bounds import BoundsReport, bounds_report, entropy_bracket, union_report
+from .bounds import BoundsReport, entropy_bracket, union_report
 from .graphs import (
     CapExceededError,
     Graph,
@@ -412,7 +412,7 @@ def verify_g_family() -> dict:
     graphs = g_family()
     entries = []
     failures = []
-    first = bounds_report(graphs[0])
+    first = entropy_bracket(graphs[0])
     ok_first = (
         first.exact
         and first.lower == rat("11/3")

@@ -34,41 +34,33 @@ from .structure import Decomposition
 DEFAULT_WORD_CAP = 4096
 
 
-def _all_words(n: int, q: int) -> list[tuple[int, ...]]:
-    return [tuple(w) for w in itertools.product(range(q), repeat=n)]
-
-
 class CompatibilityGraph:
     """Compatibility relation on all q**n words of a guessing game.
 
-    Words are kept in lexicographic order; rows[i] is the bitmask of words
-    compatible with word i (i itself excluded).  The graph can be far larger
-    than the 64-vertex host cap, which is why it is its own type rather than
-    a Graph.
+    Words are indexed in lexicographic order, so digit u of word i is
+    i // q**(n-1-u) % q; rows[i] is the bitmask of words compatible with
+    word i (i itself excluded).  The graph can be far larger than the
+    64-vertex host cap, which is why it is its own type rather than a Graph.
     """
 
-    __slots__ = ("host", "q", "words", "rows")
+    __slots__ = ("host", "q", "rows")
 
-    def __init__(self, host: Graph, q: int, words: list[tuple[int, ...]], rows: list[int]):
+    def __init__(self, host: Graph, q: int, rows: list[int]):
         self.host = host
         self.q = q
-        self.words = words
         self.rows = rows
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self.rows)
 
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return bool(self.rows[i] >> j & 1)
 
     def max_clique_mask(self) -> int:
         return _max_clique(self.rows, self.q ** transversal_number(self.host)[0])
 
     def __repr__(self) -> str:
-        return f"CompatibilityGraph(q={self.q}, words={len(self.words)})"
+        return f"CompatibilityGraph(q={self.q}, words={len(self.rows)})"
 
 
 def compatibility_graph(g: Graph, q: int, cap: int = DEFAULT_WORD_CAP) -> CompatibilityGraph:
@@ -112,7 +104,7 @@ def compatibility_graph(g: Graph, q: int, cap: int = DEFAULT_WORD_CAP) -> Compat
         low = full ^ top
         for _ in range(q - 1):
             rows += [(x & low) << s | (x & top) >> back for x in rows[-s:]]
-    return CompatibilityGraph(g, q, _all_words(g.n, q), rows)
+    return CompatibilityGraph(g, q, rows)
 
 
 def _max_clique(rows: list[int], limit: int | None = None) -> int:
@@ -280,9 +272,9 @@ def max_guessing(g: Graph, q: int, cap: int = DEFAULT_WORD_CAP) -> tuple[int, Gu
     result is optimal, not a bound.  The returned code has revalidated itself
     against the definition.
     """
-    comp = compatibility_graph(g, q, cap)
-    mask = comp.max_clique_mask()
-    code = GuessingCode(g, q, [comp.words[i] for i in bits_of(mask)])
+    mask = compatibility_graph(g, q, cap).max_clique_mask()
+    strides = [q ** (g.n - 1 - u) for u in range(g.n)]
+    code = GuessingCode(g, q, [tuple(i // s % q for s in strides) for i in bits_of(mask)])
     code.validate()
     return len(code), code
 

@@ -6,8 +6,8 @@ neighbourhood can be matched, a search for vertex sets S that such matchings
 render removable (the entropy of the graph then splits as |S| plus the
 entropy of a smaller graph), and the certification report for graphs none of
 this machinery can shrink.  The search backs the reduce and minimal-check
-commands, not the entropy brackets: bounds_report's bounds already obey the
-split (see enumeration.bracket_with_fallback).
+commands, not the entropy brackets: entropy_bracket's bounds already obey
+the split (see enumeration.bracket_with_fallback).
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ from graphentropy.bounds import (
     _collapsed_program,
     _elemental_table,
     _shannon_rows,
-    bounds_report,
     build_fractional_cover_lp,
+    check_clique_cover,
     build_shannon_lp,
     clique_cover_number,
     closure_map,
@@ -20,7 +20,6 @@ from graphentropy.bounds import (
     max_matching,
     maximal_cliques,
     shannon_entropy,
-    shannon_theta,
     transversal_number,
     validate_entropy_function,
 )
@@ -87,12 +86,28 @@ def test_clique_cover_matches_complement_coloring(rng):
             assert clique_cover_number(g)[0] == chromatic_number(complement_graph(g))
 
 
+def _kappa_f(g):
+    return fractional_clique_cover_number(g, clique_cover_number(g)[1])
+
+
 def test_fractional_cover_examples():
-    value, family = fractional_clique_cover_number(c5())
+    value, cliques, weights = _kappa_f(c5())
     assert value == rat("5/2")
-    family.validate(c5())
-    assert fractional_clique_cover_number(Graph.complete(4))[0] == 1
-    assert fractional_clique_cover_number(g1())[0] == rat("10/3")
+    check_clique_cover(c5(), cliques, weights)
+    assert _kappa_f(Graph.complete(4))[0] == 1
+    assert _kappa_f(g1())[0] == rat("10/3")
+    assert fractional_clique_cover_number(Graph.empty(0), ()) == (0, (), ())
+    # All five edges cover C5 but not minimally; the LP decides, at its
+    # unique optimum of weight 1/2 per edge.
+    edges = maximal_cliques(c5())
+    assert fractional_clique_cover_number(c5(), edges) == (rat("5/2"), edges, (rat("1/2"),) * 5)
+    # Two members, as many as an independent set of C5 has, one not a clique.
+    with pytest.raises(ValueError, match=r"\[0, 1, 2\] is not a clique"):
+        fractional_clique_cover_number(c5(), (mask_of([0, 1, 2]), mask_of([3, 4])))
+    with pytest.raises(ValueError, match="negative clique weight"):
+        check_clique_cover(c5(), edges, (1, 1, 1, 1, -1))
+    with pytest.raises(ValueError, match="vertex 0 covered only to level 1/2"):
+        check_clique_cover(c5(), edges, (rat("1/4"), 1, 1, rat("1/4"), 1))
 
 
 def _lp_kappa_f(g):
@@ -117,11 +132,11 @@ def test_fractional_cover_shortcut_matches_lp(monkeypatch, rng):
     paths = {"shortcut": 0, "lp": 0}
     for g in graphs:
         before = len(solves)
-        value, family = fractional_clique_cover_number(g)
+        value, cliques, weights = _kappa_f(g)
         paths["lp" if len(solves) > before else "shortcut"] += 1
         assert value == _lp_kappa_f(g), g
-        family.validate(g)
-        assert family.total() == value
+        check_clique_cover(g, cliques, weights)
+        assert sum(weights) == value
     assert paths["shortcut"] and paths["lp"], paths
 
 
@@ -147,11 +162,11 @@ def test_cover_lp_weights_pinned(monkeypatch):
     lines = []
     for g in enumerate_graphs(7, connected_only=True):
         before = len(solves)
-        value, family = fractional_clique_cover_number(g)
+        value, cliques, weights = _kappa_f(g)
         if len(solves) > before:
-            family.validate(g)
-            assert family.total() == value == _lp_kappa_f(g), render_graph(g, "graph6")
-            pairs = " ".join(f"{c}:{rat_str(w)}" for c, w in zip(family.cliques, family.weights))
+            check_clique_cover(g, cliques, weights)
+            assert sum(weights) == value == _lp_kappa_f(g), render_graph(g, "graph6")
+            pairs = " ".join(f"{c}:{rat_str(w)}" for c, w in zip(cliques, weights))
             lines.append(f"{render_graph(g, 'graph6')} {pairs}\n")
     assert len(lines) == 37
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == COVER_WEIGHTS_SHA256
@@ -182,11 +197,11 @@ def test_transversal_forces_loops():
 
 
 def test_theta_examples():
-    assert shannon_theta(c5()) == rat("5/2")
-    assert shannon_theta(Graph.cycle(7)) == rat("7/2")
-    assert shannon_theta(complement(Graph.cycle(7))) == rat("14/3")
-    assert shannon_theta(g1()) == rat("11/3")
-    assert shannon_theta(Graph.complete(7)) == 6
+    assert entropy_bracket(c5()).theta == rat("5/2")
+    assert entropy_bracket(Graph.cycle(7)).theta == rat("7/2")
+    assert entropy_bracket(complement(Graph.cycle(7))).theta == rat("14/3")
+    assert entropy_bracket(g1()).theta == rat("11/3")
+    assert entropy_bracket(Graph.complete(7)).theta == 6
 
 
 def test_shannon_result_revalidates():
@@ -362,7 +377,7 @@ def test_bracket_loop_reduction():
 def test_bound_chain(rng):
     for _ in range(100):
         g = random_graph(rng, rng.randint(1, 7))
-        r = bounds_report(g)
+        r = entropy_bracket(g)
         assert r.nu <= g.n - r.cc <= g.n - r.kappa_f <= r.lower
         assert r.lower <= r.upper <= min(r.tau, r.theta)
         assert r.theta <= r.tau
@@ -378,14 +393,14 @@ def test_lazy_bracket_never_crosses(rng):
 
 
 def _assert_report_matches_direct_calls(g):
-    r = bounds_report(g)
+    r = entropy_bracket(g)
     assert r.nu == max_matching(g)[0]
     assert r.cc == clique_cover_number(g)[0]
     assert r.kappa_f == _lp_kappa_f(g)
     assert r.tau == transversal_number(g)[0]
     if g.n <= 5:
         assert r.theta == solve(build_shannon_lp(g)).objective
-    lazy = bounds_report(g, lazy_theta=True)
+    lazy = entropy_bracket(g, lazy_theta=True)
     assert (lazy.nu, lazy.cc, lazy.kappa_f, lazy.tau) == (r.nu, r.cc, r.kappa_f, r.tau)
     assert lazy.theta in (None, r.theta)
 
@@ -451,7 +466,7 @@ def _seeded_gnp8(k: int) -> Graph:
 ])
 def test_brackets_at_the_cap(g, value, exact_steps):
     started = time.perf_counter()
-    r = bounds_report(g)
+    r = entropy_bracket(g)
     elapsed = time.perf_counter() - started
     assert (r.theta, r.lower, r.upper, r.exact) == (rat(value), rat(value), rat(value), True)
     assert elapsed < 60, f"took {elapsed:.1f}s"
@@ -463,7 +478,7 @@ def test_exact_path_without_numpy(monkeypatch):
     slack/artificial basis and runs on exact pivots alone."""
     monkeypatch.setattr(lp_module, "_np", None)
     started = time.perf_counter()
-    r = bounds_report(Graph.undirected(7, _GNP7_4_RELABELLED))
+    r = entropy_bracket(Graph.undirected(7, _GNP7_4_RELABELLED))
     elapsed = time.perf_counter() - started
     assert (r.theta, r.lower, r.upper) == (4, 4, 4)
     assert elapsed < 60, f"took {elapsed:.1f}s"

@@ -308,6 +308,12 @@ def test_usage_errors():
     assert invoke("bounds").returncode == 2
     assert invoke("nonsense").returncode == 2
     assert invoke("bounds", "--graph", "/does/not/exist").returncode == 2
+    for argv in (("survey", "--n", "2", "--jobs", "0"),
+                 ("verify", "--suite", "wheel", "--jobs", "-3")):
+        proc = invoke(*argv)
+        assert proc.returncode == 2, argv
+        assert proc.stdout == "", argv
+        assert "--jobs" in proc.stderr, argv
 
 
 def path_graph(n: int) -> str:
@@ -535,6 +541,8 @@ def test_benchmark_tracer_targets_resolve(tmp_path, c5_file):
     assert traced["wrapped"] and all(traced["wrapped"]), traced["wrapped"]
     assert traced["layers"]["lp.solve.calls"] >= 1
     assert traced["layers"]["lp.solve.rows"] > 0
+    assert traced["layers"]["bounds.entropy_bracket.calls"] >= 1
+    assert traced["layers"]["bounds.fractional_cover.calls"] >= 1
 
 
 def test_version_flag():

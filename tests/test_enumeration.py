@@ -3,7 +3,7 @@ import random
 import pytest
 
 from graphentropy import enumeration, lp
-from graphentropy.bounds import bounds_report, entropy_bracket
+from graphentropy.bounds import entropy_bracket
 from graphentropy.enumeration import (
     bracket_with_fallback,
     canonical_form,
@@ -253,7 +253,7 @@ def test_survey_union_witnesses_use_record_labelling():
     assert len(records) == sum(KNOWN_CLASS_COUNTS[:6]) - sum(KNOWN_CONNECTED_COUNTS[:6])
     for r in records:
         comps = [list(bits_of(c)) for c in connected_components(r.graph)]
-        direct = bounds_report(r.graph, lazy_theta=True)
+        direct = entropy_bracket(r.graph, lazy_theta=True)
         for witness in (r.bracket.lower_witness, r.bracket.upper_witness):
             assert witness["tag"] == "union-additivity", r.graph6()
             assert witness["components"] == comps, r.graph6()

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from graphentropy.bounds import bounds_report, entropy_bracket
+from graphentropy.bounds import entropy_bracket
 from graphentropy.enumeration import isomorphism_classes
 from graphentropy.graphs import (
     BipartiteView,
@@ -217,7 +217,7 @@ def test_reducible_set_never_tightens_the_bracket():
             assert whole.lower >= k + part.lower, render_graph(g, "graph6")
             assert whole.upper <= k + part.upper, render_graph(g, "graph6")
             if n <= 6:
-                eager, rest = bounds_report(g), bounds_report(d.remainder)
+                eager, rest = entropy_bracket(g), entropy_bracket(d.remainder)
                 assert eager.theta <= k + rest.theta, render_graph(g, "graph6")
                 assert eager.tau <= k + rest.tau, render_graph(g, "graph6")
     assert checked == 717
