@@ -102,6 +102,7 @@ def _cmd_bounds(args) -> tuple[dict, int]:
 
 
 def _cmd_guess(args) -> tuple[dict, int]:
+    _at_least("--q", args.q, 2)
     g = _load_graph(args.graph, args.format)
     size, code = max_guessing(g, args.q, cap=args.cap)
     result = {
@@ -135,14 +136,14 @@ def _cmd_minimal_check(args) -> tuple[dict, int]:
     return {"input": _echo_graph(g), "result": result}, 0
 
 
-def _at_least_one(flag: str, value: int) -> None:
-    if value < 1:
-        raise UsageFault(f"{flag} must be at least 1, got {value}")
+def _at_least(flag: str, value: int, least: int) -> None:
+    if value < least:
+        raise UsageFault(f"{flag} must be at least {least}, got {value}")
 
 
 def _cmd_survey(args) -> tuple[dict, int]:
-    _at_least_one("--n", args.n)
-    _at_least_one("--jobs", args.jobs)
+    _at_least("--n", args.n, 1)
+    _at_least("--jobs", args.jobs, 1)
     survey = survey_entropy_values(
         args.n, jobs=args.jobs, cap=args.cap, connected_only=args.connected
     )
@@ -170,7 +171,7 @@ def _cmd_survey(args) -> tuple[dict, int]:
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
-    _at_least_one("--jobs", args.jobs)
+    _at_least("--jobs", args.jobs, 1)
     if args.suite == "wheel":
         report = verify_wheel_lemma()
     elif args.suite == "gfamily":

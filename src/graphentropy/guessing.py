@@ -20,6 +20,14 @@ q**tau, tau the host's minimum feedback vertex set, so the search stops as
 soon as it holds a clique of that size.  The same shifts build the graph
 itself: only the all-zero word's row comes from the definition, and every
 other row is an earlier one shifted by one symbol at one coordinate.
+
+The anchored search needs only the clique number, so it also prunes by the
+symmetries that fix the all-zero word (orbital branching): the host's
+automorphisms acting on coordinates, and, for q >= 3, transpositions of two
+nonzero symbols at one coordinate.  Once the search has explored a word, it
+drops that word's whole orbit under the symmetries that fix the current
+clique, since those map every clique through one word of the orbit onto a
+clique of the same size through the explored one.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ import itertools
 from typing import Iterable, Iterator, Sequence
 
 from .bounds import transversal_number
-from .graphs import CapExceededError, Graph, GraphError, bits_of
+from .graphs import CapExceededError, Graph, GraphError, automorphisms, bits_of
 from .structure import Decomposition
 
 DEFAULT_WORD_CAP = 4096
@@ -57,7 +65,8 @@ class CompatibilityGraph:
         return sum(r.bit_count() for r in self.rows) // 2
 
     def max_clique_mask(self) -> int:
-        return _max_clique(self.rows, self.q ** transversal_number(self.host)[0])
+        return _max_clique(self.rows, self.q ** transversal_number(self.host)[0],
+                           _word_symmetries(self.host, self.q))
 
     def __repr__(self) -> str:
         return f"CompatibilityGraph(q={self.q}, words={len(self.rows)})"
@@ -107,13 +116,65 @@ def compatibility_graph(g: Graph, q: int, cap: int = DEFAULT_WORD_CAP) -> Compat
     return CompatibilityGraph(g, q, rows)
 
 
-def _max_clique(rows: list[int], limit: int | None = None) -> int:
+def _word_symmetries(g: Graph, q: int) -> Iterator[list[int]]:
+    """Generators of a group of compatibility-graph automorphisms fixing word 0.
+
+    Compatibility depends only on g's arcs and on equality at each
+    coordinate, so two kinds of word permutation keep it, and both fix the
+    all-zero word: a host automorphism p moving digit u to coordinate p[u],
+    and, for q >= 3, a transposition (a b) of two nonzero symbols at one
+    coordinate.  Each is an image table over word indices, built in O(q**n)
+    by the stride recurrence compatibility_graph uses for its rows.  A
+    generator, so nothing is built until the anchored search asks.
+    """
+    strides = [q ** (g.n - 1 - u) for u in range(g.n)]
+    same = list(range(q))
+    for p in automorphisms(g):
+        yield _word_permutation(strides, [strides[p[u]] for u in range(g.n)], [same] * g.n)
+    for c in range(g.n):
+        for a in range(1, q):
+            for b in range(a + 1, q):
+                swap = list(same)
+                swap[a], swap[b] = b, a
+                yield _word_permutation(strides, strides, [swap if u == c else same
+                                                           for u in range(g.n)])
+
+
+def _word_permutation(strides: list[int], to: list[int], symbols: list[list[int]]) -> list[int]:
+    """Image table of word index i -> sum over u of symbols[u][d_u(i)] * to[u],
+    d_u(i) digit u of i; symbols[u][0] must be 0."""
+    perm = [0]
+    # Before step u, perm covers the strides[u] words whose digits up to u
+    # are 0; each further block of that many words has digit u one higher.
+    for u in reversed(range(len(strides))):
+        t, sym = to[u], symbols[u]
+        perm += [x + sym[d] * t for d in range(1, len(sym)) for x in perm]
+    return perm
+
+
+def _max_clique(rows: list[int], limit: int | None = None,
+                gens: Iterable[Sequence[int]] = ()) -> int:
     """Mask of a maximum clique, anchored on word 0 by the symbol shifts.
 
     Adding a fixed vector coordinatewise mod q keeps every coordinate's
     equalities, so it is an automorphism of the compatibility graph, and
     these shifts take any word to any other.  Hence omega = 1 + omega(N(0)),
     where word 0 is index 0: a search of rows[0] alone finds omega.
+
+    The anchored search needs omega alone, not a particular clique, so it
+    also prunes by gens, generators of a group of automorphisms that fix
+    word 0, such as _word_symmetries builds; gens is read only if the
+    anchored search runs.  The rule is orbital branching (Ostrowski,
+    Linderoth, Rossi and Smriglio, Math. Program. 2011): each search frame,
+    with clique K, keeps the generators that fix K pointwise, and once it
+    has explored its branch on v it drops v's whole orbit under them from
+    its candidates.  Sound: let s fix K and send v to w.  s fixes word 0,
+    so s**-1 maps any clique of N(0) holding K and w to one of the same
+    size holding K and v.  The branch on v bounded every such clique that
+    avoids the words dropped before it, in its frame or an enclosing one,
+    and a clique holding a dropped word was bounded when that word was
+    dropped.  So no clique larger than the incumbent is lost, and the
+    anchored search still ends at omega - 1.
 
     The mask returned is the one the unanchored search over all words
     reports, its first clique of size omega, since it only ever replaces a
@@ -142,7 +203,7 @@ def _max_clique(rows: list[int], limit: int | None = None) -> int:
     if first.bit_count() == limit:
         return first
     anchored = 0
-    for anchored in _improvements(rows, comp, rows[0], first.bit_count() - 1):
+    for anchored in _improvements(rows, comp, rows[0], first.bit_count() - 1, list(gens)):
         if anchored.bit_count() + 1 == limit:
             break
     if not anchored:
@@ -150,8 +211,8 @@ def _max_clique(rows: list[int], limit: int | None = None) -> int:
     return next(_improvements(rows, comp, full, anchored.bit_count()))
 
 
-def _improvements(rows: list[int], comp: list[int], cand: int,
-                  best_size: int = 0) -> Iterator[int]:
+def _improvements(rows: list[int], comp: list[int], cand: int, best_size: int = 0,
+                  gens: Sequence[Sequence[int]] = ()) -> Iterator[int]:
     """Masks of ever larger cliques within cand, the last one maximum.
 
     Branch and bound with greedy colouring: candidates are coloured greedily
@@ -160,6 +221,15 @@ def _improvements(rows: list[int], comp: list[int], cand: int,
     cliques larger than best_size are yielded.  Deterministic: the order at
     every choice point depends only on the candidate set.  comp[v] is the
     complement of rows[v] within all words.
+
+    gens, when given, are graph automorphisms as image tables, each mapping
+    cand onto itself, and the search prunes by them as _max_clique
+    describes.  The last clique yielded is then still maximum, but need not
+    be the one the search without gens yields.  A child frame on v keeps
+    the generators with p[v] == v.  A frame resuming after its branch on v
+    drops v's orbit from its candidates, and it skips colour-order entries
+    that are no longer candidates.  With no gens, the steps are exactly
+    those of the search without them.
     """
 
     def color_order(cand: int) -> list[tuple[int, int]]:
@@ -177,13 +247,25 @@ def _improvements(rows: list[int], comp: list[int], cand: int,
                 avail = (avail ^ low) & comp[v]
         return out
 
+    def orbit(v: int, gens: Sequence[Sequence[int]]) -> int:
+        seen = {v}
+        todo = [v]
+        for x in todo:
+            for p in gens:
+                y = p[x]
+                if y not in seen:
+                    seen.add(y)
+                    todo.append(y)
+        return sum(1 << x for x in seen)
+
     # Depth-first with an explicit stack, since a clique can be deeper than
-    # Python's recursion limit.  Each frame is [clique, size, cand, order];
-    # its colour order is consumed from the highest colour down.
-    stack = [[0, 0, cand, color_order(cand)]]
+    # Python's recursion limit.  Each frame is [clique, size, cand, order,
+    # gens, last]; its colour order is consumed from the highest colour
+    # down, and last is its latest branch, whose orbit is not yet dropped.
+    stack = [[0, 0, cand, color_order(cand), gens, -1]]
     while stack:
         frame = stack[-1]
-        clique, size, cand, order = frame
+        clique, size, cand, order, gens, last = frame
         if not order:
             stack.pop()
             continue
@@ -191,11 +273,19 @@ def _improvements(rows: list[int], comp: list[int], cand: int,
         if size + color <= best_size:
             stack.pop()
             continue
+        if last >= 0:
+            cand &= ~orbit(last, gens)
+            frame[2], frame[5] = cand, -1
+        if not cand >> v & 1:
+            continue
         bit = 1 << v
         inner = cand & rows[v]
         frame[2] = cand & ~bit
+        if gens:
+            frame[5] = v
         if inner:
-            stack.append([clique | bit, size + 1, inner, color_order(inner)])
+            kept = [p for p in gens if p[v] == v] if gens else gens
+            stack.append([clique | bit, size + 1, inner, color_order(inner), kept, -1])
         elif size + 1 > best_size:
             best_size = size + 1
             yield clique | bit

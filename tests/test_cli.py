@@ -308,12 +308,14 @@ def test_usage_errors():
     assert invoke("bounds").returncode == 2
     assert invoke("nonsense").returncode == 2
     assert invoke("bounds", "--graph", "/does/not/exist").returncode == 2
-    for argv in (("survey", "--n", "2", "--jobs", "0"),
-                 ("verify", "--suite", "wheel", "--jobs", "-3")):
+    for argv, says in ((("survey", "--n", "2", "--jobs", "0"), "--jobs"),
+                       (("verify", "--suite", "wheel", "--jobs", "-3"), "--jobs"),
+                       (("guess", "--q", "1", "--graph", "/does/not/exist"),
+                        "--q must be at least 2, got 1")):
         proc = invoke(*argv)
         assert proc.returncode == 2, argv
         assert proc.stdout == "", argv
-        assert "--jobs" in proc.stderr, argv
+        assert says in proc.stderr, argv
 
 
 def path_graph(n: int) -> str:

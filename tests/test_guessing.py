@@ -1,23 +1,29 @@
+import functools
 import itertools
 import time
 
 import pytest
 
+from graphentropy import guessing
 from graphentropy.bounds import entropy_bracket, transversal_number
+from graphentropy.enumeration import isomorphism_classes
 from graphentropy.graphs import (
     CapExceededError,
     Graph,
     GraphError,
+    automorphisms,
     disjoint_union,
     i_reduction,
     induced_subgraph,
     is_acyclic,
     loops,
+    permute_mask,
 )
 from graphentropy.guessing import (
     GuessingCode,
     _improvements,
     _max_clique,
+    _word_symmetries,
     compatibility_graph,
     extend_code,
     max_guessing,
@@ -91,14 +97,88 @@ def test_rows_match_the_bucket_construction(rng):
         assert compatibility_graph(g, q).rows == previous_compatibility_rows(g, q), (g, q)
 
 
-def test_max_clique_mask_matches_unanchored_oracle(rng):
-    cases = list(NAMED_GUESSING_GRAPHS)
+# Hosts with loops or with nontrivial automorphism groups, whose word-level
+# symmetries the anchored search prunes by.
+SYMMETRIC_HOSTS = [
+    Graph.cycle(4),
+    Graph.complete(3),
+    c5(),
+    Graph.from_arcs(3, [(0, 1), (1, 2), (2, 0), (0, 0), (1, 1), (2, 2)]),
+    Graph.from_arcs(4, [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2), (3, 0), (0, 3),
+                        (0, 0), (2, 2)]),
+    Graph.from_arcs(4, [(0, 1), (0, 2), (0, 3), (1, 1), (2, 2), (3, 3)]),
+]
+
+
+def test_word_symmetries_keep_the_compatibility_definition():
+    """Every generator is a permutation of the words that fixes word 0 and
+    maps rows[i] onto rows[p[i]], with the rows taken from the definition."""
+    for g in SYMMETRIC_HOSTS:
+        assert automorphisms(g)
+        for q in (2, 3, 4):
+            if q**g.n > 81:
+                continue
+            words = list(itertools.product(range(q), repeat=g.n))
+            rows = [sum(1 << j for j, y in enumerate(words) if j != i and
+                        words_compatible(g, q, x, y)) for i, x in enumerate(words)]
+            gens = list(_word_symmetries(g, q))
+            assert len(gens) == len(automorphisms(g)) + g.n * (q - 1) * (q - 2) // 2
+            for p in gens:
+                assert sorted(p) == list(range(len(words))), (g, q)
+                assert p[0] == 0, (g, q)
+                assert all(permute_mask(p, rows[i]) == rows[p[i]]
+                           for i in range(len(words))), (g, q, p)
+
+
+# A 7-vertex graph whose first greedy clique has 9 words, while omega = 16:
+# the anchored search finds 15 words next to word 0 only past its first
+# branch, so a wrong symmetry that prunes that far loses omega.
+LATE_OPTIMUM = Graph.undirected(7, [(0, 1), (0, 3), (0, 4), (1, 2), (1, 5), (2, 5), (2, 6),
+                                    (3, 5), (3, 6), (4, 5), (4, 6)])
+
+
+def mismatched_masks(rng) -> list:
+    """The oracle cases whose reported clique mask differs from the one the
+    unanchored search reports."""
+    cases = list(NAMED_GUESSING_GRAPHS) + [(LATE_OPTIMUM, 2)]
+    cases += [(Graph.cycle(n), 3) for n in (3, 4)]
+    cases += [(Graph.cycle(4), 4), (Graph.complete(3), 4)]
     cases += [(random_digraph(rng, rng.randint(1, 7), loop_p=0.2), 2) for _ in range(150)]
     cases += [(random_digraph(rng, rng.randint(1, 4), loop_p=0.2), 3) for _ in range(60)]
     cases += [(random_graph(rng, rng.randint(1, 7)), 2) for _ in range(40)]
+    wrong = []
     for g, q in cases:
         comp = compatibility_graph(g, q, cap=1 << 13)
-        assert comp.max_clique_mask() == unanchored_max_clique(comp.rows), (g, q)
+        if comp.max_clique_mask() != unanchored_max_clique(comp.rows):
+            wrong.append((g, q))
+    # The oracle takes minutes on C5 at q = 3, so the reference there is the
+    # search without symmetry pruning, which matches the oracle on every case
+    # above when the pruning is sound.
+    comp = compatibility_graph(c5(), 3)
+    if comp.max_clique_mask() != _c5_q3_unpruned_mask():
+        wrong.append((c5(), 3))
+    return wrong
+
+
+@functools.cache
+def _c5_q3_unpruned_mask() -> int:
+    return _max_clique(compatibility_graph(c5(), 3).rows)
+
+
+def test_max_clique_mask_matches_unanchored_oracle(rng):
+    assert mismatched_masks(rng) == []
+
+
+def test_oracle_catches_a_wrong_symmetry(rng, monkeypatch):
+    """With one permutation among the generators that fixes word 0 but is no
+    automorphism, a rotation of all other words, the oracle test above
+    fails: the anchored search then explores one branch at its root."""
+    def with_a_rotation(g: Graph, q: int):
+        yield from _word_symmetries(g, q)
+        yield [0] + [i % (q**g.n - 1) + 1 for i in range(1, q**g.n)]
+
+    monkeypatch.setattr(guessing, "_word_symmetries", with_a_rotation)
+    assert mismatched_masks(rng)
 
 
 def cayley_rows(rng, q: int, k: int) -> list[int]:
@@ -176,15 +256,18 @@ def test_code_meeting_q_tau_ends_the_search():
 
 
 def test_code_size_within_tau_and_theta(rng):
-    # Undirected graphs at q = 3 stop at 4 vertices: a 5-vertex one whose
-    # optimal code falls short of q**tau, such as C5 (12 < 27 words), takes
-    # seconds to prove optimal.
+    # Every undirected 5-vertex graph is searched at q = 3, including those
+    # whose optimal code falls short of q**tau, such as C5 (12 < 27 words);
+    # with the symmetry pruning all 34 take well under a second together.
+    # Undirected graphs at q = 3 stop there: some 6-vertex ones still take
+    # more than 5 s each.
     graphs = [random_graph(rng, rng.randint(1, 6)) for _ in range(40)]
+    graphs += isomorphism_classes(5)
     graphs += [random_digraph(rng, rng.randint(1, 5), loop_p=0.3) for _ in range(40)]
     for g in graphs:
         report = entropy_bracket(g)
         theta = report.theta
-        for q in (2, 3) if g.directed or g.n <= 4 else (2,):
+        for q in (2, 3) if g.directed or g.n <= 5 else (2,):
             size = max_guessing(g, q)[0]
             assert size <= q ** report.tau, (g, q)
             assert size ** theta.denominator <= q ** theta.numerator, (g, q)
