@@ -93,7 +93,15 @@ def _decode(n: int, bits: int) -> Graph:
 
 def _canonical_search(rows: tuple[int, ...] | list[int], colors: list[int]) -> int:
     """Least adjacency bit-string of the simple graph with these rows, given
-    its refined colours."""
+    its refined colours.
+
+    Twin pruning: two vertices whose rows agree apart from each other are
+    swapped by an automorphism that fixes every other vertex, so placing
+    either one next gives the same least completion.  Each node therefore
+    tries a vertex only if no lower-numbered twin of it is still unplaced.
+    Twins share their refined colour, and the least bit-string does not
+    change; K_n and its complement become a single path.
+    """
     n = len(rows)
     if n == 0:
         return 0
@@ -101,6 +109,8 @@ def _canonical_search(rows: tuple[int, ...] | list[int], colors: list[int]) -> i
     by_color: dict[int, list[int]] = {}
     for v, c in enumerate(colors):
         by_color.setdefault(c, []).append(v)
+    twins_below = [sum(1 << u for u in range(v)
+                       if rows[u] & ~(1 << v) == rows[v] & ~(1 << u)) for v in range(n)]
     total_bits = n * (n - 1) // 2
     best: int | None = None
     placed = [0] * n
@@ -114,7 +124,7 @@ def _canonical_search(rows: tuple[int, ...] | list[int], colors: list[int]) -> i
         col_bits = depth
         for v in by_color[slot_color[depth]]:
             bit = 1 << v
-            if used & bit:
+            if used & bit or twins_below[v] & ~used:
                 continue
             chunk = 0
             row = rows[v]

@@ -13,13 +13,16 @@ Shifting every word by a fixed vector, coordinatewise mod q, keeps all
 coordinate equalities, so it is an automorphism of the compatibility graph
 that can take any word to any other.  Some maximum clique therefore contains
 the all-zero word, and the search proves optimality inside its
-neighbourhood alone.  The code it reports is still the one a search over
-all words would report: when that search's first clique is not optimal, it
-is replayed with the known optimum as its incumbent.  No code is larger than
-q**tau, tau the host's minimum feedback vertex set, so the search stops as
-soon as it holds a clique of that size.  The same shifts build the graph
-itself: only the all-zero word's row comes from the definition, and every
-other row is an earlier one shifted by one symbol at one coordinate.
+neighbourhood alone.  No code is larger than q**tau, tau the host's minimum
+feedback vertex set.  The search runs in this order: one greedy dive over
+all words, which ends it if it meets q**tau; a probe for q**tau - 1 words
+next to the all-zero word, which settles whether the bound is met; and, only
+if the probe fails, a climb inside that neighbourhood from the dive's size.
+The code it reports is still the one a search over all words would report:
+when the dive is not optimal, that search is replayed with the known optimum
+as its incumbent.  The same shifts build the graph itself: only the
+all-zero word's row comes from the definition, and every other row is an
+earlier one shifted by one symbol at one coordinate.
 
 The anchored search needs only the clique number, so it also prunes by the
 symmetries that fix the all-zero word (orbital branching): the host's
@@ -178,21 +181,30 @@ def _max_clique(rows: list[int], limit: int | None = None,
 
     The mask returned is the one the unanchored search over all words
     reports, its first clique of size omega, since it only ever replaces a
-    clique by a strictly larger one.  Its first clique, found by one greedy
-    dive, sets the anchored search's incumbent; if N(0) holds no larger
-    clique, that first clique is the answer.  Otherwise the unanchored search
-    is replayed with its incumbent preset to omega - 1 and stopped at its
-    first omega-clique.  Each frame's colour order depends only on its
-    candidate set, and the higher incumbent prunes only branches whose colour
-    bound cannot reach omega, so the replay visits a subsequence of the
-    unanchored search's nodes, in order, and reaches the same clique first.
+    clique by a strictly larger one.  limit, when given, bounds omega from
+    above: q**tau for a compatibility graph, tau its host's minimum feedback
+    vertex set.  The steps, in order:
 
-    limit, when given, bounds omega from above: q**tau for a compatibility
-    graph, tau its host's minimum feedback vertex set.  The search stops as
-    soon as the first dive or the anchored search reaches it, so a code
-    meeting the bound needs no proof of optimality by search.  The mask is
-    unchanged, since the unanchored search never replaces a clique by one of
-    the same size.
+    1. The dive: the unanchored search's first clique, one greedy dive.  If
+       it meets limit, it is the answer, and the unanchored search's mask,
+       since that search never replaces a clique by one of the same size.
+    2. The probe, only when the dive falls more than one word short of
+       limit: the anchored search with its incumbent preset to limit - 2.
+       N(0) holds at most omega - 1 <= limit - 1 words of a clique, so the
+       probe yields a clique exactly when omega = limit, and the replay
+       below follows at once.  If it yields nothing, omega < limit.
+    3. The climb: the anchored search with the dive's size less one as its
+       incumbent, stopped once it reaches limit - 1.  If N(0) holds no
+       larger clique, the dive is the answer.
+
+    Otherwise omega is known, and the unanchored search is replayed with its
+    incumbent preset to omega - 1 and stopped at its first omega-clique.
+    Each frame's colour order depends only on its candidate set, and the
+    higher incumbent prunes only branches whose colour bound cannot reach
+    omega, so the replay visits a subsequence of the unanchored search's
+    nodes, in order, and reaches the same clique first.  Neither the probe
+    nor the climb chooses the mask; they only find omega, and a code meeting
+    limit needs no proof of optimality by search.
     """
     n = len(rows)
     if n == 0:
@@ -202,8 +214,12 @@ def _max_clique(rows: list[int], limit: int | None = None,
     first = next(_improvements(rows, comp, full))
     if first.bit_count() == limit:
         return first
+    gens = list(gens)
+    if limit is not None and first.bit_count() < limit - 1:
+        if next(_improvements(rows, comp, rows[0], limit - 2, gens), 0):
+            return next(_improvements(rows, comp, full, limit - 1))
     anchored = 0
-    for anchored in _improvements(rows, comp, rows[0], first.bit_count() - 1, list(gens)):
+    for anchored in _improvements(rows, comp, rows[0], first.bit_count() - 1, gens):
         if anchored.bit_count() + 1 == limit:
             break
     if not anchored:

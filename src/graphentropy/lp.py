@@ -37,14 +37,10 @@ from those columns; only verify_certificates reads the program's rows.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
+from functools import cache
 from math import gcd, lcm
 
 from .rationals import Rational, rat_str
-
-try:
-    import numpy as _np
-except ImportError:
-    _np = None
 
 LE, EQ, GE = "<=", "=", ">="
 _RELS = (LE, EQ, GE)
@@ -351,6 +347,17 @@ def _solution(s: _Setup, x, y) -> LpSolution:
 
 # -- float proposal -------------------------------------------------------------
 
+@cache
+def _numpy():
+    """The numpy module, imported on the first float proposal, or None when
+    it is missing.  Commands that solve no LP never pay its import time."""
+    try:
+        import numpy
+    except ImportError:
+        return None
+    return numpy
+
+
 def _float_basis(s: _Setup):
     """Basis proposed by a floating-point two-phase simplex, or None when
     numpy is missing or the float run fails.  Only a proposal: _simplex
@@ -367,9 +374,9 @@ def _float_basis(s: _Setup):
     duals of up to 8 vertices, and on asymmetric 8-vertex ones it ended at
     singular or infeasible bases that cost the exact simplex minutes of
     pivoting; steepest edge proposes optimal bases there."""
-    if _np is None or not s.rhs:
+    np = _numpy() if s.rhs else None
+    if np is None:
         return None
-    np = _np
     m = len(s.rhs)
     ncols = len(s.cols)
     tol = 1e-9

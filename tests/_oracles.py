@@ -530,6 +530,50 @@ def unpruned_isomorphism_classes(n: int) -> tuple[Graph, ...]:
     return tuple(seen[k].graph() for k in sorted(seen))
 
 
+# The package's canonical search as it was before it skipped twins, kept
+# verbatim under a new name: the search that skips a vertex while a
+# lower-numbered twin of it is unplaced must return exactly these bits.
+def untwinned_canonical_search(rows: tuple[int, ...] | list[int], colors: list[int]) -> int:
+    """Least adjacency bit-string of the simple graph with these rows, given
+    its refined colours."""
+    n = len(rows)
+    if n == 0:
+        return 0
+    slot_color = sorted(colors)
+    by_color: dict[int, list[int]] = {}
+    for v, c in enumerate(colors):
+        by_color.setdefault(c, []).append(v)
+    total_bits = n * (n - 1) // 2
+    best: int | None = None
+    placed = [0] * n
+
+    def extend(depth: int, prefix: int, width: int, used: int) -> None:
+        nonlocal best
+        if depth == n:
+            if best is None or prefix < best:
+                best = prefix
+            return
+        col_bits = depth
+        for v in by_color[slot_color[depth]]:
+            bit = 1 << v
+            if used & bit:
+                continue
+            chunk = 0
+            row = rows[v]
+            for i in range(depth):
+                chunk = chunk << 1 | (row >> placed[i] & 1)
+            new_prefix = prefix << col_bits | chunk
+            new_width = width + col_bits
+            if best is not None and new_prefix > best >> (total_bits - new_width):
+                continue
+            placed[depth] = v
+            extend(depth + 1, new_prefix, new_width, used | bit)
+
+    extend(0, 0, 0, 0)
+    assert best is not None
+    return best
+
+
 # -- symmetry ---------------------------------------------------------------------
 
 

@@ -476,7 +476,7 @@ def test_brackets_at_the_cap(g, value, exact_steps):
 def test_exact_path_without_numpy(monkeypatch):
     """Without numpy there is no float proposal: every LP starts from the
     slack/artificial basis and runs on exact pivots alone."""
-    monkeypatch.setattr(lp_module, "_np", None)
+    monkeypatch.setattr(lp_module, "_numpy", lambda: None)
     started = time.perf_counter()
     r = entropy_bracket(Graph.undirected(7, _GNP7_4_RELABELLED))
     elapsed = time.perf_counter() - started

@@ -472,15 +472,35 @@ def test_lazy_bounds_skip_the_capped_lp():
     assert result["bracket"] == {"lower": "5", "upper": "5", "exact": True}
 
 
-# Run in a child that cannot import numpy, so lp.py takes its ImportError
-# branch, then the CLI with the arguments given.
+# Run in a child that cannot import numpy, so lp._numpy takes its
+# ImportError branch, then the CLI with the arguments given.
 WITHOUT_NUMPY = """
 import sys
 sys.modules["numpy"] = None
 from graphentropy import cli, lp
-assert lp._np is None
+assert lp._numpy() is None
 sys.exit(cli.main(sys.argv[1:]))
 """
+
+# Run the CLI with the arguments given in a child, then fail unless numpy
+# was never imported.
+NUMPY_UNTOUCHED = """
+import sys
+from graphentropy import cli
+code = cli.main(sys.argv[1:])
+assert "numpy" not in sys.modules, "numpy was imported"
+sys.exit(code)
+"""
+
+
+def test_guess_leaves_numpy_unimported(c5_file):
+    """numpy is imported on the first float proposal, and guess runs no LP."""
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_UNTOUCHED, "guess", "--graph", c5_file, "--q", "2"],
+        capture_output=True, text=True, timeout=120, env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"]["code_size"] == 5
 
 
 def test_bounds_without_numpy(tmp_path):

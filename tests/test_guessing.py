@@ -227,12 +227,69 @@ def test_stop_at_a_tight_bound_keeps_the_mask(rng):
     assert min(stops.values()) >= 10, stops
 
 
+def searches_made(monkeypatch) -> list:
+    """Record each _improvements search _max_clique starts, as [anchored,
+    best_size, cliques yielded]; anchored says the candidates were rows[0]."""
+    calls = []
+
+    def recorded(rows, comp, cand, best_size=0, gens=()):
+        call = [cand == rows[0], best_size, 0]
+        calls.append(call)
+        for mask in _improvements(rows, comp, cand, best_size, gens):
+            call[2] += 1
+            yield mask
+
+    monkeypatch.setattr(guessing, "_improvements", recorded)
+    return calls
+
+
+def short_first_dives(rng) -> list:
+    """Cayley rows whose first greedy clique is at least two words short of
+    omega, with the unanchored search's mask."""
+    out = []
+    for q, k in [(2, 7), (4, 3), (7, 2)]:
+        for _ in range(20):
+            rows = cayley_rows(rng, q, k)
+            mask = unanchored_max_clique(rows)
+            if first_dive(rows).bit_count() < mask.bit_count() - 1:
+                out.append((rows, mask))
+    return out
+
+
+def test_probe_at_a_tight_bound_stops_the_search(rng, monkeypatch):
+    """With limit = omega and a first dive at least two words short, the
+    probe for limit - 1 words next to word 0 succeeds and the replay follows
+    at once: no climb runs, and the mask is the unanchored search's."""
+    cases = short_first_dives(rng)
+    assert len(cases) >= 8
+    for rows, mask in cases:
+        calls = searches_made(monkeypatch)
+        omega = mask.bit_count()
+        assert _max_clique(rows, omega) == mask
+        assert calls == [[False, 0, 1], [True, omega - 2, 1], [False, omega - 1, 1]]
+
+
+def test_failed_probe_falls_back_to_the_climb(rng, monkeypatch):
+    """With limit = omega + 1 the probe finds nothing, since omega - 1 is the
+    most N(0) holds; the climb from the first dive then runs as before and
+    the mask is still the unanchored search's."""
+    for rows, mask in short_first_dives(rng):
+        calls = searches_made(monkeypatch)
+        omega = mask.bit_count()
+        assert _max_clique(rows, omega + 1) == mask
+        first = first_dive(rows).bit_count()
+        assert calls[1] == [True, omega - 1, 0]
+        assert calls[2][:2] == [True, first - 1]
+        assert calls[3] == [False, omega - 1, 1]
+
+
 @pytest.mark.parametrize("g, q, size", [
     (Graph.cycle(11), 2, 32),
     (Graph.cycle(12), 2, 64),
     (Graph.cycle(5), 3, 12),
     (LOOPED_2_CYCLE, 2, 2048),
-], ids=["C11-q2", "C12-q2", "C5-q3", "looped-2-cycle-q2"])
+    (Graph.complete(3), 7, 49),
+], ids=["C11-q2", "C12-q2", "C5-q3", "looped-2-cycle-q2", "K3-q7"])
 def test_codes_at_the_cap(g, q, size):
     started = time.perf_counter()
     got, code = max_guessing(g, q)
