@@ -14,11 +14,16 @@ and a dual vector; verify_certificates re-derives feasibility, sign
 conditions and the strong-duality equation from scratch, so no float and no
 solver bug can silently produce a wrong bound.
 
-The float simplex prices by steepest edge: it enters the column whose edge
-gains most per unit of distance moved, not per unit of the entering
-variable.  The entropy duals are highly degenerate, and Dantzig's rule spent
+The float simplex is revised: it keeps a dense B^-1 and reads the
+constraint matrix through its nonzeros.  It prices by steepest edge,
+entering the column whose edge gains most per unit of distance moved, not
+per unit of the entering variable, and its ratio test is Harris's: of the
+rows that block within a small tolerance, the one with the largest pivot
+leaves.  The entropy duals are highly degenerate.  Dantzig's rule spent
 most of its float pivots on zero-length steps there and often stopped at a
-singular or infeasible basis that left the exact simplex long pivoting.
+singular or infeasible basis.  A dense tableau with the plain minimum-ratio
+test ran phase 2 to its iteration limit on asymmetric 8- and 9-vertex
+duals.  Either left the exact simplex long pivoting.
 
 Every program is an integer program over nonnegative variables: each
 coefficient, right-hand side and objective entry is an int, and rows are
@@ -30,14 +35,16 @@ the basic values, the ratio tests and the certificates are rationals.
 
 Both simplexes read one standard form (_Setup): the right-hand sides and a
 column table, the structural columns followed by the slack, surplus and
-artificial ones.  Basis matrices, pricing and the float tableau are built
-from those columns; only verify_certificates reads the program's rows.
+artificial ones.  Basis matrices, pricing and the float run's sparse matrix
+are built from those columns; only verify_certificates reads the program's
+rows.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from functools import cache
+from itertools import accumulate, chain
 from math import gcd, lcm
 
 from .rationals import Rational, rat_str
@@ -347,6 +354,13 @@ def _solution(s: _Setup, x, y) -> LpSolution:
 
 # -- float proposal -------------------------------------------------------------
 
+# Reduced costs and entries of B^-1 A_j at or below _TOL count as zero.
+_TOL = 1e-9
+# The ratio test lets basic values pass zero by up to _HARRIS, so that among
+# nearly tied rows it can pivot on the largest entry instead of a tiny one.
+_HARRIS = 1e-9
+
+
 @cache
 def _numpy():
     """The numpy module, imported on the first float proposal, or None when
@@ -359,71 +373,96 @@ def _numpy():
 
 
 def _float_basis(s: _Setup):
-    """Basis proposed by a floating-point two-phase simplex, or None when
-    numpy is missing or the float run fails.  Only a proposal: _simplex
+    """Basis proposed by a floating-point two-phase revised simplex, or None
+    when numpy is missing or the float run fails.  Only a proposal: _simplex
     checks it exactly.
 
-    Both phases price by steepest edge (Goldfarb and Reid, Math. Programming
-    1977; Forrest and Goldfarb, Math. Programming 1992): among columns with
-    reduced cost red_j > tol, enter the one maximising red_j^2 / gamma_j, with
-    gamma_j = 1 + |B^-1 A_j|^2 the squared length of its edge.  The dense
-    tableau holds B^-1 A, so the exact reference weights cost one pass over
-    it per pivot, next to the rank-1 update.  An entropy dual has one
-    nonzero right-hand side, so nearly every phase-1 pivot is degenerate.
-    Dantzig's largest red_j made three times as many pivots on the entropy
-    duals of up to 8 vertices, and on asymmetric 8-vertex ones it ended at
-    singular or infeasible bases that cost the exact simplex minutes of
-    pivoting; steepest edge proposes optimal bases there."""
+    The run keeps a dense B^-1, updated by one rank-1 step per pivot, and
+    reads A through its nonzeros, so A^T v is one bincount.  Reduced costs
+    are updated from the pivot row.  Both phases price by steepest edge
+    (Goldfarb and Reid, Math. Programming 1977; Forrest and Goldfarb, Math.
+    Programming 1992): among columns with reduced cost red_j > _TOL, enter
+    the one maximising red_j^2 / gamma_j, with gamma_j = 1 + |B^-1 A_j|^2 the
+    squared length of its edge, carried exactly by the Goldfarb-Reid update.
+    The leaving row comes from a two-pass Harris ratio test (Harris 1973;
+    Huangfu and Hall, Math. Prog. Comp. 2018): the bound is the least
+    (x_i + _HARRIS) / alpha_i over alpha_i > _TOL, and of the rows whose
+    ratio is within it the one with the largest alpha_i leaves.  Basic
+    values are clamped at zero.  An entropy dual has one nonzero right-hand
+    side, so nearly every phase-1 pivot is degenerate.  Dantzig's largest
+    red_j made three times as many pivots on the entropy duals of up to 8
+    vertices.  A dense tableau with the plain minimum-ratio test ran phase 2
+    to its iteration limit on asymmetric 8- and 9-vertex duals; the Harris
+    test ends those runs."""
     np = _numpy() if s.rhs else None
     if np is None:
         return None
-    m = len(s.rhs)
-    ncols = len(s.cols)
-    tol = 1e-9
-    T = np.zeros((m, ncols + 1))
-    i, j, a = zip(*((i, j, a) for j, col in enumerate(s.cols) for i, a in col))
-    T[i, j] = a
-    T[:, ncols] = s.rhs
-    bas = list(s.id_col)
+    m, ncols = len(s.rhs), len(s.cols)
+    # The nonzeros column by column: A_j is ri, va over start[j]:start[j + 1].
+    start = list(accumulate(map(len, s.cols), initial=0))
+    entries = np.fromiter(chain.from_iterable(chain.from_iterable(s.cols)), float, 2 * start[-1])
+    ri, va = entries[::2].astype(int), entries[1::2]
+    cj = np.repeat(np.arange(ncols), np.diff(start))
+
+    def times_a(v):
+        """A^T v."""
+        return np.bincount(cj, v[ri] * va, ncols)
+
+    # The slack/artificial basis is the identity.
+    binv = np.eye(m)
+    x = np.array(s.rhs, dtype=float)
+    bas = np.array(s.id_col)
+    gamma = 1.0 + np.bincount(cj, va * va, ncols)
     limit = 80 * m + 800
 
-    def run(costvec, blocked) -> bool:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for _ in range(limit):
-                body = T[:, :ncols]
-                red = costvec[:ncols] - costvec[bas] @ body
-                if blocked is not None:
-                    red[blocked] = -1.0
-                gamma = 1.0 + np.einsum("ij,ij->j", body, body)
-                score = np.where(red > tol, red * red / gamma, -1.0)
-                pcol = int(np.argmax(score))
-                if score[pcol] < 0:
-                    return True
-                col = T[:, pcol]
-                ratios = np.where(col > tol, T[:, ncols] / col, np.inf)
-                prow = int(np.argmin(ratios))
-                if not np.isfinite(ratios[prow]):
-                    return False
-                T[prow] /= T[prow, pcol]
-                lift = T[:, pcol].copy()
-                lift[prow] = 0.0
-                np.subtract(T, lift[:, None] * T[prow], out=T)
-                bas[prow] = pcol
+    def run(cost, priced) -> bool:
+        """Pivots until no column before priced prices in; False at the
+        iteration limit or when nothing blocks an entering column."""
+        red = cost - times_a(cost[bas] @ binv)
+        for _ in range(limit):
+            red[bas] = 0.0
+            head = red[:priced]
+            score = np.where(head > _TOL, head * head / gamma[:priced], -1.0)
+            q = int(score.argmax())
+            if score[q] < 0:
+                return True
+            alpha = binv[:, ri[start[q]:start[q + 1]]] @ va[start[q]:start[q + 1]]
+            ratio = np.divide(x + _HARRIS, alpha, out=np.full(m, np.inf), where=alpha > _TOL)
+            bound = ratio[ratio.argmin()]
+            if bound == np.inf:
+                return False
+            # Of the rows within the bound, the largest alpha leaves.
+            p = int((alpha * (x <= bound * alpha)).argmax())
+            ap = float(alpha[p])
+            # row is the pivot row of B^-1 A over ap.
+            pivot = binv[p] / ap
+            row = times_a(pivot)
+            kappa = times_a(alpha @ binv)
+            # Goldfarb-Reid: gamma_j -= 2 row_j kappa_j - row_j^2 gamma_q,
+            # kappa_j = A_j . B^-T alpha, floored at 1 + row_j^2.
+            gq = 1.0 + float(alpha @ alpha)
+            np.subtract(gamma, row * (2.0 * kappa - gq * row), out=gamma)
+            np.maximum(gamma, 1.0 + row * row, out=gamma)
+            red -= float(red[q]) * row
+            step = float(x[p]) / ap
+            if step:  # a degenerate pivot moves no basic value
+                np.maximum(x - step * alpha, 0.0, out=x)
+                x[p] = step
+            np.subtract(binv, np.multiply.outer(alpha, pivot), out=binv)
+            binv[p] = pivot
+            bas[p] = q
         return False
 
-    art_idx = np.array(s.arts, dtype=int) if s.arts else None
     if s.arts:
         cost1 = np.zeros(ncols)
-        cost1[art_idx] = -1.0
-        if not run(cost1, None):
-            return None
-        if cost1[bas] @ T[:, ncols] < -1e-7:
+        cost1[s.arts[0]:] = -1.0
+        if not run(cost1, ncols) or cost1[bas] @ x < -1e-7:
             return None
     cost2 = np.zeros(ncols)
     cost2[:s.lp.num_vars] = s.cost
-    if not run(cost2, art_idx):
+    if not run(cost2, s.arts[0] if s.arts else ncols):
         return None
-    return bas
+    return bas.tolist()
 
 
 def _solve_linear(rows, rhs):

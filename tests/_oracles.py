@@ -25,6 +25,8 @@ from graphentropy.graphs import (
     automorphisms,
     bits_of,
     co_neighborhood_set,
+    induced_subgraph,
+    loops,
     mask_of,
     orbit_representatives,
     render_graph,
@@ -788,25 +790,67 @@ def unanchored_max_clique(rows: list[int]) -> int:
 # -- reductions -------------------------------------------------------------------
 
 
-def i_reduction_oracle(g, i_set: set[int]):
-    """Arcs of the reduction: u reaches v by a walk whose interior sits in I."""
-    keep = [v for v in range(g.n) if v not in i_set]
-    index = {v: k for k, v in enumerate(keep)}
-    nbrs = out_neighbors(g)
-    arcs = set()
-    for u in keep:
-        stack = list(nbrs[u])
-        seen: set[int] = set()
-        while stack:
-            x = stack.pop()
-            if x in seen:
-                continue
-            seen.add(x)
-            if x in i_set:
-                stack.extend(nbrs[x])
-            else:
-                arcs.add((index[u], index[x]))
-    return len(keep), arcs
+# Graph constructions that only the tests use: disjoint unions as inputs,
+# and the acyclic-set contraction whose guessing bound the tests check.
+def disjoint_union(g1: Graph, g2: Graph) -> Graph:
+    """Place g2 after g1 on a common vertex set with no arcs in between."""
+    shift = g1.n
+    rows = list(g1.rows) + [r << shift for r in g2.rows]
+    return Graph(g1.n + g2.n, rows, g1.directed or g2.directed)
+
+
+def is_acyclic(g: Graph) -> bool:
+    """True iff the digraph has no directed cycle (a loop is a cycle;
+    an undirected edge, read as two opposite arcs, is one too)."""
+    if loops(g):
+        return False
+    # Kahn peeling on masks.
+    alive = g.vertex_mask
+    cols = g.cols
+    changed = True
+    while alive and changed:
+        changed = False
+        for v in bits_of(alive):
+            if cols[v] & alive == 0:
+                alive ^= 1 << v
+                changed = True
+    return alive == 0
+
+
+def i_reduction(g: Graph, i: int) -> tuple[Graph, tuple[int, ...]]:
+    """Contract an acyclic vertex set i out of the digraph.
+
+    The result lives on V minus i; it keeps every original arc between
+    survivors and adds an arc u->v whenever some directed path leaves u,
+    travels only through i, and lands on v.  u == v is allowed, so a round
+    trip through i becomes a loop; dropping those would break the guessing
+    bound this contraction exists for.
+    Returns (reduced graph, vertices) relabelled like induced_subgraph.
+    """
+    inner, _ = induced_subgraph(g, i)
+    if not is_acyclic(inner):
+        raise GraphError("contracted set must induce an acyclic subgraph")
+    keep = g.vertex_mask & ~i
+    verts = tuple(bits_of(keep))
+    index = {v: k for k, v in enumerate(verts)}
+    rows = []
+    for u in verts:
+        seen = 0
+        frontier = g.rows[u] & i
+        while frontier:
+            seen |= frontier
+            nxt = 0
+            for x in bits_of(frontier):
+                nxt |= g.rows[x]
+            frontier = nxt & i & ~seen
+        arcs = g.rows[u]
+        for x in bits_of(seen):
+            arcs |= g.rows[x]
+        r = 0
+        for v in bits_of(arcs & keep):
+            r |= 1 << index[v]
+        rows.append(r)
+    return Graph(len(verts), rows, directed=True), verts
 
 
 def cycles_avoiding(g, banned: set[int]) -> set[frozenset[int]]:

@@ -26,9 +26,7 @@ from graphentropy.graphs import (
     Graph,
     bits_of,
     complement,
-    i_reduction,
     induced_subgraph,
-    is_acyclic,
     loops,
     mask_of,
     render_graph,
@@ -38,7 +36,13 @@ from graphentropy.lp import OPTIMAL, solve, verify_certificates
 from graphentropy.structure import find_reducible_set, find_saturating_subset
 from graphentropy.rationals import rat
 
-from _oracles import chromatic_number, clique_code_size, complement_graph
+from _oracles import (
+    chromatic_number,
+    clique_code_size,
+    complement_graph,
+    i_reduction,
+    is_acyclic,
+)
 from conftest import c5, g1, random_digraph
 from test_cli import RUN, child_env
 from test_lp import _random_lp

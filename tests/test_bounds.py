@@ -28,8 +28,8 @@ from graphentropy.graphs import (
     Graph,
     complement,
     connected_components,
-    disjoint_union,
     mask_of,
+    parse_graph,
     render_graph,
 )
 from graphentropy.lp import solve
@@ -40,6 +40,7 @@ from _oracles import (
     brute_transversal,
     chromatic_number,
     complement_graph,
+    disjoint_union,
     exhaustive_entropy_check,
     previous_collapsed_program,
     previous_shannon_rows,
@@ -435,16 +436,17 @@ _GNP7_4_RELABELLED = [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 5), (2, 3), (2
                       (2, 6), (3, 4), (3, 5), (4, 6), (5, 6)]
 
 
-def _seeded_gnp8(k: int) -> Graph:
-    """Graph k of the G(8, 1/2) graphs drawn in turn from random.Random(7)."""
-    rng = random.Random(7)
+def _seeded_gnp(seed: int, n: int, k: int) -> Graph:
+    """Graph k of the G(n, 1/2) graphs drawn in turn from random.Random(seed)."""
+    rng = random.Random(seed)
     for _ in range(k):
-        random_graph(rng, 8)
-    return random_graph(rng, 8)
+        random_graph(rng, n)
+    return random_graph(rng, n)
 
 
-# Every LP here, asymmetric 8-vertex entropy duals of 130-155 rows included,
-# must be optimal at its float proposal: no exact pivot and no phase-1 restart.
+# Every LP here, asymmetric 8- to 10-vertex entropy duals of up to 640 rows
+# included, must be optimal at its float proposal: no exact pivot and no
+# phase-1 restart.
 @pytest.mark.parametrize("g, value", [
     pytest.param(Graph.cycle(9), "9/2", id="C9"),
     pytest.param(complement(Graph.cycle(9)), "27/4", id="co-C9"),
@@ -453,9 +455,18 @@ def _seeded_gnp8(k: int) -> Graph:
     # Relabelling sends the float simplex down another path; it must still
     # end at an optimal basis, with no exact pivot.
     pytest.param(Graph.undirected(7, _GNP7_4_RELABELLED), "4", id="gnp7.4-relabelled"),
-    pytest.param(_seeded_gnp8(0), "5", id="gnp8-seed7-0"),
-    pytest.param(_seeded_gnp8(1), "5", id="gnp8-seed7-1"),
-    pytest.param(_seeded_gnp8(2), "4", id="gnp8-seed7-2"),
+    pytest.param(_seeded_gnp(7, 8, 0), "5", id="gnp8-seed7-0"),
+    pytest.param(_seeded_gnp(7, 8, 1), "5", id="gnp8-seed7-1"),
+    pytest.param(_seeded_gnp(7, 8, 2), "4", id="gnp8-seed7-2"),
+    # The previous float kernel, a dense tableau with the plain minimum-ratio
+    # test, gave these no optimal proposal, and each ran past 30 s.
+    pytest.param(_seeded_gnp(7, 8, 3), "5", id="gnp8-seed7-3"),
+    pytest.param(_seeded_gnp(9, 9, 0), "6", id="gnp9-seed9-0"),
+    pytest.param(_seeded_gnp(9, 9, 2), "11/2", id="gnp9-seed9-2"),
+    pytest.param(_seeded_gnp(10, 10, 2), "6", id="gnp10-seed10-2"),
+    *(pytest.param(parse_graph(text), value, id=text) for text, value in (
+        ("GE`hr{", "9/2"), ("GIG\\]{", "9/2"), ("GIIO~[", "9/2"), ("GoTP\\{", "9/2"),
+        ("GqIQX{", "9/2"), ("GelrX{", "11/2"), ("Gemjj{", "11/2"), ("Gfqhz{", "11/2"))),
     # Groups of up to 10! elements: orbits come from strong generators, never
     # from listing the group.
     pytest.param(Graph.complete(8), "7", id="K8"),

@@ -22,7 +22,6 @@ from graphentropy.graphs import (
     Graph,
     bits_of,
     connected_components,
-    disjoint_union,
     induced_subgraph,
     mask_of,
     parse_graph,
@@ -31,6 +30,7 @@ from graphentropy.graphs import (
 from graphentropy.rationals import rat
 
 from _oracles import (
+    disjoint_union,
     labeled_class_count,
     perm_class_key,
     previous_canonical_form,

@@ -12,10 +12,7 @@ from graphentropy.graphs import (
     Graph,
     GraphError,
     automorphisms,
-    disjoint_union,
-    i_reduction,
     induced_subgraph,
-    is_acyclic,
     loops,
     permute_mask,
 )
@@ -33,6 +30,9 @@ from graphentropy.structure import Decomposition, find_reducible_set
 
 from _oracles import (
     clique_code_size,
+    disjoint_union,
+    i_reduction,
+    is_acyclic,
     previous_compatibility_rows,
     profile_code_size,
     unanchored_max_clique,
