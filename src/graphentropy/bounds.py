@@ -208,29 +208,31 @@ def build_fractional_cover_lp(g: Graph) -> tuple[LinearProgram, tuple[int, ...]]
     return LinearProgram(k, "min", [1] * k, rows), cliques
 
 
-def fractional_clique_cover_number(g: Graph, cover) -> tuple[Rational, tuple[int, ...], tuple]:
+def fractional_clique_cover_number(g: Graph, cover,
+                                   independent: int) -> tuple[Rational, tuple[int, ...], tuple]:
     """Optimal fractional clique cover of g as (kappa_f, cliques, weights),
-    given any clique cover of g, such as the one clique_cover_number returns.
+    given both halves of a weak-duality certificate: any clique cover of g,
+    such as the one clique_cover_number returns, and a mask of vertices
+    independent in the mutual-arc relation, such as the complement of the
+    transversal that transversal_number returns.  Nothing is searched here.
 
     The cover, all weights 1, is a feasible fractional cover of weight
-    len(cover), and an independent set S of the mutual-arc relation is a
-    feasible dual (each clique meets S at most once), so |S| = len(cover)
-    pins the value by weak duality.  A perfect graph's minimum cover always
-    has such an S (Lovasz, 1972); on up to seven vertices only graphs with
-    an induced C5, C7 or co-C7 are imperfect.  Otherwise the exact LP over
-    maximal cliques runs and the cover is not read; restricting the LP to
-    maximal cliques loses nothing, since weight on any clique can be moved
-    to a maximal superset.  The result passes check_clique_cover either way.
+    len(cover), and the independent set S is a feasible dual (each clique
+    meets S at most once), so |S| = len(cover) pins the value by weak
+    duality.  A perfect graph's minimum cover always has such an S (Lovasz,
+    1972); on up to seven vertices only graphs with an induced C5, C7 or
+    co-C7 are imperfect.  Otherwise the exact LP over maximal cliques runs
+    and neither half is used; restricting the LP to maximal cliques loses
+    nothing, since weight on any clique can be moved to a maximal superset.
+    The result passes check_clique_cover either way.  Raises ValueError if
+    S is not an independent set of g.
     """
-    mut = [g.mutual_row(u) for u in range(g.n)]
-    size, vertex_cover = _vertex_cover(mut, g.vertex_mask)
-    if g.n - size == len(cover):
+    if independent & ~g.vertex_mask or any(
+            g.mutual_row(v) & independent for v in bits_of(independent)):
+        raise ValueError(f"{sorted(bits_of(independent))} is not an independent set")
+    if independent.bit_count() == len(cover):
         cliques, weights = tuple(cover), (Rational(1),) * len(cover)
         check_clique_cover(g, cliques, weights)
-        independent = g.vertex_mask & ~vertex_cover
-        if any(mut[v] & independent for v in bits_of(independent)):
-            raise AssertionError(f"dual witness {sorted(bits_of(independent))} "
-                                 f"is not an independent set")
         return Rational(len(cover)), cliques, weights
     lp, cliques = build_fractional_cover_lp(g)
     sol = solve(lp)
@@ -296,34 +298,14 @@ def _feedback_vertex_set(g: Graph) -> tuple[int, int]:
         for v in bits_of(alive):
             if g.rows[v] >> v & 1:
                 return [v]
-        # BFS from every vertex for a shortest cycle through it.
+        # A shortest cycle through each vertex; a 2-cycle cannot be beaten.
         shortest = None
         for s in bits_of(alive):
-            parent = {s: -1}
-            queue = [s]
-            while queue:
-                nxt = []
-                for u in queue:
-                    for w in bits_of(g.rows[u] & alive):
-                        if w == s:
-                            cycle = [u]
-                            while parent[cycle[-1]] != -1:
-                                cycle.append(parent[cycle[-1]])
-                            cycle.reverse()
-                            if shortest is None or len(cycle) < len(shortest):
-                                shortest = cycle
-                            nxt = []
-                            queue = []
-                            break
-                        if w not in parent:
-                            parent[w] = u
-                            nxt.append(w)
-                    else:
-                        continue
+            cycle = _shortest_cycle_through(g.rows, alive, s)
+            if cycle is not None and (shortest is None or len(cycle) < len(shortest)):
+                shortest = cycle
+                if len(shortest) == 2:
                     break
-                queue = nxt
-            if shortest is not None and len(shortest) == 2:
-                break
         return shortest
 
     def rec(removed: int, count: int) -> None:
@@ -340,6 +322,28 @@ def _feedback_vertex_set(g: Graph) -> tuple[int, int]:
 
     rec(0, 0)
     return best_size, best_mask
+
+
+def _shortest_cycle_through(rows, alive: int, s: int) -> list[int] | None:
+    """A shortest cycle [s, ..., u] through s among the loopless alive
+    vertices, by one BFS from s: u is the first vertex with an arc back."""
+    parent = {s: -1}
+    queue = [s]
+    while queue:
+        nxt = []
+        for u in queue:
+            out = rows[u] & alive
+            if out >> s & 1:
+                cycle = [u]
+                while parent[cycle[-1]] != -1:
+                    cycle.append(parent[cycle[-1]])
+                return cycle[::-1]
+            for w in bits_of(out):
+                if w not in parent:
+                    parent[w] = u
+                    nxt.append(w)
+        queue = nxt
+    return None
 
 
 # -- subset-entropy linear program ---------------------------------------------
@@ -700,11 +704,16 @@ def entropy_bracket(g: Graph, shannon_cap: int = DEFAULT_SHANNON_CAP,
         k = lp_mask.bit_count()
         looped = _vertices(lp_mask)
         cc, cover = clique_cover_number(g)
+        # A largest independent set, as a loopless leaf gets from tau: the
+        # looped graph's transversal holds every looped vertex, and on a
+        # digraph its search would span all components at once.
+        _, mutual_cover = _vertex_cover([g.mutual_row(u) for u in range(g.n)], g.vertex_mask)
+        kappa_f = fractional_clique_cover_number(g, cover, g.vertex_mask & ~mutual_cover)[0]
         return BoundsReport(
             inner.lower + k, inner.upper + k,
             {"tag": "loop-reduction", "loops": looped, "inner": inner.lower_witness},
             {"tag": "loop-reduction", "loops": looped, "inner": inner.upper_witness},
-            max_matching(g)[0], cc, fractional_clique_cover_number(g, cover)[0], inner.tau + k,
+            max_matching(g)[0], cc, kappa_f, inner.tau + k,
             None if inner.theta is None else inner.theta + k)
     comps = connected_components(g)
     if len(comps) != 1:
@@ -715,8 +724,9 @@ def entropy_bracket(g: Graph, shannon_cap: int = DEFAULT_SHANNON_CAP,
     n = g.n
     nu, matching = max_matching(g)
     cc, cover = clique_cover_number(g)
-    kappa_f, cliques, weights = fractional_clique_cover_number(g, cover)
+    # A transversal meets every 2-cycle, so what it leaves is independent.
     tau, removed = transversal_number(g)
+    kappa_f, cliques, weights = fractional_clique_cover_number(g, cover, g.vertex_mask & ~removed)
     lower = n - kappa_f
     assert Rational(nu) <= Rational(n - cc) <= lower
     if nu == lower:

@@ -24,6 +24,7 @@ from .graphs import (
     automorphisms,
     bits_of,
     connected_components,
+    graph_from_bits,
     induced_subgraph,
     orbit_representatives,
     render_graph,
@@ -62,10 +63,9 @@ def canonical_form(g: Graph) -> Graph:
     """The canonical representative of a simple graph's isomorphism class:
     its relabelling with the least adjacency bit-string.
 
-    The bit-string packs the upper triangle of the adjacency matrix column by
-    column, pair (i, j) with i < j ordered by (j, i), most significant bit
-    first, so two graphs have equal canonical forms exactly when they are
-    isomorphic.
+    The bit-string is graphs.adjacency_bits, the graph6 payload: the upper
+    triangle column by column, most significant bit first.  Two graphs have
+    equal canonical forms exactly when they are isomorphic.
 
     Vertices are first split by refined colour; target positions follow the
     colour order, and the search only permutes vertices inside their own
@@ -75,20 +75,7 @@ def canonical_form(g: Graph) -> Graph:
     """
     if not g.is_simple():
         raise GraphError("canonical forms are defined for loopless undirected graphs")
-    return _decode(g.n, _canonical_search(g.rows, _refined_colors(g.rows)))
-
-
-def _decode(n: int, bits: int) -> Graph:
-    """The simple graph on n vertices whose adjacency bit-string is bits."""
-    rows = [0] * n
-    pos = n * (n - 1) // 2
-    for j in range(n):
-        for i in range(j):
-            pos -= 1
-            if bits >> pos & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return Graph(n, rows, directed=False)
+    return graph_from_bits(g.n, _canonical_search(g.rows, _refined_colors(g.rows)))
 
 
 def _canonical_search(rows: tuple[int, ...] | list[int], colors: list[int]) -> int:
@@ -193,7 +180,7 @@ def _classes_cached(n: int) -> tuple[Graph, ...]:
             if colors[n - 1] != max(colors):
                 continue
             seen.add(_canonical_search(rows, colors))
-    return tuple(_decode(n, bits) for bits in sorted(seen))
+    return tuple(graph_from_bits(n, bits) for bits in sorted(seen))
 
 
 def enumerate_graphs(n_max: int, connected_only: bool = False, cap: int = DEFAULT_ENUM_CAP):

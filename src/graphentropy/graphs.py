@@ -230,9 +230,6 @@ class BipartiteView:
             out |= self.adj_left(u)
         return out
 
-    def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in bits_of(self.left) for v in bits_of(self.adj_left(u))]
-
     def edge_count(self) -> int:
         return sum(self.adj_left(u).bit_count() for u in bits_of(self.left))
 
@@ -292,13 +289,6 @@ def induced_subgraph(g: Graph, s: int) -> tuple[Graph, tuple[int, ...]]:
             r |= 1 << index[w]
         rows.append(r)
     return Graph(len(verts), rows, g.directed), verts
-
-
-def complement(g: Graph) -> Graph:
-    """Complement on the same vertices; loops are dropped, never created."""
-    full = g.vertex_mask
-    rows = [~r & full & ~(1 << u) for u, r in enumerate(g.rows)]
-    return Graph(g.n, rows, g.directed)
 
 
 def automorphisms(g: Graph) -> tuple[tuple[int, ...], ...]:
@@ -486,20 +476,13 @@ def _parse_graph6(text: str) -> Graph:
     nbits = n * (n - 1) // 2
     if len(data) != (nbits + 5) // 6:
         raise FormatError("graph6 payload length does not match vertex count")
-    bits = []
+    payload = 0
     for d in data:
-        bits.extend((d >> k) & 1 for k in range(5, -1, -1))
-    if any(bits[nbits:]):
+        payload = payload << 6 | d
+    pad = 6 * len(data) - nbits
+    if payload & ((1 << pad) - 1):
         raise FormatError("graph6 padding bits must be zero")
-    rows = [0] * n
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            k += 1
-    return Graph(n, rows, directed=False)
+    return graph_from_bits(n, payload >> pad)
 
 
 def _render_graph6(g: Graph) -> str:
@@ -510,16 +493,31 @@ def _render_graph6(g: Graph) -> str:
         head = chr(n + 63)
     else:
         head = chr(126) + chr((n >> 12) + 63) + chr(((n >> 6) & 63) + 63) + chr((n & 63) + 63)
-    bits = []
+    nbits = n * (n - 1) // 2
+    chunks = (nbits + 5) // 6
+    payload = adjacency_bits(g) << (6 * chunks - nbits)
+    return head + "".join(chr((payload >> 6 * k & 63) + 63) for k in reversed(range(chunks)))
+
+
+def adjacency_bits(g: Graph) -> int:
+    """The upper triangle of g's adjacency matrix as one int: pair (i, j),
+    i < j, ordered by (j, i), most significant bit first.  This is the
+    graph6 payload and the string canonical forms minimise."""
+    bits = 0
+    for j in range(1, g.n):
+        for i in range(j):
+            bits = bits << 1 | (g.rows[i] >> j & 1)
+    return bits
+
+
+def graph_from_bits(n: int, bits: int) -> Graph:
+    """The simple graph on n vertices whose adjacency_bits are bits."""
+    rows = [0] * n
+    pos = n * (n - 1) // 2
     for j in range(1, n):
         for i in range(j):
-            bits.append(g.rows[i] >> j & 1)
-    while len(bits) % 6:
-        bits.append(0)
-    chars = []
-    for k in range(0, len(bits), 6):
-        val = 0
-        for b in bits[k:k + 6]:
-            val = val << 1 | b
-        chars.append(chr(val + 63))
-    return head + "".join(chars)
+            pos -= 1
+            if bits >> pos & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return Graph(n, rows, directed=False)

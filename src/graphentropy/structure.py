@@ -188,9 +188,6 @@ class Decomposition:
         self.matching = tuple(sorted(matching))
         self.remainder, self.verts = induced_subgraph(host, host.vertex_mask & ~self.d_s)
 
-    def size(self) -> int:
-        return self.s.bit_count()
-
     def __repr__(self) -> str:
         return (
             f"Decomposition(s={sorted(bits_of(self.s))}, "

@@ -136,6 +136,23 @@ def complement_graph(g):
     return Graph.undirected(g.n, edges)
 
 
+def max_independent_set(g) -> int:
+    """A largest vertex mask with no mutual pair inside, by a subset sweep
+    from the largest size down."""
+    adj = adjacency(g)
+    for k in range(g.n, -1, -1):
+        for s in combinations(range(g.n), k):
+            if not any(v in adj[u] for u, v in combinations(s, 2)):
+                return mask_of(s)
+    raise AssertionError("unreachable")
+
+
+def bipartite_edges(view: BipartiteView) -> list[tuple[int, int]]:
+    """The host edges crossing from view.left to view.right, left end first."""
+    return [(u, v) for u in bits_of(view.left) for v in bits_of(view.right)
+            if view.host.has_arc(u, v)]
+
+
 def brute_transversal(g) -> int:
     """Smallest vertex set whose removal kills every directed cycle.
 
@@ -158,6 +175,64 @@ def brute_transversal(g) -> int:
                        for u in adj for v in adj[u]):
                     return size
     raise AssertionError("unreachable")
+
+
+def previous_feedback_vertex_set(g: Graph) -> tuple[int, int]:
+    """bounds._feedback_vertex_set as it was before its cycle search became
+    one BFS per start vertex: the reference its witnesses must match."""
+    n = g.n
+    best_size = n + 1
+    best_mask = 0
+
+    def find_cycle(removed: int):
+        alive = g.vertex_mask & ~removed
+        for v in bits_of(alive):
+            if g.rows[v] >> v & 1:
+                return [v]
+        # BFS from every vertex for a shortest cycle through it.
+        shortest = None
+        for s in bits_of(alive):
+            parent = {s: -1}
+            queue = [s]
+            while queue:
+                nxt = []
+                for u in queue:
+                    for w in bits_of(g.rows[u] & alive):
+                        if w == s:
+                            cycle = [u]
+                            while parent[cycle[-1]] != -1:
+                                cycle.append(parent[cycle[-1]])
+                            cycle.reverse()
+                            if shortest is None or len(cycle) < len(shortest):
+                                shortest = cycle
+                            nxt = []
+                            queue = []
+                            break
+                        if w not in parent:
+                            parent[w] = u
+                            nxt.append(w)
+                    else:
+                        continue
+                    break
+                queue = nxt
+            if shortest is not None and len(shortest) == 2:
+                break
+        return shortest
+
+    def rec(removed: int, count: int) -> None:
+        nonlocal best_size, best_mask
+        if count >= best_size:
+            return
+        cycle = find_cycle(removed)
+        if cycle is None:
+            best_size = count
+            best_mask = removed
+            return
+        for w in cycle:
+            rec(removed | 1 << w, count + 1)
+
+    rec(0, 0)
+    return best_size, best_mask
 
 
 def _digraph_acyclic(g, removed: set[int]) -> bool:

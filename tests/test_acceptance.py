@@ -25,7 +25,6 @@ from graphentropy.graphs import (
     BipartiteView,
     Graph,
     bits_of,
-    complement,
     induced_subgraph,
     loops,
     mask_of,
@@ -71,10 +70,10 @@ def test_criterion_1_exact_values(tmp_path):
     assert heptagon["theta"] == "7/2"
     assert heptagon["bracket"] == {"lower": "7/2", "upper": "7/2", "exact": True}
 
-    co_pent = bounds_via_cli(tmp_path, "c5c.g6", complement(c5()))
+    co_pent = bounds_via_cli(tmp_path, "c5c.g6", complement_graph(c5()))
     assert co_pent["theta"] == "5/2"
 
-    co_hept = bounds_via_cli(tmp_path, "c7c.g6", complement(Graph.cycle(7)))
+    co_hept = bounds_via_cli(tmp_path, "c7c.g6", complement_graph(Graph.cycle(7)))
     assert co_hept["theta"] == "14/3"
     assert co_hept["kappa_f"] == "7/3"
     assert co_hept["bracket"] == {"lower": "14/3", "upper": "14/3", "exact": True}

@@ -26,7 +26,6 @@ from graphentropy.bounds import (
 from graphentropy.enumeration import enumerate_graphs, isomorphism_classes
 from graphentropy.graphs import (
     Graph,
-    complement,
     connected_components,
     mask_of,
     parse_graph,
@@ -42,6 +41,8 @@ from _oracles import (
     complement_graph,
     disjoint_union,
     exhaustive_entropy_check,
+    max_independent_set,
+    previous_feedback_vertex_set,
     previous_collapsed_program,
     previous_shannon_rows,
     previous_validate_entropy_function,
@@ -88,7 +89,7 @@ def test_clique_cover_matches_complement_coloring(rng):
 
 
 def _kappa_f(g):
-    return fractional_clique_cover_number(g, clique_cover_number(g)[1])
+    return fractional_clique_cover_number(g, clique_cover_number(g)[1], max_independent_set(g))
 
 
 def test_fractional_cover_examples():
@@ -97,14 +98,21 @@ def test_fractional_cover_examples():
     check_clique_cover(c5(), cliques, weights)
     assert _kappa_f(Graph.complete(4))[0] == 1
     assert _kappa_f(g1())[0] == rat("10/3")
-    assert fractional_clique_cover_number(Graph.empty(0), ()) == (0, (), ())
+    assert fractional_clique_cover_number(Graph.empty(0), (), 0) == (0, (), ())
     # All five edges cover C5 but not minimally; the LP decides, at its
     # unique optimum of weight 1/2 per edge.
     edges = maximal_cliques(c5())
-    assert fractional_clique_cover_number(c5(), edges) == (rat("5/2"), edges, (rat("1/2"),) * 5)
-    # Two members, as many as an independent set of C5 has, one not a clique.
+    pair = mask_of([0, 2])
+    assert fractional_clique_cover_number(c5(), edges, pair) == (rat("5/2"), edges, (rat("1/2"),) * 5)
+    # Two members, as many as the independent set, one not a clique.
     with pytest.raises(ValueError, match=r"\[0, 1, 2\] is not a clique"):
-        fractional_clique_cover_number(c5(), (mask_of([0, 1, 2]), mask_of([3, 4])))
+        fractional_clique_cover_number(c5(), (mask_of([0, 1, 2]), mask_of([3, 4])), pair)
+    # The dual half is checked whichever branch runs.
+    for cover in (edges, clique_cover_number(c5())[1]):
+        with pytest.raises(ValueError, match=r"\[0, 1\] is not an independent set"):
+            fractional_clique_cover_number(c5(), cover, mask_of([0, 1]))
+    with pytest.raises(ValueError, match="not an independent set"):
+        fractional_clique_cover_number(c5(), edges, 1 << 5)
     with pytest.raises(ValueError, match="negative clique weight"):
         check_clique_cover(c5(), edges, (1, 1, 1, 1, -1))
     with pytest.raises(ValueError, match="vertex 0 covered only to level 1/2"):
@@ -191,6 +199,49 @@ def test_transversal_matches_oracle(rng):
         assert size == bin(mask).count("1")
 
 
+def test_feedback_vertex_set_matches_previous_search():
+    """One BFS per start vertex finds the same cycles, so the same witness,
+    as the earlier relay of loop breaks."""
+    rng = random.Random(13)
+    for _ in range(1000):
+        d = random_digraph(rng, rng.randint(2, 13), p=rng.choice((0.2, 0.3, 0.4)),
+                           loop_p=rng.choice((0.0, 0.1)))
+        assert bounds._feedback_vertex_set(d) == previous_feedback_vertex_set(d), d
+
+
+def test_one_vertex_cover_search_per_leaf(monkeypatch):
+    """On a connected, loopless, undirected graph tau's vertex cover search
+    is the only one: kappa_f reads the complement of its cover."""
+    calls = []
+    real_cover = bounds._vertex_cover
+
+    def counting_cover(rows, alive):
+        calls.append(alive)
+        return real_cover(rows, alive)
+
+    monkeypatch.setattr(bounds, "_vertex_cover", counting_cover)
+    rng = random.Random(7)
+    gnp = random_graph(rng, 7)
+    while len(connected_components(gnp)) != 1:
+        gnp = random_graph(rng, 7)
+    for g in (c5(), g1(), gnp):
+        assert g.is_simple() and len(connected_components(g)) == 1
+        calls.clear()
+        entropy_bracket(g)
+        assert calls == [g.vertex_mask], render_graph(g, "graph6")
+
+
+def test_fractional_cover_searches_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("fractional_clique_cover_number searched")
+
+    monkeypatch.setattr(bounds, "_vertex_cover", refuse)
+    monkeypatch.setattr(bounds, "transversal_number", refuse)
+    for g in (c5(), g1(), Graph.complete(4), Graph.from_arcs(3, [(0, 0), (0, 1), (1, 0)])):
+        value, _, _ = _kappa_f(g)
+        assert value == _lp_kappa_f(g)
+
+
 def test_transversal_forces_loops():
     looped = Graph.from_arcs(3, [(0, 0)])
     size, mask = transversal_number(looped)
@@ -200,7 +251,7 @@ def test_transversal_forces_loops():
 def test_theta_examples():
     assert entropy_bracket(c5()).theta == rat("5/2")
     assert entropy_bracket(Graph.cycle(7)).theta == rat("7/2")
-    assert entropy_bracket(complement(Graph.cycle(7))).theta == rat("14/3")
+    assert entropy_bracket(complement_graph(Graph.cycle(7))).theta == rat("14/3")
     assert entropy_bracket(g1()).theta == rat("11/3")
     assert entropy_bracket(Graph.complete(7)).theta == 6
 
@@ -301,7 +352,7 @@ def test_rejection_message_matches_previous(rng):
     """A bent h fails at the same first row, with the same message, as in the
     validator that generates every row afresh; bends reach the head, the
     elemental and the functional rows."""
-    graphs = [c5(), g1(), Graph.cycle(8), complement(Graph.cycle(7))]
+    graphs = [c5(), g1(), Graph.cycle(8), complement_graph(Graph.cycle(7))]
     graphs += [random_graph(rng, 7) for _ in range(4)]
     graphs += [random_digraph(rng, rng.randint(2, 6), loop_p=0.3) for _ in range(8)]
     deltas = (1, -1, rat(1, 2), rat(-1, 3), rat(1, 12))
@@ -449,7 +500,7 @@ def _seeded_gnp(seed: int, n: int, k: int) -> Graph:
 # phase-1 restart.
 @pytest.mark.parametrize("g, value", [
     pytest.param(Graph.cycle(9), "9/2", id="C9"),
-    pytest.param(complement(Graph.cycle(9)), "27/4", id="co-C9"),
+    pytest.param(complement_graph(Graph.cycle(9)), "27/4", id="co-C9"),
     pytest.param(Graph.cycle(10), "5", id="C10"),
     pytest.param(_petersen(), "5", id="Petersen"),
     # Relabelling sends the float simplex down another path; it must still

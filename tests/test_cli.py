@@ -1,6 +1,7 @@
 import argparse
 import ast
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -565,6 +566,45 @@ def test_benchmark_tracer_targets_resolve(tmp_path, c5_file):
     assert traced["layers"]["lp.solve.rows"] > 0
     assert traced["layers"]["bounds.entropy_bracket.calls"] >= 1
     assert traced["layers"]["bounds.fractional_cover.calls"] >= 1
+
+
+def _load_tracer():
+    """perfbench/tracer.py as a module, loaded without installing it; it
+    imports only the standard library."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_targets_and_after_hooks_resolve(tmp_path):
+    """Every (module, attribute) the tracer wraps resolves, Class.method
+    targets included, and every after-hook runs on a real result of its
+    target, so the attributes it reads still exist."""
+    tracer = _load_tracer()
+    resolved = {}
+    for _, module_name, attr in tracer.TARGETS:
+        obj = importlib.import_module(module_name)
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), (module_name, attr)
+        resolved[module_name, attr] = obj
+    assert set(tracer.AFTER) <= set(resolved)
+    from graphentropy.graphs import Graph
+    from graphentropy.guessing import CompatibilityGraph
+    from graphentropy.lp import GE, LinearProgram
+
+    assert callable(CompatibilityGraph.edge_count) and callable(CompatibilityGraph.__len__)
+    args = {
+        ("graphentropy.lp", "solve"): (LinearProgram(1, "min", [1], [({0: 1}, GE, 1)]),),
+        ("graphentropy.guessing", "compatibility_graph"): (Graph.cycle(3), 2),
+    }
+    assert set(args) == set(tracer.AFTER)
+    t = tracer.Tracer(str(tmp_path / "spans.jsonl"))
+    for key, after in tracer.AFTER.items():
+        after(t, args[key], {}, resolved[key](*args[key]))
+    assert all(t.counters[name] > 0 for name in tracer.COUNTERS), t.counters
 
 
 def test_version_flag():

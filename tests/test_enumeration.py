@@ -20,6 +20,7 @@ from graphentropy.enumeration import (
 from graphentropy.graphs import (
     CapExceededError,
     Graph,
+    adjacency_bits,
     bits_of,
     connected_components,
     induced_subgraph,
@@ -111,6 +112,15 @@ def test_canonical_form_of_all_twins_is_fast(g):
     assert canonical_form(g) == g
     elapsed = time.perf_counter() - started
     assert elapsed < 1, f"took {elapsed:.1f}s"
+
+
+def test_canonical_form_bits_are_the_search_minimum():
+    """canonical_form decodes the least bit-string through the shared
+    graph6 bit order, so encoding it again gives the search's minimum."""
+    for n in range(7):
+        for g in isomorphism_classes(n):
+            bits = enumeration._canonical_search(g.rows, enumeration._refined_colors(g.rows))
+            assert adjacency_bits(canonical_form(g)) == bits, render_graph(g, "graph6")
 
 
 def test_canonical_searches_per_class(monkeypatch):

@@ -3,13 +3,15 @@ import pytest
 from graphentropy import graphs as graphs_module
 from graphentropy.graphs import (
     BipartiteView,
+    FormatError,
     Graph,
     GraphError,
+    adjacency_bits,
     automorphisms,
     bits_of,
     co_neighborhood_set,
-    complement,
     connected_components,
+    graph_from_bits,
     induced_subgraph,
     loops,
     mask_of,
@@ -21,6 +23,8 @@ from graphentropy.graphs import (
 
 from _oracles import (
     all_automorphisms,
+    bipartite_edges,
+    complement_graph,
     cycles_avoiding,
     disjoint_union,
     i_reduction,
@@ -81,6 +85,30 @@ def test_graph6_round_trip_fixed():
     assert render_graph(g, "graph6") == "D~{"
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "empty graph6 payload"),
+    ("D~\x7f", "graph6 byte out of range"),
+    ("~??", "truncated graph6 size field"),
+    ("D~", "graph6 payload length does not match vertex count"),
+    ("D~~", "graph6 padding bits must be zero"),
+])
+def test_graph6_errors(text, message):
+    with pytest.raises(FormatError, match=message):
+        parse_graph(text, "graph6")
+
+
+def test_graph6_bits_are_the_adjacency_bits(rng):
+    """The payload is adjacency_bits, padded to whole bytes, on both sides
+    of the one-byte size field's limit."""
+    for n in (0, 1, 2, 5, 62, 63, 64):
+        g = random_graph(rng, n)
+        text = render_graph(g, "graph6")
+        assert parse_graph(text) == g == graph_from_bits(n, adjacency_bits(g))
+        payload = text[1 if n <= 62 else 4:]
+        packed = int("".join(f"{ord(c) - 63:06b}" for c in payload) or "0", 2)
+        assert packed == adjacency_bits(g) << (6 * len(payload) - n * (n - 1) // 2)
+
+
 def test_round_trips_random(rng):
     for _ in range(100):
         n = rng.randint(1, 12)
@@ -101,10 +129,10 @@ def test_induced_subgraph_examples():
 
 
 def test_bipartite_view_examples():
-    assert BipartiteView(c5(), 1 << 0, 1 << 1).edges() == [(0, 1)]
-    assert BipartiteView(c5(), 1 << 0, 1 << 2).edges() == []
+    assert bipartite_edges(BipartiteView(c5(), 1 << 0, 1 << 1)) == [(0, 1)]
+    assert bipartite_edges(BipartiteView(c5(), 1 << 0, 1 << 2)) == []
     view = BipartiteView(g1(), mask_of([5, 6]), mask_of(range(5)))
-    assert sorted(view.edges()) == [(5, 0), (5, 1), (6, 3)]
+    assert sorted(bipartite_edges(view)) == [(5, 0), (5, 1), (6, 3)]
     assert view.edge_count() == 3
 
 
@@ -188,8 +216,8 @@ def test_i_reduction_preserves_disjoint_cycles(rng):
 def test_loops_and_complement():
     assert loops(c5()) == 0
     assert loops(Graph.from_arcs(2, [(0, 0), (0, 1), (1, 0)])) == 1 << 0
-    assert perm_class_key(complement(c5())) == perm_class_key(c5())
-    assert complement(Graph.complete(3)) == Graph.empty(3)
+    assert perm_class_key(complement_graph(c5())) == perm_class_key(c5())
+    assert complement_graph(Graph.complete(3)) == Graph.empty(3)
 
 
 def test_disjoint_union():

@@ -22,7 +22,11 @@ from graphentropy.structure import (
     find_saturating_subset,
 )
 
-from _oracles import bipartite_matching_size, previous_certify_entropy_minimal_candidate
+from _oracles import (
+    bipartite_edges,
+    bipartite_matching_size,
+    previous_certify_entropy_minimal_candidate,
+)
 from conftest import c5, g1, random_graph
 
 
@@ -52,7 +56,7 @@ def test_bipartite_matching_against_oracle(rng):
         matching = bipartite_max_matching(view)
         for u, v in matching:
             assert g.has_arc(u, v)
-        assert len(matching) == bipartite_matching_size(view.edges())
+        assert len(matching) == bipartite_matching_size(bipartite_edges(view))
 
 
 def test_saturating_witness_examples():
@@ -211,7 +215,7 @@ def test_reducible_set_never_tightens_the_bracket():
             if d is None:
                 continue
             checked += 1
-            k = d.size()
+            k = d.s.bit_count()
             whole = entropy_bracket(g, lazy_theta=True)
             part = entropy_bracket(d.remainder, lazy_theta=True)
             assert whole.lower >= k + part.lower, render_graph(g, "graph6")
