@@ -6,8 +6,10 @@ candidates), so runs are deterministic and never cycle.  It starts from a
 basis proposed by a fast floating-point simplex: the basis is factored and
 priced exactly, and returned at once when it is optimal.  A primal feasible
 basis continues with exact pivots; any other restarts exact phase 1 from the
-slack/artificial basis.  The exact side keeps no tableau: each pivot solves
-the basis system once for the duals and once for the entering column.
+slack/artificial basis.  The exact side keeps no tableau: each basis is
+factored once, by forward fraction-free elimination (Bareiss, Math. Comp.
+1968), and that one factorization solves B z = b for the basic values,
+B^T w = c_B for the duals and B d = A_j for an entering column.
 Values never depend on the proposal, only which optimal vertex is reported
 when there are several.  Every optimal solve carries a primal assignment
 and a dual vector; verify_certificates re-derives feasibility, sign
@@ -29,9 +31,9 @@ Every program is an integer program over nonnegative variables: each
 coefficient, right-hand side and objective entry is an int, and rows are
 {index: int} dicts with relation '<=', '=' or '>='.  Every LP the package
 builds is of this kind, so the rational backend pays no gcd per operation.
-Basis systems are solved by fraction-free elimination, and vectors are
-compared over a common denominator; only the solutions of basis systems,
-the basic values, the ratio tests and the certificates are rationals.
+Basis systems are solved in integers over one common denominator per
+solution, and vectors are compared over a common denominator; only the
+basic values, the ratio tests and the certificates are rationals.
 
 Both simplexes read one standard form (_Setup): the right-hand sides and a
 column table, the structural columns followed by the slack, surplus and
@@ -222,24 +224,26 @@ def _standardize(lp: LinearProgram) -> _Setup:
 def _simplex(s: _Setup, basis) -> LpSolution:
     """The exact simplex, started from any basis (one column index per row).
 
-    The basis is first factored and priced exactly; a column the others make
-    dependent gives way to the identity column of a row they leave without a
-    pivot.  An optimal basis is returned at once, and a primal feasible one
-    continues with revised primal pivots under Bland's rule.  Any other basis
-    is dropped for phase 1 from the slack/artificial basis.  Artificials
-    never re-enter; one still basic, at zero, in phase 2 stays at zero.
+    The basis is first factored, once, and priced exactly from that one
+    factorization; a column the others make dependent gives way to the
+    identity column of a row they leave without a pivot, and the basis is
+    factored again.  An optimal basis is returned at once, and a primal
+    feasible one continues with revised primal pivots under Bland's rule.
+    Any other basis is dropped for phase 1 from the slack/artificial basis.
+    Artificials never re-enter; one still basic, at zero, in phase 2 stays
+    at zero.
     """
     arts = frozenset(s.arts)
-    basis, z = _basic_values(s, basis)
+    basis, z, lu = _basic_values(s, basis)
     if any(v < 0 for v in z) or any(z[k] for k, j in enumerate(basis) if j in arts):
         start = _phase1(s, arts)
         if start is None:
             return LpSolution(INFEASIBLE)
-        basis, z = start
-    duals = _optimize(s, basis, z, s.cost + [0] * (len(s.cols) - s.lp.num_vars), arts)
-    if duals is None:
+        basis, z, lu = start
+    done = _optimize(s, basis, z, lu, s.cost + [0] * (len(s.cols) - s.lp.num_vars), arts)
+    if done is None:
         return LpSolution(UNBOUNDED)
-    w, den = duals
+    _, w, den = done
     x = [Rational(0)] * len(s.cols)
     for k, j in enumerate(basis):
         x[j] = z[k]
@@ -247,43 +251,46 @@ def _simplex(s: _Setup, basis) -> LpSolution:
 
 
 def _phase1(s: _Setup, arts):
-    """Basis and basic values with every artificial at zero, reached from the
-    slack/artificial basis at cost -1 per artificial; None when the program
-    is infeasible."""
-    basis, z = _basic_values(s, s.id_col)
-    _optimize(s, basis, z, [-1 if j in arts else 0 for j in range(len(s.cols))], frozenset())
+    """Basis, basic values and factorization with every artificial at zero,
+    reached from the slack/artificial basis at cost -1 per artificial; None
+    when the program is infeasible."""
+    basis, z, lu = _basic_values(s, s.id_col)
+    lu, _, _ = _optimize(s, basis, z, lu, [-1 if j in arts else 0 for j in range(len(s.cols))],
+                         frozenset())
     if any(z[k] for k, j in enumerate(basis) if j in arts):
         return None
-    return basis, z
+    return basis, z, lu
 
 
-def _optimize(s: _Setup, basis, z, cost, fixed):
-    """Primal pivots from a primal feasible basis until it prices out, with
-    basis and z updated in place.  cost is one int per column.  Returns the
-    optimal basis's integer duals and their denominator (w, den), or None
-    when the program is unbounded."""
+def _optimize(s: _Setup, basis, z, lu, cost, fixed):
+    """Primal pivots from a primal feasible basis, factored as lu, until it
+    prices out, with basis and z updated in place.  cost is one int per
+    column.  One factorization per basis serves both its duals and, when a
+    column enters, its edge.  Returns the optimal basis's factorization and
+    its integer duals over their denominator (lu, w, den), or None when the
+    program is unbounded."""
     while True:
-        w, _ = _solve_linear([dict(s.cols[j]) for j in basis], [cost[j] for j in basis])
-        den = _lcd(w)
-        w = [_times(v, den) for v in w]
+        w, den = _solve_transposed(lu, [cost[j] for j in basis])
         j = _prices_out(s, cost, w, den)
         if j is None:
-            return w, den
-        if not _exchange(s, basis, z, j, fixed):
+            return lu, w, den
+        if not _exchange(s, basis, z, lu, j, fixed):
             return None
+        lu = _factor(_basis_rows(s, basis))
 
 
 def _basic_values(s: _Setup, basis):
-    """Exact basic values z with B z = b, and the basis they belong to: each
-    dependent column is swapped for the identity column of the row it leaves
-    without a pivot, which makes B nonsingular."""
+    """Exact basic values z with B z = b, the basis they belong to and its
+    factorization: each dependent column is swapped for the identity column
+    of the row it leaves without a pivot, which makes B nonsingular."""
     basis = list(basis)
-    z, dependent = _solve_linear(_basis_rows(s, basis), s.rhs)
-    if dependent:
-        for k, i in dependent:
+    lu = _factor(_basis_rows(s, basis))
+    if lu[2]:  # the dependent pairs
+        for k, i in lu[2]:
             basis[k] = s.id_col[i]
-        z, _ = _solve_linear(_basis_rows(s, basis), s.rhs)
-    return basis, z
+        lu = _factor(_basis_rows(s, basis))
+    z, den = _solve(lu, s.rhs)
+    return basis, [Rational(v, den) for v in z], lu
 
 
 def _basis_rows(s: _Setup, basis):
@@ -298,8 +305,8 @@ def _basis_rows(s: _Setup, basis):
 def _prices_out(s: _Setup, cost, w, den: int):
     """Bland's entering column: the lowest-indexed column before the first
     artificial with a positive reduced cost against the duals w/den, w
-    integers; None when the basis prices out.  Basic columns price to
-    exactly zero, and artificials are never priced."""
+    integers and den positive; None when the basis prices out.  Basic
+    columns price to exactly zero, and artificials are never priced."""
     for j in range(s.arts[0] if s.arts else len(s.cols)):
         red = cost[j] * den
         for i, a in s.cols[j]:
@@ -309,16 +316,18 @@ def _prices_out(s: _Setup, cost, w, den: int):
     return None
 
 
-def _exchange(s: _Setup, basis, z, j: int, fixed) -> bool:
-    """One pivot bringing column j in: solve B d = A_j, pick the leaving
-    column by the ratio test, on ties the lowest-indexed one, and move z
-    along the edge.  A basic column in fixed (an artificial at zero) blocks,
-    at ratio 0, any step with a nonzero entry in its row.  False when
-    nothing blocks: the program is unbounded along the edge."""
+def _exchange(s: _Setup, basis, z, lu, j: int, fixed) -> bool:
+    """One pivot bringing column j in: solve B d = A_j over the basis's
+    factorization lu, pick the leaving column by the ratio test, on ties
+    the lowest-indexed one, and move z along the edge.  A basic column in
+    fixed (an artificial at zero) blocks, at ratio 0, any step with a
+    nonzero entry in its row.  False when nothing blocks: the program is
+    unbounded along the edge."""
     a = [0] * len(s.rhs)
     for i, v in s.cols[j]:
         a[i] = v
-    d, _ = _solve_linear(_basis_rows(s, basis), a)
+    # d is den times the edge, so each ratio is 1/den times the true one.
+    d, den = _solve(lu, a)
     leave, step = -1, None
     for k, dk in enumerate(d):
         if basis[k] in fixed:
@@ -337,7 +346,7 @@ def _exchange(s: _Setup, basis, z, j: int, fixed) -> bool:
         for k, dk in enumerate(d):
             if dk:
                 z[k] -= step * dk
-    z[leave] = step
+    z[leave] = step * den
     basis[leave] = j
     return True
 
@@ -465,26 +474,31 @@ def _float_basis(s: _Setup):
     return bas.tolist()
 
 
-def _solve_linear(rows, rhs):
-    """Solve a square integer system by fraction-free Gauss-Jordan elimination.
+def _factor(rows):
+    """Factor a square integer matrix by forward fraction-free elimination.
 
-    rows are sparse {column: int} maps without zero entries, rhs ints.  A
-    pivot row p eliminates column col from row a as (p[col]*a - a[col]*p)/g,
-    g = gcd(p[col], a[col]); when p[col]/g is not 1 the result is divided by
-    its content, which keeps the entries small.  Every row stays a nonzero
-    integer multiple of the row rational Gauss-Jordan elimination would
-    hold, so the same entries are nonzero and the pivots and row swaps are
-    those of rational elimination.
+    rows are sparse {column: int} maps without zero entries.  Column by
+    column, the first row at or below the pivot position that holds the
+    column is swapped up to it, and it eliminates the column from each row
+    below that holds it: row i becomes (a*row_i - c*row_r)/g, with a and c
+    the pivot entry and row i's entry over their gcd, and g the new row's
+    content when a is not 1 (else 1).  Every row stays a nonzero integer
+    multiple of the row rational elimination would hold, so the same
+    entries are nonzero and the pivots and row swaps are those of rational
+    elimination.
 
-    Returns (solution, []) when the matrix is nonsingular, one Rational per
-    unknown.  Otherwise returns (None, pairs), pairing each column that
-    depends on the columns before it with a row those columns leave without
-    a pivot.
+    Returns (steps, u, dependent).  steps records the row operations: per
+    pivot position r, (r, swapped-in row, [(i, a, c, g), ...]).  u is the
+    eliminated matrix, upper triangular when the matrix is nonsingular.
+    dependent pairs each column that depends on the columns before it with
+    a row those columns leave without a pivot; it is empty exactly when the
+    matrix is nonsingular, and only then may _solve and _solve_transposed
+    use the factorization.
     """
     n = len(rows)
     mat = list(rows)
-    vec = list(rhs)
     order = list(range(n))
+    steps = []
     dependent = []
     r = 0
     for col in range(n):
@@ -493,38 +507,122 @@ def _solve_linear(rows, rhs):
             dependent.append(col)
             continue
         mat[r], mat[prow] = mat[prow], mat[r]
-        vec[r], vec[prow] = vec[prow], vec[r]
         order[r], order[prow] = order[prow], order[r]
         piv_row = mat[r]
         piv = piv_row[col]
-        piv_b = vec[r]
-        for i in range(n):
+        ops = []
+        for i in range(r + 1, n):
             row = mat[i]
             f = row.get(col)
-            if f is None or i == r:
+            if f is None:
                 continue
             g = gcd(piv, f)
             a, c = piv // g, f // g
             new = row.copy() if a == 1 else {k: a * v for k, v in row.items()}
-            b = a * vec[i] - c * piv_b
             for k, v in piv_row.items():
                 t = new.get(k, 0) - c * v
                 if t:
                     new[k] = t
                 else:
                     del new[k]
-            if a != 1:
-                g = gcd(b, *new.values())
-                if g > 1:
-                    new = {k: v // g for k, v in new.items()}
-                    b //= g
+            g = gcd(*new.values()) if a != 1 else 1
+            if g > 1:
+                new = {k: v // g for k, v in new.items()}
+            else:
+                g = 1  # a row eliminated to nothing has content 0
             mat[i] = new
-            vec[i] = b
+            ops.append((i, a, c, g))
+        steps.append((r, prow, ops))
         r += 1
-    if dependent:
-        return None, list(zip(dependent, order[r:]))
-    # Row k now reads mat[k][k] * x_k = vec[k].
-    return [Rational(vec[k], mat[k][k]) for k in range(n)], []
+    return steps, mat, list(zip(dependent, order[r:]))
+
+
+def _solve(lu, b):
+    """x with B x = b, b ints, for B factored by _factor and nonsingular:
+    integers over one positive common denominator, (x, den).
+
+    The recorded row operations are replayed on b, then U is back
+    substituted.  A division that is not exact multiplies every value and
+    the denominator by what it lacks."""
+    steps, u, _ = lu
+    y = list(b)
+    den = 1
+    for r, p, ops in steps:
+        y[r], y[p] = y[p], y[r]
+        yr = y[r]
+        for i, a, c, g in ops:
+            t = a * y[i] - c * yr
+            if g != 1:
+                if t % g:
+                    f = g // gcd(t, g)
+                    y = [v * f for v in y]
+                    den *= f
+                    yr *= f
+                    t *= f
+                t //= g
+            y[i] = t
+    x = [0] * len(u)
+    for k in range(len(u) - 1, -1, -1):
+        row = u[k]
+        # x[k] is still 0, so the sum runs over the entries right of the pivot.
+        t = y[k] - sum(v * x[j] for j, v in row.items())
+        piv = row[k]
+        if t % piv:
+            f = abs(piv) // gcd(t, piv)
+            x = [v * f for v in x]
+            y = [v * f for v in y]
+            den *= f
+            t *= f
+        x[k] = t // piv
+    return x, den
+
+
+def _solve_transposed(lu, cost):
+    """w with B^T w = cost, cost ints, for B factored by _factor and
+    nonsingular: integers over one positive common denominator, (w, den).
+
+    With U = E B, E the recorded row operations, U^T v = cost is solved by
+    forward substitution and w = E^T v by replaying the transposed
+    operations in reverse.  Inexact divisions scale as in _solve."""
+    steps, u, _ = lu
+    n = len(u)
+    acc = list(cost)
+    v = [0] * n
+    den = 1
+    for j in range(n):
+        t = acc[j]
+        if not t:
+            continue
+        row = u[j]
+        piv = row[j]
+        if t % piv:
+            f = abs(piv) // gcd(t, piv)
+            acc = [x * f for x in acc]
+            v = [x * f for x in v]
+            den *= f
+            t *= f
+        t //= piv
+        v[j] = t
+        for k, x in row.items():
+            acc[k] -= x * t
+    # The transpose of row_i <- (a*row_i - c*row_r)/g sends v_i to a*v_i/g
+    # and subtracts c*v_i/g from v_r.
+    for r, p, ops in reversed(steps):
+        for i, a, c, g in ops:
+            t = v[i]
+            if not t:
+                continue
+            if g != 1:
+                if t % g:
+                    f = g // gcd(t, g)
+                    v = [x * f for x in v]
+                    den *= f
+                    t *= f
+                t //= g
+            v[i] = a * t
+            v[r] -= c * t
+        v[r], v[p] = v[p], v[r]
+    return v, den
 
 
 # -- certificates ---------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from math import lcm
+from math import gcd, lcm
 
 import networkx as nx
 
@@ -41,7 +41,6 @@ from graphentropy.lp import (
     LinearProgram,
     LpSolution,
     _lcd,
-    _solve_linear,
     _times,
 )
 from graphentropy.rationals import Rational
@@ -1085,6 +1084,72 @@ def rational_solve_linear(rows, rhs):
     return out, []
 
 
+# The package's exact basis solve as it was before one forward elimination
+# replaced it, kept verbatim under a new name: fraction-free Gauss-Jordan
+# elimination that solves one right-hand side per call.  The factorization
+# that replaced it is held to exactly its answers and dependent pairs.
+def gauss_jordan_solve_linear(rows, rhs):
+    """Solve a square integer system by fraction-free Gauss-Jordan elimination.
+
+    rows are sparse {column: int} maps without zero entries, rhs ints.  A
+    pivot row p eliminates column col from row a as (p[col]*a - a[col]*p)/g,
+    g = gcd(p[col], a[col]); when p[col]/g is not 1 the result is divided by
+    its content, which keeps the entries small.  Every row stays a nonzero
+    integer multiple of the row rational Gauss-Jordan elimination would
+    hold, so the same entries are nonzero and the pivots and row swaps are
+    those of rational elimination.
+
+    Returns (solution, []) when the matrix is nonsingular, one Rational per
+    unknown.  Otherwise returns (None, pairs), pairing each column that
+    depends on the columns before it with a row those columns leave without
+    a pivot.
+    """
+    n = len(rows)
+    mat = list(rows)
+    vec = list(rhs)
+    order = list(range(n))
+    dependent = []
+    r = 0
+    for col in range(n):
+        prow = next((i for i in range(r, n) if col in mat[i]), -1)
+        if prow < 0:
+            dependent.append(col)
+            continue
+        mat[r], mat[prow] = mat[prow], mat[r]
+        vec[r], vec[prow] = vec[prow], vec[r]
+        order[r], order[prow] = order[prow], order[r]
+        piv_row = mat[r]
+        piv = piv_row[col]
+        piv_b = vec[r]
+        for i in range(n):
+            row = mat[i]
+            f = row.get(col)
+            if f is None or i == r:
+                continue
+            g = gcd(piv, f)
+            a, c = piv // g, f // g
+            new = row.copy() if a == 1 else {k: a * v for k, v in row.items()}
+            b = a * vec[i] - c * piv_b
+            for k, v in piv_row.items():
+                t = new.get(k, 0) - c * v
+                if t:
+                    new[k] = t
+                else:
+                    del new[k]
+            if a != 1:
+                g = gcd(b, *new.values())
+                if g > 1:
+                    new = {k: v // g for k, v in new.items()}
+                    b //= g
+            mat[i] = new
+            vec[i] = b
+        r += 1
+    if dependent:
+        return None, list(zip(dependent, order[r:]))
+    # Row k now reads mat[k][k] * x_k = vec[k].
+    return [Rational(vec[k], mat[k][k]) for k in range(n)], []
+
+
 def rational_verify_certificates(lp: LinearProgram, sol: LpSolution) -> tuple[bool, str]:
     """First-principles optimality check: primal feasibility, dual sign and
     stationarity conditions, and exact equality of the two objectives."""
@@ -1135,8 +1200,9 @@ def rational_verify_certificates(lp: LinearProgram, sol: LpSolution) -> tuple[bo
 # kept a flipped row copy (body) and per-row slack and artificial maps beside
 # its column table, kept verbatim under new names, so the one-table layout
 # and the simplex that reads it can be held to exactly their layout and
-# outcomes.  The edits: the names, and the basis solve, _lcd and _times,
-# which did not change, are the package's own.
+# outcomes.  The edits: the names, and the basis solve, which is the
+# Gauss-Jordan oracle above; _lcd and _times, which did not change, are the
+# package's own.
 class _PreviousSetup:
     """Standard-form view shared by the exact and float paths: flipped rows,
     internal max-sense costs and the slack/artificial column layout.
@@ -1244,7 +1310,7 @@ def _previous_optimize(s: _PreviousSetup, basis, z, cost, fixed):
     optimal basis's integer duals and their denominator (w, den), or None
     when the program is unbounded."""
     while True:
-        w, _ = _solve_linear([dict(s.cols[j]) for j in basis], [cost[j] for j in basis])
+        w, _ = gauss_jordan_solve_linear([dict(s.cols[j]) for j in basis], [cost[j] for j in basis])
         den = _lcd(w)
         w = [_times(v, den) for v in w]
         j = _previous_prices_out(s, cost, w, den)
@@ -1260,11 +1326,11 @@ def _previous_basic_values(s: _PreviousSetup, basis):
     without a pivot, which makes B nonsingular."""
     basis = list(basis)
     rhs = [rhs for _, _, rhs in s.body]
-    z, dependent = _solve_linear(_previous_basis_rows(s, basis), rhs)
+    z, dependent = gauss_jordan_solve_linear(_previous_basis_rows(s, basis), rhs)
     if dependent:
         for k, i in dependent:
             basis[k] = s.id_col[i]
-        z, _ = _solve_linear(_previous_basis_rows(s, basis), rhs)
+        z, _ = gauss_jordan_solve_linear(_previous_basis_rows(s, basis), rhs)
     return basis, z
 
 
@@ -1305,7 +1371,7 @@ def _previous_exchange(s: _PreviousSetup, basis, z, j: int, fixed) -> bool:
     a = [0] * len(s.body)
     for i, v in s.cols[j]:
         a[i] = v
-    d, _ = _solve_linear(_previous_basis_rows(s, basis), a)
+    d, _ = gauss_jordan_solve_linear(_previous_basis_rows(s, basis), a)
     leave, step = -1, None
     for k, dk in enumerate(d):
         if basis[k] in fixed:

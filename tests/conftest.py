@@ -48,3 +48,13 @@ def exact_steps(monkeypatch) -> list:
         monkeypatch.setattr(lp, name, lambda *args, name=name, real=real:
                             steps.append(name) or real(*args))
     return steps
+
+
+@pytest.fixture
+def factorizations(monkeypatch) -> list:
+    """One entry per basis factorization made by the exact simplex while the
+    test runs."""
+    calls = []
+    real = lp._factor
+    monkeypatch.setattr(lp, "_factor", lambda rows: calls.append(len(rows)) or real(rows))
+    return calls

@@ -514,6 +514,7 @@ def _seeded_gnp(seed: int, n: int, k: int) -> Graph:
     pytest.param(_seeded_gnp(7, 8, 3), "5", id="gnp8-seed7-3"),
     pytest.param(_seeded_gnp(9, 9, 0), "6", id="gnp9-seed9-0"),
     pytest.param(_seeded_gnp(9, 9, 2), "11/2", id="gnp9-seed9-2"),
+    pytest.param(_seeded_gnp(10, 10, 1), "7", id="gnp10-seed10-1"),
     pytest.param(_seeded_gnp(10, 10, 2), "6", id="gnp10-seed10-2"),
     *(pytest.param(parse_graph(text), value, id=text) for text, value in (
         ("GE`hr{", "9/2"), ("GIG\\]{", "9/2"), ("GIIO~[", "9/2"), ("GoTP\\{", "9/2"),

@@ -1,9 +1,11 @@
+import random
 import re
 from fractions import Fraction
 from math import lcm
 
 import pytest
 
+from graphentropy import lp as lp_module
 from graphentropy.bounds import (
     _collapsed_program,
     _dual_program,
@@ -23,9 +25,11 @@ from graphentropy.lp import (
     LinearProgram,
     LpError,
     LpSolution,
+    _factor,
     _float_basis,
     _simplex,
-    _solve_linear,
+    _solve,
+    _solve_transposed,
     _standardize,
     solve,
     verify_certificates,
@@ -33,6 +37,7 @@ from graphentropy.lp import (
 from graphentropy.rationals import rat
 
 from _oracles import (
+    gauss_jordan_solve_linear,
     lp_vertex_solve,
     previous_float_basis,
     previous_simplex,
@@ -345,10 +350,45 @@ def _integer_system(rows, rhs):
     return out_rows, out_rhs
 
 
+def _transposed(rows, n):
+    out = [{} for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            out[j][i] = v
+    return out
+
+
+def _as_rationals(rows, n):
+    return [[rat(row.get(j, 0)) for j in range(n)] for row in rows]
+
+
+def _wide_system(rng):
+    """A square integer system with entries up to 12, so that pivots other
+    than +-1 are common, and a dependent column two times in five."""
+    n = rng.randint(2, 7)
+    zero_p = rng.choice([0.0, 0.3, 0.6])
+    rows = [{j: v for j in range(n) if (v := _random_int(rng, 12, zero_p))} for _ in range(n)]
+    if rng.random() < 0.4:
+        j, k = rng.sample(range(n), 2)
+        f = rng.choice([-3, -2, 2, 3])
+        for row in rows:
+            row.pop(j, None)
+            if k in row:
+                row[j] = f * row[k]
+    return rows, [_random_int(rng, 9) for _ in range(n)]
+
+
 def test_integer_solve_matches_rational_oracle(rng):
-    """Identical solution, or identical dependent-column pairs, on square
-    rational systems, singular ones included."""
+    """From one factorization, B x = b, B^T w = c and B x = b' each equal
+    both the rational solve and the Gauss-Jordan elimination the
+    factorization replaced, and a singular matrix gives their dependent
+    pairs, on square rational systems scaled to integers, singular ones
+    included.  Wide integer systems, whose pivots are often not +-1, reach
+    the content division and the common-denominator scaling."""
+    extra = random.Random(1)
     singular = 0
+    divided = scaled = scaled_t = 0
+    systems = []
     for _ in range(400):
         n = rng.randint(1, 7)
         zero_p = rng.choice([0.0, 0.4, 0.7])
@@ -359,10 +399,66 @@ def test_integer_solve_matches_rational_oracle(rng):
             for row in rows:
                 row[j] = f * row[k]
         rhs = [_random_rational(rng, 5) for _ in range(n)]
-        expected = rational_solve_linear(rows, rhs)
-        assert _solve_linear(*_integer_system(rows, rhs)) == expected, (rows, rhs)
-        singular += expected[0] is None
-    assert 50 <= singular <= 350, singular
+        systems.append(_integer_system(rows, rhs))
+    systems += [_wide_system(extra) for _ in range(200)]
+    for rows, b in systems:
+        n = len(rows)
+        lu = _factor(rows)
+        divided += any(g > 1 for _, _, ops in lu[0] for *_, g in ops)
+        expected = rational_solve_linear(_as_rationals(rows, n), [rat(v) for v in b])
+        assert gauss_jordan_solve_linear(rows, b) == expected, (rows, b)
+        if expected[0] is None:
+            singular += 1
+            assert lu[2] == expected[1], rows
+            continue
+        assert not lu[2], rows
+        c = [_random_int(extra, 9) for _ in range(n)]
+        b2 = [_random_int(extra, 9, zero_p=0.3) for _ in range(n)]
+        columns = _transposed(rows, n)
+        for solve_with, matrix, rhs in ((_solve, rows, b), (_solve_transposed, columns, c),
+                                        (_solve, rows, b2)):
+            x, den = solve_with(lu, rhs)
+            assert den > 0
+            scaled += solve_with is _solve and den > 1
+            scaled_t += solve_with is _solve_transposed and den > 1
+            got = [rat(v, den) for v in x]
+            assert got == rational_solve_linear(_as_rationals(matrix, n), [rat(v) for v in rhs])[0]
+            assert got == gauss_jordan_solve_linear(matrix, rhs)[0], (matrix, rhs)
+    assert 150 <= singular <= 450, singular
+    assert min(divided, scaled, scaled_t) >= 50, (divided, scaled, scaled_t)
+
+
+def test_one_factorization_per_basis(rng, monkeypatch, exact_steps, factorizations):
+    """At an optimal float proposal the exact simplex factors the basis once
+    and prices it from that factorization.  Without numpy it factors the
+    starting basis, the slack/artificial basis of a phase-1 restart and
+    each basis a pivot reaches, once each (a pivot that finds the program
+    unbounded reaches none): one factorization serves both the duals and
+    the entering column."""
+    lps = [BEALE, REPEATED]
+    lps += [build_shannon_lp(g) for g in (Graph.cycle(5), Graph.path(5))]
+    lps += [_entropy_dual(g) for g in (Graph.cycle(5), Graph.cycle(7), g1())]
+    lps += [_random_lp(rng) for _ in range(100)]
+    warm = 0
+    for lp in lps:
+        s = _standardize(lp)
+        proposal = _float_basis(s)
+        exact_steps.clear()
+        factorizations.clear()
+        _simplex(s, proposal or s.id_col)
+        if proposal is not None and not exact_steps:
+            warm += 1
+            assert len(factorizations) == 1, lp.rows
+    assert warm >= 40, warm
+    monkeypatch.setattr(lp_module, "_numpy", lambda: None)
+    pivots = 0
+    for lp in lps:
+        exact_steps.clear()
+        factorizations.clear()
+        unbounded = solve(lp).status == UNBOUNDED
+        pivots += exact_steps.count("_exchange")
+        assert len(factorizations) == 1 + len(exact_steps) - unbounded, lp.rows
+    assert pivots >= 200, pivots
 
 
 def _corrupted(rng, lp, sol):
