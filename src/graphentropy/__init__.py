@@ -26,7 +26,6 @@ from .structure import (
     find_saturating_subset,
 )
 from .enumeration import (
-    ValueSurvey,
     enumerate_graphs,
     isomorphism_classes,
     survey_entropy_values,
@@ -46,7 +45,6 @@ __all__ = [
     "LinearProgram",
     "LpSolution",
     "Rational",
-    "ValueSurvey",
     "__version__",
     "certify_entropy_minimal_candidate",
     "entropy_bracket",

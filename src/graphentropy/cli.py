@@ -32,6 +32,7 @@ from .rationals import Rational, rat_str
 from .structure import DEFAULT_REDUCTION_CAP, certify_entropy_minimal_candidate, find_reducible_set
 from .enumeration import (
     DEFAULT_ENUM_CAP,
+    collapsed_values,
     survey_entropy_values,
     verify_g_family,
     verify_small_theorems,
@@ -88,8 +89,9 @@ def _echo_graph(g) -> dict:
 def _cmd_bounds(args) -> tuple[dict, int]:
     g = _load_graph(args.graph, args.format)
     report = entropy_bracket(g, shannon_cap=args.shannon_cap, lazy_theta=args.lazy)
+    echo = _echo_graph(g)
     result = {
-        "graph": _echo_graph(g)["text"],
+        "graph": echo["text"],
         "nu": report.nu,
         "cc": report.cc,
         "kappa_f": report.kappa_f,
@@ -98,7 +100,7 @@ def _cmd_bounds(args) -> tuple[dict, int]:
         "bracket": {"lower": report.lower, "upper": report.upper, "exact": report.exact},
         "witnesses": {"lower": report.lower_witness, "upper": report.upper_witness},
     }
-    return {"input": _echo_graph(g), "result": result}, 0
+    return {"input": echo, "result": result}, 0
 
 
 def _cmd_guess(args) -> tuple[dict, int]:
@@ -144,26 +146,27 @@ def _at_least(flag: str, value: int, least: int) -> None:
 def _cmd_survey(args) -> tuple[dict, int]:
     _at_least("--n", args.n, 1)
     _at_least("--jobs", args.jobs, 1)
-    survey = survey_entropy_values(
+    triples = survey_entropy_values(
         args.n, jobs=args.jobs, cap=args.cap, connected_only=args.connected
     )
     records = [
         {
-            "graph6": r.graph6(),
-            "n": r.graph.n,
-            "connected": r.connected,
-            "lower": r.bracket.lower,
-            "upper": r.bracket.upper,
-            "exact": r.exact,
+            "graph6": render_graph(g, "graph6"),
+            "n": g.n,
+            "connected": connected,
+            "lower": report.lower,
+            "upper": report.upper,
+            "exact": report.exact,
         }
-        for r in survey.records
+        for g, report, connected in triples
     ]
+    values = collapsed_values(triples)
     result = {
-        "n_max": survey.n_max,
+        "n_max": args.n,
         "connected_only": args.connected,
         "classes": len(records),
-        "collapsed_values": survey.values,
-        "collapsed_values_le_4": survey.values_up_to(4),
+        "collapsed_values": values,
+        "collapsed_values_le_4": [v for v in values if v <= 4],
         "unresolved": [rec for rec in records if not rec["exact"]],
         "records": records,
     }

@@ -220,71 +220,19 @@ def bracket_with_fallback(g: Graph) -> BoundsReport:
     return entropy_bracket(g, lazy_theta=True)
 
 
-class SurveyRecord:
-    """One isomorphism class with its certified bracket, a BoundsReport.
-
-    graph is the canonical representative.  For a disconnected class the
-    union witness lists the components in graph's own labelling, and each
-    part's witness uses the labelling of its component's canonical
-    representative.
-    """
-
-    __slots__ = ("graph", "bracket", "connected")
-
-    def __init__(self, graph: Graph, bracket: BoundsReport, connected: bool):
-        self.graph = graph
-        self.bracket = bracket
-        self.connected = connected
-
-    @property
-    def exact(self) -> bool:
-        return self.bracket.exact
-
-    def graph6(self) -> str:
-        return render_graph(self.graph, "graph6")
-
-    def __repr__(self) -> str:
-        return f"SurveyRecord({self.graph6()}, {self.bracket})"
-
-
-class ValueSurvey:
-    """Entropy landscape over every simple graph up to n_max vertices.
-
-    records covers one entry per isomorphism class (canonical representative,
-    bracket, connectivity flag); values collects the distinct collapsed
-    values; unresolved lists the records whose brackets stayed open.
-    """
-
-    __slots__ = ("n_max", "records", "values", "unresolved")
-
-    def __init__(self, n_max: int, records: list[SurveyRecord]):
-        self.n_max = n_max
-        self.records = records
-        self.values = sorted({r.bracket.lower for r in records if r.exact})
-        self.unresolved = [r for r in records if not r.exact]
-
-    def values_up_to(self, bound) -> list:
-        limit = rat(bound)
-        return [v for v in self.values if v <= limit]
-
-    def connected_with_value(self, value) -> list[SurveyRecord]:
-        want = rat(value)
-        return [
-            r for r in self.records
-            if r.connected and r.exact and r.bracket.lower == want
-        ]
-
-    def __repr__(self) -> str:
-        return f"ValueSurvey(n_max={self.n_max}, classes={len(self.records)})"
-
-
 def survey_entropy_values(
     n_max: int,
     jobs: int = 1,
     cap: int = DEFAULT_ENUM_CAP,
     connected_only: bool = False,
-) -> ValueSurvey:
-    """Bracket every isomorphism class on up to n_max vertices.
+) -> list[tuple[Graph, BoundsReport, bool]]:
+    """Bracket every isomorphism class on up to n_max vertices: one
+    (graph, report, connected) triple per class, in enumeration order.
+
+    graph is the canonical representative and report its BoundsReport.  For
+    a disconnected class the union witness lists the components in graph's
+    own labelling, and each part's witness uses the labelling of its
+    component's canonical representative.
 
     Every run recomputes and rechecks every value.  Connected classes are
     solved directly (in parallel when jobs > 1); a disconnected class adds
@@ -310,12 +258,16 @@ def survey_entropy_values(
     records = []
     for g, comps in classes:
         if len(comps) == 1:
-            records.append(SurveyRecord(g, solved[g], connected=True))
+            records.append((g, solved[g], True))
             continue
         parts = [solved[induced_subgraph(g, c)[0]] for c in comps]
-        report = union_report([list(bits_of(c)) for c in comps], parts)
-        records.append(SurveyRecord(g, report, connected=False))
-    return ValueSurvey(n_max, records)
+        records.append((g, union_report([list(bits_of(c)) for c in comps], parts), False))
+    return records
+
+
+def collapsed_values(records) -> list:
+    """The distinct values of the exact brackets among survey triples, sorted."""
+    return sorted({report.lower for _, report, _ in records if report.exact})
 
 
 def _solve_brackets(graphs: list[Graph], jobs: int) -> list[BoundsReport]:
@@ -456,40 +408,43 @@ def verify_small_theorems(jobs: int = 1) -> dict:
     graph collapsing to 5/2 is the pentagon and the only one collapsing to
     11/3 is the first graph of g_family().
     """
-    survey = survey_entropy_values(7, jobs=jobs)
+    records = survey_entropy_values(7, jobs=jobs)
     gaps = [(rat(1), rat(2)), (rat(2), rat("5/2")), (rat("5/2"), rat(3))]
     counterexamples = []
     bad_window = []
-    for r in survey.records:
-        if not r.exact:
+    for g, report, _ in records:
+        if not report.exact:
             continue
-        v = r.bracket.lower
+        v = report.lower
         if any(lo < v < hi for lo, hi in gaps):
-            counterexamples.append({"graph6": r.graph6(), "value": v})
+            counterexamples.append({"graph6": render_graph(g, "graph6"), "value": v})
         if rat(3) < v < rat(4) and v not in (rat("7/2"), rat("11/3")):
-            bad_window.append({"graph6": r.graph6(), "value": v})
-    # Record graphs are canonical representatives already.
-    pentagon = canonical_form(Graph.cycle(5))
-    first_family = canonical_form(g_family()[0])
-    half_wits = survey.connected_with_value(rat("5/2"))
-    third_wits = survey.connected_with_value(rat("11/3"))
+            bad_window.append({"graph6": render_graph(g, "graph6"), "value": v})
+
+    def connected_at(value) -> list[Graph]:
+        return [g for g, report, connected in records
+                if connected and report.exact and report.lower == value]
+
+    half_wits = connected_at(rat("5/2"))
+    third_wits = connected_at(rat("11/3"))
+    # Survey graphs are canonical representatives already.
     ok = (
         not counterexamples
         and not bad_window
-        and [r.graph for r in half_wits] == [pentagon]
-        and [r.graph for r in third_wits] == [first_family]
+        and half_wits == [canonical_form(Graph.cycle(5))]
+        and third_wits == [canonical_form(g_family()[0])]
     )
     return {
         "suite": "theorem2",
         "ok": ok,
-        "classes": len(survey.records),
-        "collapsed_values": survey.values_up_to(4),
+        "classes": len(records),
+        "collapsed_values": [v for v in collapsed_values(records) if v <= 4],
         "gap_counterexamples": counterexamples,
         "window_violations": bad_window,
-        "connected_5/2_witnesses": [r.graph6() for r in half_wits],
-        "connected_11/3_witnesses": [r.graph6() for r in third_wits],
+        "connected_5/2_witnesses": [render_graph(g, "graph6") for g in half_wits],
+        "connected_11/3_witnesses": [render_graph(g, "graph6") for g in third_wits],
         "unresolved": [
-            {"graph6": r.graph6(), "lower": r.bracket.lower, "upper": r.bracket.upper}
-            for r in survey.unresolved
+            {"graph6": render_graph(g, "graph6"), "lower": report.lower, "upper": report.upper}
+            for g, report, _ in records if not report.exact
         ],
     }

@@ -191,14 +191,15 @@ def _max_clique(rows: list[int], limit: int | None = None,
     2. The probe, only when the dive falls more than one word short of
        limit: the anchored search with its incumbent preset to limit - 2.
        N(0) holds at most omega - 1 <= limit - 1 words of a clique, so the
-       probe yields a clique exactly when omega = limit, and the replay
-       below follows at once.  If it yields nothing, omega < limit.
-    3. The climb: the anchored search with the dive's size less one as its
-       incumbent, stopped once it reaches limit - 1.  If N(0) holds no
-       larger clique, the dive is the answer.
+       probe yields a clique exactly when omega = limit.
+    3. The climb, only when the probe did not yield: the anchored search
+       with the dive's size less one as its incumbent, stopped once it
+       reaches limit - 1.  Its last clique, if any, gives omega.
 
-    Otherwise omega is known, and the unanchored search is replayed with its
-    incumbent preset to omega - 1 and stopped at its first omega-clique.
+    omega is now known from whichever of the probe and the climb ran.  If it
+    is the dive's size, the dive is the answer.  Otherwise the unanchored
+    search is replayed once, with its incumbent preset to omega - 1 and
+    stopped at its first omega-clique.
     Each frame's colour order depends only on its candidate set, and the
     higher incumbent prunes only branches whose colour bound cannot reach
     omega, so the replay visits a subsequence of the unanchored search's
@@ -215,16 +216,18 @@ def _max_clique(rows: list[int], limit: int | None = None,
     if first.bit_count() == limit:
         return first
     gens = list(gens)
-    if limit is not None and first.bit_count() < limit - 1:
-        if next(_improvements(rows, comp, rows[0], limit - 2, gens), 0):
-            return next(_improvements(rows, comp, full, limit - 1))
-    anchored = 0
-    for anchored in _improvements(rows, comp, rows[0], first.bit_count() - 1, gens):
-        if anchored.bit_count() + 1 == limit:
-            break
-    if not anchored:
+    omega = first.bit_count()
+    if (limit is not None and omega < limit - 1
+            and next(_improvements(rows, comp, rows[0], limit - 2, gens), 0)):
+        omega = limit
+    else:
+        for anchored in _improvements(rows, comp, rows[0], omega - 1, gens):
+            omega = anchored.bit_count() + 1
+            if omega == limit:
+                break
+    if omega == first.bit_count():
         return first
-    return next(_improvements(rows, comp, full, anchored.bit_count()))
+    return next(_improvements(rows, comp, full, omega - 1))
 
 
 def _improvements(rows: list[int], comp: list[int], cand: int, best_size: int = 0,

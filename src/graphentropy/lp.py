@@ -229,17 +229,19 @@ def _simplex(s: _Setup, basis) -> LpSolution:
     identity column of a row they leave without a pivot, and the basis is
     factored again.  An optimal basis is returned at once, and a primal
     feasible one continues with revised primal pivots under Bland's rule.
-    Any other basis is dropped for phase 1 from the slack/artificial basis.
+    Any other basis is dropped for phase 1 from the slack/artificial basis,
+    factored again only when it is not the basis just factored.
     Artificials never re-enter; one still basic, at zero, in phase 2 stays
     at zero.
     """
     arts = frozenset(s.arts)
     basis, z, lu = _basic_values(s, basis)
     if any(v < 0 for v in z) or any(z[k] for k, j in enumerate(basis) if j in arts):
-        start = _phase1(s, arts)
-        if start is None:
+        if basis != s.id_col:
+            basis, z, lu = _basic_values(s, s.id_col)
+        lu = _phase1(s, basis, z, lu, arts)
+        if lu is None:
             return LpSolution(INFEASIBLE)
-        basis, z, lu = start
     done = _optimize(s, basis, z, lu, s.cost + [0] * (len(s.cols) - s.lp.num_vars), arts)
     if done is None:
         return LpSolution(UNBOUNDED)
@@ -250,16 +252,16 @@ def _simplex(s: _Setup, basis) -> LpSolution:
     return _solution(s, x, [Rational(wi, den) for wi in w])
 
 
-def _phase1(s: _Setup, arts):
-    """Basis, basic values and factorization with every artificial at zero,
-    reached from the slack/artificial basis at cost -1 per artificial; None
-    when the program is infeasible."""
-    basis, z, lu = _basic_values(s, s.id_col)
+def _phase1(s: _Setup, basis, z, lu, arts):
+    """Pivots from the slack/artificial basis, with its values z and
+    factorization lu, at cost -1 per artificial, with basis and z updated in
+    place.  Returns the final basis's factorization, with every artificial
+    at zero, or None when the program is infeasible."""
     lu, _, _ = _optimize(s, basis, z, lu, [-1 if j in arts else 0 for j in range(len(s.cols))],
                          frozenset())
     if any(z[k] for k, j in enumerate(basis) if j in arts):
         return None
-    return basis, z, lu
+    return lu
 
 
 def _optimize(s: _Setup, basis, z, lu, cost, fixed):

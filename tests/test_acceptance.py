@@ -16,6 +16,7 @@ from graphentropy.bounds import (
 )
 from graphentropy.enumeration import (
     canonical_form,
+    collapsed_values,
     isomorphism_classes,
     pentagon_apex,
     survey_entropy_values,
@@ -112,20 +113,22 @@ def test_criterion_2_wheel_trichotomy(tmp_path):
 
 
 def test_criterion_3_survey_n7():
-    survey = survey_entropy_values(7)
-    window = [v for v in survey.values if v <= 4]
+    records = survey_entropy_values(7)
+    window = [v for v in collapsed_values(records) if v <= 4]
     assert window == [rat(0), rat(1), rat(2), rat("5/2"),
                       rat(3), rat("7/2"), rat("11/3"), rat(4)]
 
-    half = [r for r in survey.records
-            if r.connected and r.exact and r.bracket.lower == rat("5/2")]
-    assert [render_graph(canonical_form(r.graph), "graph6") for r in half] == ["DLo"]
-    third = [r for r in survey.records
-             if r.connected and r.exact and r.bracket.lower == rat("11/3")]
-    assert [render_graph(canonical_form(r.graph), "graph6") for r in third] == ["FFHKW"]
+    half = [g for g, report, connected in records
+            if connected and report.exact and report.lower == rat("5/2")]
+    assert [render_graph(canonical_form(g), "graph6") for g in half] == ["DLo"]
+    third = [g for g, report, connected in records
+             if connected and report.exact and report.lower == rat("11/3")]
+    assert [render_graph(canonical_form(g), "graph6") for g in third] == ["FFHKW"]
 
-    for record in survey.unresolved:
-        low, up = record.bracket.lower, record.bracket.upper
+    for _, report, _ in records:
+        if report.exact:
+            continue
+        low, up = report.lower, report.upper
         inside = 3 < low < 4 and low not in (rat("7/2"), rat("11/3"))
         assert not (inside and up < 4), f"open bracket [{low}, {up}] violates the window"
 
@@ -180,18 +183,17 @@ def test_criterion_5_property_suites():
                 witness = find_saturating_subset(view)
                 assert witness.a_prime
 
-    corpus = survey_entropy_values(7)
     decomposed = 0
-    for record in corpus.records:
-        if not record.exact:
+    for g, report, _ in survey_entropy_values(7):
+        if not report.exact:
             continue
-        d = find_reducible_set(record.graph)
+        d = find_reducible_set(g)
         if d is None:
             continue
         decomposed += 1
         part = entropy_bracket(d.remainder)
         assert part.exact
-        assert record.bracket.lower == bin(d.s).count("1") + part.lower
+        assert report.lower == bin(d.s).count("1") + part.lower
     assert decomposed >= 100
 
     for _ in range(100):

@@ -611,3 +611,10 @@ def test_version_flag():
     proc = invoke("--version")
     assert proc.returncode == 0
     assert __version__ in proc.stdout
+
+
+def test_package_exports_resolve():
+    """Every name in graphentropy.__all__ is an attribute of the package, so
+    a removed name cannot stay behind as a stale export."""
+    missing = [name for name in graphentropy.__all__ if not hasattr(graphentropy, name)]
+    assert not missing, missing

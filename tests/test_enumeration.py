@@ -8,6 +8,7 @@ from graphentropy.bounds import entropy_bracket
 from graphentropy.enumeration import (
     bracket_with_fallback,
     canonical_form,
+    collapsed_values,
     enumerate_graphs,
     g_family,
     isomorphism_classes,
@@ -173,9 +174,9 @@ def test_survey_runs_no_canonical_search(monkeypatch):
         return real_search(*args)
 
     monkeypatch.setattr(enumeration, "_canonical_search", counting_search)
-    survey = survey_entropy_values(6)
-    assert len(survey.records) == 208
-    assert any(not r.connected for r in survey.records)
+    records = survey_entropy_values(6)
+    assert len(records) == 208
+    assert any(not connected for _, _, connected in records)
     assert searches == []
 
 
@@ -248,19 +249,25 @@ def test_bracket_with_fallback_never_widens(rng):
 
 
 def test_survey_small_values():
-    survey = survey_entropy_values(5)
-    assert len(survey.records) == 1 + 2 + 4 + 11 + 34
-    assert survey.unresolved == []
-    low = [v for v in survey.values if v <= 3]
+    records = survey_entropy_values(5)
+    assert len(records) == 1 + 2 + 4 + 11 + 34
+    assert all(report.exact for _, report, _ in records)
+    low = [v for v in collapsed_values(records) if v <= 3]
     assert low == [rat(0), rat(1), rat(2), rat("5/2"), rat(3)]
-    empty = [r for r in survey.records if r.graph.n == 1]
-    assert empty[0].bracket.lower == 0
+    empty = [report for g, report, _ in records if g.n == 1]
+    assert empty[0].lower == 0
 
 
 def test_survey_connected_only():
-    survey = survey_entropy_values(4, connected_only=True)
-    assert len(survey.records) == 1 + 1 + 2 + 6
-    assert all(r.connected for r in survey.records)
+    records = survey_entropy_values(4, connected_only=True)
+    assert len(records) == 1 + 1 + 2 + 6
+    assert all(connected for _, _, connected in records)
+
+
+def test_survey_connected_flags():
+    """Each triple's connected flag says whether its graph is connected."""
+    for g, _, connected in survey_entropy_values(6):
+        assert connected == (len(connected_components(g)) == 1), render_graph(g, "graph6")
 
 
 def test_survey_forwards_cap(monkeypatch):
@@ -275,8 +282,8 @@ def test_survey_forwards_cap(monkeypatch):
         return real(n_max, connected_only, cap) if n_max <= 4 or n_max > cap else iter(())
 
     monkeypatch.setattr(enumeration, "enumerate_graphs", spy)
-    assert len(survey_entropy_values(3, cap=3).records) == 1 + 2 + 4
-    assert survey_entropy_values(8, cap=8).records == []
+    assert len(survey_entropy_values(3, cap=3)) == 1 + 2 + 4
+    assert survey_entropy_values(8, cap=8) == []
     assert seen == [(3, 3), (8, 8)]
     with pytest.raises(CapExceededError):
         survey_entropy_values(8)
@@ -288,26 +295,28 @@ def test_survey_union_witnesses_use_record_labelling():
     graph, and its bracket and bound values are the ones that graph gets
     directly."""
     fields = ("lower", "upper", "nu", "cc", "kappa_f", "tau", "theta")
-    records = [r for r in survey_entropy_values(6).records if not r.connected]
+    records = [(g, report) for g, report, connected in survey_entropy_values(6)
+               if not connected]
     assert len(records) == sum(KNOWN_CLASS_COUNTS[:6]) - sum(KNOWN_CONNECTED_COUNTS[:6])
-    for r in records:
-        comps = [list(bits_of(c)) for c in connected_components(r.graph)]
-        direct = entropy_bracket(r.graph, lazy_theta=True)
-        for witness in (r.bracket.lower_witness, r.bracket.upper_witness):
-            assert witness["tag"] == "union-additivity", r.graph6()
-            assert witness["components"] == comps, r.graph6()
-        got = [getattr(r.bracket, f) for f in fields]
-        assert got == [getattr(direct, f) for f in fields], r.graph6()
+    for g, report in records:
+        g6 = render_graph(g, "graph6")
+        comps = [list(bits_of(c)) for c in connected_components(g)]
+        direct = entropy_bracket(g, lazy_theta=True)
+        for witness in (report.lower_witness, report.upper_witness):
+            assert witness["tag"] == "union-additivity", g6
+            assert witness["components"] == comps, g6
+        got = [getattr(report, f) for f in fields]
+        assert got == [getattr(direct, f) for f in fields], g6
 
 
 def test_survey_pool_matches_serial():
     """The --jobs pool path gives the serial survey's records, witnesses'
     tags included."""
-    def rows(survey):
+    def rows(records):
         return [
-            (r.graph6(), r.bracket.lower, r.bracket.upper,
-             r.bracket.lower_witness["tag"], r.bracket.upper_witness["tag"])
-            for r in survey.records
+            (render_graph(g, "graph6"), report.lower, report.upper,
+             report.lower_witness["tag"], report.upper_witness["tag"])
+            for g, report, _ in records
         ]
 
     serial = rows(survey_entropy_values(6, jobs=1))
