@@ -699,6 +699,8 @@ def entropy_bracket(g: Graph, shannon_cap: int = DEFAULT_SHANNON_CAP,
     """
     lp_mask = loops(g)
     if lp_mask:
+        # First, so the fixed matching cap refuses before any unbounded search.
+        nu = max_matching(g)[0]
         sub, _ = induced_subgraph(g, g.vertex_mask & ~lp_mask)
         inner = entropy_bracket(sub, shannon_cap, lazy_theta)
         k = lp_mask.bit_count()
@@ -713,7 +715,7 @@ def entropy_bracket(g: Graph, shannon_cap: int = DEFAULT_SHANNON_CAP,
             inner.lower + k, inner.upper + k,
             {"tag": "loop-reduction", "loops": looped, "inner": inner.lower_witness},
             {"tag": "loop-reduction", "loops": looped, "inner": inner.upper_witness},
-            max_matching(g)[0], cc, kappa_f, inner.tau + k,
+            nu, cc, kappa_f, inner.tau + k,
             None if inner.theta is None else inner.theta + k)
     comps = connected_components(g)
     if len(comps) != 1:

@@ -191,55 +191,6 @@ class Graph:
         return f"Graph({kind} n={self.n} rows={self.rows})"
 
 
-class BipartiteView:
-    """A two-sided window into an undirected host graph.
-
-    Only edges crossing between the (disjoint) left and right masks are part
-    of the view; vertex labels stay those of the host, so nested views taken
-    during recursive searches still talk about the original vertices.
-    """
-
-    __slots__ = ("host", "left", "right")
-
-    def __init__(self, host: Graph, left: int, right: int):
-        if host.directed:
-            raise GraphError("bipartite views require an undirected host")
-        full = host.vertex_mask
-        if left & ~full or right & ~full:
-            raise GraphError("side masks reference vertices outside the host")
-        if left & right:
-            raise GraphError("left and right sides overlap")
-        object.__setattr__(self, "host", host)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BipartiteView is immutable")
-
-    def adj_left(self, u: int) -> int:
-        """Right-side neighbours of left vertex u."""
-        return self.host.rows[u] & self.right
-
-    def adj_right(self, v: int) -> int:
-        return self.host.rows[v] & self.left
-
-    def neighborhood_left(self, sub: int) -> int:
-        """Union of right-side neighbourhoods of the left subset sub."""
-        out = 0
-        for u in bits_of(sub & self.left):
-            out |= self.adj_left(u)
-        return out
-
-    def edge_count(self) -> int:
-        return sum(self.adj_left(u).bit_count() for u in bits_of(self.left))
-
-    def restrict(self, left: int, right: int) -> "BipartiteView":
-        return BipartiteView(self.host, left & self.left, right & self.right)
-
-    def __repr__(self) -> str:
-        return f"BipartiteView(left={sorted(bits_of(self.left))}, right={sorted(bits_of(self.right))})"
-
-
 # -- vertex-set operators ----------------------------------------------------
 
 
@@ -256,8 +207,8 @@ def co_neighborhood_set(g: Graph, s: int) -> int:
     """Vertices outside s whose whole in-neighbourhood lies inside s.
 
     The result is always an independent set: two such vertices adjacent to
-    each other would each have to live inside s.  Asserted, not retested by
-    callers.
+    each other would each have to live inside s.  Asserted here, and
+    structure.Decomposition checks it again before trusting the set.
     """
     _check_subset(g, s)
     if s == 0:

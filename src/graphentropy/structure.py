@@ -8,6 +8,8 @@ entropy of a smaller graph), and the certification report for graphs none of
 this machinery can shrink.  The search backs the reduce and minimal-check
 commands, not the entropy brackets: entropy_bracket's bounds already obey
 the split (see enumeration.bracket_with_fallback).
+Bipartite sides are plain vertex masks (g, left, right) of an undirected
+host; matchings are sorted (left, right) pairs of host vertices.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from itertools import combinations
 
 from .bounds import max_matching
 from .graphs import (
-    BipartiteView,
     CapExceededError,
     Graph,
     GraphError,
@@ -27,18 +28,30 @@ from .graphs import (
 )
 
 DEFAULT_REDUCTION_CAP = 16
+Pairs = tuple[tuple[int, int], ...]
 
 
-def bipartite_max_matching(b: BipartiteView) -> tuple[tuple[int, int], ...]:
-    """Maximum matching of a bipartite view, as sorted (left, right) pairs.
+def _check_sides(g: Graph, left: int, right: int) -> None:
+    """Refuse a directed host and sides that overlap or leave it."""
+    if g.directed:
+        raise GraphError("bipartite sides need an undirected host")
+    if (left | right) & ~g.vertex_mask:
+        raise GraphError("side masks reference vertices outside the host")
+    if left & right:
+        raise GraphError("left and right sides overlap")
+
+
+def bipartite_max_matching(g: Graph, left: int, right: int) -> Pairs:
+    """Maximum matching of the edges from left to right, as sorted pairs.
 
     Augmenting-path search, deterministic: left vertices in increasing order,
     right neighbours likewise.
     """
+    _check_sides(g, left, right)
     owner: dict[int, int] = {}
 
     def augment(u: int, seen: set[int]) -> bool:
-        for v in bits_of(b.adj_left(u)):
+        for v in bits_of(g.rows[u] & right):
             if v in seen:
                 continue
             seen.add(v)
@@ -47,19 +60,15 @@ def bipartite_max_matching(b: BipartiteView) -> tuple[tuple[int, int], ...]:
                 return True
         return False
 
-    for u in bits_of(b.left):
+    for u in bits_of(left):
         augment(u, set())
     return tuple(sorted((u, v) for v, u in owner.items()))
 
 
 def _matched(host: Graph, matching, left: int, right: int) -> int:
-    """Right-side vertices a matching covers, after checking every pair.
-
-    Raises GraphError unless each pair is a host edge from a left vertex to
-    a right vertex and no two pairs share an endpoint.
-    """
-    seen_l = 0
-    seen_r = 0
+    """Right-side vertices a matching covers; raises GraphError unless its
+    pairs are disjoint host edges from a left vertex to a right vertex."""
+    seen_l = seen_r = 0
     for u, v in matching:
         bit_u, bit_v = 1 << u, 1 << v
         if not left & bit_u or not right & bit_v:
@@ -73,74 +82,58 @@ def _matched(host: Graph, matching, left: int, right: int) -> int:
     return seen_r
 
 
-class SaturatingWitness:
-    """A nonempty left subset whose full neighbourhood is matched back into it.
-
-    Revalidates on construction: matching edges live in the view restricted
-    to (a_prime, N(a_prime)), are pairwise disjoint, and cover N(a_prime)
-    exactly.  N(a_prime) may be empty, in which case the matching is too;
-    that degenerate witness is what left vertices without edges produce.
-    """
-
-    __slots__ = ("a_prime", "matching", "saturated")
-
-    def __init__(self, view: BipartiteView, a_prime: int, matching: tuple[tuple[int, int], ...]):
-        if not a_prime or a_prime & ~view.left:
-            raise GraphError("witness set must be a nonempty part of the left side")
-        saturated = view.neighborhood_left(a_prime)
-        if _matched(view.host, matching, a_prime, saturated) != saturated:
-            raise GraphError("matching does not cover the neighbourhood")
-        self.a_prime = a_prime
-        self.matching = tuple(sorted(matching))
-        self.saturated = saturated
-
-    def __repr__(self) -> str:
-        return (
-            f"SaturatingWitness(a_prime={sorted(bits_of(self.a_prime))}, "
-            f"matching={list(self.matching)})"
-        )
+def _witness(g: Graph, left: int, right: int, a_prime: int, matching) -> tuple[int, Pairs]:
+    """(a_prime, sorted matching) once a_prime is a nonempty part of left and
+    the matching covers exactly its right neighbourhood, which may be empty."""
+    if not a_prime or a_prime & ~left:
+        raise GraphError("witness set must be a nonempty part of the left side")
+    saturated = 0
+    for u in bits_of(a_prime):
+        saturated |= g.rows[u] & right
+    if _matched(g, matching, a_prime, saturated) != saturated:
+        raise GraphError("matching does not cover the neighbourhood")
+    return a_prime, tuple(sorted(matching))
 
 
-def find_saturating_subset(b: BipartiteView) -> SaturatingWitness:
+def find_saturating_subset(g: Graph, left: int, right: int) -> tuple[int, Pairs]:
     """Find a nonempty left subset A' with a matching saturating N(A').
 
-    Requires |left| >= |right| >= 1 and at least one edge; under those
-    hypotheses a witness always exists.  The search follows the inductive
-    argument: a left vertex without edges is a degenerate witness; a maximum
-    matching covering the whole right side turns its left endpoints into a
-    witness; otherwise the alternating-reachability split of the matching
-    yields a smaller view, on strictly fewer right vertices, that still
-    satisfies the hypotheses and contains every neighbour of its left side.
+    Returns (a_prime, matching), the matching covering exactly the right
+    neighbours of a_prime.  Requires |left| >= |right| >= 1 and at least one
+    edge between the sides; under those hypotheses a witness always exists.
+    The search follows the inductive argument: a left vertex without edges
+    is a degenerate witness; a maximum matching covering the whole right
+    side turns its left endpoints into a witness; otherwise the
+    alternating-reachability split of the matching yields smaller sides, on
+    strictly fewer right vertices, that still satisfy the hypotheses and
+    contain every neighbour of their left side.
     """
-    n_left = b.left.bit_count()
-    n_right = b.right.bit_count()
-    if not (n_left >= n_right >= 1):
-        raise GraphError("view must have |left| >= |right| >= 1")
-    if b.edge_count() == 0:
-        raise GraphError("view must have at least one edge")
-    return _saturating_search(b)
+    _check_sides(g, left, right)
+    if not (left.bit_count() >= right.bit_count() >= 1):
+        raise GraphError("sides must have |left| >= |right| >= 1")
+    if not any(g.rows[u] & right for u in bits_of(left)):
+        raise GraphError("sides must have at least one edge between them")
+    return _saturating_search(g, left, right)
 
 
-def _saturating_search(b: BipartiteView) -> SaturatingWitness:
-    for a in bits_of(b.left):
-        if not b.adj_left(a):
-            return SaturatingWitness(b, 1 << a, ())
-    matching = bipartite_max_matching(b)
-    if len(matching) == b.right.bit_count():
-        a_prime = mask_of(a for a, _ in matching)
-        return SaturatingWitness(b, a_prime, matching)
+def _saturating_search(g: Graph, left: int, right: int) -> tuple[int, Pairs]:
+    for a in bits_of(left):
+        if not g.rows[a] & right:
+            return _witness(g, left, right, 1 << a, ())
+    matching = bipartite_max_matching(g, left, right)
+    if len(matching) == right.bit_count():
+        return _witness(g, left, right, mask_of(a for a, _ in matching), matching)
     # Alternating reachability from the unmatched right vertices: the
     # unreachable left part keeps all its neighbours among the unreachable
     # right part, and outnumbers them, so the hypotheses survive the descent.
-    right_of = {a: v for a, v in matching}
-    left_of = {v: a for a, v in matching}
-    reach_b = b.right & ~mask_of(left_of)
+    right_of = dict(matching)
+    reach_b = right & ~mask_of(v for _, v in matching)
     reach_a = 0
     frontier = reach_b
     while frontier:
         new_a = 0
         for v in bits_of(frontier):
-            new_a |= b.adj_right(v)
+            new_a |= g.rows[v] & left
         new_a &= ~reach_a
         reach_a |= new_a
         frontier = 0
@@ -149,13 +142,12 @@ def _saturating_search(b: BipartiteView) -> SaturatingWitness:
             if v is not None and not reach_b >> v & 1:
                 reach_b |= 1 << v
                 frontier |= 1 << v
-    keep_a = b.left & ~reach_a
+    keep_a = left & ~reach_a
     assert keep_a, "deficiency split emptied the left side"
-    inner = b.restrict(keep_a, b.right & ~reach_b)
-    sub = _saturating_search(inner)
-    # Witness sets name host vertices, so it transfers to the outer view
-    # verbatim; rebuilding against b re-checks that no neighbour escaped.
-    return SaturatingWitness(b, sub.a_prime, sub.matching)
+    a_prime, sub = _saturating_search(g, keep_a, right & ~reach_b)
+    # Witness sets name host vertices, so it transfers to the outer sides
+    # verbatim; rechecking it against them confirms no neighbour escaped.
+    return _witness(g, left, right, a_prime, sub)
 
 
 class Decomposition:
@@ -170,7 +162,7 @@ class Decomposition:
 
     __slots__ = ("host", "s", "c_s", "d_s", "matching", "remainder", "verts")
 
-    def __init__(self, host: Graph, s: int, matching: tuple[tuple[int, int], ...]):
+    def __init__(self, host: Graph, s: int, matching: Pairs):
         if not host.is_simple():
             raise GraphError("decompositions are defined over loopless undirected graphs")
         if not s or s & ~host.vertex_mask:
@@ -195,6 +187,14 @@ class Decomposition:
         )
 
 
+def _check_searchable(g: Graph, cap: int) -> None:
+    if not g.is_simple():
+        raise GraphError("reducible-set search needs a loopless undirected graph")
+    if g.n > cap:
+        raise CapExceededError(f"vertex count {g.n} exceeds the reduction cap {cap}",
+                               flag="--cap")
+
+
 def find_reducible_set(g: Graph, cap: int = DEFAULT_REDUCTION_CAP) -> Decomposition | None:
     """Search for a nonempty S whose c(S) carries an S-saturating matching.
 
@@ -203,19 +203,14 @@ def find_reducible_set(g: Graph, cap: int = DEFAULT_REDUCTION_CAP) -> Decomposit
     subset works, which is the reducibility test the minimality certificate
     needs.
     """
-    if not g.is_simple():
-        raise GraphError("reducible-set search needs a loopless undirected graph")
-    if g.n > cap:
-        raise CapExceededError(f"vertex count {g.n} exceeds the reduction cap {cap}",
-                               flag="--cap")
+    _check_searchable(g, cap)
     for size in range(1, g.n + 1):
         for combo in combinations(range(g.n), size):
             s = mask_of(combo)
             c_s = co_neighborhood_set(g, s)
             if c_s.bit_count() < size:
                 continue
-            view = BipartiteView(g, c_s, s)
-            matching = bipartite_max_matching(view)
+            matching = bipartite_max_matching(g, c_s, s)
             if len(matching) == size:
                 return Decomposition(g, s, matching)
     return None
@@ -230,10 +225,12 @@ def certify_entropy_minimal_candidate(g: Graph, cap: int = DEFAULT_REDUCTION_CAP
     in any matching and are listed separately.  When c(M) does not come out
     below and has edges into M, the saturating-subset argument pinpoints a
     reducible S, so that situation only arises alongside a reducible set
-    anyway; its witness is reported as saturating_witness.
+    anyway; its witness is reported as saturating_witness.  The matching
+    comes before the search, so its fixed cap refuses before any subset.
     """
-    reducible = find_reducible_set(g, cap)
+    _check_searchable(g, cap)
     matched = mask_of(v for edge in max_matching(g)[1] for v in edge)
+    reducible = find_reducible_set(g, cap)
     isolated = mask_of(v for v in range(g.n) if not g.rows[v] & ~(1 << v))
     out = {
         "candidate": reducible is None,
@@ -249,12 +246,10 @@ def certify_entropy_minimal_candidate(g: Graph, cap: int = DEFAULT_REDUCTION_CAP
         rel = "<" if c_of_m.bit_count() < matched.bit_count() else ">="
         out["c_of_matched"] = sorted(bits_of(c_of_m))
         out["comparison"] = f"|c(M)| = {c_of_m.bit_count()} {rel} |M| = {matched.bit_count()}"
-        if rel == ">=":
-            view = BipartiteView(g, c_of_m, matched)
-            if view.edge_count():
-                witness = find_saturating_subset(view)
-                out["saturating_witness"] = {
-                    "a_prime": sorted(bits_of(witness.a_prime)),
-                    "matching": [list(p) for p in witness.matching],
-                }
+        if rel == ">=" and any(g.rows[u] & matched for u in bits_of(c_of_m)):
+            a_prime, matching = find_saturating_subset(g, c_of_m, matched)
+            out["saturating_witness"] = {
+                "a_prime": sorted(bits_of(a_prime)),
+                "matching": [list(p) for p in matching],
+            }
     return out

@@ -18,7 +18,6 @@ import networkx as nx
 
 from graphentropy.bounds import closure_map, max_matching
 from graphentropy.graphs import (
-    BipartiteView,
     CapExceededError,
     Graph,
     GraphError,
@@ -80,21 +79,6 @@ def brute_matching(g) -> int:
     return best(0, frozenset())
 
 
-def brute_max_clique(g) -> int:
-    adj = adjacency(g)
-    best = 0
-    for size in range(g.n, 0, -1):
-        if size <= best:
-            break
-        for combo in combinations(range(g.n), size):
-            if all(b in adj[a] for a, b in combinations(combo, 2)):
-                best = size
-                break
-        if best:
-            break
-    return best
-
-
 def chromatic_number(g) -> int:
     """Exact chromatic number by backtracking, loops rejected."""
     adj = adjacency(g)
@@ -146,10 +130,9 @@ def max_independent_set(g) -> int:
     raise AssertionError("unreachable")
 
 
-def bipartite_edges(view: BipartiteView) -> list[tuple[int, int]]:
-    """The host edges crossing from view.left to view.right, left end first."""
-    return [(u, v) for u in bits_of(view.left) for v in bits_of(view.right)
-            if view.host.has_arc(u, v)]
+def bipartite_edges(g: Graph, left: int, right: int) -> list[tuple[int, int]]:
+    """The edges of g crossing from left to right, left end first."""
+    return [(u, v) for u in bits_of(left) for v in bits_of(right) if g.has_arc(u, v)]
 
 
 def brute_transversal(g) -> int:
@@ -994,9 +977,10 @@ class MinimalityReport:
             out["c_of_matched"] = sorted(bits_of(self.c_of_m))
             out["comparison"] = self.comparison
         if self.lemma_witness is not None:
+            a_prime, matching = self.lemma_witness
             out["saturating_witness"] = {
-                "a_prime": sorted(bits_of(self.lemma_witness.a_prime)),
-                "matching": [list(p) for p in self.lemma_witness.matching],
+                "a_prime": sorted(bits_of(a_prime)),
+                "matching": [list(p) for p in matching],
             }
         return out
 
@@ -1027,10 +1011,8 @@ def previous_certify_entropy_minimal_candidate(g: Graph, cap: int = DEFAULT_REDU
         c_of_m = co_neighborhood_set(g, matched)
         rel = "<" if c_of_m.bit_count() < matched.bit_count() else ">="
         comparison = f"|c(M)| = {c_of_m.bit_count()} {rel} |M| = {matched.bit_count()}"
-        if rel == ">=":
-            view = BipartiteView(g, c_of_m, matched)
-            if view.edge_count():
-                witness = find_saturating_subset(view)
+        if rel == ">=" and bipartite_edges(g, c_of_m, matched):
+            witness = find_saturating_subset(g, c_of_m, matched)
     return MinimalityReport(g, reducible, matched, c_of_m, comparison, isolated, witness)
 
 

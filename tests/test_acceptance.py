@@ -23,7 +23,6 @@ from graphentropy.enumeration import (
     verify_g_family,
 )
 from graphentropy.graphs import (
-    BipartiteView,
     Graph,
     bits_of,
     induced_subgraph,
@@ -179,9 +178,9 @@ def test_criterion_5_property_suites():
             for bits in range(1, 1 << (a * b)):
                 edges = [(u, a + v) for k, (u, v) in enumerate(cells) if bits >> k & 1]
                 g = Graph.undirected(a + b, edges)
-                view = BipartiteView(g, mask_of(range(a)), mask_of(range(a, a + b)))
-                witness = find_saturating_subset(view)
-                assert witness.a_prime
+                left, right = mask_of(range(a)), mask_of(range(a, a + b))
+                a_prime, _ = find_saturating_subset(g, left, right)
+                assert a_prime
 
     decomposed = 0
     for g, report, _ in survey_entropy_values(7):

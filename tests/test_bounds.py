@@ -25,6 +25,7 @@ from graphentropy.bounds import (
 )
 from graphentropy.enumeration import enumerate_graphs, isomorphism_classes
 from graphentropy.graphs import (
+    CapExceededError,
     Graph,
     connected_components,
     mask_of,
@@ -424,6 +425,25 @@ def test_bracket_loop_reduction():
     b = entropy_bracket(looped)
     assert (b.lower, b.upper) == (2, 2)
     assert b.lower_witness["tag"] == "loop-reduction"
+
+
+@pytest.mark.parametrize("n", [36, 44])
+def test_looped_matching_cap_refuses_before_any_search(n, monkeypatch):
+    """A looped graph past the matching's fixed component cap is refused
+    before the clique cover or vertex cover search runs on it."""
+    rng = random.Random(5)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+    g = Graph.from_arcs(n, [a for u, v in pairs for a in ((u, v), (v, u))]
+                        + [(v, v) for v in range(3, n)])
+
+    def refuse(*args):
+        raise AssertionError("searched before the matching cap")
+
+    monkeypatch.setattr(bounds, "clique_cover_number", refuse)
+    monkeypatch.setattr(bounds, "_vertex_cover", refuse)
+    with pytest.raises(CapExceededError, match=f"component with {n} vertices") as err:
+        entropy_bracket(g)
+    assert err.value.flag is None
 
 
 def test_bound_chain(rng):

@@ -1,10 +1,14 @@
 import argparse
 import ast
+import builtins
 import hashlib
+import importlib
 import importlib.util
 import io
 import json
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -618,3 +622,23 @@ def test_package_exports_resolve():
     a removed name cannot stay behind as a stale export."""
     missing = [name for name in graphentropy.__all__ if not hasattr(graphentropy, name)]
     assert not missing, missing
+
+
+def test_readme_names_resolve():
+    """Every graphentropy.<dotted> name and every backticked class name in
+    README.md is an attribute of the package or of one of its modules
+    (builtins aside), so a removed class cannot stay behind in the docs."""
+    modules = [graphentropy] + [
+        importlib.import_module(f"graphentropy.{info.name}")
+        for info in pkgutil.iter_modules(graphentropy.__path__)]
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    missing = []
+    for dotted in set(re.findall(r"graphentropy(?:\.[A-Za-z_]\w*)+", text)):
+        obj = graphentropy
+        for part in dotted.split(".")[1:]:
+            obj = getattr(obj, part, None)
+        if obj is None:
+            missing.append(dotted)
+    classes = set(re.findall(r"`([A-Z]\w*[a-z]\w*)`", text)) - set(dir(builtins))
+    missing += [name for name in classes if not any(hasattr(m, name) for m in modules)]
+    assert len(classes) >= 5 and not missing, sorted(missing)

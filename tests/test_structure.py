@@ -1,12 +1,16 @@
 import json
+import random
+import re
+import time
 from itertools import product
 
 import pytest
 
+from graphentropy import structure
 from graphentropy.bounds import entropy_bracket
 from graphentropy.enumeration import isomorphism_classes
 from graphentropy.graphs import (
-    BipartiteView,
+    CapExceededError,
     Graph,
     GraphError,
     bits_of,
@@ -15,7 +19,6 @@ from graphentropy.graphs import (
 )
 from graphentropy.structure import (
     Decomposition,
-    SaturatingWitness,
     bipartite_max_matching,
     certify_entropy_minimal_candidate,
     find_reducible_set,
@@ -38,13 +41,12 @@ def bipartite_host(a: int, b: int, edges) -> tuple[Graph, int, int]:
 
 def test_bipartite_matching_examples():
     g, left, right = bipartite_host(3, 3, product(range(3), range(3)))
-    assert len(bipartite_max_matching(BipartiteView(g, left, right))) == 3
+    assert len(bipartite_max_matching(g, left, right)) == 3
 
     star, left, right = bipartite_host(1, 3, [(0, 0), (0, 1), (0, 2)])
-    assert len(bipartite_max_matching(BipartiteView(star, left, right))) == 1
+    assert len(bipartite_max_matching(star, left, right)) == 1
 
-    view = BipartiteView(g1(), mask_of([5, 6]), mask_of(range(5)))
-    assert len(bipartite_max_matching(view)) == 2
+    assert len(bipartite_max_matching(g1(), mask_of([5, 6]), mask_of(range(5)))) == 2
 
 
 def test_bipartite_matching_against_oracle(rng):
@@ -52,45 +54,42 @@ def test_bipartite_matching_against_oracle(rng):
         a, b = rng.randint(1, 4), rng.randint(1, 4)
         edges = [(u, v) for u in range(a) for v in range(b) if rng.random() < 0.5]
         g, left, right = bipartite_host(a, b, edges)
-        view = BipartiteView(g, left, right)
-        matching = bipartite_max_matching(view)
+        matching = bipartite_max_matching(g, left, right)
         for u, v in matching:
             assert g.has_arc(u, v)
-        assert len(matching) == bipartite_matching_size(bipartite_edges(view))
+        assert len(matching) == bipartite_matching_size(bipartite_edges(g, left, right))
 
 
 def test_saturating_witness_examples():
     g, left, right = bipartite_host(1, 1, [(0, 0)])
-    w = find_saturating_subset(BipartiteView(g, left, right))
-    assert w.a_prime == 1 << 0
-    assert w.matching == ((0, 1),)
+    assert find_saturating_subset(g, left, right) == (1 << 0, ((0, 1),))
 
     g, left, right = bipartite_host(5, 3, [(0, 0), (1, 1), (2, 2)])
-    w = find_saturating_subset(BipartiteView(g, left, right))
-    _check_witness(g, left, right, w)
+    _check_witness(g, left, right, *find_saturating_subset(g, left, right))
 
     g, left, right = bipartite_host(2, 2, [(0, 0), (1, 0)])
-    w = find_saturating_subset(BipartiteView(g, left, right))
-    _check_witness(g, left, right, w)
-    assert w.saturated == mask_of([2])
+    saturated = _check_witness(g, left, right, *find_saturating_subset(g, left, right))
+    assert saturated == mask_of([2])
 
 
-def _check_witness(g, left, right, w):
-    """Revalidate a witness from scratch: nonempty A', matching covers N(A')."""
-    assert w.a_prime and w.a_prime & left == w.a_prime
+def _check_witness(g, left, right, a_prime, matching) -> int:
+    """Revalidate a witness from scratch: nonempty A', matching covers N(A').
+    Returns N(A')."""
+    assert a_prime and a_prime & left == a_prime
     neighborhood = 0
-    for u in bits_of(w.a_prime):
+    for u in bits_of(a_prime):
         neighborhood |= g.rows[u] & right
-    assert w.saturated == neighborhood
     covered = 0
     used_left = 0
-    for u, v in w.matching:
+    for u, v in matching:
         assert g.has_arc(u, v)
-        assert w.a_prime >> u & 1 and neighborhood >> v & 1
+        assert a_prime >> u & 1 and neighborhood >> v & 1
         assert not used_left >> u & 1 and not covered >> v & 1
         used_left |= 1 << u
         covered |= 1 << v
     assert covered == neighborhood
+    assert list(matching) == sorted(matching)
+    return neighborhood
 
 
 def test_saturating_witness_exhaustive_small():
@@ -100,31 +99,62 @@ def test_saturating_witness_exhaustive_small():
                 edges = [(u, v) for k, (u, v) in enumerate(product(range(a), range(b)))
                          if bits >> k & 1]
                 g, left, right = bipartite_host(a, b, edges)
-                w = find_saturating_subset(BipartiteView(g, left, right))
-                _check_witness(g, left, right, w)
+                _check_witness(g, left, right, *find_saturating_subset(g, left, right))
 
 
 def test_saturating_witness_rejects_garbage():
     g, left, right = bipartite_host(2, 1, [(0, 0), (1, 0)])
-    view = BipartiteView(g, left, right)
-    with pytest.raises(GraphError):
-        SaturatingWitness(view, 0, ())
-    with pytest.raises(GraphError):
-        SaturatingWitness(view, mask_of([0, 1]), ())
+    for a_prime, matching in [
+        (0, ()),  # empty A'
+        (mask_of([0, 1]), ()),  # N(A') = {2} left unmatched
+        (1 << 2, ()),  # A' on the right side, with no right neighbour
+        (mask_of([0, 2]), ((0, 2),)),  # A' reaching off the left side
+    ]:
+        with pytest.raises(GraphError):
+            structure._witness(g, left, right, a_prime, matching)
+    assert structure._witness(g, left, right, 1 << 0, ((0, 2),)) == (1 << 0, ((0, 2),))
 
 
-def _witness(matching) -> SaturatingWitness:
+P3 = Graph.path(3)
+
+
+@pytest.mark.parametrize("g, left, right, says", [
+    pytest.param(Graph.from_arcs(2, [(0, 1), (1, 0)]), 1 << 0, 1 << 1, "undirected",
+                 id="directed-host"),
+    pytest.param(P3, 1 << 0, 1 << 3, "outside the host", id="side-outside-host"),
+    pytest.param(P3, mask_of([0, 1]), mask_of([1, 2]), "overlap", id="overlapping-sides"),
+    pytest.param(P3, 1 << 1, mask_of([0, 2]), "|left| >= |right|", id="left-smaller"),
+    pytest.param(P3, mask_of([0, 1]), 0, "|left| >= |right| >= 1", id="empty-right"),
+    pytest.param(Graph.path(4), mask_of([0, 1]), mask_of([3]), "at least one edge",
+                 id="no-edge-between-sides"),
+])
+def test_find_saturating_subset_refuses(g, left, right, says):
+    with pytest.raises(GraphError, match=re.escape(says)):
+        find_saturating_subset(g, left, right)
+
+
+def test_bipartite_max_matching_checks_its_sides():
+    with pytest.raises(GraphError, match="undirected"):
+        bipartite_max_matching(Graph.from_arcs(2, [(0, 1), (1, 0)]), 1 << 0, 1 << 1)
+    with pytest.raises(GraphError, match="outside the host"):
+        bipartite_max_matching(P3, 1 << 0, 1 << 3)
+    with pytest.raises(GraphError, match="overlap"):
+        bipartite_max_matching(P3, mask_of([0, 1]), mask_of([1, 2]))
+
+
+def _witness_matching(matching) -> tuple[tuple[int, int], ...]:
     g, left, right = bipartite_host(2, 2, [(0, 0), (0, 1), (1, 1)])
-    return SaturatingWitness(BipartiteView(g, left, right), left, matching)
+    return structure._witness(g, left, right, left, matching)[1]
 
 
-def _decomposition(matching) -> Decomposition:
+def _decomposition_matching(matching) -> tuple[tuple[int, int], ...]:
     # c(S) of S = {2, 3} is {0, 1}, so the witness's matchings fit here too.
     g, _, right = bipartite_host(2, 2, [(0, 0), (0, 1), (1, 1)])
-    return Decomposition(g, right, matching)
+    return Decomposition(g, right, matching).matching
 
 
-@pytest.mark.parametrize("build", [_witness, _decomposition], ids=["witness", "decomposition"])
+@pytest.mark.parametrize("build", [_witness_matching, _decomposition_matching],
+                         ids=["witness", "decomposition"])
 @pytest.mark.parametrize("matching", [
     pytest.param(((0, 3), (1, 2)), id="not-an-edge"),
     pytest.param(((0, 2), (0, 3)), id="shared-left-endpoint"),
@@ -133,7 +163,7 @@ def _decomposition(matching) -> Decomposition:
     pytest.param(((0, 2),), id="misses-a-target"),
 ])
 def test_tampered_matchings_are_refused(build, matching):
-    assert build(((0, 2), (1, 3))).matching == ((0, 2), (1, 3))
+    assert build(((0, 2), (1, 3))) == ((0, 2), (1, 3))
     with pytest.raises(GraphError):
         build(matching)
 
@@ -241,3 +271,57 @@ def test_reducible_set_matching_is_valid(rng):
             assert not used & (1 << c | 1 << s)
             used |= 1 << c | 1 << s
         assert {s for _, s in d.matching} == set(bits_of(d.s))
+
+
+def test_minimality_refuses_past_the_matching_cap_before_searching(monkeypatch):
+    """Past the matching's fixed component cap, minimal-check is refused
+    before a single subset is tried; the not-simple and reduction-cap
+    refusals still come first."""
+    g = random_graph(random.Random(3), 25)
+
+    def spy(host, s):
+        raise AssertionError(f"subset {sorted(bits_of(s))} tried")
+
+    monkeypatch.setattr(structure, "co_neighborhood_set", spy)
+    with pytest.raises(CapExceededError, match="component with 25 vertices") as err:
+        certify_entropy_minimal_candidate(g, cap=30)
+    assert err.value.flag is None
+    with pytest.raises(CapExceededError, match="reduction cap 16") as err:
+        certify_entropy_minimal_candidate(g)
+    assert err.value.flag == "--cap"
+    looped = Graph(25, [r | 1 << v for v, r in enumerate(g.rows)], directed=False)
+    with pytest.raises(GraphError, match="loopless undirected") as err:
+        certify_entropy_minimal_candidate(looped, cap=30)
+    assert not isinstance(err.value, CapExceededError)
+
+
+@pytest.mark.parametrize("p, reducible, report", [
+    pytest.param(0.5, None, {
+        "candidate": True, "reducible": None,
+        "matched_vertices": list(range(16)), "isolated_vertices": [],
+        "c_of_matched": [], "comparison": "|c(M)| = 0 < |M| = 16",
+    }, id="gnp16-half"),
+    pytest.param(0.2, ([7], [(4, 7)], "K?H??aP?BQ_o"), {
+        "candidate": False, "reducible": {"s": [7], "matching": [[4, 7]]},
+        "matched_vertices": [v for v in range(16) if v not in (0, 4)],
+        "isolated_vertices": [0],
+        "c_of_matched": [0, 4], "comparison": "|c(M)| = 2 < |M| = 14",
+    }, id="gnp16-fifth"),
+])
+def test_structure_at_the_reduction_cap(p, reducible, report):
+    """At the 16-vertex reduction cap: G(16, 1/2) has no reducible set, so
+    both calls sweep all 2**16 subsets; G(16, 0.2) reduces at its first
+    singleton.  Each call finishes within 2 s."""
+    g = random_graph(random.Random(0), 16, p)
+    start = time.perf_counter()
+    d = find_reducible_set(g)
+    assert time.perf_counter() - start < 2.0
+    if reducible is None:
+        assert d is None
+    else:
+        s, matching, remainder = reducible
+        assert (sorted(bits_of(d.s)), list(d.matching)) == (s, matching)
+        assert render_graph(d.remainder, "graph6") == remainder
+    start = time.perf_counter()
+    assert certify_entropy_minimal_candidate(g) == report
+    assert time.perf_counter() - start < 2.0
