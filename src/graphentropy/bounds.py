@@ -25,6 +25,7 @@ from .graphs import (
     induced_subgraph,
     loops,
     orbit_representatives,
+    permute_mask,
 )
 from .lp import (
     EQ,
@@ -240,6 +241,13 @@ def fractional_clique_cover_number(g: Graph, cover,
     return sol.objective, cliques, sol.primal
 
 
+def _largest_independent_set(g: Graph) -> int:
+    """A largest independent set of the mutual-arc relation, as the
+    complement of a minimum vertex cover of it."""
+    _, cover = _vertex_cover([g.mutual_row(u) for u in range(g.n)], g.vertex_mask)
+    return g.vertex_mask & ~cover
+
+
 def transversal_number(g: Graph) -> tuple[int, int]:
     """Minimum number of vertices meeting every directed cycle, with witness.
 
@@ -440,7 +448,8 @@ def build_shannon_lp(g: Graph) -> LinearProgram:
     return LinearProgram(1 << g.n, "max", {g.vertex_mask: 1}, _shannon_rows(g))
 
 
-def shannon_entropy(g: Graph, cap: int = DEFAULT_SHANNON_CAP) -> tuple[Rational, tuple]:
+def shannon_entropy(g: Graph, cap: int = DEFAULT_SHANNON_CAP,
+                    cover=None) -> tuple[Rational, tuple]:
     """Solve the subset-entropy LP exactly: (theta, h), h indexed by vertex
     mask (length 2^n).
 
@@ -451,6 +460,13 @@ def shannon_entropy(g: Graph, cap: int = DEFAULT_SHANNON_CAP) -> tuple[Rational,
     the full program (validate_entropy_function) before returning it.
     Equality of the two formulations follows from the closure identity
     h(S) = h(cl(S)), which that final check re-certifies from scratch.
+
+    cover is a fractional clique cover of g as (cliques, weights), such as
+    the last two entries of fractional_clique_cover_number; without it the
+    optimal one is derived here.  Only the float run reads it: the rows
+    tight at its entropy function (_cover_function), which is optimal
+    whenever n - kappa_f = theta, are the candidates of the crash basis the
+    dual's float run starts from.
     """
     n = g.n
     if n > cap:
@@ -463,8 +479,12 @@ def shannon_entropy(g: Graph, cap: int = DEFAULT_SHANNON_CAP) -> tuple[Rational,
     cl = closure_map(g)
     if full == cl[0]:
         return zero, (zero,) * (full + 1)
-    lp, var = _collapsed_program(g, cl)
-    values = _solve_via_dual(lp, var[full]).primal
+    if cover is None:
+        cover = fractional_clique_cover_number(
+            g, clique_cover_number(g)[1], _largest_independent_set(g))[1:]
+    gens = automorphisms(g)
+    lp, var = _collapsed_program(g, cl, gens)
+    values = _solve_via_dual(lp, var[full], _crash_rows(g, lp, var, cover, gens)).primal
     h = tuple(zero if j < 0 else values[j] for j in var)
     ok, why = validate_entropy_function(g, h)
     if not ok:
@@ -472,10 +492,89 @@ def shannon_entropy(g: Graph, cap: int = DEFAULT_SHANNON_CAP) -> tuple[Rational,
     return h[full], h
 
 
-def _collapsed_program(g: Graph, cl: list[int]) -> tuple[LinearProgram, list[int]]:
-    """The rows of build_shannon_lp on one variable per orbit of closed sets,
-    and the table var: var[m] is the variable of subset m, or -1 when cl[m]
-    is the closure of the empty set, which is pinned to zero."""
+def _cover_function(g: Graph, cliques, weights, gens) -> tuple[list[int], int]:
+    """The entropy function of a fractional clique cover of g, in integers:
+    (k, scale) with k[S] / scale = |S| - (sum of w_K over cliques K inside S)
+    for every vertex mask S, once the cover is shrunk to level exactly one
+    and averaged over the group that the automorphisms gens generate.
+
+    A clique K of weight w gives w * min(|S & K|, |K| - 1), the entropy of
+    |K| uniform symbols that sum to zero.  That meets every elemental row,
+    and every functional row since each vertex of K sees the rest of K, and
+    at level exactly one these terms sum to the formula, with value
+    n - kappa_f on the whole vertex set.  Shrinking moves a vertex's excess
+    weight from K to K - v, still a clique, so the total weight stays.
+    Averaging gives each clique its orbit's mean weight, read off the
+    generators without listing the group; the function stays feasible and
+    becomes constant on orbits, as the collapsed program needs."""
+    scale = lcm(*(x.denominator for x in weights))
+    w: dict[int, int] = {}
+    for c, x in zip(cliques, weights):
+        if x:
+            w[c] = w.get(c, 0) + int(x.numerator) * (scale // int(x.denominator))
+    level = [0] * g.n
+    for c, x in w.items():
+        for v in bits_of(c):
+            level[v] += x
+    for v in range(g.n):
+        excess = level[v] - scale
+        for c in [c for c in w if c >> v & 1]:
+            if excess <= 0:
+                break
+            t = min(w[c], excess)
+            excess -= t
+            w[c] -= t
+            if not w[c]:
+                del w[c]
+            if c != 1 << v:  # weight moved off a lone vertex only lowers the total
+                w[c ^ 1 << v] = w.get(c ^ 1 << v, 0) + t
+    orbits: list[set[int]] = []
+    seen: set[int] = set()
+    for c in w:
+        if c in seen:
+            continue
+        orbit, frontier = {c}, [c]
+        while frontier:
+            d = frontier.pop()
+            for p in gens:
+                e = permute_mask(p, d)
+                if e not in orbit:
+                    orbit.add(e)
+                    frontier.append(e)
+        seen |= orbit
+        orbits.append(orbit)
+    sizes = lcm(*(len(o) for o in orbits))
+    scale *= sizes
+    # inside[S] sums the averaged weights of the cliques inside S.
+    inside = [0] * (g.vertex_mask + 1)
+    for orbit in orbits:
+        share = sum(w.get(c, 0) for c in orbit) * (sizes // len(orbit))
+        for c in orbit:
+            inside[c] = share
+    for v in range(g.n):
+        bit = 1 << v
+        for m in range(len(inside)):
+            if m & bit:
+                inside[m] += inside[m ^ bit]
+    return [scale * m.bit_count() - inside[m] for m in range(len(inside))], scale
+
+
+def _crash_rows(g: Graph, lp: LinearProgram, var: list[int], cover, gens) -> list[int]:
+    """The rows of the collapsed program lp, with its variable table var,
+    that are tight at the entropy function of the fractional clique cover
+    (cliques, weights); gens are the automorphisms of g.  These are the
+    dual's crash candidates."""
+    k, scale = _cover_function(g, *cover, gens)
+    at = {j: k[m] for m, j in enumerate(var)}
+    return [i for i, (coeffs, _, rhs) in enumerate(lp.rows)
+            if sum(c * at[j] for j, c in coeffs) == rhs * scale]
+
+
+def _collapsed_program(g: Graph, cl: list[int], gens) -> tuple[LinearProgram, list[int]]:
+    """The rows of build_shannon_lp on one variable per orbit of closed sets
+    under the automorphisms gens of g, and the table var: var[m] is the
+    variable of subset m, or -1 when cl[m] is the closure of the empty set,
+    which is pinned to zero."""
     pinned = cl[0]
     closed = sorted(set(cl))
     # Vertex symmetries identify variables: averaging any feasible h over the
@@ -484,7 +583,7 @@ def _collapsed_program(g: Graph, cl: list[int]) -> tuple[LinearProgram, list[int
     # orbit of closed sets (automorphisms commute with closure) loses nothing.
     # shannon_entropy still re-validates the expanded optimum against every
     # row.
-    rep = orbit_representatives(automorphisms(g), closed)
+    rep = orbit_representatives(gens, closed)
     var_of = {}
     for c in closed:
         if rep[c] == c and c != pinned:
@@ -551,15 +650,17 @@ def _collapsed_program(g: Graph, cl: list[int]) -> tuple[LinearProgram, list[int
     return LinearProgram(nvars, "max", {var[g.vertex_mask]: 1}, rows), var
 
 
-def _solve_via_dual(lp: LinearProgram, obj_var: int):
-    """Solve max {x_obj : Ax <= b, x >= 0} through its dual.
+def _solve_via_dual(lp: LinearProgram, obj_var: int, crash=()):
+    """Solve max {x_obj : Ax <= b, x >= 0} through its dual, whose float run
+    starts from a crash basis over the rows listed in crash, which are the
+    dual's columns.
 
     These programs have many more rows than variables, so the dual's basis,
     one column per variable, is much smaller to factor.  No trust is transferred: the dual's
     own certificates are checked inside solve(), and the recovered primal
     point plus dual vector are re-verified against the original program.
     """
-    dsol = solve(_dual_program(lp, obj_var))
+    dsol = solve(_dual_program(lp, obj_var), crash)
     if dsol.status != OPTIMAL:
         raise LpError(f"dual of the entropy program came back {dsol.status}")
     x = tuple(-v for v in dsol.dual)
@@ -709,8 +810,7 @@ def entropy_bracket(g: Graph, shannon_cap: int = DEFAULT_SHANNON_CAP,
         # A largest independent set, as a loopless leaf gets from tau: the
         # looped graph's transversal holds every looped vertex, and on a
         # digraph its search would span all components at once.
-        _, mutual_cover = _vertex_cover([g.mutual_row(u) for u in range(g.n)], g.vertex_mask)
-        kappa_f = fractional_clique_cover_number(g, cover, g.vertex_mask & ~mutual_cover)[0]
+        kappa_f = fractional_clique_cover_number(g, cover, _largest_independent_set(g))[0]
         return BoundsReport(
             inner.lower + k, inner.upper + k,
             {"tag": "loop-reduction", "loops": looped, "inner": inner.lower_witness},
@@ -745,7 +845,7 @@ def entropy_bracket(g: Graph, shannon_cap: int = DEFAULT_SHANNON_CAP,
     upper, up_wit = Rational(tau), {"tag": "transversal", "removed": _vertices(removed)}
     theta = None
     if not (lazy_theta and upper == lower):
-        theta = shannon_entropy(g, cap=shannon_cap)[0]
+        theta = shannon_entropy(g, shannon_cap, (cliques, weights))[0]
         if theta < upper:
             upper, up_wit = theta, {"tag": "shannon-lp", "theta": theta}
     return BoundsReport(lower, upper, low_wit, up_wit, nu, cc, kappa_f, tau, theta)

@@ -21,7 +21,11 @@ constraint matrix through its nonzeros.  It prices by steepest edge,
 entering the column whose edge gains most per unit of distance moved, not
 per unit of the entering variable, and its ratio test is Harris's: of the
 rows that block within a small tolerance, the one with the largest pivot
-leaves.  The entropy duals are highly degenerate.  Dantzig's rule spent
+leaves.  It starts from the slack/artificial basis, where the edge lengths
+are known exactly, unless the caller names crash columns, such as the
+dual columns of rows tight at a known good point.  Then it starts from a
+triangular crash basis over them, and its edge lengths are only
+approximate.  The entropy duals are highly degenerate.  Dantzig's rule spent
 most of its float pivots on zero-length steps there and often stopped at a
 singular or infeasible basis.  A dense tableau with the plain minimum-ratio
 test ran phase 2 to its iteration limit on asymmetric 8- and 9-vertex
@@ -156,10 +160,15 @@ def _as_sparse(coeffs, num_vars, what):
 
 # -- solver -------------------------------------------------------------------
 
-def solve(lp: LinearProgram) -> LpSolution:
-    """Exact solve; an optimal outcome is rechecked by verify_certificates."""
+def solve(lp: LinearProgram, crash: Iterable[int] = ()) -> LpSolution:
+    """Exact solve; an optimal outcome is rechecked by verify_certificates.
+
+    crash lists structural columns that an optimal basis is likely to hold,
+    such as the dual columns of rows tight at a known good point; the float
+    run starts from a crash basis over them (_float_basis).  By default it
+    starts from the slack/artificial basis."""
     s = _standardize(lp)
-    sol = _simplex(s, _float_basis(s) or s.id_col)
+    sol = _simplex(s, _float_basis(s, crash) or s.id_col)
     if sol.status == OPTIMAL:
         ok, why = verify_certificates(lp, sol)
         if not ok:
@@ -383,18 +392,61 @@ def _numpy():
     return numpy
 
 
-def _float_basis(s: _Setup):
+def _crash_basis(s: _Setup, candidates: Iterable[int]):
+    """A triangular crash basis (Bixby, ORSA J. Computing 1992), one column
+    per row.  Each row with a nonzero right-hand side keeps its slack or
+    artificial.  The candidate columns, fewest nonzeros first, are then
+    passed over until a pass adds none: a column enters when exactly one of
+    its nonzero rows is still uncovered, and covers that row.  Every row
+    left over keeps its slack or artificial.
+
+    Ordered by when their rows were covered, the columns form a triangular
+    matrix with a nonzero diagonal, so the basis is never singular.  It is
+    also phase-1 feasible: back substitution gives each row's slack or
+    artificial its right-hand side and every other column zero.  With no
+    candidates it is the slack/artificial basis."""
+    basis = list(s.id_col)
+    covered = [b != 0 for b in s.rhs]
+    waiting = sorted(candidates, key=lambda j: len(s.cols[j]))
+    while True:
+        left = []
+        for j in waiting:
+            free = [i for i, _ in s.cols[j] if not covered[i]]
+            if len(free) == 1:
+                basis[free[0]] = j
+                covered[free[0]] = True
+            elif free:
+                left.append(j)
+        if len(left) == len(waiting):
+            return basis
+        waiting = left
+
+
+def _float_basis(s: _Setup, crash: Iterable[int] = ()):
     """Basis proposed by a floating-point two-phase revised simplex, or None
     when numpy is missing or the float run fails.  Only a proposal: _simplex
     checks it exactly.
+
+    The run starts from _crash_basis(s, crash), the slack/artificial basis
+    when crash is empty, and inverts it once.  Phase 1 first prices only
+    the crash columns, and every column once none of those prices in: when
+    the crash columns are the dual columns of rows tight at an optimal
+    point, complementary slackness puts an optimal basis among them, and a
+    basis made of them alone has that point as its duals, so phase 2 finds
+    it optimal at once.  Phase 1 from the slack/artificial basis would
+    instead make at least one pivot per structural column of the optimal
+    basis.
 
     The run keeps a dense B^-1, updated by one rank-1 step per pivot, and
     reads A through its nonzeros, so A^T v is one bincount.  Reduced costs
     are updated from the pivot row.  Both phases price by steepest edge
     (Goldfarb and Reid, Math. Programming 1977; Forrest and Goldfarb, Math.
     Programming 1992): among columns with reduced cost red_j > _TOL, enter
-    the one maximising red_j^2 / gamma_j, with gamma_j = 1 + |B^-1 A_j|^2 the
-    squared length of its edge, carried exactly by the Goldfarb-Reid update.
+    the one maximising red_j^2 / gamma_j, with gamma_j carried by the
+    Goldfarb-Reid update from the reference weights 1 + |A_j|^2.  From the
+    slack/artificial basis these are the squared edge lengths
+    1 + |B^-1 A_j|^2, kept exactly; from a crash basis they are only
+    approximate, since exact ones would take B^-1 A in full.
     The leaving row comes from a two-pass Harris ratio test (Harris 1973;
     Huangfu and Hall, Math. Prog. Comp. 2018): the bound is the least
     (x_i + _HARRIS) / alpha_i over alpha_i > _TOL, and of the rows whose
@@ -419,24 +471,38 @@ def _float_basis(s: _Setup):
         """A^T v."""
         return np.bincount(cj, v[ri] * va, ncols)
 
-    # The slack/artificial basis is the identity.
-    binv = np.eye(m)
-    x = np.array(s.rhs, dtype=float)
-    bas = np.array(s.id_col)
+    crash = list(crash)
+    basis = _crash_basis(s, crash)
+    if basis == s.id_col:
+        # The slack/artificial basis is the identity.
+        binv = np.eye(m)
+        bas = np.array(s.id_col)
+    else:
+        bas = np.array(basis)
+        # pos[j] is column j's place in the basis, -1 when it is not basic.
+        pos = np.full(ncols, -1)
+        pos[bas] = np.arange(m)
+        at = pos[cj]
+        dense = np.zeros((m, m))
+        dense[ri[at >= 0], at[at >= 0]] = va[at >= 0]
+        binv = np.linalg.inv(dense)
+    x = np.maximum(binv @ np.array(s.rhs, dtype=float), 0.0)
     gamma = 1.0 + np.bincount(cj, va * va, ncols)
     limit = 80 * m + 800
 
     def run(cost, priced) -> bool:
-        """Pivots until no column before priced prices in; False at the
-        iteration limit or when nothing blocks an entering column."""
+        """Pivots until none of the columns priced, an index array, prices
+        in; False at the iteration limit or when nothing blocks an entering
+        column."""
         red = cost - times_a(cost[bas] @ binv)
         for _ in range(limit):
             red[bas] = 0.0
-            head = red[:priced]
-            score = np.where(head > _TOL, head * head / gamma[:priced], -1.0)
-            q = int(score.argmax())
-            if score[q] < 0:
+            head = red[priced]
+            score = np.where(head > _TOL, head * head / gamma[priced], -1.0)
+            best = int(score.argmax())
+            if score[best] < 0:
                 return True
+            q = int(priced[best])
             alpha = binv[:, ri[start[q]:start[q + 1]]] @ va[start[q]:start[q + 1]]
             ratio = np.divide(x + _HARRIS, alpha, out=np.full(m, np.inf), where=alpha > _TOL)
             bound = ratio[ratio.argmin()]
@@ -467,11 +533,13 @@ def _float_basis(s: _Setup):
     if s.arts:
         cost1 = np.zeros(ncols)
         cost1[s.arts[0]:] = -1.0
-        if not run(cost1, ncols) or cost1[bas] @ x < -1e-7:
+        if crash and not run(cost1, np.array(crash)):
+            return None
+        if not run(cost1, np.arange(ncols)) or cost1[bas] @ x < -1e-7:
             return None
     cost2 = np.zeros(ncols)
     cost2[:s.lp.num_vars] = s.cost
-    if not run(cost2, s.arts[0] if s.arts else ncols):
+    if not run(cost2, np.arange(s.arts[0] if s.arts else ncols)):
         return None
     return bas.tolist()
 

@@ -27,8 +27,10 @@ from graphentropy.enumeration import enumerate_graphs, isomorphism_classes
 from graphentropy.graphs import (
     CapExceededError,
     Graph,
+    automorphisms,
     connected_components,
     mask_of,
+    orbit_representatives,
     parse_graph,
     render_graph,
 )
@@ -319,7 +321,7 @@ def test_collapsed_program_matches_previous(rng):
             assert cl[0] == g.vertex_mask, g
             continue
         old, old_var = previous
-        new, var = _collapsed_program(g, cl)
+        new, var = _collapsed_program(g, cl, automorphisms(g))
         assert (new.num_vars, new.objective, new.rows) == (old.num_vars, old.objective, old.rows), g
         assert var[g.vertex_mask] == old_var, g
         collapsed += 1
@@ -382,7 +384,10 @@ def test_rejection_message_matches_previous(rng):
 
 def test_entropy_programs_build_without_rationals(monkeypatch):
     """The collapsed entropy LP of C7, its dual and the dual's standard form
-    are built in ints alone: the first rational is made by the solve."""
+    are built in ints alone: the first rational is made by the solve.  C7's
+    fractional clique cover, its seven edges at weight 1/2, is passed in, so
+    that no cover LP is solved first."""
+    cover = ([1 << v | 1 << (v + 1) % 7 for v in range(7)], [rat(1, 2)] * 7)
     made = []
     real = lp_module.Rational
     monkeypatch.setattr(lp_module, "Rational", lambda *a: made.append(a) or real(*a))
@@ -395,9 +400,34 @@ def test_entropy_programs_build_without_rationals(monkeypatch):
         return s
 
     monkeypatch.setattr(lp_module, "_standardize", standardize)
-    assert shannon_entropy(Graph.cycle(7))[0] == rat("7/2")
+    assert shannon_entropy(Graph.cycle(7), cover=cover)[0] == rat("7/2")
     assert at_standard_form == [0]
     assert made, "the counter saw none of the solve's rationals"
+
+
+def test_cover_function_is_an_optimal_entropy_function(rng):
+    """The entropy function of the optimal fractional clique cover, shrunk to
+    level exactly one and averaged over the automorphism group, passes every
+    row of the full program, is constant on each orbit of vertex sets, and
+    reaches n - kappa_f on the whole vertex set: on every class up to 6
+    vertices, every connected 7-vertex class, seeded looped digraphs and the
+    graphs at the cap, where K10, K5,5, Petersen and co-C9 average over
+    groups of up to 10! elements."""
+    graphs = [g for n in range(1, 7) for g in isomorphism_classes(n)]
+    graphs += [g for g in enumerate_graphs(7, connected_only=True) if g.n == 7]
+    graphs += [random_digraph(rng, rng.randint(1, 6), loop_p=0.3) for _ in range(30)]
+    graphs += [param.values[0] for param in AT_THE_CAP]
+    for g in graphs:
+        kappa_f, cliques, weights = _kappa_f(g)
+        gens = automorphisms(g)
+        k, scale = bounds._cover_function(g, cliques, weights, gens)
+        h = [rat(v, scale) for v in k]
+        ok, why = validate_entropy_function(g, h)
+        assert ok, (render_graph(g, "graph6"), why)
+        assert h[g.vertex_mask] == g.n - kappa_f
+        rep = orbit_representatives(gens, range(g.vertex_mask + 1))
+        assert all(k[m] == k[rep[m]] for m in range(len(k))), render_graph(g, "graph6")
+    assert len(graphs) == 208 + 853 + 30 + len(AT_THE_CAP)
 
 
 def test_reduced_solve_equals_full_lp_all_n5():
@@ -515,10 +545,10 @@ def _seeded_gnp(seed: int, n: int, k: int) -> Graph:
     return random_graph(rng, n)
 
 
-# Every LP here, asymmetric 8- to 10-vertex entropy duals of up to 640 rows
+# Every LP here, asymmetric 8- to 10-vertex entropy duals of up to 821 rows
 # included, must be optimal at its float proposal: no exact pivot and no
 # phase-1 restart.
-@pytest.mark.parametrize("g, value", [
+AT_THE_CAP = [
     pytest.param(Graph.cycle(9), "9/2", id="C9"),
     pytest.param(complement_graph(Graph.cycle(9)), "27/4", id="co-C9"),
     pytest.param(Graph.cycle(10), "5", id="C10"),
@@ -534,6 +564,9 @@ def _seeded_gnp(seed: int, n: int, k: int) -> Graph:
     pytest.param(_seeded_gnp(7, 8, 3), "5", id="gnp8-seed7-3"),
     pytest.param(_seeded_gnp(9, 9, 0), "6", id="gnp9-seed9-0"),
     pytest.param(_seeded_gnp(9, 9, 2), "11/2", id="gnp9-seed9-2"),
+    # From the slack/artificial basis its float run made 2,707 pivots; from
+    # the crash basis it makes about 120.
+    pytest.param(_seeded_gnp(10, 10, 0), "6", id="gnp10-seed10-0"),
     pytest.param(_seeded_gnp(10, 10, 1), "7", id="gnp10-seed10-1"),
     pytest.param(_seeded_gnp(10, 10, 2), "6", id="gnp10-seed10-2"),
     *(pytest.param(parse_graph(text), value, id=text) for text, value in (
@@ -546,7 +579,10 @@ def _seeded_gnp(seed: int, n: int, k: int) -> Graph:
     pytest.param(Graph.complete(10), "9", id="K10"),
     pytest.param(_complete_bipartite(4, 4), "4", id="K4,4"),
     pytest.param(_complete_bipartite(5, 5), "5", id="K5,5"),
-])
+]
+
+
+@pytest.mark.parametrize("g, value", AT_THE_CAP)
 def test_brackets_at_the_cap(g, value, exact_steps):
     started = time.perf_counter()
     r = entropy_bracket(g)

@@ -8,13 +8,17 @@ import pytest
 from graphentropy import lp as lp_module
 from graphentropy.bounds import (
     _collapsed_program,
+    _crash_rows,
     _dual_program,
+    _largest_independent_set,
     build_fractional_cover_lp,
     build_shannon_lp,
+    clique_cover_number,
     closure_map,
+    fractional_clique_cover_number,
 )
 from graphentropy.enumeration import enumerate_graphs, isomorphism_classes
-from graphentropy.graphs import Graph, mask_of
+from graphentropy.graphs import Graph, automorphisms, mask_of
 from graphentropy.lp import (
     EQ,
     GE,
@@ -25,6 +29,8 @@ from graphentropy.lp import (
     LinearProgram,
     LpError,
     LpSolution,
+    _basic_values,
+    _crash_basis,
     _factor,
     _float_basis,
     _simplex,
@@ -507,7 +513,7 @@ def test_certificate_check_matches_rational_oracle(rng):
 
 
 def _entropy_dual(g: Graph) -> LinearProgram:
-    program, var = _collapsed_program(g, closure_map(g))
+    program, var = _collapsed_program(g, closure_map(g), automorphisms(g))
     return _dual_program(program, var[g.vertex_mask])
 
 
@@ -542,6 +548,41 @@ def test_float_basis_is_optimal_wherever_the_previous_was(rng, exact_steps):
         assert (sol.status, sol.objective) == (old.status, old.objective), lp.rows
         proposed += optimal
     assert proposed >= 200, proposed
+
+
+def test_crash_start_is_optimal_wherever_the_slack_start_is(exact_steps):
+    """On the entropy dual of every connected class up to 7 vertices, the
+    crash basis over the rows tight at the fractional clique cover's entropy
+    function keeps the objective row's artificial, is nonsingular, and has
+    every basic value zero but that artificial's 1.  The float run from it
+    proposes an optimal basis (no exact pivot, no phase-1 restart) wherever
+    the run from the slack/artificial basis does."""
+    def optimal_at(s, basis):
+        exact_steps.clear()
+        _simplex(s, basis or s.id_col)
+        return basis is not None and not exact_steps
+
+    duals = crashed = 0
+    for g in enumerate_graphs(7, connected_only=True):
+        if closure_map(g)[0] == g.vertex_mask:
+            continue
+        gens = automorphisms(g)
+        program, var = _collapsed_program(g, closure_map(g), gens)
+        cover = fractional_clique_cover_number(
+            g, clique_cover_number(g)[1], _largest_independent_set(g))[1:]
+        crash = _crash_rows(g, program, var, cover, gens)
+        s = _standardize(_dual_program(program, var[g.vertex_mask]))
+        basis = _crash_basis(s, crash)
+        art = s.arts[0]
+        assert s.arts == [art] and basis[var[g.vertex_mask]] == art
+        checked, z, _ = _basic_values(s, basis)
+        assert checked == basis, "the crash basis is singular"
+        assert z == [int(j == art) for j in basis]
+        duals += 1
+        crashed += basis != s.id_col
+        if optimal_at(s, _float_basis(s)):
+            assert optimal_at(s, _float_basis(s, crash)), program.rows
+    assert duals == 995 and crashed >= 980, (duals, crashed)
 
 
 def _outcome(sol: LpSolution) -> tuple:
