@@ -24,6 +24,14 @@ as its incumbent.  The same shifts build the graph itself: only the
 all-zero word's row comes from the definition, and every other row is an
 earlier one shifted by one symbol at one coordinate.
 
+The search colours its candidates greedily into independent classes, each
+kept as one bitmask and built from the highest word down, so a coloured
+word costs a shift, an XOR and an AND.  The symbol reversal d -> q - 1 - d at
+every coordinate also keeps every coordinate equality; it sends word i to
+q**n - 1 - i.  The search runs in that mirror, so every choice it makes,
+and every code it reports, is that of the plainer search that colours from
+the lowest word up.
+
 The anchored search needs only the clique number, so it also prunes by the
 symmetries that fix the all-zero word (orbital branching): the host's
 automorphisms acting on coordinates, and, for q >= 3, transpositions of two
@@ -162,7 +170,13 @@ def _max_clique(rows: list[int], limit: int | None = None,
     Adding a fixed vector coordinatewise mod q keeps every coordinate's
     equalities, so it is an automorphism of the compatibility graph, and
     these shifts take any word to any other.  Hence omega = 1 + omega(N(0)),
-    where word 0 is index 0: a search of rows[0] alone finds omega.
+    where word 0 is index 0: a search of rows[0] alone finds omega.  The
+    symbol reversal d -> q - 1 - d at every coordinate keeps those
+    equalities too, and it sends word i to N - 1 - i, N = len(rows).
+    _improvements searches in its mirror, so rows must be invariant under
+    it.  Rows invariant under the shifts are: adjacency of w and w' depends
+    only on w' - w, the reversal maps that difference to its negative, and
+    the set of differences of adjacent words is closed under negation.
 
     The anchored search needs omega alone, not a particular clique, so it
     also prunes by gens, generators of a group of automorphisms that fix
@@ -211,7 +225,7 @@ def _max_clique(rows: list[int], limit: int | None = None,
     if n == 0:
         return 0
     full = (1 << n) - 1
-    comp = [full ^ r for r in rows]
+    comp = [full ^ r ^ (1 << v) for v, r in enumerate(rows)]
     first = next(_improvements(rows, comp, full))
     if first.bit_count() == limit:
         return first
@@ -239,75 +253,94 @@ def _improvements(rows: list[int], comp: list[int], cand: int, best_size: int = 
     colour down, so the colour count bounds every remaining branch.  Only
     cliques larger than best_size are yielded.  Deterministic: the order at
     every choice point depends only on the candidate set.  comp[v] is the
-    complement of rows[v] within all words.
+    complement of rows[v] within all words, v itself removed.
+
+    The search this defines colours lowest word first, each class a greedy
+    maximal independent set of what earlier classes left, and explores each
+    class from its highest word down.  It runs in the mirror of the symbol
+    reversal, word i <-> N - 1 - i with N = len(rows), which rows must be
+    invariant under, as _max_clique requires.  On the reversed candidates it
+    keeps each colour class as one mask, built from the highest bit down,
+    and takes the lowest bit of the top class next.  Each word coloured
+    costs a bit_length, a shift, an XOR and an AND.  The reversal is a
+    graph automorphism that maps every class and choice of one order onto
+    those of the other, so each clique yielded, mapped back, is the one the
+    search above yields.
 
     gens, when given, are graph automorphisms as image tables, each mapping
     cand onto itself, and the search prunes by them as _max_clique
-    describes.  The last clique yielded is then still maximum, but need not
-    be the one the search without gens yields.  A child frame on v keeps
-    the generators with p[v] == v.  A frame resuming after its branch on v
-    drops v's orbit from its candidates, and it skips colour-order entries
-    that are no longer candidates.  With no gens, the steps are exactly
-    those of the search without them.
+    describes; they act on words as given, so the search reads each orbit
+    back through the reversal.  The last clique yielded is then still
+    maximum, but need not be the one the search without gens yields.  A
+    child frame on v keeps the generators with p[v] == v.  A frame resuming
+    after its branch on v drops v's orbit from its candidates, and it skips
+    class members that are no longer candidates.  With no gens, the steps
+    are exactly those of the search without them.
     """
+    top = len(rows) - 1
 
-    def color_order(cand: int) -> list[tuple[int, int]]:
-        out = []
-        color = 0
+    def mirror(mask: int) -> int:
+        return int(f"{mask:0{len(rows)}b}"[::-1], 2)
+
+    def color_classes(cand: int) -> list[int]:
+        classes = []
         rest = cand
         while rest:
-            color += 1
-            avail = rest
+            avail = before = rest
             while avail:
-                low = avail & -avail
-                v = low.bit_length() - 1
-                out.append((v, color))
-                rest ^= low
-                avail = (avail ^ low) & comp[v]
-        return out
+                v = avail.bit_length() - 1
+                rest ^= 1 << v
+                avail &= comp[v]
+            classes.append(before ^ rest)
+        return classes
 
-    def orbit(v: int, gens: Sequence[Sequence[int]]) -> int:
-        seen = {v}
-        todo = [v]
+    def mirrored_orbit(word: int, gens: Sequence[Sequence[int]]) -> int:
+        seen = {word}
+        todo = [word]
         for x in todo:
             for p in gens:
                 y = p[x]
                 if y not in seen:
                     seen.add(y)
                     todo.append(y)
-        return sum(1 << x for x in seen)
+        return sum(1 << top - x for x in seen)
 
     # Depth-first with an explicit stack, since a clique can be deeper than
-    # Python's recursion limit.  Each frame is [clique, size, cand, order,
-    # gens, last]; its colour order is consumed from the highest colour
-    # down, and last is its latest branch, whose orbit is not yet dropped.
-    stack = [[0, 0, cand, color_order(cand), gens, -1]]
+    # Python's recursion limit.  Each frame is [clique, size, cand, classes,
+    # gens, last], clique, cand and classes mirrored; its classes are
+    # consumed from the top one down, and last is the word of its latest
+    # branch, unmirrored as gens act on it, whose orbit is not yet dropped.
+    cand = mirror(cand)
+    stack = [[0, 0, cand, color_classes(cand), gens, -1]]
     while stack:
         frame = stack[-1]
-        clique, size, cand, order, gens, last = frame
-        if not order:
+        clique, size, cand, classes, gens, last = frame
+        if not classes or size + len(classes) <= best_size:
             stack.pop()
             continue
-        v, color = order.pop()
-        if size + color <= best_size:
-            stack.pop()
-            continue
+        members = classes[-1]
+        bit = members & -members
+        if members == bit:
+            classes.pop()
+        else:
+            classes[-1] = members ^ bit
         if last >= 0:
-            cand &= ~orbit(last, gens)
+            cand &= ~mirrored_orbit(last, gens)
             frame[2], frame[5] = cand, -1
-        if not cand >> v & 1:
+        if not cand & bit:
             continue
-        bit = 1 << v
+        v = bit.bit_length() - 1
+        word = top - v
         inner = cand & rows[v]
-        frame[2] = cand & ~bit
+        frame[2] = cand ^ bit
         if gens:
-            frame[5] = v
+            frame[5] = word
         if inner:
-            kept = [p for p in gens if p[v] == v] if gens else gens
-            stack.append([clique | bit, size + 1, inner, color_order(inner), kept, -1])
+            kept = [p for p in gens if p[word] == word]
+            stack.append([clique | bit, size + 1, inner, color_classes(inner), kept, -1])
         elif size + 1 > best_size:
             best_size = size + 1
-            yield clique | bit
+            yield mirror(clique | bit)
 
 
 class GuessingCode:

@@ -29,6 +29,7 @@ from graphentropy.graphs import (
     Graph,
     automorphisms,
     connected_components,
+    induced_subgraph,
     mask_of,
     orbit_representatives,
     parse_graph,
@@ -182,6 +183,25 @@ def test_cover_lp_weights_pinned(monkeypatch):
             lines.append(f"{render_graph(g, 'graph6')} {pairs}\n")
     assert len(lines) == 37
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == COVER_WEIGHTS_SHA256
+
+
+def test_cover_lower_bound_is_hereditary():
+    """L = n - kappa_f, from the cover and independent set the bracket hands
+    fractional_clique_cover_number, never grows when a vertex is deleted:
+    kappa_f(G) <= kappa_f(G - v) + 1, as any cover of G - v plus the clique
+    {v} covers G.  So the graphs with L <= 4 are closed under deletion."""
+    def lower(g: Graph):
+        independent = g.vertex_mask & ~transversal_number(g)[1]
+        return g.n - fractional_clique_cover_number(g, clique_cover_number(g)[1], independent)[0]
+
+    checks = 0
+    for n in range(1, 8):
+        for g in isomorphism_classes(n):
+            whole = lower(g)
+            for v in range(n):
+                assert lower(induced_subgraph(g, g.vertex_mask & ~(1 << v))[0]) <= whole, (g, v)
+                checks += 1
+    assert checks == 8475
 
 
 def test_transversal_examples():

@@ -93,9 +93,17 @@ BOUNDS_DIGESTS = {
 
 # sha256 of the whole stdout of the other JSON subcommands: (argv, stdin).
 PENDANT_C5 = "6; 1-2,2-3,3-4,4-5,5-1,1-6"
+
+
+def cycle(n: int) -> str:
+    return f"{n}; " + ",".join(f"{i + 1}-{(i + 1) % n + 1}" for i in range(n))
+
+
 # C12 fills the 4,096-word cap at q = 2; K3 at q = 7 and this seeded looped
-# digraph at q = 3 move words by symbol shifts that wrap past q - 1 > 1.
-C12 = "12; " + ",".join(f"{i + 1}-{(i + 1) % 12 + 1}" for i in range(12))
+# digraph at q = 3 move words by symbol shifts that wrap past q - 1 > 1.  On
+# C9 and C11 at q = 2 the first greedy dive falls short of q**tau, so its
+# code is printed only once the probe and the climb find nothing larger.
+C9, C11, C12 = cycle(9), cycle(11), cycle(12)
 LOOPED_DIGRAPH = ("6; 1->4,1->5,2->2,2->4,3->1,3->2,3->3,3->4,3->6,4->1,4->4,4->6,"
                   "5->1,5->6,6->1,6->3,6->4,6->5")
 STDOUT_DIGESTS = [
@@ -128,6 +136,10 @@ STDOUT_DIGESTS = [
      "0eabab399ec429376a2538204574028a8c1f04a0ad5f2e14c1126aaba7a4851b"),
     (("guess", "--q", "3"), LOOPED_DIGRAPH,
      "f000563a25844e0ec4cd49ad1ddcc758746e6290e7e37a0c104d1afdd6446635"),
+    (("guess", "--q", "2"), C9,
+     "9601eb44b8f80eaf849906338554a0cac81f369d473abb7a9876cd07b729ed77"),
+    (("guess", "--q", "2"), C11,
+     "c18de85740b6a5f4772d8a2c5293c445e2e144a1957f6165379196afed5bebba"),
 ]
 
 
@@ -498,14 +510,20 @@ sys.exit(code)
 """
 
 
-def test_guess_leaves_numpy_unimported(c5_file):
-    """numpy is imported on the first float proposal, and guess runs no LP."""
+@pytest.mark.parametrize("argv, key, value", [
+    (("guess", "--q", "2"), "code_size", 5),
+    (("reduce",), "reducible", False),
+    (("minimal-check",), "candidate", True),
+], ids=["guess", "reduce", "minimal-check"])
+def test_lp_free_subcommand_leaves_numpy_unimported(c5_file, argv, key, value):
+    """numpy is imported on the first float proposal, and guess, reduce and
+    minimal-check run no LP."""
     proc = subprocess.run(
-        [sys.executable, "-c", NUMPY_UNTOUCHED, "guess", "--graph", c5_file, "--q", "2"],
+        [sys.executable, "-c", NUMPY_UNTOUCHED, *argv, "--graph", c5_file],
         capture_output=True, text=True, timeout=120, env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["result"]["code_size"] == 5
+    assert json.loads(proc.stdout)["result"][key] == value
 
 
 def test_bounds_without_numpy(tmp_path):

@@ -196,10 +196,68 @@ def cayley_rows(rng, q: int, k: int) -> list[int]:
             for w in words]
 
 
+def complements(rows: list[int]) -> list[int]:
+    """comp as _max_clique builds it: each row's complement, less the word."""
+    full = (1 << len(rows)) - 1
+    return [full ^ r ^ (1 << v) for v, r in enumerate(rows)]
+
+
 def first_dive(rows: list[int]) -> int:
     """The first clique of the search over all words: one greedy dive."""
-    full = (1 << len(rows)) - 1
-    return next(_improvements(rows, [full ^ r for r in rows], full))
+    return next(_improvements(rows, complements(rows), (1 << len(rows)) - 1))
+
+
+def reversed_mask(mask: int, n: int) -> int:
+    """mask with word i moved to n - 1 - i."""
+    return int(f"{mask:0{n}b}"[::-1], 2)
+
+
+def test_symbol_reversal_is_a_symmetry(rng):
+    """The clique search runs in the mirror of the symbol reversal, which
+    sends word i to N - 1 - i: rows[N - 1 - i] is rows[i] reversed, and each
+    word symmetry conjugated by the reversal fixes word N - 1 and maps rows
+    onto rows.  On compatibility graphs of looped digraphs at q = 2, 3, 4,
+    on the symmetric hosts, and on Cayley graphs."""
+    hosts = [(random_digraph(rng, rng.randint(1, most), loop_p=0.3), q)
+             for q, most in [(2, 7), (3, 4), (4, 3)] for _ in range(15)]
+    hosts += [(g, q) for g in SYMMETRIC_HOSTS for q in (2, 3, 4) if q**g.n <= 256]
+    cases = [(compatibility_graph(g, q).rows, list(_word_symmetries(g, q))) for g, q in hosts]
+    cases += [(cayley_rows(rng, q, k), []) for q, k in [(2, 7), (3, 4), (4, 3), (7, 2)]
+              for _ in range(5)]
+    conjugated = 0
+    for rows, gens in cases:
+        n = len(rows)
+        assert all(rows[n - 1 - i] == reversed_mask(rows[i], n) for i in range(n))
+        for p in gens:
+            mirrored = [n - 1 - y for y in reversed(p)]
+            assert mirrored[n - 1] == n - 1
+            assert all(permute_mask(mirrored, rows[i]) == rows[mirrored[i]] for i in range(n))
+            conjugated += 1
+    assert conjugated >= 50, conjugated
+
+
+class CountedRows(list):
+    """Rows that count their reads: the search reads rows[v] once per branch."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_orbit_pruning_branch_count():
+    """The anchored climb on C5 at q = 3 with the word symmetries branches
+    6,977 times, as the same search over the unreversed words does; an orbit
+    dropped at the wrong words keeps the clique number here but branches
+    more than six times as often."""
+    g, q = c5(), 3
+    rows = compatibility_graph(g, q).rows
+    counted = CountedRows(rows)
+    *_, last = _improvements(counted, complements(rows), rows[0], 0,
+                             list(_word_symmetries(g, q)))
+    assert last.bit_count() == 11
+    assert counted.reads == 6977
 
 
 def test_anchored_search_replays_the_unanchored_one(rng):
