@@ -106,40 +106,50 @@ def cycle(n: int) -> str:
 C9, C11, C12 = cycle(9), cycle(11), cycle(12)
 LOOPED_DIGRAPH = ("6; 1->4,1->5,2->2,2->4,3->1,3->2,3->3,3->4,3->6,4->1,4->4,4->6,"
                   "5->1,5->6,6->1,6->3,6->4,6->5")
+
+
+def pin(label: str, argv: tuple, stdin: str | None, digest: str):
+    """One STDOUT_DIGESTS entry under the explicit test id label-stdin-digest,
+    so an entry added anywhere renames no other.  The argvN labels keep the
+    ids pytest once gave these entries by position."""
+    return pytest.param(argv, stdin, digest, id=f"{label}-{stdin}-{digest}")
+
+
 STDOUT_DIGESTS = [
-    (("survey", "--n", "5"), None,
-     "6fff49b892569758f64943ad956ada1f340b9ad969fc49cbeb40cf75d3780e38"),
-    (("survey", "--n", "5", "--jobs", "2"), None,
-     "6fff49b892569758f64943ad956ada1f340b9ad969fc49cbeb40cf75d3780e38"),
-    (("survey", "--n", "6", "--connected"), None,
-     "857827cd98b1afd300795f44b9e36427d8421ec10ccf4f8961a61af653387531"),
-    (("verify", "--suite", "wheel"), None,
-     "5db54aabfc59bc87dbb520ccac845ce8322eb988183b3dd981d1efa967694c67"),
-    (("verify", "--suite", "gfamily"), None,
-     "83fe3d9a45d2cd7ef0bfd63208525baf45cc5013ffac43ed5b09e1252221d257"),
-    (("reduce",), "DLo", "7d88fd61ed08c027153fb5ba5bf3e222bd8fbb14c8b73b383a0728c26138ebec"),
-    (("reduce",), PENDANT_C5,
-     "95b9dac9a1bc07b10549491badb2d4ef8353ca6bf73d0e9815364440c44406dd"),
-    (("minimal-check",), "DLo",
-     "a4575f9e18c1602ef7178c683d6c451cde933ce40425a7a56aaea1ca9b9355af"),
-    (("minimal-check",), PENDANT_C5,
-     "05d23c87f952237d43f93ecc28fa764f3589c58be4cd8cbd693c3dfbb0ac0025"),
-    (("guess", "--q", "2"), "3; 1-2,2-3,1-3",
-     "2450c70ffcbd28ad6555850438caf638b35da1e4055357539d1e27a827dea855"),
-    (("survey", "--n", "6"), None,
-     "9b614b01a1988030f30801682163bcd694aae6aab9e858a2a281bc57f5a159b9"),
-    (("verify", "--suite", "theorem2"), None,
-     "510407d51a31b46e63252653987864a77df76e0126d47b41609d5f56a1ca390d"),
-    (("guess", "--q", "2"), C12,
-     "aee4f177e802240e1906cc503933a2ae5076e5a75946be90bcfd853f1fa066d3"),
-    (("guess", "--q", "7"), "3; 1-2,2-3,1-3",
-     "0eabab399ec429376a2538204574028a8c1f04a0ad5f2e14c1126aaba7a4851b"),
-    (("guess", "--q", "3"), LOOPED_DIGRAPH,
-     "f000563a25844e0ec4cd49ad1ddcc758746e6290e7e37a0c104d1afdd6446635"),
-    (("guess", "--q", "2"), C9,
-     "9601eb44b8f80eaf849906338554a0cac81f369d473abb7a9876cd07b729ed77"),
-    (("guess", "--q", "2"), C11,
-     "c18de85740b6a5f4772d8a2c5293c445e2e144a1957f6165379196afed5bebba"),
+    pin("argv0", ("survey", "--n", "5"), None,
+        "6fff49b892569758f64943ad956ada1f340b9ad969fc49cbeb40cf75d3780e38"),
+    pin("argv1", ("survey", "--n", "5", "--jobs", "2"), None,
+        "6fff49b892569758f64943ad956ada1f340b9ad969fc49cbeb40cf75d3780e38"),
+    pin("argv2", ("survey", "--n", "6", "--connected"), None,
+        "857827cd98b1afd300795f44b9e36427d8421ec10ccf4f8961a61af653387531"),
+    pin("argv3", ("verify", "--suite", "wheel"), None,
+        "5db54aabfc59bc87dbb520ccac845ce8322eb988183b3dd981d1efa967694c67"),
+    pin("argv4", ("verify", "--suite", "gfamily"), None,
+        "83fe3d9a45d2cd7ef0bfd63208525baf45cc5013ffac43ed5b09e1252221d257"),
+    pin("argv5", ("reduce",), "DLo",
+        "7d88fd61ed08c027153fb5ba5bf3e222bd8fbb14c8b73b383a0728c26138ebec"),
+    pin("argv6", ("reduce",), PENDANT_C5,
+        "95b9dac9a1bc07b10549491badb2d4ef8353ca6bf73d0e9815364440c44406dd"),
+    pin("argv7", ("minimal-check",), "DLo",
+        "a4575f9e18c1602ef7178c683d6c451cde933ce40425a7a56aaea1ca9b9355af"),
+    pin("argv8", ("minimal-check",), PENDANT_C5,
+        "05d23c87f952237d43f93ecc28fa764f3589c58be4cd8cbd693c3dfbb0ac0025"),
+    pin("argv9", ("guess", "--q", "2"), "3; 1-2,2-3,1-3",
+        "2450c70ffcbd28ad6555850438caf638b35da1e4055357539d1e27a827dea855"),
+    pin("argv10", ("survey", "--n", "6"), None,
+        "9b614b01a1988030f30801682163bcd694aae6aab9e858a2a281bc57f5a159b9"),
+    pin("argv11", ("verify", "--suite", "theorem2"), None,
+        "510407d51a31b46e63252653987864a77df76e0126d47b41609d5f56a1ca390d"),
+    pin("argv12", ("guess", "--q", "2"), C12,
+        "aee4f177e802240e1906cc503933a2ae5076e5a75946be90bcfd853f1fa066d3"),
+    pin("argv13", ("guess", "--q", "7"), "3; 1-2,2-3,1-3",
+        "0eabab399ec429376a2538204574028a8c1f04a0ad5f2e14c1126aaba7a4851b"),
+    pin("argv14", ("guess", "--q", "3"), LOOPED_DIGRAPH,
+        "f000563a25844e0ec4cd49ad1ddcc758746e6290e7e37a0c104d1afdd6446635"),
+    pin("argv15", ("guess", "--q", "2"), C9,
+        "9601eb44b8f80eaf849906338554a0cac81f369d473abb7a9876cd07b729ed77"),
+    pin("argv16", ("guess", "--q", "2"), C11,
+        "c18de85740b6a5f4772d8a2c5293c445e2e144a1957f6165379196afed5bebba"),
 ]
 
 
@@ -660,3 +670,28 @@ def test_readme_names_resolve():
     classes = set(re.findall(r"`([A-Z]\w*[a-z]\w*)`", text)) - set(dir(builtins))
     missing += [name for name in classes if not any(hasattr(m, name) for m in modules)]
     assert len(classes) >= 5 and not missing, sorted(missing)
+
+
+def test_every_oracle_is_used():
+    """Every public top-level name of tests/_oracles.py is read by a test
+    module, by conftest.py or by another oracle, so an oracle that nothing
+    checks against cannot stay behind."""
+    tests = Path(__file__).resolve().parent
+
+    def names_read(tree) -> set[str]:
+        return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+    body = ast.parse((tests / "_oracles.py").read_text()).body
+    defined = {}
+    for node in body:
+        targets = node.targets if isinstance(node, ast.Assign) else [node]
+        for target in targets:
+            name = getattr(target, "name", getattr(target, "id", None))
+            if name and not name.startswith("_"):
+                defined[name] = node
+    read = set()
+    for path in [*tests.glob("test_*.py"), tests / "conftest.py"]:
+        read |= names_read(ast.parse(path.read_text()))
+    unused = [name for name, node in defined.items() if name not in read and not any(
+        name in names_read(other) for other in body if other is not node)]
+    assert len(defined) >= 20 and not unused, unused

@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import random
 import time
 
@@ -34,11 +36,7 @@ from graphentropy.rationals import rat
 from _oracles import (
     disjoint_union,
     labeled_class_count,
-    perm_class_key,
-    previous_canonical_form,
-    previous_isomorphism_classes,
-    unpruned_isomorphism_classes,
-    untwinned_canonical_search,
+    least_adjacency_bits,
 )
 from conftest import c5, g1, random_graph
 
@@ -61,48 +59,74 @@ def test_class_counts_against_permutation_oracle():
         assert len(isomorphism_classes(n)) == labeled_class_count(n)
 
 
-def test_classes_match_unpruned_augmentation():
-    for n in range(8):
-        assert isomorphism_classes(n) == unpruned_isomorphism_classes(n), n
+# sha256 of the graph6 strings of isomorphism_classes(n) for n = 0 to 8, one
+# line each: which relabelling represents each class, and the order of the
+# classes, reach the output of survey and verify.
+CLASSES_SHA256 = "99e6bd270076e659c088508f9d8747ff58cbfa0dae1420108023a2569e05cdb7"
 
 
-def test_classes_match_previous_enumerator():
-    for n in range(8):
-        assert isomorphism_classes(n) == previous_isomorphism_classes(n), n
+@functools.lru_cache(maxsize=None)
+def _class_of_key(n: int) -> dict[int, Graph]:
+    """The class representatives on n vertices keyed by least_adjacency_bits,
+    which isomorphic graphs, and only they, share."""
+    return {least_adjacency_bits(g): g for g in isomorphism_classes(n)}
 
 
-def test_canonical_bits_match_previous_search():
-    """Every augmentation of every class up to 7 vertices, orbit-pruned or
-    not, and seeded random graphs on 8 to 10 vertices."""
+def test_classes_pinned():
+    """Up to 6 vertices no two representatives are isomorphic, and the
+    graph6 listing up to 8 vertices is pinned."""
+    for n in range(7):
+        assert len(_class_of_key(n)) == len(isomorphism_classes(n)), n
+    lines = [render_graph(g, "graph6") + "\n" for n in range(9) for g in isomorphism_classes(n)]
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == CLASSES_SHA256
+
+
+def _relabelled(g: Graph, rng: random.Random) -> Graph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph.undirected(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def test_canonical_form_is_the_class_representative():
+    """Every augmentation of a class, up to 6 vertices, has the
+    representative of its own class as canonical form; up to 7 vertices it
+    has some representative with its degrees.  Seeded random graphs on 8 to
+    10 vertices get a canonical form with their degrees, and a random
+    relabelling of each gets the same one."""
+    rng = random.Random(14)
+    graphs = []
     for n in range(1, 8):
         for base in isomorphism_classes(n - 1):
             for attach in range(1 << (n - 1)):
                 rows = [r | (attach >> v & 1) << (n - 1) for v, r in enumerate(base.rows)]
-                g = Graph(n, rows + [attach], directed=False)
-                assert canonical_form(g) == previous_canonical_form(g).graph()
-    rng = random.Random(14)
-    for n in (8, 9, 10):
-        for p in (0.2, 0.5, 0.8):
-            for _ in range(10):
-                g = random_graph(rng, n, p)
-                assert canonical_form(g) == previous_canonical_form(g).graph()
+                graphs.append(Graph(n, rows + [attach], directed=False))
+    graphs += [random_graph(rng, n, p) for n in (8, 9, 10) for p in (0.2, 0.5, 0.8)
+               for _ in range(10)]
+    classes = set(isomorphism_classes(7))
+    for g in graphs:
+        form = canonical_form(g)
+        g6 = render_graph(g, "graph6")
+        assert sorted(r.bit_count() for r in form.rows) == sorted(r.bit_count() for r in g.rows), g6
+        if g.n <= 6:
+            assert form == _class_of_key(g.n)[least_adjacency_bits(g)], g6
+        elif g.n == 7:
+            assert form in classes, g6
+        else:
+            assert canonical_form(_relabelled(g, rng)) == form, g6
 
 
 def test_twin_pruning_keeps_the_canonical_bits():
     """Every class up to 7 vertices under three seeded relabellings: the
-    search that skips twins returns the bits of the one that does not."""
+    search that skips twins returns the bits of the class's canonical
+    representative."""
     rng = random.Random(25)
     for n in range(1, 8):
         for g in isomorphism_classes(n):
             for _ in range(3):
-                perm = list(range(n))
-                rng.shuffle(perm)
-                rows = [0] * n
-                for v in range(n):
-                    rows[perm[v]] = sum(1 << perm[u] for u in bits_of(g.rows[v]))
+                rows = _relabelled(g, rng).rows
                 colors = enumeration._refined_colors(rows)
                 assert (enumeration._canonical_search(rows, colors)
-                        == untwinned_canonical_search(rows, colors)), render_graph(g, "graph6")
+                        == adjacency_bits(g)), render_graph(g, "graph6")
 
 
 @pytest.mark.parametrize("g", [Graph.complete(10), Graph.empty(10)], ids=["K10", "empty10"])
@@ -219,7 +243,7 @@ def test_canonical_respects_isomorphism_oracle():
     seen = {}
     for _ in range(60):
         g = random_graph(rng, 4)
-        key = perm_class_key(g)
+        key = least_adjacency_bits(g)
         form = canonical_form(g)
         if key in seen:
             assert seen[key] == form
@@ -362,7 +386,7 @@ def test_g_family_suite():
     rest = report["cases"][1:]
     assert len(rest) == 5
     assert all(entry["lower"] == rat("7/2") for entry in rest)
-    assert perm_class_key(g_family()[0]) == perm_class_key(g1())
+    assert least_adjacency_bits(g_family()[0]) == least_adjacency_bits(g1())
 
 
 def test_small_theorem_suite():

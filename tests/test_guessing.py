@@ -33,7 +33,6 @@ from _oracles import (
     disjoint_union,
     i_reduction,
     is_acyclic,
-    previous_compatibility_rows,
     profile_code_size,
     unanchored_max_clique,
     words_compatible,
@@ -84,9 +83,10 @@ NAMED_GUESSING_GRAPHS = [
 LOOPED_2_CYCLE = Graph.from_arcs(12, [(0, 1), (1, 0)] + [(v, v) for v in range(2, 12)])
 
 
-def test_rows_match_the_bucket_construction(rng):
-    """Row 0 plus symbol shifts gives the rows the per-vertex bucketing gave,
-    at every alphabet size from 2 to 7 up to the word cap."""
+def test_rows_match_word_compatibility(rng):
+    """Row 0 plus symbol shifts gives the rows the definition gives, at
+    every alphabet size from 2 to 7 up to the word cap: every row up to 243
+    words, and row 0 and one seeded row past that."""
     cases = [(Graph.cycle(11), 2), (Graph.cycle(12), 2), (Graph.cycle(5), 3),
              (LOOPED_2_CYCLE, 2), (Graph.empty(0), 2), (Graph.empty(0), 7)]
     for q in range(2, 8):
@@ -94,7 +94,21 @@ def test_rows_match_the_bucket_construction(rng):
         cases += [(random_digraph(rng, rng.randint(1, most), loop_p=0.3), q) for _ in range(12)]
         cases.append((random_digraph(rng, most, loop_p=0.3), q))
     for g, q in cases:
-        assert compatibility_graph(g, q).rows == previous_compatibility_rows(g, q), (g, q)
+        rows = compatibility_graph(g, q).rows
+        words = list(itertools.product(range(q), repeat=g.n))
+        assert len(rows) == len(words), (g, q)
+        if len(words) <= 243:
+            want = [0] * len(words)
+            for i, j in itertools.combinations(range(len(words)), 2):
+                if words_compatible(g, q, words[i], words[j]):
+                    want[i] |= 1 << j
+                    want[j] |= 1 << i
+            assert rows == want, (g, q)
+            continue
+        for i in (0, rng.randrange(1, len(words))):
+            want = sum(1 << j for j, x in enumerate(words)
+                       if j != i and words_compatible(g, q, words[i], x))
+            assert rows[i] == want, (g, q, i)
 
 
 # Hosts with loops or with nontrivial automorphism groups, whose word-level

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import re
@@ -14,6 +15,7 @@ from graphentropy.graphs import (
     Graph,
     GraphError,
     bits_of,
+    induced_subgraph,
     mask_of,
     render_graph,
 )
@@ -26,9 +28,10 @@ from graphentropy.structure import (
 )
 
 from _oracles import (
+    adjacency,
     bipartite_edges,
     bipartite_matching_size,
-    previous_certify_entropy_minimal_candidate,
+    brute_matching,
 )
 from conftest import c5, g1, random_graph
 
@@ -196,22 +199,68 @@ def test_minimality_reports():
     assert not certify_entropy_minimal_candidate(pendant)["candidate"]
 
 
-def test_minimality_dict_matches_previous_report():
-    """The certificate is the previous report's as_dict(), key order
-    included, on every class up to 6 vertices and the pendant C5; 15 of them
-    reach the >= comparison and 12 carry a saturating witness."""
+def _covers_exactly(adj, pairs, left, right) -> bool:
+    """The pairs are disjoint edges from left to right covering all of right."""
+    ends = [u for u, _ in pairs] + [v for _, v in pairs]
+    return (len(set(ends)) == len(ends) and {v for _, v in pairs} == set(right)
+            and all(u in left and v in adj[u] for u, v in pairs))
+
+
+# sha256 of the minimal-check dicts of test_minimality_dict_follows_its_
+# definition's graphs, one json.dumps line each: key order and list order are
+# what minimal-check prints.
+MINIMALITY_SHA256 = "a78469d49c98e20aa40198ec2bf81bc60b8bff5f2767c27b2d0fe52f32a3207c"
+
+
+def test_minimality_dict_follows_its_definition():
+    """The certificate read from definitions, on every class up to 6
+    vertices and the pendant C5: a reducible S takes c(S), the vertices
+    outside S with every neighbour in S, and a matching from c(S) onto S;
+    M is the vertex set of a maximum matching; c(M), the comparison and the
+    saturating witness follow.  15 graphs reach the >= comparison and 12
+    carry a saturating witness."""
     graphs = [g for n in range(1, 7) for g in isomorphism_classes(n)]
     graphs.append(Graph.undirected(6, list(c5().edges()) + [(0, 5)]))
     assert len(graphs) == 209
     at_least = witnesses = 0
+    lines = []
     for g in graphs:
         got = certify_entropy_minimal_candidate(g)
-        want = previous_certify_entropy_minimal_candidate(g).as_dict()
-        assert got == want, render_graph(g, "graph6")
-        assert json.dumps(got) == json.dumps(want), render_graph(g, "graph6")
-        at_least += ">=" in got.get("comparison", "")
-        witnesses += "saturating_witness" in got
+        g6 = render_graph(g, "graph6")
+        adj = adjacency(g)
+
+        def c_of(s):
+            return [v for v in range(g.n) if v not in s and adj[v] <= set(s)]
+
+        reducible = got["reducible"]
+        assert got["candidate"] == (reducible is None), g6
+        if reducible is not None:
+            s = reducible["s"]
+            assert s and _covers_exactly(adj, reducible["matching"], c_of(s), s), g6
+        matched = got["matched_vertices"]
+        assert len(matched) == 2 * brute_matching(g), g6
+        assert len(matched) == 2 * brute_matching(induced_subgraph(g, mask_of(matched))[0]), g6
+        assert got["isolated_vertices"] == [v for v in range(g.n) if not adj[v]], g6
+        c = c_of(matched)
+        rel = None
+        if matched:
+            rel = "<" if len(c) < len(matched) else ">="
+            assert got["c_of_matched"] == c, g6
+            assert got["comparison"] == f"|c(M)| = {len(c)} {rel} |M| = {len(matched)}", g6
+            at_least += rel == ">="
+        else:
+            assert "c_of_matched" not in got and "comparison" not in got, g6
+        if rel == ">=" and bipartite_edges(g, mask_of(c), mask_of(matched)):
+            a_prime = got["saturating_witness"]["a_prime"]
+            covered = sorted({v for u in a_prime for v in adj[u]})
+            assert a_prime and set(a_prime) <= set(c), g6
+            assert _covers_exactly(adj, got["saturating_witness"]["matching"], a_prime, covered), g6
+            witnesses += 1
+        else:
+            assert "saturating_witness" not in got, g6
+        lines.append(json.dumps(got) + "\n")
     assert (at_least, witnesses) == (15, 12)
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == MINIMALITY_SHA256
 
 
 def test_minimality_disqualifier_when_c_of_m_large():
