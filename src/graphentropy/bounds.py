@@ -27,18 +27,8 @@ from .graphs import (
     orbit_representatives,
     permute_mask,
 )
-from .lp import (
-    EQ,
-    GE,
-    LE,
-    OPTIMAL,
-    LinearProgram,
-    LpError,
-    LpSolution,
-    solve,
-    verify_certificates,
-)
-from .rationals import Rational
+from .lp import EQ, GE, LE, OPTIMAL, LinearProgram, LpError, solve
+from .rationals import Rational, scaled
 
 _MATCHING_COMPONENT_CAP = 24
 DEFAULT_SHANNON_CAP = 10
@@ -182,10 +172,9 @@ def check_clique_cover(g: Graph, cliques, weights) -> None:
                 raise ValueError(f"{sorted(bits_of(c))} is not a clique")
     if any(w < 0 for w in weights):
         raise ValueError("negative clique weight")
-    scale = lcm(*(w.denominator for w in weights))
+    ks, scale = scaled(weights)
     level = [0] * g.n
-    for c, w in zip(cliques, weights):
-        k = w.numerator * (scale // w.denominator)
+    for c, k in zip(cliques, ks):
         for v in bits_of(c):
             level[v] += k
     for v, got in enumerate(level):
@@ -442,8 +431,8 @@ def build_shannon_lp(g: Graph) -> LinearProgram:
     """The full defining LP on one variable per vertex subset.
 
     Variable index == subset mask, one row per _shannon_rows entry.  This is
-    what lp-dump prints; the solver works on the closure-collapsed
-    equivalent.
+    what lp-dump prints; shannon_entropy solves the dual of its
+    closure-collapsed equivalent.
     """
     return LinearProgram(1 << g.n, "max", {g.vertex_mask: 1}, _shannon_rows(g))
 
@@ -453,20 +442,22 @@ def shannon_entropy(g: Graph, cap: int = DEFAULT_SHANNON_CAP,
     """Solve the subset-entropy LP exactly: (theta, h), h indexed by vertex
     mask (length 2^n).
 
-    Works on the closure-collapsed formulation (variables only for closed
-    vertex sets, one per orbit of the whole automorphism group) of the same
-    rows as build_shannon_lp, solved through its dual; then expands the
-    optimum back to all subsets and checks it against every elemental row of
-    the full program (validate_entropy_function) before returning it.
-    Equality of the two formulations follows from the closure identity
-    h(S) = h(cl(S)), which that final check re-certifies from scratch.
+    Solves one program, the dual of the closure-collapsed formulation
+    (variables only for closed vertex sets, one per orbit of the whole
+    automorphism group) of the same rows as build_shannon_lp, as
+    _entropy_dual states it; solve checks its certificates.  The collapsed
+    optimum is read off the dual's row duals, expanded back to all subsets
+    and checked against every row of the full program
+    (validate_entropy_function) before it is returned.  Equality of the two
+    formulations follows from the closure identity h(S) = h(cl(S)), which
+    that final check re-certifies from scratch.
 
     cover is a fractional clique cover of g as (cliques, weights), such as
     the last two entries of fractional_clique_cover_number; without it the
-    optimal one is derived here.  Only the float run reads it: the rows
-    tight at its entropy function (_cover_function), which is optimal
-    whenever n - kappa_f = theta, are the candidates of the crash basis the
-    dual's float run starts from.
+    optimal one is derived here.  Only the float run reads it: the dual's
+    columns for the rows tight at its entropy function (_cover_function),
+    which is optimal whenever n - kappa_f = theta, are the candidates of the
+    crash basis the float run starts from.
     """
     n = g.n
     if n > cap:
@@ -483,9 +474,12 @@ def shannon_entropy(g: Graph, cap: int = DEFAULT_SHANNON_CAP,
         cover = fractional_clique_cover_number(
             g, clique_cover_number(g)[1], _largest_independent_set(g))[1:]
     gens = automorphisms(g)
-    lp, var = _collapsed_program(g, cl, gens)
-    values = _solve_via_dual(lp, var[full], _crash_rows(g, lp, var, cover, gens)).primal
-    h = tuple(zero if j < 0 else values[j] for j in var)
+    dual, var = _entropy_dual(g, cl, gens)
+    sol = solve(dual, _crash_rows(g, dual, var, cover, gens))
+    if sol.status != OPTIMAL:
+        raise LpError(f"dual of the entropy program came back {sol.status}")
+    # The dual's row duals are -x, x the collapsed program's optimum.
+    h = tuple(zero if j < 0 else -sol.dual[j] for j in var)
     ok, why = validate_entropy_function(g, h)
     if not ok:
         raise AssertionError(f"entropy witness failed validation: {why}")
@@ -507,11 +501,11 @@ def _cover_function(g: Graph, cliques, weights, gens) -> tuple[list[int], int]:
     Averaging gives each clique its orbit's mean weight, read off the
     generators without listing the group; the function stays feasible and
     becomes constant on orbits, as the collapsed program needs."""
-    scale = lcm(*(x.denominator for x in weights))
+    ks, scale = scaled(weights)
     w: dict[int, int] = {}
-    for c, x in zip(cliques, weights):
+    for c, x in zip(cliques, ks):
         if x:
-            w[c] = w.get(c, 0) + int(x.numerator) * (scale // int(x.denominator))
+            w[c] = w.get(c, 0) + x
     level = [0] * g.n
     for c, x in w.items():
         for v in bits_of(c):
@@ -559,22 +553,34 @@ def _cover_function(g: Graph, cliques, weights, gens) -> tuple[list[int], int]:
     return [scale * m.bit_count() - inside[m] for m in range(len(inside))], scale
 
 
-def _crash_rows(g: Graph, lp: LinearProgram, var: list[int], cover, gens) -> list[int]:
-    """The rows of the collapsed program lp, with its variable table var,
-    that are tight at the entropy function of the fractional clique cover
-    (cliques, weights); gens are the automorphisms of g.  These are the
-    dual's crash candidates."""
+def _crash_rows(g: Graph, dual: LinearProgram, var: list[int], cover, gens) -> list[int]:
+    """The columns of the entropy dual, with its variable table var, whose
+    collapsed rows are tight at the entropy function of the fractional
+    clique cover (cliques, weights); gens are the automorphisms of g.
+    These are the dual's crash candidates."""
     k, scale = _cover_function(g, *cover, gens)
     at = {j: k[m] for m, j in enumerate(var)}
-    return [i for i, (coeffs, _, rhs) in enumerate(lp.rows)
-            if sum(c * at[j] for j, c in coeffs) == rhs * scale]
+    # Collapsed row i, A_i x <= b_i, is the dual's column i, -A_i, with cost b_i.
+    lhs = [0] * dual.num_vars
+    for j, (coeffs, _, _) in enumerate(dual.rows):
+        for i, c in coeffs:
+            lhs[i] -= c * at[j]
+    return [i for i, b in enumerate(dual.objective) if lhs[i] == b * scale]
 
 
-def _collapsed_program(g: Graph, cl: list[int], gens) -> tuple[LinearProgram, list[int]]:
-    """The rows of build_shannon_lp on one variable per orbit of closed sets
-    under the automorphisms gens of g, and the table var: var[m] is the
-    variable of subset m, or -1 when cl[m] is the closure of the empty set,
-    which is pinned to zero."""
+def _entropy_dual(g: Graph, cl: list[int], gens) -> tuple[LinearProgram, list[int]]:
+    """The subset-entropy LP as the one program shannon_entropy solves, and
+    its variable table var.
+
+    The collapsed program is max {x_V : Ax <= b, x >= 0}: the rows of
+    build_shannon_lp on one variable per orbit of closed sets under the
+    automorphisms gens of g, with var[m] the variable of subset m, or -1
+    when cl[m] is the closure of the empty set, which is pinned to zero.
+    What is returned is its dual, min {b.y : -A^T y <= -e_V, y >= 0}: one
+    column per collapsed row, in row order, with b as the objective, and
+    one row per variable.  These programs have many more rows than
+    variables, so the dual's basis, one column per variable, is much
+    smaller to factor.  The dual's row duals are -x for an optimal x."""
     pinned = cl[0]
     closed = sorted(set(cl))
     # Vertex symmetries identify variables: averaging any feasible h over the
@@ -593,6 +599,7 @@ def _collapsed_program(g: Graph, cl: list[int], gens) -> tuple[LinearProgram, li
     closed_var = {c: var_of[rep[c]] for c in closed}
     var = [closed_var[c] for c in cl]
 
+    # The collapsed rows, every one '<=', as ({variable: coeff}, rhs).
     rows = []
     row_index: set[tuple] = set()
 
@@ -610,7 +617,7 @@ def _collapsed_program(g: Graph, cl: list[int], gens) -> tuple[LinearProgram, li
         key = (tuple(sorted(items.items())), rhs)
         if key not in row_index:
             row_index.add(key)
-            rows.append((items, LE, rhs))
+            rows.append((items, rhs))
         return True
 
     def add_by_mask(block) -> None:
@@ -643,42 +650,16 @@ def _collapsed_program(g: Graph, cl: list[int], gens) -> tuple[LinearProgram, li
         if a == c and b == d:
             continue
         if a >= 0 and len({a, b, c, d}) == 4:
-            rows.append(({a: 1, b: 1, c: -1, d: -1}, LE, 0))
+            rows.append(({a: 1, b: 1, c: -1, d: -1}, 0))
         else:
             add(((a, 1), (b, 1), (c, -1), (d, -1)), 0)
     add_by_mask(functional)
-    return LinearProgram(nvars, "max", {var[g.vertex_mask]: 1}, rows), var
-
-
-def _solve_via_dual(lp: LinearProgram, obj_var: int, crash=()):
-    """Solve max {x_obj : Ax <= b, x >= 0} through its dual, whose float run
-    starts from a crash basis over the rows listed in crash, which are the
-    dual's columns.
-
-    These programs have many more rows than variables, so the dual's basis,
-    one column per variable, is much smaller to factor.  No trust is transferred: the dual's
-    own certificates are checked inside solve(), and the recovered primal
-    point plus dual vector are re-verified against the original program.
-    """
-    dsol = solve(_dual_program(lp, obj_var), crash)
-    if dsol.status != OPTIMAL:
-        raise LpError(f"dual of the entropy program came back {dsol.status}")
-    x = tuple(-v for v in dsol.dual)
-    sol = LpSolution(OPTIMAL, dsol.objective, x, dsol.primal)
-    ok, why = verify_certificates(lp, sol)
-    if not ok:
-        raise LpError(f"primal recovered from the dual failed verification: {why}")
-    return sol
-
-
-def _dual_program(lp: LinearProgram, obj_var: int) -> LinearProgram:
-    """min {b.y : -A^T y <= -e_obj, y >= 0}, the dual of
-    max {x_obj : Ax <= b, x >= 0}; integer rows stay integers."""
-    dual_rows = [({}, LE, -1 if j == obj_var else 0) for j in range(lp.num_vars)]
-    for i, (coeffs, _, _) in enumerate(lp.rows):
-        for j, c in coeffs:
+    obj = var[g.vertex_mask]
+    dual_rows = [({}, LE, -1 if j == obj else 0) for j in range(nvars)]
+    for i, (coeffs, _) in enumerate(rows):
+        for j, c in coeffs.items():
             dual_rows[j][0][i] = -c
-    return LinearProgram(len(lp.rows), "min", [rhs for _, _, rhs in lp.rows], dual_rows)
+    return LinearProgram(len(rows), "min", [rhs for _, rhs in rows], dual_rows), var
 
 
 def validate_entropy_function(g: Graph, h) -> tuple[bool, str]:
@@ -694,8 +675,7 @@ def validate_entropy_function(g: Graph, h) -> tuple[bool, str]:
     quadruple of the shared per-n table."""
     if len(h) != g.vertex_mask + 1:
         return False, "h must have one value per vertex subset"
-    scale = lcm(*(x.denominator for x in h))
-    k = [x.numerator * (scale // x.denominator) for x in h]
+    k, scale = scaled(h)
     head, elemental, functional = _shannon_blocks(g)
 
     def fails(coeffs, rel, rhs) -> bool:

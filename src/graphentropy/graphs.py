@@ -453,7 +453,8 @@ def _render_graph6(g: Graph) -> str:
 def adjacency_bits(g: Graph) -> int:
     """The upper triangle of g's adjacency matrix as one int: pair (i, j),
     i < j, ordered by (j, i), most significant bit first.  This is the
-    graph6 payload and the string canonical forms minimise."""
+    graph6 payload, and the string that enumeration.canonical_form
+    minimises over the relabellings in refined-colour order."""
     bits = 0
     for j in range(1, g.n):
         for i in range(j):

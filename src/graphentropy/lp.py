@@ -51,9 +51,9 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from functools import cache
 from itertools import accumulate, chain
-from math import gcd, lcm
+from math import gcd
 
-from .rationals import Rational, rat_str
+from .rationals import Rational, rat_str, scaled
 
 LE, EQ, GE = "<=", "=", ">="
 _RELS = (LE, EQ, GE)
@@ -189,16 +189,6 @@ class _Setup:
     basis on row i.  cost holds the structural costs."""
 
     __slots__ = ("lp", "maximize", "cost", "rhs", "cols", "flip", "id_col", "arts")
-
-
-def _lcd(values) -> int:
-    """Least common denominator of rationals or ints (1 for none)."""
-    return lcm(*(int(v.denominator) for v in values))
-
-
-def _times(v, scale: int) -> int:
-    """The rational v times scale, a multiple of its denominator, as an int."""
-    return int(v.numerator) * (scale // int(v.denominator))
 
 
 def _standardize(lp: LinearProgram) -> _Setup:
@@ -472,20 +462,15 @@ def _float_basis(s: _Setup, crash: Iterable[int] = ()):
         return np.bincount(cj, v[ri] * va, ncols)
 
     crash = list(crash)
-    basis = _crash_basis(s, crash)
-    if basis == s.id_col:
-        # The slack/artificial basis is the identity.
-        binv = np.eye(m)
-        bas = np.array(s.id_col)
-    else:
-        bas = np.array(basis)
-        # pos[j] is column j's place in the basis, -1 when it is not basic.
-        pos = np.full(ncols, -1)
-        pos[bas] = np.arange(m)
-        at = pos[cj]
-        dense = np.zeros((m, m))
-        dense[ri[at >= 0], at[at >= 0]] = va[at >= 0]
-        binv = np.linalg.inv(dense)
+    bas = np.array(_crash_basis(s, crash))
+    # pos[j] is column j's place in the basis, -1 when it is not basic.
+    pos = np.full(ncols, -1)
+    pos[bas] = np.arange(m)
+    at = pos[cj]
+    dense = np.zeros((m, m))
+    dense[ri[at >= 0], at[at >= 0]] = va[at >= 0]
+    # The slack/artificial basis is the identity, whose inverse is exact.
+    binv = np.linalg.inv(dense)
     x = np.maximum(binv @ np.array(s.rhs, dtype=float), 0.0)
     gamma = 1.0 + np.bincount(cj, va * va, ncols)
     limit = 80 * m + 800
@@ -708,8 +693,7 @@ def verify_certificates(lp: LinearProgram, sol: LpSolution) -> tuple[bool, str]:
     x, y = sol.primal, sol.dual
     if x is None or y is None or len(x) != lp.num_vars or len(y) != len(lp.rows):
         return False, "certificate vectors missing or mis-sized"
-    dx = _lcd(x)
-    xs = [_times(v, dx) for v in x]
+    xs, dx = scaled(x)
     for j in range(lp.num_vars):
         if xs[j] < 0:
             return False, f"primal variable {j} negative"
@@ -723,8 +707,7 @@ def verify_certificates(lp: LinearProgram, sol: LpSolution) -> tuple[bool, str]:
         if rel == EQ and lhs != rhs:
             return False, f"row {i} violated"
     maximize = lp.sense == "max"
-    dy = _lcd(y)
-    ys = [_times(v, dy) for v in y]
+    ys, dy = scaled(y)
     for i, (_, rel, _) in enumerate(lp.rows):
         if rel == LE and (ys[i] < 0 if maximize else ys[i] > 0):
             return False, f"dual sign wrong on row {i}"

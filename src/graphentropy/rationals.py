@@ -9,6 +9,7 @@ identical either way.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 try:
     from gmpy2 import mpq as Rational
@@ -24,3 +25,10 @@ def rat(p, q=1):
 def rat_str(x) -> str:
     """Lowest-terms 'p/q' rendering; integers come out bare ('3', not '3/1')."""
     return str(Rational(x))
+
+
+def scaled(values) -> tuple[list[int], int]:
+    """Rationals or ints as Python ints over their least common denominator:
+    (ints, scale) with values[i] == ints[i] / scale, and scale 1 for none."""
+    scale = lcm(*(int(v.denominator) for v in values))
+    return [int(v.numerator) * (scale // int(v.denominator)) for v in values], scale

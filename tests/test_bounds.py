@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 import time
 
 import pytest
@@ -7,8 +8,8 @@ import pytest
 from graphentropy import bounds
 from graphentropy import lp as lp_module
 from graphentropy.bounds import (
-    _collapsed_program,
     _elemental_table,
+    _entropy_dual,
     _shannon_rows,
     build_fractional_cover_lp,
     check_clique_cover,
@@ -351,8 +352,11 @@ def _collapsed_rows(g, var) -> set[tuple]:
 
 
 def test_collapsed_program_matches_uncollapsed(rng):
-    """The collapsed program holds each row of build_shannon_lp once, read
-    through its variable table, and maximises the variable of h(V).  The
+    """The entropy dual has one column per row of build_shannon_lp, read
+    through its variable table and held once: column i is minus that row's
+    coefficients, and its cost is the row's right-hand side.  It has one
+    '<=' row per variable, with right-hand side -1 on the variable of h(V)
+    and 0 elsewhere, and is minimised: the dual of maximising h(V).  The
     table gives the closed sets one variable per orbit of the automorphism
     group, cl(empty) none, and every subset its closure's variable.  On
     every graph up to 6 vertices, every connected 7-vertex graph, C8, seeded
@@ -369,17 +373,22 @@ def test_collapsed_program_matches_uncollapsed(rng):
         if cl[0] == g.vertex_mask:
             continue
         gens = automorphisms(g)
-        program, var = _collapsed_program(g, cl, gens)
+        dual, var = _entropy_dual(g, cl, gens)
+        nvars = len(dual.rows)
         assert all(var[m] == var[c] for m, c in enumerate(cl)), g
         rep = orbit_representatives(gens, set(cl))
         pairs = {(rep[c], var[c]) for c in rep}
-        assert len({r for r, _ in pairs}) == len(pairs) == program.num_vars + 1, g
-        assert {j for _, j in pairs} == set(range(-1, program.num_vars)), g
+        assert len({r for r, _ in pairs}) == len(pairs) == nvars + 1, g
+        assert {j for _, j in pairs} == set(range(-1, nvars)), g
         assert (rep[cl[0]], -1) in pairs, g
-        rows = [(frozenset(coeffs), rel, rhs) for coeffs, rel, rhs in program.rows]
+        columns = [set() for _ in range(dual.num_vars)]
+        for j, (coeffs, rel, rhs) in enumerate(dual.rows):
+            assert (rel, rhs) == ("<=", -int(j == var[g.vertex_mask])), g
+            for i, c in coeffs:
+                columns[i].add((j, -c))
+        rows = [(frozenset(col), "<=", b) for col, b in zip(columns, dual.objective)]
         assert len(set(rows)) == len(rows) and set(rows) == _collapsed_rows(g, var), g
-        assert (program.sense, program.objective) == (
-            "max", tuple(int(j == var[g.vertex_mask]) for j in range(program.num_vars))), g
+        assert dual.sense == "min", g
         if g.n <= 5:
             theta, h = shannon_entropy(g)
             assert theta == solve(build_shannon_lp(g)).objective, g
@@ -459,6 +468,68 @@ def test_entropy_programs_build_without_rationals(monkeypatch):
     assert shannon_entropy(Graph.cycle(7), cover=cover)[0] == rat("7/2")
     assert at_standard_form == [0]
     assert made, "the counter saw none of the solve's rationals"
+
+
+def test_entropy_program_is_built_and_certified_once():
+    """One shannon_entropy states one LinearProgram, the dual it solves, and
+    checks that program's certificates once, inside solve.  Calls are
+    counted by code object, so a check reached under any name counts."""
+    cover = ([1 << v | 1 << (v + 1) % 7 for v in range(7)], [rat(1, 2)] * 7)
+    watched = {lp_module.LinearProgram.__init__.__code__: "build",
+               lp_module.verify_certificates.__code__: "verify"}
+    calls = []
+
+    def profile(frame, event, _):
+        if event == "call" and frame.f_code in watched:
+            calls.append(watched[frame.f_code])
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        theta = shannon_entropy(Graph.cycle(7), cover=cover)[0]
+    finally:
+        sys.setprofile(previous)
+    assert theta == rat("7/2")
+    assert sorted(calls) == ["build", "verify"], calls
+
+
+def test_entropy_path_rejects_a_bad_certificate_or_witness(monkeypatch):
+    """On C5, an optimal solve whose primal or dual is off in one entry is
+    refused by solve's certificate check, and an h whose expansion is off
+    in one entry by validate_entropy_function.  The cover is passed in, so
+    the entropy dual is the only program solved."""
+    cover = ([1 << v | 1 << (v + 1) % 5 for v in range(5)], [rat(1, 2)] * 5)
+    assert shannon_entropy(c5(), cover=cover)[0] == rat("5/2")
+    real_simplex = lp_module._simplex
+
+    def bumped(which):
+        def simplex(s, basis):
+            sol = real_simplex(s, basis)
+            primal, dual = list(sol.primal), list(sol.dual)
+            if which == "primal":
+                # A column with a nonzero cost moves the objective.
+                primal[next(i for i, b in enumerate(s.lp.objective) if b)] += 1
+            else:
+                # The row of h(V) is the one with a nonzero right-hand side.
+                dual[next(k for k, row in enumerate(s.lp.rows) if row[2])] -= 1
+            return lp_module.LpSolution(sol.status, sol.objective, primal, dual)
+        return simplex
+
+    for which in ("primal", "dual"):
+        monkeypatch.setattr(lp_module, "_simplex", bumped(which))
+        with pytest.raises(lp_module.LpError, match="internal certificate check failed"):
+            shannon_entropy(c5(), cover=cover)
+    monkeypatch.setattr(lp_module, "_simplex", real_simplex)
+
+    def h_of_v_read_as_zero(g, cl, gens):
+        dual, var = _entropy_dual(g, cl, gens)
+        var = list(var)
+        var[g.vertex_mask] = -1
+        return dual, var
+
+    monkeypatch.setattr(bounds, "_entropy_dual", h_of_v_read_as_zero)
+    with pytest.raises(AssertionError, match="entropy witness failed validation"):
+        shannon_entropy(c5(), cover=cover)
 
 
 def test_cover_function_is_an_optimal_entropy_function(rng):

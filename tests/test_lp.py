@@ -8,9 +8,8 @@ import pytest
 
 from graphentropy import lp as lp_module
 from graphentropy.bounds import (
-    _collapsed_program,
     _crash_rows,
-    _dual_program,
+    _entropy_dual,
     _largest_independent_set,
     build_fractional_cover_lp,
     build_shannon_lp,
@@ -41,7 +40,7 @@ from graphentropy.lp import (
     solve,
     verify_certificates,
 )
-from graphentropy.rationals import rat, rat_str
+from graphentropy.rationals import Rational, rat, rat_str, scaled
 
 from _oracles import (
     lp_vertex_solve,
@@ -144,6 +143,16 @@ def test_certificates_detect_tampering():
     bad_value = type(sol)(sol.status, sol.objective + 1, sol.primal, sol.dual)
     ok, why = verify_certificates(lp, bad_value)
     assert not ok
+
+
+def test_scaled_gives_python_ints():
+    """scaled puts rationals of the active backend, Fractions and ints over
+    their least common denominator, as Python ints."""
+    values = [rat(1, 6), Fraction(-3, 4), 2, Rational(0), rat(5, 2)]
+    ints, scale = scaled(values)
+    assert (ints, scale) == ([2, -9, 24, 0, 30], 12)
+    assert all(type(k) is int for k in ints + [scale])
+    assert scaled([]) == ([], 1)
 
 
 def test_solver_determinism(rng):
@@ -437,7 +446,8 @@ def test_one_factorization_per_basis(rng, monkeypatch, exact_steps, factorizatio
     duals and the entering column."""
     lps = [BEALE, REPEATED]
     lps += [build_shannon_lp(g) for g in (Graph.cycle(5), Graph.path(5))]
-    lps += [_entropy_dual(g) for g in (Graph.cycle(5), Graph.cycle(7), g1())]
+    lps += [_entropy_dual(g, closure_map(g), automorphisms(g))[0]
+            for g in (Graph.cycle(5), Graph.cycle(7), g1())]
     lps += [_random_lp(rng) for _ in range(100)]
     warm = 0
     for lp in lps:
@@ -506,11 +516,6 @@ def test_certificate_check_matches_rational_oracle(rng):
     }, branches
 
 
-def _entropy_dual(g: Graph) -> LinearProgram:
-    program, var = _collapsed_program(g, closure_map(g), automorphisms(g))
-    return _dual_program(program, var[g.vertex_mask])
-
-
 def test_float_basis_is_optimal_at_once(exact_steps):
     """The float run from the slack/artificial basis proposes an optimal
     basis (no exact pivot, no phase-1 restart) on every entropy dual and
@@ -521,7 +526,7 @@ def test_float_basis_is_optimal_at_once(exact_steps):
     lps = []
     for g in enumerate_graphs(7, connected_only=True):
         if closure_map(g)[0] != g.vertex_mask:
-            lps.append(_entropy_dual(g))
+            lps.append(_entropy_dual(g, closure_map(g), automorphisms(g))[0])
         lps.append(build_fractional_cover_lp(g)[0])
     assert len(lps) == 1991
     for lp in lps:
@@ -544,11 +549,11 @@ def test_crash_start_is_optimal_at_once(exact_steps):
         if closure_map(g)[0] == g.vertex_mask:
             continue
         gens = automorphisms(g)
-        program, var = _collapsed_program(g, closure_map(g), gens)
+        dual, var = _entropy_dual(g, closure_map(g), gens)
         cover = fractional_clique_cover_number(
             g, clique_cover_number(g)[1], _largest_independent_set(g))[1:]
-        crash = _crash_rows(g, program, var, cover, gens)
-        s = _standardize(_dual_program(program, var[g.vertex_mask]))
+        crash = _crash_rows(g, dual, var, cover, gens)
+        s = _standardize(dual)
         basis = _crash_basis(s, crash)
         art = s.arts[0]
         assert s.arts == [art] and basis[var[g.vertex_mask]] == art
@@ -560,7 +565,7 @@ def test_crash_start_is_optimal_at_once(exact_steps):
         proposal = _float_basis(s, crash)
         exact_steps.clear()
         _simplex(s, proposal or s.id_col)
-        assert proposal is not None and not exact_steps, program.rows
+        assert proposal is not None and not exact_steps, dual.rows
     assert duals == 995 and crashed >= 980, (duals, crashed)
 
 
@@ -603,7 +608,8 @@ def test_standard_form_follows_its_layout(rng):
     lps = [BEALE, REPEATED]
     lps += [build_shannon_lp(g) for g in (Graph.cycle(5), Graph.path(5), Graph.complete(5))]
     lps += [_random_lp(rng) for _ in range(1400)] + [_random_wide_lp(rng) for _ in range(1400)]
-    lps += [_entropy_dual(g) for g in (Graph.cycle(5), Graph.cycle(7), g1())]
+    lps += [_entropy_dual(g, closure_map(g), automorphisms(g))[0]
+            for g in (Graph.cycle(5), Graph.cycle(7), g1())]
     lps += [build_fractional_cover_lp(g)[0] for n in range(1, 7) for g in isomorphism_classes(n)]
     statuses = set()
     cold = []
