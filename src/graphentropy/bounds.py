@@ -34,14 +34,21 @@ _MATCHING_COMPONENT_CAP = 24
 DEFAULT_SHANNON_CAP = 10
 
 
+def _mutual_rows(g: Graph) -> list[int]:
+    """g.mutual_row(u) for every vertex u."""
+    return [r & c & ~(1 << u) for u, (r, c) in enumerate(zip(g.rows, g.cols))]
+
+
 def max_matching(g: Graph) -> tuple[int, tuple[tuple[int, int], ...]]:
     """Maximum matching among mutual pairs (the edges, for undirected g), as
     (size, edges).
 
     Exact subset dynamic programming per connected component; deterministic
-    witness (lowest vertex matched first).
+    witness (lowest vertex matched first).  nu(mask) tries the partners of
+    the lowest vertex before leaving it unmatched, and stops at the first
+    option that reaches |mask| // 2, which no matching of mask can beat.
     """
-    mut = [g.mutual_row(u) for u in range(g.n)]
+    mut = _mutual_rows(g)
     edges: list[tuple[int, int]] = []
     total = 0
     for comp in connected_components(g):
@@ -56,30 +63,39 @@ def max_matching(g: Graph) -> tuple[int, tuple[tuple[int, int], ...]]:
             if got is not None:
                 return got
             low = mask & -mask
-            v = low.bit_length() - 1
             rest = mask ^ low
-            best = nu(rest)
-            for u in bits_of(mut[v] & rest):
-                cand = 1 + nu(rest ^ (1 << u))
+            most = mask.bit_count() >> 1
+            best = 0
+            nb = mut[low.bit_length() - 1] & rest
+            while nb and best < most:
+                bit = nb & -nb
+                cand = 1 + nu(rest ^ bit)
+                if cand > best:
+                    best = cand
+                nb ^= bit
+            if best < most:
+                cand = nu(rest)
                 if cand > best:
                     best = cand
             memo[mask] = best
             return best
 
-        total += nu(comp)
+        size = nu(comp)
+        total += size
         mask = comp
-        while mask:
+        while size:
             low = mask & -mask
-            v = low.bit_length() - 1
             rest = mask ^ low
-            if nu(rest) == nu(mask):
+            if nu(rest) == size:
                 mask = rest
                 continue
-            for u in bits_of(mut[v] & rest):
-                if 1 + nu(rest ^ (1 << u)) == nu(mask):
-                    edges.append((v, u))
-                    mask = rest ^ (1 << u)
-                    break
+            nb = mut[low.bit_length() - 1] & rest
+            while nu(rest ^ (nb & -nb)) != size - 1:
+                nb &= nb - 1
+            bit = nb & -nb
+            edges.append((low.bit_length() - 1, bit.bit_length() - 1))
+            mask = rest ^ bit
+            size -= 1
     return total, tuple(edges)
 
 
@@ -90,25 +106,33 @@ def maximal_cliques(g: Graph) -> tuple[int, ...]:
     joined pairwise by arcs in both directions, so loops never matter and a
     lone vertex is a (maximal) clique when nothing extends it.
     """
-    mut = [g.mutual_row(u) for u in range(g.n)]
+    mut = _mutual_rows(g)
     out: list[int] = []
 
     def expand(r: int, p: int, x: int) -> None:
-        if not p and not x:
-            out.append(r)
+        if not p:
+            if not x:
+                out.append(r)
             return
-        pivot = -1
+        pivot = 0
         best = -1
-        for u in bits_of(p | x):
-            d = (p & mut[u]).bit_count()
+        rest = p | x
+        while rest:
+            bit = rest & -rest
+            nb = mut[bit.bit_length() - 1]
+            d = (p & nb).bit_count()
             if d > best:
                 best = d
-                pivot = u
-        for v in bits_of(p & ~mut[pivot]):
-            bit = 1 << v
-            expand(r | bit, p & mut[v], x & mut[v])
+                pivot = nb
+            rest ^= bit
+        rest = p & ~pivot
+        while rest:
+            bit = rest & -rest
+            nb = mut[bit.bit_length() - 1]
+            expand(r | bit, p & nb, x & nb)
             p ^= bit
             x |= bit
+            rest ^= bit
 
     if g.n:
         expand(0, g.vertex_mask, 0)
@@ -141,14 +165,16 @@ def clique_cover_number(g: Graph) -> tuple[int, tuple[int, ...]]:
         bound = len(chosen) + (uncovered.bit_count() + largest - 1) // largest
         if bound >= best_count:
             return
-        v = -1
-        fewest = None
-        for u in bits_of(uncovered):
-            k = len(containing[u])
-            if fewest is None or k < fewest:
-                fewest = k
-                v = u
-        for c in containing[v]:
+        # The first vertex in fewest cliques; every vertex is in one at least.
+        fewest = cliques
+        scan = uncovered
+        while scan and len(fewest) > 1:
+            bit = scan & -scan
+            options = containing[bit.bit_length() - 1]
+            if len(options) < len(fewest):
+                fewest = options
+            scan ^= bit
+        for c in fewest:
             chosen.append(c)
             rec(uncovered & ~c, chosen)
             chosen.pop()
@@ -166,17 +192,23 @@ def check_clique_cover(g: Graph, cliques, weights) -> None:
     common denominator, as validate_entropy_function does."""
     if len(cliques) != len(weights):
         raise ValueError("one weight per clique required")
+    closed = [r | 1 << u for u, r in enumerate(_mutual_rows(g))]
     for c in cliques:
-        for u in bits_of(c):
-            if c & ~(g.mutual_row(u) | 1 << u):
+        rest = c
+        while rest:
+            bit = rest & -rest
+            if c & ~closed[bit.bit_length() - 1]:
                 raise ValueError(f"{sorted(bits_of(c))} is not a clique")
+            rest ^= bit
     if any(w < 0 for w in weights):
         raise ValueError("negative clique weight")
     ks, scale = scaled(weights)
     level = [0] * g.n
     for c, k in zip(cliques, ks):
-        for v in bits_of(c):
-            level[v] += k
+        while c:
+            bit = c & -c
+            level[bit.bit_length() - 1] += k
+            c ^= bit
     for v, got in enumerate(level):
         if got < scale:
             raise ValueError(f"vertex {v} covered only to level {Rational(got, scale)}")
@@ -221,9 +253,9 @@ def fractional_clique_cover_number(g: Graph, cover,
             g.mutual_row(v) & independent for v in bits_of(independent)):
         raise ValueError(f"{sorted(bits_of(independent))} is not an independent set")
     if independent.bit_count() == len(cover):
-        cliques, weights = tuple(cover), (Rational(1),) * len(cover)
-        check_clique_cover(g, cliques, weights)
-        return Rational(len(cover)), cliques, weights
+        cliques = tuple(cover)
+        check_clique_cover(g, cliques, (1,) * len(cover))  # in ints, equal to the weights
+        return Rational(len(cover)), cliques, (Rational(1),) * len(cover)
     lp, cliques = build_fractional_cover_lp(g)
     sol = solve(lp)
     check_clique_cover(g, cliques, sol.primal)
@@ -233,7 +265,7 @@ def fractional_clique_cover_number(g: Graph, cover,
 def _largest_independent_set(g: Graph) -> int:
     """A largest independent set of the mutual-arc relation, as the
     complement of a minimum vertex cover of it."""
-    _, cover = _vertex_cover([g.mutual_row(u) for u in range(g.n)], g.vertex_mask)
+    _, cover = _vertex_cover(_mutual_rows(g), g.vertex_mask)
     return g.vertex_mask & ~cover
 
 
@@ -258,28 +290,29 @@ def _vertex_cover(rows, alive: int) -> tuple[int, int]:
     best_size = alive.bit_count() + 1
     best_mask = 0
 
-    def degree(v: int, mask: int) -> int:
-        return (rows[v] & mask).bit_count()
-
     def rec(mask: int, chosen: int, count: int) -> None:
+        # Branch on the first vertex of largest degree: take it, or take
+        # all of its neighbours.
         nonlocal best_size, best_mask
         if count >= best_size:
             return
-        v = -1
+        top = 0
         dmax = 0
-        for u in bits_of(mask):
-            d = degree(u, mask)
+        scan = mask
+        while scan:
+            bit = scan & -scan
+            d = (rows[bit.bit_length() - 1] & mask).bit_count()
             if d > dmax:
                 dmax = d
-                v = u
-        if v < 0:
+                top = bit
+            scan ^= bit
+        if not top:
             best_size = count
             best_mask = chosen
             return
-        bit = 1 << v
-        rec(mask ^ bit, chosen | bit, count + 1)
-        nb = rows[v] & mask
-        rec(mask & ~(nb | bit), chosen | nb, count + nb.bit_count())
+        rec(mask ^ top, chosen | top, count + 1)
+        nb = rows[top.bit_length() - 1] & mask
+        rec(mask & ~(nb | top), chosen | nb, count + dmax)
 
     rec(alive, 0, 0)
     return best_size, best_mask
@@ -350,22 +383,25 @@ def closure_map(g: Graph) -> list[int]:
     """cl[m] for every vertex mask m: repeatedly absorb any vertex whose whole
     in-neighbourhood already lies inside.  Absorbed vertices carry no fresh
     information, which is what lets the LP identify h(m) with h(cl[m])."""
-    n = g.n
+    full = g.vertex_mask
     cols = g.cols
-    cl = [0] * (g.vertex_mask + 1)
-    order = sorted(range(g.vertex_mask + 1), key=int.bit_count)
-    for m in order:
-        cur = cl[m & (m - 1)] | m if m else 0
-        # Seeding with the closure of a submask is sound (closures are
-        # monotone) and usually leaves little to do.
-        changed = True
-        while changed:
-            changed = False
-            for v in range(n):
-                bit = 1 << v
-                if not cur & bit and cols[v] & ~cur == 0:
-                    cur |= bit
-                    changed = True
+    cl = [0] * (full + 1)
+    for m in range(full + 1):
+        # Seeding with the closure of a submask, m & (m - 1) < m, is sound
+        # (closures are monotone) and usually leaves little to do.  Each
+        # round absorbs every outside vertex whose in-neighbours are inside.
+        cur = cl[m & (m - 1)] | m
+        while True:
+            grown = cur
+            out = full & ~cur
+            while out:
+                low = out & -out
+                if not cols[low.bit_length() - 1] & ~cur:
+                    grown |= low
+                out ^= low
+            if grown == cur:
+                break
+            cur = grown
         cl[m] = cur
     return cl
 
@@ -479,7 +515,8 @@ def shannon_entropy(g: Graph, cap: int = DEFAULT_SHANNON_CAP,
     if sol.status != OPTIMAL:
         raise LpError(f"dual of the entropy program came back {sol.status}")
     # The dual's row duals are -x, x the collapsed program's optimum.
-    h = tuple(zero if j < 0 else -sol.dual[j] for j in var)
+    x = [-y for y in sol.dual]
+    h = tuple(zero if j < 0 else x[j] for j in var)
     ok, why = validate_entropy_function(g, h)
     if not ok:
         raise AssertionError(f"entropy witness failed validation: {why}")
@@ -559,12 +596,15 @@ def _crash_rows(g: Graph, dual: LinearProgram, var: list[int], cover, gens) -> l
     clique cover (cliques, weights); gens are the automorphisms of g.
     These are the dual's crash candidates."""
     k, scale = _cover_function(g, *cover, gens)
-    at = {j: k[m] for m, j in enumerate(var)}
+    at = [0] * len(dual.rows)
+    for m, j in enumerate(var):
+        if j >= 0:
+            at[j] = k[m]
     # Collapsed row i, A_i x <= b_i, is the dual's column i, -A_i, with cost b_i.
     lhs = [0] * dual.num_vars
-    for j, (coeffs, _, _) in enumerate(dual.rows):
+    for (coeffs, _, _), x in zip(dual.rows, at):
         for i, c in coeffs:
-            lhs[i] -= c * at[j]
+            lhs[i] -= c * x
     return [i for i, b in enumerate(dual.objective) if lhs[i] == b * scale]
 
 
@@ -599,25 +639,31 @@ def _entropy_dual(g: Graph, cl: list[int], gens) -> tuple[LinearProgram, list[in
     closed_var = {c: var_of[rep[c]] for c in closed}
     var = [closed_var[c] for c in cl]
 
-    # The collapsed rows, every one '<=', as ({variable: coeff}, rhs).
-    rows = []
+    # The dual is built column by column: collapsed row i, A_i x <= b_i, every
+    # one '<=', is the dual's column i, -A_i, with cost b_i, appended to the
+    # rows of the variables it has terms on.
+    cols: list[dict[int, int]] = [{} for _ in range(nvars)]
+    costs: list[int] = []
     row_index: set[tuple] = set()
 
     def add(terms, rhs: int) -> bool:
         # Closure can map distinct subsets to the same variable, so merge the
         # (variable, coeff) terms by variable; -1 is the pinned zero.  A row
         # that cancels is dropped (False), one that repeats is kept once.
-        items: dict[int, int] = {}
+        merged: dict[int, int] = {}
         for j, c in terms:
             if j >= 0:
-                items[j] = items.get(j, 0) + c
-        items = {j: c for j, c in items.items() if c}
+                merged[j] = merged.get(j, 0) + c
+        items = tuple(sorted([t for t in merged.items() if t[1]]))
         if not items:
             return False
-        key = (tuple(sorted(items.items())), rhs)
+        key = (items, rhs)
         if key not in row_index:
             row_index.add(key)
-            rows.append((items, rhs))
+            i = len(costs)
+            for j, c in items:
+                cols[j][i] = -c
+            costs.append(rhs)
         return True
 
     def add_by_mask(block) -> None:
@@ -633,9 +679,9 @@ def _entropy_dual(g: Graph, cl: list[int], gens) -> tuple[LinearProgram, list[in
     # quadruple, so the sorted pairs (a, b) and (c, d) determine it.  A
     # quadruple whose pairs were seen before, or whose two pairs are equal
     # (the row cancels), adds nothing.  Four distinct unpinned variables do
-    # not merge, and no other row has that shape, so such a row is appended
-    # as it is; add merges the rest.  a >= 0 leaves h(K) unpinned, and with
-    # it every superset, since closure is monotone.
+    # not merge, and no other row has that shape, so such a row goes
+    # straight into the dual; add merges the rest.  a >= 0 leaves h(K)
+    # unpinned, and with it every superset, since closure is monotone.
     seen: set[tuple[int, int, int, int]] = set()
     for a, b, c, d in elemental:
         a, b, c, d = var[a], var[b], var[c], var[d]
@@ -649,17 +695,17 @@ def _entropy_dual(g: Graph, cl: list[int], gens) -> tuple[LinearProgram, list[in
         seen.add(quad)
         if a == c and b == d:
             continue
-        if a >= 0 and len({a, b, c, d}) == 4:
-            rows.append(({a: 1, b: 1, c: -1, d: -1}, 0))
+        if a >= 0 and a != b and c != d and a != c and a != d and b != c and b != d:
+            i = len(costs)
+            cols[a][i] = cols[b][i] = -1
+            cols[c][i] = cols[d][i] = 1
+            costs.append(0)
         else:
             add(((a, 1), (b, 1), (c, -1), (d, -1)), 0)
     add_by_mask(functional)
     obj = var[g.vertex_mask]
-    dual_rows = [({}, LE, -1 if j == obj else 0) for j in range(nvars)]
-    for i, (coeffs, _) in enumerate(rows):
-        for j, c in coeffs.items():
-            dual_rows[j][0][i] = -c
-    return LinearProgram(len(rows), "min", [rhs for _, rhs in rows], dual_rows), var
+    dual_rows = [(col, LE, -1 if j == obj else 0) for j, col in enumerate(cols)]
+    return LinearProgram(len(costs), "min", costs, dual_rows), var
 
 
 def validate_entropy_function(g: Graph, h) -> tuple[bool, str]:
@@ -736,7 +782,12 @@ class BoundsReport:
 
 
 def _vertices(mask: int) -> list[int]:
-    return list(bits_of(mask))
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def union_report(components: list[list[int]], parts: list[BoundsReport]) -> BoundsReport:
@@ -810,7 +861,7 @@ def entropy_bracket(g: Graph, shannon_cap: int = DEFAULT_SHANNON_CAP,
     tau, removed = transversal_number(g)
     kappa_f, cliques, weights = fractional_clique_cover_number(g, cover, g.vertex_mask & ~removed)
     lower = n - kappa_f
-    assert Rational(nu) <= Rational(n - cc) <= lower
+    assert nu <= n - cc <= lower
     if nu == lower:
         low_wit = {"tag": "matching", "edges": [list(e) for e in matching]}
     elif n - cc == lower:
@@ -822,9 +873,9 @@ def entropy_bracket(g: Graph, shannon_cap: int = DEFAULT_SHANNON_CAP,
             "weights": list(weights),
             "value": kappa_f,
         }
-    upper, up_wit = Rational(tau), {"tag": "transversal", "removed": _vertices(removed)}
+    upper, up_wit = tau, {"tag": "transversal", "removed": _vertices(removed)}
     theta = None
-    if not (lazy_theta and upper == lower):
+    if not (lazy_theta and tau == lower):
         theta = shannon_entropy(g, shannon_cap, (cliques, weights))[0]
         if theta < upper:
             upper, up_wit = theta, {"tag": "shannon-lp", "theta": theta}

@@ -40,7 +40,16 @@ def _refined_colors(rows: tuple[int, ...] | list[int]) -> list[int]:
 
     Each round relabels by the sorted (colour, neighbour colours) signatures,
     so a vertex of larger degree always keeps the larger colour.
+
+    A signature is one int.  Vertices of one colour have one degree, and
+    among equal-length sorted tuples the lexicographically smaller one has
+    more copies of the first colour where the two differ.  So the count
+    vector (copies of colour 0, of colour 1, ...), read as one number with
+    colour 0 most significant, orders the tuples in reverse; it is
+    subtracted from the colour's block.  From the second round on the
+    colours are ranks, so a round that splits no class changes none.
     """
+    n = len(rows)
     nbrs = []
     for r in rows:
         out = []
@@ -50,13 +59,24 @@ def _refined_colors(rows: tuple[int, ...] | list[int]) -> list[int]:
             r ^= low
         nbrs.append(out)
     colors = [len(out) for out in nbrs]
+    digit = n.bit_length()  # a count is at most n - 1 < 2**digit
+    block = digit * (n + 1)
+    top = (1 << block) - 1
+    classes = -1
     while True:
-        sigs = [(c, tuple(sorted([colors[u] for u in out]))) for c, out in zip(colors, nbrs)]
-        relabel = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        weight_of = [1 << digit * (n - c) for c in colors].__getitem__
+        sigs = [c << block | top ^ sum(map(weight_of, out)) for c, out in zip(colors, nbrs)]
+        ranks = sorted(set(sigs))
+        if len(ranks) == classes:
+            return colors
+        relabel = {s: i for i, s in enumerate(ranks)}
         new = [relabel[s] for s in sigs]
         if new == colors:
             return colors
         colors = new
+        classes = len(ranks)
+        if classes == n:
+            return colors
 
 
 def canonical_form(g: Graph) -> Graph:
@@ -96,12 +116,16 @@ def _canonical_search(rows: tuple[int, ...] | list[int], colors: list[int]) -> i
     n = len(rows)
     if n == 0:
         return 0
-    slot_color = sorted(colors)
     by_color: dict[int, list[int]] = {}
     for v, c in enumerate(colors):
         by_color.setdefault(c, []).append(v)
-    twins_below = [sum(1 << u for u in range(v)
-                       if rows[u] & ~(1 << v) == rows[v] & ~(1 << u)) for v in range(n)]
+    slots = [by_color[c] for c in sorted(colors)]
+    twins_below = [0] * n
+    for group in by_color.values():
+        for k, v in enumerate(group):
+            for u in group[:k]:
+                if rows[u] & ~(1 << v) == rows[v] & ~(1 << u):
+                    twins_below[v] |= 1 << u
     total_bits = n * (n - 1) // 2
     best: int | None = None
     placed = [0] * n
@@ -113,7 +137,7 @@ def _canonical_search(rows: tuple[int, ...] | list[int], colors: list[int]) -> i
                 best = prefix
             return
         col_bits = depth
-        for v in by_color[slot_color[depth]]:
+        for v in slots[depth]:
             bit = 1 << v
             if used & bit or twins_below[v] & ~used:
                 continue
@@ -141,12 +165,16 @@ def isomorphism_classes(n: int) -> tuple[Graph, ...]:
     representative by every attachment set and deduplicating covers them all.
     Attachment sets in one orbit of the smaller representative's
     automorphism group give isomorphic graphs, so only the least set of
-    each orbit, read off the group's strong generators, is tried (McKay,
-    Isomorph-free exhaustive generation, 1998).
+    each orbit is tried (McKay, Isomorph-free exhaustive generation, 1998).
+    The orbits come from graphs.orbit_representatives on the group's
+    strong generators: each generator's images of the 2^(n-1) attachment
+    sets are tabulated at one step per set, then the orbits are searched
+    off the tables, so the pruning costs less than the candidates it saves.
 
     Canonical deletion, after the same paper: a candidate reaches the
     canonical search only if its new vertex has maximum degree (checked on
-    the attachment mask and the base degrees, before anything is built) and
+    the attachment mask against per-degree masks of the base vertices,
+    before anything is built) and
     lies in the top class of the refined colouring, whose colours then seed
     the search.  No class is lost.  Refined colours are
     isomorphism-invariant and refine the degree order, so every class G has
@@ -170,13 +198,19 @@ def _classes_cached(n: int) -> tuple[Graph, ...]:
     new_bit = 1 << (n - 1)
     for base in _classes_cached(n - 1):
         base_rows = base.rows
-        base_deg = [r.bit_count() for r in base_rows]
+        # at_least[d]: the base vertices of degree d or more.
+        at_least = [0] * (n + 1)
+        for v, r in enumerate(base_rows):
+            for d in range(r.bit_count() + 1):
+                at_least[d] |= 1 << v
         rep = orbit_representatives(automorphisms(base), range(new_bit))
-        for attach in range(new_bit):
-            if rep[attach] != attach:
+        for attach, least in rep.items():
+            if least != attach:
                 continue
+            # The new vertex needs maximum degree: no base vertex above its
+            # degree, or at it and gaining the edge to the new vertex.
             degree = attach.bit_count()
-            if any(d + (attach >> v & 1) > degree for v, d in enumerate(base_deg)):
+            if at_least[degree + 1] | at_least[degree] & attach:
                 continue
             rows = [r | new_bit if attach >> v & 1 else r for v, r in enumerate(base_rows)]
             rows.append(attach)
@@ -414,24 +448,31 @@ def verify_small_theorems(jobs: int = 1) -> dict:
     11/3 is the first graph of g_family().
     """
     records = survey_entropy_values(7, jobs=jobs)
-    gaps = [(rat(1), rat(2)), (rat(2), rat("5/2")), (rat("5/2"), rat(3))]
+    one, three, four = rat(1), rat(3), rat(4)
+    half, third = rat("5/2"), rat("11/3")
+    gap_ends = (rat(2), half)  # the gaps are (1, 2), (2, 5/2) and (5/2, 3)
+    window = (rat("7/2"), third)
+    values = set()
     counterexamples = []
     bad_window = []
-    for g, report, _ in records:
+    half_wits = []
+    third_wits = []
+    unresolved = []
+    for g, report, connected in records:
         if not report.exact:
+            unresolved.append({"graph6": render_graph(g, "graph6"),
+                               "lower": report.lower, "upper": report.upper})
             continue
         v = report.lower
-        if any(lo < v < hi for lo, hi in gaps):
+        values.add(v)
+        if one < v < three and v not in gap_ends:
             counterexamples.append({"graph6": render_graph(g, "graph6"), "value": v})
-        if rat(3) < v < rat(4) and v not in (rat("7/2"), rat("11/3")):
+        if three < v < four and v not in window:
             bad_window.append({"graph6": render_graph(g, "graph6"), "value": v})
-
-    def connected_at(value) -> list[Graph]:
-        return [g for g, report, connected in records
-                if connected and report.exact and report.lower == value]
-
-    half_wits = connected_at(rat("5/2"))
-    third_wits = connected_at(rat("11/3"))
+        if connected and v == half:
+            half_wits.append(g)
+        elif connected and v == third:
+            third_wits.append(g)
     # Survey graphs are canonical representatives already.
     ok = (
         not counterexamples
@@ -443,13 +484,10 @@ def verify_small_theorems(jobs: int = 1) -> dict:
         "suite": "theorem2",
         "ok": ok,
         "classes": len(records),
-        "collapsed_values": [v for v in collapsed_values(records) if v <= 4],
+        "collapsed_values": sorted(v for v in values if v <= 4),
         "gap_counterexamples": counterexamples,
         "window_violations": bad_window,
         "connected_5/2_witnesses": [render_graph(g, "graph6") for g in half_wits],
         "connected_11/3_witnesses": [render_graph(g, "graph6") for g in third_wits],
-        "unresolved": [
-            {"graph6": render_graph(g, "graph6"), "lower": report.lower, "upper": report.upper}
-            for g, report, _ in records if not report.exact
-        ],
+        "unresolved": unresolved,
     }

@@ -75,7 +75,7 @@ class Graph:
             raise GraphError("vertex count must be nonnegative")
         if n > MAX_VERTICES:
             raise CapExceededError(f"vertex count {n} exceeds the {MAX_VERTICES}-vertex cap")
-        rows = tuple(int(r) for r in rows)
+        rows = tuple(map(int, rows))
         if len(rows) != n:
             raise GraphError(f"expected {n} adjacency rows, got {len(rows)}")
         full = (1 << n) - 1
@@ -85,11 +85,12 @@ class Graph:
         cols = None
         if not directed:
             cols = _transpose(rows)
-            for u, r in enumerate(rows):
-                one_way = r & ~cols[u]
-                if one_way:
-                    v = (one_way & -one_way).bit_length() - 1
-                    raise GraphError(f"undirected graph has one-way arc {u}->{v}")
+            if cols != rows:
+                for u, r in enumerate(rows):
+                    one_way = r & ~cols[u]
+                    if one_way:
+                        v = (one_way & -one_way).bit_length() - 1
+                        raise GraphError(f"undirected graph has one-way arc {u}->{v}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "directed", directed)
@@ -246,19 +247,32 @@ def automorphisms(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Strong generators of the automorphism group (Sims, "Computational
     methods in the study of permutation groups", 1970): for each vertex i, last
     to first, one fixing 0..i-1 and sending i to w, for each w > i outside i's
-    orbit under those found before; orbit_representatives reads orbits off them."""
+    orbit under those found before; orbit_representatives reads orbits off them.
+
+    Those vertex orbits are kept in a union-find rooted at the least vertex:
+    every generator so far fixes 0..i-1, so i is the least vertex of its own
+    orbit, and w lies in it exactly when w's root is i."""
     n, rows = g.n, g.rows
     sig = [(rows[v].bit_count(), g.cols[v].bit_count(), rows[v] >> v & 1) for v in range(n)]
-    points = [1 << v for v in range(n)]
+    root = list(range(n))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
     gens: list[tuple[int, ...]] = []
-    rep = orbit_representatives(gens, points)
     for i in reversed(range(n)):
         for w in range(i + 1, n):
-            p = sig[w] == sig[i] and rep[points[w]] != points[i] and \
-                _automorphism_sending(g, sig, i, w)
+            p = sig[w] == sig[i] and find(w) != i and _automorphism_sending(g, sig, i, w)
             if p:
                 gens.append(p)
-                rep = orbit_representatives(gens, points)
+                for v in range(i, n):
+                    a, b = find(v), find(p[v])
+                    if a < b:
+                        root[b] = a
+                    elif b < a:
+                        root[a] = b
     for p in gens:  # a wrong one would merge orbits and shrink the entropy LP
         if permute_mask(p, g.vertex_mask) != g.vertex_mask or any(
                 permute_mask(p, rows[u]) != rows[p[u]] for u in range(n)):
@@ -296,25 +310,45 @@ def permute_mask(perm: Sequence[int], mask: int) -> int:
 
 
 def orbit_representatives(gens: Sequence[Sequence[int]], masks: Iterable[int]) -> dict[int, int]:
-    """Least mask of each mask's orbit under the group gens generate, by
-    union-find over the generator images; masks must be closed under gens."""
-    low = {m: m for m in masks}
+    """Least mask of each mask's orbit under the group gens generate; masks
+    must be closed under gens.
 
-    def find(m: int) -> int:
-        while low[m] != m:
-            low[m] = m = low[low[m]]
-        return m
-
+    Each generator's images of the masks are tabulated first, in increasing
+    order: the image of m is that of m & (m - 1), met just before whenever
+    the masks are closed under removing the low bit (a range of masks is),
+    plus the image of the low bit; any other mask is permuted bit by bit.
+    Then each mask not yet reached, taken in increasing order, is the least
+    of its orbit, which a graph search over the tables collects.  Only the
+    given masks are touched, so a few masks of a large graph cost a few
+    steps and never a 2^n table."""
+    order = sorted(masks)
+    tables = []
     for p in gens:
-        for m in low:
-            a, b = sorted((find(m), find(permute_mask(p, m))))
-            low[b] = a
-    return {m: find(m) for m in low}
+        img: dict[int, int] = {}
+        for m in order:
+            rest = m & (m - 1)
+            q = img.get(rest)
+            img[m] = permute_mask(p, m) if q is None else q | 1 << p[(m ^ rest).bit_length() - 1]
+        tables.append(img)
+    low: dict[int, int] = {}
+    for m in order:
+        if m in low:
+            continue
+        low[m] = m
+        stack = [m]
+        while stack:
+            x = stack.pop()
+            for img in tables:
+                y = img[x]
+                if y not in low:
+                    low[y] = m
+                    stack.append(y)
+    return low
 
 
 def connected_components(g: Graph) -> list[int]:
     """Masks of the weakly connected components, by smallest vertex."""
-    undirected = [g.rows[u] | g.cols[u] for u in range(g.n)]
+    undirected = [r | c for r, c in zip(g.rows, g.cols)]
     seen = 0
     comps = []
     for v in range(g.n):
@@ -325,8 +359,10 @@ def connected_components(g: Graph) -> list[int]:
         frontier = bit
         while frontier:
             nxt = 0
-            for u in bits_of(frontier):
-                nxt |= undirected[u]
+            while frontier:
+                low = frontier & -frontier
+                nxt |= undirected[low.bit_length() - 1]
+                frontier ^= low
             frontier = nxt & ~comp
             comp |= frontier
         comps.append(comp)
@@ -467,9 +503,14 @@ def graph_from_bits(n: int, bits: int) -> Graph:
     rows = [0] * n
     pos = n * (n - 1) // 2
     for j in range(1, n):
-        for i in range(j):
-            pos -= 1
-            if bits >> pos & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
+        # Column j is the next j bits, pair (0, j) most significant.
+        pos -= j
+        col = bits >> pos & ((1 << j) - 1)
+        bit = 1 << j
+        while col:
+            low = col & -col
+            i = j - low.bit_length()
+            rows[i] |= bit
+            rows[j] |= 1 << i
+            col ^= low
     return Graph(n, rows, directed=False)

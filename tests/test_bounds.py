@@ -3,6 +3,7 @@ import random
 import sys
 import time
 
+import networkx as nx
 import pytest
 
 from graphentropy import bounds
@@ -181,6 +182,23 @@ def test_cover_lp_weights_pinned(monkeypatch):
             lines.append(f"{render_graph(g, 'graph6')} {pairs}\n")
     assert len(lines) == 37
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == COVER_WEIGHTS_SHA256
+
+
+# sha256 of one line per connected class on up to 7 vertices, in enumeration
+# order: its graph6, the matching edges, the clique cover, the transversal
+# mask and the maximal cliques.  bounds prints the first three as witnesses,
+# and each is one of several optimal choices, picked by the search order
+# (lowest vertex matched first, the cover's branch order, the vertex cover's
+# branch vertex).
+WITNESSES_SHA256 = "84e095eaa07a58eb3939758de6dbb73e9b395785f44aefc28d6d5e5ee7f91bcf"
+
+
+def test_combinatorial_witnesses_pinned():
+    lines = [f"{render_graph(g, 'graph6')} {max_matching(g)[1]} {clique_cover_number(g)[1]} "
+             f"{transversal_number(g)[1]} {maximal_cliques(g)}\n"
+             for g in enumerate_graphs(7, connected_only=True)]
+    assert len(lines) == 996
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == WITNESSES_SHA256
 
 
 def test_cover_lower_bound_is_hereditary():
@@ -728,3 +746,75 @@ def test_exact_path_without_numpy(monkeypatch):
     elapsed = time.perf_counter() - started
     assert (r.theta, r.lower, r.upper) == (4, 4, 4)
     assert elapsed < 60, f"took {elapsed:.1f}s"
+
+
+def _connected_sample(rng: random.Random, draw) -> Graph:
+    """The first connected graph that draw(rng) returns."""
+    while True:
+        g = draw(rng)
+        if len(connected_components(g)) == 1:
+            return g
+
+
+def _random_bipartite(rng: random.Random, a: int, b: int, p: float) -> Graph:
+    return Graph.undirected(a + b, [(u, v) for u in range(a) for v in range(a, a + b)
+                                    if rng.random() < p])
+
+
+# Connected graphs at the matching's 24-vertex component cap.  The lazy
+# bracket of a dense one needs the subset-entropy LP, far past its cap, so
+# these rows time the bounds, not the bracket.  Each row took at most 0.05 s
+# on a shared 2-core VM (CPython 3.11.7).
+AT_THE_MATCHING_CAP = [
+    *(pytest.param(_connected_sample(random.Random(24), lambda r, p=p: random_graph(r, 24, p)),
+                   id=f"gnp24-p{p}") for p in (0.2, 0.5, 0.9)),
+    pytest.param(_connected_sample(random.Random(24),
+                                   lambda r: _random_bipartite(r, 12, 12, 0.3)),
+                 id="bipartite12+12-p0.3"),
+]
+
+
+@pytest.mark.parametrize("g", AT_THE_MATCHING_CAP)
+def test_bounds_at_the_matching_cap(g):
+    """Every bound behind the lower side and tau finish within 10 s together,
+    nu is the maximum matching size networkx finds, and the witnesses check."""
+    started = time.perf_counter()
+    nu, edges = max_matching(g)
+    cc, cover = clique_cover_number(g)
+    tau, removed = transversal_number(g)
+    kappa_f, cliques, weights = fractional_clique_cover_number(g, cover,
+                                                               g.vertex_mask & ~removed)
+    elapsed = time.perf_counter() - started
+    assert elapsed < 10, f"took {elapsed:.1f}s"
+    h = nx.Graph(g.edges())
+    assert nu == len(edges) == len(nx.max_weight_matching(h, maxcardinality=True))
+    assert mask_of(v for e in edges for v in e).bit_count() == 2 * nu
+    assert all(g.has_arc(u, v) for u, v in edges)
+    assert len(cover) == cc
+    check_clique_cover(g, cover, (1,) * cc)
+    check_clique_cover(g, cliques, weights)
+    assert sum(weights) == kappa_f
+    assert removed.bit_count() == tau and is_acyclic(induced_subgraph(g, g.vertex_mask & ~removed)[0])
+    assert nu <= g.n - cc <= g.n - kappa_f <= tau
+
+
+def test_lazy_bracket_at_the_graph_cap():
+    """64 vertices, the graph cap, as eight 8-vertex parts: the lazy bracket
+    adds the parts' exact values within 10 s (0.01 s measured)."""
+    cube = Graph.undirected(8, [(u, u | 1 << k) for u in range(8) for k in range(3)
+                                if not u >> k & 1])
+    wheel = Graph.undirected(8, [(i, (i + 1) % 7) for i in range(7)] + [(i, 7) for i in range(7)])
+    parts = [Graph.cycle(8), Graph.path(8), Graph.complete(8), _complete_bipartite(4, 4),
+             _complete_bipartite(1, 7), cube, complement_graph(Graph.cycle(8)), wheel]
+    g = parts[0]
+    for part in parts[1:]:
+        g = disjoint_union(g, part)
+    assert g.n == 64
+    started = time.perf_counter()
+    r = entropy_bracket(g, lazy_theta=True)
+    elapsed = time.perf_counter() - started
+    assert elapsed < 10, f"took {elapsed:.1f}s"
+    values = [entropy_bracket(part, lazy_theta=True).lower for part in parts]
+    assert values == [4, 4, 7, 4, 1, 4, 6, rat("9/2")]
+    assert r.exact and r.lower == sum(values) == rat("69/2")
+    assert r.lower_witness["tag"] == "union-additivity"

@@ -1,6 +1,7 @@
 import pytest
 
 from graphentropy import graphs as graphs_module
+from graphentropy.bounds import closure_map
 from graphentropy.graphs import (
     FormatError,
     Graph,
@@ -245,6 +246,34 @@ def test_strong_generators_match_full_enumeration(rng):
         assert rep == {m: min(permute_mask(p, m) for p in group) for m in range(1 << g.n)}, g
         symmetric += len(group) > 1
     assert symmetric > 100
+
+
+def test_orbits_of_the_mask_sets_callers_pass(rng):
+    """The orbit minima on the mask sets the library passes, against the
+    full group: the closed sets the entropy dual collapses, which are not
+    closed under removing a low bit, and single vertices.  A 40-vertex cycle
+    shows that only the given masks are touched: single vertices and the
+    orbits of a few larger sets, with no table of 2^40 masks."""
+    graphs = [random_graph(rng, rng.randint(1, 7), rng.choice([0.2, 0.5, 0.8]))
+              for _ in range(60)]
+    graphs += [random_digraph(rng, rng.randint(1, 7), rng.choice([0.2, 0.4]), loop_p=0.3)
+               for _ in range(60)]
+    symmetric = 0
+    for g in graphs:
+        group = all_automorphisms(g)
+        gens = automorphisms(g)
+        for masks in (sorted(set(closure_map(g))), [1 << v for v in range(g.n)]):
+            assert orbit_representatives(gens, masks) == {
+                m: min(permute_mask(p, m) for p in group) for m in masks}, g
+        symmetric += len(group) > 1
+    assert symmetric > 40
+    g = Graph.cycle(40)
+    group = all_automorphisms(g)
+    assert len(group) == 80
+    seeds = [1 << v for v in range(40)] + [rng.randrange(1 << 40) for _ in range(5)]
+    masks = {permute_mask(p, m) for p in group for m in seeds}
+    assert orbit_representatives(automorphisms(g), masks) == {
+        m: min(permute_mask(p, m) for p in group) for m in masks}
 
 
 def test_permute_mask_matches_bit_walk(rng):
