@@ -9,8 +9,10 @@ import pytest
 from graphentropy import bounds
 from graphentropy import lp as lp_module
 from graphentropy.bounds import (
+    _crash_rows,
     _elemental_table,
     _entropy_dual,
+    _largest_independent_set,
     _shannon_rows,
     build_fractional_cover_lp,
     check_clique_cover,
@@ -25,7 +27,7 @@ from graphentropy.bounds import (
     transversal_number,
     validate_entropy_function,
 )
-from graphentropy.enumeration import enumerate_graphs, isomorphism_classes
+from graphentropy.enumeration import enumerate_graphs, g_family, isomorphism_classes
 from graphentropy.graphs import (
     CapExceededError,
     Graph,
@@ -463,6 +465,37 @@ def test_rejection_message_names_the_first_failing_row(rng):
     assert any(m.endswith(" <= 1 fails") for m in messages), "no singleton row"
     assert any(m.count("*h(") == 4 for m in messages), "no elemental row"
     assert any(m.endswith(" = 0 fails") and m != empty for m in messages), "no functional row"
+
+
+# sha256 of one line per graph whose bracket needs theta: the 37 connected
+# classes on up to 7 vertices with tau > n - kappa_f, then C5, C7, co-C7, C8
+# and the first two graphs of the 7-vertex family.  Each line holds the
+# graph6, the entropy dual's objective and rows, its crash columns for the
+# optimal fractional clique cover that shannon_entropy derives, and theta.
+ENTROPY_DUALS_SHA256 = "0b65d19883558c76df464eb14f7325fd5d94e1276e7fa458b960aa1b0b591e4b"
+
+
+def test_entropy_duals_pinned():
+    """The entropy duals that bounds and verify solve, their crash columns and
+    theta, as the slower column-by-column build and its separate pass over
+    the tight rows produced them."""
+    graphs = [g for g in enumerate_graphs(7, connected_only=True)
+              if (r := entropy_bracket(g, lazy_theta=True)).tau > r.lower]
+    assert len(graphs) == 37
+    graphs += [Graph.cycle(5), Graph.cycle(7), complement_graph(Graph.cycle(7)), Graph.cycle(8)]
+    graphs += g_family()[:2]
+    lines = []
+    for g in graphs:
+        gens = automorphisms(g)
+        dual, var = _entropy_dual(g, closure_map(g), gens)
+        cover = fractional_clique_cover_number(
+            g, clique_cover_number(g)[1], _largest_independent_set(g))[1:]
+        crash = _crash_rows(g, dual, var, cover, gens)
+        rows = [(list(coeffs), rel, rhs) for coeffs, rel, rhs in dual.rows]
+        theta = shannon_entropy(g)[0]
+        lines.append(f"{render_graph(g, 'graph6')} {list(dual.objective)} {rows} {crash} "
+                     f"{rat_str(theta)}\n")
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == ENTROPY_DUALS_SHA256
 
 
 def test_entropy_programs_build_without_rationals(monkeypatch):
