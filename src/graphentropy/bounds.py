@@ -28,7 +28,7 @@ from .graphs import (
     permute_mask,
 )
 from .lp import EQ, GE, LE, OPTIMAL, LinearProgram, LpError, solve
-from .rationals import Rational, scaled
+from .rationals import Rational, Scaled, scaled
 
 _MATCHING_COMPONENT_CAP = 24
 DEFAULT_SHANNON_CAP = 10
@@ -139,12 +139,19 @@ def maximal_cliques(g: Graph) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def clique_cover_number(g: Graph) -> tuple[int, tuple[int, ...]]:
+def clique_cover_number(g: Graph, nu: int | None = None) -> tuple[int, tuple[int, ...]]:
     """Minimum number of cliques covering every vertex, with one witness cover.
 
     Branch and bound over maximal cliques (any optimal cover can be enlarged
     to maximal cliques).  Deterministic: branches on the uncovered vertex
-    with the fewest usable cliques, lowest index first.
+    with the fewest usable cliques, lowest index first, and keeps the first
+    cover of each smaller size it finds.
+
+    When the largest clique has two vertices, a cover is a set of edges and
+    lone vertices, so the minimum is n - nu, nu the maximum matching size
+    (Gallai), and the search stops at its first cover of that size instead
+    of proving it optimal.  nu is max_matching(g)[0]; pass it when it is
+    already known, else it is computed here.
     """
     n = g.n
     if n == 0:
@@ -154,9 +161,14 @@ def clique_cover_number(g: Graph) -> tuple[int, tuple[int, ...]]:
     largest = max(c.bit_count() for c in cliques)
     best_count = n + 1
     best_cover: tuple[int, ...] = ()
+    floor = 0
+    if largest == 2:
+        floor = n - (max_matching(g)[0] if nu is None else nu)
 
     def rec(uncovered: int, chosen: list[int]) -> None:
         nonlocal best_count, best_cover
+        if best_count <= floor:
+            return
         if not uncovered:
             if len(chosen) < best_count:
                 best_count = len(chosen)
@@ -188,8 +200,8 @@ def check_clique_cover(g: Graph, cliques, weights) -> None:
     cover of g: every member a clique of the mutual-arc relation, every
     weight nonnegative, every vertex covered to total weight at least one.
 
-    The levels are summed in integers, on the weights scaled by their least
-    common denominator, as validate_entropy_function does."""
+    The levels are summed in integers, on the weights over a common
+    denominator (scaled), as validate_entropy_function does."""
     if len(cliques) != len(weights):
         raise ValueError("one weight per clique required")
     closed = [r | 1 << u for u, r in enumerate(_mutual_rows(g))]
@@ -200,9 +212,9 @@ def check_clique_cover(g: Graph, cliques, weights) -> None:
             if c & ~closed[bit.bit_length() - 1]:
                 raise ValueError(f"{sorted(bits_of(c))} is not a clique")
             rest ^= bit
-    if any(w < 0 for w in weights):
-        raise ValueError("negative clique weight")
     ks, scale = scaled(weights)
+    if any(k < 0 for k in ks):
+        raise ValueError("negative clique weight")
     level = [0] * g.n
     for c, k in zip(cliques, ks):
         while c:
@@ -258,7 +270,7 @@ def fractional_clique_cover_number(g: Graph, cover,
         return Rational(len(cover)), cliques, (Rational(1),) * len(cover)
     lp, cliques = build_fractional_cover_lp(g)
     sol = solve(lp)
-    check_clique_cover(g, cliques, sol.primal)
+    check_clique_cover(g, cliques, sol.x)
     return sol.objective, cliques, sol.primal
 
 
@@ -474,49 +486,43 @@ def build_shannon_lp(g: Graph) -> LinearProgram:
 
 
 def shannon_entropy(g: Graph, cap: int = DEFAULT_SHANNON_CAP,
-                    cover=None) -> tuple[Rational, tuple]:
+                    cover=None) -> tuple[Rational, Scaled]:
     """Solve the subset-entropy LP exactly: (theta, h), h indexed by vertex
-    mask (length 2^n).
+    mask (length 2^n), a Scaled vector.
 
     Solves one program, the dual of the closure-collapsed formulation
     (variables only for closed vertex sets, one per orbit of the whole
     automorphism group) of the same rows as build_shannon_lp, as
     _entropy_dual states it; solve checks its certificates.  The collapsed
-    optimum is read off the dual's row duals, expanded back to all subsets
-    and checked against every row of the full program
-    (validate_entropy_function) before it is returned.  Equality of the two
-    formulations follows from the closure identity h(S) = h(cl(S)), which
-    that final check re-certifies from scratch.
+    optimum is read off the dual's row duals, in ints over their
+    denominator, expanded back to all subsets and checked against every row
+    of the full program (validate_entropy_function) before it is returned.
+    Equality of the two formulations follows from the closure identity
+    h(S) = h(cl(S)), which that final check re-certifies from scratch.  The
+    solve and both checks run in ints; theta is made after them.
 
     cover is a fractional clique cover of g as (cliques, weights), such as
     the last two entries of fractional_clique_cover_number; without it the
-    optimal one is derived here.  Only the float run reads it: the dual's
-    columns for the rows tight at its entropy function (_cover_function),
-    which is optimal whenever n - kappa_f = theta, are the candidates of the
-    crash basis the float run starts from.
+    optimal one is derived.  Only the float run reads it, through the crash
+    columns _entropy_dual picks by it.
     """
     n = g.n
     if n > cap:
         raise CapExceededError(f"subset-entropy LP on {n} vertices exceeds the cap of {cap}",
                                flag="--shannon-cap")
-    zero = Rational(0)
-    if n == 0:
-        return zero, (zero,)
     full = g.vertex_mask
     cl = closure_map(g)
-    if full == cl[0]:
-        return zero, (zero,) * (full + 1)
-    if cover is None:
-        cover = fractional_clique_cover_number(
-            g, clique_cover_number(g)[1], _largest_independent_set(g))[1:]
+    if full == cl[0]:  # every set closes to V, h(V) = h(empty): h is zero
+        h = Scaled([0] * (full + 1))
+        return h[full], h
     gens = automorphisms(g)
-    dual, var = _entropy_dual(g, cl, gens)
-    sol = solve(dual, _crash_rows(g, dual, var, cover, gens))
+    dual, var, crash = _entropy_dual(g, cl, gens, cover)
+    sol = solve(dual, crash)
     if sol.status != OPTIMAL:
         raise LpError(f"dual of the entropy program came back {sol.status}")
     # The dual's row duals are -x, x the collapsed program's optimum.
-    x = [-y for y in sol.dual]
-    h = tuple(zero if j < 0 else x[j] for j in var)
+    ys = sol.y.ints
+    h = Scaled([0 if j < 0 else -ys[j] for j in var], sol.y.den)
     ok, why = validate_entropy_function(g, h)
     if not ok:
         raise AssertionError(f"entropy witness failed validation: {why}")
@@ -590,27 +596,10 @@ def _cover_function(g: Graph, cliques, weights, gens) -> tuple[list[int], int]:
     return [scale * m.bit_count() - inside[m] for m in range(len(inside))], scale
 
 
-def _crash_rows(g: Graph, dual: LinearProgram, var: list[int], cover, gens) -> list[int]:
-    """The columns of the entropy dual, with its variable table var, whose
-    collapsed rows are tight at the entropy function of the fractional
-    clique cover (cliques, weights); gens are the automorphisms of g.
-    These are the dual's crash candidates."""
-    k, scale = _cover_function(g, *cover, gens)
-    at = [0] * len(dual.rows)
-    for m, j in enumerate(var):
-        if j >= 0:
-            at[j] = k[m]
-    # Collapsed row i, A_i x <= b_i, is the dual's column i, -A_i, with cost b_i.
-    lhs = [0] * dual.num_vars
-    for (coeffs, _, _), x in zip(dual.rows, at):
-        for i, c in coeffs:
-            lhs[i] -= c * x
-    return [i for i, b in enumerate(dual.objective) if lhs[i] == b * scale]
-
-
-def _entropy_dual(g: Graph, cl: list[int], gens) -> tuple[LinearProgram, list[int]]:
-    """The subset-entropy LP as the one program shannon_entropy solves, and
-    its variable table var.
+def _entropy_dual(g: Graph, cl: list[int], gens,
+                  cover=None) -> tuple[LinearProgram, list[int], list[int]]:
+    """The subset-entropy LP as the one program shannon_entropy solves, its
+    variable table var and its crash columns.
 
     The collapsed program is max {x_V : Ax <= b, x >= 0}: the rows of
     build_shannon_lp on one variable per orbit of closed sets under the
@@ -620,7 +609,18 @@ def _entropy_dual(g: Graph, cl: list[int], gens) -> tuple[LinearProgram, list[in
     column per collapsed row, in row order, with b as the objective, and
     one row per variable.  These programs have many more rows than
     variables, so the dual's basis, one column per variable, is much
-    smaller to factor.  The dual's row duals are -x for an optimal x."""
+    smaller to factor.  The dual's row duals are -x for an optimal x.
+
+    One pass over the collapsed rows builds it: each row, merged by variable
+    and held once, becomes the dual's next column, an entry on each dual row
+    it has a term on, so every dual row comes out in index order.  In the
+    same pass the row is tested at the entropy function of the fractional
+    clique cover (_cover_function), and the column of every row tight there
+    is a crash column.  That function is optimal whenever n - kappa_f =
+    theta, and the float run starts from a crash basis over these columns.
+    cover is (cliques, weights), such as the last two entries of
+    fractional_clique_cover_number; without it the optimal one is derived
+    here."""
     pinned = cl[0]
     closed = sorted(set(cl))
     # Vertex symmetries identify variables: averaging any feasible h over the
@@ -639,11 +639,21 @@ def _entropy_dual(g: Graph, cl: list[int], gens) -> tuple[LinearProgram, list[in
     closed_var = {c: var_of[rep[c]] for c in closed}
     var = [closed_var[c] for c in cl]
 
-    # The dual is built column by column: collapsed row i, A_i x <= b_i, every
-    # one '<=', is the dual's column i, -A_i, with cost b_i, appended to the
-    # rows of the variables it has terms on.
-    cols: list[dict[int, int]] = [{} for _ in range(nvars)]
+    if cover is None:
+        cover = fractional_clique_cover_number(
+            g, clique_cover_number(g)[1], _largest_independent_set(g))[1:]
+    k, scale = _cover_function(g, *cover, gens)
+    # at[j] is the cover's entropy function on variable j, times scale.
+    at = [0] * nvars
+    for m, j in enumerate(var):
+        if j >= 0:
+            at[j] = k[m]
+
+    # Collapsed row i, A_i x <= b_i, every one '<=', is the dual's column i,
+    # -A_i, with cost b_i: rows[j][i] is its entry on the dual's row j.
+    rows: list[dict[int, int]] = [{} for _ in range(nvars)]
     costs: list[int] = []
+    crash: list[int] = []
     row_index: set[tuple] = set()
 
     def add(terms, rhs: int) -> bool:
@@ -661,9 +671,13 @@ def _entropy_dual(g: Graph, cl: list[int], gens) -> tuple[LinearProgram, list[in
         if key not in row_index:
             row_index.add(key)
             i = len(costs)
+            lhs = 0
             for j, c in items:
-                cols[j][i] = -c
+                rows[j][i] = -c
+                lhs += c * at[j]
             costs.append(rhs)
+            if lhs == rhs * scale:
+                crash.append(i)
         return True
 
     def add_by_mask(block) -> None:
@@ -697,15 +711,17 @@ def _entropy_dual(g: Graph, cl: list[int], gens) -> tuple[LinearProgram, list[in
             continue
         if a >= 0 and a != b and c != d and a != c and a != d and b != c and b != d:
             i = len(costs)
-            cols[a][i] = cols[b][i] = -1
-            cols[c][i] = cols[d][i] = 1
+            rows[a][i] = rows[b][i] = -1
+            rows[c][i] = rows[d][i] = 1
             costs.append(0)
+            if at[a] + at[b] == at[c] + at[d]:
+                crash.append(i)
         else:
             add(((a, 1), (b, 1), (c, -1), (d, -1)), 0)
     add_by_mask(functional)
     obj = var[g.vertex_mask]
-    dual_rows = [(col, LE, -1 if j == obj else 0) for j, col in enumerate(cols)]
-    return LinearProgram(len(costs), "min", costs, dual_rows), var
+    dual_rows = [(row, LE, -1 if j == obj else 0) for j, row in enumerate(rows)]
+    return LinearProgram(len(costs), "min", costs, dual_rows), var, crash
 
 
 def validate_entropy_function(g: Graph, h) -> tuple[bool, str]:
@@ -716,7 +732,7 @@ def validate_entropy_function(g: Graph, h) -> tuple[bool, str]:
     this is the whole defining system in O(n^2 2^n) row evaluations.
 
     The rows are evaluated in integers, on h and the right-hand sides both
-    scaled by the least common denominator of the entries of h; each
+    over h's common denominator (scaled: a Scaled h as it is); each
     elemental row is one comparison k[a] + k[b] <= k[c] + k[d] on a
     quadruple of the shared per-n table."""
     if len(h) != g.vertex_mask + 1:
@@ -837,7 +853,7 @@ def entropy_bracket(g: Graph, shannon_cap: int = DEFAULT_SHANNON_CAP,
         inner = entropy_bracket(sub, shannon_cap, lazy_theta)
         k = lp_mask.bit_count()
         looped = _vertices(lp_mask)
-        cc, cover = clique_cover_number(g)
+        cc, cover = clique_cover_number(g, nu)
         # A largest independent set, as a loopless leaf gets from tau: the
         # looped graph's transversal holds every looped vertex, and on a
         # digraph its search would span all components at once.
@@ -856,7 +872,7 @@ def entropy_bracket(g: Graph, shannon_cap: int = DEFAULT_SHANNON_CAP,
              for comp in comps])
     n = g.n
     nu, matching = max_matching(g)
-    cc, cover = clique_cover_number(g)
+    cc, cover = clique_cover_number(g, nu)
     # A transversal meets every 2-cycle, so what it leaves is independent.
     tau, removed = transversal_number(g)
     kappa_f, cliques, weights = fractional_clique_cover_number(g, cover, g.vertex_mask & ~removed)

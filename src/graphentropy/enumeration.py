@@ -14,7 +14,6 @@ classification of collapsed entropy values below four.
 from __future__ import annotations
 
 from functools import lru_cache
-from multiprocessing import Pool
 
 from .bounds import BoundsReport, entropy_bracket, union_report
 from .graphs import (
@@ -312,6 +311,9 @@ def collapsed_values(records) -> list:
 def _solve_brackets(graphs: list[Graph], jobs: int) -> list[BoundsReport]:
     if jobs <= 1 or len(graphs) < 2:
         return [bracket_with_fallback(g) for g in graphs]
+    # Imported here: multiprocessing adds to the start-up of every command.
+    from multiprocessing import Pool
+
     with Pool(jobs) as pool:
         return list(pool.imap(bracket_with_fallback, graphs, chunksize=8))
 

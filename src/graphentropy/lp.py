@@ -34,16 +34,20 @@ duals.  Either left the exact simplex long pivoting.
 Every program is an integer program over nonnegative variables: each
 coefficient, right-hand side and objective entry is an int, and rows are
 {index: int} dicts with relation '<=', '=' or '>='.  Every LP the package
-builds is of this kind, so the rational backend pays no gcd per operation.
-Basis systems are solved in integers over one common denominator per
-solution, and vectors are compared over a common denominator; only the
-basic values, the ratio tests and the certificates are rationals.
+builds is of this kind, so the exact side needs no rational arithmetic.
+Each exact vector, from the basic values through the certificates, is held
+as Python ints over one positive common denominator (rationals.Scaled):
+basis systems are solved that way, ratio tests compare by
+cross-multiplication, and verify_certificates checks the solver's ints as
+they are.  No rational is made inside solve; LpSolution makes them when its
+objective, primal or dual is read.
 
-Both simplexes read one standard form (_Setup): the right-hand sides and a
-column table, the structural columns followed by the slack, surplus and
+Both simplexes read one standard form (_Setup): the right-hand sides and
+one flat column table, the structural columns, which LinearProgram lays
+out in the pass that freezes its rows, followed by the slack, surplus and
 artificial ones.  Basis matrices, pricing and the float run's sparse matrix
-are built from those columns; only verify_certificates reads the program's
-rows.
+are read straight from that table; only verify_certificates reads the
+program's rows.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from functools import cache
 from itertools import accumulate, chain
 from math import gcd
 
-from .rationals import Rational, rat_str, scaled
+from .rationals import Scaled, rat_str
 
 LE, EQ, GE = "<=", "=", ">="
 _RELS = (LE, EQ, GE)
@@ -73,9 +77,14 @@ class LinearProgram:
     objective is a tuple of num_vars ints.  Each row of rows is (coeffs,
     relation, rhs), coeffs the nonzero (index, coeff) pairs in index order
     and rhs an int.  A row is given as ({index: int}, relation, int); any
-    entry that is not an int raises LpError."""
+    entry that is not an int raises LpError.
 
-    __slots__ = ("num_vars", "sense", "objective", "rows")
+    The pass that freezes the rows also lays their entries out column by
+    column, each row with a negative right-hand side negated: the
+    structural part of the column table the solver reads (_Setup), so a
+    program is never transposed again."""
+
+    __slots__ = ("num_vars", "sense", "objective", "rows", "_columns")
 
     def __init__(self, num_vars: int, sense: str, objective, rows: Iterable[tuple] = ()):
         if sense not in ("max", "min"):
@@ -84,6 +93,9 @@ class LinearProgram:
             raise LpError("num_vars must be nonnegative")
         obj = _as_dense(objective, num_vars)
         frozen_rows = []
+        # at[j] and values[j]: column j's rows, ascending, and its entries.
+        at = [[] for _ in range(num_vars)]
+        values = [[] for _ in range(num_vars)]
         for k, row in enumerate(rows):
             try:
                 coeffs, rel, rhs = row
@@ -91,29 +103,71 @@ class LinearProgram:
                 raise LpError(f"row {k} must be (coeffs, relation, rhs)") from None
             if rel not in _RELS:
                 raise LpError(f"row {k} has unknown relation {rel!r}")
-            coeffs = _as_sparse(coeffs, num_vars, f"row {k}")
+            # Programs hold hundreds of rows, nearly all plain dicts: the exact
+            # type test spares them the slower Mapping check, and the sorted
+            # ends bound every index.  A row handed over in index order, as
+            # the entropy duals' rows are, costs the sort one pass.
+            if type(coeffs) is not dict and not isinstance(coeffs, Mapping):
+                raise LpError(f"row {k}: coefficients must be an {{index: int}} dict")
+            items = sorted(coeffs.items())
+            if items and not (0 <= items[0][0] and items[-1][0] < num_vars):
+                j = items[0][0] if items[0][0] < 0 else items[-1][0]
+                raise LpError(f"row {k}: variable index {j} out of range")
             if type(rhs) is not int:
                 raise LpError(f"row {k}: right-hand side {rhs!r} is not an int")
-            frozen_rows.append((coeffs, rel, rhs))
+            sign = -1 if rhs < 0 else 1
+            for j, a in items:
+                if type(a) is not int:
+                    raise LpError(f"row {k}: coefficient {a!r} is not an int")
+                if a:
+                    at[j].append(k)
+                    values[j].append(sign * a)
+            if 0 in coeffs.values():
+                items = [p for p in items if p[1]]
+            frozen_rows.append((tuple(items), rel, rhs))
         object.__setattr__(self, "num_vars", num_vars)
         object.__setattr__(self, "sense", sense)
         object.__setattr__(self, "objective", obj)
         object.__setattr__(self, "rows", tuple(frozen_rows))
+        object.__setattr__(self, "_columns", (list(accumulate(map(len, at), initial=0)),
+                                              list(chain.from_iterable(at)),
+                                              list(chain.from_iterable(values))))
 
     def __setattr__(self, name, value):
         raise AttributeError("LinearProgram is immutable")
 
 
 class LpSolution:
-    """Outcome of a solve: status plus exact certificates when optimal."""
+    """Outcome of a solve: status plus exact certificates when optimal.
 
-    __slots__ = ("status", "objective", "primal", "dual")
+    The certificates are Scaled vectors, Python ints over one positive
+    denominator each: value holds the objective as its one entry, x the
+    primal point and y the row duals.  The solver hands them over in that
+    form and verify_certificates checks them in it; objective, primal and
+    dual make the Rationals when they are read.  Given as rationals or ints,
+    as a hand-built solution is, each is put over its least common
+    denominator."""
+
+    __slots__ = ("status", "value", "x", "y")
 
     def __init__(self, status, objective=None, primal=None, dual=None):
         self.status = status
-        self.objective = objective
-        self.primal = tuple(primal) if primal is not None else None
-        self.dual = tuple(dual) if dual is not None else None
+        self.value = None if objective is None else Scaled.of(
+            objective if type(objective) is Scaled else (objective,))
+        self.x = None if primal is None else Scaled.of(primal)
+        self.y = None if dual is None else Scaled.of(dual)
+
+    @property
+    def objective(self):
+        return None if self.value is None else self.value[0]
+
+    @property
+    def primal(self):
+        return None if self.x is None else tuple(self.x)
+
+    @property
+    def dual(self):
+        return None if self.y is None else tuple(self.y)
 
     def __repr__(self):
         if self.status != OPTIMAL:
@@ -139,25 +193,6 @@ def _as_dense(coeffs, num_vars):
     return tuple(dense)
 
 
-def _as_sparse(coeffs, num_vars, what):
-    """The nonzero (index, coeff) pairs of an {index: int} row in index order."""
-    # Programs hold hundreds of short rows, nearly all plain dicts: the exact
-    # type test spares them the slower Mapping check, and the sorted ends
-    # bound every index.
-    if type(coeffs) is not dict and not isinstance(coeffs, Mapping):
-        raise LpError(f"{what}: coefficients must be an {{index: int}} dict")
-    items = sorted(coeffs.items())
-    if items and not (0 <= items[0][0] and items[-1][0] < num_vars):
-        j = items[0][0] if items[0][0] < 0 else items[-1][0]
-        raise LpError(f"{what}: variable index {j} out of range")
-    for c in coeffs.values():
-        if type(c) is not int:
-            raise LpError(f"{what}: coefficient {c!r} is not an int")
-    if 0 in coeffs.values():
-        return tuple(p for p in items if p[1])
-    return tuple(items)
-
-
 # -- solver -------------------------------------------------------------------
 
 def solve(lp: LinearProgram, crash: Iterable[int] = ()) -> LpSolution:
@@ -177,18 +212,29 @@ def solve(lp: LinearProgram, crash: Iterable[int] = ()) -> LpSolution:
 
 
 class _Setup:
-    """Standard form shared by the exact and float paths, held once, as a
-    column table, with internal max-sense costs.
+    """Standard form shared by the exact and float paths, held once, as one
+    flat column table, with internal max-sense costs.
 
     A row with a negative right-hand side is flipped (flip[i]), so rhs holds
-    nonnegative ints.  cols[j] lists the (row, int) entries of column j in
-    row order: the structural columns first, then one slack (+1) or surplus
-    (-1) column per inequality, in row order, then one artificial (+1) per
-    row that is not '<=' after the flip; arts lists the artificials.
-    id_col[i] is the slack or artificial column of the slack/artificial
-    basis on row i.  cost holds the structural costs."""
+    nonnegative ints.  Column j's entries are (index[p], value[p]) for p in
+    range(start[j], start[j + 1]), row indices ascending: the structural
+    columns first, then one slack (+1) or surplus (-1) column per
+    inequality, in row order, then one artificial (+1) per row that is not
+    '<=' after the flip; arts lists the artificials.  id_col[i] is the slack
+    or artificial column of the slack/artificial basis on row i.  cost holds
+    the structural costs."""
 
-    __slots__ = ("lp", "maximize", "cost", "rhs", "cols", "flip", "id_col", "arts")
+    __slots__ = ("lp", "maximize", "cost", "rhs", "start", "index", "value", "flip", "id_col",
+                 "arts")
+
+    @property
+    def ncols(self) -> int:
+        return len(self.start) - 1
+
+    def column(self, j: int):
+        """Column j's (row, int) entries, in row order."""
+        a, b = self.start[j], self.start[j + 1]
+        return zip(self.index[a:b], self.value[a:b])
 
 
 def _standardize(lp: LinearProgram) -> _Setup:
@@ -196,27 +242,32 @@ def _standardize(lp: LinearProgram) -> _Setup:
     s.lp = lp
     s.maximize = lp.sense == "max"
     s.cost = list(lp.objective) if s.maximize else [-c for c in lp.objective]
-    s.cols = cols = [[] for _ in range(lp.num_vars)]
-    s.flip, s.rhs, rels = [], [], []
-    for i, (coeffs, rel, rhs) in enumerate(lp.rows):
-        sign = -1 if rhs < 0 else 1
-        for j, a in coeffs:
-            cols[j].append((i, sign * a))
-        s.flip.append(sign < 0)
-        s.rhs.append(sign * rhs)
-        rels.append({LE: GE, GE: LE, EQ: EQ}[rel] if sign < 0 else rel)
+    s.flip = [rhs < 0 for _, _, rhs in lp.rows]
+    s.rhs = [-rhs if flip else rhs for (_, _, rhs), flip in zip(lp.rows, s.flip)]
+    rels = [{LE: GE, GE: LE}.get(rel, rel) if flip else rel
+            for (_, rel, _), flip in zip(lp.rows, s.flip)]
+    # The structural columns, laid out by LinearProgram, then one entry per
+    # slack, surplus or artificial column.
+    start, index, value = lp._columns
+    ncols = lp.num_vars
+    extra_index, extra_value = [], []
     s.id_col = [-1] * len(rels)
     for i, rel in enumerate(rels):
         if rel != EQ:
             if rel == LE:
-                s.id_col[i] = len(cols)
-            cols.append([(i, 1 if rel == LE else -1)])
+                s.id_col[i] = ncols + len(extra_index)
+            extra_index.append(i)
+            extra_value.append(1 if rel == LE else -1)
     s.arts = []
     for i, rel in enumerate(rels):
         if rel != LE:
-            s.id_col[i] = len(cols)
-            s.arts.append(len(cols))
-            cols.append([(i, 1)])
+            s.id_col[i] = ncols + len(extra_index)
+            s.arts.append(ncols + len(extra_index))
+            extra_index.append(i)
+            extra_value.append(1)
+    s.start = start + list(range(start[-1] + 1, start[-1] + 1 + len(extra_index)))
+    s.index = index + extra_index
+    s.value = value + extra_value
     return s
 
 
@@ -235,71 +286,71 @@ def _simplex(s: _Setup, basis) -> LpSolution:
     """
     arts = frozenset(s.arts)
     basis, z, lu = _basic_values(s, basis)
-    if any(v < 0 for v in z) or any(z[k] for k, j in enumerate(basis) if j in arts):
+    if any(v < 0 for v in z.ints) or any(z.ints[k] for k, j in enumerate(basis) if j in arts):
         if basis != s.id_col:
             basis, z, lu = _basic_values(s, s.id_col)
-        lu = _phase1(s, basis, z, lu, arts)
-        if lu is None:
+        done = _phase1(s, basis, z, lu, arts)
+        if done is None:
             return LpSolution(INFEASIBLE)
-    done = _optimize(s, basis, z, lu, s.cost + [0] * (len(s.cols) - s.lp.num_vars), arts)
+        z, lu = done
+    done = _optimize(s, basis, z, lu, s.cost + [0] * (s.ncols - s.lp.num_vars), arts)
     if done is None:
         return LpSolution(UNBOUNDED)
-    _, w, den = done
-    x = [Rational(0)] * len(s.cols)
-    for k, j in enumerate(basis):
-        x[j] = z[k]
-    return _solution(s, x, [Rational(wi, den) for wi in w])
+    z, _, w, den = done
+    return _solution(s, basis, z, w, den)
 
 
 def _phase1(s: _Setup, basis, z, lu, arts):
     """Pivots from the slack/artificial basis, with its values z and
-    factorization lu, at cost -1 per artificial, with basis and z updated in
-    place.  Returns the final basis's factorization, with every artificial
-    at zero, or None when the program is infeasible."""
-    lu, _, _ = _optimize(s, basis, z, lu, [-1 if j in arts else 0 for j in range(len(s.cols))],
-                         frozenset())
-    if any(z[k] for k, j in enumerate(basis) if j in arts):
+    factorization lu, at cost -1 per artificial, with basis updated in
+    place.  Returns the final basis's values and factorization (z, lu), with
+    every artificial at zero, or None when the program is infeasible."""
+    z, lu, _, _ = _optimize(s, basis, z, lu, [-1 if j in arts else 0 for j in range(s.ncols)],
+                            frozenset())
+    if any(z.ints[k] for k, j in enumerate(basis) if j in arts):
         return None
-    return lu
+    return z, lu
 
 
 def _optimize(s: _Setup, basis, z, lu, cost, fixed):
-    """Primal pivots from a primal feasible basis, factored as lu, until it
-    prices out, with basis and z updated in place.  cost is one int per
-    column.  One factorization per basis serves both its duals and, when a
-    column enters, its edge.  Returns the optimal basis's factorization and
-    its integer duals over their denominator (lu, w, den), or None when the
-    program is unbounded."""
+    """Primal pivots from a primal feasible basis with values z, factored as
+    lu, until it prices out, with basis updated in place.  cost is one int
+    per column.  One factorization per basis serves its values, its duals
+    and, when a column enters, its edge.  Returns the optimal basis's values,
+    factorization and integer duals over their denominator (z, lu, w, den),
+    or None when the program is unbounded."""
     while True:
         w, den = _solve_transposed(lu, [cost[j] for j in basis])
         j = _prices_out(s, cost, w, den)
         if j is None:
-            return lu, w, den
+            return z, lu, w, den
         if not _exchange(s, basis, z, lu, j, fixed):
             return None
         lu = _factor(_basis_rows(s, basis))
+        z = Scaled(*_solve(lu, s.rhs))
 
 
 def _basic_values(s: _Setup, basis):
-    """Exact basic values z with B z = b, the basis they belong to and its
-    factorization: each dependent column is swapped for the identity column
-    of the row it leaves without a pivot, which makes B nonsingular."""
+    """Exact basic values z with B z = b, a Scaled vector, the basis they
+    belong to and its factorization: each dependent column is swapped for
+    the identity column of the row it leaves without a pivot, which makes B
+    nonsingular."""
     basis = list(basis)
     lu = _factor(_basis_rows(s, basis))
     if lu[2]:  # the dependent pairs
         for k, i in lu[2]:
             basis[k] = s.id_col[i]
         lu = _factor(_basis_rows(s, basis))
-    z, den = _solve(lu, s.rhs)
-    return basis, [Rational(v, den) for v in z], lu
+    return basis, Scaled(*_solve(lu, s.rhs)), lu
 
 
 def _basis_rows(s: _Setup, basis):
     """Rows of the basis matrix, as {position in basis: int}."""
     rows = [{} for _ in s.rhs]
+    start, index, value = s.start, s.index, s.value
     for k, j in enumerate(basis):
-        for i, a in s.cols[j]:
-            rows[i][k] = a
+        for p in range(start[j], start[j + 1]):
+            rows[index[p]][k] = value[p]
     return rows
 
 
@@ -308,10 +359,11 @@ def _prices_out(s: _Setup, cost, w, den: int):
     artificial with a positive reduced cost against the duals w/den, w
     integers and den positive; None when the basis prices out.  Basic
     columns price to exactly zero, and artificials are never priced."""
-    for j in range(s.arts[0] if s.arts else len(s.cols)):
+    start, index, value = s.start, s.index, s.value
+    for j in range(s.arts[0] if s.arts else s.ncols):
         red = cost[j] * den
-        for i, a in s.cols[j]:
-            red -= w[i] * a
+        for p in range(start[j], start[j + 1]):
+            red -= w[index[p]] * value[p]
         if red > 0:
             return j
     return None
@@ -320,46 +372,49 @@ def _prices_out(s: _Setup, cost, w, den: int):
 def _exchange(s: _Setup, basis, z, lu, j: int, fixed) -> bool:
     """One pivot bringing column j in: solve B d = A_j over the basis's
     factorization lu, pick the leaving column by the ratio test, on ties
-    the lowest-indexed one, and move z along the edge.  A basic column in
-    fixed (an artificial at zero) blocks, at ratio 0, any step with a
-    nonzero entry in its row.  False when nothing blocks: the program is
-    unbounded along the edge."""
+    the lowest-indexed one, and put j in its place.  A basic column in fixed
+    (an artificial at zero) blocks, at ratio 0, any step with a nonzero
+    entry in its row.  False when nothing blocks: the program is unbounded
+    along the edge."""
     a = [0] * len(s.rhs)
-    for i, v in s.cols[j]:
+    for i, v in s.column(j):
         a[i] = v
-    # d is den times the edge, so each ratio is 1/den times the true one.
-    d, den = _solve(lu, a)
-    leave, step = -1, None
+    # d is a positive multiple of the edge and z.ints of the basic values,
+    # so the ratios z_k / d_k are in the true ratios' order; each is kept as
+    # its numerator and positive denominator and compared across.
+    d, _ = _solve(lu, a)
+    zs = z.ints
+    leave, top, bottom = -1, 0, 0
     for k, dk in enumerate(d):
         if basis[k] in fixed:
             if not dk:
                 continue
-            ratio = z[k]  # zero
+            num, dd = 0, 1  # the artificial is at zero
         elif dk > 0:
-            ratio = z[k] / dk
+            num, dd = zs[k], dk
         else:
             continue
-        if step is None or ratio < step or (ratio == step and basis[k] < basis[leave]):
-            leave, step = k, ratio
+        if leave < 0 or num * bottom < top * dd or (
+                num * bottom == top * dd and basis[k] < basis[leave]):
+            leave, top, bottom = k, num, dd
     if leave < 0:
         return False
-    if step:
-        for k, dk in enumerate(d):
-            if dk:
-                z[k] -= step * dk
-    z[leave] = step * den
     basis[leave] = j
     return True
 
 
-def _solution(s: _Setup, x, y) -> LpSolution:
-    """Optimal outcome from standard-form values x and row duals y."""
+def _solution(s: _Setup, basis, z, w, den: int) -> LpSolution:
+    """Optimal outcome from an optimal basis, its basic values z and its row
+    duals w/den, all kept as ints over their denominators."""
     lp = s.lp
-    primal = x[:lp.num_vars]
+    xs = [0] * lp.num_vars
+    for k, j in enumerate(basis):
+        if j < lp.num_vars:
+            xs[j] = z.ints[k]
     sign = 1 if s.maximize else -1
-    dual = [-sign * yi if flip else sign * yi for yi, flip in zip(y, s.flip)]
-    value = sum((c * primal[j] for j, c in enumerate(lp.objective) if c), Rational(0))
-    return LpSolution(OPTIMAL, value, primal, dual)
+    ys = [-sign * wi if flip else sign * wi for wi, flip in zip(w, s.flip)]
+    value = sum(c * xs[j] for j, c in enumerate(lp.objective) if c)
+    return LpSolution(OPTIMAL, Scaled([value], z.den), Scaled(xs, z.den), Scaled(ys, den))
 
 
 # -- float proposal -------------------------------------------------------------
@@ -397,11 +452,12 @@ def _crash_basis(s: _Setup, candidates: Iterable[int]):
     candidates it is the slack/artificial basis."""
     basis = list(s.id_col)
     covered = [b != 0 for b in s.rhs]
-    waiting = sorted(candidates, key=lambda j: len(s.cols[j]))
+    start, index = s.start, s.index
+    waiting = sorted(candidates, key=lambda j: start[j + 1] - start[j])
     while True:
         left = []
         for j in waiting:
-            free = [i for i, _ in s.cols[j] if not covered[i]]
+            free = [i for i in index[start[j]:start[j + 1]] if not covered[i]]
             if len(free) == 1:
                 basis[free[0]] = j
                 covered[free[0]] = True
@@ -450,11 +506,10 @@ def _float_basis(s: _Setup, crash: Iterable[int] = ()):
     np = _numpy() if s.rhs else None
     if np is None:
         return None
-    m, ncols = len(s.rhs), len(s.cols)
-    # The nonzeros column by column: A_j is ri, va over start[j]:start[j + 1].
-    start = list(accumulate(map(len, s.cols), initial=0))
-    entries = np.fromiter(chain.from_iterable(chain.from_iterable(s.cols)), float, 2 * start[-1])
-    ri, va = entries[::2].astype(int), entries[1::2]
+    m, ncols = len(s.rhs), s.ncols
+    # The column table as arrays: A_j is ri, va over start[j]:start[j + 1].
+    start = s.start
+    ri, va = np.array(s.index, dtype=int), np.array(s.value, dtype=float)
     cj = np.repeat(np.arange(ncols), np.diff(start))
 
     def times_a(v):
@@ -686,14 +741,15 @@ def verify_certificates(lp: LinearProgram, sol: LpSolution) -> tuple[bool, str]:
     """First-principles optimality check: primal feasibility, dual sign and
     stationarity conditions, and exact equality of the two objectives.
 
-    Evaluated in integers on the program's own int rows: x times the least
-    common denominator dx of its entries, and y times its own, dy."""
+    Evaluated in integers on the program's own int rows, with x, y and the
+    objective as the solution holds them, ints over a positive denominator
+    each: dx for x and dy for y."""
     if sol.status != OPTIMAL:
         return False, f"no certificates for status {sol.status}"
-    x, y = sol.primal, sol.dual
+    x, y = sol.x, sol.y
     if x is None or y is None or len(x) != lp.num_vars or len(y) != len(lp.rows):
         return False, "certificate vectors missing or mis-sized"
-    xs, dx = scaled(x)
+    xs, dx = x.ints, x.den
     for j in range(lp.num_vars):
         if xs[j] < 0:
             return False, f"primal variable {j} negative"
@@ -707,7 +763,7 @@ def verify_certificates(lp: LinearProgram, sol: LpSolution) -> tuple[bool, str]:
         if rel == EQ and lhs != rhs:
             return False, f"row {i} violated"
     maximize = lp.sense == "max"
-    ys, dy = scaled(y)
+    ys, dy = y.ints, y.den
     for i, (_, rel, _) in enumerate(lp.rows):
         if rel == LE and (ys[i] < 0 if maximize else ys[i] > 0):
             return False, f"dual sign wrong on row {i}"
@@ -726,10 +782,12 @@ def verify_certificates(lp: LinearProgram, sol: LpSolution) -> tuple[bool, str]:
             return False, f"dual stationarity fails on variable {j}"
         if not maximize and dj > cj:
             return False, f"dual stationarity fails on variable {j}"
-    primal_obj = Rational(sum(cj * xj for cj, xj in zip(c, xs)), dx)
-    dual_obj = Rational(sum(yi * rhs for yi, (_, _, rhs) in zip(ys, lp.rows)), dy)
-    if primal_obj != dual_obj:
+    # The primal objective is primal / dx, the dual's dual / dy.
+    primal = sum(cj * xj for cj, xj in zip(c, xs))
+    dual = sum(yi * rhs for yi, (_, _, rhs) in zip(ys, lp.rows))
+    if primal * dy != dual * dx:
         return False, "duality gap is nonzero"
-    if sol.objective != primal_obj:
+    value = sol.value
+    if value is None or value.ints[0] * dx != primal * value.den:
         return False, "reported objective mismatches the primal point"
     return True, "ok"

@@ -6,10 +6,9 @@ import time
 import networkx as nx
 import pytest
 
-from graphentropy import bounds
+from graphentropy import bounds, rationals
 from graphentropy import lp as lp_module
 from graphentropy.bounds import (
-    _crash_rows,
     _elemental_table,
     _entropy_dual,
     _largest_independent_set,
@@ -393,7 +392,7 @@ def test_collapsed_program_matches_uncollapsed(rng):
         if cl[0] == g.vertex_mask:
             continue
         gens = automorphisms(g)
-        dual, var = _entropy_dual(g, cl, gens)
+        dual, var, _ = _entropy_dual(g, cl, gens)
         nvars = len(dual.rows)
         assert all(var[m] == var[c] for m, c in enumerate(cl)), g
         rep = orbit_representatives(gens, set(cl))
@@ -476,9 +475,9 @@ ENTROPY_DUALS_SHA256 = "0b65d19883558c76df464eb14f7325fd5d94e1276e7fa458b960aa1b
 
 
 def test_entropy_duals_pinned():
-    """The entropy duals that bounds and verify solve, their crash columns and
-    theta, as the slower column-by-column build and its separate pass over
-    the tight rows produced them."""
+    """The entropy duals that bounds and verify solve, with their crash
+    columns and theta, hash to the digest pinned from a two-pass build: the
+    dual first, then a pass over its rows for the tight ones."""
     graphs = [g for g in enumerate_graphs(7, connected_only=True)
               if (r := entropy_bracket(g, lazy_theta=True)).tau > r.lower]
     assert len(graphs) == 37
@@ -487,10 +486,9 @@ def test_entropy_duals_pinned():
     lines = []
     for g in graphs:
         gens = automorphisms(g)
-        dual, var = _entropy_dual(g, closure_map(g), gens)
         cover = fractional_clique_cover_number(
             g, clique_cover_number(g)[1], _largest_independent_set(g))[1:]
-        crash = _crash_rows(g, dual, var, cover, gens)
+        dual, var, crash = _entropy_dual(g, closure_map(g), gens, cover)
         rows = [(list(coeffs), rel, rhs) for coeffs, rel, rhs in dual.rows]
         theta = shannon_entropy(g)[0]
         lines.append(f"{render_graph(g, 'graph6')} {list(dual.objective)} {rows} {crash} "
@@ -500,25 +498,37 @@ def test_entropy_duals_pinned():
 
 def test_entropy_programs_build_without_rationals(monkeypatch):
     """The collapsed entropy LP of C7, its dual and the dual's standard form
-    are built in ints alone: the first rational is made by the solve.  C7's
-    fractional clique cover, its seven edges at weight 1/2, is passed in, so
-    that no cover LP is solved first."""
+    are built, solved and certified in ints alone: the first rational is made
+    after the certificate check.  C7's fractional clique cover, its seven
+    edges at weight 1/2, is passed in, so that no cover LP is solved first."""
     cover = ([1 << v | 1 << (v + 1) % 7 for v in range(7)], [rat(1, 2)] * 7)
-    made = []
-    real = lp_module.Rational
-    monkeypatch.setattr(lp_module, "Rational", lambda *a: made.append(a) or real(*a))
-    at_standard_form = []
+    events = []
+    # Every binding of the name in the package, wherever a rational is made.
+    modules = [m for name, m in sys.modules.items()
+               if name.partition(".")[0] == "graphentropy" and hasattr(m, "Rational")]
+    assert rationals in modules and bounds in modules
+    for module in modules:
+        real = module.Rational
+        monkeypatch.setattr(module, "Rational",
+                            lambda *a, real=real: events.append("rational") or real(*a))
     real_standardize = lp_module._standardize
+    real_verify = lp_module.verify_certificates
 
     def standardize(program):
         s = real_standardize(program)
-        at_standard_form.append(len(made))
+        events.append("standard form")
         return s
 
+    def verify(lp, sol):
+        verdict = real_verify(lp, sol)
+        events.append("certificates checked")
+        return verdict
+
     monkeypatch.setattr(lp_module, "_standardize", standardize)
+    monkeypatch.setattr(lp_module, "verify_certificates", verify)
     assert shannon_entropy(Graph.cycle(7), cover=cover)[0] == rat("7/2")
-    assert at_standard_form == [0]
-    assert made, "the counter saw none of the solve's rationals"
+    assert events[:2] == ["standard form", "certificates checked"], events
+    assert "rational" in events[2:], "the counter saw no rational at all"
 
 
 def test_entropy_program_is_built_and_certified_once():
@@ -572,11 +582,11 @@ def test_entropy_path_rejects_a_bad_certificate_or_witness(monkeypatch):
             shannon_entropy(c5(), cover=cover)
     monkeypatch.setattr(lp_module, "_simplex", real_simplex)
 
-    def h_of_v_read_as_zero(g, cl, gens):
-        dual, var = _entropy_dual(g, cl, gens)
+    def h_of_v_read_as_zero(g, cl, gens, cover):
+        dual, var, crash = _entropy_dual(g, cl, gens, cover)
         var = list(var)
         var[g.vertex_mask] = -1
-        return dual, var
+        return dual, var, crash
 
     monkeypatch.setattr(bounds, "_entropy_dual", h_of_v_read_as_zero)
     with pytest.raises(AssertionError, match="entropy witness failed validation"):
@@ -804,7 +814,16 @@ AT_THE_MATCHING_CAP = [
     pytest.param(_connected_sample(random.Random(24),
                                    lambda r: _random_bipartite(r, 12, 12, 0.3)),
                  id="bipartite12+12-p0.3"),
+    # Triangle-free, so cc = n - nu = 16: without Gallai's stop the search
+    # found that cover at once and then took 21 s to prove it optimal.
+    pytest.param(_connected_sample(random.Random(24),
+                                   lambda r: _random_bipartite(r, 8, 16, 0.5)),
+                 id="bipartite8+16-p0.5"),
 ]
+
+# sha256 of f"{cc} {list(cover)}" for the bipartite8+16-p0.5 row, as the
+# search that proved its cover optimal reported it.
+GALLAI_COVER_SHA256 = "c35d5676683607398cdd0f38215e8789988c4fc92caf45c0627c886c3b74495b"
 
 
 @pytest.mark.parametrize("g", AT_THE_MATCHING_CAP)
@@ -813,7 +832,7 @@ def test_bounds_at_the_matching_cap(g):
     nu is the maximum matching size networkx finds, and the witnesses check."""
     started = time.perf_counter()
     nu, edges = max_matching(g)
-    cc, cover = clique_cover_number(g)
+    cc, cover = clique_cover_number(g, nu)
     tau, removed = transversal_number(g)
     kappa_f, cliques, weights = fractional_clique_cover_number(g, cover,
                                                                g.vertex_mask & ~removed)
@@ -829,6 +848,19 @@ def test_bounds_at_the_matching_cap(g):
     assert sum(weights) == kappa_f
     assert removed.bit_count() == tau and is_acyclic(induced_subgraph(g, g.vertex_mask & ~removed)[0])
     assert nu <= g.n - cc <= g.n - kappa_f <= tau
+
+
+def test_gallai_stop_keeps_the_cover():
+    """On a triangle-free graph the clique cover search stops at its first
+    cover of n - nu cliques, with nu passed in or computed, and reports the
+    cover the full search reported."""
+    g = AT_THE_MATCHING_CAP[-1].values[0]
+    assert max(c.bit_count() for c in maximal_cliques(g)) == 2
+    nu = max_matching(g)[0]
+    for got in (clique_cover_number(g, nu), clique_cover_number(g)):
+        cc, cover = got
+        assert cc == g.n - nu == 16
+        assert hashlib.sha256(f"{cc} {list(cover)}".encode()).hexdigest() == GALLAI_COVER_SHA256
 
 
 def test_lazy_bracket_at_the_graph_cap():

@@ -536,6 +536,18 @@ def test_lp_free_subcommand_leaves_numpy_unimported(c5_file, argv, key, value):
     assert json.loads(proc.stdout)["result"][key] == value
 
 
+def test_cli_import_leaves_numpy_and_multiprocessing_unimported():
+    """Importing the CLI loads neither numpy nor multiprocessing: every
+    command pays the import, and only a float proposal or --jobs > 1 uses
+    them."""
+    probe = ("import sys\nimport graphentropy.cli\n"
+             "print(sorted({'numpy', 'multiprocessing'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=120, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_bounds_without_numpy(tmp_path):
     """The numpy-free install end to end: bounds on C5, C7 and the 11/3
     graph exit 0 with the bound values and bracket of a run with numpy."""

@@ -7,8 +7,8 @@ from math import lcm
 import pytest
 
 from graphentropy import lp as lp_module
+from graphentropy import rationals
 from graphentropy.bounds import (
-    _crash_rows,
     _entropy_dual,
     _largest_independent_set,
     build_fractional_cover_lp,
@@ -40,7 +40,7 @@ from graphentropy.lp import (
     solve,
     verify_certificates,
 )
-from graphentropy.rationals import Rational, rat, rat_str, scaled
+from graphentropy.rationals import Rational, Scaled, rat, rat_str, scaled
 
 from _oracles import (
     lp_vertex_solve,
@@ -236,7 +236,7 @@ def test_float_guided_path_agrees_with_pure_exact(rng):
         proposed += proposal is not None
         warm = _simplex(s, proposal or s.id_col)
         cold = _simplex(s, s.id_col)
-        anywhere = _simplex(s, [rng.randrange(len(s.cols)) for _ in s.rhs])
+        anywhere = _simplex(s, [rng.randrange(s.ncols) for _ in s.rhs])
         assert warm.status == cold.status == anywhere.status
         assert warm.objective == cold.objective == anywhere.objective
         if lp in known:
@@ -288,15 +288,15 @@ def _vertex_at(lp: LinearProgram, basis):
     layout test_standard_form_follows_its_layout checks."""
     s = _standardize(lp)
     m = len(lp.rows)
-    cols = [{} for _ in s.cols]
+    cols = [{} for _ in range(s.ncols)]
     b = []
     for i, (coeffs, _, rhs) in enumerate(lp.rows):
         sign = -1 if s.flip[i] else 1
         for j, c in coeffs:
             cols[j][i] = rat(sign * c)
         b.append(rat(sign * rhs))
-    for j in range(lp.num_vars, len(s.cols)):
-        for i, a in s.cols[j]:
+    for j in range(lp.num_vars, s.ncols):
+        for i, a in s.column(j):
             cols[j][i] = rat(a)
     zero = rat(0)
     basis = list(basis)
@@ -308,10 +308,10 @@ def _vertex_at(lp: LinearProgram, basis):
         z, _ = rational_solve_linear(
             [[cols[j].get(i, zero) for j in basis] for i in range(m)], b)
     sign = 1 if lp.sense == "max" else -1
-    cost = [rat(sign * c) for c in lp.objective] + [zero] * (len(s.cols) - lp.num_vars)
+    cost = [rat(sign * c) for c in lp.objective] + [zero] * (s.ncols - lp.num_vars)
     y, _ = rational_solve_linear(
         [[cols[j].get(i, zero) for i in range(m)] for j in basis], [cost[j] for j in basis])
-    x = [zero] * len(s.cols)
+    x = [zero] * s.ncols
     for k, j in enumerate(basis):
         x[j] = z[k]
     primal = tuple(x[j] for j in range(lp.num_vars))
@@ -516,6 +516,40 @@ def test_certificate_check_matches_rational_oracle(rng):
     }, branches
 
 
+def test_solution_reads_the_solvers_ints(rng, monkeypatch):
+    """solve makes no rational: an optimal solution holds its objective,
+    primal and dual as Python ints over one positive denominator each, and
+    objective, primal and dual read as exactly those ints over their
+    denominator, on the seeded corpora, Beale's and the repeated-row
+    programs, Shannon LPs and entropy duals."""
+    lps = [BEALE, REPEATED]
+    lps += [build_shannon_lp(g) for g in (Graph.cycle(5), Graph.path(5))]
+    lps += [_entropy_dual(g, closure_map(g), automorphisms(g))[0]
+            for g in (Graph.cycle(5), Graph.cycle(7), g1())]
+    lps += [_random_lp(rng) for _ in range(150)] + [_random_wide_lp(rng) for _ in range(150)]
+    made = []
+    real = rationals.Rational
+    monkeypatch.setattr(rationals, "Rational", lambda *a: made.append(a) or real(*a))
+    sols = [solve(lp) for lp in lps]
+    assert not made, made
+    monkeypatch.undo()
+    optimal = 0
+    for lp, sol in zip(lps, sols):
+        if sol.status != OPTIMAL:
+            assert sol.objective is sol.primal is sol.dual is None
+            continue
+        optimal += 1
+        for vec, size in ((sol.value, 1), (sol.x, lp.num_vars), (sol.y, len(lp.rows))):
+            assert type(vec) is Scaled and len(vec.ints) == size
+            assert all(type(v) is int for v in vec.ints)
+            assert type(vec.den) is int and vec.den > 0
+        assert sol.objective == Rational(sol.value.ints[0], sol.value.den)
+        assert sol.primal == tuple(Rational(v, sol.x.den) for v in sol.x.ints)
+        assert sol.dual == tuple(Rational(v, sol.y.den) for v in sol.y.ints)
+        assert all(type(v) is Rational for v in (sol.objective, *sol.primal, *sol.dual))
+    assert optimal >= 100, optimal
+
+
 def test_float_basis_is_optimal_at_once(exact_steps):
     """The float run from the slack/artificial basis proposes an optimal
     basis (no exact pivot, no phase-1 restart) on every entropy dual and
@@ -549,10 +583,9 @@ def test_crash_start_is_optimal_at_once(exact_steps):
         if closure_map(g)[0] == g.vertex_mask:
             continue
         gens = automorphisms(g)
-        dual, var = _entropy_dual(g, closure_map(g), gens)
         cover = fractional_clique_cover_number(
             g, clique_cover_number(g)[1], _largest_independent_set(g))[1:]
-        crash = _crash_rows(g, dual, var, cover, gens)
+        dual, var, crash = _entropy_dual(g, closure_map(g), gens, cover)
         s = _standardize(dual)
         basis = _crash_basis(s, crash)
         art = s.arts[0]
@@ -615,8 +648,9 @@ def test_standard_form_follows_its_layout(rng):
     cold = []
     for k, lp in enumerate(lps):
         s = _standardize(lp)
-        assert (s.cols, s.rhs, s.flip, s.id_col, s.arts) == _layout(lp), lp.rows
-        anywhere = [rng.randrange(len(s.cols)) for _ in s.rhs]
+        cols = [list(s.column(j)) for j in range(s.ncols)]
+        assert (cols, s.rhs, s.flip, s.id_col, s.arts) == _layout(lp), lp.rows
+        anywhere = [rng.randrange(s.ncols) for _ in s.rhs]
         sols = [_simplex(s, basis) for basis in (_float_basis(s) or s.id_col, s.id_col, anywhere)]
         for sol in sols:
             if sol.status == OPTIMAL:
