@@ -34,11 +34,6 @@ _MATCHING_COMPONENT_CAP = 24
 DEFAULT_SHANNON_CAP = 10
 
 
-def _mutual_rows(g: Graph) -> list[int]:
-    """g.mutual_row(u) for every vertex u."""
-    return [r & c & ~(1 << u) for u, (r, c) in enumerate(zip(g.rows, g.cols))]
-
-
 def max_matching(g: Graph) -> tuple[int, tuple[tuple[int, int], ...]]:
     """Maximum matching among mutual pairs (the edges, for undirected g), as
     (size, edges).
@@ -48,7 +43,7 @@ def max_matching(g: Graph) -> tuple[int, tuple[tuple[int, int], ...]]:
     the lowest vertex before leaving it unmatched, and stops at the first
     option that reaches |mask| // 2, which no matching of mask can beat.
     """
-    mut = _mutual_rows(g)
+    mut = g.mutual
     edges: list[tuple[int, int]] = []
     total = 0
     for comp in connected_components(g):
@@ -106,7 +101,7 @@ def maximal_cliques(g: Graph) -> tuple[int, ...]:
     joined pairwise by arcs in both directions, so loops never matter and a
     lone vertex is a (maximal) clique when nothing extends it.
     """
-    mut = _mutual_rows(g)
+    mut = g.mutual
     out: list[int] = []
 
     def expand(r: int, p: int, x: int) -> None:
@@ -204,13 +199,13 @@ def check_clique_cover(g: Graph, cliques, weights) -> None:
     denominator (scaled), as validate_entropy_function does."""
     if len(cliques) != len(weights):
         raise ValueError("one weight per clique required")
-    closed = [r | 1 << u for u, r in enumerate(_mutual_rows(g))]
+    closed = [r | 1 << u for u, r in enumerate(g.mutual)]
     for c in cliques:
         rest = c
         while rest:
             bit = rest & -rest
             if c & ~closed[bit.bit_length() - 1]:
-                raise ValueError(f"{sorted(bits_of(c))} is not a clique")
+                raise ValueError(f"{list(bits_of(c))} is not a clique")
             rest ^= bit
     ks, scale = scaled(weights)
     if any(k < 0 for k in ks):
@@ -262,8 +257,8 @@ def fractional_clique_cover_number(g: Graph, cover,
     S is not an independent set of g.
     """
     if independent & ~g.vertex_mask or any(
-            g.mutual_row(v) & independent for v in bits_of(independent)):
-        raise ValueError(f"{sorted(bits_of(independent))} is not an independent set")
+            g.mutual[v] & independent for v in bits_of(independent)):
+        raise ValueError(f"{list(bits_of(independent))} is not an independent set")
     if independent.bit_count() == len(cover):
         cliques = tuple(cover)
         check_clique_cover(g, cliques, (1,) * len(cover))  # in ints, equal to the weights
@@ -277,7 +272,7 @@ def fractional_clique_cover_number(g: Graph, cover,
 def _largest_independent_set(g: Graph) -> int:
     """A largest independent set of the mutual-arc relation, as the
     complement of a minimum vertex cover of it."""
-    _, cover = _vertex_cover(_mutual_rows(g), g.vertex_mask)
+    _, cover = _vertex_cover(g.mutual, g.vertex_mask)
     return g.vertex_mask & ~cover
 
 
@@ -290,15 +285,14 @@ def transversal_number(g: Graph) -> tuple[int, int]:
     """
     lp = loops(g)
     if not g.directed:
-        keep = g.vertex_mask & ~lp
-        sub_rows = [g.rows[u] & keep & ~(1 << u) if keep >> u & 1 else 0
-                    for u in range(g.n)]
-        size, cover = _vertex_cover(sub_rows, keep)
+        size, cover = _vertex_cover(g.mutual, g.vertex_mask & ~lp)
         return size + lp.bit_count(), cover | lp
     return _feedback_vertex_set(g)
 
 
 def _vertex_cover(rows, alive: int) -> tuple[int, int]:
+    """Minimum cover of the edges inside alive, as (size, mask); only the
+    rows of alive vertices are read, and only inside alive."""
     best_size = alive.bit_count() + 1
     best_mask = 0
 
@@ -797,15 +791,6 @@ class BoundsReport:
         return f"BoundsReport([{self.lower}, {self.upper}], exact={self.exact})"
 
 
-def _vertices(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def union_report(components: list[list[int]], parts: list[BoundsReport]) -> BoundsReport:
     """Report of a disjoint union: every value adds over the parts (entropy
     is additive over components, and every matching edge, clique and cycle
@@ -852,7 +837,7 @@ def entropy_bracket(g: Graph, shannon_cap: int = DEFAULT_SHANNON_CAP,
         sub, _ = induced_subgraph(g, g.vertex_mask & ~lp_mask)
         inner = entropy_bracket(sub, shannon_cap, lazy_theta)
         k = lp_mask.bit_count()
-        looped = _vertices(lp_mask)
+        looped = list(bits_of(lp_mask))
         cc, cover = clique_cover_number(g, nu)
         # A largest independent set, as a loopless leaf gets from tau: the
         # looped graph's transversal holds every looped vertex, and on a
@@ -867,7 +852,7 @@ def entropy_bracket(g: Graph, shannon_cap: int = DEFAULT_SHANNON_CAP,
     comps = connected_components(g)
     if len(comps) != 1:
         return union_report(
-            [_vertices(comp) for comp in comps],
+            [list(bits_of(comp)) for comp in comps],
             [entropy_bracket(induced_subgraph(g, comp)[0], shannon_cap, lazy_theta)
              for comp in comps])
     n = g.n
@@ -881,15 +866,15 @@ def entropy_bracket(g: Graph, shannon_cap: int = DEFAULT_SHANNON_CAP,
     if nu == lower:
         low_wit = {"tag": "matching", "edges": [list(e) for e in matching]}
     elif n - cc == lower:
-        low_wit = {"tag": "clique-cover", "cliques": [_vertices(c) for c in cover]}
+        low_wit = {"tag": "clique-cover", "cliques": [list(bits_of(c)) for c in cover]}
     else:
         low_wit = {
             "tag": "fractional-clique-cover",
-            "cliques": [_vertices(c) for c in cliques],
+            "cliques": [list(bits_of(c)) for c in cliques],
             "weights": list(weights),
             "value": kappa_f,
         }
-    upper, up_wit = tau, {"tag": "transversal", "removed": _vertices(removed)}
+    upper, up_wit = tau, {"tag": "transversal", "removed": list(bits_of(removed))}
     theta = None
     if not (lazy_theta and tau == lower):
         theta = shannon_entropy(g, shannon_cap, (cliques, weights))[0]

@@ -125,7 +125,7 @@ def _cmd_reduce(args) -> tuple[dict, int]:
     else:
         result = {
             "reducible": True,
-            "S": sorted(bits_of(d.s)),
+            "S": list(bits_of(d.s)),
             "matching": [list(p) for p in d.matching],
             "remainder_graph6": render_graph(d.remainder, "graph6"),
         }
@@ -231,7 +231,7 @@ def _cmd_lp_dump(args) -> tuple[str, int]:
     lp, cliques = build_fractional_cover_lp(g)
     header = [f"fractional clique cover LP for {key}"]
     for i, c in enumerate(cliques):
-        header.append(f"w_{i} weights clique {sorted(bits_of(c))}")
+        header.append(f"w_{i} weights clique {list(bits_of(c))}")
     return _lp_text(lp, lambda j: f"w_{j}", header), 0
 
 
@@ -296,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1, help="parallel workers for theorem2")
     p.set_defaults(run=_cmd_verify)
 
-    p = subs.add_parser("lp-dump", help="print an LP exactly as the solver sees it")
+    p = subs.add_parser("lp-dump", help="print an LP as plain text: the full subset-entropy "
+                       "primal (the solver runs its collapsed dual) or the cover LP")
     _add_graph_arg(p)
     p.add_argument("--which", required=True, choices=["shannon", "fractional-cover"])
     p.add_argument("--shannon-cap", type=int, default=DEFAULT_SHANNON_CAP)

@@ -13,6 +13,7 @@ classification of collapsed entropy values below four.
 
 from __future__ import annotations
 
+import os
 from functools import lru_cache
 
 from .bounds import BoundsReport, entropy_bracket, union_report
@@ -286,8 +287,9 @@ def survey_entropy_values(
     string.  So, were the canonical string the least over all relabellings,
     a smaller string for C would give a smaller string for G.  It is least
     only over the colour-ordered ones (canonical_form), so the claim rests
-    on an exhaustive check, which finds no exception among the 3,342
-    components of all disconnected classes up to 8 vertices.
+    on an exhaustive check, which finds no exception among the 32,058
+    components of all disconnected classes up to 9 vertices (28,716 of them
+    in 9-vertex classes).  A cap above 9 is unchecked.
     """
     classes = [(g, connected_components(g))
                for g in enumerate_graphs(n_max, connected_only=connected_only, cap=cap)]
@@ -314,8 +316,18 @@ def _solve_brackets(graphs: list[Graph], jobs: int) -> list[BoundsReport]:
     # Imported here: multiprocessing adds to the start-up of every command.
     from multiprocessing import Pool
 
-    with Pool(jobs) as pool:
+    with Pool(jobs, initializer=_one_blas_thread) as pool:
         return list(pool.imap(bracket_with_fallback, graphs, chunksize=8))
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer: numpy in this worker runs BLAS on one thread, so
+    jobs workers keep to jobs cores; the float simplex gains nothing from
+    more.  BLAS reads these variables when numpy is first imported, so a
+    worker forked after the parent had imported numpy keeps its thread
+    count.  The command line imports numpy only for an LP, after the fork."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
 
 
 # -- verification suites -------------------------------------------------------------
@@ -359,7 +371,7 @@ def verify_wheel_lemma() -> dict:
         bracket = entropy_bracket(g, lazy_theta=True)
         ok = bracket.exact and bracket.lower == expected
         entry = {
-            "apex_neighbors": sorted(bits_of(mask)),
+            "apex_neighbors": list(bits_of(mask)),
             "expected": expected,
             "lower": bracket.lower,
             "upper": bracket.upper,

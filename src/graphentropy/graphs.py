@@ -68,7 +68,7 @@ class Graph:
     it: an undirected edge is a pair of opposite arcs.
     """
 
-    __slots__ = ("n", "rows", "directed", "_cols")
+    __slots__ = ("n", "rows", "directed", "_cols", "_mutual")
 
     def __init__(self, n: int, rows: Iterable[int], directed: bool):
         if n < 0:
@@ -95,6 +95,7 @@ class Graph:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "directed", directed)
         object.__setattr__(self, "_cols", cols)
+        object.__setattr__(self, "_mutual", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -155,17 +156,19 @@ class Graph:
             object.__setattr__(self, "_cols", cached)
         return cached
 
-    def mutual_row(self, u: int) -> int:
-        """Vertices v != u with arcs both ways; the 'edge' relation of a digraph."""
-        return self.rows[u] & self.cols[u] & ~(1 << u)
+    @property
+    def mutual(self) -> tuple[int, ...]:
+        """mutual[u] = bitmask of v != u with arcs both ways: the 'edge'
+        relation of a digraph, and the loopless rows of an undirected graph."""
+        cached = self._mutual
+        if cached is None:
+            cached = tuple(r & c & ~(1 << u) for u, (r, c) in enumerate(zip(self.rows, self.cols)))
+            object.__setattr__(self, "_mutual", cached)
+        return cached
 
     def edges(self) -> list[tuple[int, int]]:
         """Mutual pairs u < v (for undirected graphs: the edge list, loops excluded)."""
-        out = []
-        for u in range(self.n):
-            for v in bits_of(self.mutual_row(u) >> (u + 1) << (u + 1)):
-                out.append((u, v))
-        return out
+        return [(u, v) for u, r in enumerate(self.mutual) for v in bits_of(r >> (u + 1) << (u + 1))]
 
     def arcs(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in bits_of(self.rows[u])]

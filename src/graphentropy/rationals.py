@@ -1,10 +1,11 @@
 """Exact rational arithmetic backend.
 
-gmpy2.mpq when available (much faster inner loops in the simplex), plain
-fractions.Fraction otherwise.  Both normalize to lowest terms with positive
-denominators and print as 'p/q' or a bare integer, so serialized values are
-identical either way.  A Scaled vector holds rationals as Python ints over
-one denominator, so exact work on them needs no rational arithmetic at all.
+gmpy2.mpq when available, plain fractions.Fraction otherwise.  Both
+normalize to lowest terms with positive denominators and print as 'p/q' or
+a bare integer, so serialized values are identical either way.  A Scaled
+vector holds rationals as Python ints over one denominator, so exact work
+on them needs no rational arithmetic at all; the exact simplex runs on such
+ints, so the backend only sets the cost of the rationals made from results.
 """
 
 from __future__ import annotations

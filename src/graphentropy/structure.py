@@ -182,8 +182,8 @@ class Decomposition:
 
     def __repr__(self) -> str:
         return (
-            f"Decomposition(s={sorted(bits_of(self.s))}, "
-            f"c={sorted(bits_of(self.c_s))}, matching={list(self.matching)})"
+            f"Decomposition(s={list(bits_of(self.s))}, "
+            f"c={list(bits_of(self.c_s))}, matching={list(self.matching)})"
         )
 
 
@@ -231,25 +231,25 @@ def certify_entropy_minimal_candidate(g: Graph, cap: int = DEFAULT_REDUCTION_CAP
     _check_searchable(g, cap)
     matched = mask_of(v for edge in max_matching(g)[1] for v in edge)
     reducible = find_reducible_set(g, cap)
-    isolated = mask_of(v for v in range(g.n) if not g.rows[v] & ~(1 << v))
+    isolated = mask_of(v for v, r in enumerate(g.mutual) if not r)
     out = {
         "candidate": reducible is None,
         "reducible": None if reducible is None else {
-            "s": sorted(bits_of(reducible.s)),
+            "s": list(bits_of(reducible.s)),
             "matching": [list(p) for p in reducible.matching],
         },
-        "matched_vertices": sorted(bits_of(matched)),
-        "isolated_vertices": sorted(bits_of(isolated)),
+        "matched_vertices": list(bits_of(matched)),
+        "isolated_vertices": list(bits_of(isolated)),
     }
     if matched:
         c_of_m = co_neighborhood_set(g, matched)
         rel = "<" if c_of_m.bit_count() < matched.bit_count() else ">="
-        out["c_of_matched"] = sorted(bits_of(c_of_m))
+        out["c_of_matched"] = list(bits_of(c_of_m))
         out["comparison"] = f"|c(M)| = {c_of_m.bit_count()} {rel} |M| = {matched.bit_count()}"
         if rel == ">=" and any(g.rows[u] & matched for u in bits_of(c_of_m)):
             a_prime, matching = find_saturating_subset(g, c_of_m, matched)
             out["saturating_witness"] = {
-                "a_prime": sorted(bits_of(a_prime)),
+                "a_prime": list(bits_of(a_prime)),
                 "matching": [list(p) for p in matching],
             }
     return out

@@ -24,6 +24,13 @@ def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     return Graph.undirected(n, edges)
 
 
+def random_looped_graph(rng: random.Random, n: int, p: float = 0.5,
+                        loop_p: float = 0.3) -> Graph:
+    """random_graph with a loop on each vertex with probability loop_p."""
+    edges = random_graph(rng, n, p).edges()
+    return Graph.undirected(n, edges + [(v, v) for v in range(n) if rng.random() < loop_p])
+
+
 def random_digraph(rng: random.Random, n: int, p: float = 0.4,
                    loop_p: float = 0.0) -> Graph:
     arcs = [(u, v) for u in range(n) for v in range(n)

@@ -33,6 +33,7 @@ from graphentropy.graphs import (
     automorphisms,
     connected_components,
     induced_subgraph,
+    loops,
     mask_of,
     orbit_representatives,
     parse_graph,
@@ -51,7 +52,7 @@ from _oracles import (
     is_acyclic,
     max_independent_set,
 )
-from conftest import c5, g1, random_digraph, random_graph
+from conftest import c5, g1, random_digraph, random_graph, random_looped_graph
 
 
 def test_matching_examples():
@@ -237,6 +238,12 @@ def test_transversal_matches_oracle(rng):
         size, mask = transversal_number(d)
         assert size == brute_transversal(d)
         assert size == bin(mask).count("1")
+    for _ in range(60):
+        g = random_looped_graph(rng, rng.randint(1, 7))
+        size, mask = transversal_number(g)
+        assert size == brute_transversal(g) == mask.bit_count()
+        assert not loops(g) & ~mask
+        assert all(mask >> u & 1 or mask >> v & 1 for u, v in g.edges())
 
 
 # sha256 of the feedback vertex sets of test_feedback_vertex_set_is_minimum's

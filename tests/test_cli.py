@@ -150,6 +150,8 @@ STDOUT_DIGESTS = [
         "9601eb44b8f80eaf849906338554a0cac81f369d473abb7a9876cd07b729ed77"),
     pin("argv16", ("guess", "--q", "2"), C11,
         "c18de85740b6a5f4772d8a2c5293c445e2e144a1957f6165379196afed5bebba"),
+    pin("verify-theorem2-jobs2", ("verify", "--suite", "theorem2", "--jobs", "2"), None,
+        "510407d51a31b46e63252653987864a77df76e0126d47b41609d5f56a1ca390d"),
 ]
 
 

@@ -31,7 +31,7 @@ from _oracles import (
     is_acyclic,
     least_adjacency_bits,
 )
-from conftest import c5, g1, random_digraph, random_graph
+from conftest import c5, g1, random_digraph, random_graph, random_looped_graph
 
 
 def test_constructors():
@@ -67,6 +67,17 @@ def test_cols_are_the_transposed_rows(rng):
         for g in (random_graph(rng, n), random_digraph(rng, n, loop_p=0.3)):
             assert g.cols == tuple(
                 mask_of(u for u in range(n) if g.rows[u] >> v & 1) for v in range(n))
+
+
+def test_mutual_is_the_two_way_arc_relation(rng):
+    for _ in range(50):
+        n = rng.randint(0, 8)
+        for g in (random_looped_graph(rng, n), random_digraph(rng, n, loop_p=0.3)):
+            assert g.mutual == tuple(
+                mask_of(v for v in range(n) if v != u and g.has_arc(u, v) and g.has_arc(v, u))
+                for u in range(n))
+            assert g.edges() == [(u, v) for u in range(n) for v in range(u + 1, n)
+                                 if g.has_arc(u, v) and g.has_arc(v, u)]
 
 
 def test_parse_edge_list_is_pentagon():
