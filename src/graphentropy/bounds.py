@@ -199,14 +199,7 @@ def check_clique_cover(g: Graph, cliques, weights) -> None:
     denominator (scaled), as validate_entropy_function does."""
     if len(cliques) != len(weights):
         raise ValueError("one weight per clique required")
-    closed = [r | 1 << u for u, r in enumerate(g.mutual)]
-    for c in cliques:
-        rest = c
-        while rest:
-            bit = rest & -rest
-            if c & ~closed[bit.bit_length() - 1]:
-                raise ValueError(f"{list(bits_of(c))} is not a clique")
-            rest ^= bit
+    _check_cliques(g, cliques)
     ks, scale = scaled(weights)
     if any(k < 0 for k in ks):
         raise ValueError("negative clique weight")
@@ -221,24 +214,39 @@ def check_clique_cover(g: Graph, cliques, weights) -> None:
             raise ValueError(f"vertex {v} covered only to level {Rational(got, scale)}")
 
 
+def _check_cliques(g: Graph, cliques) -> None:
+    """Raise ValueError unless every mask in cliques is a clique of the
+    mutual-arc relation."""
+    closed = [r | 1 << u for u, r in enumerate(g.mutual)]
+    for c in cliques:
+        rest = c
+        while rest:
+            bit = rest & -rest
+            if c & ~closed[bit.bit_length() - 1]:
+                raise ValueError(f"{list(bits_of(c))} is not a clique")
+            rest ^= bit
+
+
 def build_fractional_cover_lp(g: Graph) -> tuple[LinearProgram, tuple[int, ...]]:
     """The covering LP behind the fractional clique cover number.
 
     One nonnegative weight per maximal clique, minimized subject to every
     vertex reaching total weight at least one.  Returns the program and the
-    clique masks its variables refer to.
+    clique masks its variables refer to.  The program is stated column by
+    column: clique i's column has a 1 on the row of each of its vertices.
     """
     cliques = maximal_cliques(g)
+    start, index = [0], []
+    for c in cliques:
+        index += bits_of(c)
+        start.append(len(index))
     k = len(cliques)
-    rows = []
-    for v in range(g.n):
-        coeffs = {i: 1 for i, c in enumerate(cliques) if c >> v & 1}
-        rows.append((coeffs, GE, 1))
-    return LinearProgram(k, "min", [1] * k, rows), cliques
+    return LinearProgram.from_columns("min", [1] * k, (start, index, [1] * len(index)),
+                                      [GE] * g.n, [1] * g.n), cliques
 
 
 def fractional_clique_cover_number(g: Graph, cover,
-                                   independent: int) -> tuple[Rational, tuple[int, ...], tuple]:
+                                   independent: int) -> tuple[Rational, tuple[int, ...], Scaled]:
     """Optimal fractional clique cover of g as (kappa_f, cliques, weights),
     given both halves of a weak-duality certificate: any clique cover of g,
     such as the one clique_cover_number returns, and a mask of vertices
@@ -253,20 +261,29 @@ def fractional_clique_cover_number(g: Graph, cover,
     co-C7 are imperfect.  Otherwise the exact LP over maximal cliques runs
     and neither half is used; restricting the LP to maximal cliques loses
     nothing, since weight on any clique can be moved to a maximal superset.
-    The result passes check_clique_cover either way.  Raises ValueError if
-    S is not an independent set of g.
+    The result passes check_clique_cover either way; for the cover's unit
+    weights that check comes down to masks, every member a clique and their
+    union V.  weights is a Scaled vector, ints over one denominator, so the
+    callers that read it in ints make no rational.  Raises ValueError if S
+    is not an independent set of g.
     """
     if independent & ~g.vertex_mask or any(
             g.mutual[v] & independent for v in bits_of(independent)):
         raise ValueError(f"{list(bits_of(independent))} is not an independent set")
     if independent.bit_count() == len(cover):
         cliques = tuple(cover)
-        check_clique_cover(g, cliques, (1,) * len(cover))  # in ints, equal to the weights
-        return Rational(len(cover)), cliques, (Rational(1),) * len(cover)
+        _check_cliques(g, cliques)
+        missing = g.vertex_mask
+        for c in cliques:
+            missing &= ~c
+        if missing:
+            raise ValueError(f"vertex {(missing & -missing).bit_length() - 1} covered only "
+                             "to level 0")
+        return Rational(len(cliques)), cliques, Scaled([1] * len(cliques))
     lp, cliques = build_fractional_cover_lp(g)
     sol = solve(lp)
     check_clique_cover(g, cliques, sol.x)
-    return sol.objective, cliques, sol.primal
+    return sol.objective, cliques, sol.x
 
 
 def _largest_independent_set(g: Graph) -> int:
@@ -606,11 +623,12 @@ def _entropy_dual(g: Graph, cl: list[int], gens,
     smaller to factor.  The dual's row duals are -x for an optimal x.
 
     One pass over the collapsed rows builds it: each row, merged by variable
-    and held once, becomes the dual's next column, an entry on each dual row
-    it has a term on, so every dual row comes out in index order.  In the
-    same pass the row is tested at the entropy function of the fractional
-    clique cover (_cover_function), and the column of every row tight there
-    is a crash column.  That function is optimal whenever n - kappa_f =
+    and held once, is appended to the dual's column table as its next
+    column, an entry on each dual row it has a term on, so the program is
+    never held as rows or transposed.  In the same pass the row is tested
+    at the entropy function of the fractional clique cover
+    (_cover_function), and the column of every row tight there is a crash
+    column.  That function is optimal whenever n - kappa_f =
     theta, and the float run starts from a crash basis over these columns.
     cover is (cliques, weights), such as the last two entries of
     fractional_clique_cover_number; without it the optimal one is derived
@@ -644,8 +662,8 @@ def _entropy_dual(g: Graph, cl: list[int], gens,
             at[j] = k[m]
 
     # Collapsed row i, A_i x <= b_i, every one '<=', is the dual's column i,
-    # -A_i, with cost b_i: rows[j][i] is its entry on the dual's row j.
-    rows: list[dict[int, int]] = [{} for _ in range(nvars)]
+    # -A_i, with cost b_i, appended to the dual's column table as it comes.
+    start, index, value = [0], [], []
     costs: list[int] = []
     crash: list[int] = []
     row_index: set[tuple] = set()
@@ -664,14 +682,15 @@ def _entropy_dual(g: Graph, cl: list[int], gens,
         key = (items, rhs)
         if key not in row_index:
             row_index.add(key)
-            i = len(costs)
             lhs = 0
             for j, c in items:
-                rows[j][i] = -c
+                index.append(j)
+                value.append(-c)
                 lhs += c * at[j]
-            costs.append(rhs)
+            start.append(len(index))
             if lhs == rhs * scale:
-                crash.append(i)
+                crash.append(len(costs))
+            costs.append(rhs)
         return True
 
     def add_by_mask(block) -> None:
@@ -704,18 +723,26 @@ def _entropy_dual(g: Graph, cl: list[int], gens,
         if a == c and b == d:
             continue
         if a >= 0 and a != b and c != d and a != c and a != d and b != c and b != d:
-            i = len(costs)
-            rows[a][i] = rows[b][i] = -1
-            rows[c][i] = rows[d][i] = 1
-            costs.append(0)
+            if a < c and d < b:
+                # The usual order: variables follow their sets' masks, and
+                # K, K+i, K+j, K+i+j rise in mask order.
+                index += (a, c, d, b)
+                value += (-1, 1, 1, -1)
+            else:
+                for j in sorted(quad):
+                    index.append(j)
+                    value.append(-1 if j == a or j == b else 1)
+            start.append(len(index))
             if at[a] + at[b] == at[c] + at[d]:
-                crash.append(i)
+                crash.append(len(costs))
+            costs.append(0)
         else:
             add(((a, 1), (b, 1), (c, -1), (d, -1)), 0)
     add_by_mask(functional)
-    obj = var[g.vertex_mask]
-    dual_rows = [(row, LE, -1 if j == obj else 0) for j, row in enumerate(rows)]
-    return LinearProgram(len(costs), "min", costs, dual_rows), var, crash
+    rhs = [0] * nvars
+    rhs[var[g.vertex_mask]] = -1
+    return LinearProgram.from_columns("min", costs, (start, index, value), [LE] * nvars,
+                                      rhs), var, crash
 
 
 def validate_entropy_function(g: Graph, h) -> tuple[bool, str]:
@@ -767,28 +794,53 @@ class BoundsReport:
     nest the witnesses of their parts under "inner".  theta is None when
     lazy_theta skipped the subset-entropy LP on some component, since the
     value of the whole graph is then unknown.
+
+    The rational values are held as Python ints over one positive
+    denominator, values = Scaled([lower, upper, kappa_f, theta], den), with
+    no theta entry when theta is None.  Reports are built, compared and
+    added in those ints; lower, upper, kappa_f and theta make their
+    Rationals when they are read, as LpSolution's values do.
     """
 
-    __slots__ = ("lower", "upper", "exact", "lower_witness", "upper_witness",
-                 "nu", "cc", "kappa_f", "tau", "theta")
+    __slots__ = ("values", "exact", "lower_witness", "upper_witness", "nu", "cc", "tau")
 
-    def __init__(self, lower, upper, lower_witness, upper_witness,
-                 nu: int, cc: int, kappa_f, tau: int, theta):
-        self.lower = Rational(lower)
-        self.upper = Rational(upper)
-        if self.lower > self.upper:
-            raise AssertionError(f"crossed bracket [{self.lower}, {self.upper}]")
-        self.exact = self.lower == self.upper
+    def __init__(self, values: Scaled, lower_witness, upper_witness, nu: int, cc: int, tau: int):
+        low, up = values.ints[:2]
+        if low > up:
+            raise AssertionError(f"crossed bracket [{values[0]}, {values[1]}]")
+        self.values = values
+        self.exact = low == up
         self.lower_witness = lower_witness
         self.upper_witness = upper_witness
         self.nu = nu
         self.cc = cc
-        self.kappa_f = kappa_f
         self.tau = tau
-        self.theta = theta
+
+    @property
+    def lower(self) -> Rational:
+        return self.values[0]
+
+    @property
+    def upper(self) -> Rational:
+        return self.values[1]
+
+    @property
+    def kappa_f(self) -> Rational:
+        return self.values[2]
+
+    @property
+    def theta(self) -> Rational | None:
+        return self.values[3] if len(self.values) == 4 else None
 
     def __repr__(self):
         return f"BoundsReport([{self.lower}, {self.upper}], exact={self.exact})"
+
+
+def _over_one_denominator(*pairs: tuple[int, int]) -> Scaled:
+    """(numerator, positive denominator) pairs as one Scaled vector, over
+    the least common multiple of their denominators."""
+    den = lcm(*(q for _, q in pairs))
+    return Scaled([p * (den // q) for p, q in pairs], den)
 
 
 def union_report(components: list[list[int]], parts: list[BoundsReport]) -> BoundsReport:
@@ -797,19 +849,22 @@ def union_report(components: list[list[int]], parts: list[BoundsReport]) -> Boun
     lies inside one), and each side's witness lists the component vertex
     lists with the parts' witnesses for that side.  theta is None when some
     part's is."""
-    thetas = [p.theta for p in parts]
+    width = min((len(p.values) for p in parts), default=4)
+    den = lcm(*(p.values.den for p in parts))
+    sums = [0] * width
+    for p in parts:
+        f = den // p.values.den
+        for i in range(width):
+            sums[i] += p.values.ints[i] * f
     return BoundsReport(
-        sum((p.lower for p in parts), Rational(0)),
-        sum((p.upper for p in parts), Rational(0)),
+        Scaled(sums, den),
         {"tag": "union-additivity", "components": components,
          "inner": [p.lower_witness for p in parts]},
         {"tag": "union-additivity", "components": components,
          "inner": [p.upper_witness for p in parts]},
         sum(p.nu for p in parts),
         sum(p.cc for p in parts),
-        sum((p.kappa_f for p in parts), Rational(0)),
         sum(p.tau for p in parts),
-        None if None in thetas else sum(thetas, Rational(0)),
     )
 
 
@@ -828,7 +883,9 @@ def entropy_bracket(g: Graph, shannon_cap: int = DEFAULT_SHANNON_CAP,
 
     Across the loop strip tau and theta add the loop count, but nu, cc and
     kappa_f do not (a looped vertex still sits in a clique), so those three
-    are taken on the looped graph itself.
+    are taken on the looped graph itself.  Every value is carried in ints
+    over a denominator (BoundsReport.values); rationals are made only for
+    the witnesses that hold them.
     """
     lp_mask = loops(g)
     if lp_mask:
@@ -843,12 +900,15 @@ def entropy_bracket(g: Graph, shannon_cap: int = DEFAULT_SHANNON_CAP,
         # looped graph's transversal holds every looped vertex, and on a
         # digraph its search would span all components at once.
         kappa_f = fractional_clique_cover_number(g, cover, _largest_independent_set(g))[0]
+        ints, den = inner.values.ints, inner.values.den
+        shifted = [(v + k * den, den) for v in ints]
+        (kf,), kf_den = scaled((kappa_f,))
+        shifted[2] = (kf, kf_den)
         return BoundsReport(
-            inner.lower + k, inner.upper + k,
+            _over_one_denominator(*shifted),
             {"tag": "loop-reduction", "loops": looped, "inner": inner.lower_witness},
             {"tag": "loop-reduction", "loops": looped, "inner": inner.upper_witness},
-            nu, cc, kappa_f, inner.tau + k,
-            None if inner.theta is None else inner.theta + k)
+            nu, cc, inner.tau + k)
     comps = connected_components(g)
     if len(comps) != 1:
         return union_report(
@@ -861,11 +921,13 @@ def entropy_bracket(g: Graph, shannon_cap: int = DEFAULT_SHANNON_CAP,
     # A transversal meets every 2-cycle, so what it leaves is independent.
     tau, removed = transversal_number(g)
     kappa_f, cliques, weights = fractional_clique_cover_number(g, cover, g.vertex_mask & ~removed)
-    lower = n - kappa_f
-    assert nu <= n - cc <= lower
-    if nu == lower:
+    # kappa_f = kf / den and lower = n - kappa_f = low / den.
+    (kf,), den = scaled((kappa_f,))
+    low = n * den - kf
+    assert nu * den <= (n - cc) * den <= low
+    if nu * den == low:
         low_wit = {"tag": "matching", "edges": [list(e) for e in matching]}
-    elif n - cc == lower:
+    elif (n - cc) * den == low:
         low_wit = {"tag": "clique-cover", "cliques": [list(bits_of(c)) for c in cover]}
     else:
         low_wit = {
@@ -874,10 +936,13 @@ def entropy_bracket(g: Graph, shannon_cap: int = DEFAULT_SHANNON_CAP,
             "weights": list(weights),
             "value": kappa_f,
         }
-    upper, up_wit = tau, {"tag": "transversal", "removed": list(bits_of(removed))}
-    theta = None
-    if not (lazy_theta and tau == lower):
-        theta = shannon_entropy(g, shannon_cap, (cliques, weights))[0]
-        if theta < upper:
-            upper, up_wit = theta, {"tag": "shannon-lp", "theta": theta}
-    return BoundsReport(lower, upper, low_wit, up_wit, nu, cc, kappa_f, tau, theta)
+    up_wit = {"tag": "transversal", "removed": list(bits_of(removed))}
+    values = [(low, den), (tau, 1), (kf, den)]
+    if not (lazy_theta and tau * den == low):
+        h = shannon_entropy(g, shannon_cap, (cliques, weights))[1]
+        theta = (h.ints[g.vertex_mask], h.den)
+        values.append(theta)
+        if theta[0] < tau * theta[1]:
+            values[1] = theta
+            up_wit = {"tag": "shannon-lp", "theta": h[g.vertex_mask]}
+    return BoundsReport(_over_one_denominator(*values), low_wit, up_wit, nu, cc, tau)

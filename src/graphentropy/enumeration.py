@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
+from math import gcd
 
 from .bounds import BoundsReport, entropy_bracket, union_report
 from .graphs import (
@@ -174,7 +175,7 @@ def isomorphism_classes(n: int) -> tuple[Graph, ...]:
     Canonical deletion, after the same paper: a candidate reaches the
     canonical search only if its new vertex has maximum degree (checked on
     the attachment mask against per-degree masks of the base vertices,
-    before anything is built) and
+    before its orbit is sought or anything is built) and
     lies in the top class of the refined colouring, whose colours then seed
     the search.  No class is lost.  Refined colours are
     isomorphism-invariant and refine the degree order, so every class G has
@@ -203,14 +204,16 @@ def _classes_cached(n: int) -> tuple[Graph, ...]:
         for v, r in enumerate(base_rows):
             for d in range(r.bit_count() + 1):
                 at_least[d] |= 1 << v
-        rep = orbit_representatives(automorphisms(base), range(new_bit))
-        for attach, least in rep.items():
-            if least != attach:
-                continue
-            # The new vertex needs maximum degree: no base vertex above its
-            # degree, or at it and gaining the edge to the new vertex.
-            degree = attach.bit_count()
-            if at_least[degree + 1] | at_least[degree] & attach:
+        # The new vertex needs maximum degree: no base vertex above its
+        # degree, or at it and gaining the edge to the new vertex.  The test
+        # reads only degrees, so the masks that pass are closed under the
+        # base's automorphisms, and only they are sorted into orbits.
+        passing = [attach for attach in range(new_bit)
+                   if not at_least[attach.bit_count() + 1]
+                   | at_least[attach.bit_count()] & attach]
+        rep = orbit_representatives(automorphisms(base), passing)
+        for attach in passing:
+            if rep[attach] != attach:
                 continue
             rows = [r | new_bit if attach >> v & 1 else r for v, r in enumerate(base_rows)]
             rows.append(attach)
@@ -306,8 +309,17 @@ def survey_entropy_values(
 
 
 def collapsed_values(records) -> list:
-    """The distinct values of the exact brackets among survey triples, sorted."""
-    return sorted({report.lower for _, report, _ in records if report.exact})
+    """The distinct values of the exact brackets among survey triples, sorted.
+
+    Brackets are compared in the ints they hold (BoundsReport.values), each
+    value reduced to lowest terms; one rational is made per distinct value."""
+    distinct = set()
+    for _, report, _ in records:
+        if report.exact:
+            p, q = report.values.ints[0], report.values.den
+            g = gcd(p, q)
+            distinct.add((p // g, q // g))
+    return sorted(rat(p, q) for p, q in distinct)
 
 
 def _solve_brackets(graphs: list[Graph], jobs: int) -> list[BoundsReport]:
@@ -462,11 +474,6 @@ def verify_small_theorems(jobs: int = 1) -> dict:
     11/3 is the first graph of g_family().
     """
     records = survey_entropy_values(7, jobs=jobs)
-    one, three, four = rat(1), rat(3), rat(4)
-    half, third = rat("5/2"), rat("11/3")
-    gap_ends = (rat(2), half)  # the gaps are (1, 2), (2, 5/2) and (5/2, 3)
-    window = (rat("7/2"), third)
-    values = set()
     counterexamples = []
     bad_window = []
     half_wits = []
@@ -477,15 +484,15 @@ def verify_small_theorems(jobs: int = 1) -> dict:
             unresolved.append({"graph6": render_graph(g, "graph6"),
                                "lower": report.lower, "upper": report.upper})
             continue
-        v = report.lower
-        values.add(v)
-        if one < v < three and v not in gap_ends:
-            counterexamples.append({"graph6": render_graph(g, "graph6"), "value": v})
-        if three < v < four and v not in window:
-            bad_window.append({"graph6": render_graph(g, "graph6"), "value": v})
-        if connected and v == half:
+        # The value is p/q, compared with the gap and window ends in ints.
+        p, q = report.values.ints[0], report.values.den
+        if q < p < 3 * q and p != 2 * q and 2 * p != 5 * q:
+            counterexamples.append({"graph6": render_graph(g, "graph6"), "value": report.lower})
+        if 3 * q < p < 4 * q and 2 * p != 7 * q and 3 * p != 11 * q:
+            bad_window.append({"graph6": render_graph(g, "graph6"), "value": report.lower})
+        if connected and 2 * p == 5 * q:
             half_wits.append(g)
-        elif connected and v == third:
+        elif connected and 3 * p == 11 * q:
             third_wits.append(g)
     # Survey graphs are canonical representatives already.
     ok = (
@@ -498,7 +505,7 @@ def verify_small_theorems(jobs: int = 1) -> dict:
         "suite": "theorem2",
         "ok": ok,
         "classes": len(records),
-        "collapsed_values": sorted(v for v in values if v <= 4),
+        "collapsed_values": [v for v in collapsed_values(records) if v <= 4],
         "gap_counterexamples": counterexamples,
         "window_violations": bad_window,
         "connected_5/2_witnesses": [render_graph(g, "graph6") for g in half_wits],

@@ -68,7 +68,7 @@ class Graph:
     it: an undirected edge is a pair of opposite arcs.
     """
 
-    __slots__ = ("n", "rows", "directed", "_cols", "_mutual")
+    __slots__ = ("n", "rows", "directed", "_cols", "_mutual", "_components")
 
     def __init__(self, n: int, rows: Iterable[int], directed: bool):
         if n < 0:
@@ -96,6 +96,7 @@ class Graph:
         object.__setattr__(self, "directed", directed)
         object.__setattr__(self, "_cols", cols)
         object.__setattr__(self, "_mutual", None)
+        object.__setattr__(self, "_components", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -350,27 +351,33 @@ def orbit_representatives(gens: Sequence[Sequence[int]], masks: Iterable[int]) -
 
 
 def connected_components(g: Graph) -> list[int]:
-    """Masks of the weakly connected components, by smallest vertex."""
-    undirected = [r | c for r, c in zip(g.rows, g.cols)]
-    seen = 0
-    comps = []
-    for v in range(g.n):
-        bit = 1 << v
-        if seen & bit:
-            continue
-        comp = bit
-        frontier = bit
-        while frontier:
-            nxt = 0
+    """Masks of the weakly connected components, by smallest vertex: found
+    once per graph and cached on it, like Graph.cols, and handed out as a
+    fresh list on every call."""
+    cached = g._components
+    if cached is None:
+        undirected = [r | c for r, c in zip(g.rows, g.cols)]
+        seen = 0
+        comps = []
+        for v in range(g.n):
+            bit = 1 << v
+            if seen & bit:
+                continue
+            comp = bit
+            frontier = bit
             while frontier:
-                low = frontier & -frontier
-                nxt |= undirected[low.bit_length() - 1]
-                frontier ^= low
-            frontier = nxt & ~comp
-            comp |= frontier
-        comps.append(comp)
-        seen |= comp
-    return comps
+                nxt = 0
+                while frontier:
+                    low = frontier & -frontier
+                    nxt |= undirected[low.bit_length() - 1]
+                    frontier ^= low
+                frontier = nxt & ~comp
+                comp |= frontier
+            comps.append(comp)
+            seen |= comp
+        cached = tuple(comps)
+        object.__setattr__(g, "_components", cached)
+    return list(cached)
 
 
 def _check_subset(g: Graph, s: int) -> None:

@@ -32,30 +32,36 @@ test ran phase 2 to its iteration limit on asymmetric 8- and 9-vertex
 duals.  Either left the exact simplex long pivoting.
 
 Every program is an integer program over nonnegative variables: each
-coefficient, right-hand side and objective entry is an int, and rows are
-{index: int} dicts with relation '<=', '=' or '>='.  Every LP the package
-builds is of this kind, so the exact side needs no rational arithmetic.
-Each exact vector, from the basic values through the certificates, is held
-as Python ints over one positive common denominator (rationals.Scaled):
-basis systems are solved that way, ratio tests compare by
-cross-multiplication, and verify_certificates checks the solver's ints as
-they are.  No rational is made inside solve; LpSolution makes them when its
-objective, primal or dual is read.
+coefficient, right-hand side and objective entry is an int, and each row
+has relation '<=', '=' or '>='.  Every LP the package builds is of this
+kind, so the exact side needs no rational arithmetic.  Each exact vector,
+from the basic values through the certificates, is held as Python ints
+over one positive common denominator (rationals.Scaled): basis systems are
+solved that way, ratio tests compare by cross-multiplication, and
+verify_certificates checks the solver's ints as they are.  No rational is
+made inside solve; LpSolution makes them when its objective, primal or
+dual is read.
 
-Both simplexes read one standard form (_Setup): the right-hand sides and
-one flat column table, the structural columns, which LinearProgram lays
-out in the pass that freezes its rows, followed by the slack, surplus and
-artificial ones.  Basis matrices, pricing and the float run's sparse matrix
-are read straight from that table; only verify_certificates reads the
-program's rows.
+A LinearProgram is stored as one flat column table plus each row's
+relation and right-hand side.  A program given by rows is laid out as
+columns once, in the pass that checks them; the covering LP and the
+entropy duals are generated column by column and handed over as the table
+itself (from_columns), so neither is transposed at all.  Both simplexes
+read one standard form (_Setup): that table, followed by the slack,
+surplus and artificial columns.  Basis matrices, pricing, the float run's
+sparse matrix and verify_certificates all read the table; the rows are
+derived from it only when a caller reads them.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from collections.abc import Iterable, Mapping
 from functools import cache
-from itertools import accumulate, chain
+from itertools import accumulate, chain, compress, count, islice
 from math import gcd
+from operator import ge, gt, le, lt, mul, sub
 
 from .rationals import Scaled, rat_str
 
@@ -74,28 +80,32 @@ class LpError(ValueError):
 class LinearProgram:
     """Immutable integer LP: optimize objective . x subject to rows, x >= 0.
 
-    objective is a tuple of num_vars ints.  Each row of rows is (coeffs,
-    relation, rhs), coeffs the nonzero (index, coeff) pairs in index order
-    and rhs an int.  A row is given as ({index: int}, relation, int); any
-    entry that is not an int raises LpError.
+    objective is a tuple of num_vars ints.  The program is stored in the form
+    the solver reads (_Setup): one column table, column j's entries
+    (index[p], value[p]) for p in range(start[j], start[j + 1]) with row
+    indices ascending and no stored zero, plus one relation (rels) and one
+    int right-hand side (rhs) per row.
 
-    The pass that freezes the rows also lays their entries out column by
-    column, each row with a negative right-hand side negated: the
-    structural part of the column table the solver reads (_Setup), so a
-    program is never transposed again."""
+    A program is given row by row, as LinearProgram(num_vars, sense,
+    objective, rows) with each row ({index: int}, relation, int), and laid
+    out as columns in the pass that checks its rows; or column by column,
+    by from_columns, as the covering LP and the entropy duals are generated.
+    Either way it is laid out once, and any entry that is not an int raises
+    LpError.  rows is derived from the table when first read: each row as
+    (coeffs, relation, rhs), coeffs the nonzero (index, coeff) pairs in
+    index order."""
 
-    __slots__ = ("num_vars", "sense", "objective", "rows", "_columns")
+    __slots__ = ("num_vars", "sense", "objective", "rels", "rhs", "_columns", "_rows")
 
     def __init__(self, num_vars: int, sense: str, objective, rows: Iterable[tuple] = ()):
-        if sense not in ("max", "min"):
-            raise LpError(f"sense must be 'max' or 'min', got {sense!r}")
+        _check_sense(sense)
         if num_vars < 0:
             raise LpError("num_vars must be nonnegative")
         obj = _as_dense(objective, num_vars)
-        frozen_rows = []
         # at[j] and values[j]: column j's rows, ascending, and its entries.
         at = [[] for _ in range(num_vars)]
         values = [[] for _ in range(num_vars)]
+        rels, rhs_of = [], []
         for k, row in enumerate(rows):
             try:
                 coeffs, rel, rhs = row
@@ -105,8 +115,7 @@ class LinearProgram:
                 raise LpError(f"row {k} has unknown relation {rel!r}")
             # Programs hold hundreds of rows, nearly all plain dicts: the exact
             # type test spares them the slower Mapping check, and the sorted
-            # ends bound every index.  A row handed over in index order, as
-            # the entropy duals' rows are, costs the sort one pass.
+            # ends bound every index.
             if type(coeffs) is not dict and not isinstance(coeffs, Mapping):
                 raise LpError(f"row {k}: coefficients must be an {{index: int}} dict")
             items = sorted(coeffs.items())
@@ -115,23 +124,94 @@ class LinearProgram:
                 raise LpError(f"row {k}: variable index {j} out of range")
             if type(rhs) is not int:
                 raise LpError(f"row {k}: right-hand side {rhs!r} is not an int")
-            sign = -1 if rhs < 0 else 1
             for j, a in items:
                 if type(a) is not int:
                     raise LpError(f"row {k}: coefficient {a!r} is not an int")
                 if a:
                     at[j].append(k)
-                    values[j].append(sign * a)
-            if 0 in coeffs.values():
-                items = [p for p in items if p[1]]
-            frozen_rows.append((tuple(items), rel, rhs))
-        object.__setattr__(self, "num_vars", num_vars)
+                    values[j].append(a)
+            rels.append(rel)
+            rhs_of.append(rhs)
+        self._store(sense, obj, (list(accumulate(map(len, at), initial=0)),
+                                 list(chain.from_iterable(at)),
+                                 list(chain.from_iterable(values))), rels, rhs_of)
+
+    @classmethod
+    def from_columns(cls, sense: str, objective, columns, rels, rhs) -> LinearProgram:
+        """The program with the given column table, columns = (start, index,
+        value) as the class lays it out, one column per objective entry,
+        and the relation and right-hand side of each row.  The lists are
+        kept, not copied.  Refused with LpError, like a row the constructor
+        refuses: an entry or right-hand side that is not an int, an unknown
+        relation, a row index out of range or not ascending within its
+        column, and a stored zero."""
+        _check_sense(sense)
+        start, index, value = columns
+        if not (start and start[0] == 0 and start[-1] == len(index) == len(value)
+                and {*map(type, start)} == {int} and all(map(le, start, islice(start, 1, None)))):
+            raise LpError("columns: start must rise from 0 to one past the last entry")
+        num_vars = len(start) - 1
+        obj = _as_dense(objective, num_vars)
+        m = len(rels)
+        if len(rhs) != m:
+            raise LpError(f"{m} relations but {len(rhs)} right-hand sides")
+        if not all(map(_RELS.__contains__, rels)) or {*map(type, rhs)} - {int}:
+            for k, (rel, b) in enumerate(zip(rels, rhs)):
+                if rel not in _RELS:
+                    raise LpError(f"row {k} has unknown relation {rel!r}")
+                if type(b) is not int:
+                    raise LpError(f"row {k}: right-hand side {b!r} is not an int")
+        # Each check runs over the whole table at C speed; the loop that
+        # names the first offending entry runs only when one fails.  An
+        # array of unsigned ints takes ints from 0 up, and nothing else.
+        try:
+            array("Q", index)
+            in_range = max(index, default=-1) < m
+        except (TypeError, OverflowError):
+            in_range = False
+        if not in_range:
+            p = next(p for p, i in enumerate(index) if not isinstance(i, int) or not 0 <= i < m)
+            raise LpError(f"column {bisect_right(start, p) - 1}: row index {index[p]!r} "
+                          "out of range")
+        # A row index not above its predecessor is allowed only where a
+        # column starts.
+        falls = set(compress(range(1, len(index)), map(ge, index, islice(index, 1, None))))
+        if falls - set(start):
+            p = min(falls - set(start))
+            raise LpError(f"column {bisect_right(start, p) - 1}: row indices not ascending")
+        if value and ({*map(type, value)} != {int} or 0 in value):
+            p = next(p for p, a in enumerate(value) if type(a) is not int or not a)
+            j = bisect_right(start, p) - 1
+            if type(value[p]) is int:
+                raise LpError(f"column {j}: stored zero")
+            raise LpError(f"column {j}: coefficient {value[p]!r} is not an int")
+        lp = cls.__new__(cls)
+        lp._store(sense, obj, (start, index, value), rels, rhs)
+        return lp
+
+    def _store(self, sense, objective, columns, rels, rhs) -> None:
+        object.__setattr__(self, "num_vars", len(objective))
         object.__setattr__(self, "sense", sense)
-        object.__setattr__(self, "objective", obj)
-        object.__setattr__(self, "rows", tuple(frozen_rows))
-        object.__setattr__(self, "_columns", (list(accumulate(map(len, at), initial=0)),
-                                              list(chain.from_iterable(at)),
-                                              list(chain.from_iterable(values))))
+        object.__setattr__(self, "objective", objective)
+        object.__setattr__(self, "rels", tuple(rels))
+        object.__setattr__(self, "rhs", tuple(rhs))
+        object.__setattr__(self, "_columns", columns)
+        object.__setattr__(self, "_rows", None)
+
+    @property
+    def rows(self) -> tuple:
+        """The rows as (coeffs, relation, rhs), coeffs the nonzero (index,
+        coeff) pairs in index order; derived from the column table once."""
+        rows = self._rows
+        if rows is None:
+            start, index, value = self._columns
+            coeffs = [[] for _ in self.rhs]
+            for j in range(self.num_vars):
+                for p in range(start[j], start[j + 1]):
+                    coeffs[index[p]].append((j, value[p]))
+            rows = tuple(zip(map(tuple, coeffs), self.rels, self.rhs))
+            object.__setattr__(self, "_rows", rows)
+        return rows
 
     def __setattr__(self, name, value):
         raise AttributeError("LinearProgram is immutable")
@@ -175,6 +255,11 @@ class LpSolution:
         return f"LpSolution(optimal, objective={rat_str(self.objective)})"
 
 
+def _check_sense(sense) -> None:
+    if sense not in ("max", "min"):
+        raise LpError(f"sense must be 'max' or 'min', got {sense!r}")
+
+
 def _as_dense(coeffs, num_vars):
     """The objective, given densely or as {index: int}, as a tuple of ints."""
     if isinstance(coeffs, Mapping):
@@ -187,8 +272,8 @@ def _as_dense(coeffs, num_vars):
         dense = list(coeffs)
         if len(dense) != num_vars:
             raise LpError(f"objective: expected {num_vars} coefficients, got {len(dense)}")
-    bad = next((c for c in dense if type(c) is not int), None)
-    if bad is not None:
+    if {*map(type, dense)} - {int}:
+        bad = next(c for c in dense if type(c) is not int)
         raise LpError(f"objective: coefficient {bad!r} is not an int")
     return tuple(dense)
 
@@ -215,17 +300,19 @@ class _Setup:
     """Standard form shared by the exact and float paths, held once, as one
     flat column table, with internal max-sense costs.
 
-    A row with a negative right-hand side is flipped (flip[i]), so rhs holds
-    nonnegative ints.  Column j's entries are (index[p], value[p]) for p in
-    range(start[j], start[j + 1]), row indices ascending: the structural
-    columns first, then one slack (+1) or surplus (-1) column per
-    inequality, in row order, then one artificial (+1) per row that is not
-    '<=' after the flip; arts lists the artificials.  id_col[i] is the slack
-    or artificial column of the slack/artificial basis on row i.  cost holds
-    the structural costs."""
+    rhs holds the program's own right-hand sides: no row is negated, so
+    each row's dual is read off as it is.  Column j's entries are
+    (index[p], value[p]) for p in range(start[j], start[j + 1]), row indices
+    ascending: the program's columns first, then one slack (+1 on a '<='
+    row) or surplus (-1 on a '>=' row) column per inequality, in row order,
+    then one artificial per row that is neither '<=' with rhs >= 0 nor '>='
+    with rhs < 0: +1, or -1 where rhs < 0.  id_col[i] is row i's column in
+    the slack/artificial basis, its slack or surplus where the row is one of
+    those two kinds and its artificial otherwise, so that each starts at
+    |rhs[i]|; arts lists the artificials.  cost holds the structural costs.
+    """
 
-    __slots__ = ("lp", "maximize", "cost", "rhs", "start", "index", "value", "flip", "id_col",
-                 "arts")
+    __slots__ = ("lp", "maximize", "cost", "rhs", "start", "index", "value", "id_col", "arts")
 
     @property
     def ncols(self) -> int:
@@ -242,29 +329,27 @@ def _standardize(lp: LinearProgram) -> _Setup:
     s.lp = lp
     s.maximize = lp.sense == "max"
     s.cost = list(lp.objective) if s.maximize else [-c for c in lp.objective]
-    s.flip = [rhs < 0 for _, _, rhs in lp.rows]
-    s.rhs = [-rhs if flip else rhs for (_, _, rhs), flip in zip(lp.rows, s.flip)]
-    rels = [{LE: GE, GE: LE}.get(rel, rel) if flip else rel
-            for (_, rel, _), flip in zip(lp.rows, s.flip)]
-    # The structural columns, laid out by LinearProgram, then one entry per
-    # slack, surplus or artificial column.
+    s.rhs = list(lp.rhs)
+    # The program's own column table, then one entry per slack, surplus or
+    # artificial column.
     start, index, value = lp._columns
     ncols = lp.num_vars
     extra_index, extra_value = [], []
-    s.id_col = [-1] * len(rels)
-    for i, rel in enumerate(rels):
+    s.id_col = [-1] * len(s.rhs)
+    for i, (rel, b) in enumerate(zip(lp.rels, s.rhs)):
         if rel != EQ:
-            if rel == LE:
+            # A slack starts at b, a surplus at -b.
+            if (rel == LE) == (b >= 0):
                 s.id_col[i] = ncols + len(extra_index)
             extra_index.append(i)
             extra_value.append(1 if rel == LE else -1)
     s.arts = []
-    for i, rel in enumerate(rels):
-        if rel != LE:
+    for i, b in enumerate(s.rhs):
+        if s.id_col[i] < 0:
             s.id_col[i] = ncols + len(extra_index)
             s.arts.append(ncols + len(extra_index))
             extra_index.append(i)
-            extra_value.append(1)
+            extra_value.append(-1 if b < 0 else 1)
     s.start = start + list(range(start[-1] + 1, start[-1] + 1 + len(extra_index)))
     s.index = index + extra_index
     s.value = value + extra_value
@@ -411,8 +496,7 @@ def _solution(s: _Setup, basis, z, w, den: int) -> LpSolution:
     for k, j in enumerate(basis):
         if j < lp.num_vars:
             xs[j] = z.ints[k]
-    sign = 1 if s.maximize else -1
-    ys = [-sign * wi if flip else sign * wi for wi, flip in zip(w, s.flip)]
+    ys = w if s.maximize else [-wi for wi in w]
     value = sum(c * xs[j] for j, c in enumerate(lp.objective) if c)
     return LpSolution(OPTIMAL, Scaled([value], z.den), Scaled(xs, z.den), Scaled(ys, den))
 
@@ -441,31 +525,37 @@ def _crash_basis(s: _Setup, candidates: Iterable[int]):
     """A triangular crash basis (Bixby, ORSA J. Computing 1992), one column
     per row.  Each row with a nonzero right-hand side keeps its slack or
     artificial.  The candidate columns, fewest nonzeros first, are then
-    passed over until a pass adds none: a column enters when exactly one of
-    its nonzero rows is still uncovered, and covers that row.  Every row
-    left over keeps its slack or artificial.
+    passed over until a pass adds none or every row is covered: a column
+    enters when exactly one of its nonzero rows is still uncovered, and
+    covers that row.  Every row left over keeps its slack or artificial.
 
     Ordered by when their rows were covered, the columns form a triangular
     matrix with a nonzero diagonal, so the basis is never singular.  It is
     also phase-1 feasible: back substitution gives each row's slack or
-    artificial its right-hand side and every other column zero.  With no
-    candidates it is the slack/artificial basis."""
+    artificial the size of its right-hand side and every other column
+    zero.  With no candidates it is the slack/artificial basis."""
     basis = list(s.id_col)
     covered = [b != 0 for b in s.rhs]
+    uncovered = covered.count(False)
     start, index = s.start, s.index
-    waiting = sorted(candidates, key=lambda j: start[j + 1] - start[j])
-    while True:
+    # Sorted by a builtin key, so that no Python function runs per candidate.
+    waiting = sorted(candidates, key=list(map(sub, islice(start, 1, None), start)).__getitem__)
+    while uncovered:
         left = []
         for j in waiting:
             free = [i for i in index[start[j]:start[j + 1]] if not covered[i]]
             if len(free) == 1:
                 basis[free[0]] = j
                 covered[free[0]] = True
+                uncovered -= 1
+                if not uncovered:
+                    break
             elif free:
                 left.append(j)
         if len(left) == len(waiting):
-            return basis
+            break
         waiting = left
+    return basis
 
 
 def _float_basis(s: _Setup, crash: Iterable[int] = ()):
@@ -524,7 +614,7 @@ def _float_basis(s: _Setup, crash: Iterable[int] = ()):
     at = pos[cj]
     dense = np.zeros((m, m))
     dense[ri[at >= 0], at[at >= 0]] = va[at >= 0]
-    # The slack/artificial basis is the identity, whose inverse is exact.
+    # The slack/artificial basis is diagonal, +-1, and its inverse exact.
     binv = np.linalg.inv(dense)
     x = np.maximum(binv @ np.array(s.rhs, dtype=float), 0.0)
     gamma = 1.0 + np.bincount(cj, va * va, ncols)
@@ -741,50 +831,52 @@ def verify_certificates(lp: LinearProgram, sol: LpSolution) -> tuple[bool, str]:
     """First-principles optimality check: primal feasibility, dual sign and
     stationarity conditions, and exact equality of the two objectives.
 
-    Evaluated in integers on the program's own int rows, with x, y and the
-    objective as the solution holds them, ints over a positive denominator
-    each: dx for x and dy for y."""
+    Evaluated in integers on the program's own column table, with x, y and
+    the objective as the solution holds them, ints over a positive
+    denominator each: dx for x and dy for y.  The rows are summed over the
+    columns in the support of x, and stationarity is checked column by
+    column."""
     if sol.status != OPTIMAL:
         return False, f"no certificates for status {sol.status}"
     x, y = sol.x, sol.y
-    if x is None or y is None or len(x) != lp.num_vars or len(y) != len(lp.rows):
+    if x is None or y is None or len(x) != lp.num_vars or len(y) != len(lp.rhs):
         return False, "certificate vectors missing or mis-sized"
     xs, dx = x.ints, x.den
     for j in range(lp.num_vars):
         if xs[j] < 0:
             return False, f"primal variable {j} negative"
-    for i, (coeffs, rel, rhs) in enumerate(lp.rows):
-        lhs = sum(a * xs[j] for j, a in coeffs)
+    start, index, value = lp._columns
+    lhs = [0] * len(lp.rhs)
+    for j, xj in enumerate(xs):
+        if xj:
+            for p in range(start[j], start[j + 1]):
+                lhs[index[p]] += value[p] * xj
+    for i, (rel, rhs) in enumerate(zip(lp.rels, lp.rhs)):
         rhs *= dx
-        if rel == LE and lhs > rhs:
+        if rel == LE and lhs[i] > rhs:
             return False, f"row {i} violated"
-        if rel == GE and lhs < rhs:
+        if rel == GE and lhs[i] < rhs:
             return False, f"row {i} violated"
-        if rel == EQ and lhs != rhs:
+        if rel == EQ and lhs[i] != rhs:
             return False, f"row {i} violated"
     maximize = lp.sense == "max"
     ys, dy = y.ints, y.den
-    for i, (_, rel, _) in enumerate(lp.rows):
+    for i, rel in enumerate(lp.rels):
         if rel == LE and (ys[i] < 0 if maximize else ys[i] > 0):
             return False, f"dual sign wrong on row {i}"
         if rel == GE and (ys[i] > 0 if maximize else ys[i] < 0):
             return False, f"dual sign wrong on row {i}"
-    # d / dy is the dual's combination of the rows.
-    d = [0] * lp.num_vars
-    for (coeffs, _, _), yi in zip(lp.rows, ys):
-        if yi:
-            for j, a in coeffs:
-                d[j] += yi * a
+    # d[j] / dy is column j's dual combination: the difference of two prefix
+    # sums of the entries times their rows' duals.
+    pre = list(accumulate(map(mul, map(ys.__getitem__, index), value), initial=0))
+    d = map(sub, map(pre.__getitem__, islice(start, 1, None)), map(pre.__getitem__, start))
     c = lp.objective
-    for j in range(lp.num_vars):
-        dj, cj = d[j], c[j] * dy
-        if maximize and dj < cj:
-            return False, f"dual stationarity fails on variable {j}"
-        if not maximize and dj > cj:
-            return False, f"dual stationarity fails on variable {j}"
+    j = next(compress(count(), map(lt if maximize else gt, d, [cj * dy for cj in c])), None)
+    if j is not None:
+        return False, f"dual stationarity fails on variable {j}"
     # The primal objective is primal / dx, the dual's dual / dy.
     primal = sum(cj * xj for cj, xj in zip(c, xs))
-    dual = sum(yi * rhs for yi, (_, _, rhs) in zip(ys, lp.rows))
+    dual = sum(map(mul, ys, lp.rhs))
     if primal * dy != dual * dx:
         return False, "duality gap is nonzero"
     value = sol.value

@@ -112,6 +112,15 @@ def test_fractional_cover_examples():
     # Two members, as many as the independent set, one not a clique.
     with pytest.raises(ValueError, match=r"\[0, 1, 2\] is not a clique"):
         fractional_clique_cover_number(c5(), (mask_of([0, 1, 2]), mask_of([3, 4])), pair)
+    # The unit-weight answer on P4, {0, 3} independent: its cover with a
+    # clique dropped, or with a member that is not a clique, is refused.
+    p4, ends = Graph.path(4), mask_of([0, 3])
+    assert fractional_clique_cover_number(p4, (mask_of([0, 1]), mask_of([2, 3])), ends) == (
+        2, (mask_of([0, 1]), mask_of([2, 3])), (1, 1))
+    with pytest.raises(ValueError, match="vertex 2 covered only to level 0"):
+        fractional_clique_cover_number(p4, (mask_of([0, 1]),), 1)
+    with pytest.raises(ValueError, match=r"\[1, 3\] is not a clique"):
+        fractional_clique_cover_number(p4, (mask_of([0, 1]), mask_of([1, 3])), ends)
     # The dual half is checked whichever branch runs.
     for cover in (edges, clique_cover_number(c5())[1]):
         with pytest.raises(ValueError, match=r"\[0, 1\] is not an independent set"):
@@ -481,26 +490,53 @@ def test_rejection_message_names_the_first_failing_row(rng):
 ENTROPY_DUALS_SHA256 = "0b65d19883558c76df464eb14f7325fd5d94e1276e7fa458b960aa1b0b591e4b"
 
 
-def test_entropy_duals_pinned():
-    """The entropy duals that bounds and verify solve, with their crash
-    columns and theta, hash to the digest pinned from a two-pass build: the
-    dual first, then a pass over its rows for the tight ones."""
+def _duals_needing_theta():
+    """(graph, entropy dual, crash columns) for each graph of the pinned
+    list above, the crash columns those of the optimal fractional clique
+    cover that shannon_entropy derives."""
     graphs = [g for g in enumerate_graphs(7, connected_only=True)
               if (r := entropy_bracket(g, lazy_theta=True)).tau > r.lower]
     assert len(graphs) == 37
     graphs += [Graph.cycle(5), Graph.cycle(7), complement_graph(Graph.cycle(7)), Graph.cycle(8)]
     graphs += g_family()[:2]
-    lines = []
+    out = []
     for g in graphs:
         gens = automorphisms(g)
         cover = fractional_clique_cover_number(
             g, clique_cover_number(g)[1], _largest_independent_set(g))[1:]
-        dual, var, crash = _entropy_dual(g, closure_map(g), gens, cover)
+        dual, _, crash = _entropy_dual(g, closure_map(g), gens, cover)
+        out.append((g, dual, crash))
+    return out
+
+
+def test_entropy_duals_pinned():
+    """The entropy duals that bounds and verify solve, with their crash
+    columns and theta, hash to the digest pinned from a two-pass build: the
+    dual first, then a pass over its rows for the tight ones."""
+    lines = []
+    for g, dual, crash in _duals_needing_theta():
         rows = [(list(coeffs), rel, rhs) for coeffs, rel, rhs in dual.rows]
         theta = shannon_entropy(g)[0]
         lines.append(f"{render_graph(g, 'graph6')} {list(dual.objective)} {rows} {crash} "
                      f"{rat_str(theta)}\n")
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == ENTROPY_DUALS_SHA256
+
+
+# sha256 of one line per graph of ENTROPY_DUALS_SHA256: the graph6 and the
+# crash basis over its dual's crash columns, pinned from the crash that
+# sorted its candidates by a Python key and ran every pass to the end.
+CRASH_BASES_SHA256 = "9fb3079681e0941242551e6e6e9f59707aa74331648faf2376d32c40e51fa231"
+
+
+def test_crash_bases_pinned():
+    """The crash bases the float run starts from on those duals are the
+    ones pinned, so stopping once every row is covered and sorting by a
+    builtin key chose no other column."""
+    lines = []
+    for g, dual, crash in _duals_needing_theta():
+        basis = lp_module._crash_basis(lp_module._standardize(dual), crash)
+        lines.append(f"{render_graph(g, 'graph6')} {basis}\n")
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == CRASH_BASES_SHA256
 
 
 def test_entropy_programs_build_without_rationals(monkeypatch):
@@ -539,11 +575,13 @@ def test_entropy_programs_build_without_rationals(monkeypatch):
 
 
 def test_entropy_program_is_built_and_certified_once():
-    """One shannon_entropy states one LinearProgram, the dual it solves, and
-    checks that program's certificates once, inside solve.  Calls are
-    counted by code object, so a check reached under any name counts."""
+    """One shannon_entropy states one LinearProgram, the dual it solves, by
+    either constructor (rows or columns), and checks that program's
+    certificates once, inside solve.  Calls are counted by code object, so
+    a check reached under any name counts."""
     cover = ([1 << v | 1 << (v + 1) % 7 for v in range(7)], [rat(1, 2)] * 7)
     watched = {lp_module.LinearProgram.__init__.__code__: "build",
+               lp_module.LinearProgram.from_columns.__func__.__code__: "build",
                lp_module.verify_certificates.__code__: "verify"}
     calls = []
 

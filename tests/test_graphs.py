@@ -223,6 +223,23 @@ def test_disjoint_union():
     assert connected_components(u) == [mask_of(range(5)), mask_of([5, 6])]
 
 
+def test_components_are_found_once_per_graph(monkeypatch):
+    """connected_components searches a graph once and caches the masks on
+    it; every call, the first included, hands out a list of its own, so a
+    caller that changes one changes no other."""
+    g = disjoint_union(c5(), Graph.complete(2))
+    reads = []
+    real_cols = Graph.cols
+    monkeypatch.setattr(Graph, "cols",
+                        property(lambda self: reads.append(1) or real_cols.fget(self)))
+    first = connected_components(g)
+    first.append(0)
+    second = connected_components(g)
+    assert second == [mask_of(range(5)), mask_of([5, 6])] and second is not first
+    assert connected_components(g) is not second
+    assert len(reads) == 1
+
+
 def _generated_group(gens, n: int) -> set[tuple[int, ...]]:
     """Every product of the generators, the identity included."""
     group = {tuple(range(n))}

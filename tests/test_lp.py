@@ -281,20 +281,19 @@ def _random_int(rng, top: int, zero_p: float = 0.0) -> int:
 
 def _vertex_at(lp: LinearProgram, basis):
     """Primal and dual of lp at a basis of its standard form, solved by
-    rational elimination on the unscaled rows, int entries lifted to
+    rational elimination on the program's rows, int entries lifted to
     rationals.  A dependent column gives way to the identity column of the
-    row it leaves without a pivot, as in the solver; only the flips and the
-    slack, surplus and artificial columns are read from _standardize, whose
-    layout test_standard_form_follows_its_layout checks."""
+    row it leaves without a pivot, as in the solver; only the slack,
+    surplus and artificial columns are read from _standardize, whose layout
+    test_standard_form_follows_its_layout checks."""
     s = _standardize(lp)
     m = len(lp.rows)
     cols = [{} for _ in range(s.ncols)]
     b = []
     for i, (coeffs, _, rhs) in enumerate(lp.rows):
-        sign = -1 if s.flip[i] else 1
         for j, c in coeffs:
-            cols[j][i] = rat(sign * c)
-        b.append(rat(sign * rhs))
+            cols[j][i] = rat(c)
+        b.append(rat(rhs))
     for j in range(lp.num_vars, s.ncols):
         for i, a in s.column(j):
             cols[j][i] = rat(a)
@@ -315,7 +314,7 @@ def _vertex_at(lp: LinearProgram, basis):
     for k, j in enumerate(basis):
         x[j] = z[k]
     primal = tuple(x[j] for j in range(lp.num_vars))
-    dual = tuple(-sign * yi if flip else sign * yi for yi, flip in zip(y, s.flip))
+    dual = tuple(sign * yi for yi in y)
     return primal, dual
 
 
@@ -604,24 +603,26 @@ def test_crash_start_is_optimal_at_once(exact_steps):
 
 def _layout(lp: LinearProgram):
     """The standard form as _Setup's docstring lays it out, built row by
-    row: (cols, rhs, flip, id_col, arts).  A row with a negative right-hand
-    side is negated and its inequality reversed; the structural columns come
-    first, then one slack (+1) or surplus (-1) column per inequality in row
-    order, then one artificial (+1) per row that is not '<=' after the
-    flip.  The slack/artificial basis takes a row's slack when the row is
-    '<=' and its artificial otherwise."""
-    flip = [rhs < 0 for _, _, rhs in lp.rows]
-    rels = [{LE: GE, GE: LE}.get(rel, rel) if f else rel for (_, rel, _), f in zip(lp.rows, flip)]
-    rows = [{j: -c if f else c for j, c in coeffs} for (coeffs, _, _), f in zip(lp.rows, flip)]
+    row: (cols, rhs, id_col, arts).  No row is negated.  The program's
+    columns come first, then one slack (+1 on a '<=' row) or surplus (-1
+    on a '>=' row) column per inequality in row order, then one artificial
+    per row that is neither '<=' with a nonnegative right-hand side nor '>='
+    with a negative one: +1, or -1 where the right-hand side is negative.
+    The slack/artificial basis takes a row's slack or surplus where the row
+    is one of those two kinds, and its artificial otherwise."""
+    rows = [dict(coeffs) for coeffs, _, _ in lp.rows]
+    rels = [rel for _, rel, _ in lp.rows]
+    rhs = [b for _, _, b in lp.rows]
     cols = [[(i, row[j]) for i, row in enumerate(rows) if j in row] for j in range(lp.num_vars)]
     inequalities = [i for i, rel in enumerate(rels) if rel != EQ]
     slack = {i: len(cols) + k for k, i in enumerate(inequalities)}
     cols += [[(i, 1 if rels[i] == LE else -1)] for i in inequalities]
-    not_le = [i for i, rel in enumerate(rels) if rel != LE]
-    art = {i: len(cols) + k for k, i in enumerate(not_le)}
-    cols += [[(i, 1)] for i in not_le]
-    id_col = [slack[i] if rel == LE else art[i] for i, rel in enumerate(rels)]
-    return cols, [abs(rhs) for _, _, rhs in lp.rows], flip, id_col, list(art.values())
+    ready = {i for i in inequalities if (rels[i] == LE and rhs[i] >= 0)
+             or (rels[i] == GE and rhs[i] < 0)}
+    art = {i: len(cols) + k for k, i in enumerate(i for i in range(len(rels)) if i not in ready)}
+    cols += [[(i, -1 if rhs[i] < 0 else 1)] for i in art]
+    id_col = [slack[i] if i in ready else art[i] for i in range(len(rels))]
+    return cols, rhs, id_col, list(art.values())
 
 
 # sha256 of test_standard_form_follows_its_layout's outcomes from the
@@ -649,7 +650,7 @@ def test_standard_form_follows_its_layout(rng):
     for k, lp in enumerate(lps):
         s = _standardize(lp)
         cols = [list(s.column(j)) for j in range(s.ncols)]
-        assert (cols, s.rhs, s.flip, s.id_col, s.arts) == _layout(lp), lp.rows
+        assert (cols, s.rhs, s.id_col, s.arts) == _layout(lp), lp.rows
         anywhere = [rng.randrange(s.ncols) for _ in s.rhs]
         sols = [_simplex(s, basis) for basis in (_float_basis(s) or s.id_col, s.id_col, anywhere)]
         for sol in sols:
@@ -665,3 +666,136 @@ def test_standard_form_follows_its_layout(rng):
         cold.append(" ".join([sol.status, *map(rat_str, values)]) + "\n")
     assert len(lps) >= 3000 and statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
     assert hashlib.sha256("".join(cold).encode()).hexdigest() == COLD_OUTCOMES_SHA256
+
+
+def _as_columns(lp: LinearProgram):
+    """lp's table rebuilt from its row view, for from_columns: column j's
+    rows, ascending, and its entries, read off the rows one by one."""
+    cols = [[] for _ in range(lp.num_vars)]
+    for i, (coeffs, _, _) in enumerate(lp.rows):
+        for j, c in coeffs:
+            cols[j].append((i, c))
+    start = [0]
+    for col in cols:
+        start.append(start[-1] + len(col))
+    return (start, [i for col in cols for i, _ in col], [c for col in cols for _, c in col])
+
+
+def _column_built(lp: LinearProgram) -> LinearProgram:
+    return LinearProgram.from_columns(lp.sense, lp.objective, _as_columns(lp),
+                                      [rel for _, rel, _ in lp.rows], [b for _, _, b in lp.rows])
+
+
+_SETUP_FIELDS = ("maximize", "cost", "rhs", "start", "index", "value", "id_col", "arts")
+
+
+def test_column_and_row_built_programs_agree(rng):
+    """A program stated by its columns and the same program stated by its
+    rows read back the same rows, standardize to the same column table,
+    solve to the same outcome and get the same certificate verdicts, on
+    seeded random integer programs with right-hand sides of both signs,
+    rows with no entry and every relation."""
+    lps = [_random_lp(rng) for _ in range(150)] + [_random_wide_lp(rng) for _ in range(150)]
+    lps.append(LinearProgram(3, "max", [1, 0, 2], [({}, LE, 1), ({0: 1, 2: 3}, GE, -2),
+                                                    ({1: 0}, EQ, 0), ({0: 2, 2: 1}, LE, 5)]))
+    optimal = 0
+    for lp in lps:
+        by_columns = _column_built(lp)
+        assert by_columns.rows == lp.rows
+        a, b = _standardize(lp), _standardize(by_columns)
+        assert [getattr(a, f) for f in _SETUP_FIELDS] == [getattr(b, f) for f in _SETUP_FIELDS]
+        sol, other = solve(lp), solve(by_columns)
+        assert (sol.status, sol.objective, sol.primal, sol.dual) == (
+            other.status, other.objective, other.primal, other.dual), lp.rows
+        if sol.status != OPTIMAL:
+            continue
+        optimal += 1
+        for candidate in [sol, *_corrupted(rng, lp, sol)]:
+            assert verify_certificates(lp, candidate) == verify_certificates(by_columns, candidate)
+    assert optimal >= 100, optimal
+
+
+def test_column_built_certificates_reject_one_changed_entry(rng):
+    """On programs the package states column by column, the entropy duals
+    and the covering LPs, and on seeded programs handed over as columns,
+    verify_certificates accepts the solver's certificates and rejects them
+    with one entry changed: x on a variable with a nonzero cost, y on a row
+    with a nonzero right-hand side, or the reported objective.  Each
+    verdict is the rational check's on the program's rows."""
+    lps = [_entropy_dual(g, closure_map(g), automorphisms(g))[0]
+           for g in (Graph.cycle(5), Graph.cycle(7), g1(), Graph.path(5))]
+    lps += [build_fractional_cover_lp(g)[0] for g in (Graph.cycle(5), g1(), Graph.complete(4))]
+    lps += [_column_built(_random_lp(rng)) for _ in range(100)]
+    lps += [_column_built(_random_wide_lp(rng)) for _ in range(150)]
+    checked = 0
+    for lp in lps:
+        sol = solve(lp)
+        if sol.status != OPTIMAL:
+            continue
+        assert verify_certificates(lp, sol) == (True, "ok")
+        x, y = list(sol.primal), list(sol.dual)
+        costly = [j for j, c in enumerate(lp.objective) if c]
+        loaded = [i for i, b in enumerate(lp.rhs) if b]
+        changed = [LpSolution(OPTIMAL, sol.objective + rat(1, 5), x, y)]
+        if costly:
+            j = rng.choice(costly)
+            changed.append(LpSolution(OPTIMAL, sol.objective,
+                                      x[:j] + [x[j] + rng.choice([-1, 1])] + x[j + 1:], y))
+        if loaded:
+            i = rng.choice(loaded)
+            changed.append(LpSolution(OPTIMAL, sol.objective, x,
+                                      y[:i] + [y[i] + rng.choice([-1, 1]) * rat(1, 2)] + y[i + 1:]))
+        for bad in changed:
+            verdict = verify_certificates(lp, bad)
+            assert not verdict[0], lp.rows
+            assert verdict == rational_verify_certificates(lp, bad)
+        checked += 1
+    assert checked >= 80, checked
+
+
+def test_column_path_refuses_what_the_row_path_refuses():
+    """from_columns refuses, naming the column or row, every entry the row
+    constructor refuses (a coefficient, right-hand side or objective entry
+    that is not an int, an unknown relation, a row index out of range), and
+    also a column whose row indices do not rise, a stored zero and a start
+    list that does not rise from 0 to the table's end."""
+    def columns(index=(0, 1, 1), value=(1, 2, 3), start=(0, 2, 3)):
+        return list(start), list(index), list(value)
+
+    good = LinearProgram.from_columns("max", [1, 1], columns(), [LE, GE], [4, 1])
+    assert good.rows == ((((0, 1),), LE, 4), (((0, 2), (1, 3)), GE, 1))
+    for bad in (Fraction(1, 2), 0.5):
+        with pytest.raises(LpError, match="row 0"):
+            LinearProgram(2, "max", [1, 1], [({0: bad}, LE, 4)])
+        with pytest.raises(LpError, match=r"column 1: coefficient .* is not an int"):
+            LinearProgram.from_columns("max", [1, 1], columns(value=(1, 2, bad)), [LE, GE], [4, 1])
+        with pytest.raises(LpError, match="row 1: right-hand side"):
+            LinearProgram(2, "max", [1, 1], [({0: 1}, LE, 4), ({0: 1}, GE, bad)])
+        with pytest.raises(LpError, match="row 1: right-hand side"):
+            LinearProgram.from_columns("max", [1, 1], columns(), [LE, GE], [4, bad])
+        for path in (lambda obj: LinearProgram(2, "max", obj, [({0: 1}, LE, 4)]),
+                     lambda obj: LinearProgram.from_columns("max", obj, columns(), [LE, GE],
+                                                            [4, 1])):
+            with pytest.raises(LpError, match="objective"):
+                path([1, bad])
+    with pytest.raises(LpError, match="row 1 has unknown relation"):
+        LinearProgram(2, "max", [1, 1], [({0: 1}, LE, 4), ({0: 1}, "<", 1)])
+    with pytest.raises(LpError, match="row 1 has unknown relation"):
+        LinearProgram.from_columns("max", [1, 1], columns(), [LE, "<"], [4, 1])
+    with pytest.raises(LpError, match="out of range"):
+        LinearProgram(2, "max", [1, 1], [({2: 1}, LE, 4)])
+    for index in ((0, 2, 1), (0, -1, 1)):
+        with pytest.raises(LpError, match=r"column 0: row index -?\d out of range"):
+            LinearProgram.from_columns("max", [1, 1], columns(index=index), [LE, GE], [4, 1])
+    for index in ((1, 0, 1), (1, 1, 1)):
+        with pytest.raises(LpError, match="column 0: row indices not ascending"):
+            LinearProgram.from_columns("max", [1, 1], columns(index=index), [LE, GE], [4, 1])
+    with pytest.raises(LpError, match="column 1: stored zero"):
+        LinearProgram.from_columns("max", [1, 1], columns(value=(1, 2, 0)), [LE, GE], [4, 1])
+    for start in ((0, 2), (1, 2, 3), (0, 3, 2, 3), (0, 2, 4)):
+        with pytest.raises(LpError, match="start"):
+            LinearProgram.from_columns("max", [1, 1], columns(start=start), [LE, GE], [4, 1])
+    with pytest.raises(LpError, match="2 relations but 1 right-hand sides"):
+        LinearProgram.from_columns("max", [1, 1], columns(), [LE, GE], [4])
+    with pytest.raises(LpError, match="sense"):
+        LinearProgram.from_columns("maximize", [1, 1], columns(), [LE, GE], [4, 1])
