@@ -790,10 +790,15 @@ class BoundsReport:
     exact means the interval is a point.  Each side carries a witness, a
     dict whose "tag" names the argument ("matching", "clique-cover",
     "fractional-clique-cover", "transversal", "shannon-lp", "loop-reduction",
-    "union-additivity") and whose other keys hold its data; the last two
-    nest the witnesses of their parts under "inner".  theta is None when
-    lazy_theta skipped the subset-entropy LP on some component, since the
-    value of the whole graph is then unknown.
+    "union-additivity", "vertex-deletion") and whose other keys hold its
+    data; the last three nest the witnesses of their parts under "inner".
+    A vertex-deletion upper witness, which only the survey makes, names a
+    vertex v and rests on H(G) <= H(G - v) + 1: its inner witness bounds
+    the class of G - v, in the labelling of that class's canonical
+    representative, so it is rechecked on canonical_form of G - v, plus
+    one.  theta is None when lazy_theta skipped the subset-entropy LP on
+    some component, or the survey closed a component by vertex deletion,
+    since the value of the whole graph is then unknown.
 
     The rational values are held as Python ints over one positive
     denominator, values = Scaled([lower, upper, kappa_f, theta], den), with
@@ -915,6 +920,19 @@ def entropy_bracket(g: Graph, shannon_cap: int = DEFAULT_SHANNON_CAP,
             [list(bits_of(comp)) for comp in comps],
             [entropy_bracket(induced_subgraph(g, comp)[0], shannon_cap, lazy_theta)
              for comp in comps])
+    report, cover = combinatorial_bracket(g)
+    if lazy_theta and report.exact:
+        return report
+    return add_shannon_bound(g, report, cover, shannon_cap)
+
+
+def combinatorial_bracket(g: Graph) -> tuple[BoundsReport, tuple]:
+    """entropy_bracket's step for one connected loopless g, up to the LP:
+    lower = n - kappa_f, upper = tau, theta None.
+
+    Returns the report and the fractional clique cover behind kappa_f as
+    (cliques, weights), which add_shannon_bound hands to the LP.
+    """
     n = g.n
     nu, matching = max_matching(g)
     cc, cover = clique_cover_number(g, nu)
@@ -937,12 +955,23 @@ def entropy_bracket(g: Graph, shannon_cap: int = DEFAULT_SHANNON_CAP,
             "value": kappa_f,
         }
     up_wit = {"tag": "transversal", "removed": list(bits_of(removed))}
-    values = [(low, den), (tau, 1), (kf, den)]
-    if not (lazy_theta and tau * den == low):
-        h = shannon_entropy(g, shannon_cap, (cliques, weights))[1]
-        theta = (h.ints[g.vertex_mask], h.den)
-        values.append(theta)
-        if theta[0] < tau * theta[1]:
-            values[1] = theta
-            up_wit = {"tag": "shannon-lp", "theta": h[g.vertex_mask]}
-    return BoundsReport(_over_one_denominator(*values), low_wit, up_wit, nu, cc, tau)
+    report = BoundsReport(_over_one_denominator((low, den), (tau, 1), (kf, den)),
+                          low_wit, up_wit, nu, cc, tau)
+    return report, (cliques, weights)
+
+
+def add_shannon_bound(g: Graph, report: BoundsReport, cover,
+                      shannon_cap: int = DEFAULT_SHANNON_CAP) -> BoundsReport:
+    """The report combinatorial_bracket(g) returned, with theta, the
+    subset-entropy LP's value, added: the upper side becomes theta, with a
+    shannon-lp witness, where theta is below tau."""
+    h = shannon_entropy(g, shannon_cap, cover)[1]
+    theta = (h.ints[g.vertex_mask], h.den)
+    (low, _, kf), den = report.values.ints, report.values.den
+    values = [(low, den), (report.tau, 1), (kf, den), theta]
+    up_wit = report.upper_witness
+    if theta[0] < report.tau * theta[1]:
+        values[1] = theta
+        up_wit = {"tag": "shannon-lp", "theta": h[g.vertex_mask]}
+    return BoundsReport(_over_one_denominator(*values), report.lower_witness, up_wit,
+                        report.nu, report.cc, report.tau)

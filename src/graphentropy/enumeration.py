@@ -4,8 +4,9 @@ Provides a canonical form (of the relabellings that place the vertices in
 refined-colour order, the one whose adjacency bit-string is
 lexicographically least, returned as that canonical graph itself), a
 vertex-augmentation enumerator for simple graphs up to seven vertices, a
-whole-landscape entropy survey that solves each connected class once and
-adds component brackets for the disconnected ones, and the three
+whole-landscape entropy survey that brackets each connected class once,
+closing it from its augmentation parent where that makes the LP needless,
+and adds component brackets for the disconnected ones, and the three
 verification suites the survey supports: the six-vertex pentagon-plus-apex
 trichotomy, the seven-vertex family with values 11/3 and 7/2, and the
 classification of collapsed entropy values below four.
@@ -14,10 +15,18 @@ classification of collapsed entropy values below four.
 from __future__ import annotations
 
 import os
+from array import array
+from contextlib import nullcontext
 from functools import lru_cache
 from math import gcd
 
-from .bounds import BoundsReport, entropy_bracket, union_report
+from .bounds import (
+    BoundsReport,
+    add_shannon_bound,
+    combinatorial_bracket,
+    entropy_bracket,
+    union_report,
+)
 from .graphs import (
     CapExceededError,
     Graph,
@@ -30,7 +39,7 @@ from .graphs import (
     orbit_representatives,
     render_graph,
 )
-from .rationals import rat
+from .rationals import Scaled, rat
 
 DEFAULT_ENUM_CAP = 7
 
@@ -102,10 +111,14 @@ def canonical_form(g: Graph) -> Graph:
     return graph_from_bits(g.n, _canonical_search(g.rows, _refined_colors(g.rows)))
 
 
-def _canonical_search(rows: tuple[int, ...] | list[int], colors: list[int]) -> int:
+def _canonical_search(rows: tuple[int, ...] | list[int], colors: list[int],
+                      leaf: list[int] | None = None) -> int:
     """Least adjacency bit-string of the simple graph with these rows over
     its relabellings that place the vertices in the order of the given
     refined colours.
+
+    leaf, when given, receives the best leaf's placement: leaf[i] is the
+    vertex that lands at position i of the canonical graph.
 
     Twin pruning: two vertices whose rows agree apart from each other are
     swapped by an automorphism that fixes every other vertex, so placing
@@ -136,6 +149,8 @@ def _canonical_search(rows: tuple[int, ...] | list[int], colors: list[int]) -> i
         if depth == n:
             if best is None or prefix < best:
                 best = prefix
+                if leaf is not None:
+                    leaf[:] = placed
             return
         col_bits = depth
         for v in slots[depth]:
@@ -185,19 +200,29 @@ def isomorphism_classes(n: int) -> tuple[Graph, ...]:
     the top class.
     Results are sorted by canonical bits and returned as the canonical
     representatives themselves, so neither pruning changes the output.
+    Alongside, each class keeps the base it was first found from and the
+    position of the added vertex (_classes_cached), at no extra search; the
+    survey closes brackets from them.
     """
-    return _classes_cached(n)
+    return _classes_cached(n)[0]
 
 
 @lru_cache(maxsize=None)
-def _classes_cached(n: int) -> tuple[Graph, ...]:
+def _classes_cached(n: int) -> tuple[tuple[Graph, ...], array, bytes]:
+    """(classes, parents, vertices): isomorphism_classes(n), and for each
+    class G, aligned with it, the augmentation parent it was first found
+    from, as an index into isomorphism_classes(n - 1), and the position v
+    of the added vertex in G, read off the canonical search's best leaf.
+    G - v, relabelled densely, is isomorphic to the parent."""
     if n < 0:
         raise GraphError("vertex count must be nonnegative")
     if n == 0:
-        return (Graph.empty(0),)
-    seen: set[int] = set()
+        return (Graph.empty(0),), array("I"), b""
+    # Canonical bits -> index of the parent * n + position of the new vertex.
+    found: dict[int, int] = {}
     new_bit = 1 << (n - 1)
-    for base in _classes_cached(n - 1):
+    leaf: list[int] = []
+    for index, base in enumerate(_classes_cached(n - 1)[0]):
         base_rows = base.rows
         # at_least[d]: the base vertices of degree d or more.
         at_least = [0] * (n + 1)
@@ -220,8 +245,14 @@ def _classes_cached(n: int) -> tuple[Graph, ...]:
             colors = _refined_colors(rows)
             if colors[n - 1] != max(colors):
                 continue
-            seen.add(_canonical_search(rows, colors))
-    return tuple(graph_from_bits(n, bits) for bits in sorted(seen))
+            bits = _canonical_search(rows, colors, leaf)
+            if bits not in found:
+                found[bits] = index * n + leaf.index(n - 1)
+    order = sorted(found)
+    parents = array("I", (found[bits] // n for bits in order))
+    vertices = bytes(found[bits] % n for bits in order)
+    del found  # before the graphs are built, which is when memory peaks
+    return tuple(graph_from_bits(n, bits) for bits in order), parents, vertices
 
 
 def enumerate_graphs(n_max: int, connected_only: bool = False, cap: int = DEFAULT_ENUM_CAP):
@@ -243,8 +274,9 @@ def enumerate_graphs(n_max: int, connected_only: bool = False, cap: int = DEFAUL
 # -- survey -----------------------------------------------------------------------
 
 
-def bracket_with_fallback(g: Graph) -> BoundsReport:
-    """The survey's bracket: entropy_bracket(g, lazy_theta=True).
+def bracket_with_fallback(g: Graph, parent=None) -> BoundsReport:
+    """The survey's bracket: entropy_bracket(g, lazy_theta=True), closed
+    from g's augmentation parent before the LP where the parent allows.
 
     A reducible set S with remainder R could never tighten it.  Lower side:
     R's fractional clique cover, the |S| matching edges and the unmatched
@@ -255,10 +287,31 @@ def bracket_with_fallback(g: Graph) -> BoundsReport:
     transversal of R leaves g acyclic, so tau(g) <= |S| + tau(R).  Where
     the lazy bracket skips theta it is already a point.
 
+    parent, for a connected loopless g, is (v, report): report is the
+    bracket of the class of g - v.  Conditioning on X_v leaves a feasible
+    h for g - v, so theta(g) <= theta(g - v) + 1, and a transversal of
+    g - v plus v is one of g, so tau(g) <= tau(g - v) + 1.  When the
+    combinatorial bracket [n - kappa_f, tau] is open and the parent's upper
+    bound plus one equals n - kappa_f, the bracket is closed there without
+    the LP: the upper witness is {"tag": "vertex-deletion", "vertex": v,
+    "inner": the parent's upper witness}, and theta is None.
+
     The name stays because the benchmark's tracer (perfbench/tracer.py)
     times this function by name.
     """
-    return entropy_bracket(g, lazy_theta=True)
+    if parent is None:
+        return entropy_bracket(g, lazy_theta=True)
+    report, cover = combinatorial_bracket(g)
+    if report.exact:
+        return report
+    v, base = parent
+    (low, _, kf), den = report.values.ints, report.values.den
+    up, up_den = base.values.ints[1], base.values.den
+    if (up + up_den) * den == low * up_den:
+        up_wit = {"tag": "vertex-deletion", "vertex": v, "inner": base.upper_witness}
+        return BoundsReport(Scaled([low, low, kf], den), report.lower_witness, up_wit,
+                            report.nu, report.cc, report.tau)
+    return add_shannon_bound(g, report, cover)
 
 
 def survey_entropy_values(
@@ -273,13 +326,24 @@ def survey_entropy_values(
     graph is the canonical representative and report its BoundsReport.  For
     a disconnected class the union witness lists the components in graph's
     own labelling, and each part's witness uses the labelling of its
-    component's canonical representative.
+    component's canonical representative; so does the inner witness of a
+    vertex-deletion, in its parent's.
 
-    Every run recomputes and rechecks every value.  Connected classes are
-    solved directly (in parallel when jobs > 1); a disconnected class adds
-    the brackets of its components' classes, so no LP ever runs twice for
-    the same connected graph.  connected_only skips the disconnected
-    classes and reports just the connected landscape.
+    Every run recomputes and rechecks every value.  The work goes by
+    order, one vertex count at a time, so every class of order n - 1 is
+    final before any of order n starts.  Each connected class is
+    bracketed by bracket_with_fallback with its augmentation parent (the
+    class it was enumerated from, and the vertex that was added): a parent
+    whose upper bound plus one meets the class's lower bound closes the
+    bracket without the LP.  A disconnected class adds the brackets of its
+    components' classes, so no LP ever runs twice for the same connected
+    graph.  With jobs > 1 a pool of that many workers brackets the
+    connected classes of one order at a time, each task carrying its
+    parent's report.  The pool is made before any LP runs, and every LP
+    then runs in a worker, so this process never imports numpy.
+    connected_only skips the disconnected classes in the records and
+    reports just the connected landscape; a disconnected parent is still
+    added up from its components.
 
     A component is looked up as it stands, with no canonical search of its
     own: each component of a canonical representative, induced and densely
@@ -294,18 +358,42 @@ def survey_entropy_values(
     components of all disconnected classes up to 9 vertices (28,716 of them
     in 9-vertex classes).  A cap above 9 is unchecked.
     """
-    classes = [(g, connected_components(g))
-               for g in enumerate_graphs(n_max, connected_only=connected_only, cap=cap)]
-    connected = [g for g, comps in classes if len(comps) == 1]
-    solved = dict(zip(connected, _solve_brackets(connected, jobs)))
-    records = []
-    for g, comps in classes:
-        if len(comps) == 1:
-            records.append((g, solved[g], True))
-            continue
-        parts = [solved[induced_subgraph(g, c)[0]] for c in comps]
-        records.append((g, union_report([list(bits_of(c)) for c in comps], parts), False))
-    return records
+    classes = list(enumerate_graphs(n_max, connected_only=connected_only, cap=cap))
+    connected_by_order: dict[int, list[Graph]] = {}
+    for g in classes:
+        if len(connected_components(g)) == 1:
+            connected_by_order.setdefault(g.n, []).append(g)
+    known: dict[Graph, BoundsReport] = {}
+
+    def report_of(g: Graph) -> BoundsReport:
+        report = known.get(g)
+        if report is None:  # disconnected, or the empty graph
+            comps = connected_components(g)
+            report = known[g] = union_report(
+                [list(bits_of(c)) for c in comps],
+                [known[induced_subgraph(g, c)[0]] for c in comps])
+        return report
+
+    runner = nullcontext()
+    if jobs > 1 and sum(map(len, connected_by_order.values())) > 1:
+        # Imported here: multiprocessing adds to the start-up of every command.
+        from multiprocessing import Pool
+        runner = Pool(jobs, initializer=_one_blas_thread)
+    with runner as pool:
+        for n, graphs in connected_by_order.items():
+            order, parents, vertices = _classes_cached(n)
+            bases = _classes_cached(n - 1)[0]
+            index = {g: i for i, g in enumerate(order)}
+            tasks = []
+            for g in graphs:
+                i = index[g]
+                tasks.append((g, (vertices[i], report_of(bases[parents[i]]))))
+            if pool is None:
+                reports = [bracket_with_fallback(g, parent) for g, parent in tasks]
+            else:
+                reports = pool.starmap(bracket_with_fallback, tasks, chunksize=8)
+            known.update(zip(graphs, reports))
+    return [(g, report_of(g), len(connected_components(g)) == 1) for g in classes]
 
 
 def collapsed_values(records) -> list:
@@ -320,16 +408,6 @@ def collapsed_values(records) -> list:
             g = gcd(p, q)
             distinct.add((p // g, q // g))
     return sorted(rat(p, q) for p, q in distinct)
-
-
-def _solve_brackets(graphs: list[Graph], jobs: int) -> list[BoundsReport]:
-    if jobs <= 1 or len(graphs) < 2:
-        return [bracket_with_fallback(g) for g in graphs]
-    # Imported here: multiprocessing adds to the start-up of every command.
-    from multiprocessing import Pool
-
-    with Pool(jobs, initializer=_one_blas_thread) as pool:
-        return list(pool.imap(bracket_with_fallback, graphs, chunksize=8))
 
 
 def _one_blas_thread() -> None:

@@ -231,6 +231,30 @@ def test_cover_lower_bound_is_hereditary():
     assert checks == 8475
 
 
+def test_deleting_a_vertex_lowers_theta_and_tau_by_at_most_one(rng):
+    """The step behind the survey's vertex-deletion witness, at every vertex
+    of seeded random graphs and digraphs on 2 to 6 vertices.  Conditioning
+    an optimal h of G on X_v, h'(S) = h(S + v) - h(v), passes every row of
+    G - v's program with h'(V - v) >= theta(G) - 1, so theta(G) <=
+    theta(G - v) + 1; and tau(G) <= tau(G - v) + 1."""
+    graphs = [random_graph(rng, rng.randint(2, 6)) for _ in range(20)]
+    graphs += [random_digraph(rng, rng.randint(2, 6)) for _ in range(20)]
+    for g in graphs:
+        theta, h = shannon_entropy(g)
+        tau = transversal_number(g)[0]
+        for v in range(g.n):
+            bit = 1 << v
+            sub, kept = induced_subgraph(g, g.vertex_mask & ~bit)
+            host = [mask_of(kept[i] for i in range(sub.n) if s >> i & 1)
+                    for s in range(sub.vertex_mask + 1)]
+            k = h.ints
+            conditioned = rationals.Scaled([k[m | bit] - k[bit] for m in host], h.den)
+            assert validate_entropy_function(sub, conditioned) == (True, "ok"), (g, v)
+            assert conditioned[sub.vertex_mask] >= theta - 1, (g, v)
+            assert theta <= shannon_entropy(sub)[0] + 1, (g, v)
+            assert tau <= transversal_number(sub)[0] + 1, (g, v)
+
+
 def test_transversal_examples():
     assert transversal_number(c5())[0] == 3
     assert transversal_number(Graph.cycle(7))[0] == 4

@@ -1,11 +1,13 @@
 import functools
 import hashlib
 import random
+import subprocess
+import sys
 import time
 
 import pytest
 
-from graphentropy import enumeration, lp
+from graphentropy import bounds, enumeration, lp
 from graphentropy.bounds import entropy_bracket
 from graphentropy.enumeration import (
     bracket_with_fallback,
@@ -39,6 +41,7 @@ from _oracles import (
     least_adjacency_bits,
 )
 from conftest import c5, g1, random_graph
+from test_cli import child_env
 
 # Simple-graph isomorphism classes by vertex count, total and connected.
 KNOWN_CLASS_COUNTS = (1, 2, 4, 11, 34, 156, 1044, 12346)
@@ -176,6 +179,19 @@ def test_canonical_searches_per_class(monkeypatch):
     assert sum(sorted_masks) == 3132, sum(sorted_masks)
 
 
+def test_parent_records_delete_to_the_parent():
+    """Each class up to 7 vertices records the class it was enumerated from
+    and the position of the added vertex: the class less that vertex has
+    the parent as its canonical form."""
+    for n in range(1, 8):
+        classes, parents, vertices = enumeration._classes_cached(n)
+        assert len(parents) == len(vertices) == len(classes), n
+        bases = isomorphism_classes(n - 1)
+        for g, parent, v in zip(classes, parents, vertices):
+            less = induced_subgraph(g, g.vertex_mask & ~(1 << v))[0]
+            assert canonical_form(less) == bases[parent], render_graph(g, "graph6")
+
+
 def test_components_of_canonical_classes_are_canonical():
     """The survey looks a component up as it stands: every component of
     every disconnected class up to 7 vertices, induced and densely
@@ -213,6 +229,35 @@ def test_survey_runs_no_canonical_search(monkeypatch):
     assert len(records) == 208
     assert any(not connected for _, _, connected in records)
     assert searches == []
+
+
+def test_survey_closes_brackets_from_the_parent(monkeypatch):
+    """Up to 7 vertices, 21 of the 37 connected classes whose combinatorial
+    bracket is open are closed by their augmentation parent, so the survey
+    solves 16 entropy LPs.  Each closed class gets the value the eager
+    bracket's LP gives, theta is None, and the witness nests the upper
+    witness of the class less the named vertex."""
+    calls = []
+    real = bounds.shannon_entropy
+    monkeypatch.setattr(bounds, "shannon_entropy",
+                        lambda *args: calls.append(1) or real(*args))
+    records = survey_entropy_values(7)
+    monkeypatch.undo()
+    assert len(calls) == 16
+    by_graph = {g: report for g, report, _ in records}
+    closed = [(g, report) for g, report, _ in records
+              if report.upper_witness["tag"] == "vertex-deletion"]
+    assert len(closed) == 21
+    for g, report in closed:
+        g6 = render_graph(g, "graph6")
+        eager = entropy_bracket(g)
+        assert report.exact and eager.exact, g6
+        assert report.lower == eager.lower, g6
+        assert report.theta is None, g6
+        witness = report.upper_witness
+        less = canonical_form(induced_subgraph(g, g.vertex_mask & ~(1 << witness["vertex"]))[0])
+        assert witness["inner"] == by_graph[less].upper_witness, g6
+        assert by_graph[less].upper + 1 == report.upper, g6
 
 
 def test_connected_filter():
@@ -357,6 +402,20 @@ def test_survey_pool_matches_serial():
     serial = rows(survey_entropy_values(6, jobs=1))
     assert len(serial) == sum(KNOWN_CLASS_COUNTS[:6])
     assert rows(survey_entropy_values(6, jobs=2)) == serial
+
+
+def test_survey_pool_leaves_numpy_to_the_workers():
+    """The serial 7-vertex survey imports numpy for its LPs; with a pool
+    every LP runs in a worker, so the process that made the pool never
+    imports numpy and each worker's BLAS thread setting takes effect."""
+    script = ("import sys\n"
+              "from graphentropy.enumeration import survey_entropy_values\n"
+              "survey_entropy_values(7, jobs=int(sys.argv[1]))\n"
+              "print('numpy' in sys.modules)\n")
+    imported = [subprocess.run([sys.executable, "-c", script, jobs], env=child_env(), check=True,
+                               capture_output=True, text=True, timeout=120).stdout.strip()
+                for jobs in ("1", "2")]
+    assert imported == ["True", "False"]
 
 
 def test_pentagon_apex_masks():
