@@ -245,45 +245,116 @@ def build_fractional_cover_lp(g: Graph) -> tuple[LinearProgram, tuple[int, ...]]
                                       [GE] * g.n, [1] * g.n), cliques
 
 
-def fractional_clique_cover_number(g: Graph, cover,
-                                   independent: int) -> tuple[Rational, tuple[int, ...], Scaled]:
-    """Optimal fractional clique cover of g as (kappa_f, cliques, weights),
-    given both halves of a weak-duality certificate: any clique cover of g,
-    such as the one clique_cover_number returns, and a mask of vertices
-    independent in the mutual-arc relation, such as the complement of the
-    transversal that transversal_number returns.  Nothing is searched here.
+def fractional_clique_cover_number(g: Graph, cover, packing
+                                   ) -> tuple[Rational, tuple[int, ...], Scaled, Scaled]:
+    """Optimal fractional clique cover of g as (kappa_f, cliques, weights,
+    packing), given both halves of a weak-duality certificate.  Nothing is
+    searched here.  The halves come as one of two pairs:
 
-    The cover, all weights 1, is a feasible fractional cover of weight
-    len(cover), and the independent set S is a feasible dual (each clique
-    meets S at most once), so |S| = len(cover) pins the value by weak
-    duality.  A perfect graph's minimum cover always has such an S (Lovasz,
-    1972); on up to seven vertices only graphs with an induced C5, C7 or
-    co-C7 are imperfect.  Otherwise the exact LP over maximal cliques runs
-    and neither half is used; restricting the LP to maximal cliques loses
-    nothing, since weight on any clique can be moved to a maximal superset.
-    The result passes check_clique_cover either way; for the cover's unit
-    weights that check comes down to masks, every member a clique and their
-    union V.  weights is a Scaled vector, ints over one denominator, so the
-    callers that read it in ints make no rational.  Raises ValueError if S
-    is not an independent set of g.
+    - integral: cover is the cliques of a clique cover, each of weight 1,
+      such as clique_cover_number returns, and packing a mask of vertices
+      independent in the mutual-arc relation, such as the complement of the
+      transversal that transversal_number returns;
+    - fractional: cover is (cliques, weights) and packing a vertex weight
+      vector, both Scaled, such as deletion_pair returns.
+
+    The cover is feasible for the covering LP, and the packing (at most 1
+    on every clique) for its dual, so when their totals agree the value is
+    pinned by weak duality.  A perfect graph's minimum cover always has an
+    independent set of its size (Lovasz, 1972); on up to seven vertices only
+    graphs with an induced C5, C7 or co-C7 are imperfect.  Otherwise the
+    exact LP over maximal cliques runs and neither half is used; restricting
+    the LP to maximal cliques loses nothing, since weight on any clique can
+    be moved to a maximal superset.
+
+    The packing is checked whichever branch runs, the cover when it is
+    used; both raise ValueError when infeasible.  The result passes
+    check_clique_cover either way; for unit weights that check comes down to
+    masks, every member a clique and their union V.  weights and packing are
+    Scaled vectors, ints over one denominator, so the callers that read them
+    in ints make no rational; packing is the LP's row duals when the LP ran,
+    and sums to kappa_f.
     """
-    if independent & ~g.vertex_mask or any(
-            g.mutual[v] & independent for v in bits_of(independent)):
-        raise ValueError(f"{list(bits_of(independent))} is not an independent set")
-    if independent.bit_count() == len(cover):
+    if isinstance(packing, int):
+        if packing & ~g.vertex_mask or any(g.mutual[v] & packing for v in bits_of(packing)):
+            raise ValueError(f"{list(bits_of(packing))} is not an independent set")
         cliques = tuple(cover)
-        _check_cliques(g, cliques)
-        missing = g.vertex_mask
-        for c in cliques:
-            missing &= ~c
-        if missing:
-            raise ValueError(f"vertex {(missing & -missing).bit_length() - 1} covered only "
-                             "to level 0")
-        return Rational(len(cliques)), cliques, Scaled([1] * len(cliques))
+        if packing.bit_count() == len(cliques):
+            _check_cliques(g, cliques)
+            missing = g.vertex_mask
+            for c in cliques:
+                missing &= ~c
+            if missing:
+                raise ValueError(f"vertex {(missing & -missing).bit_length() - 1} covered only "
+                                 "to level 0")
+            return (Rational(len(cliques)), cliques, Scaled([1] * len(cliques)),
+                    Scaled([packing >> v & 1 for v in range(g.n)]))
+    else:
+        _check_packing(g, packing)
+        cliques, weights = cover
+        total = sum(weights.ints)
+        if total * packing.den == sum(packing.ints) * weights.den:
+            check_clique_cover(g, cliques, weights)
+            return Rational(total, weights.den), tuple(cliques), weights, packing
     lp, cliques = build_fractional_cover_lp(g)
     sol = solve(lp)
     check_clique_cover(g, cliques, sol.x)
-    return sol.objective, cliques, sol.x
+    return sol.objective, cliques, sol.x, sol.y
+
+
+def _check_packing(g: Graph, packing: Scaled) -> None:
+    """Raise ValueError unless packing, one weight per vertex, is a
+    fractional packing of g: every weight nonnegative and every clique of
+    the mutual-arc relation at total weight at most one.  With no negative
+    weight the maximal cliques are the heaviest, so only they are summed,
+    in integers."""
+    ys, den = packing.ints, packing.den
+    if len(ys) != g.n:
+        raise ValueError("one packing weight per vertex required")
+    if any(y < 0 for y in ys):
+        raise ValueError("negative packing weight")
+    for c in maximal_cliques(g):
+        total = sum(ys[u] for u in bits_of(c))
+        if total > den:
+            raise ValueError(f"clique {list(bits_of(c))} has packing weight "
+                             f"{Rational(total, den)}")
+
+
+def deletion_pair(g: Graph, leaf, pair):
+    """A fractional pair for fractional_clique_cover_number on g, lifted
+    from an optimal one of g - v, or None when it does not lift.
+
+    leaf maps g onto g - v plus v, as the canonical search's leaf does:
+    vertex k of g is vertex leaf[k] of g - v's labelling, or v where
+    leaf[k] is n - 1.  pair is (cliques, weights, packing) in that
+    labelling, as fractional_clique_cover_number returns them.
+
+    Every clique of g less v is a clique of g - v, so the packing with
+    y_v = 0 stays a packing of g.  Adding v to each clique of the cover
+    inside N(v) keeps every member a clique and covers v to the total
+    weight of those cliques.  Once that level reaches one, both halves are
+    feasible for g with the value kappa_f(g - v), so kappa_f(g) =
+    kappa_f(g - v).  fractional_clique_cover_number rechecks both on g."""
+    cliques, weights, packing = pair
+    place = [0] * g.n
+    for k, j in enumerate(leaf):
+        place[j] = k
+    v = place[-1]
+    nv = g.mutual[v]
+    lifted = []
+    level = 0
+    for c, k in zip(cliques, weights.ints):
+        m = permute_mask(place, c)
+        if not m & ~nv:
+            m |= 1 << v
+            level += k
+        lifted.append(m)
+    if level < weights.den:
+        return None
+    ys = [0] * g.n
+    for j, y in enumerate(packing.ints):
+        ys[place[j]] = y
+    return (tuple(lifted), weights), Scaled(ys, packing.den)
 
 
 def _largest_independent_set(g: Graph) -> int:
@@ -513,7 +584,7 @@ def shannon_entropy(g: Graph, cap: int = DEFAULT_SHANNON_CAP,
     solve and both checks run in ints; theta is made after them.
 
     cover is a fractional clique cover of g as (cliques, weights), such as
-    the last two entries of fractional_clique_cover_number; without it the
+    the middle two entries of fractional_clique_cover_number; without it the
     optimal one is derived.  Only the float run reads it, through the crash
     columns _entropy_dual picks by it.
     """
@@ -630,7 +701,7 @@ def _entropy_dual(g: Graph, cl: list[int], gens,
     (_cover_function), and the column of every row tight there is a crash
     column.  That function is optimal whenever n - kappa_f =
     theta, and the float run starts from a crash basis over these columns.
-    cover is (cliques, weights), such as the last two entries of
+    cover is (cliques, weights), such as the middle two entries of
     fractional_clique_cover_number; without it the optimal one is derived
     here."""
     pinned = cl[0]
@@ -653,7 +724,7 @@ def _entropy_dual(g: Graph, cl: list[int], gens,
 
     if cover is None:
         cover = fractional_clique_cover_number(
-            g, clique_cover_number(g)[1], _largest_independent_set(g))[1:]
+            g, clique_cover_number(g)[1], _largest_independent_set(g))[1:3]
     k, scale = _cover_function(g, *cover, gens)
     # at[j] is the cover's entropy function on variable j, times scale.
     at = [0] * nvars
@@ -792,13 +863,15 @@ class BoundsReport:
     "fractional-clique-cover", "transversal", "shannon-lp", "loop-reduction",
     "union-additivity", "vertex-deletion") and whose other keys hold its
     data; the last three nest the witnesses of their parts under "inner".
-    A vertex-deletion upper witness, which only the survey makes, names a
-    vertex v and rests on H(G) <= H(G - v) + 1: its inner witness bounds
-    the class of G - v, in the labelling of that class's canonical
-    representative, so it is rechecked on canonical_form of G - v, plus
-    one.  theta is None when lazy_theta skipped the subset-entropy LP on
-    some component, or the survey closed a component by vertex deletion,
-    since the value of the whole graph is then unknown.
+    A vertex-deletion upper witness, which only the survey and the wheel
+    suite make, names a vertex v and rests on H(G) <= H(G - v) + 1: its
+    inner witness bounds G - v, so it is rechecked there, plus one.  Where
+    it is labelled depends on the maker: the survey labels it in the
+    canonical representative of the class of G - v (recheck it on
+    canonical_form of G - v), the wheel suite in G's own labelling less v,
+    as the apex is the last vertex.  theta is None when lazy_theta skipped
+    the subset-entropy LP on some component, or a component was closed by
+    vertex deletion, since the value of the whole graph is then unknown.
 
     The rational values are held as Python ints over one positive
     denominator, values = Scaled([lower, upper, kappa_f, theta], den), with
@@ -920,25 +993,35 @@ def entropy_bracket(g: Graph, shannon_cap: int = DEFAULT_SHANNON_CAP,
             [list(bits_of(comp)) for comp in comps],
             [entropy_bracket(induced_subgraph(g, comp)[0], shannon_cap, lazy_theta)
              for comp in comps])
-    report, cover = combinatorial_bracket(g)
+    report, pair = combinatorial_bracket(g)
     if lazy_theta and report.exact:
         return report
-    return add_shannon_bound(g, report, cover, shannon_cap)
+    return add_shannon_bound(g, report, pair, shannon_cap)
 
 
-def combinatorial_bracket(g: Graph) -> tuple[BoundsReport, tuple]:
+def combinatorial_bracket(g: Graph, deletion=None) -> tuple[BoundsReport, tuple]:
     """entropy_bracket's step for one connected loopless g, up to the LP:
     lower = n - kappa_f, upper = tau, theta None.
 
-    Returns the report and the fractional clique cover behind kappa_f as
-    (cliques, weights), which add_shannon_bound hands to the LP.
+    Returns the report and the pair behind kappa_f, (cliques, weights,
+    packing) as fractional_clique_cover_number returns them; add_shannon_bound
+    hands its cover to the LP, and a graph with g as g - v can lift it.
+
+    kappa_f comes from the integral pair, the minimum clique cover and the
+    independent set the transversal leaves.  deletion, when given, is
+    (leaf, pair) for deletion_pair: an optimal pair of g - v and how g's
+    vertices map onto it.  It is lifted only where the integral halves
+    differ, so that the LP would run, and used when v reaches level one.
     """
     n = g.n
     nu, matching = max_matching(g)
     cc, cover = clique_cover_number(g, nu)
     # A transversal meets every 2-cycle, so what it leaves is independent.
     tau, removed = transversal_number(g)
-    kappa_f, cliques, weights = fractional_clique_cover_number(g, cover, g.vertex_mask & ~removed)
+    halves = cover, g.vertex_mask & ~removed
+    if deletion is not None and halves[1].bit_count() != len(cover):
+        halves = deletion_pair(g, *deletion) or halves
+    kappa_f, cliques, weights, packing = fractional_clique_cover_number(g, *halves)
     # kappa_f = kf / den and lower = n - kappa_f = low / den.
     (kf,), den = scaled((kappa_f,))
     low = n * den - kf
@@ -957,15 +1040,16 @@ def combinatorial_bracket(g: Graph) -> tuple[BoundsReport, tuple]:
     up_wit = {"tag": "transversal", "removed": list(bits_of(removed))}
     report = BoundsReport(_over_one_denominator((low, den), (tau, 1), (kf, den)),
                           low_wit, up_wit, nu, cc, tau)
-    return report, (cliques, weights)
+    return report, (cliques, weights, packing)
 
 
-def add_shannon_bound(g: Graph, report: BoundsReport, cover,
+def add_shannon_bound(g: Graph, report: BoundsReport, pair,
                       shannon_cap: int = DEFAULT_SHANNON_CAP) -> BoundsReport:
     """The report combinatorial_bracket(g) returned, with theta, the
     subset-entropy LP's value, added: the upper side becomes theta, with a
-    shannon-lp witness, where theta is below tau."""
-    h = shannon_entropy(g, shannon_cap, cover)[1]
+    shannon-lp witness, where theta is below tau.  pair is the one it
+    returned alongside; the LP's float run reads its cover."""
+    h = shannon_entropy(g, shannon_cap, pair[:2])[1]
     theta = (h.ints[g.vertex_mask], h.den)
     (low, _, kf), den = report.values.ints, report.values.den
     values = [(low, den), (report.tau, 1), (kf, den), theta]

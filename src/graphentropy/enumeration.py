@@ -5,20 +5,21 @@ refined-colour order, the one whose adjacency bit-string is
 lexicographically least, returned as that canonical graph itself), a
 vertex-augmentation enumerator for simple graphs up to seven vertices, a
 whole-landscape entropy survey that brackets each connected class once,
-closing it from its augmentation parent where that makes the LP needless,
-and adds component brackets for the disconnected ones, and the three
-verification suites the survey supports: the six-vertex pentagon-plus-apex
-trichotomy, the seven-vertex family with values 11/3 and 7/2, and the
-classification of collapsed entropy values below four.
+closing it from one-vertex deletions, its augmentation parent first, where
+that makes an LP needless, and adds component brackets for the disconnected
+ones, and the three verification suites the survey supports: the six-vertex
+pentagon-plus-apex trichotomy, the seven-vertex family with values 11/3 and
+7/2, and the classification of collapsed entropy values below four.
 """
 
 from __future__ import annotations
 
 import os
 from array import array
+from bisect import bisect_left
 from contextlib import nullcontext
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .bounds import (
     BoundsReport,
@@ -35,8 +36,8 @@ from .graphs import (
     bits_of,
     connected_components,
     graph_from_bits,
-    induced_subgraph,
     orbit_representatives,
+    permute_mask,
     render_graph,
 )
 from .rationals import Scaled, rat
@@ -200,26 +201,28 @@ def isomorphism_classes(n: int) -> tuple[Graph, ...]:
     the top class.
     Results are sorted by canonical bits and returned as the canonical
     representatives themselves, so neither pruning changes the output.
-    Alongside, each class keeps the base it was first found from and the
-    position of the added vertex (_classes_cached), at no extra search; the
-    survey closes brackets from them.
+    Alongside, each class keeps the base it was first found from and where
+    the base's vertices and the added one sit in it (_classes_cached), at no
+    extra search; the survey closes brackets from them.
     """
     return _classes_cached(n)[0]
 
 
 @lru_cache(maxsize=None)
-def _classes_cached(n: int) -> tuple[tuple[Graph, ...], array, bytes]:
-    """(classes, parents, vertices): isomorphism_classes(n), and for each
-    class G, aligned with it, the augmentation parent it was first found
-    from, as an index into isomorphism_classes(n - 1), and the position v
-    of the added vertex in G, read off the canonical search's best leaf.
-    G - v, relabelled densely, is isomorphic to the parent."""
+def _classes_cached(n: int) -> tuple[tuple[Graph, ...], array, bytes, array]:
+    """(classes, parents, leaves, bits): isomorphism_classes(n); for each
+    class G, aligned with it, the augmentation parent P it was first found
+    from, as an index into isomorphism_classes(n - 1), and the canonical
+    search's best leaf, the n bytes leaves[i * n:(i + 1) * n]: position k
+    of G holds vertex leaf[k] of P, or the added vertex v where leaf[k] is
+    n - 1, so G - v is P under that map; and the canonical bits of the
+    classes, ascending, which index them (8-byte entries, so n <= 11)."""
     if n < 0:
         raise GraphError("vertex count must be nonnegative")
     if n == 0:
-        return (Graph.empty(0),), array("I"), b""
-    # Canonical bits -> index of the parent * n + position of the new vertex.
-    found: dict[int, int] = {}
+        return (Graph.empty(0),), array("I"), b"", array("Q", [0])
+    # Canonical bits -> (index of the parent, leaf).
+    found: dict[int, tuple[int, bytes]] = {}
     new_bit = 1 << (n - 1)
     leaf: list[int] = []
     for index, base in enumerate(_classes_cached(n - 1)[0]):
@@ -247,12 +250,13 @@ def _classes_cached(n: int) -> tuple[tuple[Graph, ...], array, bytes]:
                 continue
             bits = _canonical_search(rows, colors, leaf)
             if bits not in found:
-                found[bits] = index * n + leaf.index(n - 1)
+                found[bits] = index, bytes(leaf)
     order = sorted(found)
-    parents = array("I", (found[bits] // n for bits in order))
-    vertices = bytes(found[bits] % n for bits in order)
+    parents = array("I", (found[bits][0] for bits in order))
+    leaves = b"".join(found[bits][1] for bits in order)
     del found  # before the graphs are built, which is when memory peaks
-    return tuple(graph_from_bits(n, bits) for bits in order), parents, vertices
+    return (tuple(graph_from_bits(n, bits) for bits in order), parents, leaves,
+            array("Q", order))
 
 
 def enumerate_graphs(n_max: int, connected_only: bool = False, cap: int = DEFAULT_ENUM_CAP):
@@ -276,7 +280,7 @@ def enumerate_graphs(n_max: int, connected_only: bool = False, cap: int = DEFAUL
 
 def bracket_with_fallback(g: Graph, parent=None) -> BoundsReport:
     """The survey's bracket: entropy_bracket(g, lazy_theta=True), closed
-    from g's augmentation parent before the LP where the parent allows.
+    from a one-vertex deletion of g before any LP where that allows.
 
     A reducible set S with remainder R could never tighten it.  Lower side:
     R's fractional clique cover, the |S| matching edges and the unmatched
@@ -287,31 +291,99 @@ def bracket_with_fallback(g: Graph, parent=None) -> BoundsReport:
     transversal of R leaves g acyclic, so tau(g) <= |S| + tau(R).  Where
     the lazy bracket skips theta it is already a point.
 
-    parent, for a connected loopless g, is (v, report): report is the
-    bracket of the class of g - v.  Conditioning on X_v leaves a feasible
-    h for g - v, so theta(g) <= theta(g - v) + 1, and a transversal of
-    g - v plus v is one of g, so tau(g) <= tau(g - v) + 1.  When the
-    combinatorial bracket [n - kappa_f, tau] is open and the parent's upper
-    bound plus one equals n - kappa_f, the bracket is closed there without
-    the LP: the upper witness is {"tag": "vertex-deletion", "vertex": v,
-    "inner": the parent's upper witness}, and theta is None.
+    parent, for a connected loopless g, describes g - v as (leaf, upper,
+    den, upper witness, pair): leaf maps g onto g - v plus v, as
+    bounds.deletion_pair reads it (vertex k of g is vertex leaf[k] of g - v,
+    or v where leaf[k] is n - 1); upper / den and the witness are the upper
+    side of g - v's bracket, in its own labelling; pair is its cover and
+    packing, as combinatorial_bracket returns them.  The pair closes kappa_f
+    without the cover LP where v reaches level one (bounds.deletion_pair),
+    and the upper side closes the bracket without the entropy LP where it
+    meets n - kappa_f (_deleted).
 
     The name stays because the benchmark's tracer (perfbench/tracer.py)
     times this function by name.
     """
     if parent is None:
         return entropy_bracket(g, lazy_theta=True)
-    report, cover = combinatorial_bracket(g)
+    report, pair = _bracket_from_parent(g, parent)
+    return report if report.exact else add_shannon_bound(g, report, pair)
+
+
+def _bracket_from_parent(g: Graph, parent) -> tuple[BoundsReport, tuple]:
+    """bracket_with_fallback up to the entropy LP: the combinatorial bracket
+    of g, with kappa_f lifted from parent's pair where the cover LP would
+    run, closed by parent's upper side where that meets it.  Returns the
+    report and g's own pair."""
+    leaf, up, up_den, up_wit, pair = parent
+    report, own = combinatorial_bracket(g, (leaf, pair))
+    return _deleted(report, leaf.index(g.n - 1), up, up_den, up_wit), own
+
+
+def _deleted(report: BoundsReport, v: int, up: int, up_den: int, up_wit) -> BoundsReport:
+    """report closed at its lower bound by deleting v, or report itself.
+
+    Conditioning on X_v leaves a feasible h for g - v, so theta(g) <=
+    theta(g - v) + 1, and a transversal of g - v plus v is one of g, so
+    tau(g) <= tau(g - v) + 1; the entropy of g is therefore at most the
+    upper bound up / up_den of g - v plus one.  Where that equals n -
+    kappa_f the bracket is a point without the entropy LP: its upper witness
+    is {"tag": "vertex-deletion", "vertex": v, "inner": up_wit}, and theta
+    is None.  The upper bound, not only an exact value, is read, which is
+    sound because tau and theta each drop by at most one."""
     if report.exact:
         return report
-    v, base = parent
     (low, _, kf), den = report.values.ints, report.values.den
-    up, up_den = base.values.ints[1], base.values.den
-    if (up + up_den) * den == low * up_den:
-        up_wit = {"tag": "vertex-deletion", "vertex": v, "inner": base.upper_witness}
-        return BoundsReport(Scaled([low, low, kf], den), report.lower_witness, up_wit,
-                            report.nu, report.cc, report.tau)
-    return add_shannon_bound(g, report, cover)
+    if (up + up_den) * den != low * up_den:
+        return report
+    up_wit = {"tag": "vertex-deletion", "vertex": v, "inner": up_wit}
+    return BoundsReport(Scaled([low, low, kf], den), report.lower_witness, up_wit,
+                        report.nu, report.cc, report.tau)
+
+
+def _induced_bits(rows, mask: int) -> int:
+    """The adjacency bits (graphs.adjacency_bits) of the subgraph that the
+    simple graph with these rows induces on mask, relabelled densely."""
+    verts = list(bits_of(mask))
+    bits = 0
+    for k, j in enumerate(verts):
+        row = rows[j]
+        for i in verts[:k]:
+            bits = bits << 1 | (row >> i & 1)
+    return bits
+
+
+def _class_index(n: int, bits: int) -> int:
+    """Index into isomorphism_classes(n) of the class whose canonical
+    representative has these adjacency bits."""
+    table = _classes_cached(n)[3]
+    i = bisect_left(table, bits)
+    if i == len(table) or table[i] != bits:
+        raise AssertionError(f"no {n}-vertex class has canonical bits {bits}")
+    return i
+
+
+def _deleted_elsewhere(g: Graph, report: BoundsReport, v: int, report_of) -> BoundsReport:
+    """report closed by deleting some vertex of g other than v, or report
+    itself: _deleted with the class of g - u for each u outside v's orbit,
+    one per orbit, in vertex order.  g - u is looked up by the canonical
+    bits of its rows, with no Graph built; report_of(n, i) is the report of
+    class i on n vertices."""
+    n = g.n
+    rep = orbit_representatives(automorphisms(g), [1 << u for u in range(n)])
+    tried = {rep[1 << v]}
+    for u in range(n):
+        if rep[1 << u] in tried:
+            continue
+        tried.add(rep[1 << u])
+        low = (1 << u) - 1
+        rows = [r & low | r >> 1 & ~low for w, r in enumerate(g.rows) if w != u]
+        bits = _canonical_search(rows, _refined_colors(rows))
+        base = report_of(n - 1, _class_index(n - 1, bits))
+        closed = _deleted(report, u, base.values.ints[1], base.values.den, base.upper_witness)
+        if closed.exact:
+            return closed
+    return report
 
 
 def survey_entropy_values(
@@ -327,73 +399,133 @@ def survey_entropy_values(
     a disconnected class the union witness lists the components in graph's
     own labelling, and each part's witness uses the labelling of its
     component's canonical representative; so does the inner witness of a
-    vertex-deletion, in its parent's.
+    vertex-deletion, in the representative of the class of g - v.
 
     Every run recomputes and rechecks every value.  The work goes by
     order, one vertex count at a time, so every class of order n - 1 is
-    final before any of order n starts.  Each connected class is
-    bracketed by bracket_with_fallback with its augmentation parent (the
-    class it was enumerated from, and the vertex that was added): a parent
-    whose upper bound plus one meets the class's lower bound closes the
-    bracket without the LP.  A disconnected class adds the brackets of its
-    components' classes, so no LP ever runs twice for the same connected
-    graph.  With jobs > 1 a pool of that many workers brackets the
-    connected classes of one order at a time, each task carrying its
-    parent's report.  The pool is made before any LP runs, and every LP
-    then runs in a worker, so this process never imports numpy.
-    connected_only skips the disconnected classes in the records and
-    reports just the connected landscape; a disconnected parent is still
-    added up from its components.
+    final before any of order n starts, in three rounds:
 
-    A component is looked up as it stands, with no canonical search of its
-    own: each component of a canonical representative, induced and densely
-    relabelled, is its own class's canonical representative.  Let G be a
-    canonical representative and C one of its components.  Relabelling C
-    among C's own positions leaves every pair between C and another
-    component 0, and the pairs inside C keep their relative order in G's
-    string.  So, were the canonical string the least over all relabellings,
-    a smaller string for C would give a smaller string for G.  It is least
-    only over the colour-ordered ones (canonical_form), so the claim rests
-    on an exhaustive check, which finds no exception among the 32,058
-    components of all disconnected classes up to 9 vertices (28,716 of them
-    in 9-vertex classes).  A cap above 9 is unchecked.
+    - combinatorial: each connected class gets bracket_with_fallback's
+      bracket up to the entropy LP from its augmentation parent (the class
+      it was enumerated from, and where its vertices sit): kappa_f lifted
+      from the parent's cover and packing where the cover LP would run, and
+      the bracket closed where the parent's upper bound plus one meets
+      n - kappa_f;
+    - deletion: a class still open tries every other one-vertex deletion,
+      one vertex per orbit, by the canonical bits of g - u
+      (_deleted_elsewhere);
+    - LP: what is still open gets the subset-entropy LP.
+
+    A disconnected class adds the brackets of its components' classes, so
+    no LP ever runs twice for the same connected graph.  With jobs > 1 a
+    pool of that many workers runs the combinatorial and LP rounds of one
+    order at a time, each combinatorial task carrying only what it reads of
+    its parent (bracket_with_fallback's parent tuple).  The deletion round
+    runs in this process between them, so the records are the serial ones.
+    The pool is made before any LP runs, and every LP then runs in a worker,
+    so this process never imports numpy.  connected_only skips the
+    disconnected classes in the records and reports just the connected
+    landscape; a disconnected parent is still added up from its components.
+
+    A component is looked up by its adjacency bits, with no canonical
+    search and no Graph of its own: each component of a canonical
+    representative, induced and densely relabelled, is its own class's
+    canonical representative.  Let G be a canonical representative and C
+    one of its components.  Relabelling C among C's own positions leaves
+    every pair between C and another component 0, and the pairs inside C
+    keep their relative order in G's string.  So, were the canonical string
+    the least over all relabellings, a smaller string for C would give a
+    smaller string for G.  It is least only over the colour-ordered ones
+    (canonical_form), so the claim rests on an exhaustive check, which
+    finds no exception among the 32,058 components of all disconnected
+    classes up to 9 vertices (28,716 of them in 9-vertex classes).  A cap
+    above 9 is unchecked.
     """
     classes = list(enumerate_graphs(n_max, connected_only=connected_only, cap=cap))
     connected_by_order: dict[int, list[Graph]] = {}
     for g in classes:
         if len(connected_components(g)) == 1:
             connected_by_order.setdefault(g.n, []).append(g)
-    known: dict[Graph, BoundsReport] = {}
+    # Per order: class index -> report, and -> cover and packing.
+    reports: dict[int, dict[int, BoundsReport]] = {}
+    pairs: dict[int, dict[int, tuple]] = {}
 
-    def report_of(g: Graph) -> BoundsReport:
-        report = known.get(g)
+    def report_of(n: int, i: int) -> BoundsReport:
+        known = reports.setdefault(n, {})
+        report = known.get(i)
         if report is None:  # disconnected, or the empty graph
-            comps = connected_components(g)
-            report = known[g] = union_report(
-                [list(bits_of(c)) for c in comps],
-                [known[induced_subgraph(g, c)[0]] for c in comps])
+            parts = _components(_classes_cached(n)[0][i])
+            report = known[i] = union_report([list(bits_of(c)) for c, _, _ in parts],
+                                             [report_of(k, j) for _, k, j in parts])
         return report
+
+    def pair_of(n: int, i: int) -> tuple:
+        known = pairs.setdefault(n, {})
+        pair = known.get(i)
+        if pair is None:  # disconnected, or the empty graph
+            parts = _components(_classes_cached(n)[0][i])
+            pair = known[i] = _union_pair(n, [(tuple(bits_of(c)), pair_of(k, j))
+                                              for c, k, j in parts])
+        return pair
 
     runner = nullcontext()
     if jobs > 1 and sum(map(len, connected_by_order.values())) > 1:
         # Imported here: multiprocessing adds to the start-up of every command.
         from multiprocessing import Pool
         runner = Pool(jobs, initializer=_one_blas_thread)
+    position: dict[Graph, int] = {}
     with runner as pool:
-        for n, graphs in connected_by_order.items():
-            order, parents, vertices = _classes_cached(n)
-            bases = _classes_cached(n - 1)[0]
-            index = {g: i for i, g in enumerate(order)}
+        starmap = _starmap if pool is None else pool.starmap
+        for n in sorted({g.n for g in classes}):
+            order, parents, leaves, _ = _classes_cached(n)
+            position.update((g, i) for i, g in enumerate(order))
+            todo = [position[g] for g in connected_by_order.get(n, ())]
             tasks = []
-            for g in graphs:
-                i = index[g]
-                tasks.append((g, (vertices[i], report_of(bases[parents[i]]))))
-            if pool is None:
-                reports = [bracket_with_fallback(g, parent) for g, parent in tasks]
-            else:
-                reports = pool.starmap(bracket_with_fallback, tasks, chunksize=8)
-            known.update(zip(graphs, reports))
-    return [(g, report_of(g), len(connected_components(g)) == 1) for g in classes]
+            for i in todo:
+                base = report_of(n - 1, parents[i])
+                tasks.append((order[i], (leaves[i * n:(i + 1) * n], base.values.ints[1],
+                                         base.values.den, base.upper_witness,
+                                         pair_of(n - 1, parents[i]))))
+            done, own = reports.setdefault(n, {}), pairs.setdefault(n, {})
+            for i, (report, pair) in zip(todo, starmap(_bracket_from_parent, tasks, 8)):
+                if not report.exact:
+                    v = leaves.index(n - 1, i * n) - i * n
+                    report = _deleted_elsewhere(order[i], report, v, report_of)
+                done[i], own[i] = report, pair
+            todo = [i for i in todo if not done[i].exact]
+            for i, report in zip(todo, starmap(
+                    add_shannon_bound, [(order[i], done[i], own[i]) for i in todo], 1)):
+                done[i] = report
+    return [(g, report_of(g.n, position[g]), len(connected_components(g)) == 1) for g in classes]
+
+
+def _components(g: Graph) -> list[tuple[int, int, int]]:
+    """(vertex mask, order, class index) of each component of g, a
+    canonical representative, found by the component's adjacency bits as
+    it stands (survey_entropy_values says why that is its class's)."""
+    return [(c, c.bit_count(), _class_index(c.bit_count(), _induced_bits(g.rows, c)))
+            for c in connected_components(g)]
+
+
+def _union_pair(n: int, parts) -> tuple:
+    """The cover and packing of a disjoint union on n vertices from its
+    parts': parts lists (vertices, pair), vertices[j] the vertex of the
+    union that vertex j of the part is.  Both halves add over the parts, so
+    an optimal pair per part gives an optimal pair of the union."""
+    w_den = lcm(*(pair[1].den for _, pair in parts))
+    y_den = lcm(*(pair[2].den for _, pair in parts))
+    cliques, weights, ys = [], [], [0] * n
+    for verts, (part_cliques, part_weights, packing) in parts:
+        cliques += (permute_mask(verts, c) for c in part_cliques)
+        weights += (k * (w_den // part_weights.den) for k in part_weights.ints)
+        for j, y in enumerate(packing.ints):
+            ys[verts[j]] = y * (y_den // packing.den)
+    return tuple(cliques), Scaled(weights, w_den), Scaled(ys, y_den)
+
+
+def _starmap(fn, tasks, chunksize):
+    """Pool.starmap's results, computed in this process."""
+    return [fn(*task) for task in tasks]
 
 
 def collapsed_values(records) -> list:
@@ -445,8 +577,18 @@ def verify_wheel_lemma() -> dict:
     The bracket is the transversal-lazy one: the subset-entropy LP is
     skipped only where the transversal already meets the lower bound, and
     then theta >= entropy >= lower = tau, so the LP could change neither
-    side nor its witness.
+    side nor its witness.  The pentagon's bracket is computed once, and
+    every case with an apex edge is bracketed by bracket_with_fallback from
+    it, G - apex being the pentagon in G's own labelling: its cover and
+    packing settle kappa_f where the apex reaches level one, and its upper
+    bound plus one closes the bracket where that meets the lower bound.
+    The isolated apex's case is bracketed on its own.
     """
+    pentagon = Graph.cycle(5)  # the rim of every pentagon_apex, labelled as there
+    report, pair = combinatorial_bracket(pentagon)
+    report = add_shannon_bound(pentagon, report, pair)
+    parent = (bytes(range(6)), report.values.ints[1], report.values.den, report.upper_witness,
+              pair)
     entries = []
     failures = []
     open_brackets = []
@@ -458,7 +600,7 @@ def verify_wheel_lemma() -> dict:
             expected = rat("7/2")
         else:
             expected = rat(3)
-        bracket = entropy_bracket(g, lazy_theta=True)
+        bracket = bracket_with_fallback(g, parent if mask else None)
         ok = bracket.exact and bracket.lower == expected
         entry = {
             "apex_neighbors": list(bits_of(mask)),

@@ -78,5 +78,9 @@ class Scaled(Sequence):
 
     __hash__ = None
 
+    def __reduce__(self):
+        # As the constructor's arguments: half the size of the slot state.
+        return Scaled, (self.ints, self.den)
+
     def __repr__(self) -> str:
         return f"Scaled({self.ints!r}, {self.den})"

@@ -39,6 +39,21 @@ def random_digraph(rng: random.Random, n: int, p: float = 0.4,
     return Graph.from_arcs(n, arcs)
 
 
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Route module.name through a recorder while the test runs: one tuple
+    of positional arguments per call, appended to the list returned, and
+    each call passed on to the real function."""
+    real = getattr(module, name)
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0x5eed)

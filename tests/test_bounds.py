@@ -31,6 +31,7 @@ from graphentropy.graphs import (
     CapExceededError,
     Graph,
     automorphisms,
+    bits_of,
     connected_components,
     induced_subgraph,
     loops,
@@ -52,7 +53,7 @@ from _oracles import (
     is_acyclic,
     max_independent_set,
 )
-from conftest import c5, g1, random_digraph, random_graph, random_looped_graph
+from conftest import c5, count_calls, g1, random_digraph, random_graph, random_looped_graph
 
 
 def test_matching_examples():
@@ -98,17 +99,18 @@ def _kappa_f(g):
 
 
 def test_fractional_cover_examples():
-    value, cliques, weights = _kappa_f(c5())
+    value, cliques, weights, _ = _kappa_f(c5())
     assert value == rat("5/2")
     check_clique_cover(c5(), cliques, weights)
     assert _kappa_f(Graph.complete(4))[0] == 1
     assert _kappa_f(g1())[0] == rat("10/3")
-    assert fractional_clique_cover_number(Graph.empty(0), (), 0) == (0, (), ())
+    assert fractional_clique_cover_number(Graph.empty(0), (), 0) == (0, (), (), ())
     # All five edges cover C5 but not minimally; the LP decides, at its
     # unique optimum of weight 1/2 per edge.
     edges = maximal_cliques(c5())
     pair = mask_of([0, 2])
-    assert fractional_clique_cover_number(c5(), edges, pair) == (rat("5/2"), edges, (rat("1/2"),) * 5)
+    assert fractional_clique_cover_number(c5(), edges, pair) == (
+        rat("5/2"), edges, (rat("1/2"),) * 5, (rat("1/2"),) * 5)
     # Two members, as many as the independent set, one not a clique.
     with pytest.raises(ValueError, match=r"\[0, 1, 2\] is not a clique"):
         fractional_clique_cover_number(c5(), (mask_of([0, 1, 2]), mask_of([3, 4])), pair)
@@ -116,7 +118,7 @@ def test_fractional_cover_examples():
     # clique dropped, or with a member that is not a clique, is refused.
     p4, ends = Graph.path(4), mask_of([0, 3])
     assert fractional_clique_cover_number(p4, (mask_of([0, 1]), mask_of([2, 3])), ends) == (
-        2, (mask_of([0, 1]), mask_of([2, 3])), (1, 1))
+        2, (mask_of([0, 1]), mask_of([2, 3])), (1, 1), (1, 0, 0, 1))
     with pytest.raises(ValueError, match="vertex 2 covered only to level 0"):
         fractional_clique_cover_number(p4, (mask_of([0, 1]),), 1)
     with pytest.raises(ValueError, match=r"\[1, 3\] is not a clique"):
@@ -137,6 +139,94 @@ def _lp_kappa_f(g):
     return solve(build_fractional_cover_lp(g)[0]).objective
 
 
+def _packing_holds(g, packing) -> bool:
+    """Every maximal clique of g at total packing weight at most one."""
+    return all(y >= 0 for y in packing) and all(
+        sum(packing[v] for v in range(g.n) if c >> v & 1) <= 1 for c in maximal_cliques(g))
+
+
+def test_deletion_pair_matches_the_cover_lp(monkeypatch):
+    """For every vertex v of every connected class up to 7 vertices, the
+    optimal pair of g - v lifts exactly where v's cliques inside N(v) weigh
+    at least one.  Where it lifts, both halves pass on g (the cover through
+    check_clique_cover, the packing against every maximal clique), and
+    fractional_clique_cover_number takes kappa_f from them, with no LP, at
+    the covering LP's value."""
+    solves = count_calls(monkeypatch, bounds, "solve")
+    lifted = 0
+    for g in enumerate_graphs(7, connected_only=True):
+        g6 = render_graph(g, "graph6")
+        kappa_f = None
+        for v in range(g.n):
+            less, verts = induced_subgraph(g, g.vertex_mask & ~(1 << v))
+            pair = _kappa_f(less)[1:]
+            leaf = bytes(g.n - 1 if k == v else verts.index(k) for k in range(g.n))
+            cliques, weights, _ = pair
+            level = sum(w for c, w in zip(cliques, weights)
+                        if all(g.has_arc(v, verts[u]) for u in range(less.n) if c >> u & 1))
+            got = bounds.deletion_pair(g, leaf, pair)
+            assert (got is not None) == (level >= 1), (g6, v)
+            if got is None:
+                continue
+            lifted += 1
+            (cover, cover_weights), packing = got
+            check_clique_cover(g, cover, cover_weights)
+            assert _packing_holds(g, packing), (g6, v)
+            if kappa_f is None:
+                kappa_f = _lp_kappa_f(g)
+            before = len(solves)
+            value, _, _, _ = fractional_clique_cover_number(g, *got)
+            assert len(solves) == before, (g6, v)
+            assert value == sum(cover_weights) == sum(packing) == kappa_f, (g6, v)
+    assert lifted == 3124, lifted
+
+
+def test_tampered_deletion_pair_is_refused():
+    """A pentagon with an apex on three consecutive rim vertices, lifted
+    from the pentagon's pair.  Moving weight off a clique inside N(apex),
+    or raising a packing entry on N(apex) or the apex, is refused; so is a
+    pentagon pair whose cliques inside N(apex) weigh less than one, which
+    deletion_pair declines to lift."""
+    pentagon = c5()
+    pair = _kappa_f(pentagon)[1:]
+    leaf = bytes(range(6))
+    g = Graph.undirected(6, pentagon.edges() + [(0, 5), (1, 5), (2, 5)])
+    (cliques, weights), packing = bounds.deletion_pair(g, leaf, pair)
+    assert fractional_clique_cover_number(g, (cliques, weights), packing)[0] == rat("5/2")
+    inside = [i for i, c in enumerate(cliques) if c >> 5 & 1]
+    assert [list(bits_of(cliques[i])) for i in inside] == [[0, 1, 5], [1, 2, 5]]
+    moved = list(weights.ints)
+    outside = next(i for i in range(len(cliques)) if i not in inside)
+    moved[outside] += moved[inside[0]]
+    moved[inside[0]] = 0
+    with pytest.raises(ValueError, match="covered only to level 1/2"):
+        fractional_clique_cover_number(g, (cliques, rationals.Scaled(moved, weights.den)),
+                                       packing)
+    for v in (1, 5):
+        raised = list(packing.ints)
+        raised[v] += packing.den // 2
+        with pytest.raises(ValueError, match="has packing weight 3/2"):
+            fractional_clique_cover_number(g, (cliques, weights),
+                                           rationals.Scaled(raised, packing.den))
+    negative = list(packing.ints)
+    negative[5] = -1
+    with pytest.raises(ValueError, match="negative packing weight"):
+        fractional_clique_cover_number(g, (cliques, weights),
+                                       rationals.Scaled(negative, packing.den))
+    # Weight moved off the pentagon's edge {0, 1} onto {2, 3}: the apex
+    # then sits at level 1/2, so nothing lifts, and a cover lifted anyway
+    # is refused on g.
+    edges, edge_weights, edge_packing = pair
+    shifted = list(edge_weights.ints)
+    shifted[edges.index(mask_of([2, 3]))] += shifted[edges.index(mask_of([0, 1]))]
+    shifted[edges.index(mask_of([0, 1]))] = 0
+    short = (edges, rationals.Scaled(shifted, edge_weights.den), edge_packing)
+    assert bounds.deletion_pair(g, leaf, short) is None
+    forced = tuple(c | 1 << 5 if c in (mask_of([0, 1]), mask_of([1, 2])) else c for c in edges)
+    with pytest.raises(ValueError, match="covered only to level 1/2"):
+        fractional_clique_cover_number(g, (forced, short[1]), packing)
+
+
 def test_fractional_cover_shortcut_matches_lp(monkeypatch, rng):
     """The value certified by an independent set of size cc equals the
     covering LP's optimum, and so does the LP path's, on graphs and looped
@@ -155,7 +245,7 @@ def test_fractional_cover_shortcut_matches_lp(monkeypatch, rng):
     paths = {"shortcut": 0, "lp": 0}
     for g in graphs:
         before = len(solves)
-        value, cliques, weights = _kappa_f(g)
+        value, cliques, weights, _ = _kappa_f(g)
         paths["lp" if len(solves) > before else "shortcut"] += 1
         assert value == _lp_kappa_f(g), g
         check_clique_cover(g, cliques, weights)
@@ -166,8 +256,9 @@ def test_fractional_cover_shortcut_matches_lp(monkeypatch, rng):
 # sha256 of one line per connected class on up to 7 vertices whose fractional
 # cover the covering LP decides (the independent-set shortcut closes all the
 # others): its graph6, then clique:weight pairs.  These are the 37 covering
-# LPs that `verify --suite theorem2` solves, and each weight vector is the
-# vertex its proposed basis selects, so the digest pins those bases.  Each
+# LPs that `verify --suite theorem2` solves where no deletion pair lifts (17
+# of them still run there), and each weight vector is the vertex its
+# proposed basis selects, so the digest pins those bases.  Each
 # vector is also checked as a cover of the LP's optimal value, so a change of
 # digest means a move to another optimal vertex, not a wrong answer.
 COVER_WEIGHTS_SHA256 = "ab975a700db6baa3cb3a4b9d0377e9178ea19a4509ee9d0aa32db4c7845124ec"
@@ -185,7 +276,7 @@ def test_cover_lp_weights_pinned(monkeypatch):
     lines = []
     for g in enumerate_graphs(7, connected_only=True):
         before = len(solves)
-        value, cliques, weights = _kappa_f(g)
+        value, cliques, weights, _ = _kappa_f(g)
         if len(solves) > before:
             check_clique_cover(g, cliques, weights)
             assert sum(weights) == value == _lp_kappa_f(g), render_graph(g, "graph6")
@@ -333,7 +424,7 @@ def test_fractional_cover_searches_nothing(monkeypatch):
     monkeypatch.setattr(bounds, "_vertex_cover", refuse)
     monkeypatch.setattr(bounds, "transversal_number", refuse)
     for g in (c5(), g1(), Graph.complete(4), Graph.from_arcs(3, [(0, 0), (0, 1), (1, 0)])):
-        value, _, _ = _kappa_f(g)
+        value = _kappa_f(g)[0]
         assert value == _lp_kappa_f(g)
 
 
@@ -527,7 +618,7 @@ def _duals_needing_theta():
     for g in graphs:
         gens = automorphisms(g)
         cover = fractional_clique_cover_number(
-            g, clique_cover_number(g)[1], _largest_independent_set(g))[1:]
+            g, clique_cover_number(g)[1], _largest_independent_set(g))[1:3]
         dual, _, crash = _entropy_dual(g, closure_map(g), gens, cover)
         out.append((g, dual, crash))
     return out
@@ -675,7 +766,7 @@ def test_cover_function_is_an_optimal_entropy_function(rng):
     graphs += [random_digraph(rng, rng.randint(1, 6), loop_p=0.3) for _ in range(30)]
     graphs += [param.values[0] for param in AT_THE_CAP]
     for g in graphs:
-        kappa_f, cliques, weights = _kappa_f(g)
+        kappa_f, cliques, weights, _ = _kappa_f(g)
         gens = automorphisms(g)
         k, scale = bounds._cover_function(g, cliques, weights, gens)
         h = [rat(v, scale) for v in k]
@@ -903,8 +994,8 @@ def test_bounds_at_the_matching_cap(g):
     nu, edges = max_matching(g)
     cc, cover = clique_cover_number(g, nu)
     tau, removed = transversal_number(g)
-    kappa_f, cliques, weights = fractional_clique_cover_number(g, cover,
-                                                               g.vertex_mask & ~removed)
+    kappa_f, cliques, weights, _ = fractional_clique_cover_number(g, cover,
+                                                                  g.vertex_mask & ~removed)
     elapsed = time.perf_counter() - started
     assert elapsed < 10, f"took {elapsed:.1f}s"
     h = nx.Graph(g.edges())

@@ -40,7 +40,7 @@ from _oracles import (
     labeled_class_count,
     least_adjacency_bits,
 )
-from conftest import c5, g1, random_graph
+from conftest import c5, count_calls, g1, random_graph
 from test_cli import child_env
 
 # Simple-graph isomorphism classes by vertex count, total and connected.
@@ -157,39 +157,35 @@ def test_canonical_searches_per_class(monkeypatch):
     orbit pruning alone ran 5,759.  The degree test runs before the orbit
     search, so of the 11,291 attachment masks only the 3,132 it passes are
     sorted into orbits."""
-    searches = []
-    real_search = enumeration._canonical_search
-    sorted_masks = []
-    real_orbits = enumeration.orbit_representatives
-
-    def counting_search(*args):
-        searches.append(1)
-        return real_search(*args)
-
-    def counting_orbits(gens, masks):
-        masks = list(masks)
-        sorted_masks.append(len(masks))
-        return real_orbits(gens, masks)
-
-    monkeypatch.setattr(enumeration, "_canonical_search", counting_search)
-    monkeypatch.setattr(enumeration, "orbit_representatives", counting_orbits)
+    searches = count_calls(monkeypatch, enumeration, "_canonical_search")
+    orbit_calls = count_calls(monkeypatch, enumeration, "orbit_representatives")
     enumeration._classes_cached.cache_clear()
     assert sum(len(isomorphism_classes(n)) for n in range(1, 8)) == 1252
     assert len(searches) <= 1300, len(searches)
-    assert sum(sorted_masks) == 3132, sum(sorted_masks)
+    sorted_masks = sum(len(masks) for _, masks in orbit_calls)
+    assert sorted_masks == 3132, sorted_masks
 
 
 def test_parent_records_delete_to_the_parent():
     """Each class up to 7 vertices records the class it was enumerated from
-    and the position of the added vertex: the class less that vertex has
-    the parent as its canonical form."""
+    and the canonical search's leaf, which maps it onto that class plus the
+    added vertex: the class less the added vertex has the parent as its
+    canonical form, and the leaf is an isomorphism onto the parent there.
+    The classes' canonical bits are recorded ascending."""
     for n in range(1, 8):
-        classes, parents, vertices = enumeration._classes_cached(n)
-        assert len(parents) == len(vertices) == len(classes), n
+        classes, parents, leaves, bits = enumeration._classes_cached(n)
+        assert len(parents) == len(bits) == len(classes) == len(leaves) // n, n
+        assert list(bits) == [adjacency_bits(g) for g in classes], n
         bases = isomorphism_classes(n - 1)
-        for g, parent, v in zip(classes, parents, vertices):
+        for i, (g, parent) in enumerate(zip(classes, parents)):
+            leaf = leaves[i * n:(i + 1) * n]
+            assert sorted(leaf) == list(range(n)), render_graph(g, "graph6")
+            v = leaf.index(n - 1)
             less = induced_subgraph(g, g.vertex_mask & ~(1 << v))[0]
             assert canonical_form(less) == bases[parent], render_graph(g, "graph6")
+            assert all(g.has_arc(a, b) == bases[parent].has_arc(leaf[a], leaf[b])
+                       for a in range(n) for b in range(n) if v not in (a, b)), \
+                render_graph(g, "graph6")
 
 
 def test_components_of_canonical_classes_are_canonical():
@@ -214,17 +210,13 @@ def test_components_of_canonical_classes_are_canonical():
 
 
 def test_survey_runs_no_canonical_search(monkeypatch):
-    """Once the classes are cached, the survey makes no canonical search."""
+    """Once the classes are cached, the survey up to 6 vertices makes no
+    canonical search.  Its parents' places settle every cover LP lift, and
+    the one bracket a parent leaves open there is C5's, whose vertices lie
+    in one orbit, so no other deletion is looked up."""
     for n in range(1, 7):
         isomorphism_classes(n)
-    searches = []
-    real_search = enumeration._canonical_search
-
-    def counting_search(*args):
-        searches.append(1)
-        return real_search(*args)
-
-    monkeypatch.setattr(enumeration, "_canonical_search", counting_search)
+    searches = count_calls(monkeypatch, enumeration, "_canonical_search")
     records = survey_entropy_values(6)
     assert len(records) == 208
     assert any(not connected for _, _, connected in records)
@@ -233,21 +225,33 @@ def test_survey_runs_no_canonical_search(monkeypatch):
 
 def test_survey_closes_brackets_from_the_parent(monkeypatch):
     """Up to 7 vertices, 21 of the 37 connected classes whose combinatorial
-    bracket is open are closed by their augmentation parent, so the survey
-    solves 16 entropy LPs.  Each closed class gets the value the eager
-    bracket's LP gives, theta is None, and the witness nests the upper
-    witness of the class less the named vertex."""
-    calls = []
-    real = bounds.shannon_entropy
-    monkeypatch.setattr(bounds, "shannon_entropy",
-                        lambda *args: calls.append(1) or real(*args))
+    bracket is open are closed by their augmentation parent, and 7 more by
+    deleting another vertex, so the survey solves 9 entropy LPs; the
+    others' lookups make 34 canonical searches once the classes are cached.
+    Each closed class gets the value the eager bracket's LP gives, theta is
+    None, and the witness nests the upper witness of the class less the
+    named vertex."""
+    for n in range(1, 8):
+        isomorphism_classes(n)
+    calls = count_calls(monkeypatch, bounds, "shannon_entropy")
+    searches = count_calls(monkeypatch, enumeration, "_canonical_search")
     records = survey_entropy_values(7)
     monkeypatch.undo()
-    assert len(calls) == 16
+    assert len(calls) == 9
+    assert len(searches) == 34
     by_graph = {g: report for g, report, _ in records}
     closed = [(g, report) for g, report, _ in records
               if report.upper_witness["tag"] == "vertex-deletion"]
-    assert len(closed) == 21
+    added = {}
+    for n in range(1, 8):
+        classes, _, leaves, _ = enumeration._classes_cached(n)
+        added.update((g, leaves[i * n:(i + 1) * n].index(n - 1)) for i, g in enumerate(classes))
+    by_parent = [render_graph(g, "graph6") for g, report in closed
+                 if report.upper_witness["vertex"] == added[g]]
+    elsewhere = [render_graph(g, "graph6") for g, report in closed
+                 if report.upper_witness["vertex"] != added[g]]
+    assert len(by_parent) == 21
+    assert elsewhere == ["FG_yo", "FI_XW", "FZh[w", "F`CaW", "FjaHw", "Fjehw", "FkYXw"]
     for g, report in closed:
         g6 = render_graph(g, "graph6")
         eager = entropy_bracket(g)
@@ -470,15 +474,23 @@ def test_small_theorem_suite():
 
 
 def test_small_theorem_suite_lp_count(monkeypatch):
-    """At most 74 exact simplex runs: the fractional covers of perfect
-    graphs are certified by independent sets, not by the LP."""
-    runs = []
-    real_simplex = lp._simplex
-
-    def counting_simplex(*args):
-        runs.append(1)
-        return real_simplex(*args)
-
-    monkeypatch.setattr(lp, "_simplex", counting_simplex)
+    """26 exact simplex runs: 9 entropy LPs and 17 cover LPs.  The
+    fractional covers of perfect graphs are certified by independent sets,
+    and 20 others by a deletion pair lifted from the augmentation parent,
+    not by the LP."""
+    runs = count_calls(monkeypatch, lp, "_simplex")
+    entropy = count_calls(monkeypatch, bounds, "shannon_entropy")
+    cover = count_calls(monkeypatch, bounds, "build_fractional_cover_lp")
     assert verify_small_theorems()["ok"]
-    assert len(runs) <= 74, len(runs)
+    assert (len(runs), len(entropy), len(cover)) == (26, 9, 17)
+
+
+def test_wheel_lp_count(monkeypatch):
+    """The wheel suite solves the pentagon's cover and entropy LPs once for
+    its parent and once inside the isolated apex's case; every other case
+    is settled from the pentagon."""
+    entropy = count_calls(monkeypatch, bounds, "shannon_entropy")
+    cover = count_calls(monkeypatch, bounds, "build_fractional_cover_lp")
+    report = verify_wheel_lemma()
+    assert report["ok"]
+    assert (len(entropy), len(cover)) == (2, 2)

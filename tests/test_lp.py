@@ -583,7 +583,7 @@ def test_crash_start_is_optimal_at_once(exact_steps):
             continue
         gens = automorphisms(g)
         cover = fractional_clique_cover_number(
-            g, clique_cover_number(g)[1], _largest_independent_set(g))[1:]
+            g, clique_cover_number(g)[1], _largest_independent_set(g))[1:3]
         dual, var, crash = _entropy_dual(g, closure_map(g), gens, cover)
         s = _standardize(dual)
         basis = _crash_basis(s, crash)
