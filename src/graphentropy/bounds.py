@@ -289,17 +289,29 @@ def fractional_clique_cover_number(g: Graph, cover, packing
                                  "to level 0")
             return (Rational(len(cliques)), cliques, Scaled([1] * len(cliques)),
                     Scaled([packing >> v & 1 for v in range(g.n)]))
-    else:
-        _check_packing(g, packing)
+    elif check_fractional_pair(g, cover, packing):
         cliques, weights = cover
-        total = sum(weights.ints)
-        if total * packing.den == sum(packing.ints) * weights.den:
-            check_clique_cover(g, cliques, weights)
-            return Rational(total, weights.den), tuple(cliques), weights, packing
+        return Rational(sum(weights.ints), weights.den), tuple(cliques), weights, packing
     lp, cliques = build_fractional_cover_lp(g)
     sol = solve(lp)
     check_clique_cover(g, cliques, sol.x)
     return sol.objective, cliques, sol.x, sol.y
+
+
+def check_fractional_pair(g: Graph, cover, packing: Scaled) -> bool:
+    """Whether the fractional pair (cover, packing), cover = (cliques,
+    weights) and both Scaled, certifies kappa_f on g by weak duality.
+
+    The packing is checked against every maximal clique of g first; where
+    the two totals agree, the cover is checked with check_clique_cover.
+    Either check raises ValueError when its half is infeasible, so True
+    means both halves passed on g at one total, which is then kappa_f(g)."""
+    _check_packing(g, packing)
+    cliques, weights = cover
+    if sum(weights.ints) * packing.den != sum(packing.ints) * weights.den:
+        return False
+    check_clique_cover(g, cliques, weights)
+    return True
 
 
 def _check_packing(g: Graph, packing: Scaled) -> None:
@@ -334,7 +346,8 @@ def deletion_pair(g: Graph, leaf, pair):
     inside N(v) keeps every member a clique and covers v to the total
     weight of those cliques.  Once that level reaches one, both halves are
     feasible for g with the value kappa_f(g - v), so kappa_f(g) =
-    kappa_f(g - v).  fractional_clique_cover_number rechecks both on g."""
+    kappa_f(g - v).  check_fractional_pair rechecks both on g, as
+    fractional_clique_cover_number does."""
     cliques, weights, packing = pair
     place = [0] * g.n
     for k, j in enumerate(leaf):
@@ -855,8 +868,15 @@ def validate_entropy_function(g: Graph, h) -> tuple[bool, str]:
 
 class BoundsReport:
     """Certified interval [lower, upper] containing the entropy of one graph,
-    with every bound behind it, each computed once: nu <= n - cc <=
+    with the bounds behind it, each computed once: nu <= n - cc <=
     n - kappa_f on the lower side, tau and theta on the upper side.
+
+    nu, cc and tau come from the matching, clique-cover and transversal
+    searches, which every report that entropy_bracket builds has run, so
+    the bounds CLI prints them.  A survey class closed from its
+    augmentation parent's lifted cover (enumeration._bracket_from_parent)
+    runs none of them: all three are None there, and on any union with
+    such a part.  The survey and the verify suites print none of them.
 
     exact means the interval is a point.  Each side carries a witness, a
     dict whose "tag" names the argument ("matching", "clique-cover",
@@ -882,7 +902,8 @@ class BoundsReport:
 
     __slots__ = ("values", "exact", "lower_witness", "upper_witness", "nu", "cc", "tau")
 
-    def __init__(self, values: Scaled, lower_witness, upper_witness, nu: int, cc: int, tau: int):
+    def __init__(self, values: Scaled, lower_witness, upper_witness, nu: int | None = None,
+                 cc: int | None = None, tau: int | None = None):
         low, up = values.ints[:2]
         if low > up:
             raise AssertionError(f"crossed bracket [{values[0]}, {values[1]}]")
@@ -926,23 +947,26 @@ def union_report(components: list[list[int]], parts: list[BoundsReport]) -> Boun
     is additive over components, and every matching edge, clique and cycle
     lies inside one), and each side's witness lists the component vertex
     lists with the parts' witnesses for that side.  theta is None when some
-    part's is."""
+    part's is, and so are nu, cc and tau, which come together."""
     width = min((len(p.values) for p in parts), default=4)
     den = lcm(*(p.values.den for p in parts))
     sums = [0] * width
+    nu = cc = tau = 0
     for p in parts:
         f = den // p.values.den
         for i in range(width):
             sums[i] += p.values.ints[i] * f
+        if p.nu is None or nu is None:
+            nu = cc = tau = None
+        else:
+            nu, cc, tau = nu + p.nu, cc + p.cc, tau + p.tau
     return BoundsReport(
         Scaled(sums, den),
         {"tag": "union-additivity", "components": components,
          "inner": [p.lower_witness for p in parts]},
         {"tag": "union-additivity", "components": components,
          "inner": [p.upper_witness for p in parts]},
-        sum(p.nu for p in parts),
-        sum(p.cc for p in parts),
-        sum(p.tau for p in parts),
+        nu, cc, tau,
     )
 
 
@@ -999,7 +1023,7 @@ def entropy_bracket(g: Graph, shannon_cap: int = DEFAULT_SHANNON_CAP,
     return add_shannon_bound(g, report, pair, shannon_cap)
 
 
-def combinatorial_bracket(g: Graph, deletion=None) -> tuple[BoundsReport, tuple]:
+def combinatorial_bracket(g: Graph, lifted=None) -> tuple[BoundsReport, tuple]:
     """entropy_bracket's step for one connected loopless g, up to the LP:
     lower = n - kappa_f, upper = tau, theta None.
 
@@ -1008,10 +1032,9 @@ def combinatorial_bracket(g: Graph, deletion=None) -> tuple[BoundsReport, tuple]
     hands its cover to the LP, and a graph with g as g - v can lift it.
 
     kappa_f comes from the integral pair, the minimum clique cover and the
-    independent set the transversal leaves.  deletion, when given, is
-    (leaf, pair) for deletion_pair: an optimal pair of g - v and how g's
-    vertices map onto it.  It is lifted only where the integral halves
-    differ, so that the LP would run, and used when v reaches level one.
+    independent set the transversal leaves.  lifted, when given, is a
+    fractional pair for g as deletion_pair returns it; it is used only where
+    the integral halves differ, so that the LP would run.
     """
     n = g.n
     nu, matching = max_matching(g)
@@ -1019,8 +1042,8 @@ def combinatorial_bracket(g: Graph, deletion=None) -> tuple[BoundsReport, tuple]
     # A transversal meets every 2-cycle, so what it leaves is independent.
     tau, removed = transversal_number(g)
     halves = cover, g.vertex_mask & ~removed
-    if deletion is not None and halves[1].bit_count() != len(cover):
-        halves = deletion_pair(g, *deletion) or halves
+    if lifted is not None and halves[1].bit_count() != len(cover):
+        halves = lifted
     kappa_f, cliques, weights, packing = fractional_clique_cover_number(g, *halves)
     # kappa_f = kf / den and lower = n - kappa_f = low / den.
     (kf,), den = scaled((kappa_f,))
@@ -1031,16 +1054,18 @@ def combinatorial_bracket(g: Graph, deletion=None) -> tuple[BoundsReport, tuple]
     elif (n - cc) * den == low:
         low_wit = {"tag": "clique-cover", "cliques": [list(bits_of(c)) for c in cover]}
     else:
-        low_wit = {
-            "tag": "fractional-clique-cover",
-            "cliques": [list(bits_of(c)) for c in cliques],
-            "weights": list(weights),
-            "value": kappa_f,
-        }
+        low_wit = fractional_cover_witness(cliques, weights, kappa_f)
     up_wit = {"tag": "transversal", "removed": list(bits_of(removed))}
     report = BoundsReport(_over_one_denominator((low, den), (tau, 1), (kf, den)),
                           low_wit, up_wit, nu, cc, tau)
     return report, (cliques, weights, packing)
+
+
+def fractional_cover_witness(cliques, weights: Scaled, kappa_f: Rational) -> dict:
+    """The lower witness of n - kappa_f from an optimal fractional cover,
+    its cliques as vertex lists and its weights."""
+    return {"tag": "fractional-clique-cover", "cliques": [list(bits_of(c)) for c in cliques],
+            "weights": list(weights), "value": kappa_f}
 
 
 def add_shannon_bound(g: Graph, report: BoundsReport, pair,

@@ -6,10 +6,11 @@ lexicographically least, returned as that canonical graph itself), a
 vertex-augmentation enumerator for simple graphs up to seven vertices, a
 whole-landscape entropy survey that brackets each connected class once,
 closing it from one-vertex deletions, its augmentation parent first, where
-that makes an LP needless, and adds component brackets for the disconnected
-ones, and the three verification suites the survey supports: the six-vertex
-pentagon-plus-apex trichotomy, the seven-vertex family with values 11/3 and
-7/2, and the classification of collapsed entropy values below four.
+that makes a search or an LP needless, and adds component brackets for the
+disconnected ones, and the three verification suites the survey supports:
+the six-vertex pentagon-plus-apex trichotomy, the seven-vertex family with
+values 11/3 and 7/2, and the classification of collapsed entropy values
+below four.
 """
 
 from __future__ import annotations
@@ -24,8 +25,11 @@ from math import gcd, lcm
 from .bounds import (
     BoundsReport,
     add_shannon_bound,
+    check_fractional_pair,
     combinatorial_bracket,
+    deletion_pair,
     entropy_bracket,
+    fractional_cover_witness,
     union_report,
 )
 from .graphs import (
@@ -296,10 +300,13 @@ def bracket_with_fallback(g: Graph, parent=None) -> BoundsReport:
     bounds.deletion_pair reads it (vertex k of g is vertex leaf[k] of g - v,
     or v where leaf[k] is n - 1); upper / den and the witness are the upper
     side of g - v's bracket, in its own labelling; pair is its cover and
-    packing, as combinatorial_bracket returns them.  The pair closes kappa_f
-    without the cover LP where v reaches level one (bounds.deletion_pair),
-    and the upper side closes the bracket without the entropy LP where it
-    meets n - kappa_f (_deleted).
+    packing, as combinatorial_bracket returns them.  Where the pair lifts
+    (bounds.deletion_pair, v reaching level one) it fixes kappa_f(g) =
+    kappa_f(g - v); where n - kappa_f then meets the upper side plus one,
+    the bracket is a point before any search (_bracket_from_parent).
+    Otherwise the lifted pair spares the cover LP, and the upper side
+    closes the bracket without the entropy LP where it meets n - kappa_f
+    (_deleted).
 
     The name stays because the benchmark's tracer (perfbench/tracer.py)
     times this function by name.
@@ -311,13 +318,37 @@ def bracket_with_fallback(g: Graph, parent=None) -> BoundsReport:
 
 
 def _bracket_from_parent(g: Graph, parent) -> tuple[BoundsReport, tuple]:
-    """bracket_with_fallback up to the entropy LP: the combinatorial bracket
-    of g, with kappa_f lifted from parent's pair where the cover LP would
-    run, closed by parent's upper side where that meets it.  Returns the
-    report and g's own pair."""
+    """bracket_with_fallback up to the entropy LP.  Returns the report and
+    g's own pair.
+
+    First the lift, with no search: where parent's pair lifts to g and
+    n - kappa_f(g - v), in ints, meets parent's upper bound plus one, the
+    lifted pair is rechecked on g in full (bounds.check_fractional_pair,
+    which raises ValueError on a half that fails).  Both halves then hold at
+    one total, so kappa_f(g) = kappa_f(g - v), and H(g) <= H(g - v) + 1
+    (_deleted) closes the bracket at n - kappa_f: a point with a
+    fractional-clique-cover lower witness, a vertex-deletion upper witness,
+    the lifted pair as g's own, and no nu, cc or tau.  Otherwise the
+    combinatorial bracket of g, with kappa_f from the lifted pair where the
+    cover LP would run, closed by parent's upper side where that meets it.
+    """
     leaf, up, up_den, up_wit, pair = parent
-    report, own = combinatorial_bracket(g, (leaf, pair))
-    return _deleted(report, leaf.index(g.n - 1), up, up_den, up_wit), own
+    v = leaf.index(g.n - 1)
+    lifted = deletion_pair(g, leaf, pair)
+    if lifted is not None:
+        (cliques, weights), packing = lifted
+        total, den = sum(weights.ints), weights.den
+        if ((g.n * den - total) * up_den == (up + up_den) * den
+                and check_fractional_pair(g, *lifted)):
+            common = gcd(total, den)
+            kf, den = total // common, den // common
+            kappa_f, low = rat(kf, den), g.n * den - kf
+            report = BoundsReport(Scaled([low, low, kf], den),
+                                  fractional_cover_witness(cliques, weights, kappa_f),
+                                  {"tag": "vertex-deletion", "vertex": v, "inner": up_wit})
+            return report, (cliques, weights, packing)
+    report, own = combinatorial_bracket(g, lifted)
+    return _deleted(report, v, up, up_den, up_wit), own
 
 
 def _deleted(report: BoundsReport, v: int, up: int, up_den: int, up_wit) -> BoundsReport:
@@ -403,14 +434,18 @@ def survey_entropy_values(
 
     Every run recomputes and rechecks every value.  The work goes by
     order, one vertex count at a time, so every class of order n - 1 is
-    final before any of order n starts, in three rounds:
+    final before any of order n starts, in four rounds, each only on what
+    the one before left open:
 
-    - combinatorial: each connected class gets bracket_with_fallback's
-      bracket up to the entropy LP from its augmentation parent (the class
-      it was enumerated from, and where its vertices sit): kappa_f lifted
-      from the parent's cover and packing where the cover LP would run, and
-      the bracket closed where the parent's upper bound plus one meets
-      n - kappa_f;
+    - lift: each connected class tries its augmentation parent (the class
+      it was enumerated from, and where its vertices sit) first.  Where the
+      parent's cover and packing lift to g and n - kappa_f meets the
+      parent's upper bound plus one, the lifted pair is rechecked on g and
+      the bracket is a point, with no search (_bracket_from_parent).  Up
+      to 7 vertices this closes 901 of the 996 connected classes;
+    - search: the rest get the combinatorial bracket, kappa_f from the
+      lifted pair where the cover LP would run, closed where the parent's
+      upper bound plus one meets n - kappa_f;
     - deletion: a class still open tries every other one-vertex deletion,
       one vertex per orbit, by the canonical bits of g - u
       (_deleted_elsewhere);
@@ -418,10 +453,11 @@ def survey_entropy_values(
 
     A disconnected class adds the brackets of its components' classes, so
     no LP ever runs twice for the same connected graph.  With jobs > 1 a
-    pool of that many workers runs the combinatorial and LP rounds of one
-    order at a time, each combinatorial task carrying only what it reads of
-    its parent (bracket_with_fallback's parent tuple).  The deletion round
-    runs in this process between them, so the records are the serial ones.
+    pool of that many workers runs the lift and search rounds as one task
+    per class, then the LP round, one order at a time; each lift task
+    carries only what it reads of its parent (bracket_with_fallback's
+    parent tuple).  The deletion round runs in this process between them,
+    so the records are the serial ones.
     The pool is made before any LP runs, and every LP then runs in a worker,
     so this process never imports numpy.  connected_only skips the
     disconnected classes in the records and reports just the connected
@@ -582,13 +618,16 @@ def verify_wheel_lemma() -> dict:
     it, G - apex being the pentagon in G's own labelling: its cover and
     packing settle kappa_f where the apex reaches level one, and its upper
     bound plus one closes the bracket where that meets the lower bound.
-    The isolated apex's case is bracketed on its own.
+    The isolated apex's case is the union of the pentagon's report and the
+    lone apex's, as entropy_bracket would add them, so no LP runs twice.
     """
     pentagon = Graph.cycle(5)  # the rim of every pentagon_apex, labelled as there
     report, pair = combinatorial_bracket(pentagon)
     report = add_shannon_bound(pentagon, report, pair)
     parent = (bytes(range(6)), report.values.ints[1], report.values.den, report.upper_witness,
               pair)
+    isolated = union_report([list(range(5)), [5]],
+                            [report, entropy_bracket(Graph.empty(1), lazy_theta=True)])
     entries = []
     failures = []
     open_brackets = []
@@ -600,7 +639,7 @@ def verify_wheel_lemma() -> dict:
             expected = rat("7/2")
         else:
             expected = rat(3)
-        bracket = bracket_with_fallback(g, parent if mask else None)
+        bracket = bracket_with_fallback(g, parent) if mask else isolated
         ok = bracket.exact and bracket.lower == expected
         entry = {
             "apex_neighbors": list(bits_of(mask)),

@@ -152,6 +152,10 @@ STDOUT_DIGESTS = [
         "c18de85740b6a5f4772d8a2c5293c445e2e144a1957f6165379196afed5bebba"),
     pin("verify-theorem2-jobs2", ("verify", "--suite", "theorem2", "--jobs", "2"), None,
         "510407d51a31b46e63252653987864a77df76e0126d47b41609d5f56a1ca390d"),
+    pin("survey-n8-jobs1", ("survey", "--n", "8", "--cap", "8", "--jobs", "1"), None,
+        "64301729a48d4fcb2a738e78f2a3852392cdd9cbda47d708219b6581ada63e1b"),
+    pin("survey-n8-jobs2", ("survey", "--n", "8", "--cap", "8", "--jobs", "2"), None,
+        "64301729a48d4fcb2a738e78f2a3852392cdd9cbda47d708219b6581ada63e1b"),
 ]
 
 

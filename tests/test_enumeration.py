@@ -8,7 +8,7 @@ import time
 import pytest
 
 from graphentropy import bounds, enumeration, lp
-from graphentropy.bounds import entropy_bracket
+from graphentropy.bounds import check_clique_cover, combinatorial_bracket, entropy_bracket
 from graphentropy.enumeration import (
     bracket_with_fallback,
     canonical_form,
@@ -33,7 +33,7 @@ from graphentropy.graphs import (
     parse_graph,
     render_graph,
 )
-from graphentropy.rationals import rat
+from graphentropy.rationals import Scaled, rat
 
 from _oracles import (
     disjoint_union,
@@ -223,14 +223,29 @@ def test_survey_runs_no_canonical_search(monkeypatch):
     assert searches == []
 
 
+@functools.cache
+def _eager(g: Graph):
+    """entropy_bracket(g) with the entropy LP, once per class in this module."""
+    return entropy_bracket(g)
+
+
+def _added_vertices() -> dict:
+    """Each class up to 7 vertices -> the vertex its augmentation added."""
+    added = {}
+    for n in range(1, 8):
+        classes, _, leaves, _ = enumeration._classes_cached(n)
+        added.update((g, leaves[i * n:(i + 1) * n].index(n - 1)) for i, g in enumerate(classes))
+    return added
+
+
 def test_survey_closes_brackets_from_the_parent(monkeypatch):
-    """Up to 7 vertices, 21 of the 37 connected classes whose combinatorial
-    bracket is open are closed by their augmentation parent, and 7 more by
-    deleting another vertex, so the survey solves 9 entropy LPs; the
-    others' lookups make 34 canonical searches once the classes are cached.
-    Each closed class gets the value the eager bracket's LP gives, theta is
-    None, and the witness nests the upper witness of the class less the
-    named vertex."""
+    """Up to 7 vertices, 902 connected classes are closed by their
+    augmentation parent (901 by the lift before any search, one more after
+    it), and 7 more by deleting another vertex, so the survey solves 9
+    entropy LPs; the others' lookups make 34 canonical searches once the
+    classes are cached.  Each closed class gets the value the eager
+    bracket's LP gives, theta is None, and the witness nests the upper
+    witness of the class less the named vertex."""
     for n in range(1, 8):
         isomorphism_classes(n)
     calls = count_calls(monkeypatch, bounds, "shannon_entropy")
@@ -242,19 +257,16 @@ def test_survey_closes_brackets_from_the_parent(monkeypatch):
     by_graph = {g: report for g, report, _ in records}
     closed = [(g, report) for g, report, _ in records
               if report.upper_witness["tag"] == "vertex-deletion"]
-    added = {}
-    for n in range(1, 8):
-        classes, _, leaves, _ = enumeration._classes_cached(n)
-        added.update((g, leaves[i * n:(i + 1) * n].index(n - 1)) for i, g in enumerate(classes))
+    added = _added_vertices()
     by_parent = [render_graph(g, "graph6") for g, report in closed
                  if report.upper_witness["vertex"] == added[g]]
     elsewhere = [render_graph(g, "graph6") for g, report in closed
                  if report.upper_witness["vertex"] != added[g]]
-    assert len(by_parent) == 21
+    assert len(by_parent) == 902
     assert elsewhere == ["FG_yo", "FI_XW", "FZh[w", "F`CaW", "FjaHw", "Fjehw", "FkYXw"]
     for g, report in closed:
         g6 = render_graph(g, "graph6")
-        eager = entropy_bracket(g)
+        eager = _eager(g)
         assert report.exact and eager.exact, g6
         assert report.lower == eager.lower, g6
         assert report.theta is None, g6
@@ -262,6 +274,98 @@ def test_survey_closes_brackets_from_the_parent(monkeypatch):
         less = canonical_form(induced_subgraph(g, g.vertex_mask & ~(1 << witness["vertex"]))[0])
         assert witness["inner"] == by_graph[less].upper_witness, g6
         assert by_graph[less].upper + 1 == report.upper, g6
+
+
+def test_survey_lift_agrees_with_the_search(monkeypatch):
+    """The lift closes every connected class up to 7 vertices but 95 before
+    any search: combinatorial_bracket runs on 1, 1, 3, 13 and 77 classes of
+    orders 1, 4, 5, 6 and 7.  Each class the lift closes has the lower
+    bound and kappa_f that the parent-free combinatorial_bracket finds, and
+    the value of the eager bracket; its lower witness is the lifted cover,
+    which passes check_clique_cover on it, and it carries no nu, cc or
+    tau."""
+    for n in range(1, 8):
+        isomorphism_classes(n)
+    calls = count_calls(monkeypatch, enumeration, "combinatorial_bracket")
+    records = survey_entropy_values(7)
+    monkeypatch.undo()
+    searched = {args[0] for args in calls}
+    orders = [g.n for g in searched]
+    assert len(searched) == len(calls)
+    assert [orders.count(n) for n in range(1, 8)] == [1, 0, 0, 1, 3, 13, 77]
+    lifted = [(g, report) for g, report, connected in records
+              if connected and g not in searched]
+    assert len(lifted) == 901
+    added = _added_vertices()
+    for g, report in lifted:
+        g6 = render_graph(g, "graph6")
+        plain, _ = combinatorial_bracket(g)
+        assert (report.lower, report.kappa_f) == (plain.lower, plain.kappa_f), g6
+        assert report.exact and report.upper == _eager(g).lower == _eager(g).upper, g6
+        assert report.upper_witness["vertex"] == added[g], g6
+        witness = report.lower_witness
+        assert witness["tag"] == "fractional-clique-cover", g6
+        check_clique_cover(g, [mask_of(c) for c in witness["cliques"]], witness["weights"])
+        assert sum(witness["weights"]) == witness["value"] == report.kappa_f, g6
+        assert (report.nu, report.cc, report.tau) == (None, None, None), g6
+
+
+def _tampered_survey(monkeypatch, tamper) -> tuple[list, list, str]:
+    """survey_entropy_values(6) with every lifted pair passed through
+    tamper(g, v, cliques, weights, packing), which returns the tampered
+    (cover, packing) or None to leave the pair alone.  Returns the classes
+    whose pair was tampered with, those combinatorial_bracket ran on, and
+    the message of the ValueError that refused a pair."""
+    real = enumeration.deletion_pair
+    tampered = []
+
+    def lift(g, leaf, pair):
+        got = real(g, leaf, pair)
+        if got is not None:
+            (cliques, weights), packing = got
+            bad = tamper(g, leaf.index(g.n - 1), cliques, weights, packing)
+            if bad is not None:
+                tampered.append(g)
+                return bad
+        return got
+
+    monkeypatch.setattr(enumeration, "deletion_pair", lift)
+    searched = count_calls(monkeypatch, enumeration, "combinatorial_bracket")
+    with pytest.raises(ValueError) as refused:
+        survey_entropy_values(6)
+    monkeypatch.undo()
+    return tampered, [args[0] for args in searched], str(refused.value)
+
+
+def test_survey_refuses_a_tampered_lift(monkeypatch):
+    """Through the survey, a lifted pair that is tampered with is refused by
+    the recheck on g before any search, so it closes no class: weight moved
+    off a clique inside N(v) onto one outside, leaving v below level one,
+    and a packing entry on N(v) raised by one, putting a clique above
+    one."""
+    def moved(g, v, cliques, weights, packing):
+        ks = list(weights.ints)
+        inside = [i for i, c in enumerate(cliques) if c >> v & 1 and ks[i]]
+        outside = [i for i, c in enumerate(cliques) if not c >> v & 1]
+        if sum(ks[i] for i in inside) != weights.den or not outside:
+            return None
+        ks[outside[0]] += ks[inside[0]]
+        ks[inside[0]] = 0
+        return (cliques, Scaled(ks, weights.den)), packing
+
+    def raised(g, v, cliques, weights, packing):
+        ys = list(packing.ints)
+        on = [u for u in bits_of(g.mutual[v]) if ys[u]]
+        if not on:
+            return None
+        ys[on[0]] += packing.den
+        return (cliques, weights), Scaled(ys, packing.den)
+
+    for tamper, why in ((moved, "covered only to level"), (raised, "has packing weight")):
+        tampered, searched, message = _tampered_survey(monkeypatch, tamper)
+        assert tampered, why
+        assert why in message, message
+        assert tampered[-1] not in searched, render_graph(tampered[-1], "graph6")
 
 
 def test_connected_filter():
@@ -376,9 +480,10 @@ def test_survey_forwards_cap(monkeypatch):
 
 def test_survey_union_witnesses_use_record_labelling():
     """A disconnected record's witnesses list the components of its own
-    graph, and its bracket and bound values are the ones that graph gets
-    directly."""
-    fields = ("lower", "upper", "nu", "cc", "kappa_f", "tau", "theta")
+    graph, and its bracket, kappa_f and theta are the ones that graph gets
+    directly.  nu, cc and tau are left out: survey reports closed by the
+    lift carry none, and a union with such a part has none either."""
+    fields = ("lower", "upper", "kappa_f", "theta")
     records = [(g, report) for g, report, connected in survey_entropy_values(6)
                if not connected]
     assert len(records) == sum(KNOWN_CLASS_COUNTS[:6]) - sum(KNOWN_CONNECTED_COUNTS[:6])
@@ -474,10 +579,10 @@ def test_small_theorem_suite():
 
 
 def test_small_theorem_suite_lp_count(monkeypatch):
-    """26 exact simplex runs: 9 entropy LPs and 17 cover LPs.  The
-    fractional covers of perfect graphs are certified by independent sets,
-    and 20 others by a deletion pair lifted from the augmentation parent,
-    not by the LP."""
+    """26 exact simplex runs: 9 entropy LPs and 17 cover LPs.  Every other
+    fractional cover is certified without the LP: by the pair lifted from
+    the augmentation parent, or, on a searched class, by an independent
+    set of the cover's size (every perfect graph has one)."""
     runs = count_calls(monkeypatch, lp, "_simplex")
     entropy = count_calls(monkeypatch, bounds, "shannon_entropy")
     cover = count_calls(monkeypatch, bounds, "build_fractional_cover_lp")
@@ -486,11 +591,11 @@ def test_small_theorem_suite_lp_count(monkeypatch):
 
 
 def test_wheel_lp_count(monkeypatch):
-    """The wheel suite solves the pentagon's cover and entropy LPs once for
-    its parent and once inside the isolated apex's case; every other case
-    is settled from the pentagon."""
+    """The wheel suite solves the pentagon's cover and entropy LPs once, for
+    its parent; the isolated apex's case adds the pentagon's report to the
+    lone apex's, and every other case is settled from the pentagon."""
     entropy = count_calls(monkeypatch, bounds, "shannon_entropy")
     cover = count_calls(monkeypatch, bounds, "build_fractional_cover_lp")
     report = verify_wheel_lemma()
     assert report["ok"]
-    assert (len(entropy), len(cover)) == (2, 2)
+    assert (len(entropy), len(cover)) == (1, 1)
