@@ -24,6 +24,7 @@ from .graphs import (
     connected_components,
     induced_subgraph,
     loops,
+    mask_of,
     orbit_representatives,
     permute_mask,
 )
@@ -495,22 +496,26 @@ def closure_map(g: Graph) -> list[int]:
     cl = [0] * (full + 1)
     for m in range(full + 1):
         # Seeding with the closure of a submask, m & (m - 1) < m, is sound
-        # (closures are monotone) and usually leaves little to do.  Each
-        # round absorbs every outside vertex whose in-neighbours are inside.
-        cur = cl[m & (m - 1)] | m
-        while True:
-            grown = cur
-            out = full & ~cur
-            while out:
-                low = out & -out
-                if not cols[low.bit_length() - 1] & ~cur:
-                    grown |= low
-                out ^= low
-            if grown == cur:
-                break
-            cur = grown
-        cl[m] = cur
+        # (closures are monotone) and usually leaves little to do.
+        cl[m] = _close(cols, full, cl[m & (m - 1)] | m)
     return cl
+
+
+def _close(cols, full: int, cur: int) -> int:
+    """The closure of the vertex mask cur inside full, as closure_map takes
+    it: each round absorbs every outside vertex whose in-neighbours
+    (cols) are inside, until a round absorbs none."""
+    while True:
+        grown = cur
+        out = full & ~cur
+        while out:
+            low = out & -out
+            if not cols[low.bit_length() - 1] & ~cur:
+                grown |= low
+            out ^= low
+        if grown == cur:
+            return cur
+        cur = grown
 
 
 def _shannon_blocks(g: Graph):
@@ -601,10 +606,7 @@ def shannon_entropy(g: Graph, cap: int = DEFAULT_SHANNON_CAP,
     optimal one is derived.  Only the float run reads it, through the crash
     columns _entropy_dual picks by it.
     """
-    n = g.n
-    if n > cap:
-        raise CapExceededError(f"subset-entropy LP on {n} vertices exceeds the cap of {cap}",
-                               flag="--shannon-cap")
+    _check_shannon_cap(g.n, cap)
     full = g.vertex_mask
     cl = closure_map(g)
     if full == cl[0]:  # every set closes to V, h(V) = h(empty): h is zero
@@ -622,6 +624,12 @@ def shannon_entropy(g: Graph, cap: int = DEFAULT_SHANNON_CAP,
     if not ok:
         raise AssertionError(f"entropy witness failed validation: {why}")
     return h[full], h
+
+
+def _check_shannon_cap(n: int, cap: int) -> None:
+    if n > cap:
+        raise CapExceededError(f"subset-entropy LP on {n} vertices exceeds the cap of {cap}",
+                               flag="--shannon-cap")
 
 
 def _cover_function(g: Graph, cliques, weights, gens) -> tuple[list[int], int]:
@@ -890,8 +898,8 @@ class BoundsReport:
     canonical representative of the class of G - v (recheck it on
     canonical_form of G - v), the wheel suite in G's own labelling less v,
     as the apex is the last vertex.  theta is None when lazy_theta skipped
-    the subset-entropy LP on some component, or a component was closed by
-    vertex deletion, since the value of the whole graph is then unknown.
+    it on some component, or a component was closed by vertex deletion,
+    since the value of the whole graph is then unknown.
 
     The rational values are held as Python ints over one positive
     denominator, values = Scaled([lower, upper, kappa_f, theta], den), with
@@ -978,10 +986,11 @@ def entropy_bracket(g: Graph, shannon_cap: int = DEFAULT_SHANNON_CAP,
     weakly connected components (union_report adds their reports; the empty
     graph has none), then per component take lower = n - fractional clique
     cover number (never worse than the matching or integral cover bounds)
-    and upper = min(transversal, LP).  With lazy_theta the LP is skipped
-    whenever the transversal already meets the lower bound.  theta, when
-    computed, is the LP's value on all of g: both reductions are exact for
-    the LP, not just bounds.
+    and upper = min(transversal, LP).  Where the transversal already meets
+    the lower bound, theta = tau is certified without the LP
+    (add_shannon_bound), and lazy_theta skips even that, leaving theta
+    None.  theta, when computed, is the LP's value on all of g: both
+    reductions are exact for the LP, not just bounds.
 
     Across the loop strip tau and theta add the loop count, but nu, cc and
     kappa_f do not (a looped vertex still sits in a clique), so those three
@@ -1073,14 +1082,53 @@ def add_shannon_bound(g: Graph, report: BoundsReport, pair,
     """The report combinatorial_bracket(g) returned, with theta, the
     subset-entropy LP's value, added: the upper side becomes theta, with a
     shannon-lp witness, where theta is below tau.  pair is the one it
-    returned alongside; the LP's float run reads its cover."""
-    h = shannon_entropy(g, shannon_cap, pair[:2])[1]
-    theta = (h.ints[g.vertex_mask], h.den)
+    returned alongside; the LP's float run reads its cover.
+
+    The only place the bracket reaches the LP, and only where it is open.
+    An exact report, n - kappa_f = tau, has theta = tau certified without
+    the LP (_theta_is_tau), so it keeps its transversal witness."""
     (low, _, kf), den = report.values.ints, report.values.den
+    if report.exact:
+        _theta_is_tau(g, report, pair, shannon_cap)
+        theta = (report.tau, 1)
+    else:
+        h = shannon_entropy(g, shannon_cap, pair[:2])[1]
+        theta = (h.ints[g.vertex_mask], h.den)
     values = [(low, den), (report.tau, 1), (kf, den), theta]
     up_wit = report.upper_witness
     if theta[0] < report.tau * theta[1]:
         values[1] = theta
-        up_wit = {"tag": "shannon-lp", "theta": h[g.vertex_mask]}
+        up_wit = {"tag": "shannon-lp", "theta": Rational(*theta)}
     return BoundsReport(_over_one_denominator(*values), report.lower_witness, up_wit,
                         report.nu, report.cc, report.tau)
+
+
+def _theta_is_tau(g: Graph, report: BoundsReport, pair, shannon_cap: int) -> None:
+    """Raise unless theta(g) = tau, for an exact report of
+    combinatorial_bracket(g) (n - kappa_f = tau) and the pair behind it, by
+    three checks in ints and no LP, after the cap check that shannon_entropy
+    makes:
+
+    - the transversal witness T, of tau vertices, closes to V (absorbing
+      one vertex at a time whose in-neighbourhood lies inside, as
+      closure_map does for every set), so every feasible h has h(V) =
+      h(T) <= |T| and theta <= tau;
+    - the entropy function of the pair's cover (_cover_function, with no
+      averaging) passes validate_entropy_function;
+    - its value on V is n - kappa_f, so theta >= n - kappa_f = tau.
+
+    A failed check raises AssertionError, as shannon_entropy does when its
+    witness fails validation."""
+    _check_shannon_cap(g.n, shannon_cap)
+    full = g.vertex_mask
+    removed = report.upper_witness["removed"]
+    if len(removed) != report.tau or _close(g.cols, full, mask_of(removed)) != full:
+        raise AssertionError(f"transversal {removed} does not close to V in {report.tau} "
+                             "vertices")
+    k, scale = _cover_function(g, *pair[:2], ())
+    ok, why = validate_entropy_function(g, Scaled(k, scale))
+    if not ok:
+        raise AssertionError(f"cover entropy function failed validation: {why}")
+    if k[full] * report.values.den != report.values.ints[0] * scale:
+        raise AssertionError(f"cover entropy function is {Rational(k[full], scale)} on V, "
+                             f"not n - kappa_f = {report.lower}")

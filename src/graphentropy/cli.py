@@ -262,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shannon-cap", type=int, default=DEFAULT_SHANNON_CAP,
                    help="largest component size the subset-entropy LP will take")
     p.add_argument("--lazy", action="store_true",
-                   help="skip the LP when the transversal already collapses the bracket")
+                   help="report no theta where the transversal already collapses the "
+                        "bracket, so that no --shannon-cap applies there")
     p.set_defaults(run=_cmd_bounds)
 
     p = subs.add_parser("guess", help="exact guessing number over q symbols")

@@ -19,7 +19,8 @@ import os
 from array import array
 from bisect import bisect_left
 from contextlib import nullcontext
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import starmap
 from math import gcd, lcm
 
 from .bounds import (
@@ -457,7 +458,10 @@ def survey_entropy_values(
     per class, then the LP round, one order at a time; each lift task
     carries only what it reads of its parent (bracket_with_fallback's
     parent tuple).  The deletion round runs in this process between them,
-    so the records are the serial ones.
+    so the records are the serial ones.  Results are taken one at a time as
+    they come back, and a worker's vertex-deletion witness is pointed back
+    at this process's own witness of g - v, so the pool holds one copy of
+    each witness, as the serial run does.
     The pool is made before any LP runs, and every LP then runs in a worker,
     so this process never imports numpy.  connected_only skips the
     disconnected classes in the records and reports just the connected
@@ -511,7 +515,7 @@ def survey_entropy_values(
         runner = Pool(jobs, initializer=_one_blas_thread)
     position: dict[Graph, int] = {}
     with runner as pool:
-        starmap = _starmap if pool is None else pool.starmap
+        run = _starmap if pool is None else partial(_imap_star, pool)
         for n in sorted({g.n for g in classes}):
             order, parents, leaves, _ = _classes_cached(n)
             position.update((g, i) for i, g in enumerate(order))
@@ -523,13 +527,18 @@ def survey_entropy_values(
                                          base.values.den, base.upper_witness,
                                          pair_of(n - 1, parents[i]))))
             done, own = reports.setdefault(n, {}), pairs.setdefault(n, {})
-            for i, (report, pair) in zip(todo, starmap(_bracket_from_parent, tasks, 8)):
-                if not report.exact:
+            for i, task, (report, pair) in zip(todo, tasks,
+                                               run(_bracket_from_parent, tasks, 8)):
+                if report.upper_witness["tag"] == "vertex-deletion":
+                    # A worker's report holds its own copy of the parent's
+                    # witness chain; share this process's one instead.
+                    report.upper_witness["inner"] = task[1][3]
+                elif not report.exact:
                     v = leaves.index(n - 1, i * n) - i * n
                     report = _deleted_elsewhere(order[i], report, v, report_of)
                 done[i], own[i] = report, pair
             todo = [i for i in todo if not done[i].exact]
-            for i, report in zip(todo, starmap(
+            for i, report in zip(todo, run(
                     add_shannon_bound, [(order[i], done[i], own[i]) for i in todo], 1)):
                 done[i] = report
     return [(g, report_of(g.n, position[g]), len(connected_components(g)) == 1) for g in classes]
@@ -560,8 +569,20 @@ def _union_pair(n: int, parts) -> tuple:
 
 
 def _starmap(fn, tasks, chunksize):
-    """Pool.starmap's results, computed in this process."""
-    return [fn(*task) for task in tasks]
+    """fn(*task) for each task, in order, computed in this process as they
+    are read."""
+    return starmap(fn, tasks)
+
+
+def _imap_star(pool, fn, tasks, chunksize):
+    """fn(*task) for each task, in order, computed by pool and handed over
+    as they come back, so that each can be dropped before the rest arrive."""
+    return pool.imap(_call, [(fn, task) for task in tasks], chunksize)
+
+
+def _call(job):
+    fn, args = job
+    return fn(*args)
 
 
 def collapsed_values(records) -> list:

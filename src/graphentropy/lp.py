@@ -513,7 +513,8 @@ _HARRIS = 1e-9
 @cache
 def _numpy():
     """The numpy module, imported on the first float proposal, or None when
-    it is missing.  Commands that solve no LP never pay its import time."""
+    it is missing.  Commands that solve no LP never pay its import time:
+    guess, reduce, minimal-check, and bounds where n - kappa_f = tau."""
     try:
         import numpy
     except ImportError:

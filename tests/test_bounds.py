@@ -1,7 +1,9 @@
 import hashlib
+import importlib.util
 import random
 import sys
 import time
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -13,11 +15,13 @@ from graphentropy.bounds import (
     _entropy_dual,
     _largest_independent_set,
     _shannon_rows,
+    add_shannon_bound,
     build_fractional_cover_lp,
     check_clique_cover,
     build_shannon_lp,
     clique_cover_number,
     closure_map,
+    combinatorial_bracket,
     entropy_bracket,
     fractional_clique_cover_number,
     max_matching,
@@ -927,28 +931,149 @@ AT_THE_CAP = [
     pytest.param(Graph.complete(10), "9", id="K10"),
     pytest.param(_complete_bipartite(4, 4), "4", id="K4,4"),
     pytest.param(_complete_bipartite(5, 5), "5", id="K5,5"),
+    # theta = tau = n - kappa_f = 7: the bracket certifies theta without the
+    # LP in under 1 s, where the LP alone takes 6.4-7.9 s (0.01 s and 7.9 s
+    # measured on a shared 2-core VM, CPython 3.11.7).
+    pytest.param(parse_graph("IYNmp~^Zo"), "7", id="IYNmp~^Zo"),
 ]
 
 
 @pytest.mark.parametrize("g, value", AT_THE_CAP)
 def test_brackets_at_the_cap(g, value, exact_steps):
+    """The bracket and the subset-entropy LP, solved here even where the
+    bracket certifies theta without it, both reach the value within 60 s,
+    every LP optimal at its float proposal."""
     started = time.perf_counter()
     r = entropy_bracket(g)
+    theta = shannon_entropy(g)[0]
     elapsed = time.perf_counter() - started
     assert (r.theta, r.lower, r.upper, r.exact) == (rat(value), rat(value), rat(value), True)
+    assert theta == rat(value)
     assert elapsed < 60, f"took {elapsed:.1f}s"
     assert not exact_steps, "a float proposal was not optimal"
 
 
 def test_exact_path_without_numpy(monkeypatch):
     """Without numpy there is no float proposal: every LP starts from the
-    slack/artificial basis and runs on exact pivots alone."""
+    slack/artificial basis and runs on exact pivots alone.  gnp7.4-relabelled
+    has theta = tau, which its bracket certifies without the LP, so the LP is
+    solved directly."""
     monkeypatch.setattr(lp_module, "_numpy", lambda: None)
+    g = Graph.undirected(7, _GNP7_4_RELABELLED)
     started = time.perf_counter()
-    r = entropy_bracket(Graph.undirected(7, _GNP7_4_RELABELLED))
+    r = entropy_bracket(g)
+    theta = shannon_entropy(g)[0]
     elapsed = time.perf_counter() - started
-    assert (r.theta, r.lower, r.upper) == (4, 4, 4)
+    assert (r.theta, r.lower, r.upper, theta) == (4, 4, 4, 4)
     assert elapsed < 60, f"took {elapsed:.1f}s"
+
+
+def test_theta_at_tau_matches_the_lp(monkeypatch):
+    """Where n - kappa_f meets tau, add_shannon_bound reports theta = tau
+    without the LP, keeping the transversal witness, and the LP agrees: on
+    every connected class up to 7 vertices whose combinatorial bracket is
+    exact, and on the rows at the cap whose bracket is, where
+    test_brackets_at_the_cap pins the LP's value."""
+    calls = count_calls(monkeypatch, bounds, "shannon_entropy")
+
+    def lp_free(graphs):
+        for g in graphs:
+            report, pair = combinatorial_bracket(g)
+            if report.exact:
+                r = add_shannon_bound(g, report, pair)
+                assert not calls, render_graph(g, "graph6")
+                assert (r.theta, r.upper_witness) == (report.upper, report.upper_witness)
+                yield g, r.theta, pair
+
+    classes = list(lp_free(enumerate_graphs(7, connected_only=True)))
+    for g, theta, pair in classes:
+        assert shannon_entropy(g, cover=pair[:2])[0] == theta, render_graph(g, "graph6")
+    at_the_cap = 0
+    for param in AT_THE_CAP:
+        g, value = param.values
+        for _, theta, _ in lp_free([g]):
+            assert theta == rat(value), param.id
+            at_the_cap += 1
+    assert (len(classes), at_the_cap) == (959, 16)
+
+
+def _c8_exact():
+    g = Graph.cycle(8)
+    report, pair = combinatorial_bracket(g)
+    assert report.exact and report.upper_witness == {"tag": "transversal",
+                                                     "removed": [0, 2, 4, 6]}
+    return g, report, pair
+
+
+@pytest.mark.parametrize("mask", [0b1, 0b11111111], ids=["singleton", "V"])
+def test_theta_at_tau_refuses_a_bad_cover_function(monkeypatch, mask):
+    """A cover entropy function one unit off on one set is refused: above
+    one on a singleton, or above n - kappa_f on V."""
+    g, report, pair = _c8_exact()
+    real = bounds._cover_function
+
+    def bumped(*args):
+        k, scale = real(*args)
+        k[mask] += 1
+        return k, scale
+
+    monkeypatch.setattr(bounds, "_cover_function", bumped)
+    with pytest.raises(AssertionError, match="cover entropy function"):
+        add_shannon_bound(g, report, pair)
+
+
+@pytest.mark.parametrize("removed", [[2, 4, 6], [1, 2, 4, 6]], ids=["dropped", "swapped"])
+def test_theta_at_tau_refuses_a_transversal_that_does_not_close(removed):
+    """A transversal witness with a vertex dropped, or one swapped for a
+    neighbour so that 0-7 is left as a 2-cycle, does not close to V, and
+    the bracket refuses it."""
+    g, report, pair = _c8_exact()
+    report.upper_witness["removed"] = removed
+    with pytest.raises(AssertionError, match="does not close to V"):
+        add_shannon_bound(g, report, pair)
+
+
+def test_theta_at_tau_keeps_the_shannon_cap():
+    """An exact bracket above --shannon-cap still raises CapExceededError,
+    and --lazy is still the only way past it."""
+    with pytest.raises(CapExceededError) as caught:
+        entropy_bracket(Graph.cycle(8), shannon_cap=7)
+    assert caught.value.flag == "--shannon-cap"
+    lazy = entropy_bracket(Graph.cycle(8), shannon_cap=7, lazy_theta=True)
+    assert (lazy.lower, lazy.upper, lazy.theta) == (4, 4, None)
+
+
+def test_theta_at_tau_skips_the_lp_at_the_cap(monkeypatch):
+    """IYNmp~^Zo brackets at [7, 7] with theta = 7 in under 1 s, with no
+    shannon_entropy call."""
+    calls = count_calls(monkeypatch, bounds, "shannon_entropy")
+    started = time.perf_counter()
+    r = entropy_bracket(parse_graph("IYNmp~^Zo"))
+    elapsed = time.perf_counter() - started
+    assert (r.lower, r.upper, r.theta, r.upper_witness["tag"]) == (7, 7, 7, "transversal")
+    assert not calls
+    assert elapsed < 1, f"took {elapsed:.2f}s"
+
+
+def test_benchmark_bounds_solve_the_lp_only_where_open(monkeypatch):
+    """Over the benchmark's bounds graphs, shannon_entropy runs only on those
+    whose combinatorial bracket is open."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # Registered first: its dataclasses look their module up by name.
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    calls = count_calls(monkeypatch, bounds, "shannon_entropy")
+    solved = []
+    ops = workloads.bounds_ops()
+    for op in ops:
+        entropy_bracket(parse_graph(op.stdin))
+        if calls:
+            solved.append(op.id.removeprefix("bounds/"))
+        calls.clear()
+    assert len(ops) == 18
+    assert solved == ["C5", "C7", "co-C7", "G-11/3", "G-7/2", "gnp6.3"]
 
 
 def _connected_sample(rng: random.Random, draw) -> Graph:

@@ -526,17 +526,19 @@ sys.exit(code)
 """
 
 
-@pytest.mark.parametrize("argv, key, value", [
-    (("guess", "--q", "2"), "code_size", 5),
-    (("reduce",), "reducible", False),
-    (("minimal-check",), "candidate", True),
-], ids=["guess", "reduce", "minimal-check"])
-def test_lp_free_subcommand_leaves_numpy_unimported(c5_file, argv, key, value):
+@pytest.mark.parametrize("argv, graph, key, value", [
+    (("guess", "--q", "2"), "DLo", "code_size", 5),
+    (("reduce",), "DLo", "reducible", False),
+    (("minimal-check",), "DLo", "candidate", True),
+    (("bounds",), cycle(6), "theta", "3"),
+], ids=["guess", "reduce", "minimal-check", "bounds-C6"])
+def test_lp_free_subcommand_leaves_numpy_unimported(argv, graph, key, value):
     """numpy is imported on the first float proposal, and guess, reduce and
-    minimal-check run no LP."""
+    minimal-check run no LP, nor does bounds where n - kappa_f = tau (C6,
+    at 3)."""
     proc = subprocess.run(
-        [sys.executable, "-c", NUMPY_UNTOUCHED, *argv, "--graph", c5_file],
-        capture_output=True, text=True, timeout=120, env=child_env(),
+        [sys.executable, "-c", NUMPY_UNTOUCHED, *argv, "--graph", "-"],
+        input=graph, capture_output=True, text=True, timeout=120, env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["result"][key] == value

@@ -527,6 +527,23 @@ def test_survey_pool_leaves_numpy_to_the_workers():
     assert imported == ["True", "False"]
 
 
+def test_survey_pool_shares_the_parents_witnesses():
+    """A vertex-deletion witness from a pool worker comes back holding the
+    worker's copy of the deleted class's upper witness; the survey points
+    it back at that class's own witness, so --jobs 2 keeps one witness per
+    class, and its stdout is still the serial one."""
+    records = survey_entropy_values(7, jobs=2)
+    own = {id(report.upper_witness) for _, report, _ in records}
+    inner = [report.upper_witness["inner"] for _, report, _ in records
+             if report.upper_witness["tag"] == "vertex-deletion"]
+    assert len(inner) > 900
+    assert all(id(w) in own for w in inner)
+    stdout = [subprocess.run([sys.executable, "-m", "graphentropy.cli", "survey", "--n", "7",
+                              "--jobs", jobs], env=child_env(), check=True, capture_output=True,
+                             text=True, timeout=120).stdout for jobs in ("1", "2")]
+    assert stdout[0] == stdout[1]
+
+
 def test_pentagon_apex_masks():
     lonely = pentagon_apex(0)
     assert lonely.n == 6
